@@ -304,7 +304,7 @@ void BM_InsertBatchTraceOff(benchmark::State& state) {
 BENCHMARK(BM_InsertBatchTraceOff);
 
 // Tracing enabled: every chunk records one span into the thread ring
-// (rdtsc ×2 + a seqlock slot write).  Not part of the CI guard — the
+// (rdtsc ×2 + one version-stamped span-ring slot write).  Not part of the CI guard — the
 // guard holds the *disabled* path to <2% — but TUNING quotes this number
 // as the cost of switching collection on.
 void BM_InsertBatchTraceOn(benchmark::State& state) {

@@ -31,7 +31,6 @@ namespace {
 
 using runtime::IngestPipeline;
 using runtime::PipelineOptions;
-using runtime::SnapshotReader;
 
 constexpr std::uint64_t kN = kWindow;
 constexpr std::uint64_t kItems = 4'000'000;
@@ -75,15 +74,10 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   std::thread reader;
   if (with_reader) {
     reader = std::thread([&] {
-      std::vector<SnapshotReader<SheBloomFilter>> views;
-      views.reserve(shards);
-      for (std::size_t s = 0; s < shards; ++s)
-        views.emplace_back(pipe.snapshot_slot(s));
       std::uint64_t q = 0;
       while (!done.load(std::memory_order_acquire)) {
         for (std::size_t s = 0; s < shards; ++s) {
-          const SheBloomFilter& snap = views[s].get();
-          (void)snap.contains(0xFEEDu + q);
+          (void)pipe.view(s)->contains(0xFEEDu + q);
           ++q;
         }
       }

@@ -149,8 +149,8 @@ class SpanRing {
 
  private:
   // Payload fields are relaxed atomics so a torn cross-thread read yields
-  // stale *values* the version check discards — same discipline as
-  // runtime::SeqlockSlot, and what keeps this clean under tsan.
+  // stale *values* the version check discards — the classic seqlock made
+  // well-defined under the C++ memory model, and clean under tsan.
   struct Slot {
     std::atomic<std::uint32_t> ver{0};  ///< odd while the writer is in it
     std::atomic<const char*> name{nullptr};

@@ -6,12 +6,13 @@
 // analogue.  N producer threads route keys by the same hash Sharded<T>
 // uses (so accuracy semantics carry over) into per-(producer, shard) SPSC
 // rings; each shard worker thread exclusively owns one estimator, drains
-// its rings in batches, and publishes a seqlock-versioned snapshot every
-// `publish_interval` items.  Producers never block on estimator state, and
-// queries run concurrently against the snapshots:
+// its rings in batches, and every `publish_interval` items publishes an
+// immutable copy of it that all readers share.  Producers never block on
+// estimator state, and queries run concurrently against the snapshots:
 //
 //   producer p ──ring[p][s]──▶ worker s ──owns──▶ Estimator s
-//                                   └─publishes──▶ SeqlockSlot s ◀─readers
+//                                   └─publishes──▶ view s ◀─readers
+//                                   │   (shared_ptr<const Estimator>)
 //                                   └─checkpoints─▶ shard-s.ckpt (durable)
 //
 // Backpressure on a full ring is explicit: `Block` (spin-yield until
@@ -81,16 +82,18 @@
 // (PipelineOptions::sample_interval_ms) refreshes the queue-depth gauges
 // and the windowed rate during quiet periods.
 //
-// Estimator requirements: movable, `insert(uint64_t)`,
-// `save(BinaryWriter&) const`, `static load(BinaryReader&)`.  Every SHE
-// estimator and StreamMonitor qualifies.  Estimators additionally exposing
+// Estimator requirements: copyable (each publish copies the estimator),
+// `insert(uint64_t)`, `save(BinaryWriter&) const`,
+// `static load(BinaryReader&)`, and const queries safe to call from several
+// threads on one object (every reader shares the published copy).  Every
+// SHE estimator and StreamMonitor qualifies.  Estimators additionally exposing
 // `insert_batch(std::span<const uint64_t>)` (all of the above do) get the
 // hash-ahead + prefetch batch path on the worker drain.
 //
 // Threading contract:
 //   * push(producer, key): producer `p`'s pushes must be serialized (one
 //     thread per producer index); different producers are independent.
-//   * snapshot()/stats()/shard_of()/metrics_registry()/faulted():
+//   * view()/snapshot()/stats()/shard_of()/metrics_registry()/faulted():
 //     any thread, any time.
 //   * start()/close(): one controlling thread; do not call push()
 //     concurrently with close() — join your producers first.  close() on
@@ -165,7 +168,6 @@ struct PipelineOptions {
   Backpressure policy = Backpressure::kBlock;
   std::size_t push_timeout_ms = 100;   ///< kBlockTimeout: give up after this
   std::uint64_t route_seed = 0x5ead5eedULL;  ///< Sharded's default
-  std::size_t snapshot_slack_bytes = 4096;   ///< slot headroom over 2x image
   std::size_t sample_interval_ms = 0;  ///< queue-depth sampler period; 0 = no
                                        ///< background sampler thread
 
@@ -223,7 +225,7 @@ class IngestPipeline {
         "wall time of one non-empty ring drain sweep, ns");
     publish_hist_ = &registry_.histogram(
         "she_pipeline_publish_latency_ns",
-        "serialize + seqlock publish of one shard snapshot, ns");
+        "copy + pointer swap publishing one shard snapshot, ns");
     push_hist_ = &registry_.histogram(
         "she_pipeline_push_latency_ns",
         "producer push() wall time, 1-in-64 sampled while telemetry is "
@@ -251,7 +253,6 @@ class IngestPipeline {
         "WAL/checkpoint writes that failed with a disk-unhealthy errno");
     if (!opt_.checkpoint_dir.empty())
       std::filesystem::create_directories(opt_.checkpoint_dir);
-    std::vector<char> image;
     shards_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       std::optional<CheckpointData> ck;
@@ -349,10 +350,7 @@ class IngestPipeline {
         // until `checkpoint_keep` fresh generations have rotated them out.
         sh->ckpt_history.assign(opt_.checkpoint_keep, sh->last_checkpoint);
       }
-      serialize_to(image, sh->est);
-      sh->snap = std::make_unique<SeqlockSlot>(2 * image.size() +
-                                               opt_.snapshot_slack_bytes);
-      sh->snap->publish(image.data(), image.size());
+      sh->view = std::make_shared<const Estimator>(sh->est);
       sh->rings.reserve(opt_.producers);
       for (std::size_t p = 0; p < opt_.producers; ++p)
         sh->rings.push_back(std::make_unique<SpscRing>(opt_.queue_capacity));
@@ -782,18 +780,19 @@ class IngestPipeline {
     return ok;
   }
 
-  /// A private copy of shard `s`'s latest published estimator state.
-  /// Callable from any thread at any time.
-  [[nodiscard]] Estimator snapshot(std::size_t s) const {
-    std::vector<char> buf;
-    shards_[s]->snap->read(buf);
-    return deserialize<Estimator>(buf.data(), buf.size());
+  /// Shard `s`'s latest published estimator state: a pointer copy, no
+  /// estimator copy.  The object is immutable and shared by every reader
+  /// until the next publish replaces it; holding the pointer keeps that
+  /// state alive across later publishes and past the pipeline's own
+  /// destruction.  Callable from any thread at any time.
+  [[nodiscard]] std::shared_ptr<const Estimator> view(std::size_t s) const {
+    const Shard& sh = *shards_[s];
+    std::lock_guard<std::mutex> lk(sh.view_mu);
+    return sh.view;
   }
 
-  /// The raw slot, for SnapshotReader-style cached readers.
-  [[nodiscard]] const SeqlockSlot& snapshot_slot(std::size_t s) const {
-    return *shards_[s]->snap;
-  }
+  /// A private, mutable copy of view(s).
+  [[nodiscard]] Estimator snapshot(std::size_t s) const { return *view(s); }
 
   /// The pipeline's private metric registry (always on); export it with
   /// obs::write_prometheus / obs::write_json, typically alongside
@@ -855,9 +854,14 @@ class IngestPipeline {
     explicit Shard(Estimator e) : est(std::move(e)) {}
     Estimator est;  ///< worker-owned once start() runs
     std::size_t index = 0;
-    std::unique_ptr<SeqlockSlot> snap;
+    /// Last published state.  Only the thread owning `est` replaces it;
+    /// readers copy the pointer from any thread.  The mutex is held only
+    /// for that pointer copy or swap: libstdc++'s
+    /// std::atomic<std::shared_ptr> releases its internal lock with a
+    /// relaxed store on load, which ThreadSanitizer reports as a race.
+    mutable std::mutex view_mu;
+    std::shared_ptr<const Estimator> view;  ///< guarded by view_mu
     std::vector<std::unique_ptr<SpscRing>> rings;  ///< one per producer
-    std::vector<char> scratch;           ///< worker-only: last published image
     std::uint64_t since_publish = 0;     ///< worker-only
     std::uint64_t consumed = 0;          ///< worker-only: items applied
     std::uint64_t consumed_at_publish = 0;  ///< worker-only
@@ -994,8 +998,13 @@ class IngestPipeline {
   void publish(Shard& sh) {
     SHE_TRACE_SPAN("pipeline.publish", "pipeline");
     const std::int64_t t0 = now_ns();
-    serialize_to(sh.scratch, sh.est);
-    sh.snap->publish(sh.scratch.data(), sh.scratch.size());
+    std::shared_ptr<const Estimator> next =
+        std::make_shared<const Estimator>(sh.est);
+    {
+      std::lock_guard<std::mutex> lk(sh.view_mu);
+      sh.view.swap(next);
+    }
+    next.reset();  // the previous view, freed outside the lock unless held
     publish_hist_->observe(static_cast<std::uint64_t>(now_ns() - t0));
     sh.publishes->inc();
     sh.since_publish = 0;
@@ -1005,19 +1014,22 @@ class IngestPipeline {
       write_checkpoint(sh);
   }
 
-  /// Frame the just-published image (scratch) and atomically replace the
-  /// shard's checkpoint file.  Runs on the worker thread; the injection
-  /// hook may corrupt the frame on purpose.
+  /// Frame the published view and atomically replace the shard's
+  /// checkpoint file, so the durable state is always some published state.
+  /// Runs on the worker thread; the injection hook may corrupt the frame
+  /// on purpose.
   void write_checkpoint(Shard& sh) {
     SHE_TRACE_SPAN("pipeline.checkpoint", "pipeline");
     if (degraded_.load(std::memory_order_acquire))
       return;  // disk is sick: keep the previous generation until recovery
     const std::int64_t t0 = now_ns();
+    std::vector<char> image;
+    serialize_to(image, *view(sh.index));
     std::vector<char> frame = frame_checkpoint(
         sh.consumed_at_publish,
         std::span<const std::uint64_t>(sh.producer_offsets.data(),
                                        sh.producer_offsets.size()),
-        std::span<const char>(sh.scratch.data(), sh.scratch.size()));
+        std::span<const char>(image.data(), image.size()));
     fault::maybe_corrupt_frame(sh.index, sh.ckpt_ordinal, frame);
     try {
       if (fault::maybe_ckpt_eio(sh.index, sh.ckpt_ordinal))
@@ -1180,8 +1192,7 @@ class IngestPipeline {
       // Idle: surface whatever arrived since the last publish so readers
       // see a fresh snapshot even in quiet periods.
       if (sh.since_publish > 0) publish(sh);
-      // sync() barrier: rings are momentarily empty, so publish (filling
-      // scratch — the construction-time publish bypassed it) and ack.
+      // sync() barrier: rings are momentarily empty, so publish and ack.
       const std::uint64_t syncreq = sh.sync_req.load(std::memory_order_acquire);
       if (syncreq != sh.sync_ack.load(std::memory_order_relaxed)) {
         // The empty-rings observation above predates this acquire load, so
@@ -1296,14 +1307,12 @@ class IngestPipeline {
     for (const auto& r : sh.rings) backlog += r->size_approx();
     if (rollback) {
       try {
-        std::vector<char> buf;
-        sh.snap->read(buf);
-        Estimator restored = deserialize<Estimator>(buf.data(), buf.size());
+        Estimator restored = *view(s);
         std::destroy_at(&sh.est);
         std::construct_at(&sh.est, std::move(restored));
       } catch (const std::exception&) {
-        // Published snapshots are always valid frames; if restoring one
-        // still fails the shard cannot be saved — abandon it.
+        // Only the copy can fail (out of memory); the shard cannot be
+        // saved then — abandon it.
         sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
         return;
       }

@@ -148,14 +148,9 @@ bool valid_pipeline_name(const std::string& name) {
 
 // ------------------------------------------------------------------ Entry --
 
-namespace {
-std::atomic<std::uint64_t> g_next_entry_id{1};
-}  // namespace
-
 PipelineManager::Entry::Entry(std::string name, std::string spec_text,
                               const PipelineSpec& spec)
     : name_(std::move(name)),
-      id_(g_next_entry_id.fetch_add(1, std::memory_order_relaxed)),
       spec_text_(std::move(spec_text)),
       monitor_(spec.monitor, spec.pipeline),
       slot_mu_(new std::mutex[spec.pipeline.producers]),

@@ -82,17 +82,12 @@ class PipelineManager {
   };
 
   /// One resident pipeline.  Insert paths borrow a producer slot; queries
-  /// go straight to the monitor (seqlock snapshots, any thread).
+  /// go straight to the monitor (shared published views, any thread).
   class Entry {
    public:
     Entry(std::string name, std::string spec_text, const PipelineSpec& spec);
 
     [[nodiscard]] const std::string& name() const { return name_; }
-    /// Process-unique id; never reused, even when a dropped name is
-    /// re-created.  Lets query caches key snapshots by pipeline identity
-    /// instead of name, so state from a dropped pipeline can't be served
-    /// for its successor.
-    [[nodiscard]] std::uint64_t id() const { return id_; }
     [[nodiscard]] const std::string& spec_text() const { return spec_text_; }
     [[nodiscard]] ConcurrentMonitor& monitor() { return monitor_; }
     [[nodiscard]] const ConcurrentMonitor& monitor() const { return monitor_; }
@@ -116,7 +111,6 @@ class PipelineManager {
 
    private:
     std::string name_;
-    std::uint64_t id_;
     std::string spec_text_;
     ConcurrentMonitor monitor_;
     std::unique_ptr<std::mutex[]> slot_mu_;

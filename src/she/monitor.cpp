@@ -199,11 +199,11 @@ ConcurrentMonitor::ConcurrentMonitor(const MonitorConfig& monitor,
       }) {}
 
 bool ConcurrentMonitor::seen(std::uint64_t key) const {
-  return pipe_.snapshot(pipe_.shard_of(key)).seen(key);
+  return pipe_.view(pipe_.shard_of(key))->seen(key);
 }
 
 std::uint64_t ConcurrentMonitor::frequency(std::uint64_t key) const {
-  return pipe_.snapshot(pipe_.shard_of(key)).frequency(key);
+  return pipe_.view(pipe_.shard_of(key))->frequency(key);
 }
 
 MonitorReport MonitorReport::combine(std::span<const MonitorReport> parts,
@@ -233,7 +233,7 @@ MonitorReport ConcurrentMonitor::report(std::size_t top_k) const {
   std::vector<MonitorReport> parts;
   parts.reserve(pipe_.shard_count());
   for (std::size_t s = 0; s < pipe_.shard_count(); ++s)
-    parts.push_back(pipe_.snapshot(s).report(top_k));
+    parts.push_back(pipe_.view(s)->report(top_k));
   return MonitorReport::combine(parts, top_k);
 }
 
@@ -244,9 +244,7 @@ double ConcurrentMonitor::jaccard(const ConcurrentMonitor& a,
         "ConcurrentMonitor::jaccard: shard counts differ");
   double sum = 0;
   for (std::size_t s = 0; s < a.shard_count(); ++s) {
-    StreamMonitor sa = a.shard_snapshot(s);
-    StreamMonitor sb = b.shard_snapshot(s);
-    sum += StreamMonitor::jaccard(sa, sb);
+    sum += StreamMonitor::jaccard(*a.shard_view(s), *b.shard_view(s));
   }
   return sum / static_cast<double>(a.shard_count());
 }

@@ -203,7 +203,7 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
           if (best_mature != std::numeric_limits<std::uint64_t>::max()) {
             out[i] = best_mature;
           } else {
-            ++all_young_;
+            all_young_.inc();
             if (track) obs::she_metrics().cm_all_young_queries.inc();
             out[i] = best_any;
           }
@@ -241,7 +241,7 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
         if (best_mature != std::numeric_limits<std::uint64_t>::max()) {
           out[i] = best_mature;
         } else {
-          ++all_young_;
+          all_young_.inc();
           if (track) obs::she_metrics().cm_all_young_queries.inc();
           out[i] = best_any;
         }
@@ -279,7 +279,7 @@ std::uint64_t SheCountMin::frequency(std::uint64_t key,
     obs::she_metrics().hash_calls.inc(2 * hashes_);
   }
   if (best_mature != std::numeric_limits<std::uint64_t>::max()) return best_mature;
-  ++all_young_;  // every probe young: best-effort answer, may underestimate
+  all_young_.inc();  // every probe young: best-effort answer, may underestimate
   if (track) obs::she_metrics().cm_all_young_queries.inc();
   return best_any;
 }
@@ -310,7 +310,7 @@ void SheCountMin::clear() {
   std::fill(cells_.begin(), cells_.end(), 0u);
   clock_.reset();
   time_ = 0;
-  all_young_ = 0;
+  all_young_ = QueryCounter();
 }
 
 }  // namespace she

@@ -10,6 +10,7 @@
 // two-sided corner, surfaced via `all_young_queries()`.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -78,7 +79,9 @@ class SheCountMin {
   [[nodiscard]] unsigned hash_count() const { return hashes_; }
 
   /// Queries so far whose probes were all young (fallback path taken).
-  [[nodiscard]] std::uint64_t all_young_queries() const { return all_young_; }
+  [[nodiscard]] std::uint64_t all_young_queries() const {
+    return all_young_.get();
+  }
 
   [[nodiscard]] std::size_t memory_bytes() const {
     return cells_.size() * sizeof(std::uint32_t) + clock_.memory_bytes();
@@ -106,7 +109,27 @@ class SheCountMin {
   GroupClock clock_;
   std::vector<std::uint32_t> cells_;
   std::uint64_t time_ = 0;
-  mutable std::uint64_t all_young_ = 0;
+
+  /// The one field a const query writes.  A relaxed atomic, so concurrent
+  /// queries on one shared estimator (a published pipeline view) count
+  /// without a data race; copies carry the value.
+  class QueryCounter {
+   public:
+    QueryCounter() = default;
+    QueryCounter(const QueryCounter& o) noexcept : n_(o.get()) {}
+    QueryCounter& operator=(const QueryCounter& o) noexcept {
+      n_.store(o.get(), std::memory_order_relaxed);
+      return *this;
+    }
+    void inc() { n_.fetch_add(1, std::memory_order_relaxed); }
+    [[nodiscard]] std::uint64_t get() const {
+      return n_.load(std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint64_t> n_{0};
+  };
+  mutable QueryCounter all_young_;
   std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
 };
 

@@ -605,6 +605,54 @@ TEST_F(FaultTolerance, SupervisorRestartsFaultedWorkerLosslesslyAccounted) {
   EXPECT_FALSE(pipe.faulted());
 }
 
+TEST_F(FaultTolerance, SupervisedRollbackRestoresLastPublishedState) {
+  // Deterministic rollback: publish exactly at 4096 items, apply 2000 more
+  // without publishing, then fault.  The restarted worker must continue
+  // from the published state — byte-identical to a sequential run that
+  // skipped the 2000 rolled-back items — and count them lost.
+  constexpr std::size_t kPublished = 4096;
+  constexpr std::size_t kRolledBack = 2000;
+  const auto factory = bf_factory(1, 16'384);
+  const auto trace = stream::distinct_trace(12'000, 41);
+  const std::span<const std::uint64_t> keys(trace);
+  Sharded<SheBloomFilter> reference(1, factory);
+  for (auto k : keys.first(kPublished)) reference.insert(k);
+  for (auto k : keys.subspan(kPublished + kRolledBack)) reference.insert(k);
+
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.queue_capacity = 8192;
+  opt.publish_interval = kPublished;
+  opt.supervise = true;
+  opt.supervisor_interval_ms = 2;
+  opt.heartbeat_timeout_ms = 60'000;  // the stall below is not a wedge
+  // The first sweep drains the prefilled ring and publishes; the next
+  // sweep stalls long enough for the test to queue kRolledBack more
+  // items, drains them in one sweep (below publish_interval), and the
+  // sweep after that throws.
+  fault::injector().arm({fault::Point::kConsumerStall, 0, kPublished, 300});
+  fault::injector().arm(
+      {fault::Point::kWorkerThrow, 0, kPublished + kRolledBack, 0});
+
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  ASSERT_EQ(pipe.push_bulk(0, keys.first(kPublished)), kPublished);
+  pipe.start();
+  while (pipe.view(0)->time() < kPublished) std::this_thread::yield();
+  ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished, kRolledBack)),
+            kRolledBack);
+  while (pipe.stats().worker_restarts == 0) std::this_thread::yield();
+  ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished + kRolledBack)),
+            keys.size() - kPublished - kRolledBack);
+  pipe.close();
+
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.worker_faults, 1u);
+  EXPECT_EQ(st.worker_restarts, 1u);
+  EXPECT_EQ(st.items_lost, kRolledBack);
+  EXPECT_EQ(serialized(*pipe.view(0)), serialized(reference.shard(0)));
+}
+
 TEST_F(FaultTolerance, SupervisorFencesWedgedWorkerWithoutLoss) {
   const auto trace = stream::distinct_trace(30'000, 33);
   PipelineOptions opt;
@@ -1149,11 +1197,12 @@ TEST(FaultToleranceConcurrency, DropNewestMultiProducerExactAccounting) {
 }
 
 TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
-  // A SnapshotReader and a checkpoint-file reader race the worker while it
-  // publishes and checkpoints at a high cadence.  The seqlock must never
-  // yield a torn (unloadable or time-regressing) snapshot, and the atomic
-  // write-rename must never expose a torn frame: every read is either
-  // "no file yet" or a fully valid checkpoint with monotone offsets.
+  // A view reader and a checkpoint-file reader race the worker while it
+  // publishes and checkpoints at a high cadence.  Every loaded view must
+  // be a complete estimator (its image round-trips, its clock never
+  // regresses), and the atomic write-rename must never expose a torn
+  // frame: every read is either "no file yet" or a fully valid checkpoint
+  // with monotone offsets.
   const std::string dir = temp_dir("torn_race");
   const auto trace = stream::distinct_trace(60'000, 51);
   PipelineOptions opt;
@@ -1171,17 +1220,24 @@ TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   std::atomic<std::uint64_t> snapshot_reads{0};
   std::atomic<std::uint64_t> frame_reads{0};
   std::thread snap_reader([&] {
-    SnapshotReader<SheBloomFilter> reader(pipe.snapshot_slot(0));
     std::uint64_t last_time = 0;
+    std::vector<char> image;
     while (!stop.load(std::memory_order_acquire)) {
       try {
-        const SheBloomFilter& bf = reader.get();  // throws on a torn image
-        if (bf.time() < last_time) {
-          ADD_FAILURE() << "snapshot time went backwards: " << bf.time()
+        const auto bf = pipe.view(0);
+        if (bf->time() < last_time) {
+          ADD_FAILURE() << "snapshot time went backwards: " << bf->time()
                         << " after " << last_time;
           return;
         }
-        last_time = bf.time();
+        last_time = bf->time();
+        serialize_to(image, *bf);
+        const auto back =
+            deserialize<SheBloomFilter>(image.data(), image.size());
+        if (serialized(back) != serialized(*bf)) {
+          ADD_FAILURE() << "view image does not round-trip";
+          return;
+        }
       } catch (const std::exception& e) {
         ADD_FAILURE() << "torn snapshot: " << e.what();
         return;

@@ -4,7 +4,8 @@
 // so the instrumented run stays fast).
 //
 //   * SpscRing: FIFO order and wraparound, plus a cross-thread stress.
-//   * SeqlockSlot: readers never observe a torn payload.
+//   * Published views: a held view survives later publishes unchanged;
+//     readers between two publishes share one object.
 //   * IngestPipeline: single-producer drains are bit-identical to
 //     sequential routing; DropNewest counts rejected pushes; Block loses
 //     nothing; queries under load stay consistent.
@@ -78,67 +79,6 @@ TEST(SpscRing, CrossThreadStressKeepsSequence) {
     if (n == 0) std::this_thread::yield();
   }
   producer.join();
-}
-
-// ----------------------------- SeqlockSlot ---------------------------------
-
-TEST(SeqlockSlot, PublishReadRoundTrip) {
-  SeqlockSlot slot(64);
-  const char payload[] = "sliding windows";
-  slot.publish(payload, sizeof(payload));
-  std::vector<char> out;
-  std::uint64_t version = slot.read(out);
-  EXPECT_EQ(version, 2u);
-  ASSERT_EQ(out.size(), sizeof(payload));
-  EXPECT_EQ(std::memcmp(out.data(), payload, sizeof(payload)), 0);
-}
-
-TEST(SeqlockSlot, RejectsOversizedPayload) {
-  SeqlockSlot slot(16);
-  std::vector<char> big(64, 'x');
-  EXPECT_THROW(slot.publish(big.data(), big.size()), std::length_error);
-}
-
-TEST(SeqlockSlot, ReadersNeverSeeTornPayload) {
-  // Writer publishes payloads whose every word equals the round number;
-  // a torn read would mix words from different rounds.
-  constexpr std::size_t kWords = 128;
-  constexpr std::uint64_t kMinReads = 500;
-  constexpr std::uint64_t kMaxRounds = 5'000'000;  // overlap-or-bust backstop
-  SeqlockSlot slot(kWords * 8);
-  std::vector<std::uint64_t> payload(kWords, 0);
-  slot.publish(payload.data(), kWords * 8);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::thread reader([&] {
-    std::vector<char> buf;
-    while (!stop.load(std::memory_order_acquire)) {
-      slot.read(buf);
-      ASSERT_EQ(buf.size(), kWords * 8);
-      std::uint64_t first;
-      std::memcpy(&first, buf.data(), 8);
-      for (std::size_t w = 1; w < kWords; ++w) {
-        std::uint64_t v;
-        std::memcpy(&v, buf.data() + w * 8, 8);
-        ASSERT_EQ(v, first) << "torn read at word " << w;
-      }
-      reads.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  // Keep publishing until the reader has completed a healthy number of
-  // reads concurrently with us (on a single core this needs the yield to
-  // interleave the two threads at all).
-  for (std::uint64_t round = 1;
-       reads.load(std::memory_order_relaxed) < kMinReads && round <= kMaxRounds;
-       ++round) {
-    std::fill(payload.begin(), payload.end(), round);
-    slot.publish(payload.data(), kWords * 8);
-    if (round % 64 == 0) std::this_thread::yield();
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_GE(reads.load(), kMinReads);
 }
 
 // ---------------------------- IngestPipeline -------------------------------
@@ -243,8 +183,8 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
   // (which fans out to the estimators' pipelined insert_batch).  With one
   // producer the per-shard arrival order is deterministic, so the drained
   // state must serialize byte-identically to scalar routing — while a
-  // reader thread hammers the seqlock snapshots mid-ingest (the surface
-  // `ctest -L tsan` sweeps) and the tiny Block-policy rings force
+  // reader thread queries the shared published views mid-ingest (the
+  // surface `ctest -L tsan` sweeps) and the tiny Block-policy rings force
   // backpressure so the stall counters are exercised.
   constexpr std::uint64_t kWindow = 1 << 14;
   constexpr std::size_t kShards = 2;
@@ -271,11 +211,11 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
     std::uint64_t last[kShards] = {};
     while (!stop.load(std::memory_order_relaxed)) {
       for (std::size_t s = 0; s < kShards; ++s) {
-        StreamMonitor snap = pipe.snapshot(s);
-        ASSERT_GE(snap.time(), last[s]);  // clock never runs backwards
-        last[s] = snap.time();
-        (void)snap.seen(trace[0]);
-        (void)snap.frequency(trace[0]);
+        const auto snap = pipe.view(s);
+        ASSERT_GE(snap->time(), last[s]);  // clock never runs backwards
+        last[s] = snap->time();
+        (void)snap->seen(trace[0]);
+        (void)snap->frequency(trace[0]);
       }
     }
   });
@@ -362,11 +302,10 @@ TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
 }
 
 TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
-  // Readers continuously deserialize snapshots while two producers ingest.
-  // A torn or stale-mixed image would fail deserialization (tag/shape
-  // checks) or break SHE-BF's invariants; we assert clock monotonicity and
-  // the no-false-negative guarantee for a key that is always deep in every
-  // shard window.
+  // A reader continuously loads the published views while two producers
+  // ingest.  A view mixing two publishes would break SHE-BF's invariants;
+  // we assert clock monotonicity and the no-false-negative guarantee for a
+  // key that is always deep in every shard window.
   constexpr std::uint64_t kWindow = 1 << 14;
   constexpr std::size_t kShards = 2;
   constexpr std::uint64_t kHot = 0xB00F;
@@ -382,20 +321,17 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
 
   std::atomic<bool> done{false};
   std::thread reader([&] {
-    SnapshotReader<SheBloomFilter> views[kShards] = {
-        SnapshotReader<SheBloomFilter>(pipe.snapshot_slot(0)),
-        SnapshotReader<SheBloomFilter>(pipe.snapshot_slot(1))};
     std::uint64_t last_time[kShards] = {0, 0};
     const std::size_t hot_shard = pipe.shard_of(kHot);
     while (!done.load(std::memory_order_acquire)) {
       for (std::size_t s = 0; s < kShards; ++s) {
-        const SheBloomFilter& snap = views[s].get();
-        ASSERT_GE(snap.time(), last_time[s]) << "clock went backwards";
-        last_time[s] = snap.time();
+        const auto snap = pipe.view(s);
+        ASSERT_GE(snap->time(), last_time[s]) << "clock went backwards";
+        last_time[s] = snap->time();
         // kHot arrives every ~8 global items, so once the hot shard has
         // seen a full window the one-sided guarantee applies.
-        if (s == hot_shard && snap.time() > kWindow / kShards) {
-          ASSERT_TRUE(snap.contains(kHot));
+        if (s == hot_shard && snap->time() > kWindow / kShards) {
+          ASSERT_TRUE(snap->contains(kHot));
         }
       }
     }
@@ -415,6 +351,94 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
   reader.join();
   pipe.close();
   EXPECT_EQ(pipe.stats().inserted, kItems);
+}
+
+// ---------------------------- Published views ------------------------------
+
+std::string bytes_of(const SheBloomFilter& bf) {
+  std::vector<char> image;
+  serialize_to(image, bf);
+  return std::string(image.begin(), image.end());
+}
+
+TEST(PipelineView, HeldViewSurvivesManyPublishes) {
+  // A reader holding a view keeps reading exactly the state it loaded,
+  // however many publishes replace the shard's view meanwhile.
+  const auto trace = stream::distinct_trace(4096, 3);
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 2048));
+  pipe.start();
+  const std::span<const std::uint64_t> keys(trace);
+  ASSERT_EQ(pipe.push_bulk(0, keys.first(1000)), 1000u);
+  ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));
+
+  const std::shared_ptr<const SheBloomFilter> held = pipe.view(0);
+  const std::string before = bytes_of(*held);
+  ASSERT_EQ(held->time(), 1000u);
+  const std::uint64_t publishes_before = pipe.stats().publishes;
+  // Every sync() publishes, so small pushes + syncs force >= 100 publishes.
+  for (std::size_t i = 1000; i < keys.size(); i += 16) {
+    const auto chunk = keys.subspan(i, std::min<std::size_t>(16, keys.size() - i));
+    ASSERT_EQ(pipe.push_bulk(0, chunk), chunk.size());
+    ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));
+  }
+  EXPECT_GE(pipe.stats().publishes - publishes_before, 100u);
+
+  EXPECT_EQ(held->time(), 1000u);
+  EXPECT_EQ(bytes_of(*held), before);
+  const auto latest = pipe.view(0);
+  EXPECT_NE(latest.get(), held.get());
+  EXPECT_EQ(latest->time(), trace.size());
+  pipe.close();
+}
+
+TEST(PipelineView, ReadersBetweenPublishesShareOneObject) {
+  // Between two publishes every reader thread loads the same object: one
+  // decoded copy per process, not one per reader.  The readers also query
+  // it concurrently through SHE-CM, whose all-young counter is the only
+  // field a const query writes — it must count every fallback without a
+  // data race (k = 1, alpha = 1 makes about half the probes young).
+  SheConfig cfg;
+  cfg.window = 4096;
+  cfg.cells = 1 << 12;
+  cfg.group_cells = 64;
+  cfg.alpha = 1.0;
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  IngestPipeline<SheCountMin> pipe(
+      opt, [cfg](std::size_t) { return SheCountMin(cfg, 1); });
+  pipe.start();
+  const auto trace = stream::distinct_trace(3 * cfg.window, 7);
+  ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
+  ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));  // idle: no more publishes
+  const std::span<const std::uint64_t> keys =
+      std::span<const std::uint64_t>(trace).last(2000);
+
+  // Fallbacks in one pass over `keys`, counted on a private copy.
+  const SheCountMin copy = pipe.snapshot(0);
+  const std::uint64_t copy_base = copy.all_young_queries();
+  for (std::uint64_t k : keys) (void)copy.frequency(k);
+  const std::uint64_t per_pass = copy.all_young_queries() - copy_base;
+  EXPECT_GT(per_pass, 0u);
+
+  const std::uint64_t base = pipe.view(0)->all_young_queries();
+  constexpr std::size_t kReaders = 4;
+  std::vector<std::shared_ptr<const SheCountMin>> got(kReaders);
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      got[r] = pipe.view(0);
+      for (std::uint64_t k : keys) (void)got[r]->frequency(k);
+    });
+  }
+  for (auto& t : readers) t.join();
+  const auto view = pipe.view(0);
+  for (const auto& g : got) EXPECT_EQ(g.get(), view.get());
+  EXPECT_EQ(view->all_young_queries(), base + kReaders * per_pass);
+  pipe.close();
 }
 
 // --------------------------- ConcurrentMonitor -----------------------------

@@ -534,6 +534,75 @@ TEST(Server, ConcurrentClientsCreateDropRacingInsertQuery) {
   c.ping();  // the server survived the stampede
 }
 
+TEST(Server, QueriesNeverAnswerFromADroppedIncarnation) {
+  // One client keeps DROPping and re-CREATEing a pipeline under the same
+  // name; incarnation e only ever holds its own marker key.  Once
+  // incarnation e is flushed, every later answer must come from
+  // incarnation e or newer (or be kNotFound while the name is vacant):
+  // a reader holding on to an older incarnation's state would report an
+  // older marker.  Under ASan this also catches a query touching the
+  // state of a pipeline a DROP already closed.
+  LiveServer live;
+  const std::string name = "phoenix";
+  const std::string spec = "window=4K memory=64K shards=2";
+  constexpr std::uint64_t kRounds = 30;
+  const auto marker = [](std::uint64_t e) { return 0xE000'0000ull + e; };
+  std::atomic<std::uint64_t> flushed{0};  ///< newest fully flushed epoch
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answered{0};
+
+  auto reader = [&] {
+    SheClient c = live.client();
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t e = flushed.load(std::memory_order_acquire);
+      if (e == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      try {
+        for (const auto& hit : c.query_topk(name, 4)) {
+          EXPECT_GE(hit.first, marker(e)) << "answered from an older incarnation";
+          EXPECT_LE(hit.first, marker(kRounds));
+        }
+        if (e > 1) {
+          EXPECT_FALSE(c.query_membership(name, marker(e - 1)))
+              << "epoch " << e << " still sees its predecessor's key";
+        }
+        answered.fetch_add(1, std::memory_order_relaxed);
+      } catch (const ClientError& err) {
+        EXPECT_EQ(err.status(), Status::kNotFound);  // between DROP and CREATE
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+
+  SheClient admin = live.client();
+  for (std::uint64_t e = 1; e <= kRounds; ++e) {
+    if (e > 1) admin.drop(name);
+    admin.create(name, spec);
+    const std::vector<std::uint64_t> keys(64, marker(e));
+    ASSERT_EQ(admin.insert_bulk(name, keys), keys.size());
+    admin.flush(name);
+    flushed.store(e, std::memory_order_release);
+    // Let the readers land some queries on this incarnation.
+    const std::uint64_t seen = answered.load(std::memory_order_relaxed);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (answered.load(std::memory_order_relaxed) < seen + 3 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_GE(answered.load(), kRounds);
+  const auto top = admin.query_topk(name, 4);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].first, marker(kRounds));
+  EXPECT_EQ(top[0].second, 64u);
+}
+
 TEST(Server, ShutdownOpcodeStopsTheServer) {
   LiveServer live;
   SheClient c = live.client();

@@ -272,6 +272,46 @@ void BM_SheMinHashInsertBatchScalar(benchmark::State& state) {
   drive_batch_inserts(state, mh);
 }
 BENCHMARK(BM_SheMinHashInsertBatchScalar)->Arg(64)->Arg(256);
+
+// The heavy-hitter path at one shard of the e2e bench spec (window=64K
+// memory=1M shards=2): the arg is the per-shard window, the budget 512 KiB.
+MonitorConfig shard_monitor(std::int64_t window) {
+  MonitorConfig mc;
+  mc.window = static_cast<std::uint64_t>(window);
+  mc.memory_bytes = 512u << 10;
+  return mc;
+}
+
+// That shard's frequency task, in the geometry StreamMonitor derives.
+HeavyHitters shard_heavy_hitters(std::int64_t window) {
+  return *StreamMonitor(shard_monitor(window)).heavy_hitters();
+}
+
+void BM_HeavyHittersInsertBatch(benchmark::State& state) {
+  HeavyHitters hh = shard_heavy_hitters(state.range(0));
+  drive_batch_inserts(state, hh);
+}
+BENCHMARK(BM_HeavyHittersInsertBatch)->Arg(32768);
+
+void BM_HeavyHittersInsertBatchScalar(benchmark::State& state) {
+  const simd::ScopedForceScalar scalar_only;
+  HeavyHitters hh = shard_heavy_hitters(state.range(0));
+  drive_batch_inserts(state, hh);
+}
+BENCHMARK(BM_HeavyHittersInsertBatchScalar)->Arg(32768);
+
+void BM_StreamMonitorInsertBatch(benchmark::State& state) {
+  StreamMonitor mon(shard_monitor(state.range(0)));
+  drive_batch_inserts(state, mon);
+}
+BENCHMARK(BM_StreamMonitorInsertBatch)->Arg(32768);
+
+void BM_StreamMonitorInsertBatchScalar(benchmark::State& state) {
+  const simd::ScopedForceScalar scalar_only;
+  StreamMonitor mon(shard_monitor(state.range(0)));
+  drive_batch_inserts(state, mon);
+}
+BENCHMARK(BM_StreamMonitorInsertBatchScalar)->Arg(32768);
 // ---- end simd-vs-scalar batch pairs ---------------------------------------
 
 // ---- tracing overhead pair ------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 
 #include "common/crc32.hpp"
@@ -56,10 +57,10 @@ obs::Counter& torn_counter() {
       "WAL tails truncated as torn or corrupt during recovery scans");
 }
 
-/// Validate the frame starting at data[at]; fills `f` and returns the
-/// total encoded size, or 0 when the bytes are not a valid frame (torn
-/// tail — the scan stops there).
-std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
+/// Validate the frame starting at data[at]; fills `f`'s header fields (not
+/// its payload) and returns the total encoded size, or 0 when the bytes
+/// are not a valid frame (torn tail — the scan stops there).
+std::size_t check_frame(const char* data, std::size_t n, std::size_t at,
                         WalFrame& f) {
   if (n - at < kWalHeaderBytes) return 0;
   const char* h = data + at;
@@ -81,8 +82,25 @@ std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
   f.start_offset = get_le<std::uint64_t>(h + 16);
   f.client_id = get_le<std::uint64_t>(h + 24);
   f.client_seq = get_le<std::uint64_t>(h + 32);
-  f.payload.assign(payload, payload + payload_len);
   return kWalHeaderBytes + payload_len;
+}
+
+/// check_frame() plus a copy of the payload into `f`.
+std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
+                        WalFrame& f) {
+  const std::size_t sz = check_frame(data, n, at, f);
+  if (sz == 0) return 0;
+  const char* payload = data + at + kWalHeaderBytes;
+  f.payload.assign(payload, payload + (sz - kWalHeaderBytes));
+  return sz;
+}
+
+/// Store the CRC of an encoded frame whose header [0, 44) and payload are
+/// already in place.
+void seal_frame(char* frame, std::size_t payload_len) {
+  std::uint32_t crc = crc32(frame, 44);
+  crc = crc32(frame + kWalHeaderBytes, payload_len, crc);
+  put_le<std::uint32_t>(frame + 44, crc);
 }
 
 }  // namespace
@@ -126,12 +144,10 @@ std::vector<char> frame_wal(const WalFrame& f) {
   put_le<std::uint64_t>(out.data() + 32, f.client_seq);
   put_le<std::uint32_t>(out.data() + 40,
                         static_cast<std::uint32_t>(f.payload.size()));
-  std::uint32_t crc = crc32(out.data(), 44);
-  crc = crc32(f.payload.data(), f.payload.size(), crc);
-  put_le<std::uint32_t>(out.data() + 44, crc);
   if (!f.payload.empty())
     std::memcpy(out.data() + kWalHeaderBytes, f.payload.data(),
                 f.payload.size());
+  seal_frame(out.data(), f.payload.size());
   return out;
 }
 
@@ -358,54 +374,104 @@ void ShardWal::compact(std::uint64_t low_water) {
 
   if (std::fflush(file_) != 0)
     throw WalError("wal: flush failed on " + path_);
-  const WalScan scan = read_wal(path_);
-
-  // The seq-table frame anchors the log's offset base.  A surviving frame
-  // can straddle the low-water mark (it holds items both below and above
-  // it); the anchor must not pass that frame's start or the next scan's
-  // continuity check would reject it as a rewind.
-  std::uint64_t base = std::min(low_water, end_offset_);
-  for (const WalFrame& f : scan.frames)
-    if (f.end_offset() > low_water) base = std::min(base, f.start_offset);
 
   // Rewrite into a tmp file, make the replacement as durable as the mode
   // promises, then rename over the log.  The pre-compaction file is only
   // replaced by the rename itself: any failure before that point keeps
   // the (longer, still valid) old log.
+  //
+  // The old log streams through one reused frame buffer under read_wal's
+  // validity rules (stop at the first invalid frame, seq regression or
+  // offset rewind), and each survivor is renumbered and written as it is
+  // read, so the append lock never holds more than one frame in memory.
   const std::string tmp = path_ + ".tmp";
+  std::uint64_t seq = 1;           // next frame number of the new log
+  std::uint64_t written = 0;       // bytes of the new log
+  std::uint64_t base = std::min(low_water, end_offset_);
+  std::uint64_t new_end = base;    // items covered by the new log
   {
     std::FILE* out = std::fopen(tmp.c_str(), "wb");
     if (out == nullptr) throw WalError("wal: cannot open " + tmp);
+    std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
+        std::fopen(path_.c_str(), "rb"), &std::fclose);
     const auto fail = [&out, &tmp](const std::string& msg) {
       std::fclose(out);
       std::error_code rm;
       std::filesystem::remove(tmp, rm);
       throw WalError(msg);
     };
-    const auto put = [&](const std::vector<char>& bytes) {
-      if (std::fwrite(bytes.data(), 1, bytes.size(), out) != bytes.size())
+    const auto put = [&](const char* bytes, std::size_t n) {
+      if (std::fwrite(bytes, 1, n, out) != n)
         fail("wal: short write to " + tmp);
+      written += n;
     };
-    std::uint64_t seq = 1;
-    WalFrame table;
-    table.kind = kWalSeqTable;
-    table.seq = seq++;
-    table.start_offset = base;
-    const auto snap = seqs_.snapshot();
-    table.payload.resize(snap.size() * 16);
-    std::size_t p = 0;
-    for (const auto& [id, hi] : snap) {
-      put_le<std::uint64_t>(table.payload.data() + p, id);
-      put_le<std::uint64_t>(table.payload.data() + p + 8, hi);
-      p += 16;
+    // The seq-table frame anchors the log's offset base and goes first.  A
+    // surviving frame can straddle the low-water mark (it holds items both
+    // below and above it); the anchor must not pass that frame's start or
+    // the next scan's continuity check would reject it as a rewind.  Data
+    // offsets never decrease, so the first survivor has the lowest start.
+    bool anchored = false;
+    const auto put_table = [&](std::uint64_t first_start) {
+      base = std::min(base, first_start);
+      new_end = base;
+      WalFrame table;
+      table.kind = kWalSeqTable;
+      table.seq = seq++;
+      table.start_offset = base;
+      const auto snap = seqs_.snapshot();
+      table.payload.resize(snap.size() * 16);
+      std::size_t p = 0;
+      for (const auto& [id, hi] : snap) {
+        put_le<std::uint64_t>(table.payload.data() + p, id);
+        put_le<std::uint64_t>(table.payload.data() + p + 8, hi);
+        p += 16;
+      }
+      const std::vector<char> bytes = frame_wal(table);
+      put(bytes.data(), bytes.size());
+      anchored = true;
+    };
+
+    std::error_code size_ec;
+    const std::uint64_t log_bytes =
+        in ? std::filesystem::file_size(path_, size_ec) : 0;
+    if (!in || size_ec) fail("wal: cannot read " + path_);
+    std::uint64_t at = 0;        // bytes of the old log accepted so far
+    std::uint64_t last_seq = 0;  // read_wal's continuity state
+    std::uint64_t scan_end = 0;
+    std::vector<char> buf(kWalHeaderBytes);
+    WalFrame f;
+    while (log_bytes - at >= kWalHeaderBytes) {
+      if (std::fread(buf.data(), 1, kWalHeaderBytes, in.get()) !=
+          kWalHeaderBytes)
+        break;
+      // Bound the read by the file before trusting a (possibly torn)
+      // length field; check_frame applies every other rule.
+      const auto payload_len = get_le<std::uint32_t>(buf.data() + 40);
+      if (payload_len > log_bytes - at - kWalHeaderBytes) break;
+      buf.resize(kWalHeaderBytes + payload_len);
+      if (std::fread(buf.data() + kWalHeaderBytes, 1, payload_len, in.get()) !=
+          payload_len)
+        break;
+      if (check_frame(buf.data(), buf.size(), 0, f) == 0) break;
+      if (f.seq <= last_seq) break;
+      if (f.kind == kWalData && f.start_offset < scan_end) break;  // rewind
+      last_seq = f.seq;
+      at += buf.size();
+      if (f.kind == kWalSeqTable) {
+        scan_end = std::max(scan_end, f.start_offset);
+        continue;
+      }
+      scan_end = f.start_offset + payload_len / 8;
+      if (scan_end <= low_water) continue;  // fully checkpointed
+      if (!anchored) put_table(f.start_offset);
+      put_le<std::uint64_t>(buf.data() + 8, seq++);
+      seal_frame(buf.data(), payload_len);
+      put(buf.data(), buf.size());
+      new_end = scan_end;
     }
-    put(frame_wal(table));
-    for (const WalFrame& f : scan.frames) {
-      if (f.end_offset() <= low_water) continue;  // fully checkpointed
-      WalFrame keep = f;
-      keep.seq = seq++;
-      put(frame_wal(keep));
-    }
+    if (std::ferror(in.get())) fail("wal: read error on " + path_);
+    if (at < log_bytes) torn_counter().inc();  // as read_wal counts a tail
+    if (!anchored) put_table(base);
     if (std::fflush(out) != 0) fail("wal: flush failed on " + tmp);
 #if defined(__unix__) || defined(__APPLE__)
     // In kFsync mode the surviving frames were already made durable in
@@ -441,11 +507,10 @@ void ShardWal::compact(std::uint64_t low_water) {
     }
   }
 #endif
-  const WalScan after = read_wal(path_);
   base_offset_ = base;
-  next_seq_ = after.next_seq;
-  end_offset_ = std::max(end_offset_, after.end_offset);
-  reopen_locked(after.valid_bytes);
+  next_seq_ = seq;
+  end_offset_ = std::max(end_offset_, new_end);
+  reopen_locked(written);
 }
 
 }  // namespace she

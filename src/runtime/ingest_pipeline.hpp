@@ -1160,8 +1160,14 @@ class IngestPipeline {
           sh.hwm_local = depth;
           sh.queue_hwm->max_of(static_cast<std::int64_t>(depth));
         }
+        // At most publish_interval items per ring per sweep: a producer
+        // that keeps pace must not keep the worker away from the
+        // sweep-start fence check, heartbeat and fault hooks.
         std::size_t n;
-        while ((n = ring.drain(buf.data(), buf.size())) > 0) {
+        std::size_t from_ring = 0;
+        while (from_ring < opt_.publish_interval &&
+               (n = ring.drain(buf.data(), buf.size())) > 0) {
+          from_ring += n;
           const std::span<const std::uint64_t> block(buf.data(), n);
           {
             SHE_TRACE_SPAN("estimator.insert_batch", "estimator");

@@ -75,18 +75,27 @@ inline void prefetch_addr(const void* p, bool write) {
 #endif
 }
 
+/// Default stage-2 completion hook: nothing to do once a key is applied.
+struct NoFinish {
+  void operator()(std::size_t, const Slot*) const noexcept {}
+};
+
 /// The two-stage pipeline over `keys`, `k` probes per key.
 ///
 ///   hash(key, probe) -> Slot        stage 1, once per (key, probe)
 ///   warm(slot)                      stage 1, issue prefetches
 ///   tick()                          stage 2, once per key, before its applies
 ///   apply(key, probe, slot)         stage 2, CheckGroup + F
+///   finish(index, slots)            stage 2, once per key, after its applies
+///                                   (SHE-CM reads its post-update estimate
+///                                   from the k slots still in L1)
 ///
 /// `scratch` is caller-owned so steady-state batches never allocate.
-template <typename HashFn, typename WarmFn, typename TickFn, typename ApplyFn>
+template <typename HashFn, typename WarmFn, typename TickFn, typename ApplyFn,
+          typename FinishFn = NoFinish>
 void pipelined(std::span<const std::uint64_t> keys, unsigned k,
                std::vector<Slot>& scratch, HashFn&& hash, WarmFn&& warm,
-               TickFn&& tick, ApplyFn&& apply) {
+               TickFn&& tick, ApplyFn&& apply, FinishFn&& finish = {}) {
   const std::size_t block = block_keys(k);
   scratch.resize(2 * block * k);  // double buffer: stage b+1 while applying b
   const std::size_t nkeys = keys.size();
@@ -102,9 +111,10 @@ void pipelined(std::span<const std::uint64_t> keys, unsigned k,
     }
   };
   auto drain = [&](std::size_t begin, std::size_t n, const Slot* in) {
-    for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t b = 0; b < n; ++b, in += k) {
       tick();
-      for (unsigned h = 0; h < k; ++h) apply(keys[begin + b], h, *in++);
+      for (unsigned h = 0; h < k; ++h) apply(keys[begin + b], h, in[h]);
+      finish(begin + b, in);
     }
   };
 
@@ -132,19 +142,22 @@ void pipelined(std::span<const std::uint64_t> keys, unsigned k,
 /// instruction and precomputes GroupClock marks division-free — while stage 2
 /// (tick + apply, the part that mutates cells in arrival order) remains the
 /// exact scalar loop, so observable state is identical whichever stage-1
-/// implementation ran.  Double-buffering is unchanged.
-template <typename StageFn, typename TickFn, typename ApplyFn>
+/// implementation ran.  Double-buffering and the `finish` hook are
+/// unchanged.
+template <typename StageFn, typename TickFn, typename ApplyFn,
+          typename FinishFn = NoFinish>
 void pipelined_blocks(std::span<const std::uint64_t> keys, unsigned k,
                       std::vector<Slot>& scratch, StageFn&& stage,
-                      TickFn&& tick, ApplyFn&& apply) {
+                      TickFn&& tick, ApplyFn&& apply, FinishFn&& finish = {}) {
   const std::size_t block = block_keys(k);
   scratch.resize(2 * block * k);
   const std::size_t nkeys = keys.size();
 
   auto drain = [&](std::size_t begin, std::size_t n, const Slot* in) {
-    for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t b = 0; b < n; ++b, in += k) {
       tick();
-      for (unsigned h = 0; h < k; ++h) apply(keys[begin + b], h, *in++);
+      for (unsigned h = 0; h < k; ++h) apply(keys[begin + b], h, in[h]);
+      finish(begin + b, in);
     }
   };
 

@@ -13,18 +13,20 @@
 namespace she {
 
 GroupClock::GroupClock(std::size_t groups, std::uint64_t tcycle, unsigned mark_bits)
-    : tcycle_(tcycle), offsets_(groups), marks_(groups, mark_bits) {
+    : tcycle_(tcycle), marks_(groups, mark_bits) {
   if (groups == 0) throw std::invalid_argument("GroupClock: groups must be > 0");
   if (tcycle == 0) throw std::invalid_argument("GroupClock: tcycle must be > 0");
   // d_gid = -floor(Tcycle * gid / G); gid < G keeps the magnitude below
   // Tcycle.  Cached: recomputing costs a 64-bit division on every access.
+  auto offsets = std::make_shared<std::vector<std::int64_t>>(groups);
   for (std::size_t gid = 0; gid < groups; ++gid)
-    offsets_[gid] = -static_cast<std::int64_t>(tcycle * gid / groups);
+    (*offsets)[gid] = -static_cast<std::int64_t>(tcycle * gid / groups);
+  offsets_ = std::move(offsets);
   reset();
 }
 
 std::uint64_t GroupClock::current_mark(std::size_t gid, std::uint64_t t) const {
-  std::int64_t shifted = static_cast<std::int64_t>(t) + offsets_[gid];
+  std::int64_t shifted = static_cast<std::int64_t>(t) + offset(gid);
   std::int64_t cycle = floor_div(shifted, static_cast<std::int64_t>(tcycle_));
   // Power-of-two modulus: masking a two's-complement value equals the
   // floored modulo, so negative cycle indices (before a group's first
@@ -214,7 +216,7 @@ void GroupClock::stage_marks(const std::uint32_t* gids, std::size_t n,
                              std::uint64_t* ages) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_gather_avx2(offsets_.data(), gids, n, p.cycle, p.rem,
+    stage_gather_avx2(offsets_data(), gids, n, p.cycle, p.rem,
                       static_cast<std::int64_t>(tcycle_), marks_.max_value(),
                       curs, ages);
     return;
@@ -231,7 +233,7 @@ void GroupClock::stage_marks_range(std::size_t first, std::size_t n,
                                    std::uint64_t* ages) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_range_avx2(offsets_.data(), first, n, p.cycle, p.rem,
+    stage_range_avx2(offsets_data(), first, n, p.cycle, p.rem,
                      static_cast<std::int64_t>(tcycle_), marks_.max_value(),
                      curs, ages);
     return;
@@ -247,7 +249,7 @@ void GroupClock::stage_marks_ramp(const std::uint32_t* gids, std::size_t n,
                                   TimeParts p0, std::uint32_t* curs) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_ramp_avx2(offsets_.data(), gids, n, p0.cycle, p0.rem,
+    stage_ramp_avx2(offsets_data(), gids, n, p0.cycle, p0.rem,
                     marks_.max_value(), curs);
     return;
   }
@@ -264,7 +266,7 @@ void GroupClock::stage_marks_rep(const std::uint32_t* gids, std::size_t nkeys,
                                  std::uint32_t* curs) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_rep_avx2(offsets_.data(), gids, nkeys, k, p0.cycle, p0.rem,
+    stage_rep_avx2(offsets_data(), gids, nkeys, k, p0.cycle, p0.rem,
                    marks_.max_value(), curs);
     return;
   }

@@ -29,7 +29,7 @@
 
 #include <cstddef>
 #include <cstdint>
-
+#include <memory>
 #include <vector>
 
 #include "common/packed_array.hpp"
@@ -51,7 +51,11 @@ class GroupClock {
   [[nodiscard]] std::size_t memory_bytes() const { return marks_.memory_bytes(); }
 
   /// Fixed offset of a group: d_gid = -floor(Tcycle * gid / G) <= 0.
-  [[nodiscard]] std::int64_t offset(std::size_t gid) const { return offsets_[gid]; }
+  [[nodiscard]] std::int64_t offset(std::size_t gid) const { return (*offsets_)[gid]; }
+
+  /// The cached offset table.  Immutable and shared: copies of a clock
+  /// (every published estimator view) point at the same buffer.
+  [[nodiscard]] const std::int64_t* offsets_data() const { return offsets_->data(); }
 
   /// Warm the cache line holding group `gid`'s mark.  CheckGroup reads the
   /// mark before the cell, so batched inserts prefetch both; `write` is
@@ -128,16 +132,18 @@ class GroupClock {
 
   /// current_mark(gid, t) for p == split(t), division-free.
   [[nodiscard]] std::uint64_t current_mark_at(TimeParts p, std::size_t gid) const {
-    const std::int64_t s = p.rem + offsets_[gid];
+    const std::int64_t s = p.rem + offset(gid);
     return static_cast<std::uint64_t>(p.cycle - (s < 0 ? 1 : 0)) &
            marks_.max_value();
   }
 
-  /// age(gid, t) for p == split(t), division-free.
+  /// age(gid, t) for p == split(t), division-free and branch-free (the
+  /// sign of s is a coin flip across groups): adds Tcycle exactly when
+  /// s < 0, via the sign mask.
   [[nodiscard]] std::uint64_t age_at(TimeParts p, std::size_t gid) const {
-    const std::int64_t s = p.rem + offsets_[gid];
+    const std::int64_t s = p.rem + offset(gid);
     return static_cast<std::uint64_t>(
-        s < 0 ? s + static_cast<std::int64_t>(tcycle_) : s);
+        s + (static_cast<std::int64_t>(tcycle_) & (s >> 63)));
   }
 
   /// The stored (possibly lagging) mark of a group.
@@ -193,7 +199,9 @@ class GroupClock {
   void record_clean(std::size_t gid, std::uint64_t cur);
 
   std::uint64_t tcycle_;
-  std::vector<std::int64_t> offsets_;
+  // One int64 per group — as large as a SHE-BF's bit array — so copies
+  // share it instead of duplicating it on every publish.
+  std::shared_ptr<const std::vector<std::int64_t>> offsets_;
   PackedArray marks_;
 };
 

@@ -11,9 +11,16 @@
 //
 // top(k) re-estimates every candidate at query time, so reported counts
 // reflect the *current* window even if the candidate entered long ago.
+//
+// Inserts are batch-native: insert_batch() cuts the batch at refresh
+// boundaries, feeds each chunk through SHE-CM's fused insert + estimate,
+// then admits the chunk's keys in arrival order.  The result is
+// bit-identical to inserting, estimating and admitting one key at a time.
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +39,13 @@ class HeavyHitters {
   /// (capacity should be a small multiple of the k you intend to query).
   HeavyHitters(const SheConfig& cfg, unsigned hashes, std::size_t capacity);
 
-  /// Insert one stream item.
-  void insert(std::uint64_t key);
+  /// Insert one stream item (a batch of one).
+  void insert(std::uint64_t key) {
+    insert_batch(std::span<const std::uint64_t>(&key, 1));
+  }
+
+  /// Insert a batch; identical to insert() per key, in order.
+  void insert_batch(std::span<const std::uint64_t> keys);
 
   /// The current top-k candidates by re-estimated window frequency,
   /// sorted descending (ties by key for determinism).
@@ -52,6 +64,7 @@ class HeavyHitters {
   void restore_sketch(SheCountMin sketch) {
     sketch_ = std::move(sketch);
     candidates_.clear();
+    floor_ = kNoFloor;
     since_refresh_ = 0;
   }
 
@@ -74,7 +87,11 @@ class HeavyHitters {
   }
 
  private:
+  static constexpr std::uint64_t kNoFloor =
+      std::numeric_limits<std::uint64_t>::max();
+
   void maybe_admit(std::uint64_t key, std::uint64_t estimate);
+  void refresh_candidates();
 
   SheCountMin sketch_;
   std::size_t capacity_;
@@ -82,6 +99,13 @@ class HeavyHitters {
   // Candidate set; values are the estimate at admission/refresh time and
   // are re-estimated on query.
   std::unordered_map<std::uint64_t, std::uint64_t> candidates_;
+  // Lower bound on every stored candidate value (exact after a refresh or
+  // a weakest-candidate scan).  A newcomer whose estimate does not exceed
+  // it cannot evict anyone, so the scan is skipped.  Derived, not state.
+  std::uint64_t floor_ = kNoFloor;
+  // insert_batch/refresh staging (not state).
+  std::vector<std::uint64_t> estimates_;
+  std::vector<std::uint64_t> refresh_keys_;
 };
 
 }  // namespace she

@@ -130,8 +130,7 @@ void StreamMonitor::insert_batch(std::span<const std::uint64_t> keys) {
   if (membership_) membership_->insert_batch(keys);
   if (card_bm_) card_bm_->insert_batch(keys);
   if (card_hll_) card_hll_->insert_batch(keys);
-  if (freq_)
-    for (std::uint64_t key : keys) freq_->insert(key);
+  if (freq_) freq_->insert_batch(keys);
   if (sim_) sim_->insert_batch(keys);
 }
 

@@ -65,9 +65,9 @@ class StreamMonitor {
   void insert(std::uint64_t key);
 
   /// Feed a batch (equivalent to insert() per key, in order): each enabled
-  /// SHE sketch takes the whole batch through its pipelined insert_batch;
-  /// heavy hitters update per key (candidate tracking is inherently
-  /// per-item).  This is the path the ingest runtime's drain loop takes.
+  /// sketch, heavy hitters included, takes the whole batch through its
+  /// pipelined insert_batch.  This is the path the ingest runtime's drain
+  /// loop takes.
   void insert_batch(std::span<const std::uint64_t> keys);
 
   /// Was `key` seen in the window?  (Requires track_membership; one-sided.)
@@ -91,6 +91,13 @@ class StreamMonitor {
 
   [[nodiscard]] std::uint64_t time() const { return time_; }
   [[nodiscard]] const MonitorConfig& config() const { return cfg_; }
+
+  /// The frequency task's sketch and candidate table, in the geometry
+  /// this monitor derived from its budget (nullptr without
+  /// track_frequency).
+  [[nodiscard]] const HeavyHitters* heavy_hitters() const {
+    return freq_ ? &*freq_ : nullptr;
+  }
 
   /// Actual bytes across enabled sketches (close to, and never wildly
   /// above, cfg.memory_bytes).

@@ -9,6 +9,51 @@
 
 namespace she {
 
+namespace {
+
+/// Count-Min's answer over one key's k probes: the minimum over *mature*
+/// probes (age >= window), or over all probes when every probe is young
+/// (the documented fallback).  Branch-free per probe — maturity is a coin
+/// flip across groups, and a mispredict would flush the cell loads of the
+/// keys behind this one.
+class MatureMin {
+ public:
+  MatureMin(std::uint64_t window, bool track) : window_(window), track_(track) {}
+
+  void add(std::uint64_t value, std::uint64_t age) {
+    if (track_) cls_.add(age, window_);
+    best_any_ = std::min(best_any_, value);
+    // All-ones when age < window (both < 2^63): drops a young probe.
+    const auto young = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(age - window_) >> 63);
+    best_mature_ = std::min(best_mature_, value | young);
+  }
+
+  /// Cells are 32-bit, so only an all-young query leaves the sentinel.
+  [[nodiscard]] bool all_young() const {
+    return best_mature_ == std::numeric_limits<std::uint64_t>::max();
+  }
+
+  /// The answer; commits the age-class telemetry and, on the fallback,
+  /// the all-young metric.  (The caller counts its own all_young_.)
+  [[nodiscard]] std::uint64_t finish() const {
+    if (track_) {
+      cls_.commit(true);
+      if (all_young()) obs::she_metrics().cm_all_young_queries.inc();
+    }
+    return all_young() ? best_any_ : best_mature_;
+  }
+
+ private:
+  std::uint64_t window_;
+  bool track_;
+  std::uint64_t best_mature_ = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t best_any_ = std::numeric_limits<std::uint64_t>::max();
+  obs::AgeClassCounts cls_;
+};
+
+}  // namespace
+
 SheCountMin::SheCountMin(const SheConfig& cfg, unsigned hashes)
     : cfg_(cfg),
       hashes_(hashes),
@@ -43,47 +88,72 @@ void SheCountMin::insert_at(std::uint64_t key, std::uint64_t t) {
 }
 
 void SheCountMin::insert_batch(std::span<const std::uint64_t> keys) {
-  insert_many(keys, nullptr);
+  insert_many(keys, nullptr, nullptr);
+}
+
+void SheCountMin::insert_batch_estimates(std::span<const std::uint64_t> keys,
+                                         std::span<std::uint64_t> estimates) {
+  if (estimates.size() < keys.size())
+    throw std::invalid_argument(
+        "SheCountMin: insert_batch_estimates output too small");
+  insert_many(keys, nullptr, estimates.data());
 }
 
 void SheCountMin::insert_at_batch(std::span<const std::uint64_t> keys,
                                   std::span<const std::uint64_t> times) {
   batch::validate_insert_times(keys, times, time_, "SheCountMin");
-  insert_many(keys, times.data());
+  insert_many(keys, times.data(), nullptr);
+}
+
+std::uint64_t SheCountMin::estimate_staged(const batch::Slot* slots,
+                                           std::uint64_t gid_mask,
+                                           GroupClock::TimeParts now) const {
+  // frequency(key) right after key's own update: the update touched every
+  // probed group at time_, so none is stale and each value is the cell
+  // itself; only the age test against the window remains.
+  MatureMin m(cfg_.window, obs::enabled());
+  for (unsigned h = 0; h < hashes_; ++h)
+    m.add(cells_[slots[h].pos], clock_.age_at(now, slots[h].aux & gid_mask));
+  if (m.all_young()) all_young_.inc();
+  return m.finish();
 }
 
 void SheCountMin::insert_many(std::span<const std::uint64_t> keys,
-                              const std::uint64_t* times) {
+                              const std::uint64_t* times,
+                              std::uint64_t* estimates) {
   // The fused stage buffers hold one block of n * k slots; block_keys()
   // bounds that by kSlotBudget whenever k itself fits the budget.
   if (batch::simd_eligible(cfg_.cells) && hashes_ <= batch::kSlotBudget) {
-    insert_many_simd(keys, times);
+    insert_many_simd(keys, times, estimates);
     return;
   }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path).
+  // Scalar reference path (also the SHE_FORCE_SCALAR path); aux = gid.
   // Cache-resident arrays are not worth prefetching (batch.hpp).
   const bool warm_cells =
       cells_.size() * sizeof(cells_[0]) >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
+  GroupClock::TimeParts now = clock_.split(time_);
   std::size_t idx = 0;
   batch::pipelined(
       keys, hashes_, scratch_,
       [this](std::uint64_t key, unsigned h) {
-        return batch::Slot{position(key, h), 0};
+        const std::size_t pos = position(key, h);
+        return batch::Slot{pos, pos / cfg_.group_cells};
       },
       [this, warm_cells, warm_marks](const batch::Slot& s) {
         if (warm_cells) batch::prefetch_addr(&cells_[s.pos], true);
-        if (warm_marks) clock_.prefetch(s.pos / cfg_.group_cells, true);
+        if (warm_marks) clock_.prefetch(s.aux, true);
       },
-      [this, times, &idx] {
+      [this, times, estimates, &idx, &now] {
         if (times != nullptr)
           time_ = times[idx++];
         else
           ++time_;
+        if (estimates != nullptr) clock_.tick(now);
         if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_);
       },
       [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        std::size_t gid = s.pos / cfg_.group_cells;
+        const std::size_t gid = s.aux;
         if (clock_.touch(gid, time_)) {
           std::size_t first = gid * cfg_.group_cells;
           std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
@@ -91,17 +161,23 @@ void SheCountMin::insert_many(std::span<const std::uint64_t> keys,
         }
         std::uint32_t& c = cells_[s.pos];
         if (c != std::numeric_limits<std::uint32_t>::max()) ++c;
+      },
+      [this, estimates, &now](std::size_t i, const batch::Slot* slots) {
+        if (estimates != nullptr)
+          estimates[i] = estimate_staged(slots, ~std::uint64_t{0}, now);
       });
 }
 
 void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
-                                   const std::uint64_t* times) {
+                                   const std::uint64_t* times,
+                                   std::uint64_t* estimates) {
   const bool warm_cells =
       cells_.size() * sizeof(cells_[0]) >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
   const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
   const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
   const batch::MarkStager stager(clock_, time_, times);
+  GroupClock::TimeParts now = clock_.split(time_);
   std::size_t idx = 0;
   batch::pipelined_blocks(
       keys, hashes_, scratch_,
@@ -125,11 +201,12 @@ void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
           if (warm_marks) clock_.prefetch(gid[s], true);
         }
       },
-      [this, times, &idx] {
+      [this, times, estimates, &idx, &now] {
         if (times != nullptr)
           time_ = times[idx++];
         else
           ++time_;
+        if (estimates != nullptr) clock_.tick(now);
         if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_);
       },
       // Stage 2: scalar CheckGroup + saturating increment, staged mark.
@@ -142,6 +219,10 @@ void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
         }
         std::uint32_t& c = cells_[s.pos];
         if (c != std::numeric_limits<std::uint32_t>::max()) ++c;
+      },
+      [this, estimates, &now](std::size_t i, const batch::Slot* slots) {
+        if (estimates != nullptr)
+          estimates[i] = estimate_staged(slots, 0xFFFFFFFFu, now);
       });
 }
 
@@ -188,25 +269,13 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
           }
         },
         [&](std::size_t i, const batch::Slot* slots) {
-          std::uint64_t best_mature = std::numeric_limits<std::uint64_t>::max();
-          std::uint64_t best_any = std::numeric_limits<std::uint64_t>::max();
-          obs::AgeClassCounts cls;
+          MatureMin m(window, track);
           for (unsigned h = 0; h < hashes_; ++h) {
-            const std::uint64_t age = slots[h].aux >> 1;
-            if (track) cls.add(age, window);
             const bool stale = (slots[h].aux & 1) != 0;
-            const std::uint64_t value = stale ? 0 : cells_[slots[h].pos];
-            best_any = std::min(best_any, value);
-            if (age >= window) best_mature = std::min(best_mature, value);
+            m.add(stale ? 0 : cells_[slots[h].pos], slots[h].aux >> 1);
           }
-          if (track) cls.commit(true);
-          if (best_mature != std::numeric_limits<std::uint64_t>::max()) {
-            out[i] = best_mature;
-          } else {
-            all_young_.inc();
-            if (track) obs::she_metrics().cm_all_young_queries.inc();
-            out[i] = best_any;
-          }
+          if (m.all_young()) all_young_.inc();
+          out[i] = m.finish();
         });
     if (track)
       obs::she_metrics().hash_calls.inc(
@@ -225,26 +294,15 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
       [&](std::size_t i, const batch::Slot* slots) {
         // Same min-over-mature logic as scalar frequency(); positions
         // staged, hashed exactly once per probe.
-        std::uint64_t best_mature = std::numeric_limits<std::uint64_t>::max();
-        std::uint64_t best_any = std::numeric_limits<std::uint64_t>::max();
-        obs::AgeClassCounts cls;
+        MatureMin m(window, track);
         for (unsigned h = 0; h < hashes_; ++h) {
-          std::size_t pos = slots[h].pos;
-          std::size_t gid = pos / cfg_.group_cells;
-          std::uint64_t age = clock_.age(gid, time_);
-          if (track) cls.add(age, window);
-          std::uint64_t value = clock_.stale(gid, time_) ? 0 : cells_[pos];
-          best_any = std::min(best_any, value);
-          if (age >= window) best_mature = std::min(best_mature, value);
+          const std::size_t pos = slots[h].pos;
+          const std::size_t gid = pos / cfg_.group_cells;
+          m.add(clock_.stale(gid, time_) ? 0 : cells_[pos],
+                clock_.age(gid, time_));
         }
-        if (track) cls.commit(true);
-        if (best_mature != std::numeric_limits<std::uint64_t>::max()) {
-          out[i] = best_mature;
-        } else {
-          all_young_.inc();
-          if (track) obs::she_metrics().cm_all_young_queries.inc();
-          out[i] = best_any;
-        }
+        if (m.all_young()) all_young_.inc();
+        out[i] = m.finish();
       });
   if (track)
     obs::she_metrics().hash_calls.inc(
@@ -255,33 +313,17 @@ std::uint64_t SheCountMin::frequency(std::uint64_t key,
                                      std::uint64_t window) const {
   if (window == 0 || window > cfg_.window)
     throw std::invalid_argument("SheCountMin: query window must be in [1, N]");
-  std::uint64_t best_mature = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t best_any = std::numeric_limits<std::uint64_t>::max();
-  for (unsigned i = 0; i < hashes_; ++i) {
-    std::size_t pos = position(key, i);
-    std::size_t gid = pos / cfg_.group_cells;
-    std::uint64_t value = clock_.stale(gid, time_) ? 0 : cells_[pos];
-    best_any = std::min(best_any, value);
-    if (clock_.age(gid, time_) >= window)
-      best_mature = std::min(best_mature, value);
-  }
-  // Telemetry runs as a separate pass so the hot loop above stays exactly
-  // as tight with the toggle off; redoing the position math with the
-  // toggle on is an accepted enabled-mode cost.
   const bool track = obs::enabled();
-  if (track) {
-    obs::AgeClassCounts cls;
-    for (unsigned i = 0; i < hashes_; ++i) {
-      std::size_t gid = position(key, i) / cfg_.group_cells;
-      cls.add(clock_.age(gid, time_), window);
-    }
-    cls.commit(true);
-    obs::she_metrics().hash_calls.inc(2 * hashes_);
+  MatureMin m(window, track);
+  for (unsigned i = 0; i < hashes_; ++i) {
+    const std::size_t pos = position(key, i);
+    const std::size_t gid = pos / cfg_.group_cells;
+    m.add(clock_.stale(gid, time_) ? 0 : cells_[pos], clock_.age(gid, time_));
   }
-  if (best_mature != std::numeric_limits<std::uint64_t>::max()) return best_mature;
-  all_young_.inc();  // every probe young: best-effort answer, may underestimate
-  if (track) obs::she_metrics().cm_all_young_queries.inc();
-  return best_any;
+  if (track) obs::she_metrics().hash_calls.inc(hashes_);
+  // Every probe young: best-effort answer, may underestimate.
+  if (m.all_young()) all_young_.inc();
+  return m.finish();
 }
 
 void SheCountMin::save(BinaryWriter& out) const {

@@ -35,6 +35,15 @@ class SheCountMin {
   /// the same latency-hiding win as SHE-BF once the table leaves cache.
   void insert_batch(std::span<const std::uint64_t> keys);
 
+  /// insert_batch that also writes estimates[i] = frequency(keys[i]) as
+  /// answered right after keys[i]'s own update: bit-identical to
+  /// `insert(k); frequency(k)` per key, all_young_queries() and the
+  /// age-class telemetry included.  The estimate is fused into stage 2 —
+  /// it reads the k cells the update just wrote, so nothing is re-hashed.
+  /// Throws std::invalid_argument when `estimates` is shorter than `keys`.
+  void insert_batch_estimates(std::span<const std::uint64_t> keys,
+                              std::span<std::uint64_t> estimates);
+
   /// Time-based windows: insert at explicit timestamp `t` (monotone
   /// non-decreasing; throws std::invalid_argument if it moves backwards).
   /// With insert_at, `window` counts time units instead of items.
@@ -97,12 +106,21 @@ class SheCountMin {
     return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
   }
 
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
+  // Shared batch-insert core: times == nullptr means +1 per key; a non-null
+  // `estimates` (implicit times only) receives each key's post-update
+  // frequency.  Picks the SIMD or scalar-reference stage 1; stage 2 is
+  // identical either way.
   void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
+                   const std::uint64_t* times, std::uint64_t* estimates);
   void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
+                        const std::uint64_t* times, std::uint64_t* estimates);
+
+  // frequency() of the key whose k staged slots are `slots`, evaluated
+  // right after that key's update at `now` == split(time_).  Slot aux
+  // holds the group id in its `gid_mask` bits.
+  [[nodiscard]] std::uint64_t estimate_staged(const batch::Slot* slots,
+                                              std::uint64_t gid_mask,
+                                              GroupClock::TimeParts now) const;
 
   SheConfig cfg_;
   unsigned hashes_;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <vector>
+
 #include "common/int_math.hpp"
+#include "common/io.hpp"
 
 namespace she {
 namespace {
@@ -118,6 +122,60 @@ TEST(GroupClock, ResetRestoresTimeZeroState) {
 TEST(GroupClock, MemoryBytesScalesWithMarkBits) {
   EXPECT_LE(GroupClock(64, 100, 1).memory_bytes(), 8u);
   EXPECT_GE(GroupClock(64, 100, 8).memory_bytes(), 64u);
+}
+
+TEST(GroupClock, CopiesShareTheOffsetTable) {
+  constexpr std::size_t kGroups = 1000;
+  constexpr std::uint64_t kTcycle = 3000;
+  GroupClock a(kGroups, kTcycle, 2);
+  for (std::uint64_t t = 1; t < 5000; t += 7) a.touch(t % kGroups, t);
+  const GroupClock b = a;
+  GroupClock c(7, 10);
+  c = a;
+  EXPECT_EQ(b.offsets_data(), a.offsets_data());
+  EXPECT_EQ(c.offsets_data(), a.offsets_data());
+  EXPECT_EQ(b.memory_bytes(), a.memory_bytes());
+
+  // A loaded clock rebuilds its own table with the same values.
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  a.save(w);
+  BinaryReader r(ss);
+  const GroupClock loaded = GroupClock::load(r);
+  EXPECT_NE(loaded.offsets_data(), a.offsets_data());
+
+  constexpr std::size_t kN = 256;
+  std::vector<std::uint32_t> gids(kN);
+  for (std::size_t i = 0; i < kN; ++i)
+    gids[i] = static_cast<std::uint32_t>((i * 37) % kGroups);
+  const GroupClock::TimeParts now = a.split(4321);
+  const GroupClock::TimeParts cycle_start = a.split(2 * kTcycle);
+  const auto staged = [&](const GroupClock& clk) {
+    std::vector<std::uint32_t> curs(4 * kN);
+    std::vector<std::uint64_t> ages(2 * kN);
+    clk.stage_marks(gids.data(), kN, now, curs.data(), ages.data());
+    clk.stage_marks_range(100, kN, now, curs.data() + kN, ages.data() + kN);
+    clk.stage_marks_ramp(gids.data(), kN, cycle_start, curs.data() + 2 * kN);
+    clk.stage_marks_rep(gids.data(), kN / 4, 4, cycle_start,
+                        curs.data() + 3 * kN);
+    return std::make_pair(curs, ages);
+  };
+  const auto want = staged(a);
+  EXPECT_EQ(staged(b), want);
+  EXPECT_EQ(staged(c), want);
+  EXPECT_EQ(staged(loaded), want);
+
+  // Marks stay per copy: advancing one clock leaves the other untouched.
+  GroupClock d = a;
+  std::size_t differ = 0;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    const std::uint64_t before = a.stored_mark(g);
+    d.touch(g, 9 * kTcycle + 1);
+    EXPECT_EQ(a.stored_mark(g), before);
+    differ += d.stored_mark(g) != before ? 1 : 0;
+  }
+  EXPECT_GT(differ, 0u);
+  EXPECT_EQ(d.offsets_data(), a.offsets_data());
 }
 
 // Parameterized consistency sweep: for arbitrary (G, Tcycle) geometry, the

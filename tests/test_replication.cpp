@@ -116,6 +116,22 @@ void wait_has_pipeline(SheClient& sc, const std::string& name,
   }
 }
 
+/// Poll until the standby has finished its first bootstrap, i.e. it is
+/// subscribed to the primary's stream.  Tests that compare `produced`
+/// counters need this before the primary's CREATE: a standby still
+/// connecting when the pipeline fills would adopt it from files instead
+/// (see wait_has_pipeline), and its counter would never match.
+void wait_subscribed(SheServer& standby, std::uint64_t timeout_ms = 20000) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (standby.render_healthz().find("\"synced\":true") ==
+         std::string::npos) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "standby never subscribed to the primary";
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
 /// Poll the standby's health document until the replication section
 /// reports zero lag (needs a heartbeat after the last applied frame).
 void wait_lag_zero(SheServer& standby, std::uint64_t timeout_ms = 10000) {
@@ -138,12 +154,16 @@ void wait_lag_zero(SheServer& standby, std::uint64_t timeout_ms = 10000) {
 // and SHE-MH (similarity); "b" swaps the cardinality estimator for
 // SHE-HLL and provides the second minhash for the Jaccard query.
 // similarity requires shards=1 (jaccard compares lock-step signatures,
-// which per-shard routing would break), so both run single-sharded.
+// which per-shard routing would break), so both run single-sharded.  The
+// signatures are kept short: SHE-MH touches every slot per insert, and the
+// budget-derived 4096 slots cost ~2 ms per key under ThreadSanitizer with
+// the scalar path forced, enough to overrun the server's 5 s FLUSH barrier.
 constexpr const char* kSpecA =
     "window=4096 memory=256K shards=1 wal=async similarity "
-    "checkpoint-every=1024";
+    "similarity-slots=256 checkpoint-every=1024";
 constexpr const char* kSpecB =
-    "window=4096 memory=128K shards=1 wal=async hll similarity";
+    "window=4096 memory=128K shards=1 wal=async hll similarity "
+    "similarity-slots=256";
 
 std::vector<std::uint64_t> stream_keys(std::size_t n) {
   std::vector<std::uint64_t> keys(n);
@@ -206,6 +226,7 @@ TEST(Replication, FailoverAnswersByteIdenticalToUnfaultedRun) {
   const std::uint16_t prim_port = prim->server.port();
   LiveServer stby(standby_options(temp_dir("repl_stby"), prim_port));
   EXPECT_TRUE(stby.server.standby());
+  wait_subscribed(stby.server);
 
   ClientOptions copt;
   copt.max_retries = 10;
@@ -257,6 +278,7 @@ TEST(Replication, StandbyServesReadsShedsWritesTyped) {
   LiveServer prim(base_options(temp_dir("repl_ro_prim")));
   LiveServer stby(
       standby_options(temp_dir("repl_ro_stby"), prim.server.port()));
+  wait_subscribed(stby.server);
 
   SheClient pc = prim.client();
   pc.create("ro", "window=1024 shards=1 wal=async");
@@ -341,6 +363,7 @@ TEST(Replication, DropAndLateCreateReplicate) {
   LiveServer prim(base_options(temp_dir("repl_ddl_prim")));
   LiveServer stby(
       standby_options(temp_dir("repl_ddl_stby"), prim.server.port()));
+  wait_subscribed(stby.server);
   SheClient pc = prim.client();
 
   pc.create("first", "window=512 shards=1 wal=async");

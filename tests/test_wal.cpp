@@ -377,6 +377,104 @@ TEST(ShardWal, CompactCrashShapesNeverLoseTheOldLog) {
   std::filesystem::remove_all(dir);
 }
 
+/// The read-everything compaction the streaming rewrite must reproduce byte
+/// for byte: scan the whole log, anchor the seq table at the lowest
+/// surviving start, then re-frame every survivor with a fresh seq.
+std::vector<char> reference_compaction(
+    const std::string& path, std::uint64_t low_water, std::uint64_t end_offset,
+    const std::map<std::uint64_t, std::uint64_t>& seqs) {
+  const WalScan scan = read_wal(path);
+  std::uint64_t base = std::min(low_water, end_offset);
+  for (const WalFrame& f : scan.frames)
+    if (f.end_offset() > low_water) base = std::min(base, f.start_offset);
+  std::uint64_t seq = 1;
+  WalFrame table;
+  table.kind = kWalSeqTable;
+  table.seq = seq++;
+  table.start_offset = base;
+  for (const auto& [id, hi] : seqs)
+    for (const std::uint64_t v : {id, hi})
+      for (int b = 0; b < 8; ++b)
+        table.payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+  std::vector<char> out = frame_wal(table);
+  for (const WalFrame& f : scan.frames) {
+    if (f.end_offset() <= low_water) continue;
+    WalFrame keep = f;
+    keep.seq = seq++;
+    const auto bytes = frame_wal(keep);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+  return out;
+}
+
+TEST(ShardWal, StreamingCompactMatchesReadEverythingRewrite) {
+  const std::string dir = temp_dir("wal_compact_diff");
+  const std::string path = dir + "/shard-0.wal";
+  ShardWal::Options opt;
+  opt.compact_min_bytes = 0;
+  struct Case {
+    const char* name;
+    std::uint64_t low_water;
+    bool seq_table_head;  // log already compacted once (starts with a table)
+    int tail;             // 0 none, 1 half a frame, 2 whole frame, bad CRC
+  };
+  // Data frames cover items [0,3) [3,5) [5,6) [6,10) [10,12).
+  const Case cases[] = {
+      {"survivors only", 5, false, 0},
+      {"none survive", 12, false, 0},
+      {"straddling frame", 4, false, 0},
+      {"torn tail", 4, false, 1},
+      {"corrupt tail, none survive", 20, false, 2},
+      {"behind a seq table", 7, true, 0},
+      {"torn tail behind a seq table", 11, true, 1},
+  };
+  const std::uint64_t b1[] = {1, 2, 3};
+  const std::uint64_t b2[] = {4, 5};
+  const std::uint64_t b3[] = {6};
+  const std::uint64_t b4[] = {7, 8, 9, 10};
+  const std::uint64_t b5[] = {11, 12};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::filesystem::remove(path);
+    ShardWal wal(path, opt, WalScan{});
+    ASSERT_TRUE(wal.append(b1, 31, 1));
+    ASSERT_TRUE(wal.append(b2, 32, 1));
+    if (c.seq_table_head) wal.compact(3);
+    ASSERT_TRUE(wal.append(b3, 31, 2));
+    ASSERT_TRUE(wal.append(b4, 0, 0));
+    ASSERT_TRUE(wal.append(b5, 33, 7));
+    const WalScan before = read_wal(path);
+    ASSERT_EQ(before.end_offset, 12u);
+    if (c.tail != 0) {
+      auto junk = frame_wal(data_frame(before.next_seq, 12, b2));
+      if (c.tail == 1) junk.resize(junk.size() / 2);
+      if (c.tail == 2) junk.back() = static_cast<char>(junk.back() ^ 1);
+      std::ofstream(path, std::ios::binary | std::ios::app)
+          .write(junk.data(), static_cast<std::streamsize>(junk.size()));
+    }
+    const std::vector<char> want =
+        reference_compaction(path, c.low_water, 12, before.client_seqs);
+
+    const std::uint64_t torn_before = torn_count();
+    wal.compact(c.low_water);
+    EXPECT_EQ(file_bytes(path), want);
+    EXPECT_EQ(torn_count(), torn_before + (c.tail != 0 ? 1 : 0));
+
+    // Appends continue where the rewritten log ends, exactly as after a
+    // re-scan of it: next seq, offset and file size.
+    const std::string want_path = dir + "/want.wal";
+    write_file(want_path, want);
+    const WalScan rescan = read_wal(want_path);
+    const std::uint64_t b6[] = {13};
+    ASSERT_TRUE(wal.append(b6, 33, 8));
+    auto grown = want;
+    const auto next = frame_wal(data_frame(rescan.next_seq, 12, b6, 33, 8));
+    grown.insert(grown.end(), next.begin(), next.end());
+    EXPECT_EQ(file_bytes(path), grown);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardWal, FsyncModeGroupCommitAndConcurrentAppends) {
   const std::string dir = temp_dir("wal_fsync");
   const std::string path = dir + "/shard-0.wal";

@@ -11,10 +11,12 @@
 // (>=2x from 1 to 4 shards on multi-core hosts); on a single-core host the
 // sweep degenerates to context-switch overhead, which is why the physical
 // concurrency is part of the banner.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -91,9 +93,14 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   pool.reserve(producers);
   for (std::size_t p = 0; p < producers; ++p) {
     pool.emplace_back([&, p] {
+      // 256-key slices through push_bulk: one commit-lane section per
+      // shard per slice instead of one per key.
+      constexpr std::size_t kSlice = 256;
       const std::size_t lo = trace.size() * p / producers;
       const std::size_t hi = trace.size() * (p + 1) / producers;
-      for (std::size_t i = lo; i < hi; ++i) pipe.push(p, trace[i]);
+      for (std::size_t i = lo; i < hi; i += kSlice)
+        pipe.push_bulk(p, std::span<const std::uint64_t>(
+                              trace.data() + i, std::min(kSlice, hi - i)));
     });
   }
   for (auto& t : pool) t.join();
@@ -218,9 +225,9 @@ void write_report(const std::string& path,
 
 int main(int argc, char** argv) {
   she::bench::banner("Pipeline throughput — concurrent ingest runtime",
-                     "Lock-free shard pipelines: aggregate insert throughput "
-                     "across producers x shards with concurrent snapshot "
-                     "queries, plus queries-under-load accuracy.");
+                     "Sharded commit-lane pipelines: aggregate insert "
+                     "throughput across producers x shards with concurrent "
+                     "snapshot queries, plus queries-under-load accuracy.");
   std::vector<std::string> sweep_rows;
   std::vector<std::string> accuracy_rows;
   she::bench::sweep(sweep_rows);

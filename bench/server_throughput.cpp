@@ -5,7 +5,7 @@
 //
 //   * bulk-insert throughput — K client threads, each streaming
 //     INSERT_BULK chunks into one shared pipeline, at K = 1 / 4 / 16;
-//     reports aggregate accepted items/s (the protocol + producer-slot
+//     reports aggregate accepted items/s (the protocol + commit-lane
 //     cost on top of the raw pipeline numbers in BENCH_pipeline.json),
 //   * query latency — K clients issuing frequency queries against the
 //     shards' shared published views while the pipeline holds a full
@@ -46,10 +46,10 @@ std::string fmt(double v) {
   return buf;
 }
 
-/// The shared pipeline every run talks to: enough producer slots that 16
-/// handler threads rarely contend on one ring.
+/// The shared pipeline every run talks to: four shards, so 16 handler
+/// threads spread over four commit lanes.
 std::string spec() {
-  return "window=64K memory=1M shards=4 producers=8 queue=8192";
+  return "window=64K memory=1M shards=4 queue=8192";
 }
 
 double insert_run(SheServer& server, std::size_t clients,

@@ -23,9 +23,10 @@
 //  then:
 //        *     n  payload (estimator save() bytes)
 //
-// Version 1 frames (no producer vector) are still accepted by the parser;
-// writers emit version 1 when no per-producer offsets are supplied, so
-// pre-existing frames and fixtures stay byte-identical.
+// Writers emit version 1 when no per-producer offsets are supplied, and the
+// ingest pipeline — one commit lane per shard, so one offset per shard —
+// never supplies any.  The parser still accepts version 2, which older
+// releases wrote; the producer vector is then read and ignored on resume.
 //
 // Readers reject anything that fails magic, version, length or CRC checks
 // with a typed CheckpointError — never a crash, hang or silent load — and

@@ -36,7 +36,9 @@ Pipeline make_she_bf_pipeline(std::size_t array_bits, std::size_t group_bits,
       {"fetch_time", {{0, 32, true, true, true}}, 64, kCounterLuts},
   };
   for (unsigned lane = 0; lane < hashes; ++lane) {
-    std::string suffix = "[" + std::to_string(lane) + "]";
+    std::string suffix = "[";
+    suffix += std::to_string(lane);
+    suffix += ']';
     std::size_t marks_region = regions.size();
     regions.push_back({"time_marks" + suffix, groups});
     std::size_t array_region = regions.size();

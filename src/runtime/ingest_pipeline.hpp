@@ -1,25 +1,34 @@
-// IngestPipeline — lock-free shard pipelines with queries under load and
+// IngestPipeline — sharded ingest pipelines with queries under load and
 // fault-tolerant operation.
 //
 // The hardware pipeline sustains one item per cycle because insertion and
 // lazy cleaning are single-stage operations; this is the CPU serving-path
-// analogue.  N producer threads route keys by the same hash Sharded<T>
-// uses (so accuracy semantics carry over) into per-(producer, shard) SPSC
-// rings; each shard worker thread exclusively owns one estimator, drains
-// its rings in batches, and every `publish_interval` items publishes an
-// immutable copy of it that all readers share.  Producers never block on
-// estimator state, and queries run concurrently against the snapshots:
+// analogue.  Any number of producer threads route keys by the same hash
+// Sharded<T> uses (so accuracy semantics carry over) and commit each
+// per-shard sub-batch through that shard's commit lane: the shard's mutex
+// plus its single SPSC ring.  Each shard worker thread exclusively owns
+// one estimator, drains its ring in batches, and every `publish_interval`
+// items publishes an immutable copy of it that all readers share.
+// Producers never touch estimator state, and queries run concurrently
+// against the snapshots:
 //
-//   producer p ──ring[p][s]──▶ worker s ──owns──▶ Estimator s
-//                                   └─publishes──▶ view s ◀─readers
-//                                   │   (shared_ptr<const Estimator>)
-//                                   └─checkpoints─▶ shard-s.ckpt (durable)
+//   producers ──lane s (mutex + ring)──▶ worker s ──owns──▶ Estimator s
+//                                           └─publishes──▶ view s ◀─readers
+//                                           │   (shared_ptr<const Estimator>)
+//                                           └─checkpoints─▶ shard-s.ckpt
 //
-// Backpressure on a full ring is explicit: `Block` (spin-yield until
-// space; never loses an accepted item), `DropNewest` (reject the push,
-// counted per shard), or `BlockTimeout` (spin with exponential backoff up
-// to `push_timeout_ms`, then fail the push explicitly — bounded worst-case
-// latency instead of hanging forever behind a dead consumer).
+// A lane commit is one critical section per sub-batch: a dedup peek of
+// the client identity, a ring-space reservation, then a bulk enqueue in
+// arrival order with one release store (two or more only when the
+// sub-batch is larger than the ring).  `queue_capacity` therefore bounds
+// a shard's whole backlog, and memory scales with shards, not with
+// producers.  Backpressure on a full ring is explicit: `Block` (wait for
+// space; never loses an accepted item), `DropNewest` (enqueue the prefix
+// that fits, count the rest as dropped), or `BlockTimeout` (wait with
+// exponential backoff up to `push_timeout_ms`, then shed the sub-batch
+// explicitly — bounded worst-case latency instead of hanging forever
+// behind a dead consumer).  Producers waiting on the same full shard
+// sleep on its mutex.
 //
 // Fault tolerance (docs/INTERNALS.md §10):
 //   * Durable checkpoints: with `checkpoint_dir` set, each worker writes
@@ -40,15 +49,13 @@
 //     pushes to it fail fast.
 //   * Write-ahead backlog log (common/wal.hpp): checkpoints capture the
 //     drained prefix, but items *accepted and still queued* used to be
-//     lost by design at a crash.  With `wal_mode != kOff`, each accepted
-//     per-shard sub-batch commits through the shard's WAL lane
-//     (wal_push): one critical section that reserves ring space *first*
-//     — a request deadline or BlockTimeout expiry sheds the batch before
-//     anything reaches the log — then appends it to
-//     `<checkpoint_dir>/shard-<s>.wal` and enqueues it whole, in log
-//     order, on ring 0 regardless of producer index.  Drain order
-//     therefore equals log-append order, which is what lets the
-//     checkpoint offset (a count of drained items) identify the exact
+//     lost by design at a crash.  With `wal_mode != kOff`, the lane
+//     commit gains an append: the reservation comes *first* — a request
+//     deadline or BlockTimeout expiry sheds the batch before anything
+//     reaches the log — then the sub-batch is appended to
+//     `<checkpoint_dir>/shard-<s>.wal` and enqueued whole, in log order.
+//     Drain order therefore equals log-append order, which is what lets
+//     the checkpoint offset (a count of drained items) identify the exact
 //     log prefix a checkpoint covers: drain progress is the durable
 //     low-water mark that retires frames at compaction, and resume
 //     replays the logged suffix past the newest checkpoint — so kill -9
@@ -59,10 +66,12 @@
 //     so the logged tail surfaces, in order, at the next resume.  A
 //     supervised restart's rollback gap (published snapshot .. consumed)
 //     is healed back from the log instead of being counted lost.
-//     Batches carrying a client identity (client_id, client_seq) are
-//     deduplicated against a per-shard sequence table that survives
-//     restarts inside the log, making client-side INSERT_BULK replay
-//     exactly-once per shard.
+//   * Client replay: sub-batches carrying a client identity (client_id,
+//     client_seq) are deduplicated against a per-shard sequence table —
+//     inside the log with the WAL on (it survives restarts), in memory
+//     without it.  A sequence is recorded only once its whole sub-batch
+//     is enqueued (or logged), so a shed sub-batch replays cleanly and
+//     client-side INSERT_BULK replay is exactly-once per shard.
 //   * Fault injection: the deterministic hooks in
 //     runtime/fault_injection.hpp (compiled out unless
 //     SHE_FAULT_INJECTION) let tests and `she_tool pipeline --inject`
@@ -76,9 +85,9 @@
 // RuntimeStats is a plain-struct view over it (see stats()), including a
 // windowed items/s rate (`rate_window_s`) that makes restart dips visible
 // where the whole-run average would smooth them away.  Push latency is
-// sampled (1 in 64) only while the global telemetry toggle is enabled, so
-// the producer hot path stays one ring push + one counter increment
-// otherwise.  An optional sampler thread
+// sampled (1 in 64 calls) only while the global telemetry toggle is
+// enabled, so a lane commit otherwise costs one bulk ring push and one
+// counter add per sub-batch.  An optional sampler thread
 // (PipelineOptions::sample_interval_ms) refreshes the queue-depth gauges
 // and the windowed rate during quiet periods.
 //
@@ -91,24 +100,24 @@
 // hash-ahead + prefetch batch path on the worker drain.
 //
 // Threading contract:
-//   * push(producer, key): producer `p`'s pushes must be serialized (one
-//     thread per producer index); different producers are independent.
+//   * push(producer, key) / push_bulk(producer, ...): any thread, any
+//     producer index below `producers`, concurrently.  The index only
+//     labels she_pipeline_produced_total; lanes serialize per shard.
 //   * view()/snapshot()/stats()/shard_of()/metrics_registry()/faulted():
 //     any thread, any time.
 //   * start()/close(): one controlling thread; do not call push()
 //     concurrently with close() — join your producers first.  close() on
 //     a never-started pipeline drains the queues inline.
 //
-// Ordering: with a single producer, per-shard insertion order equals
-// arrival order, so the result is bit-identical to sequential routing
-// through Sharded<T> (tested), and a checkpoint+resume replay that skips
-// each shard's recorded prefix reproduces the unfaulted run byte for byte.
-// With several producers and no WAL the per-shard interleaving is
-// nondeterministic, like any concurrent ingest.  With the WAL on, all
-// producers serialize through the shard's WAL lane and drain order equals
-// log-append order regardless of producer count — the interleaving is
-// whatever order the lane admitted the batches, and crash+resume
-// reproduces exactly that order.
+// Ordering: per-shard insertion order is lane order — the order in which
+// sub-batches won the shard's mutex, each sub-batch contiguous and in
+// arrival order.  With a single producer that is arrival order, so the
+// result is bit-identical to sequential routing through Sharded<T>
+// (tested), and a checkpoint+resume replay that skips each shard's
+// recorded prefix reproduces the unfaulted run byte for byte.  With
+// several producers the interleaving of their sub-batches is whatever
+// order the lane admitted them; with the WAL on, drain order equals
+// log-append order and crash+resume reproduces exactly that order.
 #pragma once
 
 #include <algorithm>
@@ -138,11 +147,11 @@
 
 namespace she::runtime {
 
-/// What a producer does when its ring to the owning shard is full.
+/// What a producer does when the owning shard's ring is full.
 enum class Backpressure {
-  kBlock,        ///< spin-yield until space; lossless
-  kDropNewest,   ///< reject the new item, count it in the shard's drop counter
-  kBlockTimeout, ///< spin with exponential backoff, fail after push_timeout_ms
+  kBlock,        ///< wait until space; lossless
+  kDropNewest,   ///< enqueue what fits, count the rest in the shard's drops
+  kBlockTimeout, ///< wait with exponential backoff, shed after push_timeout_ms
 };
 
 [[nodiscard]] const char* to_string(Backpressure p);
@@ -161,9 +170,10 @@ class DegradedError : public std::runtime_error {
 
 struct PipelineOptions {
   std::size_t shards = 1;
-  std::size_t producers = 1;
-  std::size_t queue_capacity = 1024;   ///< per (producer, shard) ring
-  std::size_t drain_batch = 256;       ///< max items popped per ring visit
+  std::size_t producers = 1;           ///< producer labels for
+                                       ///< she_pipeline_produced_total
+  std::size_t queue_capacity = 1024;   ///< per-shard backlog (the lane's ring)
+  std::size_t drain_batch = 256;       ///< max items popped per ring drain
   std::size_t publish_interval = 2048; ///< items between snapshot publishes
   Backpressure policy = Backpressure::kBlock;
   std::size_t push_timeout_ms = 100;   ///< kBlockTimeout: give up after this
@@ -228,20 +238,21 @@ class IngestPipeline {
         "copy + pointer swap publishing one shard snapshot, ns");
     push_hist_ = &registry_.histogram(
         "she_pipeline_push_latency_ns",
-        "producer push() wall time, 1-in-64 sampled while telemetry is "
-        "enabled, ns");
+        "producer push()/push_bulk() call wall time, 1-in-64 sampled while "
+        "telemetry is enabled, ns");
     checkpoint_hist_ = &registry_.histogram(
         "she_pipeline_checkpoint_latency_ns",
         "frame + atomic-replace of one durable checkpoint, ns");
     stall_ns_ = &registry_.counter(
         "she_pipeline_stall_ns_total",
-        "producer time spent spin-yielding on full rings (Block policy), ns");
+        "producer time spent waiting for ring space in a commit lane, ns");
     stall_events_ = &registry_.counter(
         "she_pipeline_stall_events_total",
-        "full-ring stall episodes entered by producers (Block policy)");
+        "full-ring waits entered by producers in a commit lane");
     push_timeouts_ = &registry_.counter(
         "she_pipeline_push_timeouts_total",
-        "pushes that gave up after push_timeout_ms (BlockTimeout policy)");
+        "sub-batches shed by push_timeout_ms (BlockTimeout) or a request "
+        "deadline");
     rate_gauge_ = &registry_.gauge(
         "she_pipeline_rate_items_per_sec",
         "drained items/s over the last rate_window_s seconds");
@@ -258,27 +269,23 @@ class IngestPipeline {
       std::optional<CheckpointData> ck;
       if (opt_.resume)
         ck = read_newest_checkpoint(checkpoint_path(s), opt_.checkpoint_keep);
-      auto sh = ck ? std::make_unique<Shard>(deserialize<Estimator>(
-                         ck->payload.data(), ck->payload.size()))
-                   : std::make_unique<Shard>(factory(s));
+      auto sh = std::make_unique<Shard>(
+          ck ? deserialize<Estimator>(ck->payload.data(), ck->payload.size())
+             : factory(s),
+          opt_.queue_capacity);
       sh->index = s;
       bind_metrics(*sh, s);
-      sh->producer_offsets.assign(opt_.producers, 0);
       if (ck) {
+        // Frames written by older releases (version 2) also carry
+        // per-producer offsets; only the shard's stream offset matters.
         sh->resume_offset = ck->stream_offset;
         sh->consumed = ck->stream_offset;
         sh->consumed_at_publish = ck->stream_offset;
         sh->last_checkpoint = ck->stream_offset;
-        // Version-2 frames record each producer lane's contribution to
-        // the stream offset; restore it so post-resume frames stay
-        // cumulative.  (Version-1 frames and producer-count changes
-        // degrade to zeros / truncation.)
-        sh->producer_offsets = ck->producer_offsets;
-        sh->producer_offsets.resize(opt_.producers, 0);
       }
       if (opt_.wal_mode != WalMode::kOff) {
         // Scan the backlog log, replay the accepted suffix past the
-        // checkpoint into the estimator (in logged order — the WAL lane
+        // checkpoint into the estimator (in logged order — the lane
         // enqueues in log order for any producer count, so logged order
         // is drain order and the result is byte-identical to the
         // unfaulted run), and open the log for appending with the torn
@@ -303,8 +310,6 @@ class IngestPipeline {
               for (std::uint64_t k : rest) sh->est.insert(k);
             pos = f.end_offset();
             sh->wal_replayed->inc(rest.size());
-            // WAL-mode items all drain through lane 0 (the WAL lane).
-            sh->producer_offsets[0] += rest.size();
           }
           pos = std::max(pos, scan.end_offset);
           sh->resume_offset = pos;
@@ -351,9 +356,6 @@ class IngestPipeline {
         sh->ckpt_history.assign(opt_.checkpoint_keep, sh->last_checkpoint);
       }
       sh->view = std::make_shared<const Estimator>(sh->est);
-      sh->rings.reserve(opt_.producers);
-      for (std::size_t p = 0; p < opt_.producers; ++p)
-        sh->rings.push_back(std::make_unique<SpscRing>(opt_.queue_capacity));
       shards_.push_back(std::move(sh));
     }
     produced_.reserve(opt_.producers);
@@ -421,119 +423,124 @@ class IngestPipeline {
       sampler_ = std::thread([this] { sampler_loop(); });
   }
 
-  /// Route one key from producer `producer` to its shard's ring.
-  /// Returns false iff the item was not accepted: DropNewest and the ring
-  /// is full, a BlockTimeout push that timed out, a Block push against a
-  /// dead (faulted, unsupervised or abandoned) shard, or the pipeline is
-  /// closing.
+  /// Route one key to its shard's lane: a push_bulk of one key.  Returns
+  /// false iff the item was not accepted: DropNewest and the ring is full,
+  /// a BlockTimeout push that timed out, a dead (faulted, unsupervised or
+  /// abandoned) shard without a WAL, or the pipeline is closing.
   bool push(std::size_t producer, std::uint64_t key) {
-    check_degraded();
-    if (opt_.wal_mode != WalMode::kOff) {
-      // Every accepted item must be logged, or the WAL's offsets stop
-      // matching the checkpoint's consumed counts.
-      return push_bulk(producer, std::span<const std::uint64_t>(&key, 1)) == 1;
-    }
-    return push_impl(producer, key, 0);
+    return push_bulk(producer, std::span<const std::uint64_t>(&key, 1)) == 1;
   }
 
- private:
-  struct Shard;  // defined below; referenced by the push helpers' signatures
+  /// push_bulk without a client identity or deadline.
+  std::size_t push_bulk(std::size_t producer,
+                        std::span<const std::uint64_t> keys) {
+    return push_bulk(producer, keys, 0, 0, 0);
+  }
 
-  /// The enqueue core.  `deadline_ns` (absolute, steady-clock ns; 0 =
-  /// none) bounds any blocking spin on top of the configured policy —
-  /// the server threads its per-request deadline through here so an
-  /// overloaded or wedged shard sheds the push instead of wedging the
-  /// handler thread.
-  bool push_impl(std::size_t producer, std::uint64_t key,
-                 std::int64_t deadline_ns) {
+  /// Route `keys` and commit each shard's sub-batch, in arrival order,
+  /// through that shard's lane; returns how many keys were accepted.
+  ///
+  /// Admission is all-or-nothing: the lane reserves ring space for the
+  /// whole sub-batch (capped at the ring's capacity), and a request
+  /// deadline or BlockTimeout expiry sheds it with nothing enqueued,
+  /// logged or recorded, so a retry is clean.  With the WAL on, an
+  /// admitted sub-batch is logged and then enqueued whole.  Without it,
+  /// DropNewest enqueues the prefix that fits and counts the rest as
+  /// dropped, and a sub-batch larger than the ring can still be cut
+  /// mid-way by the deadline, a timeout or shard death; the enqueued
+  /// prefix counts as accepted.
+  ///
+  /// A sub-batch whose (client_id, client_seq) that shard already
+  /// applied — a client replaying after a lost ack — is skipped and
+  /// counted as accepted.  The sequence is recorded only once the whole
+  /// sub-batch is enqueued (or logged), so a shed sub-batch replays in
+  /// full and replay is exactly-once per shard; only a cut oversize or
+  /// DropNewest sub-batch re-applies its enqueued prefix on replay.
+  /// client_id 0 means "no identity" (no dedup).
+  ///
+  /// `deadline_ns` (steady-clock absolute, 0 = none) bounds blocking.
+  /// One call takes at most 2^32 - 1 keys (std::invalid_argument beyond).
+  /// Only a terminally dead shard still accepts a sub-batch into the log
+  /// without enqueueing it (*durable but not yet live*); its items
+  /// surface at the next resume, in order, and are counted accepted here
+  /// because they are part of the recoverable stream.
+  std::size_t push_bulk(std::size_t producer,
+                        std::span<const std::uint64_t> keys,
+                        std::uint64_t client_id, std::uint64_t client_seq,
+                        std::int64_t deadline_ns = 0) {
+    SHE_TRACE_SPAN("pipeline.push_bulk", "pipeline");
+    check_degraded();
+    if (keys.empty()) return 0;
     thread_local std::uint64_t push_seq = 0;
     const bool timed = obs::enabled() && ((++push_seq & 63u) == 0);
     const std::int64_t t0 = timed ? now_ns() : 0;
-    Shard& sh = *shards_[shard_of(key)];
-    SpscRing& ring = *sh.rings[producer];
-    if (!accepting_.load(std::memory_order_acquire)) return false;
-    if (!ring.try_push(key)) {
-      if (opt_.policy == Backpressure::kDropNewest) {
-        sh.dropped->inc();
-        return false;
-      }
-      const std::int64_t stall_start = now_ns();
-      stall_events_->inc();  // one episode, however long the spin lasts
-      std::int64_t deadline =
-          opt_.policy == Backpressure::kBlockTimeout
-              ? stall_start +
-                    static_cast<std::int64_t>(opt_.push_timeout_ms) * 1'000'000
-              : std::numeric_limits<std::int64_t>::max();
-      if (deadline_ns != 0) deadline = std::min(deadline, deadline_ns);
-      const auto charge_stall = [&] {
-        stall_ns_->inc(static_cast<std::uint64_t>(now_ns() - stall_start));
+    std::size_t accepted = 0;
+    if (opt_.shards == 1 || keys.size() == 1) {
+      std::size_t i = 0;
+      accepted = lane_commit(producer, *shards_[shard_of(keys[0])],
+                             keys.size(), [&] { return keys[i++]; },
+                             client_id, client_seq, deadline_ns);
+    } else {
+      // Route once, chaining each key to the next one bound for the same
+      // shard: one index per key is all the per-thread scratch a push
+      // needs, and each lane gathers its sub-batch straight from `keys`.
+      if (keys.size() > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("push_bulk: more than 2^32-1 keys");
+      struct Chain {
+        std::uint32_t head = 0, tail = 0;
+        std::size_t size = 0;
       };
-      std::int64_t backoff_us = 0;
-      for (;;) {
-        if (!accepting_.load(std::memory_order_acquire)) {
-          charge_stall();
-          return false;
-        }
-        if (shard_dead(sh)) {
-          // Nobody will ever drain this ring: fail instead of spinning
-          // forever behind a dead consumer.
-          sh.dropped->inc();
-          charge_stall();
-          return false;
-        }
-        if (now_ns() >= deadline) {
-          push_timeouts_->inc();
-          charge_stall();
-          return false;
-        }
-        if (backoff_us > 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-          backoff_us = std::min<std::int64_t>(backoff_us * 2, 1000);
-        } else {
-          std::this_thread::yield();
-          // Exponential backoff only under BlockTimeout: plain Block keeps
-          // the latency-optimal pure spin-yield.
-          if (opt_.policy == Backpressure::kBlockTimeout) backoff_us = 1;
-        }
-        if (ring.try_push(key)) break;
+      thread_local std::vector<std::uint32_t> next;
+      thread_local std::vector<Chain> chains;
+      next.resize(keys.size());
+      chains.assign(opt_.shards, Chain{});
+      for (std::uint32_t i = 0; i < keys.size(); ++i) {
+        Chain& c = chains[shard_of(keys[i])];
+        (c.size++ == 0 ? c.head : next[c.tail]) = i;
+        c.tail = i;
       }
-      charge_stall();
+      for (std::size_t s = 0; s < opt_.shards; ++s) {
+        if (chains[s].size == 0) continue;
+        std::uint32_t i = chains[s].head;
+        accepted += lane_commit(
+            producer, *shards_[s], chains[s].size,
+            [&] {
+              const std::uint64_t k = keys[i];
+              i = next[i];  // past the chain's end: read, never used
+              return k;
+            },
+            client_id, client_seq, deadline_ns);
+      }
     }
-    // Traced request?  Leave the id on the shard so the drain worker can
-    // attribute the next sweep to it (one relaxed store; see worker_loop).
-    if (obs::trace::enabled()) {
-      const std::uint64_t trace_id = obs::trace::current_trace_id();
-      if (trace_id != 0)
-        sh.last_trace_id.store(trace_id, std::memory_order_relaxed);
-    }
-    produced_[producer]->inc();
-    if (timed)
-      push_hist_->observe(static_cast<std::uint64_t>(now_ns() - t0));
-    return true;
+    if (timed) push_hist_->observe(static_cast<std::uint64_t>(now_ns() - t0));
+    return accepted;
   }
 
-  /// Wait until `ring` (the shard's WAL lane) has at least `want` free
-  /// slots.  Returns true when the space is there — or when the shard
-  /// went terminally dead mid-wait, which the caller re-checks and routes
-  /// to the durable-only path.  Returns false when the batch must be
-  /// shed: pipeline closing, request deadline passed, or BlockTimeout
-  /// expiry.  The free-space count is exact from the producer side: the
-  /// caller holds the shard's wal_mu (sole producer on this ring) and the
-  /// consumer only ever frees slots.
-  bool wait_ring_space(Shard& sh, SpscRing& ring, std::size_t want,
-                       std::int64_t deadline_ns) {
-    const auto free_now = [&ring] {
-      return ring.capacity() - ring.size_approx();
+ private:
+  struct Shard;  // defined below; referenced by the lane helpers' signatures
+
+  /// Wait until the shard's ring has at least `want` free slots.  Returns
+  /// true when the space is there — or when the shard went terminally
+  /// dead mid-wait, which the caller re-checks.  Returns false when the
+  /// wait is cut: the pipeline is closing or, when `bounded`, the request
+  /// deadline or BlockTimeout expiry passed.  The free-space count is
+  /// exact from the producer side: the caller holds the lane mutex (sole
+  /// producer on this ring) and the consumer only ever frees slots.
+  bool wait_ring_space(Shard& sh, std::size_t want, std::int64_t deadline_ns,
+                       bool bounded) {
+    const auto free_now = [&sh] {
+      return sh.ring.capacity() - sh.ring.size_approx();
     };
     if (free_now() >= want) return true;
     const std::int64_t stall_start = now_ns();
     stall_events_->inc();
-    std::int64_t deadline =
-        opt_.policy == Backpressure::kBlockTimeout
-            ? stall_start +
-                  static_cast<std::int64_t>(opt_.push_timeout_ms) * 1'000'000
-            : std::numeric_limits<std::int64_t>::max();
-    if (deadline_ns != 0) deadline = std::min(deadline, deadline_ns);
+    std::int64_t deadline = std::numeric_limits<std::int64_t>::max();
+    if (bounded) {
+      if (opt_.policy == Backpressure::kBlockTimeout)
+        deadline = stall_start +
+                   static_cast<std::int64_t>(opt_.push_timeout_ms) * 1'000'000;
+      if (deadline_ns != 0) deadline = std::min(deadline, deadline_ns);
+    }
     bool ok = true;
     std::int64_t backoff_us = 0;
     for (;;) {
@@ -553,7 +560,9 @@ class IngestPipeline {
         backoff_us = std::min<std::int64_t>(backoff_us * 2, 1000);
       } else {
         std::this_thread::yield();
-        if (opt_.policy == Backpressure::kBlockTimeout || deadline_ns != 0)
+        // Exponential backoff only for a bounded wait: plain Block keeps
+        // the latency-optimal pure spin-yield.
+        if (deadline != std::numeric_limits<std::int64_t>::max())
           backoff_us = 1;
       }
     }
@@ -561,146 +570,110 @@ class IngestPipeline {
     return ok;
   }
 
-  /// The WAL lane: commit one per-shard sub-batch atomically — dedup
-  /// check, ring-space admission, log append, enqueue — under the shard's
-  /// wal_mu.  All WAL-mode enqueues go through ring 0 in log-append order
-  /// regardless of `producer`, so drain order equals log order and the
-  /// checkpoint's drained-item count identifies the exact log prefix it
-  /// covers.  Returns g.size() when the batch is durable (acked) or a
-  /// known duplicate, 0 when it was shed with nothing logged and nothing
-  /// recorded (a retry is clean); a WalError from the append propagates
-  /// with nothing acked.
-  std::size_t wal_push(std::size_t producer, Shard& sh,
-                       std::span<const std::uint64_t> g,
-                       std::uint64_t client_id, std::uint64_t client_seq,
-                       std::int64_t deadline_ns) {
-    std::lock_guard<std::mutex> lk(sh.wal_mu);
+  /// Enqueue `n` keys from `next()` onto the shard's ring, in order.  The
+  /// first wait reserves room for the whole sub-batch (capped at the
+  /// ring's capacity), so a cut wait there enqueues nothing; an oversize
+  /// tail then follows the live drain.  Returns how many went in: fewer
+  /// than `n` only when a wait was cut or the shard died.
+  template <typename Next>
+  std::size_t enqueue(Shard& sh, std::size_t n, Next&& next,
+                      std::int64_t deadline_ns, bool bounded) {
+    std::size_t done = 0;
+    while (done < n) {
+      const std::size_t want =
+          done == 0 ? std::min(n, sh.ring.capacity()) : 1;
+      if (!wait_ring_space(sh, want, deadline_ns, bounded) || shard_dead(sh))
+        break;
+      done += sh.ring.push_n(n - done, next);
+    }
+    return done;
+  }
+
+  /// The commit lane: one per-shard sub-batch of `n` keys, taken in order
+  /// from `next()`, in one critical section under the shard's lane_mu —
+  /// dedup peek, ring-space reservation, (log append,) bulk enqueue,
+  /// sequence record.  Every enqueue onto the shard's ring happens here,
+  /// so drain order is lane order, and with the WAL on it equals log
+  /// order, which is what lets the checkpoint's drained-item count
+  /// identify the exact log prefix it covers.  Returns the accepted count
+  /// (see push_bulk); a WalError from the append propagates with nothing
+  /// acked.
+  template <typename Next>
+  std::size_t lane_commit(std::size_t producer, Shard& sh, std::size_t n,
+                          Next&& next, std::uint64_t client_id,
+                          std::uint64_t client_seq, std::int64_t deadline_ns) {
+    std::lock_guard<std::mutex> lk(sh.lane_mu);
     if (!accepting_.load(std::memory_order_acquire)) return 0;
-    if (client_id != 0 &&
-        client_seq <= sh.wal->seq_table().high(client_id)) {
+    ClientSeqTable& seqs = sh.wal != nullptr ? sh.wal->seq_table() : sh.seqs;
+    if (client_id != 0 && client_seq <= seqs.high(client_id)) {
       // Duplicate of an already-applied delivery: ack without waiting on
       // ring space — the retry must not block behind a full ring.
-      sh.wal_dups->inc(g.size());
-      return g.size();
+      sh.wal_dups->inc(n);
+      return n;
     }
-    SpscRing& ring = *sh.rings[0];
-    if (!shard_dead(sh)) {
-      // Admission before durability: reserve ring space for the whole
-      // batch (capped at the ring's capacity for oversize batches) so a
-      // request deadline or BlockTimeout expiry sheds it *before*
+    std::size_t done = 0;
+    if (sh.wal == nullptr) {
+      if (opt_.policy == Backpressure::kDropNewest)
+        done = shard_dead(sh) ? 0 : sh.ring.push_n(n, next);
+      else
+        done = enqueue(sh, n, next, deadline_ns, /*bounded=*/true);
+      if (done < n && (opt_.policy == Backpressure::kDropNewest ||
+                       shard_dead(sh)))
+        sh.dropped->inc(n - done);
+      if (done == n) (void)seqs.record(client_id, client_seq);
+    } else {
+      // Admission before durability: reserve ring space first so a
+      // request deadline or BlockTimeout expiry sheds the batch *before*
       // anything reaches the log.  A logged batch is therefore never
-      // abandoned mid-log, which is what keeps checkpoint offsets
-      // aligned with log positions.
-      if (!wait_ring_space(sh, ring, std::min(g.size(), ring.capacity()),
-                           deadline_ns))
+      // abandoned mid-log, which keeps checkpoint offsets aligned with
+      // log positions.
+      if (!shard_dead(sh) &&
+          !wait_ring_space(sh, std::min(n, sh.ring.capacity()), deadline_ns,
+                           /*bounded=*/true))
         return 0;
-    }
-    bool logged = false;
-    try {
-      logged = sh.wal->append(g, client_id, client_seq);
-    } catch (const DiskFault& e) {
-      // The disk under the log is sick (ENOSPC/EIO): park the pipeline
-      // read-only and tell the caller with the typed error.  Nothing was
-      // acked and nothing reached the ring, so a post-recovery retry is
-      // clean and deduplicated.
-      enter_degraded(e.what());
-      throw DegradedError(e.what());
-    }
-    if (!logged) {
-      sh.wal_dups->inc(g.size());
-      return g.size();  // the earlier delivery already covered it
-    }
-    if (!shard_dead(sh)) {
-      // Committed: enqueue the whole batch in log order.  Space for
-      // min(size, capacity) items is already reserved; an oversize tail
-      // rides the live drain.  Only terminal shard death aborts the
-      // loop, and then the logged tail surfaces, in order, at the next
-      // resume — a dead shard never drains or checkpoints again, so no
-      // later batch can be applied *behind* it.
-      std::size_t i = 0;
-      while (i < g.size()) {
-        if (ring.try_push(g[i])) {
-          ++i;
-          continue;
-        }
-        if (shard_dead(sh)) break;
-        std::this_thread::yield();
+      sh.staging.clear();
+      for (std::size_t i = 0; i < n; ++i) sh.staging.push_back(next());
+      bool logged = false;
+      try {
+        logged = sh.wal->append(sh.staging, client_id, client_seq);
+      } catch (const DiskFault& e) {
+        // The disk under the log is sick (ENOSPC/EIO): park the pipeline
+        // read-only and tell the caller with the typed error.  Nothing
+        // was acked and nothing reached the ring, so a post-recovery
+        // retry is clean and deduplicated.
+        enter_degraded(e.what());
+        throw DegradedError(e.what());
       }
+      if (!logged) {
+        sh.wal_dups->inc(n);
+        return n;  // the earlier delivery already covered it
+      }
+      // Committed: enqueue the whole batch in log order; nothing may shed
+      // it now.  Only terminal shard death (or close) stops the enqueue,
+      // and then the logged tail surfaces, in order, at the next resume —
+      // a dead shard never drains or checkpoints again, so no later batch
+      // can be applied *behind* it.
+      if (!shard_dead(sh)) {
+        std::size_t i = 0;
+        (void)enqueue(sh, n, [&] { return sh.staging[i++]; }, 0,
+                      /*bounded=*/false);
+      }
+      done = n;
+    }
+    if (done > 0) {
+      produced_[producer]->inc(done);
+      // Traced request?  Leave the id on the shard so the drain worker
+      // can attribute the next sweep to it (see worker_loop).
       if (obs::trace::enabled()) {
         const std::uint64_t trace_id = obs::trace::current_trace_id();
         if (trace_id != 0)
           sh.last_trace_id.store(trace_id, std::memory_order_relaxed);
       }
     }
-    produced_[producer]->inc(g.size());
-    return g.size();
+    return done;
   }
 
  public:
-  /// push() each key in order; returns how many were accepted.
-  std::size_t push_bulk(std::size_t producer,
-                        std::span<const std::uint64_t> keys) {
-    return push_bulk(producer, keys, 0, 0, 0);
-  }
-
-  /// push_bulk with a client identity and an optional absolute deadline.
-  ///
-  /// Keys are grouped per shard (preserving arrival order within each
-  /// shard); with the log configured each non-empty sub-batch commits
-  /// through the shard's WAL lane (see wal_push): all-or-nothing — either
-  /// the whole sub-batch is logged and enqueued in log order (counted
-  /// accepted), or it is shed before anything reaches the log (counted
-  /// rejected, retry is clean).  A sub-batch whose (client_id,
-  /// client_seq) was already applied to that shard — a client replaying
-  /// after a lost ack — is skipped and counted as accepted: the earlier
-  /// delivery covered it, so the replay is exactly-once per shard.
-  /// client_id 0 means "no identity" (no dedup).
-  ///
-  /// `deadline_ns` (steady-clock absolute, 0 = none) bounds blocking:
-  /// past it, remaining sub-batches fail fast instead of wedging the
-  /// caller.  Only a terminally dead shard still accepts a sub-batch
-  /// into the log without enqueueing it (*durable but not yet live*);
-  /// its items surface at the next resume, in order, and are counted
-  /// accepted here because they are part of the recoverable stream.
-  std::size_t push_bulk(std::size_t producer,
-                        std::span<const std::uint64_t> keys,
-                        std::uint64_t client_id, std::uint64_t client_seq,
-                        std::int64_t deadline_ns = 0) {
-    SHE_TRACE_SPAN("pipeline.push_bulk", "pipeline");
-    check_degraded();
-    if (opt_.wal_mode == WalMode::kOff && client_id == 0) {
-      std::size_t accepted = 0;
-      for (std::uint64_t k : keys)
-        accepted += push_impl(producer, k, deadline_ns) ? 1 : 0;
-      return accepted;
-    }
-    // Group per shard, preserving order.  thread_local scratch: bulk
-    // callers are long-lived handler threads.
-    thread_local std::vector<std::vector<std::uint64_t>> groups;
-    groups.resize(opt_.shards);
-    for (auto& g : groups) g.clear();
-    for (std::uint64_t k : keys) groups[shard_of(k)].push_back(k);
-    std::size_t accepted = 0;
-    for (std::size_t s = 0; s < opt_.shards; ++s) {
-      const std::vector<std::uint64_t>& g = groups[s];
-      if (g.empty()) continue;
-      Shard& sh = *shards_[s];
-      if (sh.wal != nullptr) {
-        accepted += wal_push(producer, sh, g, client_id, client_seq,
-                             deadline_ns);
-        continue;
-      }
-      if (!sh.seqs.record(client_id, client_seq)) {
-        sh.wal_dups->inc(g.size());
-        accepted += g.size();  // the earlier delivery already covered it
-        continue;
-      }
-      for (std::uint64_t k : g)
-        accepted += push_impl(producer, k, deadline_ns) ? 1 : 0;
-    }
-    return accepted;
-  }
-
   /// Stop accepting, drain every ring, publish final snapshots (and final
   /// checkpoints when configured), join workers.  Idempotent.  If start()
   /// was never called the queues are drained inline on the calling thread.
@@ -717,12 +690,12 @@ class IngestPipeline {
       // A fence hand-over can race close(): the supervisor fences a wedged
       // worker out, then observes stopping_ and exits before restarting it.
       // Finish the hand-over inline so cleanly-exited shards never strand
-      // accepted items in their rings.  (Faulted shards stay as they are —
+      // accepted items in their ring.  (Faulted shards stay as they are —
       // their live estimator is untrustworthy.)
       for (std::size_t s = 0; s < opt_.shards; ++s) {
         Shard& sh = *shards_[s];
         if (sh.state.load(std::memory_order_acquire) == WorkerState::kExited &&
-            !rings_empty(sh)) {
+            sh.ring.size_approx() > 0) {
           sh.fence.store(false, std::memory_order_relaxed);
           worker_entry(s);
         }
@@ -735,7 +708,7 @@ class IngestPipeline {
   }
 
   /// Drain-then-publish barrier: ask every live shard worker to finish
-  /// draining its rings, publish a fresh snapshot, and — with
+  /// draining its ring, publish a fresh snapshot, and — with
   /// `with_checkpoint` and a configured checkpoint_dir — write a durable
   /// frame, then wait for the acknowledgements.  This is what a serving
   /// front-end's FLUSH (make earlier accepted inserts visible to
@@ -744,7 +717,7 @@ class IngestPipeline {
   ///
   /// Returns true when every shard acked within `timeout_ms`; false on
   /// timeout or when a shard is dead/abandoned.  Workers ack only from
-  /// their idle branch (rings momentarily empty), so under relentless
+  /// their idle branch (ring momentarily empty), so under relentless
   /// concurrent ingest the barrier is best-effort and bounded by the
   /// timeout.  Any thread may call this; on a closed (or never-started)
   /// pipeline the final state is already published and checkpointed, so
@@ -851,7 +824,8 @@ class IngestPipeline {
                                  kAbandoned };
 
   struct Shard {
-    explicit Shard(Estimator e) : est(std::move(e)) {}
+    Shard(Estimator e, std::size_t queue_capacity)
+        : est(std::move(e)), ring(queue_capacity) {}
     Estimator est;  ///< worker-owned once start() runs
     std::size_t index = 0;
     /// Last published state.  Only the thread owning `est` replaces it;
@@ -861,7 +835,9 @@ class IngestPipeline {
     /// relaxed store on load, which ThreadSanitizer reports as a race.
     mutable std::mutex view_mu;
     std::shared_ptr<const Estimator> view;  ///< guarded by view_mu
-    std::vector<std::unique_ptr<SpscRing>> rings;  ///< one per producer
+    /// The shard's backlog: producers push under lane_mu, the worker
+    /// drains.
+    SpscRing ring;
     std::uint64_t since_publish = 0;     ///< worker-only
     std::uint64_t consumed = 0;          ///< worker-only: items applied
     std::uint64_t consumed_at_publish = 0;  ///< worker-only
@@ -871,21 +847,18 @@ class IngestPipeline {
     std::uint64_t hwm_local = 0;         ///< worker-only mirror
     /// Backlog log (wal_mode != kOff).
     std::unique_ptr<ShardWal> wal;
-    /// The WAL lane: serializes every WAL-mode sub-batch commit for this
-    /// shard (dedup peek, ring-space reservation, append, enqueue on
-    /// ring 0) so log-append order equals enqueue order equals drain
-    /// order for any number of producers.  See wal_push().
-    std::mutex wal_mu;
+    /// The commit lane: serializes every sub-batch commit for this shard
+    /// (dedup peek, ring-space reservation, append, enqueue, sequence
+    /// record) so enqueue order equals drain order — and, with the WAL
+    /// on, log-append order — for any number of producers.  See
+    /// lane_commit().
+    std::mutex lane_mu;
+    /// WAL on: the sub-batch gathered for the append (guarded by lane_mu).
+    std::vector<std::uint64_t> staging;
     /// In-memory idempotence filter when the WAL is off but clients still
-    /// send identities (the WAL embeds its own table when on).
+    /// send identities (the WAL embeds its own table when on).  Written
+    /// under lane_mu.
     ClientSeqTable seqs;
-    /// Worker-only: items each producer lane has contributed to
-    /// `consumed` (recorded in version-2 checkpoint frames, restored at
-    /// resume).  In WAL mode everything drains through lane 0, so lane 0
-    /// carries the whole offset.  After a no-WAL rollback the lanes may
-    /// overcount the restored `consumed` — contribution counters, not
-    /// exact offsets, on that path.
-    std::vector<std::uint64_t> producer_offsets;
     /// Worker-only: offsets of the last `checkpoint_keep` checkpoint
     /// frames, oldest first.  The WAL compaction low-water is the *oldest*
     /// retained generation — resume may fall back past a corrupt newest
@@ -898,7 +871,7 @@ class IngestPipeline {
     std::atomic<std::int64_t> heartbeat_ns{0};
     std::atomic<bool> fence{false};  ///< supervisor asks worker to hand over
     // Sync handshake (see sync()): a caller bumps sync_req; the worker
-    // acks after its rings drained and a fresh snapshot (and, when
+    // acks after its ring drained and a fresh snapshot (and, when
     // sync_ckpt was set, a durable frame) was published.
     std::atomic<std::uint64_t> sync_req{0};
     std::atomic<std::uint64_t> sync_ack{0};
@@ -933,7 +906,7 @@ class IngestPipeline {
                                      shard_label);
     sh.dropped = &registry_.counter(
         "she_pipeline_dropped_total",
-        "pushes rejected (DropNewest full ring, or dead-shard abort)",
+        "keys rejected (DropNewest full ring, or dead-shard abort)",
         shard_label);
     sh.drains = &registry_.counter("she_pipeline_drains_total",
                                    "non-empty drain sweeps", shard_label);
@@ -965,11 +938,11 @@ class IngestPipeline {
         "she_pipeline_wal_duplicates_total",
         "keys skipped as already-applied client replays", shard_label);
     sh.queue_hwm = &registry_.gauge("she_pipeline_queue_hwm",
-                                    "deepest single ring observed",
+                                    "deepest shard backlog observed",
                                     shard_label);
     sh.queue_depth = &registry_.gauge(
         "she_pipeline_queue_depth",
-        "queued items across the shard's rings (sweep/sampler refreshed)",
+        "queued items in the shard's ring (sweep/sampler refreshed)",
         shard_label);
   }
 
@@ -1027,8 +1000,6 @@ class IngestPipeline {
     serialize_to(image, *view(sh.index));
     std::vector<char> frame = frame_checkpoint(
         sh.consumed_at_publish,
-        std::span<const std::uint64_t>(sh.producer_offsets.data(),
-                                       sh.producer_offsets.size()),
         std::span<const char>(image.data(), image.size()));
     fault::maybe_corrupt_frame(sh.index, sh.ckpt_ordinal, frame);
     try {
@@ -1150,38 +1121,30 @@ class IngestPipeline {
                   : 0);
       const std::uint64_t sweep_ticks =
           tracing ? obs::trace::now_ticks() : 0;
-      std::size_t got = 0;
-      std::size_t depth_total = 0;
-      for (std::size_t p = 0; p < sh.rings.size(); ++p) {
-        SpscRing& ring = *sh.rings[p];
-        const std::size_t depth = ring.size_approx();
-        depth_total += depth;
-        if (depth > sh.hwm_local) {
-          sh.hwm_local = depth;
-          sh.queue_hwm->max_of(static_cast<std::int64_t>(depth));
-        }
-        // At most publish_interval items per ring per sweep: a producer
-        // that keeps pace must not keep the worker away from the
-        // sweep-start fence check, heartbeat and fault hooks.
-        std::size_t n;
-        std::size_t from_ring = 0;
-        while (from_ring < opt_.publish_interval &&
-               (n = ring.drain(buf.data(), buf.size())) > 0) {
-          from_ring += n;
-          const std::span<const std::uint64_t> block(buf.data(), n);
-          {
-            SHE_TRACE_SPAN("estimator.insert_batch", "estimator");
-            if constexpr (requires { sh.est.insert_batch(block); })
-              sh.est.insert_batch(block);  // pipelined hash-ahead + prefetch
-            else
-              for (std::size_t i = 0; i < n; ++i) sh.est.insert(buf[i]);
-          }
-          got += n;
-          sh.producer_offsets[p] += n;
-          if (n < buf.size()) break;  // ring (momentarily) empty; next ring
-        }
+      const std::size_t depth = sh.ring.size_approx();
+      if (depth > sh.hwm_local) {
+        sh.hwm_local = depth;
+        sh.queue_hwm->max_of(static_cast<std::int64_t>(depth));
       }
-      sh.queue_depth->set(static_cast<std::int64_t>(depth_total));
+      sh.queue_depth->set(static_cast<std::int64_t>(depth));
+      // At most publish_interval items per sweep: a lane that keeps pace
+      // must not keep the worker away from the sweep-start fence check,
+      // heartbeat and fault hooks.
+      std::size_t got = 0;
+      std::size_t n;
+      while (got < opt_.publish_interval &&
+             (n = sh.ring.drain(buf.data(), buf.size())) > 0) {
+        const std::span<const std::uint64_t> block(buf.data(), n);
+        {
+          SHE_TRACE_SPAN("estimator.insert_batch", "estimator");
+          if constexpr (requires { sh.est.insert_batch(block); })
+            sh.est.insert_batch(block);  // pipelined hash-ahead + prefetch
+          else
+            for (std::size_t i = 0; i < n; ++i) sh.est.insert(buf[i]);
+        }
+        got += n;
+        if (n < buf.size()) break;  // ring (momentarily) empty
+      }
       if (got > 0) {
         drain_hist_->observe(static_cast<std::uint64_t>(now_ns() - sweep_start));
         if (tracing)
@@ -1198,22 +1161,24 @@ class IngestPipeline {
       // Idle: surface whatever arrived since the last publish so readers
       // see a fresh snapshot even in quiet periods.
       if (sh.since_publish > 0) publish(sh);
-      // sync() barrier: rings are momentarily empty, so publish and ack.
+      // sync() barrier: the ring is momentarily empty, so publish and ack.
       const std::uint64_t syncreq = sh.sync_req.load(std::memory_order_acquire);
       if (syncreq != sh.sync_ack.load(std::memory_order_relaxed)) {
-        // The empty-rings observation above predates this acquire load, so
+        // The empty-ring observation above predates this acquire load, so
         // it may have missed pushes made just before the sync() call.  The
         // acquire makes those pushes visible; re-check and re-drain before
         // acking, or the barrier publishes a snapshot missing items it
         // promised to cover.
-        if (!rings_empty(sh)) continue;
+        if (sh.ring.size_approx() > 0) continue;
         publish(sh);
         if (sh.sync_ckpt.exchange(false, std::memory_order_acq_rel) &&
             !opt_.checkpoint_dir.empty())
           write_checkpoint(sh);
         sh.sync_ack.store(syncreq, std::memory_order_release);
       }
-      if (stopping_.load(std::memory_order_acquire) && rings_empty(sh)) break;
+      if (stopping_.load(std::memory_order_acquire) &&
+          sh.ring.size_approx() == 0)
+        break;
       std::this_thread::yield();
     }
     publish(sh);  // final state, unconditionally
@@ -1309,8 +1274,7 @@ class IngestPipeline {
   void restart_shard(std::size_t s, bool rollback) {
     Shard& sh = *shards_[s];
     if (workers_[s].joinable()) workers_[s].join();
-    std::uint64_t backlog = 0;
-    for (const auto& r : sh.rings) backlog += r->size_approx();
+    const std::uint64_t backlog = sh.ring.size_approx();
     if (rollback) {
       try {
         Estimator restored = *view(s);
@@ -1352,15 +1316,9 @@ class IngestPipeline {
     while (!stopping_.load(std::memory_order_acquire)) {
       std::uint64_t inserted_total = 0;
       for (const auto& sh : shards_) {
-        std::size_t depth_total = 0;
-        std::size_t deepest = 0;
-        for (const auto& r : sh->rings) {
-          const std::size_t d = r->size_approx();
-          depth_total += d;
-          deepest = std::max(deepest, d);
-        }
-        sh->queue_depth->set(static_cast<std::int64_t>(depth_total));
-        sh->queue_hwm->max_of(static_cast<std::int64_t>(deepest));
+        const std::size_t depth = sh->ring.size_approx();
+        sh->queue_depth->set(static_cast<std::int64_t>(depth));
+        sh->queue_hwm->max_of(static_cast<std::int64_t>(depth));
         inserted_total += sh->inserted->value();
       }
       sample_rate(inserted_total);
@@ -1383,12 +1341,6 @@ class IngestPipeline {
     const double r = rate_window_.rate();
     rate_gauge_->set(static_cast<std::int64_t>(r));
     return r;
-  }
-
-  [[nodiscard]] static bool rings_empty(const Shard& sh) {
-    for (const auto& r : sh.rings)
-      if (r->size_approx() > 0) return false;
-    return true;
   }
 
   PipelineOptions opt_;

@@ -1,14 +1,15 @@
 // SpscRing — bounded lock-free single-producer/single-consumer queue.
 //
-// The ingest runtime gives every (producer, shard) pair its own ring, so
-// each ring has exactly one writer and one reader and needs no CAS loops:
-// the producer publishes a slot with a release store of `tail_`, the
-// consumer acquires it, and both sides keep a cached copy of the opposite
-// index so the common case touches only one shared cache line.  Indices are
-// free-running 64-bit counters (never wrapped), which makes full/empty
-// tests simple subtractions and sidesteps the classic "one slot wasted"
-// scheme.  Head and tail live on separate cache lines to avoid false
-// sharing between the two threads.
+// The ingest runtime gives every shard one ring.  Producers take turns
+// under the shard's commit-lane mutex, so the ring has one writer at a
+// time and one reader and needs no CAS loops: the producer publishes
+// slots with a release store of `tail_`, the consumer acquires it, and
+// both sides keep a cached copy of the opposite index so the common case
+// touches only one shared cache line.  Indices are free-running 64-bit
+// counters (never wrapped), which makes full/empty tests simple
+// subtractions and sidesteps the classic "one slot wasted" scheme.  Head
+// and tail live on separate cache lines to avoid false sharing between
+// the two threads.
 #pragma once
 
 #include <atomic>
@@ -40,14 +41,23 @@ class SpscRing {
 
   /// Producer side.  Returns false when the ring is full.
   bool try_push(std::uint64_t v) {
+    return push_n(1, [v] { return v; }) == 1;
+  }
+
+  /// Producer side: append up to `max` items, taken in order from
+  /// `next()`, and publish them with one release store.  Returns how many
+  /// fit (0 when the ring is full); `next` is called exactly that often.
+  template <typename Next>
+  std::size_t push_n(std::size_t max, Next&& next) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - cached_head_ > mask_) {
+    if (capacity() - (tail - cached_head_) < max)
       cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail - cached_head_ > mask_) return false;
-    }
-    slots_[tail & mask_] = v;
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    const std::size_t room =
+        static_cast<std::size_t>(capacity() - (tail - cached_head_));
+    const std::size_t n = room < max ? room : max;
+    for (std::size_t i = 0; i < n; ++i) slots_[(tail + i) & mask_] = next();
+    if (n > 0) tail_.store(tail + n, std::memory_order_release);
+    return n;
   }
 
   /// Consumer side.  Returns false when the ring is empty.

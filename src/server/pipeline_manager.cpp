@@ -55,10 +55,8 @@ double parse_f64(const std::string& key, const std::string& text) {
 
 PipelineSpec parse_sketch_spec(const std::string& text) {
   PipelineSpec spec;
-  // Serving defaults: modest window, supervised workers (a long-running
-  // service must outlive one worker exception), one producer slot per
-  // likely-concurrent client batch.
-  spec.pipeline.producers = 4;
+  // Serving defaults: modest window and supervised workers (a long-running
+  // service must outlive one worker exception).
   spec.pipeline.supervise = true;
 
   std::istringstream is(text);
@@ -152,29 +150,7 @@ PipelineManager::Entry::Entry(std::string name, std::string spec_text,
                               const PipelineSpec& spec)
     : name_(std::move(name)),
       spec_text_(std::move(spec_text)),
-      monitor_(spec.monitor, spec.pipeline),
-      slot_mu_(new std::mutex[spec.pipeline.producers]),
-      slots_(spec.pipeline.producers) {}
-
-std::size_t PipelineManager::Entry::insert_bulk(
-    std::span<const std::uint64_t> keys, std::uint64_t client_id,
-    std::uint64_t client_seq, std::int64_t deadline_ns) {
-  // Producer slots serialize push() per index (the IngestPipeline
-  // contract) while letting up to `slots_` handler threads ingest
-  // concurrently: sweep for a free slot, fall back to blocking on the
-  // round-robin one so load spreads instead of convoying on slot 0.
-  const std::size_t start = rr_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t i = 0; i < slots_; ++i) {
-    const std::size_t s = (start + i) % slots_;
-    std::unique_lock<std::mutex> lk(slot_mu_[s], std::try_to_lock);
-    if (lk.owns_lock()) {
-      return monitor_.push_bulk(s, keys, client_id, client_seq, deadline_ns);
-    }
-  }
-  const std::size_t s = start % slots_;
-  std::lock_guard<std::mutex> lk(slot_mu_[s]);
-  return monitor_.push_bulk(s, keys, client_id, client_seq, deadline_ns);
-}
+      monitor_(spec.monitor, spec.pipeline) {}
 
 void PipelineManager::Entry::close_once() {
   std::call_once(close_flag_, [this] { monitor_.close(); });

@@ -12,12 +12,10 @@
 // handler — the handler's shared_ptr keeps the entry alive; its pushes are
 // rejected (return 0 accepted) once the drop has closed the pipeline.
 // CREATE/DROP serialize on the exclusive lock, making them linearizable
-// against each other.  Handler threads are arbitrary, but IngestPipeline
-// requires push() be serialized per producer index, so Entry lends out
-// producer slots behind per-slot mutexes (try-lock sweep, then block).
+// against each other.  Handler threads push straight into the pipeline:
+// its per-shard commit lanes serialize concurrent sub-batches.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -81,8 +79,9 @@ class PipelineManager {
     ReplicationHub* hub = nullptr;
   };
 
-  /// One resident pipeline.  Insert paths borrow a producer slot; queries
-  /// go straight to the monitor (shared published views, any thread).
+  /// One resident pipeline.  Inserts and queries go straight to the
+  /// monitor from any handler thread (commit lanes in, shared published
+  /// views out).
   class Entry {
    public:
     Entry(std::string name, std::string spec_text, const PipelineSpec& spec);
@@ -92,8 +91,8 @@ class PipelineManager {
     [[nodiscard]] ConcurrentMonitor& monitor() { return monitor_; }
     [[nodiscard]] const ConcurrentMonitor& monitor() const { return monitor_; }
 
-    /// Push keys through a borrowed producer slot; returns accepted count
-    /// (0 once the entry is closed).
+    /// Push keys into the pipeline; returns accepted count (0 once the
+    /// entry is closed).
     std::size_t insert_bulk(std::span<const std::uint64_t> keys) {
       return insert_bulk(keys, 0, 0, 0);
     }
@@ -103,7 +102,9 @@ class PipelineManager {
     /// bounding backpressure blocking.
     std::size_t insert_bulk(std::span<const std::uint64_t> keys,
                             std::uint64_t client_id, std::uint64_t client_seq,
-                            std::int64_t deadline_ns);
+                            std::int64_t deadline_ns) {
+      return monitor_.push_bulk(0, keys, client_id, client_seq, deadline_ns);
+    }
 
     /// Drain + final checkpoint + join workers; idempotent and safe to
     /// race with insert_bulk (late pushes are rejected, not lost memory).
@@ -113,9 +114,6 @@ class PipelineManager {
     std::string name_;
     std::string spec_text_;
     ConcurrentMonitor monitor_;
-    std::unique_ptr<std::mutex[]> slot_mu_;
-    std::size_t slots_;
-    std::atomic<std::size_t> rr_{0};
     std::once_flag close_flag_;
   };
 

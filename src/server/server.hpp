@@ -9,8 +9,8 @@
 //
 // Queries read each shard's published view (one immutable estimator shared
 // by every handler thread), so reads never block ingest and never decode;
-// inserts go through borrowed producer slots, so many clients feed one
-// pipeline.
+// inserts commit straight through the pipeline's per-shard lanes, so many
+// clients feed one pipeline.
 //
 // Shutdown discipline: request_stop() — also wired to SIGTERM/SIGINT via
 // install_signal_handlers(), and to the SHUTDOWN opcode — writes one byte

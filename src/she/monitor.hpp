@@ -121,14 +121,14 @@ class StreamMonitor {
 ///
 /// Shards one logical monitor across `pipeline.shards` StreamMonitors
 /// (window and budget split evenly, same key routing as Sharded<T>), feeds
-/// them from `pipeline.producers` threads through lock-free rings, and
+/// them through one commit lane per shard (a mutex plus one ring), and
 /// answers queries *while the stream is being ingested* from the shards'
 /// published views (one immutable StreamMonitor per shard, shared by every
 /// reader): membership and frequency go to the owning shard, cardinality
 /// sums across shards, top-k merges (shard key spaces are disjoint).
-/// Queries are safe from any thread at any time; push() follows the
-/// IngestPipeline threading contract (one thread per producer index, join
-/// producers before close()).
+/// Queries are safe from any thread at any time; push()/push_bulk() follow
+/// the IngestPipeline threading contract (any thread, any producer index,
+/// concurrently; join producers before close()).
 class ConcurrentMonitor {
  public:
   ConcurrentMonitor(const MonitorConfig& monitor,

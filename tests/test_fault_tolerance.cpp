@@ -1033,8 +1033,8 @@ TEST_F(FaultTolerance, WalShedsBeforeLoggingOnBlockTimeout) {
 
 TEST_F(FaultTolerance, WalMultiProducerCrashReplayByteIdentical) {
   // With the WAL on, every sub-batch is logged and enqueued in one
-  // critical section on the shard's WAL lane, so drain order equals
-  // log-append order no matter which producer slot carried the batch —
+  // critical section on the shard's commit lane, so drain order equals
+  // log-append order no matter which producer index carried the batch —
   // and a crash+resume replay reconstructs exactly that order.  (Batches
   // here rotate across three producer indices from one thread, so the
   // admitted order is the call order and the reference is sequential.)

@@ -4,8 +4,8 @@
 // malformed frames, the /metrics endpoint, and SIGTERM → checkpoint →
 // restart → identical answers.  This binary carries the ctest label
 // `tsan` (see tests/CMakeLists.txt): the connection handlers, manager
-// lock discipline, and producer-slot lending are concurrency surfaces
-// ThreadSanitizer must sweep.
+// lock discipline, and handlers sharing the pipelines' commit lanes are
+// concurrency surfaces ThreadSanitizer must sweep.
 #include "server/server.hpp"
 
 #include <arpa/inet.h>
@@ -177,7 +177,9 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
 TEST(SpecParser, DefaultsAndOverrides) {
   const PipelineSpec def = parse_sketch_spec("");
   EXPECT_TRUE(def.pipeline.supervise);  // a service must outlive one fault
-  EXPECT_EQ(def.pipeline.producers, 4u);
+  // Handler threads share the commit lanes, so the server needs no
+  // producer slots; `producers=` only adds produced-counter labels.
+  EXPECT_EQ(def.pipeline.producers, 1u);
 
   const PipelineSpec s = parse_sketch_spec(
       "window=16K memory=256K shards=2 producers=3 queue=2048 publish=512 "
@@ -1172,6 +1174,60 @@ TEST(Server, RequestDeadlineShedsInsteadOfWedging) {
   const std::string body =
       http_body(http_get(live.server.http_port(), "/healthz"));
   EXPECT_NE(body.find("\"request_deadline_ms\":200"), std::string::npos);
+}
+
+TEST(Server, DeadlineShedBulkReplaysExactlyOnce) {
+  // Regression, over the wire: a WAL-off INSERT_BULK shed by the request
+  // deadline is answered kTimeout with "replay is safe".  Its sequence
+  // number used to be recorded before the enqueue, so the replay was
+  // acked as a duplicate and its keys were never applied.
+  InjectorGuard guard;
+  ServerOptions opt;
+  opt.request_deadline_ms = 200;
+  LiveServer live(std::move(opt));
+  SheClient c = live.client();
+  c.create("rp", "window=16K memory=128K shards=1 producers=1 queue=256 "
+                 "policy=block");
+
+  // Wedge the drain thread before it applies anything; the first batch
+  // then fills the ring exactly and the second cannot be admitted.
+  runtime::fault::injector().arm(
+      {runtime::fault::Point::kConsumerStall, 0, 0, 1'500});
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::vector<std::uint64_t> fill(256, 7), extra(100, 7);
+  const auto status_of = [&](const std::vector<char>& body) {
+    const std::vector<char> resp = c.roundtrip_raw(body);
+    EXPECT_FALSE(resp.empty());
+    return resp.empty() ? Status::kError : static_cast<Status>(resp[0]);
+  };
+  ASSERT_EQ(status_of(seq_tagged_bulk(9, 1, "rp", fill)), Status::kOk);
+  const std::vector<char> shed = seq_tagged_bulk(9, 2, "rp", extra);
+  ASSERT_EQ(status_of(shed), Status::kTimeout);
+
+  // Replay the same (client_id, client_seq) until the stall clears.
+  Status replay = Status::kTimeout;
+  for (int attempt = 0; attempt < 50 && replay != Status::kOk; ++attempt) {
+    replay = status_of(shed);
+    if (replay != Status::kOk) {
+      EXPECT_EQ(replay, Status::kTimeout);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  ASSERT_EQ(replay, Status::kOk);
+  EXPECT_EQ(status_of(shed), Status::kOk);  // now a duplicate
+  // FLUSH is bounded by the request deadline too: retry past the stall.
+  bool flushed = false;
+  for (int attempt = 0; attempt < 50 && !flushed; ++attempt) {
+    try {
+      c.flush("rp");
+      flushed = true;
+    } catch (const ClientError& e) {
+      EXPECT_EQ(e.status(), Status::kTimeout);
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+  ASSERT_TRUE(flushed);
+  EXPECT_EQ(c.query_frequency("rp", 7), fill.size() + extra.size());
 }
 
 #endif  // SHE_FAULT_INJECTION

@@ -1,5 +1,6 @@
 #include "commands.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -372,8 +373,11 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   }
   mon.start();
 
-  // Producers replay disjoint contiguous slices of the trace; --rate is
-  // split evenly between them (sleep-based pacing, coarse but honest).
+  // Producers replay disjoint contiguous slices of the trace in 256-key
+  // push_bulk batches (one commit-lane section per shard per batch); --rate
+  // is split evenly between them and paced per batch (sleep-based, coarse
+  // but honest).
+  constexpr std::size_t kBatch = 256;
   std::vector<std::thread> producers;
   producers.reserve(pcfg.producers);
   for (std::size_t p = 0; p < pcfg.producers; ++p) {
@@ -383,20 +387,25 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
       const double per_producer_rate =
           rate == 0 ? 0 : static_cast<double>(rate) / pcfg.producers;
       const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (skip_total > 0) {  // resume mode: single producer, no races
-          const std::size_t s = mon.shard_of(trace[i]);
-          if (skip[s] > 0) {
-            --skip[s];
-            continue;
-          }
-        }
-        mon.push(p, trace[i]);
-        if (per_producer_rate > 0 && (i - lo) % 256 == 0) {
+      std::vector<std::uint64_t> batch;
+      batch.reserve(kBatch);
+      for (std::size_t i = lo; i < hi; i += kBatch) {
+        if (per_producer_rate > 0) {
           auto due = t0 + std::chrono::duration<double>(
                               static_cast<double>(i - lo) / per_producer_rate);
           std::this_thread::sleep_until(due);
         }
+        const std::size_t end = std::min(hi, i + kBatch);
+        batch.assign(trace.begin() + i, trace.begin() + end);
+        if (skip_total > 0) {  // resume mode: single producer, no races
+          std::erase_if(batch, [&](std::uint64_t k) {
+            const std::size_t s = mon.shard_of(k);
+            if (skip[s] == 0) return false;
+            --skip[s];
+            return true;
+          });
+        }
+        mon.push_bulk(p, batch);
       }
     });
   }

@@ -6,8 +6,9 @@
 // Every SHE estimator gets a symmetric *InsertScalarLarge / *InsertBatch
 // pair at cache-exceeding sizes; a custom main() tees the console report
 // into BENCH_micro.json (schema_version stamped, matching the
-// BENCH_pipeline.json treatment) with the scalar-vs-batch speedups paired
-// up by estimator and size argument.
+// BENCH_pipeline.json treatment) with the per-key-vs-batch and
+// forced-scalar-vs-native speedups paired up by estimator and size
+// argument.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -232,11 +233,13 @@ BENCHMARK(BM_SheMinHashInsertBatch)->Arg(64)->Arg(256);
 // ---- end scalar-vs-batch pairs --------------------------------------------
 
 // ---- simd-vs-scalar batch pairs -------------------------------------------
-// The same insert_batch loops with the SIMD stage 1 forced off, so the
-// *InsertBatch / *InsertBatchScalar gap isolates the vectorized front-end
+// The same insert_batch loops under ScopedForceScalar: the one batch path,
+// with stage 1's kernels pinned to their scalar tails.  The *InsertBatch /
+// *InsertBatchScalar gap therefore isolates the vectorized front-end
 // (hashing + mark staging) from the batching/prefetch win the pair above
-// already measures.  BENCH_micro.json joins them as simd_speedup; CI
-// guards SHE-BF and SHE-CM at >= 2x on AVX2 runners.
+// already measures.  BENCH_micro.json joins them as simd_speedup.  (CI
+// guards the pair above, batch_speedup, for SHE-BF and SHE-CM on AVX2
+// runners.)
 
 void BM_SheBloomInsertBatchScalar(benchmark::State& state) {
   const simd::ScopedForceScalar scalar_only;
@@ -450,6 +453,57 @@ void BM_SheCmQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SheCmQuery);
 
+// The batched read paths on the same two sketches, 512 keys per call, and
+// their forced-scalar pairs: the same block stage with the scalar kernel
+// tails.
+constexpr std::size_t kQueryChunk = 512;
+
+void BM_SheBloomQueryBatch(benchmark::State& state) {
+  const simd::ScopedForceScalar pin(state.range(0) != 0);
+  SheConfig cfg;
+  cfg.window = kN;
+  cfg.cells = 1u << 20;
+  cfg.group_cells = 64;
+  cfg.alpha = 3.0;
+  SheBloomFilter bf(cfg, 8);
+  const auto& ks = keys();
+  bf.insert_batch(std::span<const std::uint64_t>(ks.data(), 4 * kN));
+  std::uint8_t out[kQueryChunk];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    bf.contains_batch(std::span<const std::uint64_t>(ks.data() + i, kQueryChunk),
+                      out);
+    benchmark::DoNotOptimize(out);
+    i = (i + kQueryChunk) & (ks.size() - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kQueryChunk);
+}
+BENCHMARK(BM_SheBloomQueryBatch)->ArgName("scalar")->Arg(0)->Arg(1);
+
+void BM_SheCmQueryBatch(benchmark::State& state) {
+  const simd::ScopedForceScalar pin(state.range(0) != 0);
+  SheConfig cfg;
+  cfg.window = kN;
+  cfg.cells = 1u << 18;
+  cfg.group_cells = 64;
+  cfg.alpha = 1.0;
+  SheCountMin cm(cfg, 8);
+  const auto& ks = keys();
+  cm.insert_batch(std::span<const std::uint64_t>(ks.data(), 4 * kN));
+  std::uint64_t out[kQueryChunk];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    cm.frequency_batch(
+        std::span<const std::uint64_t>(ks.data() + i, kQueryChunk), out);
+    benchmark::DoNotOptimize(out);
+    i = (i + kQueryChunk) & (ks.size() - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kQueryChunk);
+}
+BENCHMARK(BM_SheCmQueryBatch)->ArgName("scalar")->Arg(0)->Arg(1);
+
 }  // namespace
 
 /// ConsoleReporter that also collects per-run rows, so main() can emit
@@ -480,9 +534,47 @@ class MicroJsonCollector : public benchmark::ConsoleReporter {
   std::vector<Row> rows;
 };
 
-/// BENCH_micro.json: every run as a row, plus scalar-vs-batch pairs joined
-/// on (estimator, size arg) — "BM_<Est>InsertBatch/<arg>" against
-/// "BM_<Est>InsertScalarLarge/<arg>" — with the batch/scalar speedup.
+/// Writes `"key":[...]`: one row per "BM_<Est>InsertBatch/<arg>" name that
+/// has a "BM_<Est><other>/<arg>" partner, best-of across repetitions on
+/// both sides (throughput noise is one-sided; see the trace pair below),
+/// with the batch/partner speedup.
+void write_pairs(std::ostream& os,
+                 const std::vector<MicroJsonCollector::Row>& rows,
+                 const char* key, const char* other, const char* other_field,
+                 const char* batch_field) {
+  os << ",\"" << key << "\":[";
+  const std::string batch_tag = "InsertBatch/";
+  bool first = true;
+  std::vector<std::string> emitted;  // one pair per name across repetitions
+  for (const auto& b : rows) {
+    const std::size_t tag = b.name.find(batch_tag);
+    if (tag == std::string::npos) continue;
+    if (std::find(emitted.begin(), emitted.end(), b.name) != emitted.end())
+      continue;
+    emitted.push_back(b.name);
+    std::string other_name = b.name;
+    other_name.replace(tag, batch_tag.size() - 1, other);
+    double batch = 0, partner = 0;
+    for (const auto& r : rows) {
+      if (r.name == b.name) batch = std::max(batch, r.items_per_sec);
+      if (r.name == other_name) partner = std::max(partner, r.items_per_sec);
+    }
+    if (partner <= 0) continue;
+    if (!first) os << ",";
+    first = false;
+    os << "{\"estimator\":\"" << b.name.substr(3, tag - 3)
+       << "\",\"arg\":" << b.name.substr(tag + batch_tag.size()) << ",\""
+       << other_field << "\":" << partner << ",\"" << batch_field
+       << "\":" << batch << ",\"speedup\":" << batch / partner << "}";
+  }
+  os << "]";
+}
+
+/// BENCH_micro.json: every run as a row, plus two pair tables joined on
+/// (estimator, size arg): batch_speedup, "BM_<Est>InsertBatch/<arg>"
+/// against the per-key "BM_<Est>InsertScalarLarge/<arg>", and
+/// simd_speedup, the same batch insert against "BM_<Est>InsertBatchScalar/
+/// <arg>" (ScopedForceScalar: the same batch path on the scalar kernels).
 void write_micro_json(const std::vector<MicroJsonCollector::Row>& rows,
                       const std::string& path) {
   std::ofstream os(path);
@@ -493,56 +585,11 @@ void write_micro_json(const std::vector<MicroJsonCollector::Row>& rows,
        << "\",\"iterations\":" << rows[i].iterations
        << ",\"items_per_sec\":" << rows[i].items_per_sec << "}";
   }
-  os << "],\"batch_speedup\":[";
-  const std::string batch_tag = "InsertBatch/";
-  bool first = true;
-  for (const auto& b : rows) {
-    const std::size_t tag = b.name.find(batch_tag);
-    if (tag == std::string::npos) continue;
-    std::string scalar_name = b.name;
-    scalar_name.replace(tag, batch_tag.size() - 1, "InsertScalarLarge");
-    const MicroJsonCollector::Row* s = nullptr;
-    for (const auto& r : rows)
-      if (r.name == scalar_name) s = &r;
-    if (s == nullptr || s->items_per_sec <= 0) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"estimator\":\"" << b.name.substr(3, tag - 3)
-       << "\",\"arg\":" << b.name.substr(tag + batch_tag.size())
-       << ",\"scalar_items_per_sec\":" << s->items_per_sec
-       << ",\"batch_items_per_sec\":" << b.items_per_sec
-       << ",\"speedup\":" << b.items_per_sec / s->items_per_sec << "}";
-  }
   os << "]";
-  // SIMD-vs-scalar pairs: "BM_<Est>InsertBatch/<arg>" (native dispatch)
-  // against "BM_<Est>InsertBatchScalar/<arg>" (ScopedForceScalar), best-of
-  // across repetitions on both sides like the trace pair below.
-  os << ",\"simd_speedup\":[";
-  first = true;
-  std::vector<std::string> emitted;  // one pair per name across repetitions
-  for (const auto& b : rows) {
-    const std::size_t tag = b.name.find(batch_tag);
-    if (tag == std::string::npos) continue;
-    if (std::find(emitted.begin(), emitted.end(), b.name) != emitted.end())
-      continue;
-    emitted.push_back(b.name);
-    std::string scalar_name = b.name;
-    scalar_name.replace(tag, batch_tag.size() - 1, "InsertBatchScalar");
-    double native = b.items_per_sec, forced = 0;
-    for (const auto& r : rows) {
-      if (r.name == b.name) native = std::max(native, r.items_per_sec);
-      if (r.name == scalar_name) forced = std::max(forced, r.items_per_sec);
-    }
-    if (forced <= 0) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "{\"estimator\":\"" << b.name.substr(3, tag - 3)
-       << "\",\"arg\":" << b.name.substr(tag + batch_tag.size())
-       << ",\"forced_scalar_items_per_sec\":" << forced
-       << ",\"simd_items_per_sec\":" << native
-       << ",\"speedup\":" << native / forced << "}";
-  }
-  os << "]";
+  write_pairs(os, rows, "batch_speedup", "InsertScalarLarge",
+              "scalar_items_per_sec", "batch_items_per_sec");
+  write_pairs(os, rows, "simd_speedup", "InsertBatchScalar",
+              "forced_scalar_items_per_sec", "simd_items_per_sec");
   // Which backend the vector kernels dispatched to while these numbers were
   // taken — a speedup row is only meaningful alongside its ISA.
   os << ",\"simd\":{\"isa\":\"" << simd::active_isa_name()

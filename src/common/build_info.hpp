@@ -32,7 +32,7 @@ namespace she {
   return simd::active_isa_name();
 }
 
-/// "1" when SHE_FORCE_SCALAR pinned the scalar path from the environment.
+/// "1" when SHE_FORCE_SCALAR pinned the scalar kernels from the environment.
 [[nodiscard]] inline const char* build_force_scalar() noexcept {
   return simd::force_scalar_env() ? "1" : "0";
 }

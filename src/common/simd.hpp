@@ -6,9 +6,10 @@
 // instruction set those kernels use:
 //
 //   * detection happens once (CPUID on x86-64, compile-time on aarch64);
-//   * `SHE_FORCE_SCALAR=1` in the environment pins everything to the scalar
-//     reference path (differential tests and the micro benchmarks rely on
-//     this to compare the two implementations bit-for-bit);
+//   * `SHE_FORCE_SCALAR=1` in the environment pins every kernel to its
+//     scalar tail (differential tests and the micro benchmarks rely on
+//     this to compare the two implementations bit-for-bit; the batch path
+//     around the kernels is the same either way);
 //   * `set_force_scalar()` flips the same switch programmatically so a test
 //     or bench can exercise both paths in one process.
 //
@@ -31,7 +32,7 @@ enum class Isa : std::uint8_t {
 /// Hardware capability, ignoring any scalar override.  Computed once.
 [[nodiscard]] Isa detected_isa() noexcept;
 
-/// True when the scalar reference path is pinned, either by the
+/// True when the scalar kernels are pinned, either by the
 /// SHE_FORCE_SCALAR environment variable (read once at first use) or by
 /// set_force_scalar().
 [[nodiscard]] bool force_scalar() noexcept;
@@ -41,7 +42,7 @@ enum class Isa : std::uint8_t {
 /// deployment's configuration, not a test's transient override).
 [[nodiscard]] bool force_scalar_env() noexcept;
 
-/// Programmatically pin (or unpin) the scalar path.  Used by differential
+/// Programmatically pin (or unpin) the scalar kernels.  Used by differential
 /// tests and the micro benchmarks; takes effect on the next dispatch check.
 void set_force_scalar(bool on) noexcept;
 

@@ -1,20 +1,19 @@
-// Shared pieces of the SIMD stage-1 front-end (see docs/INTERNALS.md §13).
+// Shared pieces of the block stage 1 (see docs/INTERNALS.md §13).
 //
-// Each estimator keeps two insert-batch bodies:
+// Each estimator has one batch body: pipelined_blocks() with a block-wide
+// stage 1 that hashes the whole block per probe (simd::bobhash32_keys and
+// friends), reduces positions with division-free FastDiv32, and precomputes
+// GroupClock marks (stage_marks_ramp) so stage 2 never divides.  The
+// kernels dispatch per call: AVX2 / NEON lanes, or their scalar tails when
+// no vector backend is present or SHE_FORCE_SCALAR pins them.  The tails
+// are bit-identical to the lanes, and stage 2 is the same CheckGroup + F
+// loop either way; tests/test_simd.cpp drives the two dispatch outcomes
+// differentially, and tests/test_batch.cpp compares both against the
+// per-key methods, which are the reference.
 //
-//   * the scalar reference path — the PR-3 pipelined() loops, unchanged,
-//     taken under SHE_FORCE_SCALAR or on hardware without vector dispatch;
-//   * the SIMD path — pipelined_blocks() with a lane-parallel stage 1 that
-//     hashes the whole block per probe (simd::bobhash32_keys), reduces
-//     positions with division-free FastDiv32, and precomputes GroupClock
-//     marks (stage_marks_ramp) so stage 2 never divides.
-//
-// Stage 2 is the same scalar CheckGroup + F loop in both paths, so the two
-// are bit-identical; tests/test_simd.cpp drives them differentially.
-//
-// This header carries the parts every estimator shares: eligibility,
-// timestamp validation for the batched insert_at, and the per-block mark
-// stager that handles implicit (+1/key) and explicit timestamps.
+// This header carries the parts every estimator shares: timestamp
+// validation for the batched insert_at, and the per-block mark stager that
+// handles implicit (+1/key) and explicit timestamps.
 #pragma once
 
 #include <cstdint>
@@ -23,21 +22,11 @@
 #include <string>
 
 #include "common/int_math.hpp"
-#include "common/simd.hpp"
 #include "common/simd_hash.hpp"
 #include "she/batch.hpp"
 #include "she/group_clock.hpp"
 
 namespace she::batch {
-
-/// True when this sketch can take the SIMD stage-1 path: a vector backend is
-/// dispatched and positions fit the kernels' 32-bit lanes.  (No production
-/// geometry exceeds 2^32 cells; anything that does just keeps the scalar
-/// batch path.)
-[[nodiscard]] inline bool simd_eligible(std::size_t cells) {
-  return simd::active_isa() != simd::Isa::kScalar &&
-         cells <= std::size_t{0xFFFFFFFFu};
-}
 
 /// insert_at_batch argument validation, shared by all five estimators:
 /// per-key timestamps must pair 1:1 with keys and never move backwards

@@ -47,52 +47,20 @@ void SheBitmap::insert_at_batch(std::span<const std::uint64_t> keys,
 
 void SheBitmap::insert_many(std::span<const std::uint64_t> keys,
                             const std::uint64_t* times) {
-  if (batch::simd_eligible(cfg_.cells)) {
-    insert_many_simd(keys, times);
+  if (!batch::stageable(cfg_.cells)) {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
     return;
   }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path).
   // Cache-resident arrays are not worth prefetching (batch.hpp).
-  const bool warm_bits = bits_.memory_bytes() >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  std::size_t idx = 0;
-  batch::pipelined(
-      keys, 1, scratch_,
-      [this](std::uint64_t key, unsigned) {
-        return batch::Slot{BobHash32(cfg_.seed)(key) % cfg_.cells, 0};
-      },
-      [this, warm_bits, warm_marks](const batch::Slot& s) {
-        if (warm_bits) bits_.prefetch(s.pos, true);
-        if (warm_marks) clock_.prefetch(s.pos / cfg_.group_cells, true);
-      },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-        if (obs::enabled()) obs::she_metrics().hash_calls.inc();
-      },
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        std::size_t gid = s.pos / cfg_.group_cells;
-        if (clock_.touch(gid, time_)) {
-          std::size_t first = gid * cfg_.group_cells;
-          bits_.clear_range(first, std::min(cfg_.group_cells, cfg_.cells - first));
-        }
-        bits_.set(s.pos);
-      });
-}
-
-void SheBitmap::insert_many_simd(std::span<const std::uint64_t> keys,
-                                 const std::uint64_t* times) {
   const bool warm_bits = bits_.memory_bytes() >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
   const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
   const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
   const batch::MarkStager stager(clock_, time_, times);
-  std::size_t idx = 0;
   batch::pipelined_blocks(
       keys, 1, scratch_,
-      // Stage 1: one SIMD hash sweep per block (k = 1), FastDiv reduction,
+      // Stage 1: one hash sweep per block (k = 1), FastDiv reduction,
       // precomputed marks.  aux = cur << 32 | gid.
       [&](std::size_t begin, std::size_t n, batch::Slot* out) {
         std::uint32_t h32[batch::kMaxBlock];
@@ -109,21 +77,16 @@ void SheBitmap::insert_many_simd(std::span<const std::uint64_t> keys,
           if (warm_marks) clock_.prefetch(gid[b], true);
         }
       },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
+      // Stage 2: the per-key CheckGroup + set, against the staged mark.
+      [&](std::size_t i, const batch::Slot* s) {
+        time_ = times != nullptr ? times[i] : time_ + 1;
         if (obs::enabled()) obs::she_metrics().hash_calls.inc();
-      },
-      // Stage 2: scalar CheckGroup + set, against the staged mark.
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        const std::size_t gid = s.aux & 0xFFFFFFFFu;
-        if (clock_.touch_precomputed(gid, s.aux >> 32)) {
+        const std::size_t gid = s->aux & 0xFFFFFFFFu;
+        if (clock_.touch_precomputed(gid, s->aux >> 32)) {
           std::size_t first = gid * cfg_.group_cells;
           bits_.clear_range(first, std::min(cfg_.group_cells, cfg_.cells - first));
         }
-        bits_.set(s.pos);
+        bits_.set(s->pos);
       });
 }
 

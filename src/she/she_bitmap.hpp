@@ -39,7 +39,7 @@ class SheBitmap {
 
   /// Batched insert_at: key[i] inserted at times[i] (monotone
   /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
+  /// same batch pipeline as insert_batch.
   void insert_at_batch(std::span<const std::uint64_t> keys,
                        std::span<const std::uint64_t> times);
 
@@ -88,12 +88,9 @@ class SheBitmap {
   GroupClock clock_;
   BitArray bits_;
   std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
+  // Shared batch-insert core: times == nullptr means +1 per key.
   void insert_many(std::span<const std::uint64_t> keys,
                    const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
 
   std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
 };

@@ -35,9 +35,9 @@ class SheBloomFilter {
   /// order).  Runs the generic she::batch pipeline: hashes are computed a
   /// block ahead and the touched bit and mark lines prefetched, hiding
   /// DRAM latency when the bit array outgrows the cache.  Under vector
-  /// dispatch (common/simd.hpp) stage 1 additionally hashes 8–16 keys per
-  /// instruction and precomputes GroupClock marks; stage 2 and all
-  /// observable state stay bit-identical to the scalar path.
+  /// dispatch (common/simd.hpp) stage 1 hashes 8–16 keys per instruction;
+  /// the scalar kernels it otherwise runs are bit-identical.  More than
+  /// batch::kSlotBudget hash functions loop over insert() instead.
   void insert_batch(std::span<const std::uint64_t> keys);
 
   /// Time-based windows: insert at explicit timestamp `t` (monotone
@@ -47,8 +47,8 @@ class SheBloomFilter {
 
   /// Batched insert_at: key[i] inserted at times[i] (monotone
   /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch, so time-based wrappers get
-  /// the staged hot path instead of the scalar per-item loop.
+  /// same batch pipeline as insert_batch, so time-based wrappers get the
+  /// staged hot path instead of a per-item loop.
   void insert_at_batch(std::span<const std::uint64_t> keys,
                        std::span<const std::uint64_t> times);
 
@@ -102,12 +102,15 @@ class SheBloomFilter {
     return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
   }
 
-  // Shared batch-insert core: times == nullptr means +1 per key.  Picks the
-  // SIMD or scalar-reference stage 1; stage 2 is identical either way.
+  // Whether the batch calls take the block stage (batch::stageable) or
+  // loop over the per-key methods.
+  [[nodiscard]] bool stageable() const {
+    return batch::stageable(cfg_.cells, hashes_);
+  }
+
+  // Shared batch-insert core: times == nullptr means +1 per key.
   void insert_many(std::span<const std::uint64_t> keys,
                    const std::uint64_t* times);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times);
 
   SheConfig cfg_;
   unsigned hashes_;

@@ -106,14 +106,13 @@ void SheCountMin::insert_at_batch(std::span<const std::uint64_t> keys,
 }
 
 std::uint64_t SheCountMin::estimate_staged(const batch::Slot* slots,
-                                           std::uint64_t gid_mask,
                                            GroupClock::TimeParts now) const {
   // frequency(key) right after key's own update: the update touched every
   // probed group at time_, so none is stale and each value is the cell
   // itself; only the age test against the window remains.
   MatureMin m(cfg_.window, obs::enabled());
   for (unsigned h = 0; h < hashes_; ++h)
-    m.add(cells_[slots[h].pos], clock_.age_at(now, slots[h].aux & gid_mask));
+    m.add(cells_[slots[h].pos], clock_.age_at(now, slots[h].aux & 0xFFFFFFFFu));
   if (m.all_young()) all_young_.inc();
   return m.finish();
 }
@@ -121,56 +120,14 @@ std::uint64_t SheCountMin::estimate_staged(const batch::Slot* slots,
 void SheCountMin::insert_many(std::span<const std::uint64_t> keys,
                               const std::uint64_t* times,
                               std::uint64_t* estimates) {
-  // The fused stage buffers hold one block of n * k slots; block_keys()
-  // bounds that by kSlotBudget whenever k itself fits the budget.
-  if (batch::simd_eligible(cfg_.cells) && hashes_ <= batch::kSlotBudget) {
-    insert_many_simd(keys, times, estimates);
+  if (!stageable()) {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
+      if (estimates != nullptr) estimates[i] = frequency(keys[i]);
+    }
     return;
   }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path); aux = gid.
   // Cache-resident arrays are not worth prefetching (batch.hpp).
-  const bool warm_cells =
-      cells_.size() * sizeof(cells_[0]) >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  GroupClock::TimeParts now = clock_.split(time_);
-  std::size_t idx = 0;
-  batch::pipelined(
-      keys, hashes_, scratch_,
-      [this](std::uint64_t key, unsigned h) {
-        const std::size_t pos = position(key, h);
-        return batch::Slot{pos, pos / cfg_.group_cells};
-      },
-      [this, warm_cells, warm_marks](const batch::Slot& s) {
-        if (warm_cells) batch::prefetch_addr(&cells_[s.pos], true);
-        if (warm_marks) clock_.prefetch(s.aux, true);
-      },
-      [this, times, estimates, &idx, &now] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-        if (estimates != nullptr) clock_.tick(now);
-        if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_);
-      },
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        const std::size_t gid = s.aux;
-        if (clock_.touch(gid, time_)) {
-          std::size_t first = gid * cfg_.group_cells;
-          std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
-          std::fill(cells_.begin() + first, cells_.begin() + first + count, 0u);
-        }
-        std::uint32_t& c = cells_[s.pos];
-        if (c != std::numeric_limits<std::uint32_t>::max()) ++c;
-      },
-      [this, estimates, &now](std::size_t i, const batch::Slot* slots) {
-        if (estimates != nullptr)
-          estimates[i] = estimate_staged(slots, ~std::uint64_t{0}, now);
-      });
-}
-
-void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
-                                   const std::uint64_t* times,
-                                   std::uint64_t* estimates) {
   const bool warm_cells =
       cells_.size() * sizeof(cells_[0]) >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
@@ -178,9 +135,9 @@ void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
   const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
   const batch::MarkStager stager(clock_, time_, times);
   GroupClock::TimeParts now = clock_.split(time_);
-  std::size_t idx = 0;
+  const unsigned k = hashes_;
   batch::pipelined_blocks(
-      keys, hashes_, scratch_,
+      keys, k, scratch_,
       // Stage 1, fused: one hash sweep, one position/group reduction and one
       // mark staging call over the whole key-major block (m = n * k slots),
       // then a single sequential write pass.  aux = cur << 32 | gid.
@@ -189,11 +146,10 @@ void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
         std::uint32_t pos[batch::kSlotBudget];
         std::uint32_t gid[batch::kSlotBudget];
         std::uint32_t cur[batch::kSlotBudget];
-        const std::size_t m = n * hashes_;
-        simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed, hashes_,
-                                   h32);
+        const std::size_t m = n * k;
+        simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed, k, h32);
         simd::positions_groups(h32, m, mod_cells, div_group, pos, gid);
-        stager.stage_rep(begin, n, hashes_, gid, cur);
+        stager.stage_rep(begin, n, k, gid, cur);
         for (std::size_t s = 0; s < m; ++s) {
           out[s].pos = pos[s];
           out[s].aux = (std::uint64_t{cur[s]} << 32) | gid[s];
@@ -201,28 +157,28 @@ void SheCountMin::insert_many_simd(std::span<const std::uint64_t> keys,
           if (warm_marks) clock_.prefetch(gid[s], true);
         }
       },
-      [this, times, estimates, &idx, &now] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
+      // Stage 2: the per-key CheckGroup + saturating increment against the
+      // staged mark, then (for insert_batch_estimates) the post-update
+      // estimate from the k slots still in L1.  Captured by value so k,
+      // times and estimates stay in registers across the clean path's
+      // calls (the out-of-line stage 1 holds references to the locals).
+      [this, times, estimates, k, &now](std::size_t i,
+                                        const batch::Slot* slots) {
+        time_ = times != nullptr ? times[i] : time_ + 1;
         if (estimates != nullptr) clock_.tick(now);
-        if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_);
-      },
-      // Stage 2: scalar CheckGroup + saturating increment, staged mark.
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        const std::size_t gid = s.aux & 0xFFFFFFFFu;
-        if (clock_.touch_precomputed(gid, s.aux >> 32)) {
-          std::size_t first = gid * cfg_.group_cells;
-          std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
-          std::fill(cells_.begin() + first, cells_.begin() + first + count, 0u);
+        if (obs::enabled()) obs::she_metrics().hash_calls.inc(k);
+        for (unsigned h = 0; h < k; ++h) {
+          const std::size_t gid = slots[h].aux & 0xFFFFFFFFu;
+          if (clock_.touch_precomputed(gid, slots[h].aux >> 32)) {
+            std::size_t first = gid * cfg_.group_cells;
+            std::size_t count = std::min(cfg_.group_cells, cfg_.cells - first);
+            std::fill(cells_.begin() + first, cells_.begin() + first + count,
+                      0u);
+          }
+          std::uint32_t& c = cells_[slots[h].pos];
+          if (c != std::numeric_limits<std::uint32_t>::max()) ++c;
         }
-        std::uint32_t& c = cells_[s.pos];
-        if (c != std::numeric_limits<std::uint32_t>::max()) ++c;
-      },
-      [this, estimates, &now](std::size_t i, const batch::Slot* slots) {
-        if (estimates != nullptr)
-          estimates[i] = estimate_staged(slots, 0xFFFFFFFFu, now);
+        if (estimates != nullptr) estimates[i] = estimate_staged(slots, now);
       });
 }
 
@@ -233,73 +189,51 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
     throw std::invalid_argument("SheCountMin: query window must be in [1, N]");
   if (out.size() < keys.size())
     throw std::invalid_argument("SheCountMin: frequency_batch output too small");
+  if (!stageable()) {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      out[i] = frequency(keys[i], window);
+    return;
+  }
   const bool track = obs::enabled();
   const bool warm_cells =
       cells_.size() * sizeof(cells_[0]) >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
+  const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
+  const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
+  const GroupClock::TimeParts now = clock_.split(time_);
   // Local scratch keeps this const path thread-safe on shared readers.
   std::vector<batch::Slot> scratch;
-  if (batch::simd_eligible(cfg_.cells) && hashes_ <= batch::kSlotBudget) {
-    // SIMD stage 1: fused hash sweep + staged ages and staleness at the
-    // (fixed) query time; aux = age << 1 | stale.  Evaluation replays the
-    // scalar min-over-mature logic against the staged values.
-    const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
-    const FastDiv32 div_group(static_cast<std::uint32_t>(cfg_.group_cells));
-    const GroupClock::TimeParts now = clock_.split(time_);
-    batch::pipelined_query_blocks(
-        keys, hashes_, scratch,
-        [&](std::size_t begin, std::size_t n, batch::Slot* slots) {
-          std::uint32_t h32[batch::kSlotBudget];
-          std::uint32_t pos[batch::kSlotBudget];
-          std::uint32_t gid[batch::kSlotBudget];
-          std::uint32_t cur[batch::kSlotBudget];
-          std::uint64_t age[batch::kSlotBudget];
-          const std::size_t m = n * hashes_;
-          simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed,
-                                     hashes_, h32);
-          simd::positions_groups(h32, m, mod_cells, div_group, pos, gid);
-          clock_.stage_marks(gid, m, now, cur, age);
-          for (std::size_t s = 0; s < m; ++s) {
-            const std::uint64_t stale =
-                clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
-            slots[s].pos = pos[s];
-            slots[s].aux = (age[s] << 1) | stale;
-            if (warm_cells) batch::prefetch_addr(&cells_[pos[s]], false);
-            if (warm_marks) clock_.prefetch(gid[s], false);
-          }
-        },
-        [&](std::size_t i, const batch::Slot* slots) {
-          MatureMin m(window, track);
-          for (unsigned h = 0; h < hashes_; ++h) {
-            const bool stale = (slots[h].aux & 1) != 0;
-            m.add(stale ? 0 : cells_[slots[h].pos], slots[h].aux >> 1);
-          }
-          if (m.all_young()) all_young_.inc();
-          out[i] = m.finish();
-        });
-    if (track)
-      obs::she_metrics().hash_calls.inc(
-          static_cast<std::uint64_t>(keys.size()) * hashes_);
-    return;
-  }
-  batch::pipelined_query(
+  batch::pipelined_blocks(
       keys, hashes_, scratch,
-      [this](std::uint64_t key, unsigned h) {
-        return batch::Slot{position(key, h), 0};
+      // Stage 1: fused hash sweep + staged ages and staleness at the
+      // (fixed) query time; aux = age << 1 | stale.
+      [&](std::size_t begin, std::size_t n, batch::Slot* slots) {
+        std::uint32_t h32[batch::kSlotBudget];
+        std::uint32_t pos[batch::kSlotBudget];
+        std::uint32_t gid[batch::kSlotBudget];
+        std::uint32_t cur[batch::kSlotBudget];
+        std::uint64_t age[batch::kSlotBudget];
+        const std::size_t m = n * hashes_;
+        simd::bobhash32_keys_multi(keys.data() + begin, n, cfg_.seed, hashes_,
+                                   h32);
+        simd::positions_groups(h32, m, mod_cells, div_group, pos, gid);
+        clock_.stage_marks(gid, m, now, cur, age);
+        for (std::size_t s = 0; s < m; ++s) {
+          const std::uint64_t stale =
+              clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
+          slots[s].pos = pos[s];
+          slots[s].aux = (age[s] << 1) | stale;
+          if (warm_cells) batch::prefetch_addr(&cells_[pos[s]], false);
+          if (warm_marks) clock_.prefetch(gid[s], false);
+        }
       },
-      [this, warm_cells, warm_marks](const batch::Slot& s) {
-        if (warm_cells) batch::prefetch_addr(&cells_[s.pos], false);
-        if (warm_marks) clock_.prefetch(s.pos / cfg_.group_cells, false);
-      },
+      // Stage 2: frequency()'s min-over-mature logic against the staged
+      // values.
       [&](std::size_t i, const batch::Slot* slots) {
-        // Same min-over-mature logic as scalar frequency(); positions
-        // staged, hashed exactly once per probe.
         MatureMin m(window, track);
         for (unsigned h = 0; h < hashes_; ++h) {
-          const std::size_t pos = slots[h].pos;
-          const std::size_t gid = pos / cfg_.group_cells;
-          m.add(clock_.stale(gid, time_) ? 0 : cells_[pos],
-                clock_.age(gid, time_));
+          const bool stale = (slots[h].aux & 1) != 0;
+          m.add(stale ? 0 : cells_[slots[h].pos], slots[h].aux >> 1);
         }
         if (m.all_young()) all_young_.inc();
         out[i] = m.finish();

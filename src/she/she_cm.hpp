@@ -51,7 +51,7 @@ class SheCountMin {
 
   /// Batched insert_at: key[i] inserted at times[i] (monotone
   /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch/SIMD pipeline as insert_batch.
+  /// same batch pipeline as insert_batch.
   void insert_at_batch(std::span<const std::uint64_t> keys,
                        std::span<const std::uint64_t> times);
 
@@ -106,20 +106,22 @@ class SheCountMin {
     return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
   }
 
+  // Whether the batch calls take the block stage (batch::stageable) or
+  // loop over the per-key methods.
+  [[nodiscard]] bool stageable() const {
+    return batch::stageable(cfg_.cells, hashes_);
+  }
+
   // Shared batch-insert core: times == nullptr means +1 per key; a non-null
   // `estimates` (implicit times only) receives each key's post-update
-  // frequency.  Picks the SIMD or scalar-reference stage 1; stage 2 is
-  // identical either way.
+  // frequency.
   void insert_many(std::span<const std::uint64_t> keys,
                    const std::uint64_t* times, std::uint64_t* estimates);
-  void insert_many_simd(std::span<const std::uint64_t> keys,
-                        const std::uint64_t* times, std::uint64_t* estimates);
 
   // frequency() of the key whose k staged slots are `slots`, evaluated
   // right after that key's update at `now` == split(time_).  Slot aux
-  // holds the group id in its `gid_mask` bits.
+  // holds the group id in its low 32 bits.
   [[nodiscard]] std::uint64_t estimate_staged(const batch::Slot* slots,
-                                              std::uint64_t gid_mask,
                                               GroupClock::TimeParts now) const;
 
   SheConfig cfg_;

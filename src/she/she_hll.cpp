@@ -55,52 +55,20 @@ void SheHyperLogLog::insert_at_batch(std::span<const std::uint64_t> keys,
 
 void SheHyperLogLog::insert_many(std::span<const std::uint64_t> keys,
                                  const std::uint64_t* times) {
-  if (batch::simd_eligible(cfg_.cells)) {
-    insert_many_simd(keys, times);
+  if (!batch::stageable(cfg_.cells)) {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
     return;
   }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path).
   // Cache-resident arrays are not worth prefetching (batch.hpp).
-  const bool warm_regs = regs_.memory_bytes() >= batch::kPrefetchFootprint;
-  const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
-  std::size_t idx = 0;
-  batch::pipelined(
-      keys, 1, scratch_,
-      [this](std::uint64_t key, unsigned) {
-        std::size_t i = BobHash32(cfg_.seed)(key) % cfg_.cells;
-        std::uint64_t rank = hll_rank(BobHash32(cfg_.seed + 0x5eed)(key),
-                                      kValueBits);
-        if (rank > regs_.max_value()) rank = regs_.max_value();
-        return batch::Slot{i, rank};
-      },
-      [this, warm_regs, warm_marks](const batch::Slot& s) {
-        if (warm_regs) regs_.prefetch(s.pos, true);
-        if (warm_marks) clock_.prefetch(s.pos, true);  // w = 1: reg == group
-      },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-        if (obs::enabled()) obs::she_metrics().hash_calls.inc(2);
-      },
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        if (clock_.touch(s.pos, time_)) regs_.set(s.pos, 0);
-        if (s.aux > regs_.get(s.pos)) regs_.set(s.pos, s.aux);
-      });
-}
-
-void SheHyperLogLog::insert_many_simd(std::span<const std::uint64_t> keys,
-                                      const std::uint64_t* times) {
   const bool warm_regs = regs_.memory_bytes() >= batch::kPrefetchFootprint;
   const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
   const FastDiv32 mod_cells(static_cast<std::uint32_t>(cfg_.cells));
   const batch::MarkStager stager(clock_, time_, times);
   const std::uint64_t max_rank = regs_.max_value();
-  std::size_t idx = 0;
   batch::pipelined_blocks(
       keys, 1, scratch_,
-      // Stage 1: two SIMD hash sweeps (register index + rank source), ranks
+      // Stage 1: two hash sweeps (register index + rank source), ranks
       // clamped, marks precomputed.  w = 1, so group id == register index;
       // aux = cur << 8 | rank (rank <= 33 fits a byte).
       [&](std::size_t begin, std::size_t n, batch::Slot* out) {
@@ -123,18 +91,14 @@ void SheHyperLogLog::insert_many_simd(std::span<const std::uint64_t> keys,
           if (warm_marks) clock_.prefetch(pos[b], true);
         }
       },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
+      // Stage 2: the per-key CheckGroup + max-merge, against the staged
+      // mark.
+      [&](std::size_t i, const batch::Slot* s) {
+        time_ = times != nullptr ? times[i] : time_ + 1;
         if (obs::enabled()) obs::she_metrics().hash_calls.inc(2);
-      },
-      // Stage 2: scalar CheckGroup + max-merge, against the staged mark.
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        if (clock_.touch_precomputed(s.pos, s.aux >> 8)) regs_.set(s.pos, 0);
-        const std::uint64_t rank = s.aux & 0xFFu;
-        if (rank > regs_.get(s.pos)) regs_.set(s.pos, rank);
+        if (clock_.touch_precomputed(s->pos, s->aux >> 8)) regs_.set(s->pos, 0);
+        const std::uint64_t rank = s->aux & 0xFFu;
+        if (rank > regs_.get(s->pos)) regs_.set(s->pos, rank);
       });
 }
 

@@ -46,35 +46,11 @@ void SheMinHash::insert_at_batch(std::span<const std::uint64_t> keys,
 
 void SheMinHash::insert_many(std::span<const std::uint64_t> keys,
                              const std::uint64_t* times) {
-  if (batch::simd_eligible(cfg_.cells)) {
-    insert_many_simd(keys, times);
+  if (!batch::stageable(cfg_.cells)) {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
     return;
   }
-  // Scalar reference path (also the SHE_FORCE_SCALAR path).
-  const auto k = static_cast<unsigned>(sig_.size());
-  std::size_t idx = 0;
-  batch::pipelined(
-      keys, k, scratch_,
-      [this](std::uint64_t key, unsigned i) {
-        return batch::Slot{i, value(key, i)};
-      },
-      [](const batch::Slot&) {},  // sequential signature scan: already warm
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
-        if (obs::enabled()) obs::she_metrics().hash_calls.inc(sig_.size());
-      },
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        if (clock_.touch(s.pos, time_)) sig_[s.pos] = kEmpty;
-        sig_[s.pos] = std::min(sig_[s.pos],
-                               static_cast<std::uint32_t>(s.aux));
-      });
-}
-
-void SheMinHash::insert_many_simd(std::span<const std::uint64_t> keys,
-                                  const std::uint64_t* times) {
   const auto k = static_cast<unsigned>(sig_.size());
   const std::size_t m = sig_.size();
   const batch::MarkStager stager(clock_, time_, times);
@@ -84,11 +60,12 @@ void SheMinHash::insert_many_simd(std::span<const std::uint64_t> keys,
   // per-block stack arrays the other estimators use.
   std::vector<std::uint32_t> vals(m);
   std::vector<std::uint32_t> curs(m);
-  std::size_t idx = 0;
   batch::pipelined_blocks(
       keys, k, scratch_,
-      // Stage 1: lane-parallel hashing across the seed axis (one key, m
-      // consecutive seeds), marks staged per key.  aux = cur << 32 | value.
+      // Stage 1: hashing across the seed axis (one key, m consecutive
+      // seeds), marks staged per key.  Slot i of a key is cell i, so only
+      // aux = cur << 32 | value is staged.  The sequential signature scan
+      // is already warm: no prefetches.
       [&](std::size_t begin, std::size_t n, batch::Slot* out) {
         for (std::size_t b = 0; b < n; ++b) {
           simd::bobhash32_seeds(keys[begin + b], cfg_.seed, m, vals.data());
@@ -96,25 +73,20 @@ void SheMinHash::insert_many_simd(std::span<const std::uint64_t> keys,
               clock_.split(stager.time_of(begin + b));
           clock_.stage_marks_range(0, m, p, curs.data());
           batch::Slot* slot = out + b * m;
-          for (std::size_t i = 0; i < m; ++i) {
-            slot[i].pos = i;
+          for (std::size_t i = 0; i < m; ++i)
             slot[i].aux =
                 (std::uint64_t{curs[i]} << 32) | (vals[i] & 0xFFFFFFu);
-          }
         }
       },
-      [this, times, &idx] {
-        if (times != nullptr)
-          time_ = times[idx++];
-        else
-          ++time_;
+      // Stage 2: the per-key CheckGroup + min, against the staged marks.
+      [&](std::size_t i, const batch::Slot* slots) {
+        time_ = times != nullptr ? times[i] : time_ + 1;
         if (obs::enabled()) obs::she_metrics().hash_calls.inc(sig_.size());
-      },
-      // Stage 2: scalar CheckGroup + min, against the staged mark.
-      [this](std::uint64_t, unsigned, const batch::Slot& s) {
-        if (clock_.touch_precomputed(s.pos, s.aux >> 32)) sig_[s.pos] = kEmpty;
-        sig_[s.pos] = std::min(sig_[s.pos],
-                               static_cast<std::uint32_t>(s.aux & 0xFFFFFFFFu));
+        for (std::size_t j = 0; j < m; ++j) {
+          if (clock_.touch_precomputed(j, slots[j].aux >> 32)) sig_[j] = kEmpty;
+          sig_[j] = std::min(sig_[j],
+                             static_cast<std::uint32_t>(slots[j].aux));
+        }
       });
 }
 

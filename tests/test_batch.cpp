@@ -6,6 +6,11 @@
 // state byte-for-byte at the end.  Batched read paths must answer
 // element-wise identically to their scalar counterparts.
 //
+// The per-key methods (insert / contains / frequency) are the reference;
+// the batch calls run the block stage, or, for a shape it does not take
+// (more than batch::kSlotBudget hash functions), a loop over the per-key
+// methods.  The k-probe tests cover both sides of that slot budget.
+//
 // Workloads mix random keys with adversarial group-boundary streams:
 // configurations whose last group is partial (cells % group_cells != 0),
 // 1-bit marks with short cycles so lazy cleans fire constantly inside
@@ -92,10 +97,21 @@ void drive(T& scalar, T& batched, const stream::Trace& trace,
       << "state diverged, chunk=" << chunk;
 }
 
+/// The last trial of the k-probe tests: kSlotBudget + 1 hash functions do
+/// not fit the block stage, so the batch calls loop over the per-key
+/// methods.  A boundary-adversarial draw keeps the stream short.
+constexpr std::uint64_t kPerKeyShapeTrial = 12;
+
+Scenario draw_k(std::uint64_t seed, std::uint64_t trial) {
+  if (trial != kPerKeyShapeTrial) return draw(seed, trial % 2 == 1);
+  Scenario s = draw(seed, true);
+  s.hashes = batch::kSlotBudget + 1;
+  return s;
+}
+
 TEST(BatchDifferential, BloomInsertAndQueries) {
-  for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    const bool adversarial = trial % 2 == 1;
-    auto s = draw(4000 + trial, adversarial);
+  for (std::uint64_t trial = 0; trial <= kPerKeyShapeTrial; ++trial) {
+    auto s = draw_k(4000 + trial, trial);
     for (std::size_t chunk : kChunks) {
       SheBloomFilter scalar(s.cfg, s.hashes);
       SheBloomFilter batched(s.cfg, s.hashes);
@@ -162,8 +178,8 @@ TEST(BatchDifferential, HllInsertAndWindowBatch) {
 }
 
 TEST(BatchDifferential, CountMinInsertAndFrequencyBatch) {
-  for (std::uint64_t trial = 0; trial < 12; ++trial) {
-    auto s = draw(7000 + trial, trial % 2 == 1);
+  for (std::uint64_t trial = 0; trial <= kPerKeyShapeTrial; ++trial) {
+    auto s = draw_k(7000 + trial, trial);
     for (std::size_t chunk : kChunks) {
       SheCountMin scalar(s.cfg, s.hashes);
       SheCountMin batched(s.cfg, s.hashes);

@@ -259,7 +259,9 @@ SheConfig small_config(std::uint64_t window, std::size_t cells, double alpha) {
 
 TEST(HeavyHittersBatch, FusedEstimateMatchesInsertThenFrequency) {
   // Window 16, Tcycle 32: every 32-key block wraps a cycle, and all-young
-  // probes (the fallback branch) happen every few hundred keys.
+  // probes (the fallback branch) happen every few hundred keys at k = 8.
+  // k = kSlotBudget + 1 does not fit the block stage, so the batch call
+  // loops over insert_at and frequency; it must answer the same.
   const SheConfig cfg = small_config(16, 1024, 1.0);
   const auto keys = skewed_stream(6000, 300, 4);
   const auto tally = [] {
@@ -272,34 +274,39 @@ TEST(HeavyHittersBatch, FusedEstimateMatchesInsertThenFrequency) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
 
-  SheCountMin ref(cfg, 8);
-  std::vector<std::uint64_t> want;
-  const auto ref_before = tally();
-  for (std::uint64_t k : keys) {
-    ref.insert(k);
-    want.push_back(ref.frequency(k));
-  }
-  const auto ref_after = tally();
-  ASSERT_GT(ref.all_young_queries(), 0u) << "stream never hit the fallback";
+  for (const unsigned hashes : {8u, unsigned{batch::kSlotBudget + 1}}) {
+    SCOPED_TRACE("hashes " + std::to_string(hashes));
+    SheCountMin ref(cfg, hashes);
+    std::vector<std::uint64_t> want;
+    const auto ref_before = tally();
+    for (std::uint64_t k : keys) {
+      ref.insert_at(k, ref.time() + 1);
+      want.push_back(ref.frequency(k));
+    }
+    const auto ref_after = tally();
+    if (hashes == 8) {
+      ASSERT_GT(ref.all_young_queries(), 0u) << "stream never hit the fallback";
+    }
 
-  for (const bool scalar : {false, true}) {
-    const simd::ScopedForceScalar pin(scalar);
-    SheCountMin cm(cfg, 8);
-    std::vector<std::uint64_t> got(keys.size());
-    const auto before = tally();
-    feed_in_chunks(keys, 37, [&](std::span<const std::uint64_t> chunk) {
-      const auto at = static_cast<std::size_t>(chunk.data() - keys.data());
-      cm.insert_batch_estimates(
-          chunk, std::span<std::uint64_t>(got).subspan(at, chunk.size()));
-    });
-    const auto after = tally();
-    SCOPED_TRACE(scalar ? "forced scalar" : "native");
-    EXPECT_EQ(got, want);
-    EXPECT_EQ(serialized(cm), serialized(ref));
-    EXPECT_EQ(cm.all_young_queries(), ref.all_young_queries());
-    for (std::size_t i = 0; i < before.size(); ++i)
-      EXPECT_EQ(after[i] - before[i], ref_after[i] - ref_before[i])
-          << "telemetry counter " << i;
+    for (const bool scalar : {false, true}) {
+      const simd::ScopedForceScalar pin(scalar);
+      SheCountMin cm(cfg, hashes);
+      std::vector<std::uint64_t> got(keys.size());
+      const auto before = tally();
+      feed_in_chunks(keys, 37, [&](std::span<const std::uint64_t> chunk) {
+        const auto at = static_cast<std::size_t>(chunk.data() - keys.data());
+        cm.insert_batch_estimates(
+            chunk, std::span<std::uint64_t>(got).subspan(at, chunk.size()));
+      });
+      const auto after = tally();
+      SCOPED_TRACE(scalar ? "forced scalar" : "native");
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(serialized(cm), serialized(ref));
+      EXPECT_EQ(cm.all_young_queries(), ref.all_young_queries());
+      for (std::size_t i = 0; i < before.size(); ++i)
+        EXPECT_EQ(after[i] - before[i], ref_after[i] - ref_before[i])
+            << "telemetry counter " << i;
+    }
   }
   obs::set_enabled(was_enabled);
 

@@ -1,9 +1,12 @@
 // Differential SIMD-vs-scalar equivalence (docs/INTERNALS.md §13).
 //
-// The vectorized stage 1 must be *bit-identical* to the scalar reference
-// path, not merely statistically close: SHE's accuracy claims ride on the
-// exact BobHash32 family and the exact CheckGroup ordering.  Three layers
-// are pinned here:
+// Every estimator has one batch body, the block stage; SHE_FORCE_SCALAR
+// (ScopedForceScalar here) only picks the scalar tails of its kernels.
+// The vector lanes must be *bit-identical* to those tails, not merely
+// statistically close: SHE's accuracy claims ride on the exact BobHash32
+// family and the exact CheckGroup ordering.  (The per-key methods are the
+// reference both dispatch outcomes answer to; tests/test_batch.cpp holds
+// the batch calls to them.)  Three layers are pinned here:
 //
 //   1. kernels — simd::bobhash32_keys / bobhash32_seeds / hash64_keys lane
 //      outputs equal the scalar hashes for every count (covering full

@@ -504,6 +504,67 @@ void BM_SheCmQueryBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SheCmQueryBatch)->ArgName("scalar")->Arg(0)->Arg(1);
 
+// The aggregate age-band scans: one query walks every group's age and
+// staleness.  windows:1 is the default-window query (cardinality() /
+// jaccard(a, b)); windows:4 is the one-pass batch over four sub-windows.
+// Items are scans.
+const std::uint64_t kScanWindows[] = {kN / 8, kN / 4, kN / 2, kN};
+
+template <typename T>
+void drive_cardinality_scans(benchmark::State& state, const T& est) {
+  const bool batch = state.range(0) > 1;
+  for (auto _ : state) {
+    if (batch) {
+      benchmark::DoNotOptimize(est.cardinality_batch(kScanWindows));
+    } else {
+      benchmark::DoNotOptimize(est.cardinality());
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_SheBitmapCardinality(benchmark::State& state) {
+  SheConfig cfg;
+  cfg.window = kN;
+  cfg.cells = 1u << 20;
+  cfg.group_cells = 64;
+  cfg.alpha = 0.2;
+  SheBitmap bm(cfg);
+  bm.insert_batch(std::span<const std::uint64_t>(keys().data(), 4 * kN));
+  drive_cardinality_scans(state, bm);
+}
+BENCHMARK(BM_SheBitmapCardinality)->ArgName("windows")->Arg(1)->Arg(4);
+
+void BM_SheHllCardinality(benchmark::State& state) {
+  SheConfig cfg;
+  cfg.window = kN;
+  cfg.cells = 1u << 16;
+  cfg.group_cells = 1;
+  cfg.alpha = 0.2;
+  SheHyperLogLog hll(cfg);
+  hll.insert_batch(std::span<const std::uint64_t>(keys().data(), 4 * kN));
+  drive_cardinality_scans(state, hll);
+}
+BENCHMARK(BM_SheHllCardinality)->ArgName("windows")->Arg(1)->Arg(4);
+
+void BM_SheMinHashJaccard(benchmark::State& state) {
+  SheMinHash a = large_minhash(1024);
+  SheMinHash b = large_minhash(1024);
+  const auto& ks = keys();
+  a.insert_batch(std::span<const std::uint64_t>(ks.data(), 2 * kN));
+  b.insert_batch(std::span<const std::uint64_t>(ks.data() + kN, 2 * kN));
+  const bool batch = state.range(0) > 1;
+  for (auto _ : state) {
+    if (batch) {
+      benchmark::DoNotOptimize(SheMinHash::jaccard_batch(a, b, kScanWindows));
+    } else {
+      benchmark::DoNotOptimize(SheMinHash::jaccard(a, b));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SheMinHashJaccard)->ArgName("windows")->Arg(1)->Arg(4);
+
 }  // namespace
 
 /// ConsoleReporter that also collects per-run rows, so main() can emit

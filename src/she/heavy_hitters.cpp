@@ -114,7 +114,7 @@ void HeavyHitters::restore_candidates(const std::vector<Entry>& entries) {
     candidates_.emplace(e.key, e.estimate);
     floor_ = std::min(floor_, e.estimate);
   }
-  since_refresh_ = 0;
+  since_refresh_ = refresh_phase();
 }
 
 void HeavyHitters::clear() {

@@ -60,12 +60,13 @@ class HeavyHitters {
 
   /// Replace the underlying sketch (checkpoint restore).  The candidate
   /// table restarts empty and re-populates as the resumed stream flows;
-  /// point queries are exact-as-before immediately.
+  /// point queries are exact-as-before immediately.  The refresh phase
+  /// continues where the saved stream left it (see refresh_phase()).
   void restore_sketch(SheCountMin sketch) {
     sketch_ = std::move(sketch);
     candidates_.clear();
     floor_ = kNoFloor;
-    since_refresh_ = 0;
+    since_refresh_ = refresh_phase();
   }
 
   /// The stored candidate table (admission/refresh-time estimates),
@@ -89,6 +90,13 @@ class HeavyHitters {
  private:
   static constexpr std::uint64_t kNoFloor =
       std::numeric_limits<std::uint64_t>::max();
+
+  /// Keys since the last refresh, derived from the sketch: inserts are
+  /// count-based only, so the sketch's time is the item count, and a
+  /// refresh runs after every `capacity_`-th item.
+  [[nodiscard]] std::size_t refresh_phase() const {
+    return static_cast<std::size_t>(sketch_.time() % capacity_);
+  }
 
   void maybe_admit(std::uint64_t key, std::uint64_t estimate);
   void refresh_candidates();

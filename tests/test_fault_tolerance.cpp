@@ -22,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
+#include "she/monitor.hpp"
 #include "she/sharded.hpp"
 #include "she/she.hpp"
 #include "stream/trace.hpp"
@@ -1276,6 +1277,65 @@ TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   const auto st = pipe.stats();
   EXPECT_GT(st.checkpoints, 0u);
   EXPECT_EQ(st.inserted, trace.size());
+  std::filesystem::remove_all(dir);
+}
+
+/// ConcurrentMonitor resume with a short WAL tail: checkpoint at an offset
+/// that is not a multiple of the heavy-hitter capacity, kill the worker,
+/// log a few more keys, resume.  The replayed shard must serialize exactly
+/// like a monitor that saw the same keys without stopping, which needs the
+/// restored heavy-hitter table to keep its refresh phase.
+TEST_F(FaultTolerance, ConcurrentMonitorResumeWithShortWalTailIsByteIdentical) {
+  MonitorConfig mon;
+  mon.window = 4096;
+  mon.memory_bytes = 256 * 1024;
+  stream::ZipfTraceConfig tc;
+  tc.length = 12345 + 50;
+  tc.universe = 20'000;
+  tc.seed = 7;
+  const auto trace = stream::zipf_trace(tc);
+  const std::span<const std::uint64_t> head(trace.data(), 12345);
+  const std::span<const std::uint64_t> tail(trace.data() + head.size(),
+                                            trace.size() - head.size());
+
+  PipelineOptions ref_opt;
+  ref_opt.publish_interval = 512;
+  ConcurrentMonitor reference(mon, ref_opt);
+  reference.start();
+  ASSERT_EQ(reference.push_bulk(0, trace), trace.size());
+  ASSERT_TRUE(reference.flush());
+  reference.close();
+
+  const std::string dir = temp_dir("monitor_wal_tail");
+  PipelineOptions opt = ref_opt;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = std::uint64_t{1} << 40;  // explicit saves only
+  opt.wal_mode = WalMode::kAsync;
+  constexpr std::uint64_t kClient = 17;
+  {
+    ConcurrentMonitor run(mon, opt);
+    run.start();
+    ASSERT_EQ(run.push_bulk(0, head, kClient, 1), head.size());
+    ASSERT_TRUE(run.save_now());
+    // The worker dies before applying anything past the checkpoint; the
+    // tail is accepted into the WAL only.
+    fault::injector().arm({fault::Point::kWorkerThrow, 0, head.size(), 0});
+    (void)run.push_bulk(0, tail, kClient, 2);
+    run.close();
+    EXPECT_TRUE(run.faulted());
+  }
+  fault::injector().clear();
+
+  PipelineOptions ropt = opt;
+  ropt.resume = true;
+  ConcurrentMonitor resumed(mon, ropt);
+  EXPECT_EQ(resumed.resume_offset(0), trace.size());
+  resumed.start();
+  ASSERT_TRUE(resumed.flush());
+  resumed.close();
+  EXPECT_TRUE(serialized(resumed.shard_snapshot(0)) ==
+              serialized(reference.shard_snapshot(0)))
+      << "resumed monitor diverged from the uninterrupted one";
   std::filesystem::remove_all(dir);
 }
 

@@ -136,6 +136,50 @@ TEST(Monitor, CheckpointRoundTrip) {
   EXPECT_EQ(back.report(1).items, mon.report(1).items);
 }
 
+std::string monitor_bytes(const StreamMonitor& mon) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  mon.save(w);
+  return ss.str();
+}
+
+/// Save -> load -> short continuation, in lock-step with a copy that never
+/// stopped: the two must serialize identically.  A restored monitor has to
+/// resume the heavy-hitter refresh phase (a refresh every `capacity` keys,
+/// counted from the start of the stream), not restart it at the load, or
+/// the candidate tables drift apart until they reconverge.
+TEST(Monitor, RestoredMonitorMatchesUninterruptedInLockStep) {
+  stream::ZipfTraceConfig tc;
+  tc.length = 503'009;
+  tc.seed = 7;
+  const auto trace = stream::zipf_trace(tc);
+  const std::size_t cuts[] = {12345, 65537, 100003, 300001, 500009};
+  const std::size_t tails[] = {7, 50, 300, 3000};
+
+  StreamMonitor live{MonitorConfig{}};
+  std::size_t fed = 0;
+  for (std::size_t cut : cuts) {
+    live.insert_batch(std::span<const std::uint64_t>(trace.data() + fed,
+                                                     cut - fed));
+    fed = cut;
+    const std::string image = monitor_bytes(live);
+    std::size_t prev = 0;
+    StreamMonitor uninterrupted = live;
+    std::stringstream ss(image);
+    BinaryReader r(ss);
+    StreamMonitor restored = StreamMonitor::load(r);
+    for (std::size_t tail : tails) {
+      const std::span<const std::uint64_t> more(trace.data() + cut + prev,
+                                                tail - prev);
+      uninterrupted.insert_batch(more);
+      restored.insert_batch(more);
+      prev = tail;
+      EXPECT_TRUE(monitor_bytes(restored) == monitor_bytes(uninterrupted))
+          << "cut " << cut << ", continuation " << tail;
+    }
+  }
+}
+
 TEST(Monitor, ClearResets) {
   StreamMonitor mon(small_cfg());
   mon.insert(1);

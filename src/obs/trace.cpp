@@ -11,7 +11,7 @@ namespace she::obs::trace {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-thread_local bool t_suppress = false;
+constinit thread_local bool t_suppress = false;
 }  // namespace detail
 
 // ----------------------------------------------------------------- clock --

@@ -41,7 +41,11 @@ namespace she::obs::trace {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern thread_local bool t_suppress;
+// constinit: the variable has no dynamic initializer, so every access is
+// a direct TLS access.  Without it GCC routes accesses from other
+// translation units through a TLS wrapper function, whose result UBSan's
+// null check rejects on writes.
+extern constinit thread_local bool t_suppress;
 }  // namespace detail
 
 /// Is span collection on?  SHE_TRACE_SPAN checks this first; when false

@@ -3,7 +3,7 @@
 // One TCP connection, one outstanding request at a time (the protocol has
 // no request ids; responses come back in order).  Error statuses surface
 // as ClientError carrying the wire status and the server's message.  Used
-// by `she_tool client`, the server tests, and bench/server_throughput.
+// by `she_tool client` and the server tests.
 //
 // Robustness contract (all knobs in ClientOptions; defaults preserve the
 // original blocking behavior):

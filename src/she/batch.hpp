@@ -18,13 +18,14 @@
 //            as the per-key method would (or, for a query batch, evaluating
 //            each key's probes).
 //
-// There is one stage 1 per estimator: the block kernels of
-// common/simd_hash.hpp and the GroupClock staging calls, which dispatch to
-// AVX2 / NEON or to their scalar loops (SHE_FORCE_SCALAR pins the scalar
-// ones; both are bit-identical).  Stage 2 never depends on which kernel ran,
-// and positions never depend on time_, so hashing ahead changes nothing
-// observable: the per-key insert_at / contains / frequency methods are the
-// reference tests/test_batch.cpp compares the bytes against.
+// The one driver of both stages is csm::SlidingEstimator (csm.hpp).  Stage
+// 1 is the policy's hash hook — the block kernels of common/simd_hash.hpp —
+// plus the GroupClock staging calls, all of which dispatch to AVX2 / NEON
+// or to their scalar loops (SHE_FORCE_SCALAR pins the scalar ones; both are
+// bit-identical).  Stage 2 never depends on which kernel ran, and positions
+// never depend on time_, so hashing ahead changes nothing observable: the
+// per-key insert_at / contains / frequency methods are the reference
+// tests/test_batch.cpp compares the bytes against.
 //
 // The two stages are double-buffered: block i+1 is hashed and prefetched
 // *before* block i is applied, so every prefetch has a full block's worth
@@ -42,15 +43,23 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
+
+#include "she/group_clock.hpp"
 
 namespace she::batch {
 
-/// One staged probe: the cell index plus a precomputed word (the staged
-/// GroupClock mark and group id, SHE-HLL's rank, SHE-MH's candidate
-/// minimum, or a query's age and staleness) so stage 2 never re-hashes.
+/// One staged probe: the cell index, its group, and a precomputed word so
+/// stage 2 never re-hashes or divides.  An insert stages the group's
+/// current GroupClock mark in the high half of `aux` and the policy's
+/// staged word (SHE-HLL's rank, SHE-MH's candidate minimum) in the low
+/// half; a query stages age << 1 | stale.  Positions fit 32 bits on every
+/// shape the block stage takes (stageable()).
 struct Slot {
-  std::size_t pos;
+  std::uint32_t pos;
+  std::uint32_t gid;
   std::uint64_t aux;
 };
 
@@ -127,5 +136,79 @@ void pipelined_blocks(std::span<const std::uint64_t> keys, unsigned k,
     buf = 1 - buf;
   }
 }
+
+/// insert_at_batch argument validation: per-key timestamps must pair 1:1
+/// with keys and never move backwards (same contract, and same message, as
+/// the per-key insert_at).  Validated up front so the pipeline can assign
+/// times without re-checking.
+inline void validate_insert_times(std::span<const std::uint64_t> keys,
+                                  std::span<const std::uint64_t> times,
+                                  std::uint64_t now, const char* who) {
+  if (times.size() != keys.size())
+    throw std::invalid_argument(std::string(who) +
+                                ": insert_at_batch keys/times size mismatch");
+  std::uint64_t prev = now;
+  for (std::uint64_t t : times) {
+    if (t < prev)
+      throw std::invalid_argument(std::string(who) +
+                                  ": time must not move backwards");
+    prev = t;
+  }
+}
+
+/// Stages current GroupClock marks for one block of an insert batch, k
+/// probes per key, key-major: curs[b * k + h] = current mark of
+/// gids[b * k + h] at key b's time.  Key b of the batch runs at times[b]
+/// when explicit timestamps were given, or t0 + b + 1 for plain
+/// insert_batch (t0 = stream time at batch entry).
+///
+/// The common shape — implicit times, no cycle boundary inside the block —
+/// takes the vectorized kernel; blocks that straddle a boundary (tiny test
+/// windows) or carry explicit timestamps stage per key, still
+/// division-free via TimeParts.
+class MarkStager {
+ public:
+  MarkStager(const GroupClock& clock, std::uint64_t t0,
+             const std::uint64_t* times)
+      : clock_(clock), t0_(t0), times_(times) {}
+
+  /// Time of key `index` of the batch.
+  [[nodiscard]] std::uint64_t time_of(std::size_t index) const {
+    return times_ != nullptr ? times_[index] : t0_ + index + 1;
+  }
+
+  void stage(std::size_t begin, std::size_t n, unsigned k,
+             const std::uint32_t* gids, std::uint32_t* curs) const {
+    if (times_ == nullptr) {
+      GroupClock::TimeParts p = clock_.split(t0_ + begin + 1);
+      if (p.rem + static_cast<std::int64_t>(n) <=
+          static_cast<std::int64_t>(clock_.tcycle())) {
+        clock_.stage_marks_rep(gids, n, k, p, curs);
+        return;
+      }
+      for (std::size_t b = 0; b < n; ++b) {
+        stage_key(p, k, gids + b * k, curs + b * k);
+        clock_.tick(p);
+      }
+      return;
+    }
+    GroupClock::TimeParts p = clock_.split(times_[begin]);
+    for (std::size_t b = 0; b < n; ++b) {
+      if (b > 0) clock_.advance(p, times_[begin + b - 1], times_[begin + b]);
+      stage_key(p, k, gids + b * k, curs + b * k);
+    }
+  }
+
+ private:
+  void stage_key(GroupClock::TimeParts p, unsigned k, const std::uint32_t* gids,
+                 std::uint32_t* curs) const {
+    for (unsigned h = 0; h < k; ++h)
+      curs[h] = static_cast<std::uint32_t>(clock_.current_mark_at(p, gids[h]));
+  }
+
+  const GroupClock& clock_;
+  std::uint64_t t0_;
+  const std::uint64_t* times_;
+};
 
 }  // namespace she::batch

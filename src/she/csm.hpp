@@ -1,34 +1,61 @@
-// The Common Sketch Model (CSM) as a compile-time policy framework —
-// the paper's Fig. 2 abstraction made executable.
+// The Common Sketch Model (CSM) engine — the paper's Fig. 2 abstraction and
+// Algorithm 1, once, for every sliding-window sketch in the library.
 //
-// The paper characterizes every base algorithm by a triple <C, K, F>:
-// a cell type, a number of hashed locations, and an update function
-// F(x, y) applied independently to each hashed cell.  SHE then extends any
-// CSM algorithm to sliding windows via the group clock.  This header
-// provides exactly that contract:
+// The paper characterizes every base algorithm by a triple <C, K, F>: a
+// cell type, a number of hashed locations, and an update function F(x, y)
+// applied independently to each hashed cell.  SHE then extends any CSM
+// algorithm to sliding windows via the group clock.  This header is that
+// extension:
 //
-//   * `CsmPolicy` — the concept a base algorithm must model (cell type,
-//     probe count, position hash, update function);
-//   * `SlidingEstimator<Policy>` — the generic SHE hardware-version engine:
-//     lazy group cleaning on insert, age-classified cell views for queries;
-//   * the five paper policies (Bloom filter, Bitmap, HyperLogLog,
-//     Count-Min, MinHash) plus their query functions, answer-equivalent to
-//     the hand-specialized classes in she_*.hpp (tested);
-//   * room for user-defined policies: any type modelling `CsmPolicy` gets
-//     sliding-window behaviour for free (see examples/custom_sketch.cpp).
+//   * `CsmPolicy` — the concept a base algorithm models (cell type, probe
+//     count, position hash, update function);
+//   * `SlidingEstimator<Policy, Store>` — the SHE hardware-version engine:
+//     the group clock, stream time, lazy group cleaning (CheckGroup), the
+//     per-key and block-staged batch inserts, the batched probe pipeline
+//     for point queries, the age-band scan for aggregate queries, and the
+//     save/load framing;
+//   * cell stores — `VectorStore<Cell>` (one Cell per slot, the default),
+//     `BitStore` and `PackedStore` (bit-packed).  A policy picks its store
+//     with a `Store` member type.
 //
-// The specialized classes remain the recommended API for the five standard
-// tasks (they use packed cell storage); this layer is the extension point
-// and the executable specification.
+// SHE-BF/BM/HLL/CM/MH (she_*.hpp) are thin classes over this engine: each
+// keeps its policy, its query estimator and its save tag.  Any other type
+// modelling `CsmPolicy` gets the same sliding-window behaviour, batch path
+// included (see examples/custom_sketch.cpp).
+//
+// Optional policy members, each detected at compile time:
+//
+//   Store                  cell store type (default VectorStore<Cell>)
+//   hash_block(...)        stage-1 hook: hash one block of keys into cell
+//                          positions, groups and staged words (default:
+//                          position() per probe)
+//   update_staged(w, c)    F from the word hash_block staged for the probe,
+//                          so stage 2 never re-hashes (default: update())
+//   kAllCells              probe i is cell i and group i, for every cell
+//                          (MinHash, w = 1): hash_block fills only the
+//                          words, marks are staged once per key, and the
+//                          per-key slot budget does not apply
+//   kExtraHashes           hash calls per insert beyond one per probe
+//   validate(cfg)          reject a configuration the policy cannot run
+//   kName, kTag, save(out), load(in, cfg)
+//                          error-message prefix and checkpoint framing
 #pragma once
 
+#include <algorithm>
 #include <concepts>
-#include <stdexcept>
 #include <cstdint>
+#include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "common/bobhash.hpp"
+#include "common/bit_array.hpp"
 #include "common/int_math.hpp"
+#include "common/packed_array.hpp"
+#include "common/simd_hash.hpp"
+#include "obs/she_metrics.hpp"
+#include "she/batch.hpp"
 #include "she/config.hpp"
 #include "she/group_clock.hpp"
 
@@ -64,244 +91,655 @@ struct CellView {
   CellAge age_class;
 };
 
-/// Generic SHE hardware-version engine for any CSM policy.
-template <CsmPolicy Policy>
+// ---------------------------------------------------------------------------
+// Cell stores.  Each offers get / update / clear_range / clear / prefetch /
+// size, and save / load in its checkpoint format; packed stores also report
+// their own footprint.  update(i, f) stores f(old) at cell i, in whatever
+// way is cheapest for the layout.
+// ---------------------------------------------------------------------------
+
+/// One `Cell` per slot.  Saved as a u32 vector when cells are 32-bit.
+template <typename C>
+class VectorStore {
+ public:
+  using Cell = C;
+  VectorStore(std::size_t n, Cell empty) : cells_(n, empty), empty_(empty) {}
+
+  [[nodiscard]] std::size_t size() const { return cells_.size(); }
+  [[nodiscard]] Cell get(std::size_t i) const { return cells_[i]; }
+  template <typename F>
+  void update(std::size_t i, F&& f) {
+    cells_[i] = f(cells_[i]);
+  }
+  void clear_range(std::size_t first, std::size_t count) {
+    const auto it = cells_.begin() + static_cast<std::ptrdiff_t>(first);
+    if (empty_ == Cell{}) {
+      std::fill_n(it, count, Cell{});  // a constant zero fill is a memset
+    } else {
+      std::fill_n(it, count, empty_);
+    }
+  }
+  void clear() { clear_range(0, cells_.size()); }
+  void prefetch(std::size_t i, bool write) const {
+    batch::prefetch_addr(&cells_[i], write);
+  }
+  void save(BinaryWriter& out) const
+    requires std::same_as<C, std::uint32_t>
+  {
+    out.u32_vector(cells_);
+  }
+  void load(BinaryReader& in)
+    requires std::same_as<C, std::uint32_t>
+  {
+    cells_ = in.u32_vector();
+  }
+
+ private:
+  std::vector<Cell> cells_;
+  Cell empty_;
+};
+
+/// One bit per cell (empty = 0), saved as a BitArray.
+class BitStore {
+ public:
+  using Cell = std::uint8_t;
+  BitStore(std::size_t n, Cell) : bits_(n) {}
+
+  [[nodiscard]] std::size_t size() const { return bits_.size(); }
+  [[nodiscard]] Cell get(std::size_t i) const { return bits_.test(i) ? 1 : 0; }
+  /// A blind bit write when F ignores the old bit (the read folds away).
+  template <typename F>
+  void update(std::size_t i, F&& f) {
+    if (f(get(i)) != 0) {
+      bits_.set(i);
+    } else {
+      bits_.reset(i);
+    }
+  }
+  void clear_range(std::size_t first, std::size_t count) {
+    bits_.clear_range(first, count);
+  }
+  void clear() { bits_.clear(); }
+  void prefetch(std::size_t i, bool write) const { bits_.prefetch(i, write); }
+  [[nodiscard]] std::size_t memory_bytes() const { return bits_.memory_bytes(); }
+  /// Zero bits in [first, first + count) (Bitmap's linear counting).
+  [[nodiscard]] std::size_t zeros_range(std::size_t first,
+                                        std::size_t count) const {
+    return bits_.zeros_range(first, count);
+  }
+  void save(BinaryWriter& out) const { bits_.save(out); }
+  void load(BinaryReader& in) { bits_ = BitArray::load(in); }
+
+ private:
+  BitArray bits_;
+};
+
+/// `Bits`-bit cells (empty = 0), saved as a PackedArray.
+template <typename C, unsigned Bits>
+class PackedStore {
+ public:
+  using Cell = C;
+  PackedStore(std::size_t n, Cell) : cells_(n, Bits) {}
+
+  [[nodiscard]] std::size_t size() const { return cells_.size(); }
+  [[nodiscard]] Cell get(std::size_t i) const {
+    return static_cast<Cell>(cells_.get(i));
+  }
+  /// Writes only on change: a packed write is a read-modify-write.
+  template <typename F>
+  void update(std::size_t i, F&& f) {
+    const Cell old = get(i);
+    const Cell v = f(old);
+    if (v != old) cells_.set(i, v);
+  }
+  void clear_range(std::size_t first, std::size_t count) {
+    for (std::size_t i = first; i < first + count; ++i) cells_.set(i, 0);
+  }
+  void clear() { cells_.clear(); }
+  void prefetch(std::size_t i, bool write) const { cells_.prefetch(i, write); }
+  [[nodiscard]] std::size_t memory_bytes() const { return cells_.memory_bytes(); }
+  void save(BinaryWriter& out) const { cells_.save(out); }
+  void load(BinaryReader& in) { cells_ = PackedArray::load(in); }
+
+ private:
+  PackedArray cells_;
+};
+
+template <typename P>
+struct DefaultStore {
+  using type = VectorStore<typename P::Cell>;
+};
+template <typename P>
+  requires requires { typename P::Store; }
+struct DefaultStore<P> {
+  using type = typename P::Store;
+};
+
+// ---------------------------------------------------------------------------
+// Stage 1 of the block pipeline (batch.hpp): hash a block of keys into
+// cell positions, group ids and per-probe staged words.
+// ---------------------------------------------------------------------------
+
+/// How a block reduces hashes: K probes per key, hash -> cell, cell ->
+/// group, all division-free.
+struct BlockShape {
+  unsigned k;
+  FastDiv32 mod_cells;
+  FastDiv32 div_group;
+};
+
+/// Stage-1 output buffers for one block: n * k entries each, key-major.
+/// `hash` is scratch; `word` carries what update_staged() consumes.
+struct StagedBlock {
+  std::uint32_t* hash;
+  std::uint32_t* pos;
+  std::uint32_t* gid;
+  std::uint32_t* word;
+};
+
+/// The k-probe stage shared by policies whose probe i hashes with
+/// BobHash32(seed + i) and reduces mod the cell count (SHE-BF, SHE-CM and
+/// SHE-BM): one block-wide hash sweep, then one position/group reduction.
+inline void kprobe_hash_block(const std::uint64_t* keys, std::size_t n,
+                              std::uint32_t seed, const BlockShape& shape,
+                              const StagedBlock& out) {
+  if (shape.k == 1) {
+    simd::bobhash32_keys(keys, n, seed, out.hash);
+  } else {
+    simd::bobhash32_keys_multi(keys, n, seed, shape.k, out.hash);
+  }
+  simd::positions_groups(out.hash, n * shape.k, shape.mod_cells,
+                         shape.div_group, out.pos, out.gid);
+}
+
+/// One queried age band: groups with age in [lower, upper) contribute;
+/// `window` classifies every group's age for the telemetry.
+struct AgeBand {
+  std::uint64_t lower;
+  std::uint64_t upper;
+  std::uint64_t window;
+};
+
+/// The SHE hardware-version engine for any CSM policy.
+template <CsmPolicy Policy, typename Store = typename DefaultStore<Policy>::type>
 class SlidingEstimator {
  public:
   using Cell = typename Policy::Cell;
+  using Slot = batch::Slot;
 
   SlidingEstimator(const SheConfig& cfg, Policy policy = Policy{})
       : cfg_(cfg),
         policy_(std::move(policy)),
         clock_(cfg.groups(), cfg.tcycle(), cfg.mark_bits),
-        cells_(cfg.cells, Policy::empty_cell()) {
+        store_(cfg.cells, Policy::empty_cell()) {
     cfg_.validate();
+    if constexpr (requires { policy_.validate(cfg_); }) policy_.validate(cfg_);
+    if (kAllCells && cfg_.group_cells != 1)
+      throw std::invalid_argument(std::string(name()) +
+                                  ": group_cells must be 1 (w = 1)");
   }
 
-  /// Insert one item: CheckGroup then F, per hashed cell (Algorithm 1).
+  // --- inserts ---------------------------------------------------------------
+
+  /// Insert one item; advances the stream clock by one.
   void insert(std::uint64_t key) { insert_at(key, time_ + 1); }
 
   /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing); `window` then counts time units instead of items.
+  /// non-decreasing; throws std::invalid_argument if it moves backwards).
+  /// With insert_at, `window` counts time units instead of items.
+  ///
+  /// Algorithm 1 per hashed cell: CheckGroup, then F.  This per-key form is
+  /// the reference every batch path is tested against.
   void insert_at(std::uint64_t key, std::uint64_t t) {
     advance_to(t);
-    unsigned k = policy_.probes(cells_.size());
+    const std::size_t cells = store_.size();
+    const unsigned k = probes();
     for (unsigned i = 0; i < k; ++i) {
-      std::size_t pos = policy_.position(key, i, cells_.size());
-      touch_group(pos / cfg_.group_cells);
-      cells_[pos] = policy_.update(key, i, cells_[pos]);
+      const std::size_t pos = policy_.position(key, i, cells);
+      const std::size_t gid = group_of(pos);
+      if (clock_.touch(gid, time_)) clear_group(gid);
+      store_.update(pos, [&](Cell old) { return policy_.update(key, i, old); });
     }
+    if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_per_key());
   }
 
-  /// Advance the clock without inserting (arrival gaps still age content).
+  /// Insert a batch, bit-for-bit equivalent to insert() per key, in order.
+  /// Runs the block pipeline of batch.hpp: stage 1 hashes a block ahead
+  /// (the policy's hash_block hook, vectorized under SIMD dispatch) and
+  /// prefetches the touched cell and mark lines; stage 2 applies CheckGroup
+  /// + F per key.  Shapes the block stage does not take (see stageable())
+  /// loop over insert().
+  void insert_batch(std::span<const std::uint64_t> keys) {
+    insert_many(keys, nullptr, [](std::size_t, const Slot*) {});
+  }
+
+  /// Batched insert_at: keys[i] inserted at times[i] (monotone
+  /// non-decreasing, validated up front; throws like insert_at).  Runs the
+  /// same pipeline as insert_batch.
+  void insert_at_batch(std::span<const std::uint64_t> keys,
+                       std::span<const std::uint64_t> times) {
+    batch::validate_insert_times(keys, times, time_, name());
+    insert_many(keys, times.data(), [](std::size_t, const Slot*) {});
+  }
+
+  /// Advance the clock to `t` without inserting, so queries reflect the
+  /// window (t - N, t] even during arrival gaps.
   void advance_to(std::uint64_t t) {
     if (t < time_)
-      throw std::invalid_argument("SlidingEstimator: time must not move backwards");
+      throw std::invalid_argument(std::string(name()) +
+                                  ": time must not move backwards");
     time_ = t;
   }
 
-  /// View of the cell probed by (key, probe) — const; stale groups read as
-  /// empty without mutating.
-  [[nodiscard]] CellView<Cell> probe(std::uint64_t key, unsigned i) const {
-    return view(policy_.position(key, i, cells_.size()));
-  }
-
-  /// View of cell `pos`.
-  [[nodiscard]] CellView<Cell> view(std::size_t pos) const {
-    std::size_t gid = pos / cfg_.group_cells;
-    std::uint64_t age = clock_.age(gid, time_);
-    CellAge cls = age < cfg_.window
-                      ? CellAge::kYoung
-                      : (age == cfg_.window ? CellAge::kPerfect : CellAge::kAged);
-    Cell value = clock_.stale(gid, time_) ? Policy::empty_cell() : cells_[pos];
-    return {value, age, cls};
-  }
-
-  /// True if cell `pos`'s age is in the two-sided legal range
-  /// [beta*N, Tcycle) (paper Sec. 4.1/4.3/4.5).
-  [[nodiscard]] bool legal(std::size_t pos) const {
-    auto lower =
-        static_cast<std::uint64_t>(cfg_.beta * static_cast<double>(cfg_.window));
-    return clock_.age(pos / cfg_.group_cells, time_) >= lower;
-  }
-
+  /// Reset to the empty state at time 0.
   void clear() {
-    std::fill(cells_.begin(), cells_.end(), Policy::empty_cell());
+    store_.clear();
     clock_.reset();
     time_ = 0;
   }
 
+  // --- per-cell views --------------------------------------------------------
+
+  /// View of the cell probed by (key, probe); stale groups read as empty.
+  [[nodiscard]] CellView<Cell> probe(std::uint64_t key, unsigned i) const {
+    return view(position(key, i));
+  }
+
+  /// View of cell `pos`.
+  [[nodiscard]] CellView<Cell> view(std::size_t pos) const {
+    const std::size_t gid = group_of(pos);
+    const std::uint64_t age = clock_.age(gid, time_);
+    const CellAge cls =
+        age < cfg_.window
+            ? CellAge::kYoung
+            : (age == cfg_.window ? CellAge::kPerfect : CellAge::kAged);
+    return {value(pos, gid), age, cls};
+  }
+
+  /// Cell index of probe `i` of `key`.
+  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i) const {
+    return policy_.position(key, i, store_.size());
+  }
+
+  /// Group holding cell `pos`.
+  [[nodiscard]] std::size_t group_of(std::size_t pos) const {
+    return cfg_.group_cells == 1 ? pos : pos / cfg_.group_cells;
+  }
+
+  /// Effective value of cell `pos` in group `gid`: empty if the group is
+  /// stale (its content predates its latest cleaning boundary).
+  [[nodiscard]] Cell value(std::size_t pos, std::size_t gid) const {
+    return clock_.stale(gid, time_) ? Policy::empty_cell() : store_.get(pos);
+  }
+
+  /// value() against a current mark staged for `gid`.
+  [[nodiscard]] Cell value_at_mark(std::size_t pos, std::size_t gid,
+                                   std::uint64_t cur) const {
+    return clock_.stored_mark(gid) != cur ? Policy::empty_cell()
+                                          : store_.get(pos);
+  }
+
+  // --- batched point queries -------------------------------------------------
+
+  /// Stage 2 of a probe batch reads these from each staged slot.
+  [[nodiscard]] static std::uint64_t staged_age(const Slot& s) {
+    return s.aux >> 1;
+  }
+  [[nodiscard]] Cell staged_value(const Slot& s) const {
+    return (s.aux & 1) != 0 ? Policy::empty_cell() : store_.get(s.pos);
+  }
+
+  /// The block pipeline for point queries: stage 1 hashes a block ahead,
+  /// stages every probe's age and staleness at the (fixed) query time and
+  /// issues read-hinted prefetches; then `each(i, slots)` runs once per key
+  /// in order with that key's k slots (read them with staged_age() and
+  /// staged_value()).  For shapes the block stage does not take, `slots` is
+  /// null and `each` answers key i with the per-key query.  Local scratch
+  /// keeps this const path safe on a shared published view.
+  template <typename EachFn>
+  void probe_many(std::span<const std::uint64_t> keys, EachFn&& each) const {
+    static_assert(!kAllCells, "all-cells policies have no point queries");
+    if (!stageable()) {
+      for (std::size_t i = 0; i < keys.size(); ++i) each(i, nullptr);
+      return;
+    }
+    const unsigned k = probes();
+    const bool warm_cells = store_bytes() >= batch::kPrefetchFootprint;
+    const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
+    const BlockShape shape = block_shape(k);
+    const GroupClock::TimeParts now = clock_.split(time_);
+    std::vector<Slot> scratch;
+    batch::pipelined_blocks(
+        keys, k, scratch,
+        [&](std::size_t begin, std::size_t n, Slot* out) {
+          // A block stages at most kSlotBudget probes (stageable()).
+          std::uint32_t hash[batch::kSlotBudget], pos[batch::kSlotBudget],
+              gid[batch::kSlotBudget], word[batch::kSlotBudget],
+              cur[batch::kSlotBudget];
+          std::uint64_t age[batch::kSlotBudget];
+          const std::size_t m = n * k;
+          hash_block(keys.data() + begin, n, shape, {hash, pos, gid, word});
+          clock_.stage_marks(gid, m, now, cur, age);
+          for (std::size_t s = 0; s < m; ++s) {
+            const std::uint64_t stale = clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
+            out[s] = {pos[s], gid[s], (age[s] << 1) | stale};
+            if (warm_cells) store_.prefetch(pos[s], false);
+            if (warm_marks) clock_.prefetch(gid[s], false);
+          }
+        },
+        each);
+    // Every probe hash is staged up front, early exits or not.
+    if (obs::enabled())
+      obs::she_metrics().hash_calls.inc(
+          static_cast<std::uint64_t>(keys.size()) * hashes_per_key());
+  }
+
+  // --- aggregate queries: the age-band scan ----------------------------------
+
+  /// The default-window band [beta*N, Tcycle) (paper Sec. 4.1/4.3/4.5).
+  [[nodiscard]] AgeBand default_band() const {
+    return {beta_floor(cfg_.window), std::numeric_limits<std::uint64_t>::max(),
+            cfg_.window};
+  }
+
+  /// Throws std::invalid_argument unless a query window `w` is in [1, N];
+  /// `who` prefixes the message.
+  void check_window(std::uint64_t w, const char* who = name()) const {
+    if (w == 0 || w > cfg_.window)
+      throw std::invalid_argument(std::string(who) +
+                                  ": query window must be in [1, N]");
+  }
+
+  /// The sub-window band [beta*w, (2-beta)*w), centred on w so the lumped
+  /// group ages match the queried window (checked like check_window()).
+  [[nodiscard]] AgeBand window_band(std::uint64_t w,
+                                    const char* who = name()) const {
+    check_window(w, who);
+    return {beta_floor(w),
+            static_cast<std::uint64_t>((2.0 - cfg_.beta) *
+                                       static_cast<double>(w)),
+            w};
+  }
+
+  /// One pass over every group for any number of age bands.  Ages and
+  /// current marks are staged in chunks through the vectorized GroupClock
+  /// kernels.  For each group whose age falls in at least one band,
+  /// `read(gid, cur)` runs once (cur = the group's current mark, for
+  /// value_at_mark()) and its result is added to acc[b] of every band b
+  /// that holds the age.  With telemetry on, each band also classifies
+  /// every group's age against its window and commits as one query.
+  template <typename Acc, typename ReadFn>
+  void scan_bands(std::span<const AgeBand> bands, std::span<Acc> acc,
+                  ReadFn&& read) const {
+    const bool track = obs::enabled();
+    std::vector<obs::AgeClassCounts> cls(track ? bands.size() : 0);
+    const GroupClock::TimeParts now = clock_.split(time_);
+    constexpr std::size_t kChunk = 256;
+    std::uint64_t age[kChunk];
+    std::uint32_t cur[kChunk];
+    const std::size_t groups = clock_.groups();
+    for (std::size_t g0 = 0; g0 < groups; g0 += kChunk) {
+      const std::size_t n = std::min(kChunk, groups - g0);
+      clock_.stage_marks_range(g0, n, now, cur, age);
+      if (bands.size() == 1) {
+        // The common single-window query, with its band and accumulator in
+        // locals so they stay in registers.
+        const AgeBand band = bands[0];
+        Acc a = acc[0];
+        for (std::size_t j = 0; j < n; ++j) {
+          if (track) cls[0].add(age[j], band.window);
+          if (age[j] >= band.lower && age[j] < band.upper)
+            a.add(read(g0 + j, cur[j]));
+        }
+        acc[0] = a;
+        continue;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        bool known = false;
+        decltype(read(g0 + j, cur[j])) v{};
+        for (std::size_t b = 0; b < bands.size(); ++b) {
+          if (track) cls[b].add(age[j], bands[b].window);
+          if (age[j] < bands[b].lower || age[j] >= bands[b].upper) continue;
+          if (!known) {
+            v = read(g0 + j, cur[j]);
+            known = true;
+          }
+          acc[b].add(v);
+        }
+      }
+    }
+    for (const obs::AgeClassCounts& c : cls) c.commit(true);
+  }
+
+  /// Groups currently in the default band (diagnostic; the variance
+  /// analysis of Sec. 5.3 depends on it).
+  [[nodiscard]] std::size_t legal_groups() const {
+    const std::uint64_t lower = beta_floor(cfg_.window);
+    std::size_t legal = 0;
+    for (std::size_t g = 0; g < clock_.groups(); ++g)
+      if (clock_.age(g, time_) >= lower) ++legal;
+    return legal;
+  }
+
+  /// Cells [first, first + count) of group `gid`.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> group_range(
+      std::size_t gid) const {
+    const std::size_t first = gid * cfg_.group_cells;
+    return {first, std::min(cfg_.group_cells, store_.size() - first)};
+  }
+
+  // --- state -----------------------------------------------------------------
+
   [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
+  [[nodiscard]] std::size_t cell_count() const { return store_.size(); }
   [[nodiscard]] const SheConfig& config() const { return cfg_; }
   [[nodiscard]] const Policy& policy() const { return policy_; }
+  [[nodiscard]] const GroupClock& clock() const { return clock_; }
+  [[nodiscard]] const Store& store() const { return store_; }
 
-  /// Memory model: policy-declared bits per cell plus the time marks.
-  /// (Generic storage is one `Cell` per slot; the figure-grade specialized
-  /// classes pack cells tightly, so budget experiments should use those.)
+  /// Payload + time-mark bytes (the figures' memory axis).  Packed stores
+  /// report their words; a VectorStore counts the policy's declared bits
+  /// per cell (the memory model, not the padded footprint).
   [[nodiscard]] std::size_t memory_bytes() const {
-    return ceil_div(cells_.size() * Policy::cell_bits(), 8) + clock_.memory_bytes();
+    return store_bytes() + clock_.memory_bytes();
+  }
+
+  /// Checkpoint the full sliding-window state; load() resumes with
+  /// identical answers.  Layout: tag, config, policy parameters, time,
+  /// clock, cells.
+  void save(BinaryWriter& out) const {
+    out.tag(Policy::kTag);
+    cfg_.save(out);
+    if constexpr (requires { policy_.save(out); }) policy_.save(out);
+    out.u64(time_);
+    clock_.save(out);
+    store_.save(out);
+  }
+
+  static SlidingEstimator load(BinaryReader& in) {
+    in.expect_tag(Policy::kTag);
+    const SheConfig cfg = SheConfig::load(in);
+    SlidingEstimator est(cfg, Policy::load(in, cfg));
+    est.time_ = in.u64();
+    est.clock_ = GroupClock::load(in);
+    est.store_.load(in);
+    if (est.clock_.groups() != cfg.groups() || est.store_.size() != cfg.cells)
+      throw std::runtime_error(std::string(Policy::kName) +
+                               "::load: shape mismatch");
+    return est;
+  }
+
+ protected:
+  /// The one batch-insert driver.  `times` null means +1 per key.  After
+  /// each key's update, `post(i, slots)` runs with that key's staged slots
+  /// (null on the per-key fallback): SHE-CM's fused estimate hooks in here.
+  template <typename PostFn>
+  void insert_many(std::span<const std::uint64_t> keys,
+                   const std::uint64_t* times, PostFn&& post) {
+    if (!stageable()) {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
+        post(i, nullptr);
+      }
+      return;
+    }
+    const unsigned k = probes();
+    // Cache-resident arrays are not worth prefetching (batch.hpp).
+    const bool warm_cells = store_bytes() >= batch::kPrefetchFootprint;
+    const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
+    const BlockShape shape = block_shape(k);
+    const batch::MarkStager stager(clock_, time_, times);
+    batch::pipelined_blocks(
+        keys, k, scratch_,
+        // Stage 1: the policy's hash stage, then the marks; aux = cur << 32
+        // | staged word.
+        [&](std::size_t begin, std::size_t n, Slot* out) {
+          if constexpr (kAllCells) {
+            // Slot i of every key is cell i and group i (stage 2 knows, so
+            // only aux is staged), all at that key's time: one sweep over
+            // the marks per key, and a sequential (warm) array, so no
+            // prefetches.  Blocks can exceed the slot budget here.
+            stage_buf_.resize(n * k + clock_.groups());
+            std::uint32_t* word = stage_buf_.data();
+            std::uint32_t* cur = word + n * k;
+            hash_block(keys.data() + begin, n, shape,
+                       {nullptr, nullptr, nullptr, word});
+            for (std::size_t b = 0; b < n; ++b) {
+              clock_.stage_marks_range(
+                  0, clock_.groups(), clock_.split(stager.time_of(begin + b)),
+                  cur);
+              for (std::size_t i = 0; i < k; ++i)
+                out[b * k + i].aux =
+                    (std::uint64_t{cur[i]} << 32) | word[b * k + i];
+            }
+          } else {
+            // A block stages at most kSlotBudget probes (stageable()).
+            std::uint32_t hash[batch::kSlotBudget], pos[batch::kSlotBudget],
+                gid[batch::kSlotBudget], word[batch::kSlotBudget],
+                cur[batch::kSlotBudget];
+            hash_block(keys.data() + begin, n, shape, {hash, pos, gid, word});
+            stager.stage(begin, n, k, gid, cur);
+            for (std::size_t s = 0; s < n * k; ++s) {
+              std::uint64_t aux = std::uint64_t{cur[s]} << 32;
+              if constexpr (kStagedUpdate) aux |= word[s];
+              out[s] = {pos[s], gid[s], aux};
+              if (warm_cells) store_.prefetch(pos[s], true);
+              if (warm_marks) clock_.prefetch(gid[s], true);
+            }
+          }
+        },
+        // Stage 2: per key, in order, CheckGroup against the staged mark
+        // and F.  Captured by value so the loop state stays in registers
+        // across the clean path's calls.
+        [this, keys, times, k, &post](std::size_t i, const Slot* slots) {
+          time_ = times != nullptr ? times[i] : time_ + 1;
+          for (unsigned h = 0; h < k; ++h) {
+            const Slot& s = slots[h];
+            const std::size_t pos = kAllCells ? h : s.pos;
+            const std::size_t gid = kAllCells ? h : s.gid;
+            if (clock_.touch_precomputed(gid, s.aux >> 32)) clear_group(gid);
+            store_.update(pos, [&](Cell old) {
+              if constexpr (kStagedUpdate) {
+                return policy_.update_staged(static_cast<std::uint32_t>(s.aux),
+                                             old);
+              } else {
+                return policy_.update(keys[i], h, old);
+              }
+            });
+          }
+          post(i, slots);
+        });
+    if (obs::enabled())
+      obs::she_metrics().hash_calls.inc(
+          static_cast<std::uint64_t>(keys.size()) * hashes_per_key());
   }
 
  private:
-  void touch_group(std::size_t gid) {
-    if (!clock_.touch(gid, time_)) return;
-    std::size_t first = gid * cfg_.group_cells;
-    std::size_t count = std::min(cfg_.group_cells, cells_.size() - first);
-    std::fill(cells_.begin() + static_cast<std::ptrdiff_t>(first),
-              cells_.begin() + static_cast<std::ptrdiff_t>(first + count),
-              Policy::empty_cell());
+  static constexpr bool kStagedUpdate =
+      requires(const Policy p, std::uint32_t w, Cell c) { p.update_staged(w, c); };
+  static constexpr bool kAllCells = requires { Policy::kAllCells; };
+
+  [[nodiscard]] static const char* name() {
+    if constexpr (requires { Policy::kName; }) {
+      return Policy::kName;
+    } else {
+      return "SlidingEstimator";
+    }
+  }
+
+  [[nodiscard]] unsigned probes() const { return policy_.probes(store_.size()); }
+
+  [[nodiscard]] std::uint64_t hashes_per_key() const {
+    if constexpr (requires { Policy::kExtraHashes; }) {
+      return probes() + Policy::kExtraHashes;
+    } else {
+      return probes();
+    }
+  }
+
+  /// Whether batches take the block stage: positions must fit the
+  /// kernels' 32-bit lanes, and one key's probes the slot budget (unless
+  /// every cell is a probe: those blocks size themselves to one key).  Any
+  /// other shape loops over the per-key methods.
+  [[nodiscard]] bool stageable() const {
+    if constexpr (kAllCells) {
+      return batch::stageable(store_.size());
+    } else {
+      return batch::stageable(store_.size(), probes());
+    }
+  }
+
+  [[nodiscard]] std::uint64_t beta_floor(std::uint64_t w) const {
+    return static_cast<std::uint64_t>(cfg_.beta * static_cast<double>(w));
+  }
+
+  [[nodiscard]] std::size_t store_bytes() const {
+    if constexpr (requires { store_.memory_bytes(); }) {
+      return store_.memory_bytes();
+    } else {
+      return ceil_div(store_.size() * Policy::cell_bits(), 8);
+    }
+  }
+
+  [[nodiscard]] BlockShape block_shape(unsigned k) const {
+    return {k, FastDiv32(static_cast<std::uint32_t>(store_.size())),
+            FastDiv32(static_cast<std::uint32_t>(cfg_.group_cells))};
+  }
+
+  /// Stage 1's hash step: the policy's hook, or position() per probe.
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const {
+    if constexpr (requires { policy_.hash_block(keys, n, shape, out); }) {
+      policy_.hash_block(keys, n, shape, out);
+    } else {
+      static_assert(!kAllCells, "all-cells policies stage words in hash_block");
+      // do-while: a block holds at least one key and a key one probe.
+      const std::size_t cells = store_.size();
+      std::size_t s = 0;
+      do {
+        out.hash[s] = static_cast<std::uint32_t>(
+            policy_.position(keys[s / shape.k], s % shape.k, cells));
+      } while (++s < n * shape.k);
+      // Positions are already below the cell count: this only derives the
+      // groups (and copies the positions).
+      simd::positions_groups(out.hash, n * shape.k, shape.mod_cells,
+                             shape.div_group, out.pos, out.gid);
+    }
+  }
+
+  void clear_group(std::size_t gid) {
+    const auto [first, count] = group_range(gid);
+    store_.clear_range(first, count);
   }
 
   SheConfig cfg_;
   Policy policy_;
   GroupClock clock_;
-  std::vector<Cell> cells_;
+  Store store_;
   std::uint64_t time_ = 0;
+  // Batch staging (not state).
+  std::vector<Slot> scratch_;
+  std::vector<std::uint32_t> stage_buf_;  // all-cells words and marks
 };
-
-// ---------------------------------------------------------------------------
-// The five paper policies (Fig. 2's table).
-// ---------------------------------------------------------------------------
-
-/// Bloom filter: <bit, k, F(x,y) = 1>.
-struct BloomPolicy {
-  using Cell = std::uint8_t;
-  unsigned hashes = 8;
-  std::uint32_t seed = 0;
-
-  [[nodiscard]] unsigned probes(std::size_t) const { return hashes; }
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i,
-                                     std::size_t cells) const {
-    return BobHash32(seed + i)(key) % cells;
-  }
-  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell) const { return 1; }
-  static Cell empty_cell() { return 0; }
-  static std::size_t cell_bits() { return 1; }
-};
-
-/// Bitmap: <bit, 1, F(x,y) = 1>.
-struct BitmapPolicy {
-  using Cell = std::uint8_t;
-  std::uint32_t seed = 0;
-
-  [[nodiscard]] unsigned probes(std::size_t) const { return 1; }
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned,
-                                     std::size_t cells) const {
-    return BobHash32(seed)(key) % cells;
-  }
-  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell) const { return 1; }
-  static Cell empty_cell() { return 0; }
-  static std::size_t cell_bits() { return 1; }
-};
-
-/// HyperLogLog: <counter, 1, F(x,y) = max(rank(x), y)>.
-struct HllPolicy {
-  using Cell = std::uint8_t;
-  std::uint32_t seed = 0;
-
-  [[nodiscard]] unsigned probes(std::size_t) const { return 1; }
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned,
-                                     std::size_t cells) const {
-    return BobHash32(seed)(key) % cells;
-  }
-  [[nodiscard]] Cell update(std::uint64_t key, unsigned, Cell old) const {
-    std::uint8_t rank = hll_rank(BobHash32(seed + 0x5eed)(key), 32);
-    if (rank > 31) rank = 31;  // 5-bit register ceiling
-    return rank > old ? rank : old;
-  }
-  static Cell empty_cell() { return 0; }
-  static std::size_t cell_bits() { return 5; }
-};
-
-/// Count-Min: <counter, k, F(x,y) = y + 1>.
-struct CountMinPolicy {
-  using Cell = std::uint32_t;
-  unsigned hashes = 8;
-  std::uint32_t seed = 0;
-
-  [[nodiscard]] unsigned probes(std::size_t) const { return hashes; }
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i,
-                                     std::size_t cells) const {
-    return BobHash32(seed + i)(key) % cells;
-  }
-  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell old) const {
-    return old == ~Cell{0} ? old : old + 1;
-  }
-  static Cell empty_cell() { return 0; }
-  static std::size_t cell_bits() { return 32; }
-};
-
-/// MinHash: <counter, m, F(x,y) = min(hash_i(x), y)> — every cell is probed.
-struct MinHashPolicy {
-  using Cell = std::uint32_t;
-  std::uint32_t seed = 0;
-  static constexpr Cell kEmpty = 1u << 24;
-
-  [[nodiscard]] unsigned probes(std::size_t cells) const {
-    return static_cast<unsigned>(cells);
-  }
-  [[nodiscard]] std::size_t position(std::uint64_t, unsigned i,
-                                     std::size_t) const {
-    return i;  // slot i is updated by hash function i
-  }
-  [[nodiscard]] Cell update(std::uint64_t key, unsigned i, Cell old) const {
-    Cell v = BobHash32(seed + i)(key) & 0xFFFFFFu;
-    return v < old ? v : old;
-  }
-  static Cell empty_cell() { return kEmpty; }
-  static std::size_t cell_bits() { return 24; }
-};
-
-// ---------------------------------------------------------------------------
-// Query functions for the standard policies (paper Sec. 4).
-// ---------------------------------------------------------------------------
-
-/// SHE-BF membership: ignore young probes; any zero mature probe proves
-/// absence (one-sided, no false negatives).
-template <CsmPolicy P>
-  requires std::same_as<P, BloomPolicy>
-[[nodiscard]] bool contains(const SlidingEstimator<P>& est, std::uint64_t key) {
-  unsigned k = est.policy().probes(est.cell_count());
-  for (unsigned i = 0; i < k; ++i) {
-    auto cell = est.probe(key, i);
-    if (cell.age_class == CellAge::kYoung) continue;
-    if (cell.value == 0) return false;
-  }
-  return true;
-}
-
-/// SHE-BM cardinality: linear counting over the legal cells, scaled to the
-/// whole array.
-template <CsmPolicy P>
-  requires std::same_as<P, BitmapPolicy>
-[[nodiscard]] double cardinality(const SlidingEstimator<P>& est);
-
-/// SHE-HLL cardinality: bias-corrected harmonic mean over legal registers.
-template <CsmPolicy P>
-  requires std::same_as<P, HllPolicy>
-[[nodiscard]] double cardinality(const SlidingEstimator<P>& est);
-
-/// SHE-CM frequency: min over mature probes; min over all probes if every
-/// probe is young (the documented two-sided corner).
-template <CsmPolicy P>
-  requires std::same_as<P, CountMinPolicy>
-[[nodiscard]] std::uint64_t frequency(const SlidingEstimator<P>& est,
-                                      std::uint64_t key) {
-  std::uint64_t best_mature = ~std::uint64_t{0};
-  std::uint64_t best_any = ~std::uint64_t{0};
-  unsigned k = est.policy().probes(est.cell_count());
-  for (unsigned i = 0; i < k; ++i) {
-    auto cell = est.probe(key, i);
-    std::uint64_t v = cell.value;
-    if (v < best_any) best_any = v;
-    if (cell.age_class != CellAge::kYoung && v < best_mature) best_mature = v;
-  }
-  return best_mature != ~std::uint64_t{0} ? best_mature : best_any;
-}
-
-/// SHE-MH similarity: equal legal slots over compared legal slots.
-[[nodiscard]] double jaccard(const SlidingEstimator<MinHashPolicy>& a,
-                             const SlidingEstimator<MinHashPolicy>& b);
 
 }  // namespace she::csm

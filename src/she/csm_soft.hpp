@@ -16,7 +16,7 @@
 
 #include "common/int_math.hpp"
 #include "she/config.hpp"
-#include "she/csm.hpp"
+#include "she/she_bloom.hpp"
 
 namespace she::csm {
 

@@ -264,6 +264,11 @@ void GroupClock::stage_marks_ramp(const std::uint32_t* gids, std::size_t n,
 void GroupClock::stage_marks_rep(const std::uint32_t* gids, std::size_t nkeys,
                                  unsigned k, TimeParts p0,
                                  std::uint32_t* curs) const {
+  // One probe per key is the ramp shape, which vectorizes across keys.
+  if (k == 1) {
+    stage_marks_ramp(gids, nkeys, p0, curs);
+    return;
+  }
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
     stage_rep_avx2(offsets_data(), gids, nkeys, k, p0.cycle, p0.rem,

@@ -6,46 +6,53 @@
 // base estimator has two-sided error, so near-window young cells reduce
 // bias) — counts their zero bits, and extrapolates the zero fraction to the
 // whole array: C_hat = -M * ln(u / (w * l)).
+//
+// Inserts, time, save/load and the age-band scan come from the engine
+// (csm.hpp); this class adds the linear-counting estimator.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/bit_array.hpp"
 #include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/csm.hpp"
 
 namespace she {
+namespace csm {
 
-class SheBitmap {
+/// Bitmap: <bit, 1, F(x,y) = 1>.
+struct BitmapPolicy {
+  using Cell = std::uint8_t;
+  using Store = BitStore;
+  static constexpr const char* kName = "SheBitmap";
+  static constexpr char kTag[5] = "SHBM";
+  std::uint32_t seed = 0;
+
+  [[nodiscard]] unsigned probes(std::size_t) const { return 1; }
+  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned,
+                                     std::size_t cells) const {
+    return BobHash32(seed)(key) % cells;
+  }
+  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell) const { return 1; }
+  static Cell empty_cell() { return 0; }
+  static std::size_t cell_bits() { return 1; }
+
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const {
+    kprobe_hash_block(keys, n, seed, shape, out);
+  }
+  static BitmapPolicy load(BinaryReader&, const SheConfig& cfg) {
+    return {cfg.seed};
+  }
+};
+
+}  // namespace csm
+
+class SheBitmap : public csm::SlidingEstimator<csm::BitmapPolicy> {
  public:
-  explicit SheBitmap(const SheConfig& cfg);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order) via the generic she::batch pipeline: the single hashed bit and
-  /// its group mark are prefetched a block ahead.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  explicit SheBitmap(const SheConfig& cfg)
+      : SlidingEstimator(cfg, csm::BitmapPolicy{cfg.seed}) {}
 
   /// Estimated number of distinct items in the last-N window (paper
   /// estimator: legal ages [beta*N, Tcycle)).
@@ -55,7 +62,7 @@ class SheBitmap {
   /// window in [1, N].  Uses the symmetric legal band
   /// [beta*window, (2-beta)*window) so the lumped group ages centre on the
   /// queried window; smaller windows leave fewer legal groups (higher
-  /// variance).
+  /// variance), and 0.0 when no group is in the band yet.
   [[nodiscard]] double cardinality(std::uint64_t window) const;
 
   /// Batched multi-window query: element-wise identical to
@@ -64,35 +71,27 @@ class SheBitmap {
   [[nodiscard]] std::vector<double> cardinality_batch(
       std::span<const std::uint64_t> windows) const;
 
-  /// Number of groups currently in the legal age range (diagnostic; the
-  /// variance analysis of Sec. 5.3 depends on it).
-  [[nodiscard]] std::size_t legal_groups() const;
-
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return bits_.memory_bytes() + clock_.memory_bytes();
+  static SheBitmap load(BinaryReader& in) {
+    return SheBitmap(SlidingEstimator::load(in));
   }
 
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheBitmap load(BinaryReader& in);
-
  private:
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
+  explicit SheBitmap(SlidingEstimator est) : SlidingEstimator(std::move(est)) {}
 
-  SheConfig cfg_;
-  GroupClock clock_;
-  BitArray bits_;
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  /// Zero bits over the observed (in-band) cells of one age band.
+  struct ZeroCount {
+    std::size_t observed = 0;
+    std::size_t zeros = 0;
+    void add(const ZeroCount& group) {
+      observed += group.observed;
+      zeros += group.zeros;
+    }
+  };
+  void scan(std::span<const csm::AgeBand> bands,
+            std::span<ZeroCount> acc) const;
+  [[nodiscard]] double estimate(const ZeroCount& c) const;
 };
+
+extern template class csm::SlidingEstimator<csm::BitmapPolicy>;
 
 }  // namespace she

@@ -7,59 +7,67 @@
 // one-sided error exactly: SHE-BF never reports a false negative (property-
 // tested), and false positives shrink as memory grows or alpha approaches
 // the Eq. (2) optimum.
+//
+// Inserts, time, save/load and the batch pipeline come from the engine
+// (csm.hpp); this class adds the membership query.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stdexcept>
 
-#include "common/bit_array.hpp"
 #include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/csm.hpp"
 
 namespace she {
+namespace csm {
 
-class SheBloomFilter {
+/// Bloom filter: <bit, k, F(x,y) = 1>.
+struct BloomPolicy {
+  using Cell = std::uint8_t;
+  using Store = BitStore;
+  static constexpr const char* kName = "SheBloomFilter";
+  static constexpr char kTag[5] = "SHBF";
+  unsigned hashes = 8;
+  std::uint32_t seed = 0;
+
+  [[nodiscard]] unsigned probes(std::size_t) const { return hashes; }
+  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i,
+                                     std::size_t cells) const {
+    return BobHash32(seed + i)(key) % cells;
+  }
+  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell) const { return 1; }
+  static Cell empty_cell() { return 0; }
+  static std::size_t cell_bits() { return 1; }
+
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const {
+    kprobe_hash_block(keys, n, seed, shape, out);
+  }
+  void validate(const SheConfig&) const {
+    if (hashes == 0)
+      throw std::invalid_argument("SheBloomFilter: hashes must be > 0");
+  }
+  void save(BinaryWriter& out) const { out.u32(hashes); }
+  static BloomPolicy load(BinaryReader& in, const SheConfig& cfg) {
+    return {in.u32(), cfg.seed};
+  }
+};
+
+}  // namespace csm
+
+class SheBloomFilter : public csm::SlidingEstimator<csm::BloomPolicy> {
  public:
   /// `cfg.cells` bits in groups of `cfg.group_cells`, probed by `hashes`
   /// hash functions.  Default alpha for SHE-BF should come from
   /// optimal_alpha_bf() (the paper uses ~3 at its default settings).
-  SheBloomFilter(const SheConfig& cfg, unsigned hashes);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order).  Runs the generic she::batch pipeline: hashes are computed a
-  /// block ahead and the touched bit and mark lines prefetched, hiding
-  /// DRAM latency when the bit array outgrows the cache.  Under vector
-  /// dispatch (common/simd.hpp) stage 1 hashes 8–16 keys per instruction;
-  /// the scalar kernels it otherwise runs are bit-identical.  More than
-  /// batch::kSlotBudget hash functions loop over insert() instead.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch pipeline as insert_batch, so time-based wrappers get the
-  /// staged hot path instead of a per-item loop.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  SheBloomFilter(const SheConfig& cfg, unsigned hashes)
+      : SlidingEstimator(cfg, csm::BloomPolicy{hashes, cfg.seed}) {}
 
   /// Membership of `key` in the last-N window.  One-sided: a `false` answer
   /// is always correct; `true` may be a false positive.
   [[nodiscard]] bool contains(std::uint64_t key) const {
-    return contains(key, cfg_.window);
+    return contains(key, config().window);
   }
 
   /// Multi-window query: membership in the last `window` items for any
@@ -75,49 +83,22 @@ class SheBloomFilter {
   /// out[i] != 0 means present.  Throws like contains() on a bad window.
   void contains_batch(std::span<const std::uint64_t> keys,
                       std::span<std::uint8_t> out) const {
-    contains_batch(keys, out, cfg_.window);
+    contains_batch(keys, out, config().window);
   }
   void contains_batch(std::span<const std::uint64_t> keys,
                       std::span<std::uint8_t> out, std::uint64_t window) const;
 
-  /// Reset to the empty state at time 0.
-  void clear();
+  [[nodiscard]] unsigned hash_count() const { return policy().hashes; }
 
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] unsigned hash_count() const { return hashes_; }
-
-  /// Payload + time-mark bytes (the figures' memory axis).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return bits_.memory_bytes() + clock_.memory_bytes();
+  static SheBloomFilter load(BinaryReader& in) {
+    return SheBloomFilter(SlidingEstimator::load(in));
   }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheBloomFilter load(BinaryReader& in);
 
  private:
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i) const {
-    return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
-  }
-
-  // Whether the batch calls take the block stage (batch::stageable) or
-  // loop over the per-key methods.
-  [[nodiscard]] bool stageable() const {
-    return batch::stageable(cfg_.cells, hashes_);
-  }
-
-  // Shared batch-insert core: times == nullptr means +1 per key.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-
-  SheConfig cfg_;
-  unsigned hashes_;
-  GroupClock clock_;
-  BitArray bits_;
-  std::uint64_t time_ = 0;
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  explicit SheBloomFilter(SlidingEstimator est)
+      : SlidingEstimator(std::move(est)) {}
 };
+
+extern template class csm::SlidingEstimator<csm::BloomPolicy>;
 
 }  // namespace she

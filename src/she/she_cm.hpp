@@ -8,32 +8,62 @@
 // (probability (N/Tcycle)^k, e.g. 2^-8 at alpha = 1, k = 8) the query falls
 // back to the minimum over all probes and may underestimate — the only
 // two-sided corner, surfaced via `all_young_queries()`.
+//
+// Inserts, time, save/load and the batch pipeline come from the engine
+// (csm.hpp); this class adds the frequency query and the fused
+// insert-then-estimate batch.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
+#include <stdexcept>
 
 #include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/csm.hpp"
 
 namespace she {
+namespace csm {
 
-class SheCountMin {
+/// Count-Min: <counter, k, F(x,y) = y + 1>, saturating.
+struct CountMinPolicy {
+  using Cell = std::uint32_t;
+  static constexpr const char* kName = "SheCountMin";
+  static constexpr char kTag[5] = "SHCM";
+  unsigned hashes = 8;
+  std::uint32_t seed = 0;
+
+  [[nodiscard]] unsigned probes(std::size_t) const { return hashes; }
+  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i,
+                                     std::size_t cells) const {
+    return BobHash32(seed + i)(key) % cells;
+  }
+  [[nodiscard]] Cell update(std::uint64_t, unsigned, Cell old) const {
+    return old == ~Cell{0} ? old : old + 1;
+  }
+  static Cell empty_cell() { return 0; }
+  static std::size_t cell_bits() { return 32; }
+
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const {
+    kprobe_hash_block(keys, n, seed, shape, out);
+  }
+  void validate(const SheConfig&) const {
+    if (hashes == 0)
+      throw std::invalid_argument("SheCountMin: hashes must be > 0");
+  }
+  void save(BinaryWriter& out) const { out.u32(hashes); }
+  static CountMinPolicy load(BinaryReader& in, const SheConfig& cfg) {
+    return {in.u32(), cfg.seed};
+  }
+};
+
+}  // namespace csm
+
+class SheCountMin : public csm::SlidingEstimator<csm::CountMinPolicy> {
  public:
-  SheCountMin(const SheConfig& cfg, unsigned hashes);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order) via the generic she::batch pipeline: the k counter positions
-  /// are hashed a block ahead and the counter + mark lines prefetched —
-  /// the same latency-hiding win as SHE-BF once the table leaves cache.
-  void insert_batch(std::span<const std::uint64_t> keys);
+  SheCountMin(const SheConfig& cfg, unsigned hashes)
+      : SlidingEstimator(cfg, csm::CountMinPolicy{hashes, cfg.seed}) {}
 
   /// insert_batch that also writes estimates[i] = frequency(keys[i]) as
   /// answered right after keys[i]'s own update: bit-identical to
@@ -44,24 +74,9 @@ class SheCountMin {
   void insert_batch_estimates(std::span<const std::uint64_t> keys,
                               std::span<std::uint64_t> estimates);
 
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
-
   /// Estimated frequency of `key` in the last-N window.
   [[nodiscard]] std::uint64_t frequency(std::uint64_t key) const {
-    return frequency(key, cfg_.window);
+    return frequency(key, config().window);
   }
 
   /// Multi-window query: frequency in the last `window` items for any
@@ -75,60 +90,38 @@ class SheCountMin {
   /// ahead with read-hinted prefetches.
   void frequency_batch(std::span<const std::uint64_t> keys,
                        std::span<std::uint64_t> out) const {
-    frequency_batch(keys, out, cfg_.window);
+    frequency_batch(keys, out, config().window);
   }
   void frequency_batch(std::span<const std::uint64_t> keys,
                        std::span<std::uint64_t> out,
                        std::uint64_t window) const;
 
-  void clear();
+  /// Reset to the empty state at time 0 (the all-young counter included).
+  void clear() {
+    SlidingEstimator::clear();
+    all_young_ = QueryCounter();
+  }
 
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] unsigned hash_count() const { return hashes_; }
+  [[nodiscard]] unsigned hash_count() const { return policy().hashes; }
 
   /// Queries so far whose probes were all young (fallback path taken).
   [[nodiscard]] std::uint64_t all_young_queries() const {
     return all_young_.get();
   }
 
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return cells_.size() * sizeof(std::uint32_t) + clock_.memory_bytes();
+  /// load() resumes with identical answers; the all-young diagnostic
+  /// counter restarts at 0.
+  static SheCountMin load(BinaryReader& in) {
+    return SheCountMin(SlidingEstimator::load(in));
   }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers (the all-young diagnostic counter restarts at 0).
-  void save(BinaryWriter& out) const;
-  static SheCountMin load(BinaryReader& in);
 
  private:
-  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned i) const {
-    return BobHash32(cfg_.seed + i)(key) % cfg_.cells;
-  }
-
-  // Whether the batch calls take the block stage (batch::stageable) or
-  // loop over the per-key methods.
-  [[nodiscard]] bool stageable() const {
-    return batch::stageable(cfg_.cells, hashes_);
-  }
-
-  // Shared batch-insert core: times == nullptr means +1 per key; a non-null
-  // `estimates` (implicit times only) receives each key's post-update
-  // frequency.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times, std::uint64_t* estimates);
+  explicit SheCountMin(SlidingEstimator est) : SlidingEstimator(std::move(est)) {}
 
   // frequency() of the key whose k staged slots are `slots`, evaluated
-  // right after that key's update at `now` == split(time_).  Slot aux
-  // holds the group id in its low 32 bits.
-  [[nodiscard]] std::uint64_t estimate_staged(const batch::Slot* slots,
+  // right after that key's update at `now` == split(time()).
+  [[nodiscard]] std::uint64_t estimate_staged(const Slot* slots,
                                               GroupClock::TimeParts now) const;
-
-  SheConfig cfg_;
-  unsigned hashes_;
-  GroupClock clock_;
-  std::vector<std::uint32_t> cells_;
-  std::uint64_t time_ = 0;
 
   /// The one field a const query writes.  A relaxed atomic, so concurrent
   /// queries on one shared estimator (a published pipeline view) count
@@ -150,7 +143,8 @@ class SheCountMin {
     std::atomic<std::uint64_t> n_{0};
   };
   mutable QueryCounter all_young_;
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
 };
+
+extern template class csm::SlidingEstimator<csm::CountMinPolicy>;
 
 }  // namespace she

@@ -7,48 +7,70 @@
 // bias-corrected harmonic estimator scaled to the full register count,
 // C_hat = alpha_k * k * M / sum(2^-l_j), with linear-counting small-range
 // correction.
+//
+// Inserts, time, save/load and the age-band scan come from the engine
+// (csm.hpp); this class adds the harmonic-mean estimator.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/bobhash.hpp"
-#include "common/packed_array.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "common/int_math.hpp"
+#include "she/csm.hpp"
 
 namespace she {
+namespace csm {
 
-class SheHyperLogLog {
+/// HyperLogLog: <5-bit counter, 1, F(x,y) = max(rank(x), y)>.
+struct HllPolicy {
+  using Cell = std::uint8_t;
+  using Store = PackedStore<Cell, 5>;
+  static constexpr const char* kName = "SheHyperLogLog";
+  static constexpr char kTag[5] = "SHLL";
+  static constexpr unsigned kExtraHashes = 1;  // the rank hash
+  static constexpr std::uint32_t kRankSeed = 0x5eed;  // seed offset of Hz
+  std::uint32_t seed = 0;
+
+  /// Rank of a rank-hash value, clamped to the 5-bit register ceiling.
+  static std::uint32_t rank_of(std::uint32_t h) {
+    return std::min<std::uint32_t>(hll_rank(h, 32), 31);
+  }
+
+  [[nodiscard]] unsigned probes(std::size_t) const { return 1; }
+  [[nodiscard]] std::size_t position(std::uint64_t key, unsigned,
+                                     std::size_t cells) const {
+    return BobHash32(seed)(key) % cells;
+  }
+  [[nodiscard]] Cell update(std::uint64_t key, unsigned, Cell old) const {
+    return update_staged(rank_of(BobHash32(seed + kRankSeed)(key)), old);
+  }
+  [[nodiscard]] Cell update_staged(std::uint32_t rank, Cell old) const {
+    return rank > old ? static_cast<Cell>(rank) : old;
+  }
+  static Cell empty_cell() { return 0; }
+  static std::size_t cell_bits() { return 5; }
+
+  /// Stage 1: the register-index and rank hash sweeps; words are ranks.
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const;
+  void validate(const SheConfig& cfg) const;
+  static HllPolicy load(BinaryReader&, const SheConfig& cfg) {
+    return {cfg.seed};
+  }
+};
+
+}  // namespace csm
+
+class SheHyperLogLog : public csm::SlidingEstimator<csm::HllPolicy> {
  public:
   /// `cfg.cells` registers; `cfg.group_cells` must be 1 (the paper fixes
   /// w = 1 for SHE-HLL).
-  explicit SheHyperLogLog(const SheConfig& cfg);
-
-  /// Insert one item; advances the stream clock by one.
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order): both hashes (register index and rank) are computed a block
-  /// ahead and the register + mark lines prefetched.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
+  explicit SheHyperLogLog(const SheConfig& cfg)
+      : SlidingEstimator(cfg, csm::HllPolicy{cfg.seed}) {}
 
   /// Estimated number of distinct items in the last-N window (paper
   /// estimator: legal ages [beta*N, Tcycle)).
@@ -56,7 +78,7 @@ class SheHyperLogLog {
 
   /// Multi-window query: distinct items in the last `window` items for any
   /// window in [1, N], using the symmetric legal band
-  /// [beta*window, (2-beta)*window).
+  /// [beta*window, (2-beta)*window); 0.0 when no register is in the band.
   [[nodiscard]] double cardinality(std::uint64_t window) const;
 
   /// Batched multi-window query: element-wise identical to
@@ -65,34 +87,31 @@ class SheHyperLogLog {
   [[nodiscard]] std::vector<double> cardinality_batch(
       std::span<const std::uint64_t> windows) const;
 
-  /// Registers currently in the legal age range (diagnostic).
-  [[nodiscard]] std::size_t legal_groups() const;
-
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return regs_.memory_bytes() + clock_.memory_bytes();
+  static SheHyperLogLog load(BinaryReader& in) {
+    return SheHyperLogLog(SlidingEstimator::load(in));
   }
 
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheHyperLogLog load(BinaryReader& in);
-
  private:
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
+  explicit SheHyperLogLog(SlidingEstimator est)
+      : SlidingEstimator(std::move(est)) {}
 
-  SheConfig cfg_;
-  GroupClock clock_;
-  PackedArray regs_;  // 5-bit ranks, 0 = empty
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  /// Harmonic sum over the observed (in-band) registers of one age band.
+  struct RankSum {
+    double sum = 0.0;
+    std::size_t observed = 0;
+    std::size_t zeros = 0;
+    void add(std::uint64_t rank) {
+      ++observed;
+      if (rank == 0) ++zeros;
+      // 2^-rank, built from its exponent bits: exactly std::ldexp(1.0,
+      // -rank) for the 5-bit ranks, without a libm call per register.
+      sum += std::bit_cast<double>((std::uint64_t{1023} - rank) << 52);
+    }
+  };
+  void scan(std::span<const csm::AgeBand> bands, std::span<RankSum> acc) const;
+  [[nodiscard]] double estimate(const RankSum& s) const;
 };
+
+extern template class csm::SlidingEstimator<csm::HllPolicy>;
 
 }  // namespace she

@@ -6,6 +6,9 @@
 // with the *same* configuration and hash seed over lock-step streams:
 // slots whose age is legal on both sides are compared, and the similarity
 // is (#equal legal slots) / (#legal slots).
+//
+// Inserts, time, save/load and the age-band scan come from the engine
+// (csm.hpp); this class adds the similarity estimator.
 #pragma once
 
 #include <cstdint>
@@ -13,60 +16,60 @@
 #include <vector>
 
 #include "common/bobhash.hpp"
-#include "she/batch.hpp"
-#include "she/config.hpp"
-#include "she/group_clock.hpp"
+#include "she/csm.hpp"
 
 namespace she {
+namespace csm {
 
-class SheMinHash {
+/// MinHash: <24-bit counter, m, F(x,y) = min(hash_i(x), y)> — every cell
+/// is probed (K = m), slot i by hash function i.
+struct MinHashPolicy {
+  using Cell = std::uint32_t;
+  static constexpr const char* kName = "SheMinHash";
+  static constexpr char kTag[5] = "SHMH";
+  static constexpr bool kAllCells = true;
+  /// Empty-slot sentinel, larger than any 24-bit hash value.
+  static constexpr Cell kEmpty = 1u << 24;
+  std::uint32_t seed = 0;
+
+  [[nodiscard]] unsigned probes(std::size_t cells) const {
+    return static_cast<unsigned>(cells);
+  }
+  [[nodiscard]] std::size_t position(std::uint64_t, unsigned i,
+                                     std::size_t) const {
+    return i;
+  }
+  [[nodiscard]] Cell update(std::uint64_t key, unsigned i, Cell old) const {
+    return update_staged(BobHash32(seed + i)(key), old);
+  }
+  [[nodiscard]] Cell update_staged(std::uint32_t h, Cell old) const {
+    const Cell v = h & 0xFFFFFFu;
+    return v < old ? v : old;
+  }
+  static Cell empty_cell() { return kEmpty; }
+  static std::size_t cell_bits() { return 24; }
+
+  /// Stage 1: each key hashed across the seed axis (m consecutive seeds);
+  /// words are the hashes update_staged() takes the minimum of.
+  void hash_block(const std::uint64_t* keys, std::size_t n,
+                  const BlockShape& shape, const StagedBlock& out) const;
+  static MinHashPolicy load(BinaryReader&, const SheConfig& cfg) {
+    return {cfg.seed};
+  }
+};
+
+}  // namespace csm
+
+class SheMinHash : public csm::SlidingEstimator<csm::MinHashPolicy> {
  public:
   /// `cfg.cells` signature slots; `cfg.group_cells` must be 1 (w = 1).
-  explicit SheMinHash(const SheConfig& cfg);
+  explicit SheMinHash(const SheConfig& cfg)
+      : SlidingEstimator(cfg, csm::MinHashPolicy{cfg.seed}) {}
 
-  /// Insert one item; advances the stream clock by one.  Every slot is
-  /// updated (MinHash's K = m in the CSM).
-  void insert(std::uint64_t key);
-
-  /// Insert a batch (bit-for-bit equivalent to insert() per key, in
-  /// order).  With K = m the signature is scanned sequentially anyway, so
-  /// the win here is staged hashing and uniform metric accounting rather
-  /// than prefetch; the generic layer sizes its blocks down automatically.
-  void insert_batch(std::span<const std::uint64_t> keys);
-
-  /// Time-based windows: insert at explicit timestamp `t` (monotone
-  /// non-decreasing; throws std::invalid_argument if it moves backwards).
-  /// With insert_at, `window` counts time units instead of items.
-  void insert_at(std::uint64_t key, std::uint64_t t);
-
-  /// Batched insert_at: key[i] inserted at times[i] (monotone
-  /// non-decreasing, validated up front; throws like insert_at).  Runs the
-  /// same batch pipeline as insert_batch.
-  void insert_at_batch(std::span<const std::uint64_t> keys,
-                       std::span<const std::uint64_t> times);
-
-  /// Advance the clock to `t` without inserting, so queries reflect the
-  /// window (t - N, t] even during arrival gaps.
-  void advance_to(std::uint64_t t);
-
-  void clear();
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] std::size_t slot_count() const { return sig_.size(); }
-
-  /// Signature bytes (24-bit slots) + time marks.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return sig_.size() * 3 + clock_.memory_bytes();
-  }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.
-  void save(BinaryWriter& out) const;
-  static SheMinHash load(BinaryReader& in);
+  [[nodiscard]] std::size_t slot_count() const { return cell_count(); }
 
   /// Empty-slot sentinel, larger than any 24-bit hash value.
-  static constexpr std::uint32_t kEmpty = 1u << 24;
+  static constexpr std::uint32_t kEmpty = csm::MinHashPolicy::kEmpty;
 
   /// Estimated Jaccard similarity of the two streams' last-N windows.
   /// Both signatures must share cfg (cells, window, alpha, seed) and be at
@@ -86,24 +89,29 @@ class SheMinHash {
                                            const SheMinHash& b,
                                            std::span<const std::uint64_t> windows);
 
+  static SheMinHash load(BinaryReader& in) {
+    return SheMinHash(SlidingEstimator::load(in));
+  }
+
  private:
-  [[nodiscard]] std::uint32_t value(std::uint64_t key, std::size_t i) const {
-    return BobHash32(cfg_.seed + static_cast<std::uint32_t>(i))(key) & 0xFFFFFFu;
-  }
-  [[nodiscard]] bool legal_age(std::uint64_t age) const;
-  [[nodiscard]] std::uint32_t effective_slot(std::size_t i) const {
-    return clock_.stale(i, time_) ? kEmpty : sig_[i];
-  }
+  explicit SheMinHash(SlidingEstimator est) : SlidingEstimator(std::move(est)) {}
 
-  SheConfig cfg_;
-  GroupClock clock_;
-  std::vector<std::uint32_t> sig_;
-  std::uint64_t time_ = 0;
-  // Shared batch-insert core: times == nullptr means +1 per key.
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times);
-
-  std::vector<batch::Slot> scratch_;  // insert_batch staging (not state)
+  /// Equal and compared slots of one age band.
+  struct Matches {
+    std::size_t compared = 0;
+    std::size_t match = 0;
+    void add(const std::pair<std::uint32_t, std::uint32_t>& slots) {
+      if (slots.first == kEmpty && slots.second == kEmpty)
+        return;  // neither window seen here
+      ++compared;
+      if (slots.first == slots.second) ++match;
+    }
+    [[nodiscard]] double similarity() const;
+  };
+  static void scan(const SheMinHash& a, const SheMinHash& b,
+                   std::span<const csm::AgeBand> bands, std::span<Matches> acc);
 };
+
+extern template class csm::SlidingEstimator<csm::MinHashPolicy>;
 
 }  // namespace she

@@ -1,10 +1,14 @@
-// CSM generic-framework tests: the policy-based SlidingEstimator must be
-// answer-equivalent to the hand-specialized classes (same hashing, same
-// clock), and must accept user-defined policies.
+// CSM engine tests: the same policy must hold identical cells on the
+// default one-Cell-per-slot store and on the packed store its estimator
+// class uses, and user-defined policies must get sliding-window behaviour,
+// batch path included.
 #include "she/csm.hpp"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "common/simd.hpp"
 #include "she/she.hpp"
 #include "stream/oracle.hpp"
 #include "stream/trace.hpp"
@@ -24,54 +28,62 @@ SheConfig cfg_of(std::uint64_t window, std::size_t cells, std::size_t w,
   return cfg;
 }
 
+/// Cell-for-cell agreement: value, age and age class of every cell.
+template <typename A, typename B>
+void expect_same_cells(const A& a, const B& b, std::size_t at) {
+  ASSERT_EQ(a.time(), b.time()) << "i=" << at;
+  ASSERT_EQ(a.cell_count(), b.cell_count());
+  for (std::size_t pos = 0; pos < a.cell_count(); ++pos) {
+    const auto va = a.view(pos);
+    const auto vb = b.view(pos);
+    ASSERT_EQ(va.value, vb.value) << "i=" << at << " pos=" << pos;
+    ASSERT_EQ(va.age, vb.age) << "i=" << at << " pos=" << pos;
+    ASSERT_EQ(va.age_class, vb.age_class) << "i=" << at << " pos=" << pos;
+  }
+}
+
+// The same policy on the default one-Cell-per-slot store and on the packed
+// store the specialized class uses must hold identical cells throughout.
+
 TEST(Csm, BloomEquivalentToSpecialized) {
   SheConfig cfg = cfg_of(1024, 1 << 13, 64, 2.0, 7);
-  SlidingEstimator<BloomPolicy> generic(cfg, BloomPolicy{8, cfg.seed});
+  SlidingEstimator<BloomPolicy, VectorStore<std::uint8_t>> generic(
+      cfg, BloomPolicy{8, cfg.seed});
   SheBloomFilter specialized(cfg, 8);
 
   auto trace = stream::distinct_trace(6 * cfg.window, 3);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     generic.insert(trace[i]);
     specialized.insert(trace[i]);
-    if (i % 101 != 0) continue;
-    // Compare on recent keys, old keys, and absent probes.
-    for (std::uint64_t probe :
-         {trace[i], trace[i / 2], trace[0], hash64(i, 99), hash64(i, 100)}) {
-      ASSERT_EQ(contains(generic, probe), specialized.contains(probe))
-          << "i=" << i << " probe=" << probe;
-    }
+    if (i % 101 == 0) expect_same_cells(generic, specialized, i);
   }
 }
 
 TEST(Csm, BitmapEquivalentToSpecialized) {
   SheConfig cfg = cfg_of(2048, 1 << 14, 64, 0.2, 5);
-  SlidingEstimator<BitmapPolicy> generic(cfg, BitmapPolicy{cfg.seed});
+  SlidingEstimator<BitmapPolicy, VectorStore<std::uint8_t>> generic(
+      cfg, BitmapPolicy{cfg.seed});
   SheBitmap specialized(cfg);
 
   auto trace = stream::distinct_trace(6 * cfg.window, 9);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     generic.insert(trace[i]);
     specialized.insert(trace[i]);
-    if (i % 509 == 0) {
-      ASSERT_DOUBLE_EQ(cardinality(generic), specialized.cardinality())
-          << "i=" << i;
-    }
+    if (i % 509 == 0) expect_same_cells(generic, specialized, i);
   }
 }
 
 TEST(Csm, HllEquivalentToSpecialized) {
   SheConfig cfg = cfg_of(4096, 1024, 1, 0.2, 11);
-  SlidingEstimator<HllPolicy> generic(cfg, HllPolicy{cfg.seed});
+  SlidingEstimator<HllPolicy, VectorStore<std::uint8_t>> generic(
+      cfg, HllPolicy{cfg.seed});
   SheHyperLogLog specialized(cfg);
 
   auto trace = stream::distinct_trace(5 * cfg.window, 13);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     generic.insert(trace[i]);
     specialized.insert(trace[i]);
-    if (i % 997 == 0) {
-      ASSERT_DOUBLE_EQ(cardinality(generic), specialized.cardinality())
-          << "i=" << i;
-    }
+    if (i % 997 == 0) expect_same_cells(generic, specialized, i);
   }
 }
 
@@ -89,37 +101,28 @@ TEST(Csm, CountMinEquivalentToSpecialized) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     generic.insert(trace[i]);
     specialized.insert(trace[i]);
-    if (i % 211 == 0) {
-      ASSERT_EQ(frequency(generic, trace[i]), specialized.frequency(trace[i]))
-          << "i=" << i;
-    }
+    if (i % 211 == 0) expect_same_cells(generic, specialized, i);
   }
 }
 
 TEST(Csm, MinHashEquivalentToSpecialized) {
   SheConfig cfg = cfg_of(2048, 256, 1, 0.2, 17);
   SlidingEstimator<MinHashPolicy> ga(cfg, MinHashPolicy{cfg.seed});
-  SlidingEstimator<MinHashPolicy> gb(cfg, MinHashPolicy{cfg.seed});
-  SheMinHash sa(cfg), sb(cfg);
+  SheMinHash sa(cfg);
 
   auto pair = stream::relevant_pair(5 * cfg.window, 2 * cfg.window, 0.6, 0.8, 7);
   for (std::size_t i = 0; i < pair.a.size(); ++i) {
     ga.insert(pair.a[i]);
-    gb.insert(pair.b[i]);
     sa.insert(pair.a[i]);
-    sb.insert(pair.b[i]);
-    if (i % 499 == 0) {
-      ASSERT_DOUBLE_EQ(jaccard(ga, gb), SheMinHash::jaccard(sa, sb)) << "i=" << i;
-    }
+    if (i % 499 == 0) expect_same_cells(ga, sa, i);
   }
 }
 
 TEST(Csm, MinHashIncompatibilityChecks) {
   SheConfig a_cfg = cfg_of(100, 64, 1, 0.5, 1);
   SheConfig b_cfg = cfg_of(100, 64, 1, 0.5, 2);  // different hash family
-  SlidingEstimator<MinHashPolicy> a(a_cfg, MinHashPolicy{a_cfg.seed});
-  SlidingEstimator<MinHashPolicy> b(b_cfg, MinHashPolicy{b_cfg.seed});
-  EXPECT_THROW((void)jaccard(a, b), std::invalid_argument);
+  SheMinHash a(a_cfg), b(b_cfg);
+  EXPECT_THROW((void)SheMinHash::jaccard(a, b), std::invalid_argument);
 }
 
 TEST(Csm, CellViewsClassifyAges) {
@@ -187,6 +190,42 @@ TEST(Csm, CustomPolicyWorks) {
   for (std::size_t pos = 0; pos < est.cell_count(); ++pos)
     later_max = std::max(later_max, est.view(pos).value);
   EXPECT_LT(later_max, 60000);
+
+  // The batch path: a policy with no stage-1 hook gets the generic stage
+  // (position() per probe), and insert_batch / insert_at_batch must leave
+  // the same cells — hence the same answers — as the per-key loop, on the
+  // vector kernels and on the scalar tails alike.  The short window makes
+  // lazy cleans fire inside blocks.
+  const SheConfig small = cfg_of(100, 1000, 16, 0.5);
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> times;
+  std::uint64_t t = 0;
+  for (std::uint64_t i = 0; i < 6000; ++i) {
+    keys.push_back(low_key(i % 1500, (i * 37) % 5000));
+    t += i % 3;
+    if (i % 1000 == 999) t += 400;  // a gap past a whole cycle
+    times.push_back(t);
+  }
+  for (const bool scalar : {false, true}) {
+    const simd::ScopedForceScalar pin(scalar);
+    SlidingEstimator<MaxPolicy> per_key(small, MaxPolicy{});
+    SlidingEstimator<MaxPolicy> per_key_at(small, MaxPolicy{});
+    SlidingEstimator<MaxPolicy> batched(small, MaxPolicy{});
+    SlidingEstimator<MaxPolicy> batched_at(small, MaxPolicy{});
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      per_key.insert(keys[i]);
+      per_key_at.insert_at(keys[i], times[i]);
+    }
+    for (std::size_t i = 0; i < keys.size(); i += 97) {
+      const std::size_t n = std::min<std::size_t>(97, keys.size() - i);
+      batched.insert_batch(std::span<const std::uint64_t>(keys.data() + i, n));
+      batched_at.insert_at_batch(
+          std::span<const std::uint64_t>(keys.data() + i, n),
+          std::span<const std::uint64_t>(times.data() + i, n));
+    }
+    expect_same_cells(per_key, batched, scalar);
+    expect_same_cells(per_key_at, batched_at, scalar);
+  }
 }
 
 TEST(Csm, ClearResets) {

@@ -4,6 +4,8 @@
 #include "she/csm_soft.hpp"
 
 #include "common/rng.hpp"
+#include "she/she_bitmap.hpp"
+#include "she/she_cm.hpp"
 #include "she/soft_bloom.hpp"
 #include "stream/trace.hpp"
 #include <gtest/gtest.h>

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
+#include <vector>
 
 #include "common/bobhash.hpp"
 #include "common/rng.hpp"
@@ -76,14 +77,22 @@ int main() {
   she::Rng rng(3);
   // Steady bidding across 10K categories, bids ~ uniform under 1000; plus
   // one whale: category 7 receives a 50'000 bid early on, never again.
+  // Events arrive in batches of 1000: insert_batch runs the engine's block
+  // pipeline (hash a block ahead, prefetch, then CheckGroup + F per event)
+  // for this policy too, with the same cells as inserting one at a time.
   tracker.insert(MaxBidPolicy::encode(7, 50'000));
-  for (std::uint64_t t = 0; t < 5 * kWindow; ++t) {
-    std::uint64_t cat = rng.below(10'000);
-    auto bid = static_cast<std::uint16_t>(rng.below(1'000));
-    tracker.insert(MaxBidPolicy::encode(cat, bid));
-    if ((t + 1) % kWindow == 0) {
+  std::vector<std::uint64_t> batch(1000);
+  for (std::uint64_t t = 0; t < 5 * kWindow; t += batch.size()) {
+    for (std::uint64_t& event : batch) {
+      std::uint64_t cat = rng.below(10'000);
+      auto bid = static_cast<std::uint16_t>(rng.below(1'000));
+      event = MaxBidPolicy::encode(cat, bid);
+    }
+    tracker.insert_batch(batch);
+    if ((t + batch.size()) % kWindow == 0) {
       std::printf("after %llu events: max bid in window for category 7 ~= %u\n",
-                  static_cast<unsigned long long>(t + 1), max_bid(tracker, 7));
+                  static_cast<unsigned long long>(t + batch.size()),
+                  max_bid(tracker, 7));
     }
   }
   std::printf("(the 50000 whale bid ages out after ~(1+alpha) windows; later "

@@ -1,4 +1,5 @@
-// Generic hash-ahead + prefetch batching for every CSM instantiation.
+// The two-stage block pipeline behind every batched insert and point query
+// (driven by csm::SlidingEstimator, csm.hpp).
 //
 // SHE's insert is a single-stage memory operation per hashed cell, so on a
 // CPU the hot path is latency-bound: hash(key) -> load line -> update is one
@@ -8,35 +9,27 @@
 // CheckGroup against the current time), any CSM sketch can be software-
 // pipelined the same way:
 //
-//   stage 1  hash a whole block of keys, record every (cell, aux) slot, and
-//            issue prefetches for the touched cell words *and* the
-//            GroupClock mark words (CheckGroup reads the mark before the
-//            cell, so a cold mark line stalls the update just as surely as
-//            a cold cell);
-//   stage 2  replay the recorded slots in arrival order, advancing the
-//            stream clock once per key and applying CheckGroup + F exactly
-//            as the per-key method would (or, for a query batch, evaluating
-//            each key's probes).
+//   stage 1  hash a whole block of keys (the policy's hash hook, on the
+//            kernels of common/simd_hash.hpp), stage every probe's GroupClock
+//            mark, and prefetch the touched cell *and* mark lines
+//            (CheckGroup reads the mark before the cell);
+//   stage 2  replay the slots in arrival order, advancing the stream clock
+//            once per key and applying CheckGroup + F exactly as the per-key
+//            method would (or, for a query batch, evaluating the probes).
 //
-// The one driver of both stages is csm::SlidingEstimator (csm.hpp).  Stage
-// 1 is the policy's hash hook — the block kernels of common/simd_hash.hpp —
-// plus the GroupClock staging calls, all of which dispatch to AVX2 / NEON
-// or to their scalar loops (SHE_FORCE_SCALAR pins the scalar ones; both are
-// bit-identical).  Stage 2 never depends on which kernel ran, and positions
-// never depend on time_, so hashing ahead changes nothing observable: the
-// per-key insert_at / contains / frequency methods are the reference
-// tests/test_batch.cpp compares the bytes against.
+// Every kernel dispatches to AVX2 / NEON or to its scalar loop
+// (SHE_FORCE_SCALAR pins the scalar ones; both are bit-identical), and
+// positions never depend on time_, so hashing ahead changes nothing
+// observable: the per-key methods are the reference tests/test_batch.cpp
+// compares the bytes against.
 //
-// The two stages are double-buffered: block i+1 is hashed and prefetched
+// The stages are double-buffered: block i+1 is hashed and prefetched
 // *before* block i is applied, so every prefetch has a full block's worth
-// of updates (not just the staging loop) to land behind before its line is
-// demanded.  The tail shorter than a block runs through the same two
-// stages, so per-key metric accounting is uniform across block and tail.
-//
-// Block sizing: kSlotBudget caps the scratch footprint so a high-K sketch
-// (SHE-MH probes every cell) degrades to small blocks instead of blowing
-// the L1; kMaxBlock caps lookahead so prefetched lines are still resident
-// when stage 2 reaches them.  See docs/INTERNALS.md "Batched hot path".
+// of updates to land behind.  The tail shorter than a block runs through
+// the same stages.  kSlotBudget caps the scratch footprint so a high-K
+// sketch degrades to small blocks instead of blowing the L1; kMaxBlock caps
+// lookahead so prefetched lines are still resident when stage 2 reaches
+// them.  See docs/INTERNALS.md §13.
 #pragma once
 
 #include <algorithm>
@@ -179,33 +172,21 @@ class MarkStager {
 
   void stage(std::size_t begin, std::size_t n, unsigned k,
              const std::uint32_t* gids, std::uint32_t* curs) const {
-    if (times_ == nullptr) {
-      GroupClock::TimeParts p = clock_.split(t0_ + begin + 1);
-      if (p.rem + static_cast<std::int64_t>(n) <=
-          static_cast<std::int64_t>(clock_.tcycle())) {
-        clock_.stage_marks_rep(gids, n, k, p, curs);
-        return;
-      }
-      for (std::size_t b = 0; b < n; ++b) {
-        stage_key(p, k, gids + b * k, curs + b * k);
-        clock_.tick(p);
-      }
+    GroupClock::TimeParts p = clock_.split(time_of(begin));
+    if (times_ == nullptr && p.rem + static_cast<std::int64_t>(n) <=
+                                 static_cast<std::int64_t>(clock_.tcycle())) {
+      clock_.stage_marks_rep(gids, n, k, p, curs);
       return;
     }
-    GroupClock::TimeParts p = clock_.split(times_[begin]);
     for (std::size_t b = 0; b < n; ++b) {
-      if (b > 0) clock_.advance(p, times_[begin + b - 1], times_[begin + b]);
-      stage_key(p, k, gids + b * k, curs + b * k);
+      if (b > 0) clock_.advance(p, time_of(begin + b - 1), time_of(begin + b));
+      for (unsigned h = 0; h < k; ++h)
+        curs[b * k + h] = static_cast<std::uint32_t>(
+            clock_.current_mark_at(p, gids[b * k + h]));
     }
   }
 
  private:
-  void stage_key(GroupClock::TimeParts p, unsigned k, const std::uint32_t* gids,
-                 std::uint32_t* curs) const {
-    for (unsigned h = 0; h < k; ++h)
-      curs[h] = static_cast<std::uint32_t>(clock_.current_mark_at(p, gids[h]));
-  }
-
   const GroupClock& clock_;
   std::uint64_t t0_;
   const std::uint64_t* times_;

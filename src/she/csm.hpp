@@ -310,7 +310,8 @@ class SlidingEstimator {
   /// + F per key.  Shapes the block stage does not take (see stageable())
   /// loop over insert().
   void insert_batch(std::span<const std::uint64_t> keys) {
-    insert_many(keys, nullptr, [](std::size_t, const Slot*) {});
+    insert_many(keys, nullptr, [](std::size_t, const Slot*) {},
+                [](std::size_t) {});
   }
 
   /// Batched insert_at: keys[i] inserted at times[i] (monotone
@@ -319,7 +320,8 @@ class SlidingEstimator {
   void insert_at_batch(std::span<const std::uint64_t> keys,
                        std::span<const std::uint64_t> times) {
     batch::validate_insert_times(keys, times, time_, name());
-    insert_many(keys, times.data(), [](std::size_t, const Slot*) {});
+    insert_many(keys, times.data(), [](std::size_t, const Slot*) {},
+                [](std::size_t) {});
   }
 
   /// Advance the clock to `t` without inserting, so queries reflect the
@@ -393,14 +395,15 @@ class SlidingEstimator {
   /// stages every probe's age and staleness at the (fixed) query time and
   /// issues read-hinted prefetches; then `each(i, slots)` runs once per key
   /// in order with that key's k slots (read them with staged_age() and
-  /// staged_value()).  For shapes the block stage does not take, `slots` is
-  /// null and `each` answers key i with the per-key query.  Local scratch
-  /// keeps this const path safe on a shared published view.
-  template <typename EachFn>
-  void probe_many(std::span<const std::uint64_t> keys, EachFn&& each) const {
+  /// staged_value()).  For shapes the block stage does not take,
+  /// `per_key(i)` answers key i with the per-key query instead.  Local
+  /// scratch keeps this const path safe on a shared published view.
+  template <typename EachFn, typename PerKeyFn>
+  void probe_many(std::span<const std::uint64_t> keys, EachFn&& each,
+                  PerKeyFn&& per_key) const {
     static_assert(!kAllCells, "all-cells policies have no point queries");
     if (!stageable()) {
-      for (std::size_t i = 0; i < keys.size(); ++i) each(i, nullptr);
+      for (std::size_t i = 0; i < keys.size(); ++i) per_key(i);
       return;
     }
     const unsigned k = probes();
@@ -421,8 +424,10 @@ class SlidingEstimator {
           hash_block(keys.data() + begin, n, shape, {hash, pos, gid, word});
           clock_.stage_marks(gid, m, now, cur, age);
           for (std::size_t s = 0; s < m; ++s) {
-            const std::uint64_t stale = clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
-            out[s] = {pos[s], gid[s], (age[s] << 1) | stale};
+            const std::uint64_t stale =
+                clock_.stored_mark(gid[s]) != cur[s] ? 1 : 0;
+            out[s].pos = pos[s];  // stage 2 of a query needs no group id
+            out[s].aux = (age[s] << 1) | stale;
             if (warm_cells) store_.prefetch(pos[s], false);
             if (warm_marks) clock_.prefetch(gid[s], false);
           }
@@ -571,15 +576,17 @@ class SlidingEstimator {
 
  protected:
   /// The one batch-insert driver.  `times` null means +1 per key.  After
-  /// each key's update, `post(i, slots)` runs with that key's staged slots
-  /// (null on the per-key fallback): SHE-CM's fused estimate hooks in here.
-  template <typename PostFn>
+  /// each key's update, `post(i, slots)` runs with that key's staged slots,
+  /// or `post_per_key(i)` on the per-key fallback: SHE-CM's fused estimate
+  /// hooks in here.
+  template <typename PostFn, typename PerKeyFn>
   void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times, PostFn&& post) {
+                   const std::uint64_t* times, PostFn&& post,
+                   PerKeyFn&& post_per_key) {
     if (!stageable()) {
       for (std::size_t i = 0; i < keys.size(); ++i) {
         insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
-        post(i, nullptr);
+        post_per_key(i);
       }
       return;
     }

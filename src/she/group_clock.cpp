@@ -76,21 +76,27 @@ __attribute__((target("avx2"), always_inline)) inline __m128i pack_low32(
   return _mm256_castsi256_si128(perm);
 }
 
+// Entry i runs at rem + step * i: step 0 is one fixed time (stage_marks),
+// step 1 one item per entry (stage_marks_ramp, whose caller guarantees
+// rem + n <= tcycle so no lane wraps a cycle boundary).
 __attribute__((target("avx2"))) void stage_gather_avx2(
     const std::int64_t* offsets, const std::uint32_t* gids, std::size_t n,
-    std::int64_t cycle, std::int64_t rem, std::int64_t tcycle,
-    std::uint64_t mask, std::uint32_t* curs, std::uint64_t* ages) noexcept {
-  const __m256i vrem = _mm256_set1_epi64x(rem);
+    std::int64_t cycle, std::int64_t rem, std::int64_t step,
+    std::int64_t tcycle, std::uint64_t mask, std::uint32_t* curs,
+    std::uint64_t* ages) noexcept {
   const __m256i vcyc = _mm256_set1_epi64x(cycle);
   const __m256i vtc = _mm256_set1_epi64x(tcycle);
   const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
   const __m256i zero = _mm256_setzero_si256();
+  const __m256i lanes = step != 0 ? _mm256_setr_epi64x(0, 1, 2, 3) : zero;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256i idx = _mm256_cvtepu32_epi64(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(gids + i)));
     const __m256i off = _mm256_i64gather_epi64(
         reinterpret_cast<const long long*>(offsets), idx, 8);
+    const __m256i vrem = _mm256_add_epi64(
+        _mm256_set1_epi64x(rem + step * static_cast<std::int64_t>(i)), lanes);
     const __m256i s = _mm256_add_epi64(vrem, off);
     const __m256i neg = _mm256_cmpgt_epi64(zero, s);  // all-ones where s < 0
     const __m256i cur =
@@ -102,7 +108,8 @@ __attribute__((target("avx2"))) void stage_gather_avx2(
     }
   }
   for (; i < n; ++i) {
-    const std::int64_t s = rem + offsets[gids[i]];
+    const std::int64_t s =
+        rem + step * static_cast<std::int64_t>(i) + offsets[gids[i]];
     curs[i] = static_cast<std::uint32_t>(
         static_cast<std::uint64_t>(cycle - (s < 0 ? 1 : 0)) & mask);
     if (ages != nullptr)
@@ -139,37 +146,6 @@ __attribute__((target("avx2"))) void stage_range_avx2(
         static_cast<std::uint64_t>(cycle - (s < 0 ? 1 : 0)) & mask);
     if (ages != nullptr)
       ages[i] = static_cast<std::uint64_t>(s < 0 ? s + tcycle : s);
-  }
-}
-
-__attribute__((target("avx2"))) void stage_ramp_avx2(
-    const std::int64_t* offsets, const std::uint32_t* gids, std::size_t n,
-    std::int64_t cycle, std::int64_t rem0, std::uint64_t mask,
-    std::uint32_t* curs) noexcept {
-  // Precondition (checked by the caller): rem0 + n <= tcycle, so lane i has
-  // rem0 + i in [0, tcycle) and s = rem0 + i + d in (-tcycle, tcycle).
-  const __m256i vcyc = _mm256_set1_epi64x(cycle);
-  const __m256i vmask = _mm256_set1_epi64x(static_cast<long long>(mask));
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i ramp = _mm256_setr_epi64x(0, 1, 2, 3);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i idx = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(gids + i)));
-    const __m256i off = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(offsets), idx, 8);
-    const __m256i vrem = _mm256_add_epi64(
-        _mm256_set1_epi64x(rem0 + static_cast<std::int64_t>(i)), ramp);
-    const __m256i s = _mm256_add_epi64(vrem, off);
-    const __m256i neg = _mm256_cmpgt_epi64(zero, s);
-    const __m256i cur =
-        _mm256_and_si256(_mm256_add_epi64(vcyc, neg), vmask);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(curs + i), pack_low32(cur));
-  }
-  for (; i < n; ++i) {
-    const std::int64_t s = rem0 + static_cast<std::int64_t>(i) + offsets[gids[i]];
-    curs[i] = static_cast<std::uint32_t>(
-        static_cast<std::uint64_t>(cycle - (s < 0 ? 1 : 0)) & mask);
   }
 }
 
@@ -216,7 +192,7 @@ void GroupClock::stage_marks(const std::uint32_t* gids, std::size_t n,
                              std::uint64_t* ages) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_gather_avx2(offsets_data(), gids, n, p.cycle, p.rem,
+    stage_gather_avx2(offsets_data(), gids, n, p.cycle, p.rem, 0,
                       static_cast<std::int64_t>(tcycle_), marks_.max_value(),
                       curs, ages);
     return;
@@ -249,8 +225,9 @@ void GroupClock::stage_marks_ramp(const std::uint32_t* gids, std::size_t n,
                                   TimeParts p0, std::uint32_t* curs) const {
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
   if (simd::active_isa() == simd::Isa::kAvx2) {
-    stage_ramp_avx2(offsets_data(), gids, n, p0.cycle, p0.rem,
-                    marks_.max_value(), curs);
+    stage_gather_avx2(offsets_data(), gids, n, p0.cycle, p0.rem, 1,
+                      static_cast<std::int64_t>(tcycle_), marks_.max_value(),
+                      curs, nullptr);
     return;
   }
 #endif

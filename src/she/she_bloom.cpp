@@ -41,26 +41,25 @@ void SheBloomFilter::contains_batch(std::span<const std::uint64_t> keys,
     throw std::invalid_argument("SheBloomFilter: contains_batch output too small");
   const bool track = obs::enabled();
   const unsigned k = hash_count();
-  probe_many(keys, [&](std::size_t i, const Slot* slots) {
-    if (slots == nullptr) {
-      out[i] = contains(keys[i], window) ? 1 : 0;
-      return;
-    }
-    // contains()'s probe-by-probe logic against the staged values.
-    obs::AgeClassCounts cls;
-    bool present = true;
-    for (unsigned h = 0; h < k; ++h) {
-      const std::uint64_t age = staged_age(slots[h]);
-      if (track) cls.add(age, window);
-      if (age < window) continue;
-      if (staged_value(slots[h]) == 0) {
-        present = false;
-        break;
-      }
-    }
-    out[i] = present ? 1 : 0;
-    if (track) cls.commit(true);
-  });
+  probe_many(
+      keys,
+      // contains()'s probe-by-probe logic against the staged values.
+      [&](std::size_t i, const Slot* slots) {
+        obs::AgeClassCounts cls;
+        bool present = true;
+        for (unsigned h = 0; h < k; ++h) {
+          const std::uint64_t age = staged_age(slots[h]);
+          if (track) cls.add(age, window);
+          if (age < window) continue;
+          if (staged_value(slots[h]) == 0) {
+            present = false;
+            break;
+          }
+        }
+        out[i] = present ? 1 : 0;
+        if (track) cls.commit(true);
+      },
+      [&](std::size_t i) { out[i] = contains(keys[i], window) ? 1 : 0; });
 }
 
 }  // namespace she

@@ -60,14 +60,13 @@ void SheCountMin::insert_batch_estimates(std::span<const std::uint64_t> keys,
     throw std::invalid_argument(
         "SheCountMin: insert_batch_estimates output too small");
   GroupClock::TimeParts now = clock().split(time());
-  insert_many(keys, nullptr, [&](std::size_t i, const Slot* slots) {
-    if (slots == nullptr) {
-      estimates[i] = frequency(keys[i]);
-      return;
-    }
-    clock().tick(now);
-    estimates[i] = estimate_staged(slots, now);
-  });
+  insert_many(
+      keys, nullptr,
+      [&](std::size_t i, const Slot* slots) {
+        clock().tick(now);
+        estimates[i] = estimate_staged(slots, now);
+      },
+      [&](std::size_t i) { estimates[i] = frequency(keys[i]); });
 }
 
 std::uint64_t SheCountMin::estimate_staged(const Slot* slots,
@@ -90,18 +89,17 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
     throw std::invalid_argument("SheCountMin: frequency_batch output too small");
   const bool track = obs::enabled();
   const unsigned k = hash_count();
-  probe_many(keys, [&](std::size_t i, const Slot* slots) {
-    if (slots == nullptr) {
-      out[i] = frequency(keys[i], window);
-      return;
-    }
-    // frequency()'s min-over-mature logic against the staged values.
-    MatureMin m(window, track);
-    for (unsigned h = 0; h < k; ++h)
-      m.add(staged_value(slots[h]), staged_age(slots[h]));
-    if (m.all_young()) all_young_.inc();
-    out[i] = m.finish();
-  });
+  probe_many(
+      keys,
+      // frequency()'s min-over-mature logic against the staged values.
+      [&](std::size_t i, const Slot* slots) {
+        MatureMin m(window, track);
+        for (unsigned h = 0; h < k; ++h)
+          m.add(staged_value(slots[h]), staged_age(slots[h]));
+        if (m.all_young()) all_young_.inc();
+        out[i] = m.finish();
+      },
+      [&](std::size_t i) { out[i] = frequency(keys[i], window); });
 }
 
 std::uint64_t SheCountMin::frequency(std::uint64_t key,

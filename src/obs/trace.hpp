@@ -41,10 +41,8 @@ namespace she::obs::trace {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-// constinit: the variable has no dynamic initializer, so every access is
-// a direct TLS access.  Without it GCC routes accesses from other
-// translation units through a TLS wrapper function, whose result UBSan's
-// null check rejects on writes.
+// constinit: direct TLS access, not GCC's TLS wrapper (whose result
+// UBSan's null check rejects on writes).
 extern constinit thread_local bool t_suppress;
 }  // namespace detail
 

@@ -60,8 +60,8 @@ class HeavyHitters {
 
   /// Replace the underlying sketch (checkpoint restore).  The candidate
   /// table restarts empty and re-populates as the resumed stream flows;
-  /// point queries are exact-as-before immediately.  The refresh phase
-  /// continues where the saved stream left it (see refresh_phase()).
+  /// point queries are exact-as-before immediately, and the refresh phase
+  /// continues where the saved stream left it.
   void restore_sketch(SheCountMin sketch) {
     sketch_ = std::move(sketch);
     candidates_.clear();
@@ -91,9 +91,8 @@ class HeavyHitters {
   static constexpr std::uint64_t kNoFloor =
       std::numeric_limits<std::uint64_t>::max();
 
-  /// Keys since the last refresh, derived from the sketch: inserts are
-  /// count-based only, so the sketch's time is the item count, and a
-  /// refresh runs after every `capacity_`-th item.
+  /// Keys since the last refresh: inserts are count-based only, so the
+  /// sketch's time is the item count.
   [[nodiscard]] std::size_t refresh_phase() const {
     return static_cast<std::size_t>(sketch_.time() % capacity_);
   }

@@ -104,8 +104,10 @@ inline void prefetch_addr(const void* p, bool write) {
 ///                          evaluates its probes)
 ///
 /// `scratch` is caller-owned so steady-state batches never allocate.
+/// Always inlined: stage 2 must be fused into the caller's loop so its
+/// captures stay in registers (an out-of-line copy reloads them per key).
 template <typename StageFn, typename EachFn>
-void pipelined_blocks(std::span<const std::uint64_t> keys, unsigned k,
+[[gnu::always_inline]] inline void pipelined_blocks(std::span<const std::uint64_t> keys, unsigned k,
                       std::vector<Slot>& scratch, StageFn&& stage,
                       EachFn&& each) {
   const std::size_t block = block_keys(k);

@@ -9,7 +9,7 @@
 //
 //   * `CsmPolicy` — the concept a base algorithm models (cell type, probe
 //     count, position hash, update function);
-//   * `SlidingEstimator<Policy, Store>` — the SHE hardware-version engine:
+//   * `SlidingEstimator<Policy>` — the SHE hardware-version engine:
 //     the group clock, stream time, lazy group cleaning (CheckGroup), the
 //     per-key and block-staged batch inserts, the batched probe pipeline
 //     for point queries, the age-band scan for aggregate queries, and the
@@ -31,12 +31,13 @@
 //                          position() per probe)
 //   update_staged(w, c)    F from the word hash_block staged for the probe,
 //                          so stage 2 never re-hashes (default: update())
+//   kUnitGroups            every group is one cell (w = 1): group_cells
+//                          must be 1, and a cell index is its group id
 //   kAllCells              probe i is cell i and group i, for every cell
-//                          (MinHash, w = 1): hash_block fills only the
-//                          words, marks are staged once per key, and the
-//                          per-key slot budget does not apply
+//                          (MinHash; implies kUnitGroups): hash_block fills
+//                          only the words, marks are staged once per key,
+//                          and the per-key slot budget does not apply
 //   kExtraHashes           hash calls per insert beyond one per probe
-//   validate(cfg)          reject a configuration the policy cannot run
 //   kName, kTag, save(out), load(in, cfg)
 //                          error-message prefix and checkpoint framing
 #pragma once
@@ -48,6 +49,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -93,10 +95,10 @@ struct CellView {
 };
 
 // ---------------------------------------------------------------------------
-// Cell stores.  Each offers get / update / clear_range / clear / prefetch /
-// size, and save / load in its checkpoint format; packed stores also report
-// their own footprint.  update(i, f) stores f(old) at cell i, in whatever
-// way is cheapest for the layout.
+// Cell stores.  Each offers get / update / clear_range / prefetch / size,
+// and save / load in its checkpoint format; packed stores also report their
+// own footprint.  update(i, f) stores f(old) at cell i, in whatever way is
+// cheapest for the layout.
 // ---------------------------------------------------------------------------
 
 /// One `Cell` per slot.  Saved as a u32 vector when cells are 32-bit.
@@ -114,26 +116,19 @@ class VectorStore {
   }
   void clear_range(std::size_t first, std::size_t count) {
     const auto it = cells_.begin() + static_cast<std::ptrdiff_t>(first);
-    if (empty_ == Cell{}) {
-      std::fill_n(it, count, Cell{});  // a constant zero fill is a memset
-    } else {
-      std::fill_n(it, count, empty_);
+    if constexpr (std::is_arithmetic_v<Cell>) {
+      if (empty_ == Cell{}) {
+        std::fill_n(it, count, Cell{});  // a constant zero fill is a memset
+        return;
+      }
     }
+    std::fill_n(it, count, empty_);
   }
-  void clear() { clear_range(0, cells_.size()); }
   void prefetch(std::size_t i, bool write) const {
     batch::prefetch_addr(&cells_[i], write);
   }
-  void save(BinaryWriter& out) const
-    requires std::same_as<C, std::uint32_t>
-  {
-    out.u32_vector(cells_);
-  }
-  void load(BinaryReader& in)
-    requires std::same_as<C, std::uint32_t>
-  {
-    cells_ = in.u32_vector();
-  }
+  void save(BinaryWriter& out) const { out.u32_vector(cells_); }
+  void load(BinaryReader& in) { cells_ = in.u32_vector(); }
 
  private:
   std::vector<Cell> cells_;
@@ -160,7 +155,6 @@ class BitStore {
   void clear_range(std::size_t first, std::size_t count) {
     bits_.clear_range(first, count);
   }
-  void clear() { bits_.clear(); }
   void prefetch(std::size_t i, bool write) const { bits_.prefetch(i, write); }
   [[nodiscard]] std::size_t memory_bytes() const { return bits_.memory_bytes(); }
   /// Zero bits in [first, first + count) (Bitmap's linear counting).
@@ -196,7 +190,6 @@ class PackedStore {
   void clear_range(std::size_t first, std::size_t count) {
     for (std::size_t i = first; i < first + count; ++i) cells_.set(i, 0);
   }
-  void clear() { cells_.clear(); }
   void prefetch(std::size_t i, bool write) const { cells_.prefetch(i, write); }
   [[nodiscard]] std::size_t memory_bytes() const { return cells_.memory_bytes(); }
   void save(BinaryWriter& out) const { cells_.save(out); }
@@ -262,10 +255,11 @@ struct AgeBand {
 };
 
 /// The SHE hardware-version engine for any CSM policy.
-template <CsmPolicy Policy, typename Store = typename DefaultStore<Policy>::type>
+template <CsmPolicy Policy>
 class SlidingEstimator {
  public:
   using Cell = typename Policy::Cell;
+  using Store = typename DefaultStore<Policy>::type;
   using Slot = batch::Slot;
 
   SlidingEstimator(const SheConfig& cfg, Policy policy = Policy{})
@@ -274,8 +268,9 @@ class SlidingEstimator {
         clock_(cfg.groups(), cfg.tcycle(), cfg.mark_bits),
         store_(cfg.cells, Policy::empty_cell()) {
     cfg_.validate();
-    if constexpr (requires { policy_.validate(cfg_); }) policy_.validate(cfg_);
-    if (kAllCells && cfg_.group_cells != 1)
+    if (probes() == 0)
+      throw std::invalid_argument(std::string(name()) + ": hashes must be > 0");
+    if (kUnitGroups && cfg_.group_cells != 1)
       throw std::invalid_argument(std::string(name()) +
                                   ": group_cells must be 1 (w = 1)");
   }
@@ -311,8 +306,7 @@ class SlidingEstimator {
   /// + F per key.  Shapes the block stage does not take (see stageable())
   /// loop over insert().
   void insert_batch(std::span<const std::uint64_t> keys) {
-    insert_many(keys, nullptr, [](std::size_t, const Slot*) {},
-                [](std::size_t) {});
+    insert_many(keys, nullptr, [](auto&&...) {}, [](auto&&...) {});
   }
 
   /// Batched insert_at: keys[i] inserted at times[i] (monotone
@@ -321,8 +315,7 @@ class SlidingEstimator {
   void insert_at_batch(std::span<const std::uint64_t> keys,
                        std::span<const std::uint64_t> times) {
     batch::validate_insert_times(keys, times, time_, name());
-    insert_many(keys, times.data(), [](std::size_t, const Slot*) {},
-                [](std::size_t) {});
+    insert_many(keys, times.data(), [](auto&&...) {}, [](auto&&...) {});
   }
 
   /// Advance the clock to `t` without inserting, so queries reflect the
@@ -336,7 +329,7 @@ class SlidingEstimator {
 
   /// Reset to the empty state at time 0.
   void clear() {
-    store_.clear();
+    store_.clear_range(0, store_.size());
     clock_.reset();
     time_ = 0;
   }
@@ -366,7 +359,7 @@ class SlidingEstimator {
 
   /// Group holding cell `pos`.
   [[nodiscard]] std::size_t group_of(std::size_t pos) const {
-    return cfg_.group_cells == 1 ? pos : pos / cfg_.group_cells;
+    return kUnitGroups ? pos : pos / cfg_.group_cells;
   }
 
   /// Effective value of cell `pos` in group `gid`: empty if the group is
@@ -375,11 +368,75 @@ class SlidingEstimator {
     return clock_.stale(gid, time_) ? Policy::empty_cell() : store_.get(pos);
   }
 
+  // --- diagnostics ----------------------------------------------------------
+
+  /// Groups currently in the default band (diagnostic; the variance
+  /// analysis of Sec. 5.3 depends on it).
+  [[nodiscard]] std::size_t legal_groups() const {
+    const std::uint64_t lower = beta_floor(cfg_.window);
+    std::size_t legal = 0;
+    for (std::size_t g = 0; g < clock_.groups(); ++g)
+      if (clock_.age(g, time_) >= lower) ++legal;
+    return legal;
+  }
+
+  // --- state -----------------------------------------------------------------
+
+  [[nodiscard]] std::uint64_t time() const { return time_; }
+  [[nodiscard]] std::size_t cell_count() const { return store_.size(); }
+  [[nodiscard]] const SheConfig& config() const { return cfg_; }
+  [[nodiscard]] const Policy& policy() const { return policy_; }
+  [[nodiscard]] const GroupClock& clock() const { return clock_; }
+
+  /// Payload + time-mark bytes (the figures' memory axis).  Packed stores
+  /// report their words; a VectorStore counts the policy's declared bits
+  /// per cell (the memory model, not the padded footprint).
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return store_bytes() + clock_.memory_bytes();
+  }
+
+  /// Checkpoint the full sliding-window state; load() resumes with
+  /// identical answers.  Layout: tag, config, policy parameters, time,
+  /// clock, cells.
+  void save(BinaryWriter& out) const {
+    out.tag(Policy::kTag);
+    cfg_.save(out);
+    if constexpr (requires { policy_.save(out); }) policy_.save(out);
+    out.u64(time_);
+    clock_.save(out);
+    store_.save(out);
+  }
+
+  static SlidingEstimator load(BinaryReader& in) {
+    in.expect_tag(Policy::kTag);
+    const SheConfig cfg = SheConfig::load(in);
+    SlidingEstimator est(cfg, Policy::load(in, cfg));
+    est.time_ = in.u64();
+    est.clock_ = GroupClock::load(in);
+    est.store_.load(in);
+    if (est.clock_.groups() != cfg.groups() || est.store_.size() != cfg.cells)
+      throw std::runtime_error(std::string(Policy::kName) +
+                               "::load: shape mismatch");
+    return est;
+  }
+
+ protected:
+  // The query pipelines and batch driver the estimator classes build on.
+
+  [[nodiscard]] const Store& store() const { return store_; }
+
   /// value() against a current mark staged for `gid`.
   [[nodiscard]] Cell value_at_mark(std::size_t pos, std::size_t gid,
                                    std::uint64_t cur) const {
     return clock_.stored_mark(gid) != cur ? Policy::empty_cell()
                                           : store_.get(pos);
+  }
+
+  /// Cells [first, first + count) of group `gid`.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> group_range(
+      std::size_t gid) const {
+    const std::size_t first = gid * cfg_.group_cells;
+    return {first, std::min(cfg_.group_cells, store_.size() - first)};
   }
 
   // --- batched point queries -------------------------------------------------
@@ -477,8 +534,7 @@ class SlidingEstimator {
   template <typename Acc, typename ReadFn>
   void scan_bands(std::span<const AgeBand> bands, std::span<Acc> acc,
                   ReadFn&& read) const {
-    const bool track = obs::enabled();
-    std::vector<obs::AgeClassCounts> cls(track ? bands.size() : 0);
+    std::vector<obs::AgeClassCounts> cls(obs::enabled() ? bands.size() : 0);
     const GroupClock::TimeParts now = clock_.split(time_);
     constexpr std::size_t kChunk = 256;
     std::uint64_t age[kChunk];
@@ -487,16 +543,18 @@ class SlidingEstimator {
     for (std::size_t g0 = 0; g0 < groups; g0 += kChunk) {
       const std::size_t n = std::min(kChunk, groups - g0);
       clock_.stage_marks_range(g0, n, now, cur, age);
+      // The telemetry pass is separate, so the read loops below carry no
+      // classification state.
+      for (std::size_t b = 0; b < cls.size(); ++b)
+        for (std::size_t j = 0; j < n; ++j) cls[b].add(age[j], bands[b].window);
       if (bands.size() == 1) {
         // The common single-window query, with its band and accumulator in
         // locals so they stay in registers.
         const AgeBand band = bands[0];
         Acc a = acc[0];
-        for (std::size_t j = 0; j < n; ++j) {
-          if (track) cls[0].add(age[j], band.window);
+        for (std::size_t j = 0; j < n; ++j)
           if (age[j] >= band.lower && age[j] < band.upper)
             a.add(read(g0 + j, cur[j]));
-        }
         acc[0] = a;
         continue;
       }
@@ -504,7 +562,6 @@ class SlidingEstimator {
         bool known = false;
         decltype(read(g0 + j, cur[j])) v{};
         for (std::size_t b = 0; b < bands.size(); ++b) {
-          if (track) cls[b].add(age[j], bands[b].window);
           if (age[j] < bands[b].lower || age[j] >= bands[b].upper) continue;
           if (!known) {
             v = read(g0 + j, cur[j]);
@@ -517,73 +574,16 @@ class SlidingEstimator {
     for (const obs::AgeClassCounts& c : cls) c.commit(true);
   }
 
-  /// Groups currently in the default band (diagnostic; the variance
-  /// analysis of Sec. 5.3 depends on it).
-  [[nodiscard]] std::size_t legal_groups() const {
-    const std::uint64_t lower = beta_floor(cfg_.window);
-    std::size_t legal = 0;
-    for (std::size_t g = 0; g < clock_.groups(); ++g)
-      if (clock_.age(g, time_) >= lower) ++legal;
-    return legal;
-  }
-
-  /// Cells [first, first + count) of group `gid`.
-  [[nodiscard]] std::pair<std::size_t, std::size_t> group_range(
-      std::size_t gid) const {
-    const std::size_t first = gid * cfg_.group_cells;
-    return {first, std::min(cfg_.group_cells, store_.size() - first)};
-  }
-
-  // --- state -----------------------------------------------------------------
-
-  [[nodiscard]] std::uint64_t time() const { return time_; }
-  [[nodiscard]] std::size_t cell_count() const { return store_.size(); }
-  [[nodiscard]] const SheConfig& config() const { return cfg_; }
-  [[nodiscard]] const Policy& policy() const { return policy_; }
-  [[nodiscard]] const GroupClock& clock() const { return clock_; }
-  [[nodiscard]] const Store& store() const { return store_; }
-
-  /// Payload + time-mark bytes (the figures' memory axis).  Packed stores
-  /// report their words; a VectorStore counts the policy's declared bits
-  /// per cell (the memory model, not the padded footprint).
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return store_bytes() + clock_.memory_bytes();
-  }
-
-  /// Checkpoint the full sliding-window state; load() resumes with
-  /// identical answers.  Layout: tag, config, policy parameters, time,
-  /// clock, cells.
-  void save(BinaryWriter& out) const {
-    out.tag(Policy::kTag);
-    cfg_.save(out);
-    if constexpr (requires { policy_.save(out); }) policy_.save(out);
-    out.u64(time_);
-    clock_.save(out);
-    store_.save(out);
-  }
-
-  static SlidingEstimator load(BinaryReader& in) {
-    in.expect_tag(Policy::kTag);
-    const SheConfig cfg = SheConfig::load(in);
-    SlidingEstimator est(cfg, Policy::load(in, cfg));
-    est.time_ = in.u64();
-    est.clock_ = GroupClock::load(in);
-    est.store_.load(in);
-    if (est.clock_.groups() != cfg.groups() || est.store_.size() != cfg.cells)
-      throw std::runtime_error(std::string(Policy::kName) +
-                               "::load: shape mismatch");
-    return est;
-  }
-
- protected:
   /// The one batch-insert driver.  `times` null means +1 per key.  After
   /// each key's update, `post(i, slots)` runs with that key's staged slots,
   /// or `post_per_key(i)` on the per-key fallback: SHE-CM's fused estimate
-  /// hooks in here.
+  /// hooks in here.  `post` is copied into stage 2, so a hook should
+  /// capture its outputs by value.  Always inlined, so each caller's
+  /// `times` (null for insert_batch) is a constant in its stage 2.
   template <typename PostFn, typename PerKeyFn>
-  void insert_many(std::span<const std::uint64_t> keys,
-                   const std::uint64_t* times, PostFn&& post,
-                   PerKeyFn&& post_per_key) {
+  [[gnu::always_inline]] void insert_many(std::span<const std::uint64_t> keys,
+                   const std::uint64_t* times, PostFn post,
+                   PerKeyFn post_per_key) {
     if (!stageable()) {
       for (std::size_t i = 0; i < keys.size(); ++i) {
         insert_at(keys[i], times != nullptr ? times[i] : time_ + 1);
@@ -637,16 +637,17 @@ class SlidingEstimator {
           }
         },
         // Stage 2: per key, in order, CheckGroup against the staged mark
-        // and F.  Captured by value so the loop state stays in registers
-        // across the clean path's calls.
-        [this, keys, times, k, &post](std::size_t i, const Slot* slots) {
+        // and F, then the post hook.  Captured by value (the hook too) so
+        // the loop state stays in registers across the clean path's calls.
+        [this, keys, times, k, post](std::size_t i, const Slot* slots) {
           time_ = times != nullptr ? times[i] : time_ + 1;
           for (unsigned h = 0; h < k; ++h) {
             const Slot& s = slots[h];
-            const std::size_t pos = kAllCells ? h : s.pos;
             const std::size_t gid = kAllCells ? h : s.gid;
             if (clock_.touch_precomputed(gid, s.aux >> 32)) clear_group(gid);
-            store_.update(pos, [&](Cell old) {
+            // The cell index is read only now, so it is not live across
+            // the clean path's calls.
+            store_.update(kAllCells ? h : s.pos, [&](Cell old) {
               if constexpr (kStagedUpdate) {
                 return policy_.update_staged(static_cast<std::uint32_t>(s.aux),
                                              old);
@@ -666,6 +667,8 @@ class SlidingEstimator {
   static constexpr bool kStagedUpdate =
       requires(const Policy p, std::uint32_t w, Cell c) { p.update_staged(w, c); };
   static constexpr bool kAllCells = requires { Policy::kAllCells; };
+  static constexpr bool kUnitGroups =
+      kAllCells || requires { Policy::kUnitGroups; };
 
   [[nodiscard]] static const char* name() {
     if constexpr (requires { Policy::kName; }) {

@@ -29,13 +29,6 @@ double SheBitmap::cardinality() const {
   return estimate(c[0]);
 }
 
-double SheBitmap::cardinality(std::uint64_t window) const {
-  const csm::AgeBand band[] = {window_band(window)};
-  ZeroCount c[1];
-  scan(band, c);
-  return c[0].observed == 0 ? 0.0 : estimate(c[0]);
-}
-
 std::vector<double> SheBitmap::cardinality_batch(
     std::span<const std::uint64_t> windows) const {
   std::vector<csm::AgeBand> bands;

@@ -63,7 +63,9 @@ class SheBitmap : public csm::SlidingEstimator<csm::BitmapPolicy> {
   /// [beta*window, (2-beta)*window) so the lumped group ages centre on the
   /// queried window; smaller windows leave fewer legal groups (higher
   /// variance), and 0.0 when no group is in the band yet.
-  [[nodiscard]] double cardinality(std::uint64_t window) const;
+  [[nodiscard]] double cardinality(std::uint64_t window) const {
+    return cardinality_batch({&window, 1})[0];
+  }
 
   /// Batched multi-window query: element-wise identical to
   /// cardinality(windows[i]) but the group ages and zero counts are

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 
 #include "common/bobhash.hpp"
 #include "she/csm.hpp"
@@ -43,10 +42,6 @@ struct BloomPolicy {
   void hash_block(const std::uint64_t* keys, std::size_t n,
                   const BlockShape& shape, const StagedBlock& out) const {
     kprobe_hash_block(keys, n, seed, shape, out);
-  }
-  void validate(const SheConfig&) const {
-    if (hashes == 0)
-      throw std::invalid_argument("SheBloomFilter: hashes must be > 0");
   }
   void save(BinaryWriter& out) const { out.u32(hashes); }
   static BloomPolicy load(BinaryReader& in, const SheConfig& cfg) {

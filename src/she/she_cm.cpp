@@ -15,13 +15,15 @@ namespace {
 /// probes (age >= window), or over all probes when every probe is young
 /// (the documented fallback).  Branch-free per probe — maturity is a coin
 /// flip across groups, and a mispredict would flush the cell loads of the
-/// keys behind this one.
+/// keys behind this one.  `kTrack` compiles the age-class telemetry in or
+/// out, so the untracked probe loop keeps its state in registers.
+template <bool kTrack>
 class MatureMin {
  public:
-  MatureMin(std::uint64_t window, bool track) : window_(window), track_(track) {}
+  explicit MatureMin(std::uint64_t window) : window_(window) {}
 
   void add(std::uint64_t value, std::uint64_t age) {
-    if (track_) cls_.add(age, window_);
+    if constexpr (kTrack) cls_.add(age, window_);
     best_any_ = std::min(best_any_, value);
     // All-ones when age < window (both < 2^63): drops a young probe.
     const auto young = static_cast<std::uint64_t>(
@@ -37,7 +39,7 @@ class MatureMin {
   /// The answer; commits the age-class telemetry and, on the fallback,
   /// the all-young metric.  (The caller counts its own all_young_.)
   [[nodiscard]] std::uint64_t finish() const {
-    if (track_) {
+    if constexpr (kTrack) {
       cls_.commit(true);
       if (all_young()) obs::she_metrics().cm_all_young_queries.inc();
     }
@@ -46,11 +48,26 @@ class MatureMin {
 
  private:
   std::uint64_t window_;
-  bool track_;
   std::uint64_t best_mature_ = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t best_any_ = std::numeric_limits<std::uint64_t>::max();
   obs::AgeClassCounts cls_;
 };
+
+/// Count-Min's answer over the probes `add_probes(m)` feeds into `m`,
+/// telemetry compiled in only while it is on; an all-young answer also
+/// counts in `all_young`.
+template <typename Counter, typename AddFn>
+std::uint64_t mature_min(std::uint64_t window, Counter& all_young,
+                         AddFn&& add_probes) {
+  const auto answer = [&](auto m) {
+    add_probes(m);
+    // Every probe young: best-effort answer, may underestimate.
+    if (m.all_young()) all_young.inc();
+    return m.finish();
+  };
+  return obs::enabled() ? answer(MatureMin<true>(window))
+                        : answer(MatureMin<false>(window));
+}
 
 }  // namespace
 
@@ -60,25 +77,27 @@ void SheCountMin::insert_batch_estimates(std::span<const std::uint64_t> keys,
     throw std::invalid_argument(
         "SheCountMin: insert_batch_estimates output too small");
   GroupClock::TimeParts now = clock().split(time());
+  const unsigned k = hash_count();
   insert_many(
       keys, nullptr,
-      [&](std::size_t i, const Slot* slots) {
+      // By value but `now`, which advances with each key.
+      [this, out = estimates.data(), k, &now](std::size_t i,
+                                              const Slot* slots) {
         clock().tick(now);
-        estimates[i] = estimate_staged(slots, now);
+        out[i] = estimate_staged(slots, k, now);
       },
       [&](std::size_t i) { estimates[i] = frequency(keys[i]); });
 }
 
-std::uint64_t SheCountMin::estimate_staged(const Slot* slots,
+std::uint64_t SheCountMin::estimate_staged(const Slot* slots, unsigned k,
                                            GroupClock::TimeParts now) const {
   // frequency(key) right after key's own update: the update touched every
   // probed group at time(), so none is stale and each value is the cell
   // itself; only the age test against the window remains.
-  MatureMin m(config().window, obs::enabled());
-  for (unsigned h = 0; h < hash_count(); ++h)
-    m.add(store().get(slots[h].pos), clock().age_at(now, slots[h].gid));
-  if (m.all_young()) all_young_.inc();
-  return m.finish();
+  return mature_min(config().window, all_young_, [&](auto& m) {
+    for (unsigned h = 0; h < k; ++h)
+      m.add(store().get(slots[h].pos), clock().age_at(now, slots[h].gid));
+  });
 }
 
 void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
@@ -87,17 +106,15 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
   check_window(window);
   if (out.size() < keys.size())
     throw std::invalid_argument("SheCountMin: frequency_batch output too small");
-  const bool track = obs::enabled();
   const unsigned k = hash_count();
   probe_many(
       keys,
       // frequency()'s min-over-mature logic against the staged values.
       [&](std::size_t i, const Slot* slots) {
-        MatureMin m(window, track);
-        for (unsigned h = 0; h < k; ++h)
-          m.add(staged_value(slots[h]), staged_age(slots[h]));
-        if (m.all_young()) all_young_.inc();
-        out[i] = m.finish();
+        out[i] = mature_min(window, all_young_, [&](auto& m) {
+          for (unsigned h = 0; h < k; ++h)
+            m.add(staged_value(slots[h]), staged_age(slots[h]));
+        });
       },
       [&](std::size_t i) { out[i] = frequency(keys[i], window); });
 }
@@ -105,18 +122,16 @@ void SheCountMin::frequency_batch(std::span<const std::uint64_t> keys,
 std::uint64_t SheCountMin::frequency(std::uint64_t key,
                                      std::uint64_t window) const {
   check_window(window);
-  const bool track = obs::enabled();
-  MatureMin m(window, track);
   const unsigned k = hash_count();
-  for (unsigned i = 0; i < k; ++i) {
-    const std::size_t pos = position(key, i);
-    const std::size_t gid = group_of(pos);
-    m.add(value(pos, gid), clock().age(gid, time()));
-  }
-  if (track) obs::she_metrics().hash_calls.inc(k);
-  // Every probe young: best-effort answer, may underestimate.
-  if (m.all_young()) all_young_.inc();
-  return m.finish();
+  const std::uint64_t estimate = mature_min(window, all_young_, [&](auto& m) {
+    for (unsigned i = 0; i < k; ++i) {
+      const std::size_t pos = position(key, i);
+      const std::size_t gid = group_of(pos);
+      m.add(value(pos, gid), clock().age(gid, time()));
+    }
+  });
+  if (obs::enabled()) obs::she_metrics().hash_calls.inc(k);
+  return estimate;
 }
 
 }  // namespace she

@@ -11,13 +11,13 @@
 //
 // Inserts, time, save/load and the batch pipeline come from the engine
 // (csm.hpp); this class adds the frequency query and the fused
-// insert-then-estimate batch.
+// insert-then-estimate batch.  The engine is a private base: clear() must
+// also reset the all-young counter, so no caller may reach the engine's.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 
 #include "common/bobhash.hpp"
 #include "she/csm.hpp"
@@ -48,10 +48,6 @@ struct CountMinPolicy {
                   const BlockShape& shape, const StagedBlock& out) const {
     kprobe_hash_block(keys, n, seed, shape, out);
   }
-  void validate(const SheConfig&) const {
-    if (hashes == 0)
-      throw std::invalid_argument("SheCountMin: hashes must be > 0");
-  }
   void save(BinaryWriter& out) const { out.u32(hashes); }
   static CountMinPolicy load(BinaryReader& in, const SheConfig& cfg) {
     return {in.u32(), cfg.seed};
@@ -60,8 +56,14 @@ struct CountMinPolicy {
 
 }  // namespace csm
 
-class SheCountMin : public csm::SlidingEstimator<csm::CountMinPolicy> {
+class SheCountMin : private csm::SlidingEstimator<csm::CountMinPolicy> {
  public:
+  using SlidingEstimator::advance_to, SlidingEstimator::config,
+      SlidingEstimator::insert, SlidingEstimator::insert_at,
+      SlidingEstimator::insert_at_batch, SlidingEstimator::insert_batch,
+      SlidingEstimator::memory_bytes, SlidingEstimator::save,
+      SlidingEstimator::time;
+
   SheCountMin(const SheConfig& cfg, unsigned hashes)
       : SlidingEstimator(cfg, csm::CountMinPolicy{hashes, cfg.seed}) {}
 
@@ -120,7 +122,7 @@ class SheCountMin : public csm::SlidingEstimator<csm::CountMinPolicy> {
 
   // frequency() of the key whose k staged slots are `slots`, evaluated
   // right after that key's update at `now` == split(time()).
-  [[nodiscard]] std::uint64_t estimate_staged(const Slot* slots,
+  [[nodiscard]] std::uint64_t estimate_staged(const Slot* slots, unsigned k,
                                               GroupClock::TimeParts now) const;
 
   /// The one field a const query writes.  A relaxed atomic, so concurrent

@@ -1,7 +1,5 @@
 #include "she/she_hll.hpp"
 
-#include <stdexcept>
-
 #include "sketch/hyperloglog.hpp"
 
 namespace she {
@@ -19,11 +17,6 @@ void HllPolicy::hash_block(const std::uint64_t* keys, std::size_t n,
                          out.pos, out.gid);
   simd::bobhash32_keys(keys, n, seed + kRankSeed, out.hash);
   for (std::size_t b = 0; b < n; ++b) out.word[b] = rank_of(out.hash[b]);
-}
-
-void HllPolicy::validate(const SheConfig& cfg) const {
-  if (cfg.group_cells != 1)
-    throw std::invalid_argument("SheHyperLogLog: group_cells must be 1 (w = 1)");
 }
 
 }  // namespace csm
@@ -46,13 +39,6 @@ double SheHyperLogLog::cardinality() const {
   RankSum s[1];
   scan(band, s);
   return estimate(s[0]);
-}
-
-double SheHyperLogLog::cardinality(std::uint64_t window) const {
-  const csm::AgeBand band[] = {window_band(window)};
-  RankSum s[1];
-  scan(band, s);
-  return s[0].observed == 0 ? 0.0 : estimate(s[0]);
 }
 
 std::vector<double> SheHyperLogLog::cardinality_batch(

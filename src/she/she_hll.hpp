@@ -32,6 +32,7 @@ struct HllPolicy {
   static constexpr const char* kName = "SheHyperLogLog";
   static constexpr char kTag[5] = "SHLL";
   static constexpr unsigned kExtraHashes = 1;  // the rank hash
+  static constexpr bool kUnitGroups = true;
   static constexpr std::uint32_t kRankSeed = 0x5eed;  // seed offset of Hz
   std::uint32_t seed = 0;
 
@@ -57,7 +58,6 @@ struct HllPolicy {
   /// Stage 1: the register-index and rank hash sweeps; words are ranks.
   void hash_block(const std::uint64_t* keys, std::size_t n,
                   const BlockShape& shape, const StagedBlock& out) const;
-  void validate(const SheConfig& cfg) const;
   static HllPolicy load(BinaryReader&, const SheConfig& cfg) {
     return {cfg.seed};
   }
@@ -79,7 +79,9 @@ class SheHyperLogLog : public csm::SlidingEstimator<csm::HllPolicy> {
   /// Multi-window query: distinct items in the last `window` items for any
   /// window in [1, N], using the symmetric legal band
   /// [beta*window, (2-beta)*window); 0.0 when no register is in the band.
-  [[nodiscard]] double cardinality(std::uint64_t window) const;
+  [[nodiscard]] double cardinality(std::uint64_t window) const {
+    return cardinality_batch({&window, 1})[0];
+  }
 
   /// Batched multi-window query: element-wise identical to
   /// cardinality(windows[i]) but the register ages and values are read in

@@ -17,11 +17,6 @@ void MinHashPolicy::hash_block(const std::uint64_t* keys, std::size_t n,
 
 }  // namespace csm
 
-double SheMinHash::Matches::similarity() const {
-  return compared == 0 ? 0.0
-                       : static_cast<double>(match) / static_cast<double>(compared);
-}
-
 void SheMinHash::scan(const SheMinHash& a, const SheMinHash& b,
                       std::span<const csm::AgeBand> bands,
                       std::span<Matches> acc) {
@@ -38,14 +33,6 @@ void SheMinHash::scan(const SheMinHash& a, const SheMinHash& b,
 
 double SheMinHash::jaccard(const SheMinHash& a, const SheMinHash& b) {
   const csm::AgeBand band[] = {a.default_band()};
-  Matches m[1];
-  scan(a, b, band, m);
-  return m[0].similarity();
-}
-
-double SheMinHash::jaccard(const SheMinHash& a, const SheMinHash& b,
-                           std::uint64_t window) {
-  const csm::AgeBand band[] = {a.window_band(window, "SheMinHash::jaccard")};
   Matches m[1];
   scan(a, b, band, m);
   return m[0].similarity();

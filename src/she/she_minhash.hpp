@@ -80,7 +80,9 @@ class SheMinHash : public csm::SlidingEstimator<csm::MinHashPolicy> {
   /// window in [1, N], comparing slots whose age is in the symmetric band
   /// [beta*window, (2-beta)*window).
   static double jaccard(const SheMinHash& a, const SheMinHash& b,
-                        std::uint64_t window);
+                        std::uint64_t window) {
+    return jaccard_batch(a, b, {&window, 1})[0];
+  }
 
   /// Batched multi-window query: element-wise identical to
   /// jaccard(a, b, windows[i]) but both signatures are scanned ONCE for
@@ -106,7 +108,9 @@ class SheMinHash : public csm::SlidingEstimator<csm::MinHashPolicy> {
       ++compared;
       if (slots.first == slots.second) ++match;
     }
-    [[nodiscard]] double similarity() const;
+    [[nodiscard]] double similarity() const {
+      return compared == 0 ? 0.0 : static_cast<double>(match) / compared;
+    }
   };
   static void scan(const SheMinHash& a, const SheMinHash& b,
                    std::span<const csm::AgeBand> bands, std::span<Matches> acc);

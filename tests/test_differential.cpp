@@ -1,7 +1,8 @@
 // Randomized differential testing: independent implementations of the same
 // semantics must agree across randomly drawn configurations and workloads.
 //
-//   * engine, vector store vs  estimator class, packed store (exact agreement)
+//   * engine, vector store vs  engine, packed store (exact agreement)
+//   * estimator class      vs  bare engine, same policy (same saved bytes)
 //   * sharded routing     vs  monolithic per-shard feeding (exact agreement)
 //   * serialization       vs  live object (exact agreement)
 //   * SHE-BF              vs  exact oracle (one-sidedness)
@@ -69,17 +70,34 @@ void expect_same_probes(const A& a, const B& b, std::uint64_t key,
   }
 }
 
-// The engine on its default one-Cell-per-slot store against the estimator
-// class on its packed store, same policy: every probed cell agrees.
+template <typename E>
+std::string saved_bytes(const E& e) {
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  e.save(w);
+  return ss.str();
+}
+
+/// The Bloom policy on the default one-Cell-per-slot store.
+struct VecBloom : csm::BloomPolicy {
+  using Store = csm::VectorStore<Cell>;
+};
+
+// The engine on its default one-Cell-per-slot store against the engine on
+// the packed store SHE-BF uses, same policy: every probed cell agrees.  The
+// estimator class itself saves the packed engine's bytes.
 
 TEST(Differential, GenericCsmMatchesSpecializedBloom) {
   for (std::uint64_t trial = 0; trial < 20; ++trial) {
     auto s = draw_scenario(1000 + trial);
-    SheBloomFilter special(s.cfg, s.hashes);
-    csm::SlidingEstimator<csm::BloomPolicy, csm::VectorStore<std::uint8_t>>
-        generic(s.cfg, csm::BloomPolicy{s.hashes, s.cfg.seed});
+    SheBloomFilter cls(s.cfg, s.hashes);
+    csm::SlidingEstimator<csm::BloomPolicy> special(
+        s.cfg, csm::BloomPolicy{s.hashes, s.cfg.seed});
+    csm::SlidingEstimator<VecBloom> generic(
+        s.cfg, VecBloom{{s.hashes, s.cfg.seed}});
     Rng rng(s.seed + 3);
     for (std::size_t i = 0; i < s.trace.size(); ++i) {
+      cls.insert(s.trace[i]);
       special.insert(s.trace[i]);
       generic.insert(s.trace[i]);
       if (i % 41 == 0) {
@@ -87,6 +105,8 @@ TEST(Differential, GenericCsmMatchesSpecializedBloom) {
         expect_same_probes(generic, special, s.trace[i], s.hashes, s.seed, i);
       }
     }
+    ASSERT_EQ(saved_bytes(cls), saved_bytes(special))
+        << "trial seed " << s.seed;
   }
 }
 
@@ -99,8 +119,10 @@ TEST(Differential, GenericCsmMatchesSpecializedCountMin) {
     for (std::size_t i = 0; i < s.trace.size(); ++i) {
       special.insert(s.trace[i]);
       generic.insert(s.trace[i]);
-      if (i % 53 == 0)
-        expect_same_probes(generic, special, s.trace[i], s.hashes, s.seed, i);
+      if (i % 53 == 0) {
+        ASSERT_EQ(saved_bytes(special), saved_bytes(generic))
+            << "trial seed " << s.seed << " i=" << i;
+      }
     }
   }
 }

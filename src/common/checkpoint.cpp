@@ -159,14 +159,17 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
   errno = 0;
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) fail("cannot open", errno);
+  durable_op(DurableOp::kCreate, tmp);
   errno = 0;
   bool ok = bytes.empty() ||
             std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
   ok = ok && std::fflush(f) == 0;
+  if (ok) durable_op(DurableOp::kWrite, tmp, bytes.size());
 #if defined(__unix__) || defined(__APPLE__)
   // Frame durability, not just atomicity: reach the disk before the
   // rename makes the new frame visible.
   ok = ok && ::fsync(fileno(f)) == 0;
+  if (ok) durable_op(DurableOp::kSync, tmp);
 #endif
   int err = ok ? 0 : errno;
   if (std::fclose(f) != 0 && ok) {
@@ -177,6 +180,7 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
   std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) fail("cannot rename", ec.value());
+  durable_op(DurableOp::kRename, path);
 }
 
 std::optional<CheckpointData> try_read_checkpoint_file(
@@ -210,6 +214,7 @@ void rotate_checkpoints(const std::string& path, std::size_t keep) {
     const std::string to = checkpoint_generation_path(path, gen);
     std::error_code ec;
     std::filesystem::rename(from, to, ec);  // missing generations are fine
+    if (!ec) durable_op(DurableOp::kRename, to);
   }
 }
 

@@ -11,6 +11,7 @@
 // discovered element by element.
 #pragma once
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <istream>
@@ -56,6 +57,28 @@ class DiskFault : public SerializeError {
  private:
   int errno_;
 };
+
+/// Syscalls that change durable state (common/wal.cpp, common/checkpoint.cpp),
+/// reported in issue order to the crash-point harness in
+/// tests/test_crash_points.cpp.  kWrite is a write that reached the kernel
+/// (after fflush) and carries its byte count; the other ops carry 0.
+enum class DurableOp { kWrite, kSync, kCreate, kRename, kUnlink, kDirSync };
+
+using DurableOpHook = void (*)(DurableOp op, const std::string& path,
+                               std::uint64_t bytes);
+
+#if defined(SHE_FAULT_INJECTION)
+/// Armed by runtime::fault::on_durable_op; null = nothing observes.
+inline std::atomic<DurableOpHook> durable_op_hook{nullptr};
+
+inline void durable_op(DurableOp op, const std::string& path,
+                       std::uint64_t bytes = 0) {
+  if (const DurableOpHook h = durable_op_hook.load(std::memory_order_acquire))
+    h(op, path, bytes);
+}
+#else
+inline void durable_op(DurableOp, const std::string&, std::uint64_t = 0) {}
+#endif
 
 class BinaryWriter {
  public:

@@ -232,6 +232,7 @@ void ShardWal::reopen_locked(std::uint64_t file_bytes) {
   if (file_ != nullptr) std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) throw WalError("wal: cannot open " + path_);
+  durable_op(DurableOp::kCreate, path_);
   file_bytes_ = file_bytes;
   disk_bytes_ = file_bytes;
   unsynced_bytes_ = 0;
@@ -300,6 +301,7 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
       std::fwrite(bytes.data(), 1, to_write, file_) != to_write)
     fail_write("short write to");
   if (std::fflush(file_) != 0) fail_write("flush failed on");
+  durable_op(DurableOp::kWrite, path_, to_write);
   if (torn) {
     // Injected crash mid-write: the prefix is on disk, the append fails.
     // The caller drops the batch unacked; the next append (or recovery
@@ -324,6 +326,7 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
         if (!ok) err = errno;
       }
 #endif
+      if (ok) durable_op(DurableOp::kSync, path_);
       if (!ok) {
         // The frame is written but its durability is unknown: cut it so
         // the retry re-appends cleanly instead of duplicating the keys.
@@ -358,6 +361,7 @@ void ShardWal::flush() {
   if (opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0) {
     if (::fsync(fileno(file_)) != 0)
       throw WalError("wal: fsync failed on " + path_);
+    durable_op(DurableOp::kSync, path_);
     unsynced_bytes_ = 0;
   }
 #endif
@@ -392,6 +396,7 @@ void ShardWal::compact(std::uint64_t low_water) {
   {
     std::FILE* out = std::fopen(tmp.c_str(), "wb");
     if (out == nullptr) throw WalError("wal: cannot open " + tmp);
+    durable_op(DurableOp::kCreate, tmp);
     std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
         std::fopen(path_.c_str(), "rb"), &std::fclose);
     const auto fail = [&out, &tmp](const std::string& msg) {
@@ -473,13 +478,16 @@ void ShardWal::compact(std::uint64_t low_water) {
     if (at < log_bytes) torn_counter().inc();  // as read_wal counts a tail
     if (!anchored) put_table(base);
     if (std::fflush(out) != 0) fail("wal: flush failed on " + tmp);
+    durable_op(DurableOp::kWrite, tmp, written);
 #if defined(__unix__) || defined(__APPLE__)
     // In kFsync mode the surviving frames were already made durable in
     // the old log; the replacement must be durable *before* it takes the
     // log's name, or a power loss shortly after the rename could surface
     // an empty or partial rewrite where fsync'd frames used to be.
-    if (opt_.mode == WalMode::kFsync && ::fsync(fileno(out)) != 0)
-      fail("wal: fsync failed on " + tmp);
+    if (opt_.mode == WalMode::kFsync) {
+      if (::fsync(fileno(out)) != 0) fail("wal: fsync failed on " + tmp);
+      durable_op(DurableOp::kSync, tmp);
+    }
 #endif
     if (std::fclose(out) != 0) {
       std::error_code rm;
@@ -493,6 +501,7 @@ void ShardWal::compact(std::uint64_t low_water) {
     std::filesystem::remove(tmp, ec);
     throw WalError("wal: cannot rename " + tmp + " to " + path_);
   }
+  durable_op(DurableOp::kRename, path_);
 #if defined(__unix__) || defined(__APPLE__)
   if (opt_.mode == WalMode::kFsync) {
     // Persist the rename.  Best-effort: if the directory update is lost
@@ -502,7 +511,7 @@ void ShardWal::compact(std::uint64_t low_water) {
         std::filesystem::path(path_).parent_path();
     const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
     if (dfd >= 0) {
-      (void)::fsync(dfd);
+      if (::fsync(dfd) == 0) durable_op(DurableOp::kDirSync, dir.string());
       ::close(dfd);
     }
   }

@@ -52,6 +52,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/io.hpp"
+
 namespace she::runtime::fault {
 
 enum class Point {
@@ -260,6 +262,13 @@ inline bool maybe_ckpt_eio(std::size_t shard, std::uint64_t ordinal) {
   return injector().fire(Point::kCheckpointEio, shard, ordinal).has_value();
 }
 
+/// Report every durable-state syscall of the WAL and checkpoint writers to
+/// `hook` (null disarms).  The crash-point harness records the sequence,
+/// then kills forked children right after each op.
+inline void on_durable_op(DurableOpHook hook) {
+  durable_op_hook.store(hook, std::memory_order_release);
+}
+
 #else  // !SHE_FAULT_INJECTION — zero-cost stubs, nothing to branch on.
 
 class Injector {
@@ -288,6 +297,7 @@ inline std::size_t maybe_torn_wal(std::size_t, std::uint64_t,
 inline bool maybe_fail_fsync(std::size_t, std::uint64_t) { return false; }
 inline int maybe_disk_errno(std::size_t, std::uint64_t) { return 0; }
 inline bool maybe_ckpt_eio(std::size_t, std::uint64_t) { return false; }
+inline void on_durable_op(DurableOpHook) {}
 
 #endif  // SHE_FAULT_INJECTION
 

@@ -325,7 +325,8 @@ class IngestPipeline {
           // A fresh (non-resuming) pipeline must not append after stale
           // frames from an earlier life of this directory.
           std::error_code ec;
-          std::filesystem::remove(wal_path(s), ec);
+          if (std::filesystem::remove(wal_path(s), ec))
+            durable_op(DurableOp::kUnlink, wal_path(s));
         }
         ShardWal::Options wopt;
         wopt.mode = opt_.wal_mode;

@@ -1,7 +1,6 @@
 #include "common/checkpoint.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,31 +18,6 @@
 namespace she {
 
 namespace {
-
-template <typename T>
-T to_le(T v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    T out;
-    auto* src = reinterpret_cast<const unsigned char*>(&v);
-    auto* dst = reinterpret_cast<unsigned char*>(&out);
-    for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
-    return out;
-  }
-  return v;
-}
-
-template <typename T>
-void put_le(char* out, T v) {
-  v = to_le(v);
-  std::memcpy(out, &v, sizeof(T));
-}
-
-template <typename T>
-T get_le(const char* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return to_le(v);
-}
 
 /// Corrupt-checkpoint rejections, kept in the process-wide registry so
 /// they surface in every Prometheus/JSON dump regardless of which
@@ -181,6 +155,11 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
   std::filesystem::rename(tmp, path, ec);
   if (ec) fail("cannot rename", ec.value());
   durable_op(DurableOp::kRename, path);
+  // Make the rename itself durable: the caller may next delete the log
+  // segments this frame covers, and after a power cut that unlink must
+  // not survive without the rename.
+  if (const int err = sync_parent_dir(path))
+    fail("cannot sync the directory of", err);
 }
 
 std::optional<CheckpointData> try_read_checkpoint_file(

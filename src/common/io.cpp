@@ -1,24 +1,28 @@
 #include "common/io.hpp"
 
-#include <bit>
 #include <cstring>
+#include <filesystem>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
+#include <unistd.h>
+#endif
 
 namespace she {
 
-namespace {
-// The format is little-endian on disk; byteswap on big-endian hosts.
-template <typename T>
-T to_le(T v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    T out;
-    auto* src = reinterpret_cast<const unsigned char*>(&v);
-    auto* dst = reinterpret_cast<unsigned char*>(&out);
-    for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
-    return out;
-  }
-  return v;
+int sync_parent_dir(const std::string& path) {
+#if defined(__unix__) || defined(__APPLE__)
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
+  const int err = fd < 0 || ::fsync(fd) != 0 ? errno : 0;
+  if (fd >= 0) ::close(fd);
+  if (err == 0) durable_op(DurableOp::kDirSync, dir.string());
+  return is_disk_fault_errno(err) ? err : 0;
+#else
+  (void)path;
+  return 0;
+#endif
 }
-}  // namespace
 
 void BinaryWriter::raw(const void* p, std::size_t n) {
   os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));

@@ -12,8 +12,10 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -22,6 +24,33 @@
 #include <vector>
 
 namespace she {
+
+/// Little-endian fixed-width fields: the byte order of every binary
+/// format here (byteswapped on big-endian hosts).
+template <typename T>
+[[nodiscard]] T to_le(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    T out;
+    auto* src = reinterpret_cast<const unsigned char*>(&v);
+    auto* dst = reinterpret_cast<unsigned char*>(&out);
+    for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
+    return out;
+  }
+  return v;
+}
+
+template <typename T>
+void put_le(char* out, T v) {
+  v = to_le(v);
+  std::memcpy(out, &v, sizeof(T));
+}
+
+template <typename T>
+[[nodiscard]] T get_le(const char* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return to_le(v);
+}
 
 /// Typed rejection for every malformed-stream condition the binary readers
 /// detect: short reads, tag mismatches, implausible or oversized length
@@ -59,7 +88,7 @@ class DiskFault : public SerializeError {
 };
 
 /// Syscalls that change durable state (common/wal.cpp, common/checkpoint.cpp),
-/// reported in issue order to the crash-point harness in
+/// reported as they happen to the crash-point harness in
 /// tests/test_crash_points.cpp.  kWrite is a write that reached the kernel
 /// (after fflush) and carries its byte count; the other ops carry 0.
 enum class DurableOp { kWrite, kSync, kCreate, kRename, kUnlink, kDirSync };
@@ -79,6 +108,12 @@ inline void durable_op(DurableOp op, const std::string& path,
 #else
 inline void durable_op(DurableOp, const std::string&, std::uint64_t = 0) {}
 #endif
+
+/// fsync the directory holding `path`, making a create, rename or unlink
+/// in it durable.  Returns 0, or the errno when the disk is unhealthy
+/// (is_disk_fault_errno); a filesystem that cannot sync directories
+/// counts as done.
+int sync_parent_dir(const std::string& path);
 
 class BinaryWriter {
  public:

@@ -1,50 +1,22 @@
 #include "common/wal.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
 #include "common/crc32.hpp"
 #include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
 namespace she {
 
 namespace {
-
-template <typename T>
-T to_le(T v) {
-  if constexpr (std::endian::native == std::endian::big) {
-    T out;
-    auto* src = reinterpret_cast<const unsigned char*>(&v);
-    auto* dst = reinterpret_cast<unsigned char*>(&out);
-    for (std::size_t i = 0; i < sizeof(T); ++i) dst[i] = src[sizeof(T) - 1 - i];
-    return out;
-  }
-  return v;
-}
-
-template <typename T>
-void put_le(char* out, T v) {
-  v = to_le(v);
-  std::memcpy(out, &v, sizeof(T));
-}
-
-template <typename T>
-T get_le(const char* p) {
-  T v;
-  std::memcpy(&v, p, sizeof(T));
-  return to_le(v);
-}
 
 /// A frame claiming more payload than this is treated as tail garbage: no
 /// real sub-batch approaches it (the wire protocol caps frames at 16 MiB)
@@ -57,10 +29,10 @@ obs::Counter& torn_counter() {
       "WAL tails truncated as torn or corrupt during recovery scans");
 }
 
-/// Validate the frame starting at data[at]; fills `f`'s header fields (not
-/// its payload) and returns the total encoded size, or 0 when the bytes
-/// are not a valid frame (torn tail — the scan stops there).
-std::size_t check_frame(const char* data, std::size_t n, std::size_t at,
+/// Validate and decode the frame starting at data[at]; returns its total
+/// encoded size, or 0 when the bytes are not a valid frame (torn tail —
+/// the scan stops there).
+std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
                         WalFrame& f) {
   if (n - at < kWalHeaderBytes) return 0;
   const char* h = data + at;
@@ -82,25 +54,62 @@ std::size_t check_frame(const char* data, std::size_t n, std::size_t at,
   f.start_offset = get_le<std::uint64_t>(h + 16);
   f.client_id = get_le<std::uint64_t>(h + 24);
   f.client_seq = get_le<std::uint64_t>(h + 32);
+  f.payload.assign(payload, payload + payload_len);
   return kWalHeaderBytes + payload_len;
 }
 
-/// check_frame() plus a copy of the payload into `f`.
-std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
-                        WalFrame& f) {
-  const std::size_t sz = check_frame(data, n, at, f);
-  if (sz == 0) return 0;
-  const char* payload = data + at + kWalHeaderBytes;
-  f.payload.assign(payload, payload + (sz - kWalHeaderBytes));
-  return sz;
+constexpr std::size_t kSeqDigits = 20;  // zero-padded: name order = seq order
+
+/// Segment `seq` of the log named `path`: "<dir>/shard-0.wal" ->
+/// "<dir>/shard-0.<seq, 20 digits>.wal".
+std::string segment_path(const std::string& path, std::uint64_t seq) {
+  char name[32];
+  std::snprintf(name, sizeof name, ".%0*llu.wal", static_cast<int>(kSeqDigits),
+                static_cast<unsigned long long>(seq));
+  return path.substr(0, path.size() - (path.ends_with(".wal") ? 4 : 0)) + name;
 }
 
-/// Store the CRC of an encoded frame whose header [0, 44) and payload are
-/// already in place.
-void seal_frame(char* frame, std::size_t payload_len) {
-  std::uint32_t crc = crc32(frame, 44);
-  crc = crc32(frame + kWalHeaderBytes, payload_len, crc);
-  put_le<std::uint32_t>(frame + 44, crc);
+/// The files of the log named `path` in log order: the legacy single file
+/// `path`, then its segments by name (= by first seq).
+std::vector<std::string> log_files(const std::string& path) {
+  namespace fs = std::filesystem;
+  const fs::path p(path);
+  // A segment's name is segment 0's with other digits at `at`.
+  const std::string zero = segment_path(p.filename().string(), 0);
+  const std::size_t at = zero.size() - kSeqDigits - 4;
+  std::vector<std::string> out;
+  std::error_code ec;
+  for (fs::directory_iterator it(p.has_parent_path() ? p.parent_path() : ".", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.size() != zero.size() || name.compare(0, at, zero, 0, at) != 0 ||
+        name.find_first_not_of("0123456789", at) != at + kSeqDigits ||
+        !name.ends_with(".wal"))
+      continue;
+    std::string file = segment_path(path, 0);
+    file.replace(file.size() - kSeqDigits - 4, kSeqDigits, name, at, kSeqDigits);
+    out.push_back(std::move(file));
+  }
+  std::sort(out.begin(), out.end());
+  if (fs::is_regular_file(p, ec)) out.insert(out.begin(), path);
+  return out;
+}
+
+void remove_log_file(const std::string& file) {
+  std::error_code ec;
+  if (std::filesystem::remove(file, ec)) durable_op(DurableOp::kUnlink, file);
+  if (ec) throw WalError("wal: cannot remove " + file + ": " + ec.message());
+}
+
+/// A failed write, flush, fsync or create: DiskFault when the errno says
+/// the disk is unhealthy, WalError otherwise.
+[[noreturn]] void throw_io(const std::string& what, const std::string& file,
+                           int err) {
+  const std::string msg =
+      "wal: " + what + " " + file +
+      (err != 0 ? std::string(": ") + std::strerror(err) : std::string());
+  if (is_disk_fault_errno(err)) throw DiskFault(msg, err);
+  throw WalError(msg);
 }
 
 }  // namespace
@@ -147,73 +156,93 @@ std::vector<char> frame_wal(const WalFrame& f) {
   if (!f.payload.empty())
     std::memcpy(out.data() + kWalHeaderBytes, f.payload.data(),
                 f.payload.size());
-  seal_frame(out.data(), f.payload.size());
+  std::uint32_t crc = crc32(out.data(), 44);
+  crc = crc32(out.data() + kWalHeaderBytes, f.payload.size(), crc);
+  put_le<std::uint32_t>(out.data() + 44, crc);
   return out;
 }
 
 WalScan read_wal(const std::string& path) {
   WalScan scan;
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return scan;  // no log yet — fresh start
-  std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-  if (!is.good() && !is.eof())
-    throw WalError("wal: read error on " + path);
-
-  std::size_t at = 0;
+  const auto note_seq = [&scan](std::uint64_t id, std::uint64_t seq) {
+    std::uint64_t& high = scan.client_seqs[id];
+    high = std::max(high, seq);
+  };
   std::uint64_t last_seq = 0;
-  while (at < bytes.size()) {
-    WalFrame f;
-    const std::size_t sz = parse_frame(bytes.data(), bytes.size(), at, f);
-    if (sz == 0) break;  // torn tail (or mid-log corruption): stop here
-    // Frame seqs are strictly increasing; a regression means the bytes
-    // are not a continuation of this log.
-    if (f.seq <= last_seq) break;
-    last_seq = f.seq;
-    if (f.kind == kWalSeqTable) {
-      for (std::size_t p = 0; p + 16 <= f.payload.size(); p += 16) {
-        const auto id = get_le<std::uint64_t>(f.payload.data() + p);
-        const auto hi = get_le<std::uint64_t>(f.payload.data() + p + 8);
-        auto [it, inserted] = scan.client_seqs.try_emplace(id, hi);
-        if (!inserted && it->second < hi) it->second = hi;
-      }
-      scan.end_offset = std::max(scan.end_offset, f.start_offset);
-    } else {
-      // Data frames must continue the accepted-item sequence.
-      if (f.start_offset < scan.end_offset) break;
-      scan.end_offset = f.end_offset();
-      if (f.client_id != 0) {
-        auto [it, inserted] =
-            scan.client_seqs.try_emplace(f.client_id, f.client_seq);
-        if (!inserted && it->second < f.client_seq) it->second = f.client_seq;
-      }
-      scan.frames.push_back(std::move(f));
+  bool stopped = false;  // an invalid frame ended the log
+  for (const std::string& file : log_files(path)) {
+    if (stopped) {  // behind the end of the log: all of it is dropped
+      std::error_code ec;
+      const std::uintmax_t size = std::filesystem::file_size(file, ec);
+      scan.dropped_bytes += ec ? 0 : size;
+      continue;
     }
-    at += sz;
+    std::ifstream is(file, std::ios::binary);
+    if (!is) throw WalError("wal: cannot open " + file);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    if (!is.good() && !is.eof())
+      throw WalError("wal: read error on " + file);
+
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      WalFrame f;
+      const std::size_t sz = parse_frame(bytes.data(), bytes.size(), at, f);
+      if (sz == 0) break;  // torn tail (or mid-log corruption): stop here
+      // Frame seqs are strictly increasing; a regression means the bytes
+      // are not a continuation of this log.
+      if (f.seq <= last_seq) break;
+      last_seq = f.seq;
+      if (f.kind == kWalSeqTable) {
+        for (std::size_t p = 0; p + 16 <= f.payload.size(); p += 16)
+          note_seq(get_le<std::uint64_t>(f.payload.data() + p),
+                   get_le<std::uint64_t>(f.payload.data() + p + 8));
+        scan.end_offset = std::max(scan.end_offset, f.start_offset);
+      } else {
+        // Data frames must continue the accepted-item sequence.
+        if (f.start_offset < scan.end_offset) break;
+        scan.end_offset = f.end_offset();
+        if (f.client_id != 0) note_seq(f.client_id, f.client_seq);
+        scan.frames.push_back(std::move(f));
+      }
+      at += sz;
+    }
+    // An empty or torn-headed segment (a crash mid-rotation) carries
+    // nothing and ends the log like any other invalid frame.
+    if (at > 0) scan.segments.push_back({file, scan.end_offset, at});
+    scan.valid_bytes += at;
+    scan.dropped_bytes += bytes.size() - at;
+    stopped = at == 0 || at < bytes.size();
   }
   scan.next_seq = last_seq + 1;
-  scan.valid_bytes = at;
-  scan.dropped_bytes = bytes.size() - at;
   if (scan.dropped_bytes > 0) torn_counter().inc();
   return scan;
 }
 
 ShardWal::ShardWal(std::string path, Options opt, const WalScan& scan)
-    : path_(std::move(path)), opt_(std::move(opt)) {
+    : path_(std::move(path)), opt_(std::move(opt)), sealed_(scan.segments) {
   seqs_.restore(scan.client_seqs);
   next_seq_ = scan.next_seq;
   end_offset_ = scan.end_offset;
-  file_bytes_ = scan.valid_bytes;
-  if (scan.dropped_bytes > 0) {
-    // Cut the torn tail before appending: the next frame must start at
-    // the end of the valid prefix or the log stops being a frame stream.
-    std::error_code ec;
-    std::filesystem::resize_file(path_, scan.valid_bytes, ec);
-    if (ec)
-      throw WalError("wal: cannot truncate torn tail of " + path_ + ": " +
-                     ec.message());
+  // Delete what the scan did not keep before appending: segments behind
+  // the first invalid frame, an empty or torn-headed segment a crash left
+  // mid-rotation, or — for an empty scan — an earlier life's whole log.
+  for (const std::string& file : log_files(path_))
+    if (std::none_of(sealed_.begin(), sealed_.end(),
+                     [&](const WalSegment& s) { return s.path == file; }))
+      remove_log_file(file);
+  if (sealed_.empty()) {
+    rotate_locked();
+  } else {
+    // Continue the last segment with its torn tail cut: the next frame
+    // must start at the end of the valid prefix or the log stops being a
+    // frame stream.
+    active_ = sealed_.back().path;
+    file_bytes_ = sealed_.back().bytes;
+    disk_bytes_ = file_bytes_ + (scan.dropped_bytes > 0 ? 1 : 0);
+    sealed_.pop_back();
+    repair_locked();
   }
-  reopen_locked(file_bytes_);
 }
 
 ShardWal::~ShardWal() {
@@ -228,31 +257,90 @@ ShardWal::~ShardWal() {
   }
 }
 
-void ShardWal::reopen_locked(std::uint64_t file_bytes) {
+void ShardWal::repair_locked() {
+  // Reopen the active segment for appending, first cutting any bytes past
+  // the last accepted frame: a torn tail found at open, or one a failed
+  // append left (torn-write injection, or a frame whose mode-required
+  // fsync failed).  Otherwise a client retry would land *behind* stale
+  // bytes and replay would double count.
   if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) throw WalError("wal: cannot open " + path_);
-  durable_op(DurableOp::kCreate, path_);
-  file_bytes_ = file_bytes;
-  disk_bytes_ = file_bytes;
+  file_ = nullptr;
+  std::error_code ec;
+  if (disk_bytes_ != file_bytes_)
+    std::filesystem::resize_file(active_, file_bytes_, ec);
+  if (ec)
+    throw WalError("wal: cannot truncate the tail of " + active_ + ": " +
+                   ec.message());
+  file_ = std::fopen(active_.c_str(), "ab");
+  if (file_ == nullptr) throw WalError("wal: cannot open " + active_);
+  durable_op(DurableOp::kCreate, active_);
+  disk_bytes_ = file_bytes_;
   unsynced_bytes_ = 0;
 }
 
-void ShardWal::repair_locked() {
-  // A failed append left bytes past the last accepted frame (torn-write
-  // injection, or a frame whose mode-required fsync failed).  Cut them so
-  // the log stays exactly "the accepted items, once each" — otherwise a
-  // client retry would land *behind* stale bytes and replay would double
-  // count.  (A real crash skips this, but then recovery's scan does the
-  // same truncation before the process ever appends again.)
-  std::fclose(file_);
-  file_ = nullptr;
-  std::error_code ec;
-  std::filesystem::resize_file(path_, file_bytes_, ec);
-  if (ec)
-    throw WalError("wal: cannot truncate failed-append tail of " + path_ +
-                   ": " + ec.message());
-  reopen_locked(file_bytes_);
+int ShardWal::sync_locked() {
+#if defined(__unix__) || defined(__APPLE__)
+  if (::fsync(fileno(file_)) != 0) return errno != 0 ? errno : EIO;
+  durable_op(DurableOp::kSync, active_);
+  // A new segment's name is durable only once its directory is synced:
+  // done with the segment's first fsync, before any frame in it counts as
+  // durable.
+  if (!named_) {
+    if (const int err = sync_parent_dir(active_)) return err;
+    named_ = true;
+  }
+#endif
+  unsynced_bytes_ = 0;
+  return 0;
+}
+
+void ShardWal::rotate_locked() {
+  // Seal: group commit may still hold unsynced frames in the active
+  // segment, and later fsyncs cover only the new one.
+  if (file_ != nullptr && opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0)
+    if (const int err = sync_locked()) throw_io("fsync failed on", active_, err);
+  // The new segment opens with the whole idempotence table, anchored at
+  // its base offset, so it is a self-contained log.  Only a fresh log's
+  // first segment, whose table would be empty at offset 0, starts
+  // straight with data.
+  WalFrame table;
+  table.kind = kWalSeqTable;
+  table.seq = next_seq_;
+  table.start_offset = end_offset_;
+  for (const auto& [id, hi] : seqs_.snapshot())
+    for (const std::uint64_t v : {id, hi}) {
+      table.payload.resize(table.payload.size() + 8);
+      put_le<std::uint64_t>(table.payload.data() + table.payload.size() - 8, v);
+    }
+  const bool headed = end_offset_ > 0 || !table.payload.empty();
+  const std::vector<char> bytes = headed ? frame_wal(table) : std::vector<char>{};
+  const std::string next = segment_path(path_, table.seq);
+  errno = 0;
+  std::FILE* f = std::fopen(next.c_str(), "wb");
+  if (f == nullptr) throw_io("cannot create", next, errno);
+  durable_op(DurableOp::kCreate, next);
+  if (headed) {
+    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size() ||
+        std::fflush(f) != 0) {
+      // Drop the half-started segment; the old one stays active.
+      const int err = errno;
+      std::fclose(f);
+      std::error_code ec;
+      std::filesystem::remove(next, ec);
+      throw_io("cannot start segment", next, err);
+    }
+    durable_op(DurableOp::kWrite, next, bytes.size());
+  }
+  if (file_ != nullptr) {
+    std::fclose(file_);
+    sealed_.push_back({active_, end_offset_, file_bytes_});
+  }
+  file_ = f;
+  active_ = next;
+  named_ = false;
+  next_seq_ = table.seq + (headed ? 1 : 0);
+  file_bytes_ = disk_bytes_ = bytes.size();
+  unsynced_bytes_ = bytes.size();  // the table rides the first fsync
 }
 
 bool ShardWal::append(std::span<const std::uint64_t> keys,
@@ -263,12 +351,9 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   // would be treated as a duplicate and the batch silently lost.
   if (client_id != 0 && client_seq <= seqs_.high(client_id)) return false;
   if (disk_bytes_ != file_bytes_) repair_locked();
-  if (opt_.hooks.fail_errno) {
-    if (const int err = opt_.hooks.fail_errno(next_seq_); err != 0)
-      throw DiskFault("wal: injected disk fault on " + path_ + ": " +
-                          std::strerror(err),
-                      err);
-  }
+  if (const int err = opt_.hooks.fail_errno ? opt_.hooks.fail_errno(next_seq_) : 0)
+    throw_io("injected disk fault on", active_, err);
+  if (file_bytes_ >= opt_.segment_bytes) rotate_locked();
 
   WalFrame f;
   f.kind = kWalData;
@@ -284,62 +369,37 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   // Real write/flush failures: an unknown number of bytes may have
   // reached the file, so force a repair before the next append, and
   // surface a disk-unhealthy errno as the typed DiskFault.
-  const auto fail_write = [this](const std::string& what) -> void {
-    const int err = errno;
+  const auto fail_write = [this](const char* what) {
     disk_bytes_ = file_bytes_ + 1;  // unknown tail: repair before reuse
-    const std::string msg =
-        "wal: " + what + " " + path_ +
-        (err != 0 ? std::string(": ") + std::strerror(err) : std::string());
-    if (is_disk_fault_errno(err)) throw DiskFault(msg, err);
-    throw WalError(msg);
+    throw_io(what, active_, errno);
   };
   std::size_t to_write = bytes.size();
   if (opt_.hooks.torn) to_write = std::min(to_write, opt_.hooks.torn(f.seq, bytes.size()));
-  const bool torn = to_write < bytes.size();
   errno = 0;
   if (to_write > 0 &&
       std::fwrite(bytes.data(), 1, to_write, file_) != to_write)
     fail_write("short write to");
   if (std::fflush(file_) != 0) fail_write("flush failed on");
-  durable_op(DurableOp::kWrite, path_, to_write);
-  if (torn) {
+  durable_op(DurableOp::kWrite, active_, to_write);
+  if (to_write < bytes.size()) {
     // Injected crash mid-write: the prefix is on disk, the append fails.
     // The caller drops the batch unacked; the next append (or recovery
     // scan) truncates the tail and the client's replay re-delivers.
     disk_bytes_ = file_bytes_ + to_write;
-    throw WalError("wal: injected torn write on " + path_ + " (frame " +
+    throw WalError("wal: injected torn write on " + active_ + " (frame " +
                    std::to_string(f.seq) + ", " + std::to_string(to_write) +
                    " of " + std::to_string(bytes.size()) + " bytes)");
   }
-
-  if (opt_.mode == WalMode::kFsync) {
-    const std::size_t pending = unsynced_bytes_ + bytes.size();
-    if (pending > opt_.fsync_interval_bytes) {
-      bool ok = true;
-      int err = 0;
-      if (opt_.hooks.fail_fsync && opt_.hooks.fail_fsync(f.seq)) {
-        ok = false;
-      }
-#if defined(__unix__) || defined(__APPLE__)
-      else {
-        ok = ::fsync(fileno(file_)) == 0;
-        if (!ok) err = errno;
-      }
-#endif
-      if (ok) durable_op(DurableOp::kSync, path_);
-      if (!ok) {
-        // The frame is written but its durability is unknown: cut it so
-        // the retry re-appends cleanly instead of duplicating the keys.
-        disk_bytes_ = file_bytes_ + bytes.size();
-        repair_locked();
-        const std::string msg = "wal: fsync failed on " + path_ +
-                                " — batch durability unknown, not acking";
-        if (is_disk_fault_errno(err)) throw DiskFault(msg, err);
-        throw WalError(msg);
-      }
-      unsynced_bytes_ = 0;
-    } else {
-      unsynced_bytes_ = pending;
+  if (opt_.mode == WalMode::kFsync &&
+      (unsynced_bytes_ += bytes.size()) > opt_.fsync_interval_bytes) {
+    const bool injected = opt_.hooks.fail_fsync && opt_.hooks.fail_fsync(f.seq);
+    if (const int err = injected ? -1 : sync_locked()) {
+      // The frame is written but its durability is unknown: cut it so
+      // the retry re-appends cleanly instead of duplicating the keys.
+      disk_bytes_ = file_bytes_ + bytes.size();
+      repair_locked();
+      throw_io("fsync failed (batch durability unknown, not acking) on",
+               active_, std::max(err, 0));
     }
   }
   file_bytes_ += bytes.size();
@@ -352,174 +412,20 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   return true;
 }
 
+void ShardWal::retire(std::uint64_t low_water) {
+  std::lock_guard<std::mutex> lk(mu_);
+  while (!sealed_.empty() && sealed_.front().end_offset <= low_water) {
+    remove_log_file(sealed_.front().path);
+    sealed_.erase(sealed_.begin());
+  }
+}
+
 void ShardWal::flush() {
   std::lock_guard<std::mutex> lk(mu_);
   if (file_ == nullptr) return;
-  if (std::fflush(file_) != 0)
-    throw WalError("wal: flush failed on " + path_);
-#if defined(__unix__) || defined(__APPLE__)
-  if (opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0) {
-    if (::fsync(fileno(file_)) != 0)
-      throw WalError("wal: fsync failed on " + path_);
-    durable_op(DurableOp::kSync, path_);
-    unsynced_bytes_ = 0;
-  }
-#endif
-}
-
-void ShardWal::compact(std::uint64_t low_water) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (low_water <= base_offset_) return;
-  // A rewrite costs a full-file pass; only pay it when everything can be
-  // retired (the common steady state: checkpoint caught up with accepted)
-  // or the backlog file has grown past the configured bound.
-  const bool retire_all = low_water >= end_offset_;
-  if (!retire_all && file_bytes_ < opt_.compact_min_bytes) return;
-
-  if (std::fflush(file_) != 0)
-    throw WalError("wal: flush failed on " + path_);
-
-  // Rewrite into a tmp file, make the replacement as durable as the mode
-  // promises, then rename over the log.  The pre-compaction file is only
-  // replaced by the rename itself: any failure before that point keeps
-  // the (longer, still valid) old log.
-  //
-  // The old log streams through one reused frame buffer under read_wal's
-  // validity rules (stop at the first invalid frame, seq regression or
-  // offset rewind), and each survivor is renumbered and written as it is
-  // read, so the append lock never holds more than one frame in memory.
-  const std::string tmp = path_ + ".tmp";
-  std::uint64_t seq = 1;           // next frame number of the new log
-  std::uint64_t written = 0;       // bytes of the new log
-  std::uint64_t base = std::min(low_water, end_offset_);
-  std::uint64_t new_end = base;    // items covered by the new log
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) throw WalError("wal: cannot open " + tmp);
-    durable_op(DurableOp::kCreate, tmp);
-    std::unique_ptr<std::FILE, int (*)(std::FILE*)> in(
-        std::fopen(path_.c_str(), "rb"), &std::fclose);
-    const auto fail = [&out, &tmp](const std::string& msg) {
-      std::fclose(out);
-      std::error_code rm;
-      std::filesystem::remove(tmp, rm);
-      throw WalError(msg);
-    };
-    const auto put = [&](const char* bytes, std::size_t n) {
-      if (std::fwrite(bytes, 1, n, out) != n)
-        fail("wal: short write to " + tmp);
-      written += n;
-    };
-    // The seq-table frame anchors the log's offset base and goes first.  A
-    // surviving frame can straddle the low-water mark (it holds items both
-    // below and above it); the anchor must not pass that frame's start or
-    // the next scan's continuity check would reject it as a rewind.  Data
-    // offsets never decrease, so the first survivor has the lowest start.
-    bool anchored = false;
-    const auto put_table = [&](std::uint64_t first_start) {
-      base = std::min(base, first_start);
-      new_end = base;
-      WalFrame table;
-      table.kind = kWalSeqTable;
-      table.seq = seq++;
-      table.start_offset = base;
-      const auto snap = seqs_.snapshot();
-      table.payload.resize(snap.size() * 16);
-      std::size_t p = 0;
-      for (const auto& [id, hi] : snap) {
-        put_le<std::uint64_t>(table.payload.data() + p, id);
-        put_le<std::uint64_t>(table.payload.data() + p + 8, hi);
-        p += 16;
-      }
-      const std::vector<char> bytes = frame_wal(table);
-      put(bytes.data(), bytes.size());
-      anchored = true;
-    };
-
-    std::error_code size_ec;
-    const std::uint64_t log_bytes =
-        in ? std::filesystem::file_size(path_, size_ec) : 0;
-    if (!in || size_ec) fail("wal: cannot read " + path_);
-    std::uint64_t at = 0;        // bytes of the old log accepted so far
-    std::uint64_t last_seq = 0;  // read_wal's continuity state
-    std::uint64_t scan_end = 0;
-    std::vector<char> buf(kWalHeaderBytes);
-    WalFrame f;
-    while (log_bytes - at >= kWalHeaderBytes) {
-      if (std::fread(buf.data(), 1, kWalHeaderBytes, in.get()) !=
-          kWalHeaderBytes)
-        break;
-      // Bound the read by the file before trusting a (possibly torn)
-      // length field; check_frame applies every other rule.
-      const auto payload_len = get_le<std::uint32_t>(buf.data() + 40);
-      if (payload_len > log_bytes - at - kWalHeaderBytes) break;
-      buf.resize(kWalHeaderBytes + payload_len);
-      if (std::fread(buf.data() + kWalHeaderBytes, 1, payload_len, in.get()) !=
-          payload_len)
-        break;
-      if (check_frame(buf.data(), buf.size(), 0, f) == 0) break;
-      if (f.seq <= last_seq) break;
-      if (f.kind == kWalData && f.start_offset < scan_end) break;  // rewind
-      last_seq = f.seq;
-      at += buf.size();
-      if (f.kind == kWalSeqTable) {
-        scan_end = std::max(scan_end, f.start_offset);
-        continue;
-      }
-      scan_end = f.start_offset + payload_len / 8;
-      if (scan_end <= low_water) continue;  // fully checkpointed
-      if (!anchored) put_table(f.start_offset);
-      put_le<std::uint64_t>(buf.data() + 8, seq++);
-      seal_frame(buf.data(), payload_len);
-      put(buf.data(), buf.size());
-      new_end = scan_end;
-    }
-    if (std::ferror(in.get())) fail("wal: read error on " + path_);
-    if (at < log_bytes) torn_counter().inc();  // as read_wal counts a tail
-    if (!anchored) put_table(base);
-    if (std::fflush(out) != 0) fail("wal: flush failed on " + tmp);
-    durable_op(DurableOp::kWrite, tmp, written);
-#if defined(__unix__) || defined(__APPLE__)
-    // In kFsync mode the surviving frames were already made durable in
-    // the old log; the replacement must be durable *before* it takes the
-    // log's name, or a power loss shortly after the rename could surface
-    // an empty or partial rewrite where fsync'd frames used to be.
-    if (opt_.mode == WalMode::kFsync) {
-      if (::fsync(fileno(out)) != 0) fail("wal: fsync failed on " + tmp);
-      durable_op(DurableOp::kSync, tmp);
-    }
-#endif
-    if (std::fclose(out) != 0) {
-      std::error_code rm;
-      std::filesystem::remove(tmp, rm);
-      throw WalError("wal: close failed on " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path_, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    throw WalError("wal: cannot rename " + tmp + " to " + path_);
-  }
-  durable_op(DurableOp::kRename, path_);
-#if defined(__unix__) || defined(__APPLE__)
-  if (opt_.mode == WalMode::kFsync) {
-    // Persist the rename.  Best-effort: if the directory update is lost
-    // to a power cut, the pre-compaction file reappears whole — longer,
-    // but a valid log covering the same accepted suffix.
-    const std::filesystem::path dir =
-        std::filesystem::path(path_).parent_path();
-    const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-    if (dfd >= 0) {
-      if (::fsync(dfd) == 0) durable_op(DurableOp::kDirSync, dir.string());
-      ::close(dfd);
-    }
-  }
-#endif
-  base_offset_ = base;
-  next_seq_ = seq;
-  end_offset_ = std::max(end_offset_, new_end);
-  reopen_locked(written);
+  if (std::fflush(file_) != 0) throw_io("flush failed on", active_, errno);
+  if (opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0)
+    if (const int err = sync_locked()) throw_io("fsync failed on", active_, err);
 }
 
 }  // namespace she

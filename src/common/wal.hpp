@@ -15,22 +15,34 @@
 //   [ 6, 8)  u16 kind: 0 = data, 1 = seq-table
 //   [ 8,16)  u64 seq — per-log frame number, strictly increasing from 1
 //   [16,24)  u64 start_offset — shard items accepted before this frame
-//            (data); compaction low-water base (seq-table)
+//            (data); the segment's base offset (seq-table)
 //   [24,32)  u64 client_id (0 = no client identity, never deduplicated)
 //   [32,40)  u64 client_seq — the client's idempotence sequence number
 //   [40,44)  u32 payload_len
 //   [44,48)  u32 CRC-32 over header [0,44) chained into the payload
 //
 // Data payloads are the accepted keys as u64 LE; seq-table payloads are
-// repeated (u64 client_id, u64 high_seq) pairs, written at the head of a
-// compacted log so the idempotence filter survives frame retirement.
+// repeated (u64 client_id, u64 high_seq) pairs.
 //
-// Crash contract: appends go to the end of the file in order, so a crash
-// at any instant leaves a valid frame prefix plus at most one torn tail.
+// Segments: a log named `<dir>/shard-<s>.wal` is a sequence of files
+// `<dir>/shard-<s>.<first frame seq, 20 digits>.wal`, so name order is log
+// order, and seqs keep increasing across them.  Every segment opens with a
+// seq-table frame carrying the whole idempotence table, anchored at the
+// segment's base offset (a fresh log's first segment, whose table would
+// be empty at offset 0, starts straight with data): each segment is a
+// self-contained log, and the oldest surviving one still refuses every
+// client seq a retired segment held.  Appends rotate to a new segment
+// once the active one reaches `segment_bytes`; `retire` deletes whole
+// sealed segments below the checkpoint low-water mark.  A legacy
+// single-file `shard-<s>.wal` reads as the oldest segment.
+//
+// Crash contract: appends go to the end of the active segment in order,
+// so a crash at any instant leaves a valid frame prefix plus at most one
+// torn tail (or an empty or torn-headed segment from a rotation).
 // `read_wal` accepts exactly that shape — it stops at the first frame
-// that fails validation and reports the bytes behind it for truncation —
-// and anything else (mid-log corruption) also truncates there, keeping
-// the longest crash-consistent prefix.
+// that fails validation and reports the bytes behind it, later segments
+// included, for truncation — and anything else (mid-log corruption) also
+// truncates there, keeping the longest crash-consistent prefix.
 #pragma once
 
 #include <cstddef>
@@ -74,6 +86,8 @@ inline constexpr std::uint16_t kWalVersion = 1;
 inline constexpr std::size_t kWalHeaderBytes = 48;
 inline constexpr std::uint16_t kWalData = 0;
 inline constexpr std::uint16_t kWalSeqTable = 1;
+/// Active-segment size at which appends rotate to a new segment.
+inline constexpr std::size_t kWalSegmentBytes = std::size_t{4} << 20;
 
 /// One decoded frame.
 struct WalFrame {
@@ -143,20 +157,29 @@ class ClientSeqTable {
   std::map<std::uint64_t, std::uint64_t> high_;
 };
 
-/// Result of scanning a log file: the longest valid frame prefix.
+/// One segment file of the valid prefix.
+struct WalSegment {
+  std::string path;
+  std::uint64_t end_offset = 0;  ///< shard items covered through it
+  std::uint64_t bytes = 0;       ///< its valid prefix length
+};
+
+/// Result of scanning a log: the longest valid frame prefix.
 struct WalScan {
   std::vector<WalFrame> frames;  ///< data frames only, in append order
   std::map<std::uint64_t, std::uint64_t> client_seqs;  ///< id → high seq
   std::uint64_t next_seq = 1;     ///< first unused frame seq
   std::uint64_t end_offset = 0;   ///< shard items covered by the log
   std::uint64_t valid_bytes = 0;  ///< prefix length that parsed
-  std::uint64_t dropped_bytes = 0;  ///< torn/corrupt tail behind it
+  std::uint64_t dropped_bytes = 0;  ///< torn/corrupt bytes behind it
+  std::vector<WalSegment> segments;  ///< files holding the prefix, in order
 };
 
-/// Scan `path` (missing file → empty scan).  Never throws on torn tails —
-/// they are the *expected* crash shape — but counts them in
-/// `she_wal_torn_tail_total`.  Throws WalError only on filesystem read
-/// errors.
+/// Scan the log named `path`: the legacy file `path`, then its segments
+/// (nothing there → empty scan; a segment's own path scans that file
+/// alone).  Never throws on torn tails — they are the *expected* crash
+/// shape — but counts them in `she_wal_torn_tail_total`.  Throws WalError
+/// only on filesystem read errors.
 [[nodiscard]] WalScan read_wal(const std::string& path);
 
 /// Fault hooks threaded in by the runtime's SHE_FAULT_INJECTION harness
@@ -174,9 +197,9 @@ struct WalFaultHooks {
   std::function<int(std::uint64_t seq)> fail_errno;
 };
 
-/// Append handle for one shard's log.  Thread-safe: producers for the
-/// same shard serialize on an internal mutex (appends are batched — one
-/// frame per push_bulk sub-batch — so the lock is cold).
+/// Append handle for one shard's segmented log.  Thread-safe: producers
+/// for the same shard serialize on an internal mutex (appends are batched
+/// — one frame per push_bulk sub-batch — so the lock is cold).
 class ShardWal {
  public:
   struct Options {
@@ -184,9 +207,8 @@ class ShardWal {
     /// kFsync group-commit bound: unsynced bytes before the next append
     /// forces an fdatasync.  0 = every append syncs (strictest).
     std::size_t fsync_interval_bytes = 0;
-    /// Compaction rewrites only logs at least this large (a full-file
-    /// rewrite per checkpoint would dominate small windows).
-    std::size_t compact_min_bytes = std::size_t{4} << 20;
+    /// Active-segment size at which the next append rotates.
+    std::size_t segment_bytes = kWalSegmentBytes;
     WalFaultHooks hooks;
     /// Called after each append that is as durable as the mode promises,
     /// with the decoded frame and its encoded bytes, still under the
@@ -197,8 +219,10 @@ class ShardWal {
         observer;
   };
 
-  /// Open (creating if needed) the log at `path` for appending, first
-  /// truncating any torn tail the caller's `scan` found.
+  /// Open the log named `path` for appending, continuing the last segment
+  /// of `scan` (the caller's read_wal of `path`).  Every log file the scan
+  /// did not keep is deleted first — the torn tail is truncated, later
+  /// segments go — so an empty scan starts a fresh log in a new segment.
   ShardWal(std::string path, Options opt, const WalScan& scan);
   ~ShardWal();
   ShardWal(const ShardWal&) = delete;
@@ -214,34 +238,36 @@ class ShardWal {
   bool append(std::span<const std::uint64_t> keys, std::uint64_t client_id,
               std::uint64_t client_seq);
 
-  /// Retire frames wholly below `low_water` (the oldest *retained*
-  /// checkpoint generation's offset — older generations may still be the
-  /// resume base, so their replay suffix must survive).  Rewrites the log
-  /// as a seq-table frame plus surviving data frames; cheap no-op unless
-  /// everything can go or the file has grown past `compact_min_bytes`.
-  void compact(std::uint64_t low_water);
+  /// Unlink the sealed segments wholly at or below `low_water` (the oldest
+  /// *retained* checkpoint generation's offset — older generations may
+  /// still be the resume base, so their replay suffix must survive),
+  /// oldest first.  The active segment is never retired.
+  void retire(std::uint64_t low_water);
 
   /// Force the durability the mode promises (checkpoint barrier / close).
   void flush();
 
   [[nodiscard]] ClientSeqTable& seq_table() { return seqs_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
-  void reopen_locked(std::uint64_t file_bytes);
-  void repair_locked();  ///< truncate bytes past the last whole frame
+  void repair_locked();  ///< reopen the active segment, tail cut
+  int sync_locked();     ///< fsync the active segment (and, once, its
+                         ///< directory); 0 or the errno
+  void rotate_locked();  ///< seal the active segment, start the next
 
   std::string path_;
   Options opt_;
   ClientSeqTable seqs_;
   std::mutex mu_;
+  std::vector<WalSegment> sealed_;  ///< oldest first
+  std::string active_;              ///< the segment appends go to
+  bool named_ = false;              ///< active_'s directory entry synced
   std::FILE* file_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::uint64_t end_offset_ = 0;  ///< items covered by frames on disk
-  std::uint64_t file_bytes_ = 0;  ///< bytes of whole, accepted frames
+  std::uint64_t file_bytes_ = 0;  ///< active segment: whole frames' bytes
   std::uint64_t disk_bytes_ = 0;  ///< actual file size (>= file_bytes_
                                   ///< after a failed append left a tail)
-  std::uint64_t base_offset_ = 0;  ///< compaction low-water already applied
   std::size_t unsynced_bytes_ = 0;
 };
 

@@ -263,8 +263,7 @@ inline bool maybe_ckpt_eio(std::size_t shard, std::uint64_t ordinal) {
 }
 
 /// Report every durable-state syscall of the WAL and checkpoint writers to
-/// `hook` (null disarms).  The crash-point harness records the sequence,
-/// then kills forked children right after each op.
+/// `hook` (null disarms): the crash-point harness's seam.
 inline void on_durable_op(DurableOpHook hook) {
   durable_op_hook.store(hook, std::memory_order_release);
 }

@@ -52,8 +52,6 @@ void PipelineOptions::validate() const {
   if (supervise && supervisor_interval_ms == 0)
     throw std::invalid_argument(
         "PipelineOptions: supervise needs supervisor_interval_ms > 0");
-  if (rate_window_s == 0)
-    throw std::invalid_argument("PipelineOptions: rate_window_s must be > 0");
   if (wal_mode != WalMode::kOff && checkpoint_dir.empty())
     throw std::invalid_argument(
         "PipelineOptions: the WAL needs a checkpoint_dir (the log lives "

@@ -45,21 +45,22 @@
 //     backlog counted replayed) and fences workers whose heartbeat went
 //     stale (`heartbeat_timeout_ms`) so a wedged-but-cooperative worker
 //     hands its shard over losslessly.  Restarts are capped at
-//     `max_restarts` per shard; beyond it the shard is abandoned and
+//     `kMaxRestarts` per shard; beyond it the shard is abandoned and
 //     pushes to it fail fast.
 //   * Write-ahead backlog log (common/wal.hpp): checkpoints capture the
 //     drained prefix, but items *accepted and still queued* used to be
 //     lost by design at a crash.  With `wal_mode != kOff`, the lane
 //     commit gains an append: the reservation comes *first* — a request
 //     deadline or BlockTimeout expiry sheds the batch before anything
-//     reaches the log — then the sub-batch is appended to
-//     `<checkpoint_dir>/shard-<s>.wal` and enqueued whole, in log order.
-//     Drain order therefore equals log-append order, which is what lets
-//     the checkpoint offset (a count of drained items) identify the exact
-//     log prefix a checkpoint covers: drain progress is the durable
-//     low-water mark that retires frames at compaction, and resume
-//     replays the logged suffix past the newest checkpoint — so kill -9
-//     at any instant reconstructs the accepted stream byte-identically.
+//     reaches the log — then the sub-batch is appended to the shard's
+//     segmented log `<checkpoint_dir>/shard-<s>.<seq>.wal` and enqueued
+//     whole, in log order.  Drain order therefore equals log-append
+//     order, which is what lets the checkpoint offset (a count of drained
+//     items) identify the exact log prefix a checkpoint covers: drain
+//     progress is the durable low-water mark below which whole segments
+//     are unlinked, and resume replays the logged suffix past the newest
+//     checkpoint — so kill -9 at any instant reconstructs the accepted
+//     stream byte-identically.
 //     Only a terminally dead shard (faulted without a supervisor, or
 //     abandoned) accepts batches into the log without enqueueing them;
 //     that is safe because nothing drains or checkpoints there again,
@@ -83,7 +84,7 @@
 // backpressure stall time, and the fault/recovery counters (restarts,
 // faults, wedges, items lost/replayed, checkpoints, push timeouts);
 // RuntimeStats is a plain-struct view over it (see stats()), including a
-// windowed items/s rate (`rate_window_s`) that makes restart dips visible
+// windowed items/s rate (`kRateWindowS`) that makes restart dips visible
 // where the whole-run average would smooth them away.  Push latency is
 // sampled (1 in 64 calls) only while the global telemetry toggle is
 // enabled, so a lane commit otherwise costs one bulk ring push and one
@@ -144,6 +145,7 @@
 #include "runtime/ring_buffer.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/snapshot.hpp"
+#include "she/sharded.hpp"
 
 namespace she::runtime {
 
@@ -177,7 +179,6 @@ struct PipelineOptions {
   std::size_t publish_interval = 2048; ///< items between snapshot publishes
   Backpressure policy = Backpressure::kBlock;
   std::size_t push_timeout_ms = 100;   ///< kBlockTimeout: give up after this
-  std::uint64_t route_seed = 0x5ead5eedULL;  ///< Sharded's default
   std::size_t sample_interval_ms = 0;  ///< queue-depth sampler period; 0 = no
                                        ///< background sampler thread
 
@@ -185,20 +186,17 @@ struct PipelineOptions {
   bool supervise = false;              ///< restart faulted / fence wedged workers
   std::size_t heartbeat_timeout_ms = 250;  ///< wedged when heartbeat older
   std::size_t supervisor_interval_ms = 5;  ///< supervisor poll period
-  std::size_t max_restarts = 16;       ///< per-shard cap before abandoning
   std::string checkpoint_dir;          ///< empty = no durable checkpoints
   std::uint64_t checkpoint_interval = 1u << 16;  ///< items between frames
   std::size_t checkpoint_keep = 1;     ///< retained frame generations per
                                        ///< shard (1 = overwrite in place)
   bool resume = false;                 ///< reload checkpoint_dir at startup
-  std::size_t rate_window_s = 10;      ///< windowed items/s view width
 
   // Write-ahead backlog log (requires checkpoint_dir and a lossless
   // backpressure policy; see the class comment).
   WalMode wal_mode = WalMode::kOff;
   std::size_t wal_fsync_bytes = 0;     ///< kFsync group-commit bound;
                                        ///< 0 = fdatasync every append
-  std::size_t wal_compact_bytes = std::size_t{4} << 20;  ///< rewrite floor
 
   /// Called after each durable WAL append with the shard index, the
   /// decoded frame, and its encoded bytes, under that shard's append
@@ -223,12 +221,17 @@ class IngestPipeline {
  public:
   using Factory = std::function<Estimator(std::size_t)>;
 
+  /// Supervised restarts per shard before it is abandoned.
+  static constexpr std::size_t kMaxRestarts = 16;
+  /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
+  static constexpr std::size_t kRateWindowS = 10;
+
   /// Builds `opt.shards` estimators via `factory(shard_index)` — or, with
   /// `opt.resume`, from the shard's durable checkpoint when one exists
   /// (corrupt frames throw CheckpointError) — and publishes their initial
   /// snapshots; workers start with start().
   IngestPipeline(const PipelineOptions& opt, const Factory& factory)
-      : opt_(opt), rate_window_(opt.rate_window_s) {
+      : opt_(opt), rate_window_(kRateWindowS) {
     opt_.validate();
     drain_hist_ = &registry_.histogram(
         "she_pipeline_drain_latency_ns",
@@ -293,45 +296,33 @@ class IngestPipeline {
         // prefix because a batch is only logged once ring space for it
         // is reserved: sheds happen before the append, and a frame past
         // the checkpoint is always un-applied in its entirety beyond
-        // `consumed`.
-        WalScan scan = read_wal(wal_path(s));
+        // `consumed`.  A fresh (non-resuming) pipeline opens an empty
+        // scan, which deletes stale segments from an earlier life of
+        // this directory.
+        WalScan scan = opt_.resume ? read_wal(wal_path(s)) : WalScan{};
         if (opt_.resume) {
-          std::uint64_t pos = sh->consumed;
-          for (const WalFrame& f : scan.frames) {
-            if (f.end_offset() <= pos) continue;  // already checkpointed
-            const std::vector<std::uint64_t> keys = f.keys();
-            const std::size_t skip = static_cast<std::size_t>(
-                pos > f.start_offset ? pos - f.start_offset : 0);
-            const std::span<const std::uint64_t> rest(keys.data() + skip,
-                                                      keys.size() - skip);
-            if constexpr (requires { sh->est.insert_batch(rest); })
-              sh->est.insert_batch(rest);
-            else
-              for (std::uint64_t k : rest) sh->est.insert(k);
-            pos = f.end_offset();
-            sh->wal_replayed->inc(rest.size());
-          }
-          pos = std::max(pos, scan.end_offset);
+          const std::uint64_t pos = replay_log(
+              *sh, scan, sh->consumed, std::numeric_limits<std::uint64_t>::max());
+          // Items neither the checkpoint nor the log holds (a deleted
+          // checkpoint, a missing segment) cannot be replayed: refuse to
+          // resume rather than skip them silently.
+          if (pos < scan.end_offset)
+            throw WalError("wal: shard " + std::to_string(s) +
+                           " cannot resume: the items from " +
+                           std::to_string(pos) +
+                           " on are in neither its checkpoint nor its log");
           sh->resume_offset = pos;
           sh->consumed = pos;
           sh->consumed_at_publish = pos;
-          // If the checkpoint is ahead of the log (log file lost or
-          // fully compacted away), new frames must still start at the
+          // If the checkpoint is ahead of the log (log lost, or every
+          // segment retired), new frames must still start at the
           // checkpoint offset — an append below `consumed` would be
           // skipped as "already checkpointed" at the next resume.
-          scan.end_offset = std::max(scan.end_offset, pos);
-        }
-        if (!opt_.resume) {
-          // A fresh (non-resuming) pipeline must not append after stale
-          // frames from an earlier life of this directory.
-          std::error_code ec;
-          if (std::filesystem::remove(wal_path(s), ec))
-            durable_op(DurableOp::kUnlink, wal_path(s));
+          scan.end_offset = pos;
         }
         ShardWal::Options wopt;
         wopt.mode = opt_.wal_mode;
         wopt.fsync_interval_bytes = opt_.wal_fsync_bytes;
-        wopt.compact_min_bytes = opt_.wal_compact_bytes;
         wopt.hooks.torn = [s](std::uint64_t seq, std::size_t frame_bytes) {
           return fault::maybe_torn_wal(s, seq, frame_bytes, kWalHeaderBytes);
         };
@@ -349,10 +340,10 @@ class IngestPipeline {
           };
         }
         sh->wal = std::make_unique<ShardWal>(wal_path(s), std::move(wopt),
-                                             opt_.resume ? scan : WalScan{});
+                                             scan);
         // Seed the generation history conservatively: checkpoint files
         // from before this restart may still be retained with offsets we
-        // no longer know, so compaction must not pass the resume base
+        // no longer know, so retirement must not pass the resume base
         // until `checkpoint_keep` fresh generations have rotated them out.
         sh->ckpt_history.assign(opt_.checkpoint_keep, sh->last_checkpoint);
       }
@@ -375,9 +366,9 @@ class IngestPipeline {
   [[nodiscard]] const PipelineOptions& options() const { return opt_; }
   [[nodiscard]] std::size_t shard_count() const { return opt_.shards; }
 
-  /// Same routing as Sharded<T> with the same seed.
+  /// Same routing as Sharded<T>.
   [[nodiscard]] std::size_t shard_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(hash64(key, opt_.route_seed) % opt_.shards);
+    return static_cast<std::size_t>(hash64(key, kRouteSeed) % opt_.shards);
   }
 
   /// Items shard `s`'s estimator already contained when this pipeline was
@@ -389,7 +380,7 @@ class IngestPipeline {
   }
 
   /// True while any shard worker is dead by exception (or abandoned after
-  /// max_restarts) and not yet restarted.  Any thread.
+  /// kMaxRestarts) and not yet restarted.  Any thread.
   [[nodiscard]] bool faulted() const {
     for (const auto& sh : shards_) {
       const WorkerState st = sh->state.load(std::memory_order_acquire);
@@ -815,7 +806,7 @@ class IngestPipeline {
                                   ? stop_ns_.load(std::memory_order_relaxed)
                                   : now_ns();
     st.set_rate(static_cast<double>(stop - start) / 1e9);
-    st.rate_window_s = opt_.rate_window_s;
+    st.rate_window_s = kRateWindowS;
     st.recent_items_per_sec = sample_rate(st.inserted);
     return st;
   }
@@ -861,7 +852,7 @@ class IngestPipeline {
     /// under lane_mu.
     ClientSeqTable seqs;
     /// Worker-only: offsets of the last `checkpoint_keep` checkpoint
-    /// frames, oldest first.  The WAL compaction low-water is the *oldest*
+    /// frames, oldest first.  The WAL retirement low-water is the *oldest*
     /// retained generation — resume may fall back past a corrupt newest
     /// frame, and that older base still needs its replay suffix.
     std::vector<std::uint64_t> ckpt_history;
@@ -962,7 +953,7 @@ class IngestPipeline {
   }
 
   /// A shard whose ring will never drain again: dead by exception with no
-  /// supervisor to revive it, or abandoned past max_restarts.
+  /// supervisor to revive it, or abandoned past kMaxRestarts.
   [[nodiscard]] bool shard_dead(const Shard& sh) const {
     const WorkerState st = sh.state.load(std::memory_order_acquire);
     return st == WorkerState::kAbandoned ||
@@ -1020,17 +1011,17 @@ class IngestPipeline {
     sh.checkpoints->inc();
     sh.last_checkpoint = sh.consumed_at_publish;
     if (sh.wal != nullptr) {
-      // A durable checkpoint retires the WAL frames below the *oldest*
+      // A durable checkpoint retires the WAL segments below the *oldest*
       // generation rotate_checkpoints still keeps: resume may fall back
       // that far past corrupt newer frames, and replays forward from it.
       sh.ckpt_history.push_back(sh.consumed_at_publish);
       while (sh.ckpt_history.size() > opt_.checkpoint_keep)
         sh.ckpt_history.erase(sh.ckpt_history.begin());
       try {
-        sh.wal->compact(sh.ckpt_history.front());
+        sh.wal->retire(sh.ckpt_history.front());
       } catch (const WalError&) {
-        // Compaction is an optimization; a failed rewrite leaves the old
-        // (longer but valid) log in place and retries next checkpoint.
+        // A segment that cannot be unlinked yet stays in the log, which
+        // is still valid, and is retried at the next checkpoint.
       }
     }
     checkpoint_hist_->observe(static_cast<std::uint64_t>(now_ns() - t0));
@@ -1201,7 +1192,7 @@ class IngestPipeline {
         const bool fenced_out = st == WorkerState::kExited &&
                                 sh.fence.load(std::memory_order_acquire);
         if (dead_by_fault || fenced_out) {
-          if (restart_count[s] >= opt_.max_restarts) {
+          if (restart_count[s] >= kMaxRestarts) {
             sh.state.store(WorkerState::kAbandoned,
                            std::memory_order_release);
             continue;
@@ -1232,38 +1223,42 @@ class IngestPipeline {
     }
   }
 
-  /// Re-insert log items [consumed_at_publish, consumed) into the
-  /// freshly-rolled-back estimator; returns the offset healed up to.
-  /// Runs on the supervisor thread after the dead worker was joined, so
-  /// it owns sh.est; a concurrent producer may be appending past
-  /// `consumed`, but the range we read is already flushed to the file
-  /// (it was applied by the worker, so its append long since returned).
-  std::uint64_t wal_heal(Shard& sh) {
-    std::uint64_t pos = sh.consumed_at_publish;
-    if (pos >= sh.consumed) return sh.consumed;
-    WalScan scan;
-    try {
-      scan = read_wal(wal_path(sh.index));
-    } catch (const std::exception&) {
-      return pos;
-    }
+  /// Re-insert the logged items [pos, end) into the shard's estimator, in
+  /// log order, stopping early at a hole in the log; returns the offset
+  /// reached.
+  std::uint64_t replay_log(Shard& sh, const WalScan& scan, std::uint64_t pos,
+                           std::uint64_t end) {
     for (const WalFrame& f : scan.frames) {
-      if (f.end_offset() <= pos) continue;
-      if (f.start_offset > pos) break;  // hole — caller accounts the rest
+      if (f.end_offset() <= pos) continue;  // already applied
+      if (f.start_offset > pos || pos >= end) break;  // a hole, or done
       const std::vector<std::uint64_t> keys = f.keys();
-      const std::size_t lo = static_cast<std::size_t>(pos - f.start_offset);
-      const std::size_t hi = static_cast<std::size_t>(std::min<std::uint64_t>(
-          keys.size(), sh.consumed - f.start_offset));
-      const std::span<const std::uint64_t> part(keys.data() + lo, hi - lo);
+      const std::span<const std::uint64_t> part(
+          keys.data() + (pos - f.start_offset),
+          static_cast<std::size_t>(std::min(f.end_offset(), end) - pos));
       if constexpr (requires { sh.est.insert_batch(part); })
         sh.est.insert_batch(part);
       else
         for (std::uint64_t k : part) sh.est.insert(k);
       sh.wal_replayed->inc(part.size());
-      pos = f.start_offset + hi;
-      if (pos >= sh.consumed) break;
+      pos += part.size();
     }
     return pos;
+  }
+
+  /// Heal the rollback gap [consumed_at_publish, consumed) of a freshly
+  /// rolled-back estimator from the log; returns the offset healed up to.
+  /// Runs on the supervisor thread after the dead worker was joined, so
+  /// it owns sh.est; a concurrent producer may be appending past
+  /// `consumed`, but the range we read is already flushed to the file
+  /// (it was applied by the worker, so its append long since returned).
+  std::uint64_t wal_heal(Shard& sh) {
+    if (sh.consumed_at_publish >= sh.consumed) return sh.consumed;
+    try {
+      return replay_log(sh, read_wal(wal_path(sh.index)),
+                        sh.consumed_at_publish, sh.consumed);
+    } catch (const std::exception&) {
+      return sh.consumed_at_publish;
+    }
   }
 
   /// Join the dead worker, restore the shard (rolling back to the last

@@ -157,7 +157,7 @@ namespace {
 void ship_file(int fd, const std::string& pipeline, const std::string& rel,
                const fs::path& full) {
   std::ifstream in(full, std::ios::binary);
-  if (!in) return;  // rotated away since the directory listing; skip
+  if (!in) return;  // rotated or retired since the listing; skip
   std::vector<char> buf(kReplFileChunk);
   for (;;) {
     in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
@@ -174,12 +174,12 @@ void ship_file(int fd, const std::string& pipeline, const std::string& rel,
   }
 }
 
-/// Ship a pipeline directory, WAL files FIRST.  Read order matters: a
-/// checkpoint taken after our WAL read can only be AHEAD of the shipped
-/// log, and the frames covering that gap were appended after the hub
-/// subscription, so they arrive on the live stream; reading checkpoints
-/// first would let a concurrent compaction retire frames the shipped
-/// (older) checkpoint still needs.
+/// Ship a pipeline directory, WAL segments FIRST and in name (= log)
+/// order.  Read order matters: a checkpoint taken after our WAL read can
+/// only be AHEAD of the shipped log, and the frames covering that gap were
+/// appended after the hub subscription, so they arrive on the live
+/// stream; reading checkpoints first would let a concurrent retirement
+/// unlink segments the shipped (older) checkpoint still needs.
 void ship_dir(int fd, const std::string& pipeline, const std::string& dir) {
   std::vector<std::pair<int, fs::path>> files;
   std::error_code ec;
@@ -193,8 +193,7 @@ void ship_dir(int fd, const std::string& pipeline, const std::string& dir) {
         name.size() > 4 && name.compare(name.size() - 4, 4, ".wal") == 0;
     files.emplace_back(is_wal ? 0 : 1, it->path());
   }
-  std::stable_sort(files.begin(), files.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::sort(files.begin(), files.end());
   for (const auto& [rank, path] : files) {
     ship_file(fd, pipeline, path.filename().string(), path);
   }

@@ -6,7 +6,7 @@
 //   standby ──REPLICATE──▶ primary            (one protocol frame)
 //   standby ◀──kOk──────── primary            (stream begins)
 //   standby ◀──kFile*──────                   bootstrap: spec + shard-N.ckpt
-//   standby ◀──kPipelineDone(name, spec)──    generations + shard-N.wal,
+//   standby ◀──kPipelineDone(name, spec)──    generations + WAL segments,
 //   standby ◀──kBootstrapDone──               shipped verbatim per pipeline
 //   standby ◀──kWal/kCreate/kDrop/kHeartbeat  live tail, forever
 //
@@ -24,8 +24,8 @@
 // shipped file and in the queue, and the standby deduplicates by *offset*
 // (frames whose end_offset is at or below the shard's applied offset are
 // skipped), so the overlap is harmless.  Offsets — not WAL seq numbers —
-// are the replication identity because compaction renumbers seqs while
-// offsets only ever grow.
+// are the replication identity: they name items, and a standby's own log
+// numbers its frames independently.
 //
 // The standby applies each frame through its own pipeline's WAL lane
 // (Entry::insert_bulk with the frame's client identity), so the standby

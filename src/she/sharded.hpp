@@ -36,15 +36,17 @@
 
 namespace she {
 
+/// Seed of the routing hash (independent of the estimators' families).
+/// Sharded and runtime::IngestPipeline both route with it, so a key lands
+/// on the same shard index in either.
+inline constexpr std::uint64_t kRouteSeed = 0x5ead5eedULL;
+
 template <typename Estimator>
 class Sharded {
  public:
-  /// `shards` estimators built by `factory(shard_index)`; `route_seed`
-  /// selects the routing hash (independent of the estimators' families).
+  /// `shards` estimators built by `factory(shard_index)`.
   Sharded(std::size_t shards,
-          const std::function<Estimator(std::size_t)>& factory,
-          std::uint64_t route_seed = 0x5ead5eedULL)
-      : route_seed_(route_seed) {
+          const std::function<Estimator(std::size_t)>& factory) {
     if (shards == 0) throw std::invalid_argument("Sharded: shards must be > 0");
     shards_.reserve(shards);
     for (std::size_t s = 0; s < shards; ++s) shards_.push_back(factory(s));
@@ -54,7 +56,7 @@ class Sharded {
 
   /// Owning shard of a key.
   [[nodiscard]] std::size_t shard_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(hash64(key, route_seed_) % shards_.size());
+    return static_cast<std::size_t>(hash64(key, kRouteSeed) % shards_.size());
   }
 
   /// Route one item to its shard (single-threaded path).
@@ -83,7 +85,6 @@ class Sharded {
   }
 
  private:
-  std::uint64_t route_seed_;
   std::vector<Estimator> shards_;
 };
 
@@ -112,7 +113,7 @@ void Sharded<Estimator>::insert_bulk(std::span<const std::uint64_t> keys,
   std::uint64_t h[kChunk];
   for (std::size_t c0 = 0; c0 < keys.size(); c0 += kChunk) {
     const std::size_t n = std::min(kChunk, keys.size() - c0);
-    simd::hash64_keys(keys.data() + c0, n, route_seed_, h);
+    simd::hash64_keys(keys.data() + c0, n, kRouteSeed, h);
     for (std::size_t j = 0; j < n; ++j)
       parts[static_cast<std::size_t>(h[j] % n_shards)].push_back(keys[c0 + j]);
   }

@@ -136,8 +136,8 @@ TEST(Differential, ShardedMatchesManualRouting) {
       cfg.seed = static_cast<std::uint32_t>(idx) * 7919u + s.cfg.seed;
       return SheBloomFilter(cfg, s.hashes);
     };
-    Sharded<SheBloomFilter> routed(shards, factory, s.seed);
-    Sharded<SheBloomFilter> bulk(shards, factory, s.seed);
+    Sharded<SheBloomFilter> routed(shards, factory);
+    Sharded<SheBloomFilter> bulk(shards, factory);
     for (auto k : s.trace) routed.insert(k);
     bulk.insert_bulk(s.trace, 2);
     Rng rng(s.seed + 5);

@@ -1128,6 +1128,80 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(FaultTolerance, WalResumeRefusesAHoleBehindADeletedCheckpoint) {
+  // Closing retires the log that the final checkpoint covers, so the log
+  // alone no longer starts at offset 0.  With the checkpoint deleted, the
+  // items before the log's start exist nowhere: resume must refuse with a
+  // typed error instead of coming back empty at the log's end offset.
+  const auto factory = bf_factory(1, 16'384);
+  const auto trace = stream::distinct_trace(700'000, 43);  // > 5 MiB logged
+  const std::string dir = temp_dir("wal_hole_ckpt");
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = 1u << 18;
+  opt.wal_mode = WalMode::kAsync;
+  {
+    IngestPipeline<SheBloomFilter> pipe(opt, factory);
+    pipe.start();
+    constexpr std::size_t kChunk = 1 << 14;
+    for (std::size_t i = 0; i < trace.size(); i += kChunk) {
+      const std::size_t n = std::min(kChunk, trace.size() - i);
+      ASSERT_EQ(pipe.push_bulk(0, std::span(trace).subspan(i, n)), n);
+    }
+    pipe.close();
+  }
+  ASSERT_TRUE(std::filesystem::remove(dir + "/shard-0.ckpt"));
+  opt.resume = true;
+  EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, factory), WalError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, WalResumeRefusesAMissingMiddleSegment) {
+  // A log segment missing from the middle is the same hole: the items it
+  // held are in no checkpoint, so resume must refuse rather than replay
+  // around them.
+  const std::string dir = temp_dir("wal_hole_segment");
+  const std::string log = dir + "/shard-0.wal";
+  ShardWal::Options wopt;
+  wopt.segment_bytes = 1024;  // two 64-key frames per segment
+  {
+    ShardWal wal(log, wopt, WalScan{});
+    std::vector<std::uint64_t> keys(64);
+    for (std::uint64_t b = 0; b < 12; ++b) {
+      for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = b * 64 + i;
+      ASSERT_TRUE(wal.append(keys, 0, 0));
+    }
+  }
+  const WalScan scan = read_wal(log);
+  ASSERT_GE(scan.segments.size(), 3u);
+  const std::string middle = scan.segments[1].path;
+  std::vector<char> saved;
+  {
+    std::ifstream is(middle, std::ios::binary);
+    saved.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_TRUE(std::filesystem::remove(middle));
+
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.checkpoint_dir = dir;
+  opt.wal_mode = WalMode::kAsync;
+  opt.resume = true;
+  const auto factory = bf_factory(1, 16'384);
+  EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, factory), WalError);
+
+  // Put the segment back and the same log resumes in full.
+  std::ofstream(middle, std::ios::binary)
+      .write(saved.data(), static_cast<std::streamsize>(saved.size()));
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  EXPECT_EQ(pipe.resume_offset(0), scan.end_offset);
+  pipe.close();
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(FaultTolerance, AllCheckpointGenerationsCorruptFailsLoudly) {
   // Retention is not a license to resume from nothing: when every retained
   // generation is demonstrably corrupt, the resume constructor must throw

@@ -26,6 +26,7 @@
 #include "common/wal.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
+#include "runtime/snapshot.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -383,6 +384,52 @@ TEST(Replication, DropAndLateCreateReplicate) {
   for (SheServer* s : {&stby.server, &prim.server}) {
     s->request_stop();
     s->stop();
+  }
+}
+
+TEST(Replication, MultiSegmentBootstrapResumesByteIdentical) {
+  // A late standby bootstraps a pipeline whose log spans several 4 MiB
+  // segments, the oldest already retired by checkpoints: it must receive
+  // the surviving segments in order and resume to the primary's exact
+  // state.
+  const std::string prim_root = temp_dir("repl_seg_prim");
+  LiveServer prim(base_options(prim_root));
+  SheClient pc = prim.client();
+  // 64K-key frames fill a segment every 512K keys; one checkpoint at 768K
+  // retires the first segment and leaves the next two.
+  pc.create("m", "window=64K memory=256K shards=1 wal=async "
+                 "checkpoint-every=768K");
+  std::vector<std::uint64_t> keys(1'200'000);  // ~9.6 MiB of log
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = (i * 7919) % 90'000;
+  constexpr std::size_t kChunk = 1 << 16;
+  for (std::size_t i = 0; i < keys.size(); i += kChunk)
+    pc.insert_bulk("m", std::span<const std::uint64_t>(keys).subspan(
+                            i, std::min(kChunk, keys.size() - i)));
+  pc.flush("m");
+  std::size_t segments = 0;
+  for (const auto& e :
+       std::filesystem::directory_iterator(std::filesystem::path(prim_root) / "m"))
+    segments += e.path().extension() == ".wal" ? 1 : 0;
+  EXPECT_GE(segments, 2u) << "the log should span several segments";
+  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(prim_root) / "m" /
+                                       "shard-0.00000000000000000001.wal"))
+      << "the first segment should be retired";
+
+  LiveServer stby(standby_options(temp_dir("repl_seg_stby"), prim.server.port()));
+  SheClient sc = stby.client();
+  wait_has_pipeline(sc, "m");
+  const auto p = prim.server.manager().find("m");
+  const auto s = stby.server.manager().find("m");
+  ASSERT_TRUE(p && s);
+  EXPECT_EQ(s->monitor().resume_offset(0), keys.size());
+  std::vector<char> want, got;
+  runtime::serialize_to(want, *p->monitor().shard_view(0));
+  runtime::serialize_to(got, *s->monitor().shard_view(0));
+  EXPECT_TRUE(want == got) << "standby state differs from the primary's";
+
+  for (SheServer* srv : {&stby.server, &prim.server}) {
+    srv->request_stop();
+    srv->stop();
   }
 }
 

@@ -1253,9 +1253,10 @@ TEST(Server, WalSpecRequiresDurableRoot) {
   std::vector<std::uint64_t> keys(2048);
   for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i;
   EXPECT_EQ(d.insert_bulk("w", keys), keys.size());
-  // The per-shard backlog log exists under the pipeline's directory.
-  EXPECT_TRUE(std::filesystem::exists(
-      std::filesystem::path(root) / "w" / "shard-0.wal"));
+  // The per-shard backlog log exists under the pipeline's directory, as
+  // its first segment (named by the seq of its first frame).
+  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(root) / "w" /
+                                      "shard-0.00000000000000000001.wal"));
 }
 
 TEST(Server, ClientReplaysInsertsAcrossServerRestartExactTotals) {

@@ -1,11 +1,13 @@
 // Write-ahead backlog log tests: frame codec, crash-shape recovery scans
 // (torn tails, mid-log corruption, sequence regressions), the per-client
-// idempotence table, and the ShardWal append/dedup/compact/repair cycle.
+// idempotence table, and the ShardWal append/dedup/rotate/retire/repair
+// cycle over segment files.
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
 #include "common/wal.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -253,225 +255,275 @@ TEST(ShardWal, OpenTruncatesTornTail) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardWal, CompactRetiresCheckpointedFramesKeepsSeqTable) {
-  const std::string dir = temp_dir("wal_compact");
-  const std::string path = dir + "/shard-0.wal";
-  ShardWal::Options opt;
-  opt.compact_min_bytes = 0;  // compact unconditionally for the test
-  {
-    ShardWal wal(path, opt, WalScan{});
-    const std::uint64_t b1[] = {1, 2, 3};
-    const std::uint64_t b2[] = {4, 5};
-    const std::uint64_t b3[] = {6};
-    ASSERT_TRUE(wal.append(b1, 11, 1));
-    ASSERT_TRUE(wal.append(b2, 11, 2));
-    ASSERT_TRUE(wal.append(b3, 12, 1));
-
-    // Checkpoint reached offset 4: the first frame (items [0,3)) retires,
-    // the straddling and later frames survive.
-    wal.compact(4);
-    WalScan scan = read_wal(path);
-    ASSERT_EQ(scan.frames.size(), 2u);
-    EXPECT_EQ(scan.frames[0].start_offset, 3u);
-    EXPECT_EQ(scan.end_offset, 6u);
-    EXPECT_EQ(scan.client_seqs.at(11), 2u);  // via the seq-table frame
-    EXPECT_EQ(scan.client_seqs.at(12), 1u);
-
-    // Checkpoint caught up: everything retires, dedup state persists.
-    wal.compact(6);
-    scan = read_wal(path);
-    EXPECT_TRUE(scan.frames.empty());
-    EXPECT_EQ(scan.end_offset, 6u);
-    EXPECT_EQ(scan.client_seqs.at(11), 2u);
-
-    // Appends continue at the preserved offset; replays still dedup.
-    const std::uint64_t b4[] = {7, 8};
-    EXPECT_FALSE(wal.append(b4, 11, 2));
-    EXPECT_TRUE(wal.append(b4, 11, 3));
-  }
-  const WalScan scan = read_wal(path);
-  ASSERT_EQ(scan.frames.size(), 1u);
-  EXPECT_EQ(scan.frames[0].start_offset, 6u);
-  EXPECT_EQ(scan.end_offset, 8u);
-
-  // A resumed ShardWal over the compacted log still refuses old seqs.
-  ShardWal wal(path, opt, scan);
-  const std::uint64_t b5[] = {9};
-  EXPECT_FALSE(wal.append(b5, 11, 3));
-  EXPECT_TRUE(wal.append(b5, 11, 4));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ShardWal, CompactCrashShapesNeverLoseTheOldLog) {
-  // Compaction rewrites into "<path>.tmp" and renames over the log, so a
-  // crash at any instant leaves either the old log (crash before the
-  // rename — possibly with a stale tmp beside it) or the new one (crash
-  // after).  Both shapes must recover to the same replay suffix and
-  // dedup state.
-  const std::string dir = temp_dir("wal_compact_crash");
-  const std::string path = dir + "/shard-0.wal";
-  ShardWal::Options opt;
-  opt.compact_min_bytes = 0;
-  const std::uint64_t b1[] = {1, 2, 3};
-  const std::uint64_t b2[] = {4, 5};
-  const std::uint64_t b3[] = {6, 7};
-  {
-    ShardWal wal(path, opt, WalScan{});
-    ASSERT_TRUE(wal.append(b1, 21, 1));
-    ASSERT_TRUE(wal.append(b2, 21, 2));
-    ASSERT_TRUE(wal.append(b3, 22, 1));
-  }
-
-  // Crash shape 1: a previous compaction died mid-rewrite, leaving a
-  // partial tmp file.  Recovery reads only the log; the next compaction
-  // truncates and replaces the leftover.
-  const std::string tmp = path + ".tmp";
-  write_file(tmp, std::vector<char>{'h', 'a', 'l', 'f'});
-  WalScan scan = read_wal(path);
-  ASSERT_EQ(scan.frames.size(), 3u);
-  {
-    ShardWal wal(path, opt, scan);
-    wal.compact(5);  // retires b1 and b2; b3 survives
-  }
-  EXPECT_FALSE(std::filesystem::exists(tmp)) << "tmp renamed over the log";
-  scan = read_wal(path);
-  ASSERT_EQ(scan.frames.size(), 1u);
-  EXPECT_EQ(scan.frames[0].start_offset, 5u);
-  EXPECT_EQ(scan.end_offset, 7u);
-  EXPECT_EQ(scan.client_seqs.at(21), 2u);  // dedup state via the seq table
-  EXPECT_EQ(scan.client_seqs.at(22), 1u);
-
-  // Crash shape 2: power cut right before the rename — the old (longer)
-  // log is still in place next to a *complete* tmp rewrite.  The tmp is
-  // dead weight: recovery scans the log, and appends continue on it.
-  const auto old_log = file_bytes(path);
-  write_file(tmp, old_log);  // any complete file: it must be ignored
-  scan = read_wal(path);
-  {
-    ShardWal wal(path, opt, scan);
-    EXPECT_FALSE(wal.append(b2, 21, 2));  // replay still dedups
-    const std::uint64_t b4[] = {8};
-    EXPECT_TRUE(wal.append(b4, 21, 3));
-  }
-  scan = read_wal(path);
-  ASSERT_EQ(scan.frames.size(), 2u);
-  EXPECT_EQ(scan.frames[1].start_offset, 7u);
-  EXPECT_EQ(scan.end_offset, 8u);
-
-  // Crash shape 3: torn tail *behind* a compacted log (the crash hit a
-  // later append).  The recovery scan keeps the seq-table + frames and
-  // drops only the tail; a fresh compact still works on the result.
-  auto bytes = file_bytes(path);
-  bytes.insert(bytes.end(), {'t', 'o', 'r', 'n'});
-  write_file(path, bytes);
-  scan = read_wal(path);
-  EXPECT_EQ(scan.dropped_bytes, 4u);
-  {
-    ShardWal wal(path, opt, scan);
-    wal.compact(8);  // everything retires
-  }
-  scan = read_wal(path);
-  EXPECT_TRUE(scan.frames.empty());
-  EXPECT_EQ(scan.end_offset, 8u);
-  EXPECT_EQ(scan.client_seqs.at(21), 3u);
-  std::filesystem::remove_all(dir);
-}
-
-/// The read-everything compaction the streaming rewrite must reproduce byte
-/// for byte: scan the whole log, anchor the seq table at the lowest
-/// surviving start, then re-frame every survivor with a fresh seq.
-std::vector<char> reference_compaction(
-    const std::string& path, std::uint64_t low_water, std::uint64_t end_offset,
-    const std::map<std::uint64_t, std::uint64_t>& seqs) {
-  const WalScan scan = read_wal(path);
-  std::uint64_t base = std::min(low_water, end_offset);
-  for (const WalFrame& f : scan.frames)
-    if (f.end_offset() > low_water) base = std::min(base, f.start_offset);
-  std::uint64_t seq = 1;
-  WalFrame table;
-  table.kind = kWalSeqTable;
-  table.seq = seq++;
-  table.start_offset = base;
-  for (const auto& [id, hi] : seqs)
-    for (const std::uint64_t v : {id, hi})
-      for (int b = 0; b < 8; ++b)
-        table.payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-  std::vector<char> out = frame_wal(table);
-  for (const WalFrame& f : scan.frames) {
-    if (f.end_offset() <= low_water) continue;
-    WalFrame keep = f;
-    keep.seq = seq++;
-    const auto bytes = frame_wal(keep);
-    out.insert(out.end(), bytes.begin(), bytes.end());
-  }
+/// The log's files in name (= log) order, as bare file names.
+std::vector<std::string> log_names(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    if (e.path().extension() == ".wal") out.push_back(e.path().filename());
+  std::sort(out.begin(), out.end());
   return out;
 }
 
-TEST(ShardWal, StreamingCompactMatchesReadEverythingRewrite) {
-  const std::string dir = temp_dir("wal_compact_diff");
-  const std::string path = dir + "/shard-0.wal";
-  ShardWal::Options opt;
-  opt.compact_min_bytes = 0;
-  struct Case {
-    const char* name;
-    std::uint64_t low_water;
-    bool seq_table_head;  // log already compacted once (starts with a table)
-    int tail;             // 0 none, 1 half a frame, 2 whole frame, bad CRC
-  };
-  // Data frames cover items [0,3) [3,5) [5,6) [6,10) [10,12).
-  const Case cases[] = {
-      {"survivors only", 5, false, 0},
-      {"none survive", 12, false, 0},
-      {"straddling frame", 4, false, 0},
-      {"torn tail", 4, false, 1},
-      {"corrupt tail, none survive", 20, false, 2},
-      {"behind a seq table", 7, true, 0},
-      {"torn tail behind a seq table", 11, true, 1},
-  };
-  const std::uint64_t b1[] = {1, 2, 3};
-  const std::uint64_t b2[] = {4, 5};
-  const std::uint64_t b3[] = {6};
-  const std::uint64_t b4[] = {7, 8, 9, 10};
-  const std::uint64_t b5[] = {11, 12};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    std::filesystem::remove(path);
-    ShardWal wal(path, opt, WalScan{});
-    ASSERT_TRUE(wal.append(b1, 31, 1));
-    ASSERT_TRUE(wal.append(b2, 32, 1));
-    if (c.seq_table_head) wal.compact(3);
-    ASSERT_TRUE(wal.append(b3, 31, 2));
-    ASSERT_TRUE(wal.append(b4, 0, 0));
-    ASSERT_TRUE(wal.append(b5, 33, 7));
-    const WalScan before = read_wal(path);
-    ASSERT_EQ(before.end_offset, 12u);
-    if (c.tail != 0) {
-      auto junk = frame_wal(data_frame(before.next_seq, 12, b2));
-      if (c.tail == 1) junk.resize(junk.size() / 2);
-      if (c.tail == 2) junk.back() = static_cast<char>(junk.back() ^ 1);
-      std::ofstream(path, std::ios::binary | std::ios::app)
-          .write(junk.data(), static_cast<std::streamsize>(junk.size()));
-    }
-    const std::vector<char> want =
-        reference_compaction(path, c.low_water, 12, before.client_seqs);
+/// The first frame of a file (kind kWalData with seq 0 if none parses).
+WalFrame head_frame(const std::string& path) {
+  const auto bytes = file_bytes(path);
+  WalFrame f;
+  f.seq = 0;
+  if (parse_wal_frame(bytes, f) == 0) f = WalFrame{};
+  return f;
+}
 
-    const std::uint64_t torn_before = torn_count();
-    wal.compact(c.low_water);
-    EXPECT_EQ(file_bytes(path), want);
-    EXPECT_EQ(torn_count(), torn_before + (c.tail != 0 ? 1 : 0));
-
-    // Appends continue where the rewritten log ends, exactly as after a
-    // re-scan of it: next seq, offset and file size.
-    const std::string want_path = dir + "/want.wal";
-    write_file(want_path, want);
-    const WalScan rescan = read_wal(want_path);
-    const std::uint64_t b6[] = {13};
-    ASSERT_TRUE(wal.append(b6, 33, 8));
-    auto grown = want;
-    const auto next = frame_wal(data_frame(rescan.next_seq, 12, b6, 33, 8));
-    grown.insert(grown.end(), next.begin(), next.end());
-    EXPECT_EQ(file_bytes(path), grown);
+/// Appends 3-key frames under client 11 (seqs 1..n) until the log spans
+/// at least `segments` files; returns the frame count.
+std::uint64_t fill_segments(ShardWal& wal, const std::string& dir,
+                            std::size_t segments) {
+  std::uint64_t n = 0;
+  while (log_names(dir).size() < segments) {
+    const std::uint64_t keys[] = {3 * n, 3 * n + 1, 3 * n + 2};
+    EXPECT_TRUE(wal.append(keys, 11, n + 1));
+    ++n;
   }
+  return n;
+}
+
+ShardWal::Options small_segments() {
+  ShardWal::Options opt;
+  opt.segment_bytes = 256;  // a table frame plus two or three data frames
+  return opt;
+}
+
+TEST(ShardWal, RotatesAtSegmentBytesEachSegmentHeadedByItsTable) {
+  const std::string dir = temp_dir("wal_rotate");
+  const std::string path = dir + "/shard-0.wal";
+  const ShardWal::Options opt = small_segments();
+  std::uint64_t frames = 0;
+  {
+    ShardWal wal(path, opt, WalScan{});
+    const std::uint64_t other[] = {99};
+    ASSERT_TRUE(wal.append(other, 12, 5));
+    frames = 1 + fill_segments(wal, dir, 4);
+  }
+  const WalScan scan = read_wal(path);
+  EXPECT_EQ(scan.dropped_bytes, 0u);
+  ASSERT_EQ(scan.frames.size(), frames);
+  EXPECT_EQ(scan.end_offset, 1 + 3 * (frames - 1));
+  const std::vector<std::string> names = log_names(dir);
+  ASSERT_EQ(scan.segments.size(), names.size());
+  std::uint64_t base = 0;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SCOPED_TRACE(names[i]);
+    const std::string file = dir + "/" + names[i];
+    EXPECT_EQ(scan.segments[i].path, file);
+    // shard-0.<20-digit seq of its first frame>.wal
+    ASSERT_EQ(names[i].size(), std::string("shard-0.").size() + 24);
+    const WalFrame head = head_frame(file);
+    // A fresh log's first segment would carry an empty table at offset 0,
+    // so it starts with data; every later one opens with its table.
+    EXPECT_EQ(head.kind, i == 0 ? kWalData : kWalSeqTable);
+    EXPECT_EQ(head.seq, std::stoull(names[i].substr(8, 20)));
+    EXPECT_EQ(head.start_offset, base);  // anchored at the segment's base
+    if (i + 1 < names.size()) {  // sealed: rotated once it passed the bound
+      EXPECT_GE(file_bytes(file).size(), opt.segment_bytes);
+    }
+    // Each segment alone is a valid log carrying every earlier client seq.
+    const WalScan alone = read_wal(file);
+    EXPECT_EQ(alone.dropped_bytes, 0u);
+    if (i > 0) {
+      EXPECT_EQ(alone.client_seqs.at(12), 5u);
+      EXPECT_GE(alone.client_seqs.at(11), 1u);
+    }
+    base = scan.segments[i].end_offset;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, RetireUnlinksOnlySealedSegmentsAtOrBelowTheLowWater) {
+  const std::string dir = temp_dir("wal_retire");
+  const std::string path = dir + "/shard-0.wal";
+  ShardWal wal(path, small_segments(), WalScan{});
+  (void)fill_segments(wal, dir, 4);
+  const WalScan scan = read_wal(path);
+  const std::vector<std::string> names = log_names(dir);
+  ASSERT_EQ(scan.segments.size(), 4u);
+  const auto suffix = [&](std::size_t from) {
+    return std::vector<std::string>(names.begin() + from, names.end());
+  };
+
+  // One item short of segment 0's end: nothing is wholly checkpointed.
+  wal.retire(scan.segments[0].end_offset - 1);
+  EXPECT_EQ(log_names(dir), names);
+  // Exactly at its end: segment 0 goes, and only it.
+  wal.retire(scan.segments[0].end_offset);
+  EXPECT_EQ(log_names(dir), suffix(1));
+  // Past segment 1 but inside segment 2: segment 1 goes, oldest first.
+  wal.retire(scan.segments[1].end_offset + 1);
+  EXPECT_EQ(log_names(dir), suffix(2));
+  // Everything checkpointed: every sealed segment goes, never the active.
+  wal.retire(scan.end_offset + 1000);
+  EXPECT_EQ(log_names(dir), suffix(3));
+  // Appends continue in the active segment at the same offset.
+  const std::uint64_t more[] = {7};
+  ASSERT_TRUE(wal.append(more, 0, 0));
+  const WalScan after = read_wal(path);
+  ASSERT_FALSE(after.frames.empty());
+  EXPECT_EQ(after.frames.back().start_offset, scan.end_offset);
+  EXPECT_EQ(after.end_offset, scan.end_offset + 1);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, RetiredClientSeqIsStillRefusedAfterResume) {
+  const std::string dir = temp_dir("wal_retire_dedup");
+  const std::string path = dir + "/shard-0.wal";
+  const std::uint64_t b1[] = {1, 2};
+  const std::uint64_t b2[] = {3};
+  {
+    ShardWal wal(path, small_segments(), WalScan{});
+    ASSERT_TRUE(wal.append(b1, 21, 1));  // lives only in segment 0
+    (void)fill_segments(wal, dir, 3);
+    wal.retire(read_wal(path).end_offset);
+    ASSERT_EQ(log_names(dir).size(), 1u);
+  }
+  const WalScan scan = read_wal(path);
+  EXPECT_EQ(scan.client_seqs.at(21), 1u);  // via the active segment's table
+  ShardWal wal(path, small_segments(), scan);
+  EXPECT_FALSE(wal.append(b1, 21, 1));  // lost-ack replay: still refused
+  EXPECT_TRUE(wal.append(b2, 21, 2));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, InvalidFrameInAMiddleSegmentTruncatesTheLogThere) {
+  const std::string dir = temp_dir("wal_mid_segment");
+  const std::string path = dir + "/shard-0.wal";
+  {
+    ShardWal wal(path, small_segments(), WalScan{});
+    (void)fill_segments(wal, dir, 4);
+  }
+  const std::vector<std::string> names = log_names(dir);
+  const WalScan whole = read_wal(path);
+  ASSERT_EQ(whole.segments.size(), 4u);
+
+  // Flip the last byte of segment 1: its last frame fails its CRC, so the
+  // log ends just before it and segments 2 and 3 are behind the end.
+  const std::string mid = dir + "/" + names[1];
+  auto bytes = file_bytes(mid);
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x5a);
+  write_file(mid, bytes);
+  const std::uint64_t torn_before = torn_count();
+  const WalScan scan = read_wal(path);
+  EXPECT_EQ(torn_count(), torn_before + 1);
+  ASSERT_EQ(scan.segments.size(), 2u);
+  EXPECT_LT(scan.segments[1].bytes, bytes.size());
+  EXPECT_EQ(scan.dropped_bytes,
+            bytes.size() - scan.segments[1].bytes +
+                file_bytes(dir + "/" + names[2]).size() +
+                file_bytes(dir + "/" + names[3]).size());
+  EXPECT_LT(scan.end_offset, whole.segments[1].end_offset);
+
+  // Opening cuts segment 1 back to its valid prefix, deletes the later
+  // segments, and appends continue right behind the prefix.
+  {
+    ShardWal wal(path, small_segments(), scan);
+    EXPECT_EQ(log_names(dir),
+              std::vector<std::string>(names.begin(), names.begin() + 2));
+    const std::uint64_t more[] = {500};
+    ASSERT_TRUE(wal.append(more, 0, 0));
+  }
+  const WalScan after = read_wal(path);
+  EXPECT_EQ(after.dropped_bytes, 0u);
+  ASSERT_EQ(after.frames.size(), scan.frames.size() + 1);
+  EXPECT_EQ(after.frames.back().start_offset, scan.end_offset);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, EmptyOrTornHeadedLastSegmentIsRemovedAndPreviousReopened) {
+  const std::string dir = temp_dir("wal_rotation_crash");
+  const std::string path = dir + "/shard-0.wal";
+  {
+    ShardWal wal(path, small_segments(), WalScan{});
+    (void)fill_segments(wal, dir, 2);
+  }
+  const std::vector<std::string> names = log_names(dir);
+  const WalScan good = read_wal(path);
+  const std::string last = dir + "/" + names.back();
+  const std::size_t last_size = file_bytes(last).size();
+
+  // A crash during rotation leaves the next segment empty (created, table
+  // not yet written) or with a torn table frame.
+  char next_name[64];
+  std::snprintf(next_name, sizeof next_name, "/shard-0.%020llu.wal",
+                static_cast<unsigned long long>(good.next_seq));
+  WalFrame table;
+  table.kind = kWalSeqTable;
+  table.seq = good.next_seq;
+  table.start_offset = good.end_offset;
+  auto torn_table = frame_wal(table);
+  torn_table.resize(torn_table.size() / 2);
+  for (const std::vector<char>& head : {std::vector<char>{}, torn_table}) {
+    SCOPED_TRACE(head.empty() ? "empty" : "torn-headed");
+    write_file(dir + next_name, head);
+    const WalScan scan = read_wal(path);
+    EXPECT_EQ(scan.segments.size(), names.size());
+    EXPECT_EQ(scan.frames.size(), good.frames.size());
+    EXPECT_EQ(scan.dropped_bytes, head.size());
+    {
+      ShardWal wal(path, small_segments(), scan);
+      EXPECT_EQ(log_names(dir), names);  // the crashed segment is gone
+      const std::uint64_t more[] = {1000};
+      ASSERT_TRUE(wal.append(more, 0, 0));
+    }
+    // The append went to the reopened previous segment.
+    EXPECT_GT(file_bytes(last).size(), last_size);
+    const WalScan after = read_wal(path);
+    EXPECT_EQ(after.dropped_bytes, 0u);
+    EXPECT_EQ(after.frames.back().start_offset, good.end_offset);
+    auto restored = file_bytes(last);
+    restored.resize(last_size);
+    write_file(last, restored);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, LegacySingleFileLogResumes) {
+  const std::string dir = temp_dir("wal_legacy");
+  const std::string path = dir + "/shard-0.wal";
+  // A log from before segments: one file, here already compacted once — a
+  // seq-table frame anchored at offset 4, then data frames.
+  WalFrame table;
+  table.kind = kWalSeqTable;
+  table.seq = 1;
+  table.start_offset = 4;
+  for (const std::uint64_t v : {31ull, 9ull})
+    for (int b = 0; b < 8; ++b)
+      table.payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+  const std::uint64_t k1[] = {40, 41};
+  auto legacy = frame_wal(table);
+  const auto f2 = frame_wal(data_frame(2, 4, k1, 31, 10));
+  legacy.insert(legacy.end(), f2.begin(), f2.end());
+  write_file(path, legacy);
+
+  const WalScan scan = read_wal(path);
+  ASSERT_EQ(scan.segments.size(), 1u);
+  EXPECT_EQ(scan.segments[0].path, path);
+  EXPECT_EQ(scan.end_offset, 6u);
+  {
+    ShardWal wal(path, small_segments(), scan);
+    EXPECT_FALSE(wal.append(k1, 31, 9));   // seq from the legacy table
+    EXPECT_FALSE(wal.append(k1, 31, 10));  // seq from a legacy frame
+    EXPECT_TRUE(wal.append(k1, 31, 11));   // continues the legacy file
+    EXPECT_EQ(log_names(dir), std::vector<std::string>{"shard-0.wal"});
+    (void)fill_segments(wal, dir, 3);      // then rotates into segments
+    // By name the legacy file sorts last; by log order it is the oldest.
+    EXPECT_EQ(log_names(dir).back(), "shard-0.wal");
+    const WalScan grown = read_wal(path);
+    EXPECT_EQ(grown.segments.front().path, path);  // the legacy file is oldest
+    EXPECT_EQ(grown.frames.front().start_offset, 4u);
+    // Retiring by the low water unlinks the legacy file first.
+    wal.retire(grown.segments.front().end_offset);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  const WalScan after = read_wal(path);
+  EXPECT_EQ(after.dropped_bytes, 0u);
+  EXPECT_EQ(after.client_seqs.at(31), 11u);
   std::filesystem::remove_all(dir);
 }
 

@@ -39,35 +39,17 @@ obs::Counter& corrupt_counter() {
 
 std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
                                    std::span<const char> payload) {
-  return frame_checkpoint(stream_offset, std::span<const std::uint64_t>{},
-                          payload);
-}
-
-std::vector<char> frame_checkpoint(
-    std::uint64_t stream_offset,
-    std::span<const std::uint64_t> producer_offsets,
-    std::span<const char> payload) {
-  const bool v2 = !producer_offsets.empty();
-  const std::size_t vec_bytes = v2 ? 4 + 8 * producer_offsets.size() : 0;
-  std::vector<char> out(kCheckpointHeaderBytes + vec_bytes + payload.size());
+  std::vector<char> out(kCheckpointHeaderBytes + payload.size());
   std::memcpy(out.data(), kCheckpointMagic, 4);
-  put_le<std::uint32_t>(out.data() + 4,
-                        v2 ? kCheckpointVersionProducers : kCheckpointVersion);
+  put_le<std::uint32_t>(out.data() + 4, kCheckpointVersion);
   put_le<std::uint64_t>(out.data() + 8, stream_offset);
   put_le<std::uint64_t>(out.data() + 16, payload.size());
-  if (v2) {
-    put_le<std::uint32_t>(out.data() + kCheckpointHeaderBytes,
-                          static_cast<std::uint32_t>(producer_offsets.size()));
-    for (std::size_t i = 0; i < producer_offsets.size(); ++i)
-      put_le<std::uint64_t>(out.data() + kCheckpointHeaderBytes + 4 + 8 * i,
-                            producer_offsets[i]);
-  }
   if (!payload.empty())
-    std::memcpy(out.data() + kCheckpointHeaderBytes + vec_bytes,
-                payload.data(), payload.size());
+    std::memcpy(out.data() + kCheckpointHeaderBytes, payload.data(),
+                payload.size());
   // The CRC covers the header prefix too, chained into everything after
-  // the CRC field (producer vector + payload), so a bit flip in the
-  // stream offset or a producer count is as loud as one in the payload.
+  // the CRC field, so a bit flip in the stream offset is as loud as one
+  // in the payload.
   std::uint32_t c = crc32(out.data(), 24);
   c = crc32(out.data() + kCheckpointHeaderBytes,
             out.size() - kCheckpointHeaderBytes, c);
@@ -98,10 +80,7 @@ CheckpointData parse_checkpoint(const char* data, std::size_t n) {
                               std::to_string(count));
     if (n < at + 4 + std::size_t{8} * count)
       reject("truncated producer-offset vector");
-    out.producer_offsets.resize(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-      out.producer_offsets[i] = get_le<std::uint64_t>(data + at + 4 + 8 * i);
-    at += 4 + std::size_t{8} * count;
+    at += 4 + std::size_t{8} * count;  // covered by the CRC, then skipped
   }
   if (payload_len != n - at)
     reject("payload length " + std::to_string(payload_len) +

@@ -18,15 +18,13 @@
 //                 (including the stream offset) fails the checksum
 //  version 2 only:
 //       28     4  producer count P (u32)
-//       32   8*P  per-producer consumed-item offsets (u64 each) — how many
-//                 of the stream-offset items each producer lane contributed
+//       32   8*P  per-producer consumed-item offsets (u64 each)
 //  then:
 //        *     n  payload (estimator save() bytes)
 //
-// Writers emit version 1 when no per-producer offsets are supplied, and the
-// ingest pipeline — one commit lane per shard, so one offset per shard —
-// never supplies any.  The parser still accepts version 2, which older
-// releases wrote; the producer vector is then read and ignored on resume.
+// Writers emit version 1 only.  The parser still accepts version 2, which
+// older releases wrote: it bounds the producer count, covers the vector
+// with the CRC, and skips it — only the stream offset matters on resume.
 //
 // Readers reject anything that fails magic, version, length or CRC checks
 // with a typed CheckpointError — never a crash, hang or silent load — and
@@ -60,25 +58,14 @@ inline constexpr std::uint32_t kCheckpointVersionProducers = 2;
 inline constexpr std::size_t kCheckpointHeaderBytes = 28;
 
 /// A parsed frame: the recorded ingest position plus the raw payload.
-/// `producer_offsets` is empty for version-1 frames; version-2 frames
-/// record how many of the stream-offset items each producer lane had
-/// contributed when the snapshot was taken.
 struct CheckpointData {
   std::uint64_t stream_offset = 0;
-  std::vector<std::uint64_t> producer_offsets;
   std::vector<char> payload;
 };
 
 /// Wrap `payload` in a magic/version/offset/length/CRC frame (version 1).
 [[nodiscard]] std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
                                                  std::span<const char> payload);
-
-/// Like above, but additionally records the per-producer offset vector
-/// (version 2).  An empty vector degrades to a version-1 frame.
-[[nodiscard]] std::vector<char> frame_checkpoint(
-    std::uint64_t stream_offset,
-    std::span<const std::uint64_t> producer_offsets,
-    std::span<const char> payload);
 
 /// Validate and unwrap a frame.  Throws CheckpointError (and increments
 /// `she_checkpoint_corrupt_total`) on any structural or checksum failure.

@@ -8,8 +8,9 @@
 //   kWorkerThrow        worker throws InjectedFault once its shard has
 //                       applied `at` items (fires between batches)
 //   kConsumerStall      worker sleeps `param` milliseconds at item `at`
-//                       (drives heartbeat-staleness / wedge detection and
-//                       backpressure timeouts)
+//                       (drives the wedge counter — a stall past the
+//                       heartbeat timeout is counted, never restarted —
+//                       and backpressure timeouts)
 //   kCheckpointBitFlip  the shard's `at`-th checkpoint frame gets one bit
 //                       flipped, at a position seeded by `param` (drives
 //                       CRC rejection)

@@ -46,12 +46,6 @@ void PipelineOptions::validate() const {
   if (checkpoint_keep == 0)
     throw std::invalid_argument(
         "PipelineOptions: checkpoint_keep must be >= 1");
-  if (supervise && heartbeat_timeout_ms == 0)
-    throw std::invalid_argument(
-        "PipelineOptions: supervise needs heartbeat_timeout_ms > 0");
-  if (supervise && supervisor_interval_ms == 0)
-    throw std::invalid_argument(
-        "PipelineOptions: supervise needs supervisor_interval_ms > 0");
   if (wal_mode != WalMode::kOff && checkpoint_dir.empty())
     throw std::invalid_argument(
         "PipelineOptions: the WAL needs a checkpoint_dir (the log lives "

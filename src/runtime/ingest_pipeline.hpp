@@ -42,11 +42,12 @@
 //   * Supervision: with `supervise = true`, a supervisor thread restarts
 //     workers that died by exception (rolled back to the shard's last
 //     published snapshot; items applied since are counted lost, ring
-//     backlog counted replayed) and fences workers whose heartbeat went
-//     stale (`heartbeat_timeout_ms`) so a wedged-but-cooperative worker
-//     hands its shard over losslessly.  Restarts are capped at
-//     `kMaxRestarts` per shard; beyond it the shard is abandoned and
-//     pushes to it fail fast.
+//     backlog counted replayed).  Restarts are capped at `kMaxRestarts`
+//     per shard; beyond it the shard is abandoned and pushes to it fail
+//     fast.  A worker whose heartbeat is older than `kHeartbeatTimeoutMs`
+//     (a long checkpoint, a stall) is only counted as wedged, once per
+//     stale heartbeat: it is still the shard's one live consumer, so the
+//     supervisor leaves it alone.
 //   * Write-ahead backlog log (common/wal.hpp): checkpoints capture the
 //     drained prefix, but items *accepted and still queued* used to be
 //     lost by design at a crash.  With `wal_mode != kOff`, the lane
@@ -183,9 +184,7 @@ struct PipelineOptions {
                                        ///< background sampler thread
 
   // Fault tolerance.
-  bool supervise = false;              ///< restart faulted / fence wedged workers
-  std::size_t heartbeat_timeout_ms = 250;  ///< wedged when heartbeat older
-  std::size_t supervisor_interval_ms = 5;  ///< supervisor poll period
+  bool supervise = false;              ///< restart workers that faulted
   std::string checkpoint_dir;          ///< empty = no durable checkpoints
   std::uint64_t checkpoint_interval = 1u << 16;  ///< items between frames
   std::size_t checkpoint_keep = 1;     ///< retained frame generations per
@@ -223,6 +222,10 @@ class IngestPipeline {
 
   /// Supervised restarts per shard before it is abandoned.
   static constexpr std::size_t kMaxRestarts = 16;
+  /// A running worker whose heartbeat is older than this counts as wedged.
+  static constexpr std::size_t kHeartbeatTimeoutMs = 250;
+  /// Supervisor poll period.
+  static constexpr std::size_t kSupervisorIntervalMs = 5;
   /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
   static constexpr std::size_t kRateWindowS = 10;
 
@@ -279,8 +282,6 @@ class IngestPipeline {
       sh->index = s;
       bind_metrics(*sh, s);
       if (ck) {
-        // Frames written by older releases (version 2) also carry
-        // per-producer offsets; only the shard's stream offset matters.
         sh->resume_offset = ck->stream_offset;
         sh->consumed = ck->stream_offset;
         sh->consumed_at_publish = ck->stream_offset;
@@ -679,19 +680,6 @@ class IngestPipeline {
         if (t.joinable()) t.join();
       workers_.clear();
       if (sampler_.joinable()) sampler_.join();
-      // A fence hand-over can race close(): the supervisor fences a wedged
-      // worker out, then observes stopping_ and exits before restarting it.
-      // Finish the hand-over inline so cleanly-exited shards never strand
-      // accepted items in their ring.  (Faulted shards stay as they are —
-      // their live estimator is untrustworthy.)
-      for (std::size_t s = 0; s < opt_.shards; ++s) {
-        Shard& sh = *shards_[s];
-        if (sh.state.load(std::memory_order_acquire) == WorkerState::kExited &&
-            sh.ring.size_approx() > 0) {
-          sh.fence.store(false, std::memory_order_relaxed);
-          worker_entry(s);
-        }
-      }
     } else {
       for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     }
@@ -812,8 +800,7 @@ class IngestPipeline {
   }
 
  private:
-  enum class WorkerState : int { kIdle, kRunning, kFaulted, kExited,
-                                 kAbandoned };
+  enum class WorkerState : int { kIdle, kRunning, kFaulted, kAbandoned };
 
   struct Shard {
     Shard(Estimator e, std::size_t queue_capacity)
@@ -857,11 +844,10 @@ class IngestPipeline {
     /// frame, and that older base still needs its replay suffix.
     std::vector<std::uint64_t> ckpt_history;
     // Supervision handshake.  The worker's plain fields above are read by
-    // the supervisor only after it observed kFaulted/kExited (released by
-    // the exiting worker) and joined the thread.
+    // the supervisor only after it observed kFaulted (released by the
+    // dying worker) and joined the thread.
     std::atomic<WorkerState> state{WorkerState::kIdle};
     std::atomic<std::int64_t> heartbeat_ns{0};
-    std::atomic<bool> fence{false};  ///< supervisor asks worker to hand over
     // Sync handshake (see sync()): a caller bumps sync_req; the worker
     // acks after its ring drained and a fresh snapshot (and, when
     // sync_ckpt was set, a durable frame) was published.
@@ -1085,7 +1071,7 @@ class IngestPipeline {
     sh.state.store(WorkerState::kRunning, std::memory_order_release);
     try {
       worker_loop(si);
-      sh.state.store(WorkerState::kExited, std::memory_order_release);
+      sh.state.store(WorkerState::kIdle, std::memory_order_release);
     } catch (const std::exception& e) {
       // The estimator may be mid-batch; only the published snapshot is
       // trustworthy now.  The supervisor (when enabled) rolls back to it.
@@ -1101,7 +1087,6 @@ class IngestPipeline {
     for (;;) {
       const std::int64_t sweep_start = now_ns();
       sh.heartbeat_ns.store(sweep_start, std::memory_order_relaxed);
-      if (sh.fence.load(std::memory_order_acquire)) break;  // hand over
       fault::maybe_stall(si, sh.consumed);
       fault::maybe_throw(si, sh.consumed);
       // Adopt (and clear) the id of the most recent traced push routed to
@@ -1120,8 +1105,8 @@ class IngestPipeline {
       }
       sh.queue_depth->set(static_cast<std::int64_t>(depth));
       // At most publish_interval items per sweep: a lane that keeps pace
-      // must not keep the worker away from the sweep-start fence check,
-      // heartbeat and fault hooks.
+      // must not keep the worker away from the sweep-start heartbeat and
+      // fault hooks.
       std::size_t got = 0;
       std::size_t n;
       while (got < opt_.publish_interval &&
@@ -1179,41 +1164,40 @@ class IngestPipeline {
       write_checkpoint(sh);
   }
 
-  /// Supervisor: poll worker states, restart the dead, fence the wedged.
+  /// Supervisor: poll worker states, restart the dead, count the wedged.
   void supervisor_loop() {
     std::vector<std::uint64_t> restart_count(opt_.shards, 0);
-    const std::int64_t heartbeat_timeout_ns =
-        static_cast<std::int64_t>(opt_.heartbeat_timeout_ms) * 1'000'000;
+    // The last stale heartbeat counted per shard: one wedge per episode.
+    std::vector<std::int64_t> flagged(opt_.shards, 0);
+    constexpr std::int64_t kHeartbeatTimeoutNs =
+        static_cast<std::int64_t>(kHeartbeatTimeoutMs) * 1'000'000;
     while (!stopping_.load(std::memory_order_acquire)) {
       for (std::size_t s = 0; s < opt_.shards; ++s) {
         Shard& sh = *shards_[s];
         const WorkerState st = sh.state.load(std::memory_order_acquire);
-        const bool dead_by_fault = st == WorkerState::kFaulted;
-        const bool fenced_out = st == WorkerState::kExited &&
-                                sh.fence.load(std::memory_order_acquire);
-        if (dead_by_fault || fenced_out) {
+        if (st == WorkerState::kFaulted) {
           if (restart_count[s] >= kMaxRestarts) {
             sh.state.store(WorkerState::kAbandoned,
                            std::memory_order_release);
             continue;
           }
           ++restart_count[s];
-          restart_shard(s, /*rollback=*/dead_by_fault);
-        } else if (st == WorkerState::kRunning &&
-                   !sh.fence.load(std::memory_order_acquire)) {
+          restart_shard(s);
+        } else if (st == WorkerState::kRunning) {
+          // Wedged: a sweep (a long checkpoint, a stall) outlived the
+          // timeout.  Only counted — the worker is still the shard's one
+          // live consumer, and a thread cannot be killed anyway.
           const std::int64_t hb =
               sh.heartbeat_ns.load(std::memory_order_relaxed);
-          if (hb != 0 && now_ns() - hb > heartbeat_timeout_ns) {
-            // Wedged: ask the worker to hand its shard over at the next
-            // point it is responsive.  We cannot kill a thread; a worker
-            // that never wakes is only ever *counted* here.
+          if (hb != 0 && hb != flagged[s] &&
+              now_ns() - hb > kHeartbeatTimeoutNs) {
             sh.wedged->inc();
-            sh.fence.store(true, std::memory_order_release);
+            flagged[s] = hb;
           }
         }
       }
       // Sleep in small slices so close() is never delayed.
-      auto remaining = std::chrono::milliseconds(opt_.supervisor_interval_ms);
+      auto remaining = std::chrono::milliseconds(kSupervisorIntervalMs);
       while (remaining.count() > 0 &&
              !stopping_.load(std::memory_order_acquire)) {
         const auto slice = std::min(remaining, std::chrono::milliseconds(2));
@@ -1261,45 +1245,42 @@ class IngestPipeline {
     }
   }
 
-  /// Join the dead worker, restore the shard (rolling back to the last
-  /// published snapshot after a fault — the live estimator may be
-  /// mid-batch garbage), account lost/replayed items, relaunch.  With the
-  /// WAL on, the rollback gap [consumed_at_publish, consumed) is healed
-  /// back from the log (every applied item was logged first), so nothing
-  /// is lost and the checkpoint offset keeps identifying a log prefix.
-  void restart_shard(std::size_t s, bool rollback) {
+  /// Join the dead worker, roll the shard back to its last published
+  /// snapshot (the live estimator may be mid-batch garbage), account
+  /// lost/replayed items, relaunch.  With the WAL on, the rollback gap
+  /// [consumed_at_publish, consumed) is healed back from the log (every
+  /// applied item was logged first), so nothing is lost and the
+  /// checkpoint offset keeps identifying a log prefix.
+  void restart_shard(std::size_t s) {
     Shard& sh = *shards_[s];
     if (workers_[s].joinable()) workers_[s].join();
     const std::uint64_t backlog = sh.ring.size_approx();
-    if (rollback) {
-      try {
-        Estimator restored = *view(s);
-        std::destroy_at(&sh.est);
-        std::construct_at(&sh.est, std::move(restored));
-      } catch (const std::exception&) {
-        // Only the copy can fail (out of memory); the shard cannot be
-        // saved then — abandon it.
-        sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
-        return;
+    try {
+      Estimator restored = *view(s);
+      std::destroy_at(&sh.est);
+      std::construct_at(&sh.est, std::move(restored));
+    } catch (const std::exception&) {
+      // Only the copy can fail (out of memory); the shard cannot be
+      // saved then — abandon it.
+      sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
+      return;
+    }
+    if (sh.wal != nullptr) {
+      const std::uint64_t healed = wal_heal(sh);
+      if (healed < sh.consumed) {
+        // A hole in the log below `consumed` (should be impossible: items
+        // are logged before they are applied).  The unhealable range is
+        // gone from the live estimator; account it like the no-WAL path
+        // would.
+        sh.lost->inc(sh.consumed - healed);
       }
-      if (sh.wal != nullptr) {
-        const std::uint64_t healed = wal_heal(sh);
-        if (healed < sh.consumed) {
-          // A hole in the log below `consumed` (should be impossible:
-          // items are logged before they are applied).  The unhealable
-          // range is gone from the live estimator; account it like the
-          // no-WAL path would.
-          sh.lost->inc(sh.consumed - healed);
-        }
-      } else {
-        sh.lost->inc(sh.consumed - sh.consumed_at_publish);
-        sh.consumed = sh.consumed_at_publish;
-      }
+    } else {
+      sh.lost->inc(sh.consumed - sh.consumed_at_publish);
+      sh.consumed = sh.consumed_at_publish;
     }
     sh.since_publish = 0;
     sh.replayed->inc(backlog);
     sh.restarts->inc();
-    sh.fence.store(false, std::memory_order_release);
     sh.state.store(WorkerState::kIdle, std::memory_order_release);
     workers_[s] = std::thread([this, s] { worker_entry(s); });
   }

@@ -201,17 +201,6 @@ ClientSeq read_seq_header(WireReader& r) {
   return cs;
 }
 
-std::size_t opcode_offset(std::span<const char> body) {
-  std::size_t at = 0;
-  if (body.size() - at >= 9 &&
-      static_cast<std::uint8_t>(body[at]) == kTraceHeader)
-    at += 9;
-  if (body.size() - at >= 17 &&
-      static_cast<std::uint8_t>(body[at]) == kSeqHeader)
-    at += 17;
-  return at;
-}
-
 // ---------------------------------------------------------------- framing --
 
 bool read_frame(int fd, std::vector<char>& body) {

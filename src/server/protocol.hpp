@@ -206,10 +206,6 @@ struct ClientSeq {
 /// ids is left for op_from to reject.
 [[nodiscard]] ClientSeq read_seq_header(WireReader& r);
 
-/// Offset of the opcode byte in a raw request body, skipping the trace
-/// and sequence headers when present.  Does not validate the opcode.
-[[nodiscard]] std::size_t opcode_offset(std::span<const char> body);
-
 // ---------------------------------------------------------------- framing --
 
 /// Read exactly one frame's body from `fd`.  Returns false on a clean EOF

@@ -445,22 +445,41 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
     w.str(msg);
     write_frame(fd, w.body());
   };
+  const auto require_auth = [&] {
+    unauthorized_total_->inc();
+    answer(Status::kUnauthorized, "AUTH required before any other op");
+  };
   try {
     while (!stop_requested_.load(std::memory_order_acquire)) {
       if (!read_frame(fd, body)) break;  // clean EOF at a frame boundary
-      const std::size_t op_at = opcode_offset(body);
+      // The request head, parsed once: the optional trace and sequence
+      // headers, then the opcode.  dispatch() reads the rest of the body.
+      WireReader req(body);
+      ReqCtx ctx;
+      ctx.trace_id = read_trace_header(req);
+      ctx.seq = read_seq_header(req);
+      Op op;
+      try {
+        op = op_from(req.u8());
+      } catch (const ProtocolError& e) {
+        // Framing is intact, so the connection stays open.  Not AUTH, so
+        // an unauthenticated connection only hears that it must AUTH.
+        if (!authed) {
+          require_auth();
+        } else {
+          protocol_errors_->inc();
+          answer(Status::kBadRequest, e.what());
+        }
+        continue;
+      }
       // AUTH is handled here — it mutates connection state dispatch()
       // cannot see — and is never quota-gated (a client must always be
       // able to identify itself).
-      if (body.size() > op_at && body[op_at] == static_cast<char>(Op::kAuth)) {
+      if (op == Op::kAuth) {
         requests_by_op_[Op::kAuth]->inc();
         try {
-          WireReader r(body);
-          (void)read_trace_header(r);
-          (void)read_seq_header(r);
-          (void)r.u8();  // opcode
-          const std::string token = r.str();
-          r.expect_done();
+          const std::string token = req.str();
+          req.expect_done();
           const std::size_t match = match_token(auth_tokens_, token);
           if (auth_tokens_.empty() || match != 0) {
             authed = true;
@@ -479,25 +498,19 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
         continue;
       }
       if (!authed) {
-        unauthorized_total_->inc();
-        answer(Status::kUnauthorized, "AUTH required before any other op");
+        require_auth();
         continue;
       }
       // REPLICATE turns this connection into a one-way record stream: no
       // more requests arrive on it, so it leaves the request loop (and is
       // never admission-gated — a standby must be able to catch up while
       // the server sheds client load).
-      if (body.size() > op_at &&
-          body[op_at] == static_cast<char>(Op::kReplicate)) {
+      if (op == Op::kReplicate) {
         requests_by_op_[Op::kReplicate]->inc();
         bool ok = false;
         try {
-          WireReader r(body);
-          (void)read_trace_header(r);
-          (void)read_seq_header(r);
-          (void)r.u8();  // opcode
-          const std::uint64_t ver = r.u64();
-          r.expect_done();
+          const std::uint64_t ver = req.u64();
+          req.expect_done();
           if (ver != kReplicationProtoVersion) {
             answer(Status::kBadRequest,
                    "unsupported replication protocol version " +
@@ -520,10 +533,8 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       }
       // SHUTDOWN answers before triggering the stop sequence, so the
       // client sees its acknowledgment even though stop() tears down this
-      // very connection moments later.  The opcode sits after the optional
-      // trace header, if the client sent one.
-      if (body.size() > op_at &&
-          body[op_at] == static_cast<char>(Op::kShutdown)) {
+      // very connection moments later.
+      if (op == Op::kShutdown) {
         requests_by_op_[Op::kShutdown]->inc();
         WireWriter w;
         w.u8(static_cast<std::uint8_t>(Status::kOk));
@@ -556,7 +567,6 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       const obs::trace::ThreadCursor cursor =
           tracing ? obs::trace::thread_cursor() : obs::trace::ThreadCursor{};
       const Clock::time_point t0 = Clock::now();
-      ReqCtx ctx;
       if (opt_.request_deadline_ms != 0) {
         ctx.deadline_ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -568,10 +578,10 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       std::vector<char> resp;
       try {
         if (sampled) {
-          resp = dispatch(body, info, ctx);
+          resp = dispatch(req, op, info, ctx);
         } else {
           const obs::trace::SuppressScope mute;
-          resp = dispatch(body, info, ctx);
+          resp = dispatch(req, op, info, ctx);
         }
       } catch (...) {
         release(auth_id);
@@ -838,8 +848,8 @@ void SheServer::release(std::uint64_t client) {
 
 // --------------------------------------------------------------- dispatch --
 
-std::vector<char> SheServer::dispatch(std::span<const char> body,
-                                      OpInfo& info, ReqCtx ctx) {
+std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
+                                      ReqCtx ctx) {
   WireWriter resp;
   const auto fail = [](Status st, const std::string& msg) {
     WireWriter w;
@@ -848,16 +858,9 @@ std::vector<char> SheServer::dispatch(std::span<const char> body,
     return w.body();
   };
   try {
-    WireReader req(body);
-    // An optional trace header binds this request's spans — here and in
+    // The optional trace header binds this request's spans — here and in
     // every stage the work flows through — to the client-chosen trace id.
-    // Always stripped, even with tracing off: the body must parse.
-    const std::uint64_t trace_id = read_trace_header(req);
-    const obs::trace::TraceIdScope trace_scope(trace_id);
-    // Optional idempotence identity: INSERT/INSERT_BULK tagged with it
-    // dedupe per shard on replay; other ops ignore it.
-    const ClientSeq cs = read_seq_header(req);
-    const Op op = op_from(req.u8());
+    const obs::trace::TraceIdScope trace_scope(ctx.trace_id);
     info.op = to_string(op);  // static literal; outlives the span ring
     const obs::trace::SpanGuard span(info.op, "server");
     requests_by_op_[op]->inc();
@@ -893,9 +896,9 @@ std::vector<char> SheServer::dispatch(std::span<const char> body,
         info.pipeline = name;
         const auto entry = manager_.find(name);
         if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
-        const std::uint64_t accepted =
-            entry->insert_bulk(std::span<const std::uint64_t>(&key, 1),
-                               cs.client_id, cs.client_seq, ctx.deadline_ns);
+        const std::uint64_t accepted = entry->insert_bulk(
+            std::span<const std::uint64_t>(&key, 1), ctx.seq.client_id,
+            ctx.seq.client_seq, ctx.deadline_ns);
         if (accepted < 1 && ctx.deadline_ns != 0 &&
             Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
           deadline_shed_total_->inc();
@@ -918,7 +921,7 @@ std::vector<char> SheServer::dispatch(std::span<const char> body,
         const auto entry = manager_.find(name);
         if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
         const std::uint64_t accepted = entry->insert_bulk(
-            keys, cs.client_id, cs.client_seq, ctx.deadline_ns);
+            keys, ctx.seq.client_id, ctx.seq.client_seq, ctx.deadline_ns);
         if (accepted < n && ctx.deadline_ns != 0 &&
             Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
           // Shed, not wedged: the deadline cut the backpressure spin
@@ -995,33 +998,11 @@ std::vector<char> SheServer::dispatch(std::span<const char> body,
         for (const std::string& n : names) resp.str(n);
         break;
       }
-      case Op::kShutdown: {
-        // Normally short-circuited in handle_conn; answering OK here keeps
-        // dispatch() total for direct (in-process) use.
-        req.expect_done();
-        resp.u8(static_cast<std::uint8_t>(Status::kOk));
-        request_stop();
-        break;
-      }
-      case Op::kAuth: {
-        // Normally handled in handle_conn (it owns the connection's auth
-        // state).  Direct (in-process) dispatch has no connection, so the
-        // token is validated statelessly.
-        const std::string token = req.str();
-        req.expect_done();
-        if (!auth_tokens_.empty() && match_token(auth_tokens_, token) == 0) {
-          unauthorized_total_->inc();
-          return fail(Status::kUnauthorized, "unknown auth token");
-        }
-        resp.u8(static_cast<std::uint8_t>(Status::kOk));
-        break;
-      }
-      case Op::kReplicate: {
-        // Normally short-circuited in handle_conn (the connection becomes
-        // a record stream); a dispatch-level REPLICATE has no stream.
-        return fail(Status::kBadRequest,
-                    "REPLICATE requires a dedicated connection");
-      }
+      case Op::kShutdown:
+      case Op::kAuth:
+      case Op::kReplicate:
+        // Connection-level ops: handle_conn answers them itself.
+        return fail(Status::kBadRequest, "not a dispatched op");
       case Op::kPromote: {
         req.expect_done();
         promote();

@@ -145,9 +145,13 @@ class SheServer {
     std::string pipeline;
   };
 
-  /// Per-request context from the connection handler: the absolute
+  /// Per-request context from the connection handler: the request head's
+  /// trace id and client identity (INSERT/INSERT_BULK tagged with one
+  /// dedupe per shard on replay; other ops ignore it), and the absolute
   /// steady-clock deadline (0 = none) threaded into blocking paths.
   struct ReqCtx {
+    std::uint64_t trace_id = 0;
+    ClientSeq seq;
     std::int64_t deadline_ns = 0;
   };
 
@@ -177,8 +181,9 @@ class SheServer {
   Admission admit(std::uint64_t client, std::size_t bytes);
   void release(std::uint64_t client);
 
-  /// Dispatch one request body; always returns a response body.
-  std::vector<char> dispatch(std::span<const char> body, OpInfo& info,
+  /// Dispatch one request whose head handle_conn already read (`req` sits
+  /// just past the opcode); always returns a response body.
+  std::vector<char> dispatch(WireReader& req, Op op, OpInfo& info,
                              ReqCtx ctx);
   std::vector<char> do_query(WireReader& req, OpInfo& info, ReqCtx ctx);
 

@@ -1,13 +1,14 @@
 // Fault-tolerance tests: CRC-framed durable checkpoints, supervised
-// worker restart/fencing, bounded backpressure, and the deterministic
-// fault-injection harness that drives them.  This binary carries the
-// ctest label `tsan` (see tests/CMakeLists.txt): build with
+// worker restarts and wedge counting, bounded backpressure, and the
+// deterministic fault-injection harness that drives them.  This binary
+// carries the ctest label `tsan` (see tests/CMakeLists.txt): build with
 // -DSHE_SANITIZE=thread and run `ctest -L tsan` to exercise the
 // supervisor/worker/producer handshakes under ThreadSanitizer.
 #include "common/checkpoint.hpp"
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -80,20 +81,40 @@ TEST(Checkpoint, EmptyPayloadRoundTrips) {
   EXPECT_TRUE(back.payload.empty());
 }
 
-TEST(Checkpoint, ProducerOffsetVectorRoundTripsAsVersion2) {
+/// A version-2 frame as older releases wrote it: the version-1 header,
+/// then a producer count and that many u64 offsets, then the payload; the
+/// CRC chains the header prefix with everything after the CRC field.
+std::vector<char> version2_frame(std::uint64_t stream_offset,
+                                 std::span<const std::uint64_t> producers,
+                                 std::span<const char> payload) {
+  std::vector<char> f(kCheckpointHeaderBytes + 4 + 8 * producers.size() +
+                      payload.size());
+  std::memcpy(f.data(), kCheckpointMagic, 4);
+  put_le<std::uint32_t>(f.data() + 4, 2);
+  put_le<std::uint64_t>(f.data() + 8, stream_offset);
+  put_le<std::uint64_t>(f.data() + 16, payload.size());
+  put_le<std::uint32_t>(f.data() + kCheckpointHeaderBytes,
+                        static_cast<std::uint32_t>(producers.size()));
+  for (std::size_t i = 0; i < producers.size(); ++i)
+    put_le<std::uint64_t>(f.data() + kCheckpointHeaderBytes + 4 + 8 * i,
+                          producers[i]);
+  std::memcpy(f.data() + kCheckpointHeaderBytes + 4 + 8 * producers.size(),
+              payload.data(), payload.size());
+  const std::uint32_t crc =
+      crc32(f.data() + kCheckpointHeaderBytes,
+            f.size() - kCheckpointHeaderBytes, crc32(f.data(), 24));
+  put_le<std::uint32_t>(f.data() + 24, crc);
+  return f;
+}
+
+TEST(Checkpoint, OlderVersion2FrameParsesAndSkipsProducerVector) {
   const auto payload = sample_payload();
   const std::uint64_t offsets[] = {100, 0, 23456789};
-  const auto frame = frame_checkpoint(
-      100 + 0 + 23456789, std::span<const std::uint64_t>(offsets),
-      std::span<const char>(payload.data(), payload.size()));
-  ASSERT_EQ(frame.size(),
-            kCheckpointHeaderBytes + 4 + 3 * 8 + payload.size());
+  const auto frame =
+      version2_frame(100 + 0 + 23456789, offsets,
+                     std::span<const char>(payload.data(), payload.size()));
   const CheckpointData back = parse_checkpoint(frame.data(), frame.size());
   EXPECT_EQ(back.stream_offset, 100u + 23456789u);
-  ASSERT_EQ(back.producer_offsets.size(), 3u);
-  EXPECT_EQ(back.producer_offsets[0], 100u);
-  EXPECT_EQ(back.producer_offsets[1], 0u);
-  EXPECT_EQ(back.producer_offsets[2], 23456789u);
   EXPECT_EQ(back.payload, payload);
 
   // A bit flip inside the producer vector fails the CRC like any other.
@@ -102,14 +123,11 @@ TEST(Checkpoint, ProducerOffsetVectorRoundTripsAsVersion2) {
   EXPECT_THROW((void)parse_checkpoint(bad.data(), bad.size()),
                CheckpointError);
 
-  // An empty vector degrades to a version-1 frame: older readers (and
-  // fixtures) see byte-identical output from the two-argument writer.
-  const auto v1 = frame_checkpoint(
-      7, std::span<const std::uint64_t>(),
-      std::span<const char>(payload.data(), payload.size()));
-  EXPECT_EQ(v1, frame_checkpoint(
-                    7, std::span<const char>(payload.data(), payload.size())));
-  EXPECT_TRUE(parse_checkpoint(v1.data(), v1.size()).producer_offsets.empty());
+  // An implausible producer count is rejected before any allocation.
+  auto huge = frame;
+  put_le<std::uint32_t>(huge.data() + kCheckpointHeaderBytes, 1u << 20);
+  EXPECT_THROW((void)parse_checkpoint(huge.data(), huge.size()),
+               CheckpointError);
 }
 
 TEST(Checkpoint, RejectsBitFlipAnywhere) {
@@ -586,7 +604,6 @@ TEST_F(FaultTolerance, SupervisorRestartsFaultedWorkerLosslesslyAccounted) {
   opt.publish_interval = 256;
   opt.policy = Backpressure::kBlock;
   opt.supervise = true;
-  opt.supervisor_interval_ms = 2;
   fault::injector().arm({fault::Point::kWorkerThrow, 0, 8'000, 0});
 
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 16'384));
@@ -626,8 +643,6 @@ TEST_F(FaultTolerance, SupervisedRollbackRestoresLastPublishedState) {
   opt.queue_capacity = 8192;
   opt.publish_interval = kPublished;
   opt.supervise = true;
-  opt.supervisor_interval_ms = 2;
-  opt.heartbeat_timeout_ms = 60'000;  // the stall below is not a wedge
   // The first sweep drains the prefilled ring and publishes; the next
   // sweep stalls long enough for the test to queue kRolledBack more
   // items, drains them in one sweep (below publish_interval), and the
@@ -654,7 +669,7 @@ TEST_F(FaultTolerance, SupervisedRollbackRestoresLastPublishedState) {
   EXPECT_EQ(serialized(*pipe.view(0)), serialized(reference.shard(0)));
 }
 
-TEST_F(FaultTolerance, SupervisorFencesWedgedWorkerWithoutLoss) {
+TEST_F(FaultTolerance, SupervisorCountsWedgedWorkerWithoutRestart) {
   const auto trace = stream::distinct_trace(30'000, 33);
   PipelineOptions opt;
   opt.shards = 1;
@@ -663,11 +678,9 @@ TEST_F(FaultTolerance, SupervisorFencesWedgedWorkerWithoutLoss) {
   opt.publish_interval = 256;
   opt.policy = Backpressure::kBlock;
   opt.supervise = true;
-  opt.supervisor_interval_ms = 5;
-  opt.heartbeat_timeout_ms = 100;
   // Stall the worker for 500 ms early in the stream: long enough that the
-  // supervisor must flag it, cooperative enough that the fence hand-over
-  // (not a kill) resolves it.
+  // supervisor must count it as wedged, but the worker is alive, so it is
+  // left to finish the sweep — never restarted.
   fault::injector().arm({fault::Point::kConsumerStall, 0, 2'000, 500});
 
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 16'384));
@@ -676,11 +689,55 @@ TEST_F(FaultTolerance, SupervisorFencesWedgedWorkerWithoutLoss) {
   pipe.close();
 
   const auto st = pipe.stats();
+  // One episode per stale heartbeat, not one per supervisor poll (the
+  // stall spans ~100 polls); the slack absorbs a slow sweep on a loaded box.
   EXPECT_GE(st.worker_wedged, 1u);
-  EXPECT_GE(st.worker_restarts, 1u);
+  EXPECT_LT(st.worker_wedged, 10u);
+  EXPECT_EQ(st.worker_restarts, 0u);
   EXPECT_EQ(st.worker_faults, 0u);
-  EXPECT_EQ(st.items_lost, 0u);  // fenced hand-over publishes before exit
+  EXPECT_EQ(st.items_lost, 0u);
   EXPECT_EQ(pipe.snapshot(0).time(), trace.size());
+}
+
+TEST_F(FaultTolerance, SlowWorkerPastTheRestartCapIsNeverAbandoned) {
+  // A slow but healthy worker (a long checkpoint looks the same) goes
+  // stale more than kMaxRestarts times.  A stale heartbeat must not spend
+  // the restart budget, which is for workers that died: the shard is never
+  // abandoned and every acked key is applied.
+  constexpr std::size_t kStalls =
+      IngestPipeline<SheBloomFilter>::kMaxRestarts + 1;
+  const auto factory = bf_factory(1, 16'384);
+  const auto trace = stream::distinct_trace(40'000, 35);
+  Sharded<SheBloomFilter> reference(1, factory);
+  for (auto k : trace) reference.insert(k);
+
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.queue_capacity = 512;
+  opt.publish_interval = 256;
+  opt.policy = Backpressure::kBlock;
+  opt.supervise = true;
+  // Each stall outlives the default heartbeat timeout; a sweep drains at
+  // most publish_interval items, so every stall fires in its own sweep.
+  for (std::size_t i = 0; i < kStalls; ++i)
+    fault::injector().arm(
+        {fault::Point::kConsumerStall, 0, 2'000 * (i + 1), 400});
+
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  pipe.start();
+  const std::size_t accepted = pipe.push_bulk(0, trace);
+  pipe.close();
+
+  const auto st = pipe.stats();
+  EXPECT_EQ(accepted, trace.size());
+  EXPECT_FALSE(pipe.faulted());
+  EXPECT_EQ(st.dropped, 0u);
+  EXPECT_EQ(st.worker_restarts, 0u);
+  EXPECT_GE(st.worker_wedged, 1u);
+  EXPECT_EQ(pipe.view(0)->time(), trace.size());
+  EXPECT_TRUE(serialized(*pipe.view(0)) == serialized(reference.shard(0)))
+      << "the published view is not the sequential run over every key";
 }
 
 TEST_F(FaultTolerance, BlockTimeoutReturnsWithinConfiguredTimeout) {
@@ -1102,7 +1159,6 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   opt.publish_interval = 256;
   opt.policy = Backpressure::kBlock;
   opt.supervise = true;
-  opt.supervisor_interval_ms = 2;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
   opt.wal_mode = WalMode::kAsync;

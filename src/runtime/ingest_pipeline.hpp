@@ -22,13 +22,12 @@
 // arrival order with one release store (two or more only when the
 // sub-batch is larger than the ring).  `queue_capacity` therefore bounds
 // a shard's whole backlog, and memory scales with shards, not with
-// producers.  Backpressure on a full ring is explicit: `Block` (wait for
-// space; never loses an accepted item), `DropNewest` (enqueue the prefix
-// that fits, count the rest as dropped), or `BlockTimeout` (wait with
-// exponential backoff up to `push_timeout_ms`, then shed the sub-batch
-// explicitly — bounded worst-case latency instead of hanging forever
-// behind a dead consumer).  Producers waiting on the same full shard
-// sleep on its mutex.
+// producers.  Admission has one rule: a producer waits for ring space
+// for the whole sub-batch (capped at the ring's capacity), and only the
+// caller's request deadline bounds that wait — an expiry sheds the
+// sub-batch with nothing enqueued.  An admitted sub-batch is enqueued
+// whole; only terminal shard death or close() stops it.  Producers
+// waiting on the same full shard sleep on its mutex.
 //
 // Fault tolerance (docs/INTERNALS.md §10):
 //   * Durable checkpoints: with `checkpoint_dir` set, each worker writes
@@ -52,8 +51,8 @@
 //     drained prefix, but items *accepted and still queued* used to be
 //     lost by design at a crash.  With `wal_mode != kOff`, the lane
 //     commit gains an append: the reservation comes *first* — a request
-//     deadline or BlockTimeout expiry sheds the batch before anything
-//     reaches the log — then the sub-batch is appended to the shard's
+//     deadline sheds the batch before anything reaches the log — then
+//     the sub-batch is appended to the shard's
 //     segmented log `<checkpoint_dir>/shard-<s>.<seq>.wal` and enqueued
 //     whole, in log order.  Drain order therefore equals log-append
 //     order, which is what lets the checkpoint offset (a count of drained
@@ -72,8 +71,9 @@
 //     client_seq) are deduplicated against a per-shard sequence table —
 //     inside the log with the WAL on (it survives restarts), in memory
 //     without it.  A sequence is recorded only once its whole sub-batch
-//     is enqueued (or logged), so a shed sub-batch replays cleanly and
-//     client-side INSERT_BULK replay is exactly-once per shard.
+//     is enqueued (or logged), and an admitted sub-batch is never cut, so
+//     a shed sub-batch replays cleanly and client-side INSERT_BULK replay
+//     is exactly-once per shard.
 //   * Fault injection: the deterministic hooks in
 //     runtime/fault_injection.hpp (compiled out unless
 //     SHE_FAULT_INJECTION) let tests and `she_tool pipeline --inject`
@@ -89,9 +89,10 @@
 // where the whole-run average would smooth them away.  Push latency is
 // sampled (1 in 64 calls) only while the global telemetry toggle is
 // enabled, so a lane commit otherwise costs one bulk ring push and one
-// counter add per sub-batch.  An optional sampler thread
-// (PipelineOptions::sample_interval_ms) refreshes the queue-depth gauges
-// and the windowed rate during quiet periods.
+// counter add per sub-batch.  The supervisor refreshes the queue-depth
+// gauges on every tick and feeds the windowed rate every
+// `kRateSampleIntervalMs`, so scrapes see backlog and rate even when
+// nobody calls stats() or a worker is stuck inside a long sweep.
 //
 // Estimator requirements: copyable (each publish copies the estimator),
 // `insert(uint64_t)`, `save(BinaryWriter&) const`,
@@ -150,18 +151,6 @@
 
 namespace she::runtime {
 
-/// What a producer does when the owning shard's ring is full.
-enum class Backpressure {
-  kBlock,        ///< wait until space; lossless
-  kDropNewest,   ///< enqueue what fits, count the rest in the shard's drops
-  kBlockTimeout, ///< wait with exponential backoff, shed after push_timeout_ms
-};
-
-[[nodiscard]] const char* to_string(Backpressure p);
-/// Parse "block" / "drop" / "block-timeout" (case-sensitive); throws
-/// std::invalid_argument.
-[[nodiscard]] Backpressure backpressure_from(const std::string& name);
-
 /// A push was rejected because the pipeline is in degraded read-only mode
 /// after a disk fault (ENOSPC/EIO from the WAL or checkpoint writer).
 /// Queries and snapshots keep working; writes fail fast with this typed
@@ -178,10 +167,6 @@ struct PipelineOptions {
   std::size_t queue_capacity = 1024;   ///< per-shard backlog (the lane's ring)
   std::size_t drain_batch = 256;       ///< max items popped per ring drain
   std::size_t publish_interval = 2048; ///< items between snapshot publishes
-  Backpressure policy = Backpressure::kBlock;
-  std::size_t push_timeout_ms = 100;   ///< kBlockTimeout: give up after this
-  std::size_t sample_interval_ms = 0;  ///< queue-depth sampler period; 0 = no
-                                       ///< background sampler thread
 
   // Fault tolerance.
   bool supervise = false;              ///< restart workers that faulted
@@ -191,8 +176,8 @@ struct PipelineOptions {
                                        ///< shard (1 = overwrite in place)
   bool resume = false;                 ///< reload checkpoint_dir at startup
 
-  // Write-ahead backlog log (requires checkpoint_dir and a lossless
-  // backpressure policy; see the class comment).
+  // Write-ahead backlog log (requires checkpoint_dir; see the class
+  // comment).
   WalMode wal_mode = WalMode::kOff;
   std::size_t wal_fsync_bytes = 0;     ///< kFsync group-commit bound;
                                        ///< 0 = fdatasync every append
@@ -226,6 +211,9 @@ class IngestPipeline {
   static constexpr std::size_t kHeartbeatTimeoutMs = 250;
   /// Supervisor poll period.
   static constexpr std::size_t kSupervisorIntervalMs = 5;
+  /// The supervisor feeds the windowed rate at most this often, so the
+  /// window holds about kRateWindowS * 1000 / kRateSampleIntervalMs samples.
+  static constexpr std::size_t kRateSampleIntervalMs = 100;
   /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
   static constexpr std::size_t kRateWindowS = 10;
 
@@ -257,8 +245,7 @@ class IngestPipeline {
         "full-ring waits entered by producers in a commit lane");
     push_timeouts_ = &registry_.counter(
         "she_pipeline_push_timeouts_total",
-        "sub-batches shed by push_timeout_ms (BlockTimeout) or a request "
-        "deadline");
+        "sub-batches shed at admission by a request deadline");
     rate_gauge_ = &registry_.gauge(
         "she_pipeline_rate_items_per_sec",
         "drained items/s over the last rate_window_s seconds");
@@ -398,8 +385,8 @@ class IngestPipeline {
     return degraded_.load(std::memory_order_acquire);
   }
 
-  /// Launch one worker thread per shard (plus the supervisor and the
-  /// queue-depth sampler when configured).
+  /// Launch one worker thread per shard (plus the supervisor when
+  /// configured).
   void start() {
     if (started_.load(std::memory_order_relaxed))
       throw std::logic_error("IngestPipeline: already started");
@@ -412,13 +399,10 @@ class IngestPipeline {
       workers_.emplace_back([this, s] { worker_entry(s); });
     if (opt_.supervise)
       supervisor_ = std::thread([this] { supervisor_loop(); });
-    if (opt_.sample_interval_ms > 0)
-      sampler_ = std::thread([this] { sampler_loop(); });
   }
 
   /// Route one key to its shard's lane: a push_bulk of one key.  Returns
-  /// false iff the item was not accepted: DropNewest and the ring is full,
-  /// a BlockTimeout push that timed out, a dead (faulted, unsupervised or
+  /// false iff the item was not accepted: a dead (faulted, unsupervised or
   /// abandoned) shard without a WAL, or the pipeline is closing.
   bool push(std::size_t producer, std::uint64_t key) {
     return push_bulk(producer, std::span<const std::uint64_t>(&key, 1)) == 1;
@@ -435,24 +419,22 @@ class IngestPipeline {
   ///
   /// Admission is all-or-nothing: the lane reserves ring space for the
   /// whole sub-batch (capped at the ring's capacity), and a request
-  /// deadline or BlockTimeout expiry sheds it with nothing enqueued,
-  /// logged or recorded, so a retry is clean.  With the WAL on, an
-  /// admitted sub-batch is logged and then enqueued whole.  Without it,
-  /// DropNewest enqueues the prefix that fits and counts the rest as
-  /// dropped, and a sub-batch larger than the ring can still be cut
-  /// mid-way by the deadline, a timeout or shard death; the enqueued
-  /// prefix counts as accepted.
+  /// deadline expiry sheds it with nothing enqueued, logged or recorded,
+  /// so a retry is clean.  An admitted sub-batch is (logged, with the WAL
+  /// on, and) enqueued whole, a sub-batch larger than the ring following
+  /// the live drain; only terminal shard death or close() cuts it, and
+  /// without the WAL the enqueued prefix then counts as accepted.
   ///
   /// A sub-batch whose (client_id, client_seq) that shard already
   /// applied — a client replaying after a lost ack — is skipped and
   /// counted as accepted.  The sequence is recorded only once the whole
   /// sub-batch is enqueued (or logged), so a shed sub-batch replays in
-  /// full and replay is exactly-once per shard; only a cut oversize or
-  /// DropNewest sub-batch re-applies its enqueued prefix on replay.
-  /// client_id 0 means "no identity" (no dedup).
+  /// full and replay is exactly-once per shard.  client_id 0 means "no
+  /// identity" (no dedup).
   ///
-  /// `deadline_ns` (steady-clock absolute, 0 = none) bounds blocking.
-  /// One call takes at most 2^32 - 1 keys (std::invalid_argument beyond).
+  /// `deadline_ns` (steady-clock absolute, 0 = none) bounds admission
+  /// only.  One call takes at most 2^32 - 1 keys (std::invalid_argument
+  /// beyond).
   /// Only a terminally dead shard still accepts a sub-batch into the log
   /// without enqueueing it (*durable but not yet live*); its items
   /// surface at the next resume, in order, and are counted accepted here
@@ -515,25 +497,17 @@ class IngestPipeline {
   /// Wait until the shard's ring has at least `want` free slots.  Returns
   /// true when the space is there — or when the shard went terminally
   /// dead mid-wait, which the caller re-checks.  Returns false when the
-  /// wait is cut: the pipeline is closing or, when `bounded`, the request
-  /// deadline or BlockTimeout expiry passed.  The free-space count is
-  /// exact from the producer side: the caller holds the lane mutex (sole
+  /// wait is cut: the pipeline is closing, or the request deadline
+  /// (`deadline_ns`, 0 = none) passed.  The free-space count is exact
+  /// from the producer side: the caller holds the lane mutex (sole
   /// producer on this ring) and the consumer only ever frees slots.
-  bool wait_ring_space(Shard& sh, std::size_t want, std::int64_t deadline_ns,
-                       bool bounded) {
+  bool wait_ring_space(Shard& sh, std::size_t want, std::int64_t deadline_ns) {
     const auto free_now = [&sh] {
       return sh.ring.capacity() - sh.ring.size_approx();
     };
     if (free_now() >= want) return true;
     const std::int64_t stall_start = now_ns();
     stall_events_->inc();
-    std::int64_t deadline = std::numeric_limits<std::int64_t>::max();
-    if (bounded) {
-      if (opt_.policy == Backpressure::kBlockTimeout)
-        deadline = stall_start +
-                   static_cast<std::int64_t>(opt_.push_timeout_ms) * 1'000'000;
-      if (deadline_ns != 0) deadline = std::min(deadline, deadline_ns);
-    }
     bool ok = true;
     std::int64_t backoff_us = 0;
     for (;;) {
@@ -543,7 +517,7 @@ class IngestPipeline {
       }
       if (shard_dead(sh)) break;
       if (free_now() >= want) break;
-      if (now_ns() >= deadline) {
+      if (deadline_ns != 0 && now_ns() >= deadline_ns) {
         push_timeouts_->inc();
         ok = false;
         break;
@@ -553,32 +527,25 @@ class IngestPipeline {
         backoff_us = std::min<std::int64_t>(backoff_us * 2, 1000);
       } else {
         std::this_thread::yield();
-        // Exponential backoff only for a bounded wait: plain Block keeps
-        // the latency-optimal pure spin-yield.
-        if (deadline != std::numeric_limits<std::int64_t>::max())
-          backoff_us = 1;
+        // Exponential backoff only for a wait with a deadline: an
+        // unbounded wait keeps the latency-optimal pure spin-yield.
+        if (deadline_ns != 0) backoff_us = 1;
       }
     }
     stall_ns_->inc(static_cast<std::uint64_t>(now_ns() - stall_start));
     return ok;
   }
 
-  /// Enqueue `n` keys from `next()` onto the shard's ring, in order.  The
-  /// first wait reserves room for the whole sub-batch (capped at the
-  /// ring's capacity), so a cut wait there enqueues nothing; an oversize
-  /// tail then follows the live drain.  Returns how many went in: fewer
-  /// than `n` only when a wait was cut or the shard died.
+  /// Enqueue `n` keys from `next()` onto the shard's ring, in order, with
+  /// no deadline: the lane reserved room for the first min(n, capacity)
+  /// already, and an oversize tail follows the live drain.  Returns how
+  /// many went in: fewer than `n` only when the shard died or the
+  /// pipeline is closing.
   template <typename Next>
-  std::size_t enqueue(Shard& sh, std::size_t n, Next&& next,
-                      std::int64_t deadline_ns, bool bounded) {
+  std::size_t enqueue(Shard& sh, std::size_t n, Next&& next) {
     std::size_t done = 0;
-    while (done < n) {
-      const std::size_t want =
-          done == 0 ? std::min(n, sh.ring.capacity()) : 1;
-      if (!wait_ring_space(sh, want, deadline_ns, bounded) || shard_dead(sh))
-        break;
+    while (done < n && wait_ring_space(sh, 1, 0) && !shard_dead(sh))
       done += sh.ring.push_n(n - done, next);
-    }
     return done;
   }
 
@@ -604,26 +571,22 @@ class IngestPipeline {
       sh.wal_dups->inc(n);
       return n;
     }
-    std::size_t done = 0;
+    // Admission: reserve ring space for the whole sub-batch (capped at
+    // the ring's capacity).  Only the request deadline bounds this wait,
+    // and a shed here leaves nothing enqueued, logged or recorded.  With
+    // the WAL on it also keeps a logged batch from ever being abandoned
+    // mid-log, which keeps checkpoint offsets aligned with log positions.
+    if (!shard_dead(sh) &&
+        !wait_ring_space(sh, std::min(n, sh.ring.capacity()), deadline_ns))
+      return 0;
+    std::size_t done = n;
     if (sh.wal == nullptr) {
-      if (opt_.policy == Backpressure::kDropNewest)
-        done = shard_dead(sh) ? 0 : sh.ring.push_n(n, next);
-      else
-        done = enqueue(sh, n, next, deadline_ns, /*bounded=*/true);
-      if (done < n && (opt_.policy == Backpressure::kDropNewest ||
-                       shard_dead(sh)))
+      done = enqueue(sh, n, next);
+      if (done == n)
+        (void)seqs.record(client_id, client_seq);
+      else if (shard_dead(sh))
         sh.dropped->inc(n - done);
-      if (done == n) (void)seqs.record(client_id, client_seq);
     } else {
-      // Admission before durability: reserve ring space first so a
-      // request deadline or BlockTimeout expiry sheds the batch *before*
-      // anything reaches the log.  A logged batch is therefore never
-      // abandoned mid-log, which keeps checkpoint offsets aligned with
-      // log positions.
-      if (!shard_dead(sh) &&
-          !wait_ring_space(sh, std::min(n, sh.ring.capacity()), deadline_ns,
-                           /*bounded=*/true))
-        return 0;
       sh.staging.clear();
       for (std::size_t i = 0; i < n; ++i) sh.staging.push_back(next());
       bool logged = false;
@@ -641,17 +604,13 @@ class IngestPipeline {
         sh.wal_dups->inc(n);
         return n;  // the earlier delivery already covered it
       }
-      // Committed: enqueue the whole batch in log order; nothing may shed
-      // it now.  Only terminal shard death (or close) stops the enqueue,
-      // and then the logged tail surfaces, in order, at the next resume —
-      // a dead shard never drains or checkpoints again, so no later batch
-      // can be applied *behind* it.
-      if (!shard_dead(sh)) {
-        std::size_t i = 0;
-        (void)enqueue(sh, n, [&] { return sh.staging[i++]; }, 0,
-                      /*bounded=*/false);
-      }
-      done = n;
+      // Logged, so accepted whatever happens next.  Only terminal shard
+      // death (or close) stops the enqueue, and then the logged tail
+      // surfaces, in order, at the next resume — a dead shard never
+      // drains or checkpoints again, so no later batch can be applied
+      // *behind* it.
+      std::size_t i = 0;
+      (void)enqueue(sh, n, [&] { return sh.staging[i++]; });
     }
     if (done > 0) {
       produced_[producer]->inc(done);
@@ -679,7 +638,6 @@ class IngestPipeline {
       for (auto& t : workers_)
         if (t.joinable()) t.join();
       workers_.clear();
-      if (sampler_.joinable()) sampler_.join();
     } else {
       for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     }
@@ -884,7 +842,7 @@ class IngestPipeline {
                                      shard_label);
     sh.dropped = &registry_.counter(
         "she_pipeline_dropped_total",
-        "keys rejected (DropNewest full ring, or dead-shard abort)",
+        "keys not enqueued because the shard died (dead-shard abort)",
         shard_label);
     sh.drains = &registry_.counter("she_pipeline_drains_total",
                                    "non-empty drain sweeps", shard_label);
@@ -920,7 +878,7 @@ class IngestPipeline {
                                     shard_label);
     sh.queue_depth = &registry_.gauge(
         "she_pipeline_queue_depth",
-        "queued items in the shard's ring (sweep/sampler refreshed)",
+        "queued items in the shard's ring (last sweep or supervisor tick)",
         shard_label);
   }
 
@@ -1164,16 +1122,26 @@ class IngestPipeline {
       write_checkpoint(sh);
   }
 
-  /// Supervisor: poll worker states, restart the dead, count the wedged.
+  /// Supervisor: poll worker states, restart the dead, count the wedged,
+  /// and refresh the queue-depth gauges and the windowed rate, so scrapes
+  /// see backlog even while a worker is stuck inside a long sweep.
   void supervisor_loop() {
     std::vector<std::uint64_t> restart_count(opt_.shards, 0);
     // The last stale heartbeat counted per shard: one wedge per episode.
     std::vector<std::int64_t> flagged(opt_.shards, 0);
     constexpr std::int64_t kHeartbeatTimeoutNs =
         static_cast<std::int64_t>(kHeartbeatTimeoutMs) * 1'000'000;
+    constexpr std::int64_t kRateSampleIntervalNs =
+        static_cast<std::int64_t>(kRateSampleIntervalMs) * 1'000'000;
+    std::int64_t last_rate_sample = 0;
     while (!stopping_.load(std::memory_order_acquire)) {
+      std::uint64_t inserted_total = 0;
       for (std::size_t s = 0; s < opt_.shards; ++s) {
         Shard& sh = *shards_[s];
+        const auto depth = static_cast<std::int64_t>(sh.ring.size_approx());
+        sh.queue_depth->set(depth);
+        sh.queue_hwm->max_of(depth);
+        inserted_total += sh.inserted->value();
         const WorkerState st = sh.state.load(std::memory_order_acquire);
         if (st == WorkerState::kFaulted) {
           if (restart_count[s] >= kMaxRestarts) {
@@ -1195,6 +1163,11 @@ class IngestPipeline {
             flagged[s] = hb;
           }
         }
+      }
+      if (const std::int64_t now = now_ns();
+          now - last_rate_sample >= kRateSampleIntervalNs) {
+        sample_rate(inserted_total);
+        last_rate_sample = now;
       }
       // Sleep in small slices so close() is never delayed.
       auto remaining = std::chrono::milliseconds(kSupervisorIntervalMs);
@@ -1285,33 +1258,8 @@ class IngestPipeline {
     workers_[s] = std::thread([this, s] { worker_entry(s); });
   }
 
-  /// Periodically refresh the queue-depth gauges (and high-water marks) so
-  /// scrapes see backlog even when a worker is wedged inside a long drain,
-  /// and feed the windowed-rate view.
-  void sampler_loop() {
-    const auto interval = std::chrono::milliseconds(opt_.sample_interval_ms);
-    while (!stopping_.load(std::memory_order_acquire)) {
-      std::uint64_t inserted_total = 0;
-      for (const auto& sh : shards_) {
-        const std::size_t depth = sh->ring.size_approx();
-        sh->queue_depth->set(static_cast<std::int64_t>(depth));
-        sh->queue_hwm->max_of(static_cast<std::int64_t>(depth));
-        inserted_total += sh->inserted->value();
-      }
-      sample_rate(inserted_total);
-      // Sleep in small slices so close() is never delayed by a long period.
-      auto remaining = interval;
-      while (remaining.count() > 0 &&
-             !stopping_.load(std::memory_order_acquire)) {
-        const auto slice = std::min(remaining, std::chrono::milliseconds(5));
-        std::this_thread::sleep_for(slice);
-        remaining -= slice;
-      }
-    }
-  }
-
   /// Feed (now, total) into the windowed-rate view and return the current
-  /// rate; callable from the sampler thread and stats() concurrently.
+  /// rate; callable from the supervisor thread and stats() concurrently.
   double sample_rate(std::uint64_t inserted_total) const {
     std::lock_guard<std::mutex> lk(rate_mu_);
     rate_window_.sample(now_ns(), inserted_total);
@@ -1336,7 +1284,6 @@ class IngestPipeline {
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
   std::thread supervisor_;
-  std::thread sampler_;
   mutable std::mutex rate_mu_;
   mutable RateWindow rate_window_;
   std::atomic<bool> accepting_{true};

@@ -20,7 +20,7 @@ namespace she::runtime {
 
 struct ShardStats {
   std::uint64_t inserted = 0;   ///< items drained into the estimator
-  std::uint64_t dropped = 0;    ///< pushes rejected (DropNewest / dead shard)
+  std::uint64_t dropped = 0;    ///< pushes rejected by a dead shard
   std::uint64_t drains = 0;     ///< non-empty drain sweeps
   std::uint64_t publishes = 0;  ///< snapshot publications
   std::uint64_t queue_hwm = 0;  ///< deepest single ring observed
@@ -48,9 +48,9 @@ struct RuntimeStats {
   std::uint64_t drains = 0;
   std::uint64_t publishes = 0;
   std::uint64_t queue_hwm = 0;  ///< max over shards
-  std::uint64_t stall_ns = 0;   ///< producer spin time on full rings (Block)
-  std::uint64_t stall_events = 0;  ///< full-ring stall episodes (Block)
-  std::uint64_t push_timeouts = 0;  ///< kBlockTimeout pushes that gave up
+  std::uint64_t stall_ns = 0;   ///< producer wait time on full rings
+  std::uint64_t stall_events = 0;  ///< full-ring stall episodes
+  std::uint64_t push_timeouts = 0;  ///< sub-batches shed by a request deadline
   std::uint64_t worker_restarts = 0;  ///< supervised restarts across shards
   std::uint64_t worker_faults = 0;    ///< worker exceptions across shards
   std::uint64_t worker_wedged = 0;    ///< heartbeat-stale episodes detected

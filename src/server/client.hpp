@@ -93,8 +93,8 @@ class SheClient {
   [[nodiscard]] std::vector<std::string> list();
   [[nodiscard]] std::string stats_json(const std::string& name);
 
-  /// Returns how many keys the pipeline accepted (drop-policy pipelines
-  /// may accept fewer than sent).  Each call takes the next client_seq;
+  /// Returns how many keys the pipeline accepted (fewer than sent only
+  /// when a shard died without a WAL).  Each call takes the next client_seq;
   /// internal replays reuse it, so a retried batch is counted once.
   std::uint64_t insert(const std::string& name, std::uint64_t key);
   std::uint64_t insert_bulk(const std::string& name,

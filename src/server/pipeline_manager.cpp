@@ -86,17 +86,17 @@ PipelineSpec parse_sketch_spec(const std::string& text) {
     } else if (key == "batch") {
       spec.pipeline.drain_batch = parse_size(key, need());
     } else if (key == "policy") {
-      if (need() == "block") {
-        spec.pipeline.policy = runtime::Backpressure::kBlock;
-      } else if (val == "drop") {
-        spec.pipeline.policy = runtime::Backpressure::kDropNewest;
-      } else if (val == "block-timeout") {
-        spec.pipeline.policy = runtime::Backpressure::kBlockTimeout;
-      } else {
-        throw std::invalid_argument("policy: unknown '" + val + "'");
-      }
+      // `block` names the only admission rule; persisted specs that spell
+      // it out must keep resuming.
+      if (need() != "block")
+        throw std::invalid_argument(
+            "policy=" + val +
+            " was removed: every pipeline blocks for ring space; bound the "
+            "wait per request with --request-deadline-ms");
     } else if (key == "push-timeout-ms") {
-      spec.pipeline.push_timeout_ms = parse_size(key, need());
+      throw std::invalid_argument(
+          "push-timeout-ms was removed: bound the wait per request with "
+          "--request-deadline-ms");
     } else if (key == "checkpoint-every") {
       spec.pipeline.checkpoint_interval = parse_size(key, need());
     } else if (key == "degraded-probe-ms") {
@@ -206,7 +206,7 @@ std::shared_ptr<PipelineManager::Entry> PipelineManager::create_internal(
         hub->publish_wal(name, shard, f, enc);
       };
     }
-    spec.pipeline.validate();  // wal x policy combinations re-checked
+    spec.pipeline.validate();  // wal x checkpoint_dir re-checked
   } else if (spec.wal.value_or(WalMode::kOff) != WalMode::kOff) {
     throw std::invalid_argument(
         "wal=" + std::string(to_string(*spec.wal)) +

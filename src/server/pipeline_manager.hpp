@@ -51,8 +51,9 @@ struct PipelineSpec {
 
 /// Parse the CREATE spec language: whitespace-separated `key=value` pairs
 /// and bare flags.  Keys: window, memory (both take K/M/G suffixes),
-/// shards, producers, queue, publish, batch, policy (block | drop |
-/// block-timeout), push-timeout-ms, hll, similarity, similarity-slots,
+/// shards, producers, queue, publish, batch, policy (block only: accepted
+/// so persisted specs keep resuming; drop, block-timeout and
+/// push-timeout-ms were removed), hll, similarity, similarity-slots,
 /// hh-slots, expected-cardinality, checkpoint-every, degraded-probe-ms,
 /// seed; flags:
 /// no-membership, no-cardinality, no-frequency.  Unknown tokens, malformed

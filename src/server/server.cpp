@@ -924,14 +924,18 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
             keys, ctx.seq.client_id, ctx.seq.client_seq, ctx.deadline_ns);
         if (accepted < n && ctx.deadline_ns != 0 &&
             Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
-          // Shed, not wedged: the deadline cut the backpressure spin
-          // short.  An idempotent client replays with the same sequence
-          // number and the per-shard dedup makes the retry exactly-once.
+          // Shed, not wedged: the deadline expired before some shard had
+          // ring space for its sub-batch.  Each shard's sub-batch was
+          // applied whole or not at all, so an idempotent client replays
+          // with the same sequence number and the per-shard dedup makes
+          // the retry exactly-once.
           deadline_shed_total_->inc();
           return fail(Status::kTimeout,
                       "request deadline exceeded (" +
                           std::to_string(accepted) + " of " +
-                          std::to_string(n) + " accepted; replay is safe)");
+                          std::to_string(n) +
+                          " accepted, each shard's sub-batch whole or not "
+                          "at all; replay is safe)");
         }
         resp.u8(static_cast<std::uint8_t>(Status::kOk));
         resp.u64(accepted);

@@ -318,7 +318,15 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
   if (mon.card_hll_) mon.card_hll_ = SheHyperLogLog::load(in);
   if (mon.freq_) {
     mon.freq_->restore_sketch(SheCountMin::load(in));
-    std::vector<HeavyHitters::Entry> cands(in.u64());
+    // The table never holds more than its capacity; check before sizing
+    // a vector from an untrusted count.
+    const std::uint64_t count = in.u64();
+    if (count > mon.freq_->capacity())
+      throw SerializeError("StreamMonitor: " + std::to_string(count) +
+                           " heavy-hitter candidates exceed the table's "
+                           "capacity of " +
+                           std::to_string(mon.freq_->capacity()));
+    std::vector<HeavyHitters::Entry> cands(static_cast<std::size_t>(count));
     for (auto& e : cands) {
       e.key = in.u64();
       e.estimate = in.u64();

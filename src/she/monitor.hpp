@@ -140,9 +140,8 @@ class ConcurrentMonitor {
   /// Drain everything accepted, publish final snapshots, join workers.
   void close() { pipe_.close(); }
 
-  /// Route one item from producer `producer`; false = rejected
-  /// (DropNewest backpressure, BlockTimeout expiry, dead shard, or
-  /// closing).
+  /// Route one item from producer `producer`; false = rejected (dead
+  /// shard without a WAL, or closing).
   bool push(std::size_t producer, std::uint64_t key) {
     return pipe_.push(producer, key);
   }
@@ -155,7 +154,7 @@ class ConcurrentMonitor {
 
   /// push_bulk with a client idempotence identity (replays after lost
   /// acks dedupe per shard) and an absolute steady-clock deadline (0 =
-  /// none) bounding any backpressure blocking.
+  /// none) bounding the wait for admission.
   std::size_t push_bulk(std::size_t producer,
                         std::span<const std::uint64_t> keys,
                         std::uint64_t client_id, std::uint64_t client_seq,

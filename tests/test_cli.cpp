@@ -187,11 +187,12 @@ TEST(Cli, PipelineRunsAndReportsStats) {
 }
 
 TEST(Cli, PipelineJsonOutput) {
-  // Lossless policy: exit 0 is deterministic (drop runs now exit 1).
+  // Producers block for ring space, so nothing is dropped and exit 0 is
+  // deterministic (lossy runs exit 1).
   std::ostringstream out;
   int rc = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                     "--length", "60000", "--window", "8192", "--shards", "2",
-                    "--producers", "1", "--policy", "block", "--json"},
+                    "--producers", "1", "--json"},
                    out);
   EXPECT_EQ(rc, 0) << out.str();
   EXPECT_EQ(out.str().front(), '{');
@@ -202,21 +203,32 @@ TEST(Cli, PipelineJsonOutput) {
 }
 
 TEST(Cli, PipelineRejectsBadPolicy) {
-  std::ostringstream out;
-  EXPECT_EQ(run_cli({"she_tool", "pipeline", "--length", "1000", "--policy",
-                     "yolo"},
-                    out),
-            2);
+  // Every pipeline blocks for ring space; --policy, with any value, is an
+  // unknown flag.
+  for (const char* value : {"yolo", "drop", "block-timeout", "block"}) {
+    std::ostringstream out;
+    EXPECT_EQ(run_cli({"she_tool", "pipeline", "--length", "1000", "--policy",
+                       value},
+                      out),
+              2)
+        << value;
+    EXPECT_NE(out.str().find("unknown flag --policy"), std::string::npos)
+        << out.str();
+  }
 }
 
-TEST(Cli, PipelineBlockTimeoutPolicyRuns) {
-  std::ostringstream out;
-  int rc = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
-                    "--length", "20000", "--window", "4096", "--shards", "2",
-                    "--producers", "1", "--policy", "block-timeout",
-                    "--push-timeout-ms", "2000", "--json"},
-                   out);
-  EXPECT_EQ(rc, 0) << out.str();
+TEST(Cli, PipelineRejectsRemovedPolicyFlags) {
+  // The shedding policies' timeout and the sampler period are unknown flags.
+  for (const char* flag : {"--push-timeout-ms", "--sample-ms"}) {
+    std::ostringstream out;
+    EXPECT_EQ(run_cli({"she_tool", "pipeline", "--length", "1000", flag, "1"},
+                      out),
+              2)
+        << flag;
+    EXPECT_NE(out.str().find(std::string("unknown flag ") + flag),
+              std::string::npos)
+        << out.str();
+  }
 }
 
 TEST(Cli, PipelineRejectsBadInjectSpec) {
@@ -288,16 +300,17 @@ TEST(Cli, PipelineCheckpointKeepRetainsGenerations) {
 #if defined(SHE_FAULT_INJECTION)
 
 TEST(Cli, PipelineExitsNonzeroOnDroppedItems) {
-  // Stall the lone worker before it drains anything: a 64-slot ring against
-  // 50k items under the drop policy must shed load, and lossy runs exit 1.
+  // Kill the lone unsupervised worker early: the dead shard rejects the
+  // rest of the 50k items, and lossy runs exit 1.
   std::ostringstream out;
   int rc = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                     "--length", "50000", "--window", "4096", "--shards", "1",
-                    "--producers", "1", "--queue", "64", "--policy", "drop",
-                    "--no-supervise", "--inject", "stall:0:0:150", "--json"},
+                    "--producers", "1", "--queue", "64", "--no-supervise",
+                    "--inject", "throw:0:1000", "--json"},
                    out);
   EXPECT_EQ(rc, 1) << out.str();
-  EXPECT_NE(out.str().find("\"dropped\""), std::string::npos);
+  EXPECT_NE(out.str().find("\"dropped\":"), std::string::npos);
+  EXPECT_EQ(out.str().find("\"dropped\":0,"), std::string::npos) << out.str();
 }
 
 TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
@@ -307,7 +320,7 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
   std::ostringstream out1;
   int rc1 = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                      "--length", "60000", "--window", "8192", "--shards", "2",
-                     "--producers", "1", "--policy", "block", "--no-supervise",
+                     "--producers", "1", "--no-supervise",
                      "--checkpoint-dir", dir, "--checkpoint-every", "4096",
                      "--publish", "1024", "--inject", "throw:any:20000",
                      "--json"},
@@ -321,7 +334,7 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
   std::ostringstream out2;
   int rc2 = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                      "--length", "60000", "--window", "8192", "--shards", "2",
-                     "--producers", "1", "--policy", "block",
+                     "--producers", "1",
                      "--checkpoint-dir", dir, "--checkpoint-every", "4096",
                      "--publish", "1024", "--resume", "--json"},
                     out2);

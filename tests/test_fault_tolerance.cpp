@@ -465,7 +465,6 @@ void kill_and_recover_byte_identical(
   opt.producers = 1;
   opt.queue_capacity = 1024;
   opt.publish_interval = 512;
-  opt.policy = Backpressure::kBlock;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
 
@@ -602,7 +601,6 @@ TEST_F(FaultTolerance, SupervisorRestartsFaultedWorkerLosslesslyAccounted) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.policy = Backpressure::kBlock;
   opt.supervise = true;
   fault::injector().arm({fault::Point::kWorkerThrow, 0, 8'000, 0});
 
@@ -676,7 +674,6 @@ TEST_F(FaultTolerance, SupervisorCountsWedgedWorkerWithoutRestart) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.policy = Backpressure::kBlock;
   opt.supervise = true;
   // Stall the worker for 500 ms early in the stream: long enough that the
   // supervisor must count it as wedged, but the worker is alive, so it is
@@ -716,7 +713,6 @@ TEST_F(FaultTolerance, SlowWorkerPastTheRestartCapIsNeverAbandoned) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.policy = Backpressure::kBlock;
   opt.supervise = true;
   // Each stall outlives the default heartbeat timeout; a sweep drains at
   // most publish_interval items, so every stall fires in its own sweep.
@@ -740,20 +736,23 @@ TEST_F(FaultTolerance, SlowWorkerPastTheRestartCapIsNeverAbandoned) {
       << "the published view is not the sequential run over every key";
 }
 
-TEST_F(FaultTolerance, BlockTimeoutReturnsWithinConfiguredTimeout) {
+TEST_F(FaultTolerance, RequestDeadlineBoundsABlockedPush) {
   PipelineOptions opt;
   opt.shards = 1;
   opt.producers = 1;
   opt.queue_capacity = 64;
-  opt.policy = Backpressure::kBlockTimeout;
-  opt.push_timeout_ms = 100;
   // Workers never started: the ring fills and stays full, so the first
   // rejected push is the one whose latency we bound.
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 4096));
-  std::size_t accepted = 0;
+  std::uint64_t accepted = 0;
   for (;;) {
     const auto t0 = std::chrono::steady_clock::now();
-    if (pipe.push(0, accepted)) {
+    const std::int64_t deadline_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            (t0 + std::chrono::milliseconds(100)).time_since_epoch())
+            .count();
+    if (pipe.push_bulk(0, std::span<const std::uint64_t>(&accepted, 1), 0, 0,
+                       deadline_ns) == 1) {
       ++accepted;
       continue;
     }
@@ -792,7 +791,6 @@ TEST_F(FaultTolerance, DeadShardAbortsBlockedPushes) {
   opt.shards = 1;
   opt.producers = 1;
   opt.queue_capacity = 256;
-  opt.policy = Backpressure::kBlock;
   fault::injector().arm({fault::Point::kWorkerThrow, 0, 1'000, 0});
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 8192));
   pipe.start();
@@ -829,7 +827,6 @@ void wal_crash_replay_byte_identical(
   opt.producers = 1;
   opt.queue_capacity = 1024;
   opt.publish_interval = 512;
-  opt.policy = Backpressure::kBlock;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
   opt.wal_mode = WalMode::kAsync;
@@ -1028,8 +1025,8 @@ TEST_F(FaultTolerance, WalShortFsyncRetryLandsExactlyOnce) {
                           "short_fsync");
 }
 
-TEST_F(FaultTolerance, WalShedsBeforeLoggingOnBlockTimeout) {
-  // A BlockTimeout (or request-deadline) expiry against a full ring must
+TEST_F(FaultTolerance, WalShedsBeforeLoggingOnDeadline) {
+  // A request-deadline expiry against a full ring must
   // shed the batch *before* anything reaches the log: a shed batch is
   // never durable, its client seq is never recorded, and the retry lands
   // exactly once.  Were the append to happen first, the log would hold a
@@ -1041,8 +1038,6 @@ TEST_F(FaultTolerance, WalShedsBeforeLoggingOnBlockTimeout) {
   opt.shards = 1;
   opt.producers = 1;
   opt.queue_capacity = 64;
-  opt.policy = Backpressure::kBlockTimeout;
-  opt.push_timeout_ms = 50;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 1u << 20;
   opt.wal_mode = WalMode::kAsync;
@@ -1062,7 +1057,12 @@ TEST_F(FaultTolerance, WalShedsBeforeLoggingOnBlockTimeout) {
     // the second cannot reserve space and must time out with nothing
     // logged and nothing recorded.
     ASSERT_EQ(pipe.push_bulk(0, b1, kClient, 1, 0), b1.size());
-    ASSERT_EQ(pipe.push_bulk(0, b2, kClient, 2, 0), 0u);
+    const std::int64_t deadline_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            (std::chrono::steady_clock::now() + std::chrono::milliseconds(50))
+                .time_since_epoch())
+            .count();
+    ASSERT_EQ(pipe.push_bulk(0, b2, kClient, 2, deadline_ns), 0u);
     EXPECT_EQ(pipe.stats().push_timeouts, 1u);
     {
       const WalScan scan = read_wal(dir + "/shard-0.wal");
@@ -1107,7 +1107,6 @@ TEST_F(FaultTolerance, WalMultiProducerCrashReplayByteIdentical) {
   opt.producers = 3;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.policy = Backpressure::kBlock;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
   opt.wal_mode = WalMode::kAsync;
@@ -1157,7 +1156,6 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.policy = Backpressure::kBlock;
   opt.supervise = true;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
@@ -1295,38 +1293,6 @@ TEST_F(FaultTolerance, AllCheckpointGenerationsCorruptFailsLoudly) {
 
 // ----------------------- concurrency (tsan-focused) -------------------------
 
-TEST(FaultToleranceConcurrency, DropNewestMultiProducerExactAccounting) {
-  constexpr std::size_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 25'000;
-  PipelineOptions opt;
-  opt.shards = 2;
-  opt.producers = kProducers;
-  opt.queue_capacity = 256;
-  opt.policy = Backpressure::kDropNewest;
-  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 16'384));
-  pipe.start();
-
-  std::vector<std::thread> producers;
-  std::atomic<std::uint64_t> accepted{0};
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::uint64_t ok = 0;
-      for (std::uint64_t i = 0; i < kPerProducer; ++i)
-        ok += pipe.push(p, p * kPerProducer + i) ? 1 : 0;
-      accepted.fetch_add(ok, std::memory_order_relaxed);
-    });
-  }
-  for (auto& t : producers) t.join();
-  pipe.close();
-
-  const auto st = pipe.stats();
-  // Exact, not approximate: every offered item is counted exactly once as
-  // accepted or dropped, even under full multi-producer contention.
-  EXPECT_EQ(st.produced + st.dropped, kProducers * kPerProducer);
-  EXPECT_EQ(st.produced, accepted.load());
-  EXPECT_EQ(st.inserted, st.produced);  // accepted items all drained at close
-}
-
 TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   // A view reader and a checkpoint-file reader race the worker while it
   // publishes and checkpoints at a high cadence.  Every loaded view must
@@ -1341,7 +1307,6 @@ TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   opt.producers = 1;
   opt.queue_capacity = 1024;
   opt.publish_interval = 128;
-  opt.policy = Backpressure::kBlock;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 256;
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 16'384));

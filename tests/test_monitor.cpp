@@ -95,6 +95,28 @@ TEST(Monitor, HllVariant) {
               0.3 * static_cast<double>(cfg.window));
 }
 
+TEST(Monitor, LoadRejectsCandidateCountAboveCapacity) {
+  // A frequency-only monitor saved before any insert ends with its
+  // heavy-hitter candidate count (0).  Patched to 2^40, load used to size
+  // a vector from it and throw std::bad_alloc; the table never holds more
+  // than its capacity, so the frame is malformed.
+  MonitorConfig cfg = small_cfg();
+  cfg.track_membership = false;
+  cfg.track_cardinality = false;
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  StreamMonitor(cfg).save(w);
+  std::string frame = ss.str();
+  ASSERT_GE(frame.size(), 8u);
+  frame.resize(frame.size() - 8);
+  std::stringstream patched;
+  patched << frame;
+  BinaryWriter pw(patched);
+  pw.u64(std::uint64_t{1} << 40);
+  BinaryReader r(patched);
+  EXPECT_THROW((void)StreamMonitor::load(r), SerializeError);
+}
+
 TEST(Monitor, CheckpointRoundTrip) {
   MonitorConfig cfg = small_cfg();
   StreamMonitor mon(cfg);

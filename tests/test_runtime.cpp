@@ -7,10 +7,11 @@
 //   * Published views: a held view survives later publishes unchanged;
 //     readers between two publishes share one object.
 //   * IngestPipeline: single-producer drains are bit-identical to
-//     sequential routing; DropNewest counts rejected pushes; Block loses
-//     nothing; queries under load stay consistent.
-//   * Commit lanes: a shed sub-batch replays exactly once; threads sharing
-//     one producer index keep every sub-batch contiguous, WAL on and off.
+//     sequential routing; tiny rings lose nothing; queries under load stay
+//     consistent; the supervisor keeps the rate gauge fresh.
+//   * Commit lanes: a shed sub-batch replays exactly once; a deadline
+//     never splits an admitted sub-batch; threads sharing one producer
+//     index keep every sub-batch contiguous, WAL on and off.
 //   * ConcurrentMonitor: queries under load within the same error bounds
 //     as the single-threaded estimators.
 #include "runtime/ingest_pipeline.hpp"
@@ -191,7 +192,7 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
   // producer the per-shard arrival order is deterministic, so the drained
   // state must serialize byte-identically to scalar routing — while a
   // reader thread queries the shared published views mid-ingest (the
-  // surface `ctest -L tsan` sweeps) and the tiny Block-policy rings force
+  // surface `ctest -L tsan` sweeps) and the tiny rings force
   // backpressure so the stall counters are exercised.
   constexpr std::uint64_t kWindow = 1 << 14;
   constexpr std::size_t kShards = 2;
@@ -253,32 +254,6 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
   }
 }
 
-TEST(IngestPipeline, DropNewestCountsRejectedPushes) {
-  // Workers not started: rings fill up and DropNewest must reject (and
-  // count) exactly the overflow, then deliver the accepted remainder.
-  PipelineOptions opt;
-  opt.shards = 1;
-  opt.producers = 1;
-  opt.queue_capacity = 64;
-  opt.policy = Backpressure::kDropNewest;
-  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 1024));
-
-  constexpr std::uint64_t kPushes = 200;
-  std::uint64_t accepted = 0;
-  for (std::uint64_t k = 0; k < kPushes; ++k)
-    accepted += pipe.push(0, k) ? 1 : 0;
-  EXPECT_EQ(accepted, opt.queue_capacity);
-
-  auto st = pipe.stats();
-  EXPECT_EQ(st.dropped, kPushes - opt.queue_capacity);
-  EXPECT_EQ(st.per_shard[0].dropped, kPushes - opt.queue_capacity);
-
-  pipe.close();  // never started: drains inline
-  st = pipe.stats();
-  EXPECT_EQ(st.inserted, accepted);
-  EXPECT_EQ(pipe.snapshot(0).time(), accepted);
-}
-
 TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
   constexpr std::uint64_t kItems = 100'000;
   PipelineOptions opt;
@@ -304,7 +279,7 @@ TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
   EXPECT_GE(st.queue_hwm, 1u);
   EXPECT_LE(st.queue_hwm, 16u);
   // Pushing is far cheaper than draining into SHE-BF, so the 16-slot rings
-  // must fill: every Block episode increments stall_events exactly once.
+  // must fill: every full-ring wait increments stall_events exactly once.
   EXPECT_GT(st.stall_events, 0u);
 }
 
@@ -360,6 +335,31 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
   EXPECT_EQ(pipe.stats().inserted, kItems);
 }
 
+TEST(IngestPipeline, SupervisorFeedsRateGaugeWithoutStats) {
+  // Nobody calls stats() here, which used to be the only thing (besides an
+  // opt-in sampler thread) that fed the windowed rate: a busy pipeline's
+  // registry read she_pipeline_rate_items_per_sec 0.  The supervisor now
+  // feeds it on its tick.
+  PipelineOptions opt;
+  opt.shards = 2;
+  opt.supervise = true;
+  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 1 << 14));
+  pipe.start();
+  std::vector<std::uint64_t> batch(4096);
+  std::uint64_t next = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(600);
+  while (std::chrono::steady_clock::now() < until) {
+    for (auto& k : batch) k = next++;
+    ASSERT_EQ(pipe.push_bulk(0, batch), batch.size());
+  }
+  std::int64_t rate = -1;
+  for (const obs::Registry::Entry& e : pipe.metrics_registry().entries())
+    if (e.name == "she_pipeline_rate_items_per_sec") rate = e.gauge->value();
+  EXPECT_GT(rate, 0);
+  pipe.close();
+}
+
 // ----------------------------- Commit lanes --------------------------------
 
 /// An "estimator" that records every key in drain order, so a test can
@@ -390,63 +390,70 @@ std::int64_t steady_ns_from_now(std::chrono::milliseconds d) {
 TEST(CommitLane, ShedSubBatchReplaysExactlyOnce) {
   // Regression: without the WAL, push_bulk used to record a sub-batch's
   // (client_id, client_seq) before enqueueing it, so a sub-batch shed by
-  // a request deadline, BlockTimeout or DropNewest was still recorded and
-  // its replay was acked as a duplicate with its keys never applied.
-  for (const Backpressure policy :
-       {Backpressure::kBlock, Backpressure::kBlockTimeout,
-        Backpressure::kDropNewest}) {
-    SCOPED_TRACE(to_string(policy));
-    PipelineOptions opt;
-    opt.shards = 1;
-    opt.queue_capacity = 64;
-    opt.policy = policy;
-    opt.push_timeout_ms = 20;
-    IngestPipeline<RecordingEstimator> pipe(opt, kRecorder);
-
-    std::vector<std::uint64_t> fill(64), extra(10);
-    std::iota(fill.begin(), fill.end(), 0);
-    std::iota(extra.begin(), extra.end(), 1000);
-    // Worker not started: the first batch fills the ring exactly ...
-    ASSERT_EQ(pipe.push_bulk(0, fill, 7, 1), fill.size());
-    // ... so the next one is shed with nothing enqueued or recorded.
-    const std::int64_t deadline =
-        policy == Backpressure::kBlock
-            ? steady_ns_from_now(std::chrono::milliseconds(20))
-            : 0;
-    EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2, deadline), 0u);
-
-    pipe.start();
-    ASSERT_TRUE(pipe.sync(false));  // the worker drained the full ring
-    EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2), extra.size());  // the replay
-    EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2), extra.size());  // a duplicate
-    pipe.close();
-
-    const auto st = pipe.stats();
-    EXPECT_EQ(st.inserted, fill.size() + extra.size());
-    std::vector<std::uint64_t> want = fill;
-    want.insert(want.end(), extra.begin(), extra.end());
-    EXPECT_EQ(pipe.snapshot(0).keys, want);
-  }
-}
-
-TEST(CommitLane, DropNewestEnqueuesThePrefixAndRecordsNothing) {
+  // a request deadline was still recorded and its replay was acked as a
+  // duplicate with its keys never applied.
   PipelineOptions opt;
   opt.shards = 1;
   opt.queue_capacity = 64;
-  opt.policy = Backpressure::kDropNewest;
   IngestPipeline<RecordingEstimator> pipe(opt, kRecorder);
-  std::vector<std::uint64_t> first(60), second(10);
-  std::iota(first.begin(), first.end(), 0);
-  std::iota(second.begin(), second.end(), 100);
-  ASSERT_EQ(pipe.push_bulk(0, first, 3, 1), first.size());
-  EXPECT_EQ(pipe.push_bulk(0, second, 3, 2), 4u);  // the prefix that fits
-  EXPECT_EQ(pipe.stats().dropped, 6u);
+
+  std::vector<std::uint64_t> fill(64), extra(10);
+  std::iota(fill.begin(), fill.end(), 0);
+  std::iota(extra.begin(), extra.end(), 1000);
+  // Worker not started: the first batch fills the ring exactly ...
+  ASSERT_EQ(pipe.push_bulk(0, fill, 7, 1), fill.size());
+  // ... so the next one is shed with nothing enqueued or recorded.
+  EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2,
+                           steady_ns_from_now(std::chrono::milliseconds(20))),
+            0u);
+  EXPECT_EQ(pipe.stats().push_timeouts, 1u);
+
   pipe.start();
-  ASSERT_TRUE(pipe.sync(false));
-  // Nothing was recorded, so the replay is new work, prefix included.
-  EXPECT_EQ(pipe.push_bulk(0, second, 3, 2), second.size());
+  ASSERT_TRUE(pipe.sync(false));  // the worker drained the full ring
+  EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2), extra.size());  // the replay
+  EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2), extra.size());  // a duplicate
   pipe.close();
-  EXPECT_EQ(pipe.stats().inserted, 74u);
+
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.inserted, fill.size() + extra.size());
+  std::vector<std::uint64_t> want = fill;
+  want.insert(want.end(), extra.begin(), extra.end());
+  EXPECT_EQ(pipe.snapshot(0).keys, want);
+}
+
+TEST(CommitLane, DeadlineNeverSplitsAnAdmittedSubBatch) {
+  // A sub-batch larger than the ring used to be cut mid-way by the request
+  // deadline: the enqueued prefix was acked as a partial count with the
+  // sequence unrecorded, so the client's replay re-applied that prefix
+  // (64 accepted, then 1064 applied).  Now the deadline bounds admission
+  // only; once ring space for the first min(n, capacity) keys is there,
+  // the whole sub-batch goes in.
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.queue_capacity = 64;
+  IngestPipeline<RecordingEstimator> pipe(opt, kRecorder);
+  std::vector<std::uint64_t> keys(1000);
+  std::iota(keys.begin(), keys.end(), 0);
+
+  // The worker is not running yet, so the tail waits for it; start it
+  // well past the 20 ms deadline.
+  std::thread starter([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pipe.start();
+  });
+  EXPECT_EQ(pipe.push_bulk(0, keys, 9, 1,
+                           steady_ns_from_now(std::chrono::milliseconds(20))),
+            keys.size());
+  starter.join();
+  ASSERT_TRUE(pipe.sync(false));
+  // The replay is a duplicate: acked in full, nothing applied twice.
+  EXPECT_EQ(pipe.push_bulk(0, keys, 9, 1), keys.size());
+  pipe.close();
+
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.push_timeouts, 0u);
+  EXPECT_EQ(st.inserted, keys.size());
+  EXPECT_EQ(pipe.snapshot(0).keys, keys);
 }
 
 /// Several threads push seq-tagged bulk batches through the *same*
@@ -684,26 +691,6 @@ TEST(ConcurrentMonitor, QueriesUnderLoadStayWithinSingleThreadBounds) {
   EXPECT_GT(mon.frequency(kHotA), 100u);
   EXPECT_TRUE(mon.seen(kHotA));
   EXPECT_EQ(mon.stats().dropped, 0u);
-}
-
-TEST(ConcurrentMonitor, DropNewestSurfacesInStats) {
-  MonitorConfig mcfg;
-  mcfg.window = 4096;
-  mcfg.memory_bytes = 1 << 16;
-
-  runtime::PipelineOptions pcfg;
-  pcfg.shards = 1;
-  pcfg.producers = 1;
-  pcfg.queue_capacity = 32;
-  pcfg.policy = runtime::Backpressure::kDropNewest;
-
-  ConcurrentMonitor mon(mcfg, pcfg);  // not started: queue must overflow
-  std::uint64_t accepted = 0;
-  for (std::uint64_t k = 0; k < 100; ++k) accepted += mon.push(0, k) ? 1 : 0;
-  EXPECT_EQ(accepted, 32u);
-  EXPECT_EQ(mon.stats().dropped, 68u);
-  mon.close();
-  EXPECT_EQ(mon.report(1).items, 32u);
 }
 
 }  // namespace

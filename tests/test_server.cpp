@@ -182,7 +182,7 @@ TEST(SpecParser, DefaultsAndOverrides) {
 
   const PipelineSpec s = parse_sketch_spec(
       "window=16K memory=256K shards=2 producers=3 queue=2048 publish=512 "
-      "policy=drop hll hh-slots=32 seed=9 checkpoint-every=4096");
+      "policy=block hll hh-slots=32 seed=9 checkpoint-every=4096");
   EXPECT_EQ(s.monitor.window, 16u * 1024);
   EXPECT_EQ(s.monitor.memory_bytes, 256u * 1024);
   EXPECT_TRUE(s.monitor.use_hll);
@@ -192,7 +192,6 @@ TEST(SpecParser, DefaultsAndOverrides) {
   EXPECT_EQ(s.pipeline.producers, 3u);
   EXPECT_EQ(s.pipeline.queue_capacity, 2048u);
   EXPECT_EQ(s.pipeline.publish_interval, 512u);
-  EXPECT_EQ(s.pipeline.policy, runtime::Backpressure::kDropNewest);
   EXPECT_EQ(s.pipeline.checkpoint_interval, 4096u);
 }
 
@@ -201,6 +200,19 @@ TEST(SpecParser, Rejections) {
   EXPECT_THROW((void)parse_sketch_spec("window=abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_sketch_spec("window"), std::invalid_argument);
   EXPECT_THROW((void)parse_sketch_spec("policy=maybe"), std::invalid_argument);
+  // The shedding policies and their timeout are gone; the error points at
+  // the request deadline, which replaced them.
+  for (const char* removed :
+       {"policy=drop", "policy=block-timeout", "push-timeout-ms=100"}) {
+    try {
+      (void)parse_sketch_spec(removed);
+      ADD_FAILURE() << removed << " still parses";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--request-deadline-ms"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // SHE-MH jaccard needs lock-step streams; hash routing over 2 shards
   // breaks that, so the spec language refuses the combination.
   EXPECT_THROW((void)parse_sketch_spec("similarity shards=2"),
@@ -283,6 +295,32 @@ TEST(PipelineManager, ResumeAllRestoresState) {
   std::filesystem::create_directories(std::filesystem::path(root) / "junk");
   PipelineManager mgr3({root, 2, true});
   EXPECT_EQ(mgr3.size(), 1u);
+}
+
+TEST(PipelineManager, ResumeAllUpgradesPersistedPolicySpecs) {
+  // Spec files written before the shedding policies were removed: one that
+  // spells out `policy=block` (the only behaviour left) keeps resuming; one
+  // with `policy=drop` is skipped with a warning, its directory kept for
+  // the operator.
+  const std::string root = temp_dir("mgr_resume_policy");
+  const auto write_spec = [&](const std::string& name,
+                              const std::string& spec) {
+    const std::filesystem::path dir = std::filesystem::path(root) / name;
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir / "spec") << spec << '\n';
+  };
+  write_spec("kept", "window=4K memory=64K policy=block");
+  write_spec("shed", "window=4K memory=64K policy=drop");
+  ::testing::internal::CaptureStderr();
+  PipelineManager mgr({root, 1, /*resume=*/true});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(mgr.find("kept"), nullptr);
+  EXPECT_EQ(mgr.find("shed"), nullptr);
+  EXPECT_EQ(mgr.size(), 1u);
+  EXPECT_NE(err.find("skipping 'shed'"), std::string::npos) << err;
+  EXPECT_NE(err.find("--request-deadline-ms"), std::string::npos) << err;
+  EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(root) / "shed" /
+                                      "spec"));
 }
 
 // ------------------------------ live server --------------------------------
@@ -1147,15 +1185,20 @@ TEST(Server, RequestDeadlineShedsInsteadOfWedging) {
                  "policy=block");
 
   // Wedge the drain thread for 3 s early in the stream.  The ring fills,
-  // the handler's backpressure spin hits the request deadline, and the
-  // server answers kTimeout long before the stall clears.
+  // the next batch's wait for admission hits the request deadline, and
+  // the server answers kTimeout long before the stall clears.  (The
+  // deadline bounds admission only, so each batch fits the ring: a batch
+  // larger than the ring, once admitted, is enqueued whole.)
   runtime::fault::injector().arm(
       {runtime::fault::Point::kConsumerStall, 0, 1'000, 3'000});
-  std::vector<std::uint64_t> keys(20'000);
-  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  std::vector<std::uint64_t> keys(256);
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    (void)c.insert_bulk("dl", keys);
+    for (std::uint64_t batch = 0; batch < 80; ++batch) {
+      for (std::size_t i = 0; i < keys.size(); ++i)
+        keys[i] = batch * keys.size() + i;
+      (void)c.insert_bulk("dl", keys);
+    }
     FAIL() << "expected kTimeout";
   } catch (const ClientError& e) {
     EXPECT_EQ(e.status(), Status::kTimeout);

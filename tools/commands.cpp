@@ -311,8 +311,6 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   pcfg.producers = args.get_u64("producers", 2);
   pcfg.queue_capacity = args.get_u64("queue", 4096);
   pcfg.publish_interval = args.get_u64("publish", 2048);
-  pcfg.policy = runtime::backpressure_from(args.get("policy", "block"));
-  pcfg.push_timeout_ms = args.get_u64("push-timeout-ms", 100);
   pcfg.supervise = !args.has("no-supervise");  // CLI default: supervised
   pcfg.checkpoint_dir = args.get("checkpoint-dir", "");
   pcfg.checkpoint_interval = args.get_u64("checkpoint-every", 1u << 16);
@@ -354,9 +352,6 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string metrics_format = args.get("metrics-format", "prom");
   const std::string inject = args.get("inject", "");
-  // Queue-depth sampler: on by default when dumping metrics.
-  pcfg.sample_interval_ms =
-      args.get_u64("sample-ms", metrics_out.empty() ? 0 : 5);
   reject_unused(args);
 
   TelemetryScope telemetry(!metrics_out.empty());
@@ -445,17 +440,16 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
     if (!json) out << "  metrics written to " << metrics_out << "\n";
   }
 
-  // Lossy runs must be visible to scripts: anything dropped, timed out, or
-  // faulted makes the exit status nonzero, with a one-line summary on
-  // stderr regardless of the output format.
-  const bool faulty =
-      st.dropped > 0 || st.worker_faults > 0 || st.push_timeouts > 0;
+  // Lossy runs must be visible to scripts: anything dropped or faulted
+  // makes the exit status nonzero, with a one-line summary on stderr
+  // regardless of the output format.  (The producers push without a
+  // deadline, so nothing is ever shed here.)
+  const bool faulty = st.dropped > 0 || st.worker_faults > 0;
   if (faulty) {
     std::cerr << "she_tool pipeline: faults detected: dropped=" << st.dropped
               << " worker_faults=" << st.worker_faults
               << " restarts=" << st.worker_restarts
-              << " items_lost=" << st.items_lost
-              << " push_timeouts=" << st.push_timeouts << "\n";
+              << " items_lost=" << st.items_lost << "\n";
   }
   const int rc = faulty ? 1 : 0;
 
@@ -887,11 +881,10 @@ std::string usage() {
       "               --overlap F] [--window N] [--slots M] [--alpha A]\n"
       "  pipeline     [--trace FILE | --dataset ... --length N] [--window N]\n"
       "               [--memory BYTES] [--shards S] [--producers P]\n"
-      "               [--queue N] [--policy block|drop|block-timeout]\n"
-      "               [--push-timeout-ms MS] [--rate ITEMS/S] [--publish N]\n"
+      "               [--queue N] [--rate ITEMS/S] [--publish N]\n"
       "               [--query-interval-ms MS] [--top K] [--json]\n"
       "               [--metrics-out FILE] [--metrics-format prom|json]\n"
-      "               [--sample-ms MS] [--no-supervise]\n"
+      "               [--no-supervise]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "               [--checkpoint-keep K] [--resume]\n"
       "               [--inject SPEC[,SPEC...]]\n"
@@ -900,8 +893,8 @@ std::string usage() {
       "               CRC-framed durable checkpoints and --resume replays\n"
       "               from them; SPEC = point[:shard[:at[:param]]] with\n"
       "               point throw|stall|ckpt-bitflip|ckpt-truncate;\n"
-      "               exit 1 when items were dropped, timed out, or a\n"
-      "               worker faulted)\n"
+      "               exit 1 when items were dropped or a worker\n"
+      "               faulted)\n"
       "  metrics      [--trace FILE | --dataset ... --length N] [--window N]\n"
       "               [--memory BYTES] [--algo bitmap|hll] [--top K]\n"
       "               [--query-every N] [--format prom|json] [--out FILE]\n"

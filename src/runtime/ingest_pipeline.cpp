@@ -9,10 +9,9 @@ void PipelineOptions::validate() const {
     throw std::invalid_argument("PipelineOptions: shards must be > 0");
   if (producers == 0)
     throw std::invalid_argument("PipelineOptions: producers must be > 0");
-  if (queue_capacity == 0)
-    throw std::invalid_argument("PipelineOptions: queue_capacity must be > 0");
-  if (drain_batch == 0)
-    throw std::invalid_argument("PipelineOptions: drain_batch must be > 0");
+  if (queue_capacity == 0 || queue_capacity > SpscRing::kMaxCapacity)
+    throw std::invalid_argument(
+        "PipelineOptions: queue_capacity must be in 1..2^26");
   if (publish_interval == 0)
     throw std::invalid_argument(
         "PipelineOptions: publish_interval must be > 0");

@@ -38,15 +38,15 @@
 //     typed CheckpointError, never loaded silently — and records the
 //     per-shard stream offsets (`resume_offset()`) so a driver can skip
 //     the already-ingested per-shard prefix of its trace.
-//   * Supervision: with `supervise = true`, a supervisor thread restarts
-//     workers that died by exception (rolled back to the shard's last
-//     published snapshot; items applied since are counted lost, ring
+//   * Supervision: every started pipeline runs a supervisor thread that
+//     restarts workers that died by exception (rolled back to the shard's
+//     last published snapshot; items applied since are counted lost, ring
 //     backlog counted replayed).  Restarts are capped at `kMaxRestarts`
-//     per shard; beyond it the shard is abandoned and pushes to it fail
-//     fast.  A worker whose heartbeat is older than `kHeartbeatTimeoutMs`
-//     (a long checkpoint, a stall) is only counted as wedged, once per
-//     stale heartbeat: it is still the shard's one live consumer, so the
-//     supervisor leaves it alone.
+//     per shard; the next fault abandons the shard, the only terminal
+//     state, and pushes to it fail fast.  A worker whose heartbeat is
+//     older than `kHeartbeatTimeoutMs` (a long checkpoint, a stall) is
+//     only counted as wedged, once per stale heartbeat: it is still the
+//     shard's one live consumer, so the supervisor leaves it alone.
 //   * Write-ahead backlog log (common/wal.hpp): checkpoints capture the
 //     drained prefix, but items *accepted and still queued* used to be
 //     lost by design at a crash.  With `wal_mode != kOff`, the lane
@@ -61,12 +61,12 @@
 //     are unlinked, and resume replays the logged suffix past the newest
 //     checkpoint — so kill -9 at any instant reconstructs the accepted
 //     stream byte-identically.
-//     Only a terminally dead shard (faulted without a supervisor, or
-//     abandoned) accepts batches into the log without enqueueing them;
-//     that is safe because nothing drains or checkpoints there again,
-//     so the logged tail surfaces, in order, at the next resume.  A
-//     supervised restart's rollback gap (published snapshot .. consumed)
-//     is healed back from the log instead of being counted lost.
+//     Only an abandoned shard accepts batches into the log without
+//     enqueueing them; that is safe because nothing drains or
+//     checkpoints there again, so the logged tail surfaces, in order, at
+//     the next resume.  A restart's rollback gap (published snapshot ..
+//     consumed) is healed back from the log instead of being counted
+//     lost.
 //   * Client replay: sub-batches carrying a client identity (client_id,
 //     client_seq) are deduplicated against a per-shard sequence table —
 //     inside the log with the WAL on (it survives restarts), in memory
@@ -103,9 +103,10 @@
 // hash-ahead + prefetch batch path on the worker drain.
 //
 // Threading contract:
-//   * push(producer, key) / push_bulk(producer, ...): any thread, any
-//     producer index below `producers`, concurrently.  The index only
-//     labels she_pipeline_produced_total; lanes serialize per shard.
+//   * push(producer, key) / push_bulk(producer, ...): any thread,
+//     concurrently, with a producer index below `producers`
+//     (std::out_of_range otherwise).  The index only labels
+//     she_pipeline_produced_total; lanes serialize per shard.
 //   * view()/snapshot()/stats()/shard_of()/metrics_registry()/faulted():
 //     any thread, any time.
 //   * start()/close(): one controlling thread; do not call push()
@@ -164,12 +165,12 @@ struct PipelineOptions {
   std::size_t shards = 1;
   std::size_t producers = 1;           ///< producer labels for
                                        ///< she_pipeline_produced_total
-  std::size_t queue_capacity = 1024;   ///< per-shard backlog (the lane's ring)
-  std::size_t drain_batch = 256;       ///< max items popped per ring drain
+  std::size_t queue_capacity = 1024;   ///< per-shard backlog (the lane's
+                                       ///< ring), at most
+                                       ///< SpscRing::kMaxCapacity
   std::size_t publish_interval = 2048; ///< items between snapshot publishes
 
   // Fault tolerance.
-  bool supervise = false;              ///< restart workers that faulted
   std::string checkpoint_dir;          ///< empty = no durable checkpoints
   std::uint64_t checkpoint_interval = 1u << 16;  ///< items between frames
   std::size_t checkpoint_keep = 1;     ///< retained frame generations per
@@ -191,12 +192,6 @@ struct PipelineOptions {
                      std::span<const char> encoded)>
       wal_observer;
 
-  /// Degraded read-only mode: after a DiskFault from the WAL or
-  /// checkpoint writer, at most one disk-recovery probe runs per this
-  /// many milliseconds (on the push path); until one succeeds, writes
-  /// throw DegradedError.
-  std::size_t degraded_probe_ms = 1000;
-
   void validate() const;  ///< throws std::invalid_argument on bad fields
 };
 
@@ -216,6 +211,13 @@ class IngestPipeline {
   static constexpr std::size_t kRateSampleIntervalMs = 100;
   /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
   static constexpr std::size_t kRateWindowS = 10;
+  /// Most items a worker pops from its ring per drain.
+  static constexpr std::size_t kDrainBatch = 256;
+  /// Degraded read-only mode: after a DiskFault from the WAL or checkpoint
+  /// writer, at most one disk-recovery probe runs per this many
+  /// milliseconds (on the push path); until one succeeds, writes throw
+  /// DegradedError.
+  static constexpr std::size_t kDegradedProbeMs = 1000;
 
   /// Builds `opt.shards` estimators via `factory(shard_index)` — or, with
   /// `opt.resume`, from the shard's durable checkpoint when one exists
@@ -385,8 +387,7 @@ class IngestPipeline {
     return degraded_.load(std::memory_order_acquire);
   }
 
-  /// Launch one worker thread per shard (plus the supervisor when
-  /// configured).
+  /// Launch one worker thread per shard, plus the supervisor.
   void start() {
     if (started_.load(std::memory_order_relaxed))
       throw std::logic_error("IngestPipeline: already started");
@@ -397,13 +398,12 @@ class IngestPipeline {
     workers_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s)
       workers_.emplace_back([this, s] { worker_entry(s); });
-    if (opt_.supervise)
-      supervisor_ = std::thread([this] { supervisor_loop(); });
+    supervisor_ = std::thread([this] { supervisor_loop(); });
   }
 
   /// Route one key to its shard's lane: a push_bulk of one key.  Returns
-  /// false iff the item was not accepted: a dead (faulted, unsupervised or
-  /// abandoned) shard without a WAL, or the pipeline is closing.
+  /// false iff the item was not accepted: an abandoned shard without a
+  /// WAL, or the pipeline is closing.
   bool push(std::size_t producer, std::uint64_t key) {
     return push_bulk(producer, std::span<const std::uint64_t>(&key, 1)) == 1;
   }
@@ -439,11 +439,18 @@ class IngestPipeline {
   /// without enqueueing it (*durable but not yet live*); its items
   /// surface at the next resume, in order, and are counted accepted here
   /// because they are part of the recoverable stream.
+  ///
+  /// A `producer` at or above `producers` throws std::out_of_range before
+  /// anything is routed or enqueued.
   std::size_t push_bulk(std::size_t producer,
                         std::span<const std::uint64_t> keys,
                         std::uint64_t client_id, std::uint64_t client_seq,
                         std::int64_t deadline_ns = 0) {
     SHE_TRACE_SPAN("pipeline.push_bulk", "pipeline");
+    if (producer >= opt_.producers)
+      throw std::out_of_range("push_bulk: producer " +
+                              std::to_string(producer) + " is not below " +
+                              std::to_string(opt_.producers));
     check_degraded();
     if (keys.empty()) return 0;
     thread_local std::uint64_t push_seq = 0;
@@ -878,7 +885,7 @@ class IngestPipeline {
                                     shard_label);
     sh.queue_depth = &registry_.gauge(
         "she_pipeline_queue_depth",
-        "queued items in the shard's ring (last sweep or supervisor tick)",
+        "queued items in the shard's ring (supervisor tick)",
         shard_label);
   }
 
@@ -896,12 +903,10 @@ class IngestPipeline {
     return opt_.checkpoint_dir + "/shard-" + std::to_string(s) + ".wal";
   }
 
-  /// A shard whose ring will never drain again: dead by exception with no
-  /// supervisor to revive it, or abandoned past kMaxRestarts.
+  /// A shard whose ring will never drain again: abandoned past
+  /// kMaxRestarts.
   [[nodiscard]] bool shard_dead(const Shard& sh) const {
-    const WorkerState st = sh.state.load(std::memory_order_acquire);
-    return st == WorkerState::kAbandoned ||
-           (st == WorkerState::kFaulted && !opt_.supervise);
+    return sh.state.load(std::memory_order_acquire) == WorkerState::kAbandoned;
   }
 
   void publish(Shard& sh) {
@@ -988,7 +993,7 @@ class IngestPipeline {
   }
 
   /// Push-path gate: fail fast with the typed error while degraded,
-  /// running at most one disk-recovery probe per degraded_probe_ms.
+  /// running at most one disk-recovery probe per kDegradedProbeMs.
   void check_degraded() {
     if (!degraded_.load(std::memory_order_acquire)) return;
     if (try_recover()) return;
@@ -1001,8 +1006,8 @@ class IngestPipeline {
   /// filesystem the WAL and checkpoint writers need.  Returns true when
   /// this call cleared degraded mode.
   bool try_recover() {
-    const std::int64_t interval =
-        static_cast<std::int64_t>(opt_.degraded_probe_ms) * 1'000'000;
+    constexpr std::int64_t interval =
+        static_cast<std::int64_t>(kDegradedProbeMs) * 1'000'000;
     std::int64_t last = last_probe_ns_.load(std::memory_order_relaxed);
     const std::int64_t now = now_ns();
     if (now - last < interval) return false;
@@ -1032,7 +1037,7 @@ class IngestPipeline {
       sh.state.store(WorkerState::kIdle, std::memory_order_release);
     } catch (const std::exception& e) {
       // The estimator may be mid-batch; only the published snapshot is
-      // trustworthy now.  The supervisor (when enabled) rolls back to it.
+      // trustworthy now.  The supervisor rolls back to it.
       sh.fault_msg = e.what();
       sh.faults->inc();
       sh.state.store(WorkerState::kFaulted, std::memory_order_release);
@@ -1041,7 +1046,7 @@ class IngestPipeline {
 
   void worker_loop(std::size_t si) {
     Shard& sh = *shards_[si];
-    std::vector<std::uint64_t> buf(opt_.drain_batch);
+    std::vector<std::uint64_t> buf(kDrainBatch);
     for (;;) {
       const std::int64_t sweep_start = now_ns();
       sh.heartbeat_ns.store(sweep_start, std::memory_order_relaxed);
@@ -1056,12 +1061,12 @@ class IngestPipeline {
                   : 0);
       const std::uint64_t sweep_ticks =
           tracing ? obs::trace::now_ticks() : 0;
+      // Also sampled here: the supervisor's tick misses short peaks.
       const std::size_t depth = sh.ring.size_approx();
       if (depth > sh.hwm_local) {
         sh.hwm_local = depth;
         sh.queue_hwm->max_of(static_cast<std::int64_t>(depth));
       }
-      sh.queue_depth->set(static_cast<std::int64_t>(depth));
       // At most publish_interval items per sweep: a lane that keeps pace
       // must not keep the worker away from the sweep-start heartbeat and
       // fault hooks.

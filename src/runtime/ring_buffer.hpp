@@ -13,8 +13,10 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace she::runtime {
@@ -26,10 +28,16 @@ inline constexpr std::size_t kCacheLine = 64;
 
 class SpscRing {
  public:
-  /// Capacity is rounded up to the next power of two (minimum 1).
+  /// Largest accepted capacity: 2^26 slots, 512 MiB of keys per ring.
+  /// The bound keeps the power-of-two round-up below from overflowing.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 26;
+
+  /// Capacity is rounded up to the next power of two (minimum 1); above
+  /// kMaxCapacity throws std::length_error.
   explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
+    if (capacity > kMaxCapacity)
+      throw std::length_error("SpscRing: capacity above 2^26 slots");
+    const std::size_t cap = std::bit_ceil(capacity);
     slots_.resize(cap);
     mask_ = cap - 1;
   }

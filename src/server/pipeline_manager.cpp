@@ -55,10 +55,6 @@ double parse_f64(const std::string& key, const std::string& text) {
 
 PipelineSpec parse_sketch_spec(const std::string& text) {
   PipelineSpec spec;
-  // Serving defaults: modest window and supervised workers (a long-running
-  // service must outlive one worker exception).
-  spec.pipeline.supervise = true;
-
   std::istringstream is(text);
   std::string tok;
   while (is >> tok) {
@@ -83,8 +79,10 @@ PipelineSpec parse_sketch_spec(const std::string& text) {
       spec.pipeline.queue_capacity = parse_size(key, need());
     } else if (key == "publish") {
       spec.pipeline.publish_interval = parse_size(key, need());
-    } else if (key == "batch") {
-      spec.pipeline.drain_batch = parse_size(key, need());
+    } else if (key == "batch" || key == "degraded-probe-ms") {
+      // Retired tuning knobs (runtime constants now): persisted specs that
+      // set them must keep resuming, so any value is accepted and ignored.
+      (void)need();
     } else if (key == "policy") {
       // `block` names the only admission rule; persisted specs that spell
       // it out must keep resuming.
@@ -99,8 +97,6 @@ PipelineSpec parse_sketch_spec(const std::string& text) {
           "--request-deadline-ms");
     } else if (key == "checkpoint-every") {
       spec.pipeline.checkpoint_interval = parse_size(key, need());
-    } else if (key == "degraded-probe-ms") {
-      spec.pipeline.degraded_probe_ms = parse_size(key, need());
     } else if (key == "wal") {
       spec.wal = wal_mode_from(need());
     } else if (key == "wal-fsync-bytes") {

@@ -51,11 +51,12 @@ struct PipelineSpec {
 
 /// Parse the CREATE spec language: whitespace-separated `key=value` pairs
 /// and bare flags.  Keys: window, memory (both take K/M/G suffixes),
-/// shards, producers, queue, publish, batch, policy (block only: accepted
-/// so persisted specs keep resuming; drop, block-timeout and
+/// shards, producers, queue (at most 2^26), publish, policy (block only:
+/// accepted so persisted specs keep resuming; drop, block-timeout and
 /// push-timeout-ms were removed), hll, similarity, similarity-slots,
-/// hh-slots, expected-cardinality, checkpoint-every, degraded-probe-ms,
-/// seed; flags:
+/// hh-slots, expected-cardinality, checkpoint-every, seed (batch and
+/// degraded-probe-ms are accepted with any value and ignored, for the
+/// same reason); flags:
 /// no-membership, no-cardinality, no-frequency.  Unknown tokens, malformed
 /// numbers, and invalid combinations (similarity with shards > 1 — SHE-MH
 /// jaccard needs lock-step per-shard streams, which hash routing breaks)

@@ -127,8 +127,8 @@ class StreamMonitor {
 /// reader): membership and frequency go to the owning shard, cardinality
 /// sums across shards, top-k merges (shard key spaces are disjoint).
 /// Queries are safe from any thread at any time; push()/push_bulk() follow
-/// the IngestPipeline threading contract (any thread, any producer index,
-/// concurrently; join producers before close()).
+/// the IngestPipeline threading contract (any thread, a producer index
+/// below `producers`, concurrently; join producers before close()).
 class ConcurrentMonitor {
  public:
   ConcurrentMonitor(const MonitorConfig& monitor,

@@ -6,6 +6,7 @@
 
 #include "common/checkpoint.hpp"
 #include "common/wal.hpp"
+#include "she/monitor.hpp"
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -218,8 +219,10 @@ TEST(Cli, PipelineRejectsBadPolicy) {
 }
 
 TEST(Cli, PipelineRejectsRemovedPolicyFlags) {
-  // The shedding policies' timeout and the sampler period are unknown flags.
-  for (const char* flag : {"--push-timeout-ms", "--sample-ms"}) {
+  // The shedding policies' timeout, the sampler period and the opt-out
+  // from supervision are unknown flags.
+  for (const char* flag :
+       {"--push-timeout-ms", "--sample-ms", "--no-supervise"}) {
     std::ostringstream out;
     EXPECT_EQ(run_cli({"she_tool", "pipeline", "--length", "1000", flag, "1"},
                       out),
@@ -299,14 +302,27 @@ TEST(Cli, PipelineCheckpointKeepRetainsGenerations) {
 
 #if defined(SHE_FAULT_INJECTION)
 
+constexpr std::size_t kMaxRestarts =
+    runtime::IngestPipeline<StreamMonitor>::kMaxRestarts;
+
+/// An --inject list that arms the worker throw `spec` kMaxRestarts + 1
+/// times: the shard's worker dies once more than the supervisor restarts
+/// it, so the shard ends abandoned.
+std::string abandon(const std::string& spec) {
+  std::string list = spec;
+  for (std::size_t i = 0; i < kMaxRestarts; ++i) list += "," + spec;
+  return list;
+}
+
 TEST(Cli, PipelineExitsNonzeroOnDroppedItems) {
-  // Kill the lone unsupervised worker early: the dead shard rejects the
-  // rest of the 50k items, and lossy runs exit 1.
+  // Kill the lone worker early, once more than it is restarted: the
+  // abandoned shard rejects the rest of the 50k items, and lossy runs exit
+  // 1.
   std::ostringstream out;
   int rc = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                     "--length", "50000", "--window", "4096", "--shards", "1",
-                    "--producers", "1", "--queue", "64", "--no-supervise",
-                    "--inject", "throw:0:1000", "--json"},
+                    "--producers", "1", "--queue", "64", "--inject",
+                    abandon("throw:0:1000"), "--json"},
                    out);
   EXPECT_EQ(rc, 1) << out.str();
   EXPECT_NE(out.str().find("\"dropped\":"), std::string::npos);
@@ -315,18 +331,20 @@ TEST(Cli, PipelineExitsNonzeroOnDroppedItems) {
 
 TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
   const std::string dir = temp_path("cli_ckpt_dir");
-  // Run 1: unsupervised worker killed mid-stream; periodic checkpoints
-  // survive it.  The fault makes the run exit 1.
+  // Run 1: shard 0's worker killed mid-stream until it is abandoned;
+  // periodic checkpoints survive it.  The faults make the run exit 1.
   std::ostringstream out1;
   int rc1 = run_cli({"she_tool", "pipeline", "--dataset", "distinct",
                      "--length", "60000", "--window", "8192", "--shards", "2",
-                     "--producers", "1", "--no-supervise",
+                     "--producers", "1",
                      "--checkpoint-dir", dir, "--checkpoint-every", "4096",
-                     "--publish", "1024", "--inject", "throw:any:20000",
+                     "--publish", "1024", "--inject", abandon("throw:0:20000"),
                      "--json"},
                     out1);
   EXPECT_EQ(rc1, 1) << out1.str();
-  EXPECT_NE(out1.str().find("\"worker_faults\":1"), std::string::npos)
+  EXPECT_NE(out1.str().find("\"worker_faults\":" +
+                            std::to_string(kMaxRestarts + 1)),
+            std::string::npos)
       << out1.str();
 
   // Run 2: resume from the surviving frames and replay the same trace; the

@@ -111,7 +111,6 @@ PipelineOptions options(const std::string& dir, WalMode mode, bool resume) {
   PipelineOptions opt;
   opt.shards = 1;
   opt.queue_capacity = kBatchKeys;
-  opt.drain_batch = 4096;
   opt.publish_interval = 16384;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = kCheckpointEvery;

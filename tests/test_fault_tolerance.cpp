@@ -427,6 +427,17 @@ SheConfig bf_cfg(std::uint64_t window) {
   return cfg;
 }
 
+constexpr std::size_t kMaxRestarts =
+    IngestPipeline<SheBloomFilter>::kMaxRestarts;
+
+/// Arm kMaxRestarts + 1 worker throws on `shard` at `at` applied items:
+/// the worker dies once more than the supervisor restarts it, so the
+/// shard ends abandoned, the only terminal shard state.
+void arm_abandonment(std::size_t shard, std::uint64_t at) {
+  for (std::size_t i = 0; i <= kMaxRestarts; ++i)
+    fault::injector().arm({fault::Point::kWorkerThrow, shard, at, 0});
+}
+
 IngestPipeline<SheBloomFilter>::Factory bf_factory(std::size_t shards,
                                                    std::uint64_t window) {
   return [shards, window](std::size_t s) {
@@ -464,21 +475,27 @@ void kill_and_recover_byte_identical(
   opt.shards = kShards;
   opt.producers = 1;
   opt.queue_capacity = 1024;
-  opt.publish_interval = 512;
+  // Publish after every sweep, so a fault never finds applied items past
+  // the published state: each restart rolls back nothing, the re-armed
+  // throw fires before the next drain, and the abandoned shard's last
+  // checkpoint covers an exact prefix of its stream.
+  opt.publish_interval = 1;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
 
-  // Run 1: no supervisor — the injected throw kills shard 0's worker for
-  // good mid-stream.  Pushes to the dead shard fail fast instead of
+  // Run 1: the injected throws kill shard 0's worker mid-stream until the
+  // supervisor abandons it.  Pushes to the dead shard fail fast instead of
   // hanging, so the producer still completes.
-  fault::injector().arm({fault::Point::kWorkerThrow, 0, 20'000, 0});
+  arm_abandonment(0, 20'000);
   {
     IngestPipeline<Estimator> pipe(opt, factory);
     pipe.start();
     (void)pipe.push_bulk(0, trace);
     pipe.close();
     const auto st = pipe.stats();
-    EXPECT_EQ(st.worker_faults, 1u);
+    EXPECT_EQ(st.worker_faults, kMaxRestarts + 1);
+    EXPECT_EQ(st.worker_restarts, kMaxRestarts);
+    EXPECT_EQ(st.items_lost, 0u);
     EXPECT_TRUE(pipe.faulted());
     EXPECT_GT(st.checkpoints, 0u);
   }
@@ -601,7 +618,6 @@ TEST_F(FaultTolerance, SupervisorRestartsFaultedWorkerLosslesslyAccounted) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.supervise = true;
   fault::injector().arm({fault::Point::kWorkerThrow, 0, 8'000, 0});
 
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 16'384));
@@ -640,7 +656,6 @@ TEST_F(FaultTolerance, SupervisedRollbackRestoresLastPublishedState) {
   opt.producers = 1;
   opt.queue_capacity = 8192;
   opt.publish_interval = kPublished;
-  opt.supervise = true;
   // The first sweep drains the prefilled ring and publishes; the next
   // sweep stalls long enough for the test to queue kRolledBack more
   // items, drains them in one sweep (below publish_interval), and the
@@ -674,7 +689,6 @@ TEST_F(FaultTolerance, SupervisorCountsWedgedWorkerWithoutRestart) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.supervise = true;
   // Stall the worker for 500 ms early in the stream: long enough that the
   // supervisor must count it as wedged, but the worker is alive, so it is
   // left to finish the sweep — never restarted.
@@ -713,7 +727,6 @@ TEST_F(FaultTolerance, SlowWorkerPastTheRestartCapIsNeverAbandoned) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.supervise = true;
   // Each stall outlives the default heartbeat timeout; a sweep drains at
   // most publish_interval items, so every stall fires in its own sweep.
   for (std::size_t i = 0; i < kStalls; ++i)
@@ -784,20 +797,20 @@ TEST_F(FaultTolerance, RequestDeadlineBoundsABlockedPush) {
 }
 
 TEST_F(FaultTolerance, DeadShardAbortsBlockedPushes) {
-  // A faulted shard with no supervisor must fail pushes instead of letting
-  // producers spin forever behind a consumer that will never drain.
+  // An abandoned shard must fail pushes instead of letting producers spin
+  // forever behind a consumer that will never drain.
   const auto trace = stream::distinct_trace(30'000, 41);
   PipelineOptions opt;
   opt.shards = 1;
   opt.producers = 1;
   opt.queue_capacity = 256;
-  fault::injector().arm({fault::Point::kWorkerThrow, 0, 1'000, 0});
+  arm_abandonment(0, 1'000);
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 8192));
   pipe.start();
   const std::size_t accepted = pipe.push_bulk(0, trace);
   EXPECT_LT(accepted, trace.size());
   const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, 1u);
+  EXPECT_EQ(st.worker_faults, kMaxRestarts + 1);
   EXPECT_GT(st.dropped, 0u);
   EXPECT_TRUE(pipe.faulted());
   pipe.close();
@@ -837,10 +850,11 @@ void wal_crash_replay_byte_identical(
   std::span<const std::uint64_t> last_chunk;
   std::uint64_t last_seq = 0;
 
-  // Run 1: the injected throw kills shard 0's worker for good mid-stream.
-  // Accepted items keep landing in the WAL even when the ring push fails —
-  // durable-but-not-yet-live is exactly the state resume must repair.
-  fault::injector().arm({fault::Point::kWorkerThrow, 0, 10'000, 0});
+  // Run 1: the injected throws kill shard 0's worker mid-stream until the
+  // supervisor abandons it.  Accepted items keep landing in the WAL even
+  // when the ring push fails — durable-but-not-yet-live is exactly the
+  // state resume must repair.
+  arm_abandonment(0, 10'000);
   {
     IngestPipeline<Estimator> pipe(opt, factory);
     pipe.start();
@@ -1111,7 +1125,7 @@ TEST_F(FaultTolerance, WalMultiProducerCrashReplayByteIdentical) {
   opt.checkpoint_interval = 2048;
   opt.wal_mode = WalMode::kAsync;
 
-  fault::injector().arm({fault::Point::kWorkerThrow, 0, 9'000, 0});
+  arm_abandonment(0, 9'000);
   {
     IngestPipeline<SheBloomFilter> pipe(opt, factory);
     pipe.start();
@@ -1156,7 +1170,6 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   opt.producers = 1;
   opt.queue_capacity = 512;
   opt.publish_interval = 256;
-  opt.supervise = true;
   opt.checkpoint_dir = dir;
   opt.checkpoint_interval = 2048;
   opt.wal_mode = WalMode::kAsync;
@@ -1412,9 +1425,10 @@ TEST_F(FaultTolerance, ConcurrentMonitorResumeWithShortWalTailIsByteIdentical) {
     run.start();
     ASSERT_EQ(run.push_bulk(0, head, kClient, 1), head.size());
     ASSERT_TRUE(run.save_now());
-    // The worker dies before applying anything past the checkpoint; the
-    // tail is accepted into the WAL only.
-    fault::injector().arm({fault::Point::kWorkerThrow, 0, head.size(), 0});
+    // The worker dies before applying anything past the checkpoint, again
+    // after every restart, until the shard is abandoned; the tail is
+    // logged but never applied.
+    arm_abandonment(0, head.size());
     (void)run.push_bulk(0, tail, kClient, 2);
     run.close();
     EXPECT_TRUE(run.faulted());

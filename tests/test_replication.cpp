@@ -444,11 +444,11 @@ TEST(Degraded, WalEnospcParksPipelineReadOnlyThenRecovers) {
   FaultGuard guard;
   LiveServer live(base_options(temp_dir("degraded_enospc")));
   SheClient c = live.client();
-  // The probe interval is also the *minimum* width of the degraded
+  // The probe interval (1 s) is also the *minimum* width of the degraded
   // window (the one-shot fault cannot re-degrade after a successful
-  // probe), so it must be long enough that a loaded scheduler cannot
-  // heal the pipeline before the client observes kDegraded.
-  c.create("d", "window=1024 shards=1 wal=async degraded-probe-ms=500");
+  // probe), which is long enough that a loaded scheduler cannot heal the
+  // pipeline before the client observes kDegraded.
+  c.create("d", "window=1024 shards=1 wal=async");
   EXPECT_EQ(c.insert("d", 1), 1u);
   c.flush("d");
 
@@ -471,7 +471,7 @@ TEST(Degraded, WalEnospcParksPipelineReadOnlyThenRecovers) {
   EXPECT_NE(live.server.render_healthz().find("\"status\":\"degraded\""),
             std::string::npos);
 
-  // The fault fires at most once, so the next probe (every 500ms) heals
+  // The fault fires at most once, so the next probe (every second) heals
   // the pipeline and writes flow again.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -495,11 +495,10 @@ TEST(Degraded, CheckpointEioAlsoDegradesAndRecovers) {
   FaultGuard guard;
   LiveServer live(base_options(temp_dir("degraded_eio")));
   SheClient c = live.client();
-  // Tiny checkpoint interval so SAVE/flush hits the checkpoint writer;
-  // generous probe interval so the one-shot fault's degraded window
-  // cannot self-heal before the client observes it (see above).
-  c.create("d", "window=1024 shards=1 wal=async checkpoint-every=64 "
-                "degraded-probe-ms=500");
+  // Tiny checkpoint interval so SAVE/flush hits the checkpoint writer; the
+  // 1 s probe interval keeps the one-shot fault's degraded window from
+  // self-healing before the client observes it (see above).
+  c.create("d", "window=1024 shards=1 wal=async checkpoint-every=64");
   runtime::fault::injector().arm(runtime::fault::parse_spec("ckpt-eio"));
 
   // Drive inserts until the injected checkpoint EIO parks the pipeline.

@@ -43,6 +43,9 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing(2).capacity(), 2u);
   EXPECT_EQ(SpscRing(3).capacity(), 4u);
   EXPECT_EQ(SpscRing(1000).capacity(), 1024u);
+  // Above the cap the round-up would overflow; it throws instead.
+  EXPECT_THROW(SpscRing(SpscRing::kMaxCapacity + 1), std::length_error);
+  EXPECT_THROW(SpscRing((std::size_t{1} << 63) | 1), std::length_error);
 }
 
 TEST(SpscRing, FifoWithWraparound) {
@@ -114,6 +117,26 @@ TEST(IngestPipeline, ValidatesOptions) {
   opt.shards = 0;
   EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, bf_factory(1, 1024)),
                std::invalid_argument);
+}
+
+TEST(IngestPipeline, ProducerIndexAtOrAboveProducersThrowsBeforeRouting) {
+  PipelineOptions opt;
+  opt.shards = 2;
+  opt.producers = 2;
+  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 1 << 14));
+  pipe.start();
+  const std::vector<std::uint64_t> keys = {1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_EQ(pipe.push_bulk(1, keys), keys.size());
+  ASSERT_TRUE(pipe.sync(false));
+  const RuntimeStats before = pipe.stats();
+  EXPECT_THROW((void)pipe.push_bulk(2, keys), std::out_of_range);
+  EXPECT_THROW((void)pipe.push(7, 9), std::out_of_range);
+  ASSERT_TRUE(pipe.sync(false));
+  const RuntimeStats after = pipe.stats();
+  EXPECT_EQ(after.produced, before.produced);
+  EXPECT_EQ(after.inserted, before.inserted);
+  pipe.close();
+  EXPECT_EQ(pipe.stats().inserted, keys.size());
 }
 
 TEST(IngestPipeline, SingleProducerDrainBitIdenticalToSequential) {
@@ -260,7 +283,6 @@ TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
   opt.shards = 2;
   opt.producers = 2;
   opt.queue_capacity = 16;  // force constant backpressure
-  opt.drain_batch = 8;
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 1 << 16));
   pipe.start();
   std::vector<std::thread> producers;
@@ -342,7 +364,6 @@ TEST(IngestPipeline, SupervisorFeedsRateGaugeWithoutStats) {
   // feeds it on its tick.
   PipelineOptions opt;
   opt.shards = 2;
-  opt.supervise = true;
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 1 << 14));
   pipe.start();
   std::vector<std::uint64_t> batch(4096);
@@ -468,7 +489,6 @@ void same_producer_lanes_keep_sub_batches_contiguous(WalMode wal) {
   opt.shards = 2;
   opt.producers = 1;
   opt.queue_capacity = kQueue;
-  opt.drain_batch = 32;
   opt.publish_interval = 1024;
   std::string dir;
   if (wal != WalMode::kOff) {

@@ -175,7 +175,6 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
 
 TEST(SpecParser, DefaultsAndOverrides) {
   const PipelineSpec def = parse_sketch_spec("");
-  EXPECT_TRUE(def.pipeline.supervise);  // a service must outlive one fault
   // Handler threads share the commit lanes, so the server needs no
   // producer slots; `producers=` only adds produced-counter labels.
   EXPECT_EQ(def.pipeline.producers, 1u);
@@ -193,6 +192,25 @@ TEST(SpecParser, DefaultsAndOverrides) {
   EXPECT_EQ(s.pipeline.queue_capacity, 2048u);
   EXPECT_EQ(s.pipeline.publish_interval, 512u);
   EXPECT_EQ(s.pipeline.checkpoint_interval, 4096u);
+
+  // `batch=` and `degraded-probe-ms=` were tuning knobs and are now
+  // runtime constants; persisted specs that set them still parse, to the
+  // same options as the spec without them.
+  const std::string base = "window=4096 shards=2 producers=4 queue=512";
+  const PipelineSpec plain = parse_sketch_spec(base);
+  const PipelineSpec legacy =
+      parse_sketch_spec(base + " batch=64 degraded-probe-ms=500");
+  EXPECT_EQ(legacy.monitor.window, plain.monitor.window);
+  EXPECT_EQ(legacy.monitor.memory_bytes, plain.monitor.memory_bytes);
+  EXPECT_EQ(legacy.pipeline.shards, plain.pipeline.shards);
+  EXPECT_EQ(legacy.pipeline.producers, plain.pipeline.producers);
+  EXPECT_EQ(legacy.pipeline.queue_capacity, plain.pipeline.queue_capacity);
+  EXPECT_EQ(legacy.pipeline.publish_interval, plain.pipeline.publish_interval);
+  EXPECT_EQ(legacy.pipeline.checkpoint_interval,
+            plain.pipeline.checkpoint_interval);
+  EXPECT_EQ(legacy.pipeline.checkpoint_keep, plain.pipeline.checkpoint_keep);
+  EXPECT_EQ(legacy.wal, plain.wal);
+  EXPECT_EQ(legacy.wal_fsync_bytes, plain.wal_fsync_bytes);
 }
 
 TEST(SpecParser, Rejections) {
@@ -200,6 +218,11 @@ TEST(SpecParser, Rejections) {
   EXPECT_THROW((void)parse_sketch_spec("window=abc"), std::invalid_argument);
   EXPECT_THROW((void)parse_sketch_spec("window"), std::invalid_argument);
   EXPECT_THROW((void)parse_sketch_spec("policy=maybe"), std::invalid_argument);
+  // One slot past 2^63 overflows the ring's power-of-two round-up.  The
+  // cap rejects it while parsing, which CREATE does before it takes the
+  // manager lock and builds any ring.
+  EXPECT_THROW((void)parse_sketch_spec("queue=9223372036854775809"),
+               std::invalid_argument);
   // The shedding policies and their timeout are gone; the error points at
   // the request deadline, which replaced them.
   for (const char* removed :

@@ -311,7 +311,6 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   pcfg.producers = args.get_u64("producers", 2);
   pcfg.queue_capacity = args.get_u64("queue", 4096);
   pcfg.publish_interval = args.get_u64("publish", 2048);
-  pcfg.supervise = !args.has("no-supervise");  // CLI default: supervised
   pcfg.checkpoint_dir = args.get("checkpoint-dir", "");
   pcfg.checkpoint_interval = args.get_u64("checkpoint-every", 1u << 16);
   pcfg.checkpoint_keep = args.get_u64("checkpoint-keep", 1);
@@ -884,7 +883,6 @@ std::string usage() {
       "               [--queue N] [--rate ITEMS/S] [--publish N]\n"
       "               [--query-interval-ms MS] [--top K] [--json]\n"
       "               [--metrics-out FILE] [--metrics-format prom|json]\n"
-      "               [--no-supervise]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "               [--checkpoint-keep K] [--resume]\n"
       "               [--inject SPEC[,SPEC...]]\n"

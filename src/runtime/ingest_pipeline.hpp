@@ -41,7 +41,9 @@
 //   * Supervision: every started pipeline runs a supervisor thread that
 //     restarts workers that died by exception (rolled back to the shard's
 //     last published snapshot; items applied since are counted lost, ring
-//     backlog counted replayed).  Restarts are capped at `kMaxRestarts`
+//     backlog counted replayed).  A restart that lost items also ends the
+//     shard's checkpoints, so its newest frame stays an exact prefix of
+//     its stream for resume.  Restarts are capped at `kMaxRestarts`
 //     per shard; the next fault abandons the shard, the only terminal
 //     state, and pushes to it fail fast.  A worker whose heartbeat is
 //     older than `kHeartbeatTimeoutMs` (a long checkpoint, a stall) is
@@ -90,7 +92,8 @@
 // sampled (1 in 64 calls) only while the global telemetry toggle is
 // enabled, so a lane commit otherwise costs one bulk ring push and one
 // counter add per sub-batch.  The supervisor refreshes the queue-depth
-// gauges on every tick and feeds the windowed rate every
+// gauges on every tick (close() once more, after the final drain) and
+// feeds the windowed rate every
 // `kRateSampleIntervalMs`, so scrapes see backlog and rate even when
 // nobody calls stats() or a worker is stuck inside a long sweep.
 //
@@ -648,6 +651,9 @@ class IngestPipeline {
     } else {
       for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     }
+    // The supervisor's last tick predates the final drain.
+    for (const auto& sh : shards_)
+      sh->queue_depth->set(static_cast<std::int64_t>(sh->ring.size_approx()));
     closed_.store(true, std::memory_order_relaxed);
     stop_ns_.store(now_ns(), std::memory_order_relaxed);
   }
@@ -655,7 +661,8 @@ class IngestPipeline {
   /// Drain-then-publish barrier: ask every live shard worker to finish
   /// draining its ring, publish a fresh snapshot, and — with
   /// `with_checkpoint` and a configured checkpoint_dir — write a durable
-  /// frame, then wait for the acknowledgements.  This is what a serving
+  /// frame (not on a shard whose restart lost items; see restart_shard),
+  /// then wait for the acknowledgements.  This is what a serving
   /// front-end's FLUSH (make earlier accepted inserts visible to
   /// snapshot queries) and SAVE (checkpoint now, not at the next
   /// interval) commands ride on.
@@ -789,6 +796,11 @@ class IngestPipeline {
     std::uint64_t ckpt_ordinal = 0;      ///< worker-only: frames written
     std::uint64_t resume_offset = 0;     ///< fixed at construction
     std::uint64_t hwm_local = 0;         ///< worker-only mirror
+    /// Set by a restart that lost applied items: the estimator no longer
+    /// holds a prefix of the shard's stream, so no checkpoint offset
+    /// describes it and the shard writes no more frames.  Worker-only,
+    /// like `consumed` (the supervisor writes it while the worker is dead).
+    bool ckpt_frozen = false;
     /// Backlog log (wal_mode != kOff).
     std::unique_ptr<ShardWal> wal;
     /// The commit lane: serializes every sub-batch commit for this shard
@@ -936,6 +948,7 @@ class IngestPipeline {
     SHE_TRACE_SPAN("pipeline.checkpoint", "pipeline");
     if (degraded_.load(std::memory_order_acquire))
       return;  // disk is sick: keep the previous generation until recovery
+    if (sh.ckpt_frozen) return;  // the newest frame is the last exact prefix
     const std::int64_t t0 = now_ns();
     std::vector<char> image;
     serialize_to(image, *view(sh.index));
@@ -1228,7 +1241,8 @@ class IngestPipeline {
   /// lost/replayed items, relaunch.  With the WAL on, the rollback gap
   /// [consumed_at_publish, consumed) is healed back from the log (every
   /// applied item was logged first), so nothing is lost and the
-  /// checkpoint offset keeps identifying a log prefix.
+  /// checkpoint offset keeps identifying a log prefix.  Without it the gap
+  /// is lost, and the shard stops checkpointing (`ckpt_frozen`).
   void restart_shard(std::size_t s) {
     Shard& sh = *shards_[s];
     if (workers_[s].joinable()) workers_[s].join();
@@ -1251,10 +1265,15 @@ class IngestPipeline {
         // gone from the live estimator; account it like the no-WAL path
         // would.
         sh.lost->inc(sh.consumed - healed);
+        sh.ckpt_frozen = true;
       }
-    } else {
+    } else if (sh.consumed > sh.consumed_at_publish) {
+      // The dead worker had popped these items off the ring; they are
+      // gone.  Later frames would name an offset that skips the wrong
+      // keys on resume, so the shard's checkpoints stop here.
       sh.lost->inc(sh.consumed - sh.consumed_at_publish);
       sh.consumed = sh.consumed_at_publish;
+      sh.ckpt_frozen = true;
     }
     sh.since_publish = 0;
     sh.replayed->inc(backlog);

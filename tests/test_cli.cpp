@@ -6,7 +6,9 @@
 
 #include "common/checkpoint.hpp"
 #include "common/wal.hpp"
+#include "runtime/snapshot.hpp"
 #include "she/monitor.hpp"
+#include "stream/trace.hpp"
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -347,6 +349,38 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
             std::string::npos)
       << out1.str();
 
+  // Each surviving frame holds exactly the first stream_offset keys routed
+  // to its shard, even when a restart lost items: its membership and
+  // frequency answers match a monitor fed that prefix.  (The heavy-hitter
+  // table breaks eviction ties in hash-map order, which a restore
+  // reshuffles, so whole-state bytes are not compared.)
+  const auto trace = stream::distinct_trace(60000, 1);
+  runtime::PipelineOptions routing;
+  routing.shards = 2;
+  const ConcurrentMonitor router(MonitorConfig{}, routing);
+  for (std::size_t s = 0; s < routing.shards; ++s) {
+    const CheckpointData ck =
+        read_checkpoint_file(dir + "/shard-" + std::to_string(s) + ".ckpt");
+    const auto frame = runtime::deserialize<StreamMonitor>(
+        ck.payload.data(), ck.payload.size());
+    StreamMonitor prefix(frame.config());
+    std::uint64_t left = ck.stream_offset;
+    for (std::uint64_t k : trace)
+      if (left > 0 && router.shard_of(k) == s) {
+        prefix.insert(k);
+        --left;
+      }
+    ASSERT_EQ(frame.time(), ck.stream_offset) << "shard " << s;
+    std::size_t mismatches = 0;
+    for (std::uint64_t k : trace)
+      if (router.shard_of(k) == s &&
+          (frame.seen(k) != prefix.seen(k) ||
+           frame.frequency(k) != prefix.frequency(k)))
+        ++mismatches;
+    EXPECT_EQ(mismatches, 0u) << "shard " << s << " frame at offset "
+                              << ck.stream_offset << " is not a prefix";
+  }
+
   // Run 2: resume from the surviving frames and replay the same trace; the
   // already-covered per-shard prefixes are skipped and the run is clean.
   std::ostringstream out2;
@@ -362,6 +396,7 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
   ASSERT_NE(pos, std::string::npos);
   EXPECT_EQ(js.find("\"skipped_on_resume\":0,"), std::string::npos)
       << "expected a nonzero resume skip: " << js;
+
   std::filesystem::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -315,6 +316,25 @@ void BM_StreamMonitorInsertBatchScalar(benchmark::State& state) {
   drive_batch_inserts(state, mon);
 }
 BENCHMARK(BM_StreamMonitorInsertBatchScalar)->Arg(32768);
+
+// The point_ops publish: one single-key insert, then a fresh shared view
+// of the shard that replaces (and frees) the previous one, as
+// IngestPipeline::publish does.  The arg is log2 of the budget.
+void BM_StreamMonitorPublish(benchmark::State& state) {
+  MonitorConfig mc = shard_monitor(32768);
+  mc.memory_bytes = std::size_t{1} << state.range(0);
+  StreamMonitor mon(mc);
+  const auto& ks = keys();
+  std::size_t i = 0;
+  auto view = std::make_shared<const StreamMonitor>(mon);
+  for (auto _ : state) {
+    mon.insert_batch(std::span<const std::uint64_t>(ks.data() + i, 1));
+    view = std::make_shared<const StreamMonitor>(mon);
+    i = (i + 1) & (ks.size() - 1);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StreamMonitorPublish)->Arg(20)->Arg(24);
 // ---- end simd-vs-scalar batch pairs ---------------------------------------
 
 // ---- tracing overhead pair ------------------------------------------------

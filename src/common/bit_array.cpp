@@ -43,10 +43,11 @@ void BitArray::save(BinaryWriter& out) const {
 BitArray BitArray::load(BinaryReader& in) {
   in.expect_tag("BITV");
   std::uint64_t nbits = in.u64();
-  BitArray a(nbits);
+  // Read (and length-check) the words before sizing anything from `nbits`.
   auto words = in.u64_vector();
-  if (words.size() != a.words_.size())
-    throw std::runtime_error("BitArray::load: word count mismatch");
+  if (words.size() != nbits / 64 + (nbits % 64 != 0 ? 1 : 0))
+    throw SerializeError("BitArray::load: word count mismatch");
+  BitArray a(nbits);
   a.words_ = std::move(words);
   return a;
 }

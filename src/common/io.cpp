@@ -50,11 +50,6 @@ void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
   for (std::uint64_t x : v) u64(x);
 }
 
-void BinaryWriter::u32_vector(const std::vector<std::uint32_t>& v) {
-  u64(v.size());
-  for (std::uint32_t x : v) u32(x);
-}
-
 void BinaryReader::raw(void* p, std::size_t n) {
   is_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
   if (static_cast<std::size_t>(is_.gcount()) != n)
@@ -85,6 +80,16 @@ void BinaryReader::check_length(std::uint64_t n, std::size_t elem_bytes) {
     throw SerializeError("BinaryReader: vector length " + std::to_string(n) +
                          " exceeds the " + std::to_string(*rem) +
                          " bytes remaining in the stream");
+}
+
+void BinaryReader::expect_remaining(std::uint64_t bytes) {
+  if (bytes > (std::uint64_t{1} << 35))
+    throw SerializeError("BinaryReader: implausible size of " +
+                         std::to_string(bytes) + " bytes");
+  if (const auto rem = remaining_bytes(); rem && bytes > *rem)
+    throw SerializeError("BinaryReader: " + std::to_string(bytes) +
+                         " bytes declared, " + std::to_string(*rem) +
+                         " remaining in the stream");
 }
 
 std::uint8_t BinaryReader::u8() {
@@ -131,14 +136,6 @@ std::vector<std::uint64_t> BinaryReader::u64_vector() {
   check_length(n, 8);
   std::vector<std::uint64_t> v(n);
   for (auto& x : v) x = u64();
-  return v;
-}
-
-std::vector<std::uint32_t> BinaryReader::u32_vector() {
-  std::uint64_t n = u64();
-  check_length(n, 4);
-  std::vector<std::uint32_t> v(n);
-  for (auto& x : v) x = u32();
   return v;
 }
 

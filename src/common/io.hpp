@@ -129,7 +129,6 @@ class BinaryWriter {
   void tag(const char (&t)[5]) { raw(t, 4); }
 
   void u64_vector(const std::vector<std::uint64_t>& v);
-  void u32_vector(const std::vector<std::uint32_t>& v);
 
  private:
   void raw(const void* p, std::size_t n);
@@ -154,7 +153,12 @@ class BinaryReader {
   [[nodiscard]] std::string read_tag();
 
   std::vector<std::uint64_t> u64_vector();
-  std::vector<std::uint32_t> u32_vector();
+
+  /// Throw SerializeError unless `bytes` more bytes can still be read.  A
+  /// decoder calls this before it sizes anything from a shape field (an
+  /// unseekable stream gets only the absolute cap: 2^35 bytes, the largest
+  /// u64_vector).
+  void expect_remaining(std::uint64_t bytes);
 
  private:
   void raw(void* p, std::size_t n);

@@ -32,10 +32,13 @@ PackedArray PackedArray::load(BinaryReader& in) {
   in.expect_tag("PAKD");
   std::uint64_t count = in.u64();
   unsigned bits = in.u32();
-  PackedArray a(count, bits);
+  if (bits == 0 || bits > 64)
+    throw SerializeError("PackedArray::load: cell width out of range");
+  // Read (and length-check) the words before sizing anything from `count`.
   auto words = in.u64_vector();
-  if (words.size() != a.words_.size())
-    throw std::runtime_error("PackedArray::load: word count mismatch");
+  if (words.size() != count / 64 * bits + (count % 64 * bits + 63) / 64)
+    throw SerializeError("PackedArray::load: word count mismatch");
+  PackedArray a(count, bits);
   a.words_ = std::move(words);
   return a;
 }

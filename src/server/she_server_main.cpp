@@ -18,6 +18,10 @@
 #include "runtime/fault_injection.hpp"
 #include "server/server.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace {
 
 void usage(std::ostream& os) {
@@ -97,6 +101,15 @@ bool parse_i64(const char* s, long long* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // Keep glibc's mmap threshold at its 128 KiB default.  Left dynamic, it
+  // rises to the largest mapped block freed so far (a WAL segment read at
+  // CREATE or resume is megabytes) and the trim threshold doubles with it,
+  // after which every thread's arena keeps its peak resident for good.  The
+  // server's large blocks are transient buffers (estimator cells live in
+  // pooled frames, common/paged_array.hpp), so they go back to the system.
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   she::server::ServerOptions opt;
   opt.port = 7070;
   opt.http_port = 7071;

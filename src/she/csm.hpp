@@ -43,6 +43,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -53,9 +54,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/bit_array.hpp"
 #include "common/int_math.hpp"
-#include "common/packed_array.hpp"
+#include "common/io.hpp"
+#include "common/paged_array.hpp"
 #include "common/simd_hash.hpp"
 #include "obs/she_metrics.hpp"
 #include "she/batch.hpp"
@@ -95,10 +96,15 @@ struct CellView {
 };
 
 // ---------------------------------------------------------------------------
-// Cell stores.  Each offers get / update / clear_range / prefetch / size,
-// and save / load in its checkpoint format; packed stores also report their
-// own footprint.  update(i, f) stores f(old) at cell i, in whatever way is
-// cheapest for the layout.
+// Cell stores.  Each offers get / own / update / clear_range / prefetch /
+// size, and save / load in its checkpoint format; packed stores also report
+// their own footprint.  Cells live in a copy-on-write PagedArray
+// (common/paged_array.hpp), so copying a store shares its frames: own(i)
+// makes cell i writable (cloning its frame on the first write after a
+// copy), and update(i, f) then stores f(old) at cell i, in whatever way is
+// cheapest for the layout.  clear_range and load own what they write.
+// saved_bytes(n) is a lower bound on what save() writes for n cells; the
+// estimator checks it against the stream before sizing anything.
 // ---------------------------------------------------------------------------
 
 /// One `Cell` per slot.  Saved as a u32 vector when cells are 32-bit.
@@ -108,95 +114,253 @@ class VectorStore {
   using Cell = C;
   VectorStore(std::size_t n, Cell empty) : cells_(n, empty), empty_(empty) {}
 
+  [[nodiscard]] static std::uint64_t saved_bytes(std::uint64_t n) {
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    return n > kMax / 4 ? kMax : n * 4;
+  }
   [[nodiscard]] std::size_t size() const { return cells_.size(); }
-  [[nodiscard]] Cell get(std::size_t i) const { return cells_[i]; }
+  [[nodiscard]] Cell get(std::size_t i) const { return cells_.get(i); }
+  void own(std::size_t i) { cells_.own(i); }
+  void own_all() { cells_.own_all(); }
+  [[nodiscard]] bool owns_all() const { return cells_.owns_all(); }
   template <typename F>
   void update(std::size_t i, F&& f) {
-    cells_[i] = f(cells_[i]);
+    Cell& c = cells_.at(i);
+    c = f(c);
   }
   void clear_range(std::size_t first, std::size_t count) {
-    const auto it = cells_.begin() + static_cast<std::ptrdiff_t>(first);
     if constexpr (std::is_arithmetic_v<Cell>) {
       if (empty_ == Cell{}) {
-        std::fill_n(it, count, Cell{});  // a constant zero fill is a memset
+        cells_.fill(first, count, Cell{});  // a constant zero fill is a memset
         return;
       }
     }
-    std::fill_n(it, count, empty_);
+    cells_.fill(first, count, empty_);
   }
   void prefetch(std::size_t i, bool write) const {
-    batch::prefetch_addr(&cells_[i], write);
+    batch::prefetch_addr(cells_.addr(i), write);
   }
-  void save(BinaryWriter& out) const { out.u32_vector(cells_); }
-  void load(BinaryReader& in) { cells_ = in.u32_vector(); }
+  void save(BinaryWriter& out) const {
+    static_assert(sizeof(Cell) == 4, "VectorStore saves 32-bit cells");
+    out.u64(cells_.size());
+    for (std::size_t p = 0; p < cells_.pages(); ++p)
+      for (const Cell c : cells_.page(p)) out.u32(c);
+  }
+  void load(BinaryReader& in) {
+    static_assert(sizeof(Cell) == 4, "VectorStore loads 32-bit cells");
+    if (in.u64() != cells_.size())
+      throw SerializeError("VectorStore::load: cell count mismatch");
+    for (std::size_t p = 0; p < cells_.pages(); ++p)
+      for (Cell& c : cells_.page_for_write(p)) c = in.u32();
+  }
 
  private:
-  std::vector<Cell> cells_;
+  PagedArray<Cell> cells_;
   Cell empty_;
 };
+
+/// A mask of the low `n` bits (n in [0, 64]).
+[[nodiscard]] constexpr std::uint64_t low_bits(unsigned n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/// Hint the cache to fetch `p` with low temporal locality, as BitArray and
+/// PackedArray do.
+inline void prefetch_word(const void* p, bool write) {
+#if defined(__GNUC__) || defined(__clang__)
+  if (write)
+    __builtin_prefetch(p, 1, 1);
+  else
+    __builtin_prefetch(p, 0, 1);
+#else
+  (void)p;
+  (void)write;
+#endif
+}
+
+/// Read `count` paged words saved as a u64 vector (the BitArray and
+/// PackedArray payload) into `words`, after the count is checked.
+inline void load_words(BinaryReader& in, PagedArray<std::uint64_t>& words,
+                       const char* who) {
+  if (in.u64() != words.size())
+    throw SerializeError(std::string(who) + ": word count mismatch");
+  for (std::size_t p = 0; p < words.pages(); ++p)
+    for (std::uint64_t& w : words.page_for_write(p)) w = in.u64();
+}
+
+inline void save_words(BinaryWriter& out,
+                       const PagedArray<std::uint64_t>& words) {
+  out.u64(words.size());
+  for (std::size_t p = 0; p < words.pages(); ++p)
+    for (const std::uint64_t w : words.page(p)) out.u64(w);
+}
 
 /// One bit per cell (empty = 0), saved as a BitArray.
 class BitStore {
  public:
   using Cell = std::uint8_t;
-  BitStore(std::size_t n, Cell) : bits_(n) {}
+  BitStore(std::size_t n, Cell) : bits_(n), words_(words_for(n), 0) {}
 
-  [[nodiscard]] std::size_t size() const { return bits_.size(); }
-  [[nodiscard]] Cell get(std::size_t i) const { return bits_.test(i) ? 1 : 0; }
+  [[nodiscard]] static std::uint64_t saved_bytes(std::uint64_t n) {
+    return words_for(n) * 8;
+  }
+  [[nodiscard]] std::size_t size() const { return bits_; }
+  [[nodiscard]] Cell get(std::size_t i) const {
+    return static_cast<Cell>((words_.get(i >> 6) >> (i & 63)) & 1);
+  }
+  void own(std::size_t i) { words_.own(i >> 6); }
+  [[nodiscard]] bool owns_all() const { return words_.owns_all(); }
   /// A blind bit write when F ignores the old bit (the read folds away).
   template <typename F>
   void update(std::size_t i, F&& f) {
-    if (f(get(i)) != 0) {
-      bits_.set(i);
+    std::uint64_t& w = words_.at(i >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+    if (f(static_cast<Cell>((w >> (i & 63)) & 1)) != 0) {
+      w |= bit;
     } else {
-      bits_.reset(i);
+      w &= ~bit;
     }
   }
   void clear_range(std::size_t first, std::size_t count) {
-    bits_.clear_range(first, count);
+    if (count == 0) return;
+    const std::size_t last = first + count;  // exclusive
+    const std::size_t fw = first >> 6;
+    const std::size_t lw = (last - 1) >> 6;
+    words_.own_range(fw, lw - fw + 1);
+    if (fw == lw) {
+      words_.at(fw) &= ~(low_bits(static_cast<unsigned>(count)) << (first & 63));
+      return;
+    }
+    words_.at(fw) &= low_bits(first & 63);
+    words_.fill(fw + 1, lw - fw - 1, 0);
+    words_.at(lw) &= ~low_bits(((last - 1) & 63) + 1);
   }
-  void prefetch(std::size_t i, bool write) const { bits_.prefetch(i, write); }
-  [[nodiscard]] std::size_t memory_bytes() const { return bits_.memory_bytes(); }
+  void prefetch(std::size_t i, bool write) const {
+    prefetch_word(words_.addr(i >> 6), write);
+  }
+  [[nodiscard]] std::size_t memory_bytes() const { return words_.size() * 8; }
   /// Zero bits in [first, first + count) (Bitmap's linear counting).
   [[nodiscard]] std::size_t zeros_range(std::size_t first,
                                         std::size_t count) const {
-    return bits_.zeros_range(first, count);
+    if (count == 0) return 0;
+    const std::size_t last = first + count;
+    const std::size_t fw = first >> 6;
+    const std::size_t lw = (last - 1) >> 6;
+    auto ones = [&](std::size_t w, std::uint64_t mask) {
+      return static_cast<std::size_t>(std::popcount(words_.get(w) & mask));
+    };
+    if (fw == lw)
+      return count - ones(fw, low_bits(static_cast<unsigned>(count))
+                                  << (first & 63));
+    std::size_t set = ones(fw, ~low_bits(first & 63));
+    for (std::size_t w = fw + 1; w < lw; ++w)
+      set += static_cast<std::size_t>(std::popcount(words_.get(w)));
+    set += ones(lw, low_bits(((last - 1) & 63) + 1));
+    return count - set;
   }
-  void save(BinaryWriter& out) const { bits_.save(out); }
-  void load(BinaryReader& in) { bits_ = BitArray::load(in); }
+  void save(BinaryWriter& out) const {
+    out.tag("BITV");
+    out.u64(bits_);
+    save_words(out, words_);
+  }
+  void load(BinaryReader& in) {
+    in.expect_tag("BITV");
+    if (in.u64() != bits_)
+      throw SerializeError("BitStore::load: bit count mismatch");
+    load_words(in, words_, "BitStore::load");
+  }
 
  private:
-  BitArray bits_;
+  [[nodiscard]] static std::uint64_t words_for(std::uint64_t n) {
+    return n / 64 + (n % 64 != 0 ? 1 : 0);
+  }
+
+  std::size_t bits_;
+  PagedArray<std::uint64_t> words_;
 };
 
-/// `Bits`-bit cells (empty = 0), saved as a PackedArray.
+/// `Bits`-bit cells (empty = 0), saved as a PackedArray.  A cell may
+/// straddle two words, and so two frames.
 template <typename C, unsigned Bits>
 class PackedStore {
+  static_assert(Bits >= 1 && Bits < 64);
+  static constexpr std::uint64_t kMask = low_bits(Bits);
+
  public:
   using Cell = C;
-  PackedStore(std::size_t n, Cell) : cells_(n, Bits) {}
+  PackedStore(std::size_t n, Cell) : count_(n), words_(words_for(n), 0) {}
 
-  [[nodiscard]] std::size_t size() const { return cells_.size(); }
-  [[nodiscard]] Cell get(std::size_t i) const {
-    return static_cast<Cell>(cells_.get(i));
+  [[nodiscard]] static std::uint64_t saved_bytes(std::uint64_t n) {
+    return words_for(n) * 8;
   }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] Cell get(std::size_t i) const {
+    const std::size_t bit = i * Bits;
+    const std::size_t w = bit >> 6;
+    const unsigned off = bit & 63;
+    std::uint64_t v = words_.get(w) >> off;
+    if (off + Bits > 64) v |= words_.get(w + 1) << (64 - off);
+    return static_cast<Cell>(v & kMask);
+  }
+  void own(std::size_t i) {
+    words_.own((i * Bits) >> 6);
+    words_.own((i * Bits + Bits - 1) >> 6);
+  }
+  [[nodiscard]] bool owns_all() const { return words_.owns_all(); }
   /// Writes only on change: a packed write is a read-modify-write.
   template <typename F>
   void update(std::size_t i, F&& f) {
     const Cell old = get(i);
     const Cell v = f(old);
-    if (v != old) cells_.set(i, v);
+    if (v != old) set(i, v);
   }
   void clear_range(std::size_t first, std::size_t count) {
-    for (std::size_t i = first; i < first + count; ++i) cells_.set(i, 0);
+    if (count == 0) return;
+    const std::size_t fw = (first * Bits) >> 6;
+    words_.own_range(fw, (((first + count) * Bits - 1) >> 6) - fw + 1);
+    for (std::size_t i = first; i < first + count; ++i) set(i, 0);
   }
-  void prefetch(std::size_t i, bool write) const { cells_.prefetch(i, write); }
-  [[nodiscard]] std::size_t memory_bytes() const { return cells_.memory_bytes(); }
-  void save(BinaryWriter& out) const { cells_.save(out); }
-  void load(BinaryReader& in) { cells_ = PackedArray::load(in); }
+  void prefetch(std::size_t i, bool write) const {
+    prefetch_word(words_.addr((i * Bits) >> 6), write);
+  }
+  [[nodiscard]] std::size_t memory_bytes() const { return words_.size() * 8; }
+  void save(BinaryWriter& out) const {
+    out.tag("PAKD");
+    out.u64(count_);
+    out.u32(Bits);
+    save_words(out, words_);
+  }
+  void load(BinaryReader& in) {
+    in.expect_tag("PAKD");
+    if (in.u64() != count_)
+      throw SerializeError("PackedStore::load: cell count mismatch");
+    if (in.u32() != Bits)
+      throw SerializeError("PackedStore::load: cell width mismatch");
+    load_words(in, words_, "PackedStore::load");
+  }
 
  private:
-  PackedArray cells_;
+  [[nodiscard]] static std::uint64_t words_for(std::uint64_t n) {
+    return n / 64 * Bits + (n % 64 * Bits + 63) / 64;
+  }
+
+  /// Store `v` in cell `i`, whose words are owned.
+  void set(std::size_t i, std::uint64_t v) {
+    v &= kMask;
+    const std::size_t bit = i * Bits;
+    const std::size_t w = bit >> 6;
+    const unsigned off = bit & 63;
+    std::uint64_t& lo = words_.at(w);
+    lo = (lo & ~(kMask << off)) | (v << off);
+    if (off + Bits > 64) {
+      const unsigned spill = off + Bits - 64;
+      std::uint64_t& hi = words_.at(w + 1);
+      hi = (hi & ~low_bits(spill)) | (v >> (Bits - spill));
+    }
+  }
+
+  std::size_t count_;
+  PagedArray<std::uint64_t> words_;
 };
 
 template <typename P>
@@ -294,6 +458,7 @@ class SlidingEstimator {
       const std::size_t pos = policy_.position(key, i, cells);
       const std::size_t gid = group_of(pos);
       if (clock_.touch(gid, time_)) clear_group(gid);
+      store_.own(pos);
       store_.update(pos, [&](Cell old) { return policy_.update(key, i, old); });
     }
     if (obs::enabled()) obs::she_metrics().hash_calls.inc(hashes_per_key());
@@ -407,16 +572,20 @@ class SlidingEstimator {
     store_.save(out);
   }
 
+  /// Throws SerializeError on a malformed stream, before sizing anything
+  /// from a config whose cells the stream does not hold.
   static SlidingEstimator load(BinaryReader& in) {
     in.expect_tag(Policy::kTag);
     const SheConfig cfg = SheConfig::load(in);
-    SlidingEstimator est(cfg, Policy::load(in, cfg));
+    Policy policy = Policy::load(in, cfg);
+    in.expect_remaining(Store::saved_bytes(cfg.cells));
+    SlidingEstimator est(cfg, std::move(policy));
     est.time_ = in.u64();
     est.clock_ = GroupClock::load(in);
+    if (est.clock_.groups() != cfg.groups())
+      throw SerializeError(std::string(Policy::kName) +
+                           "::load: shape mismatch");
     est.store_.load(in);
-    if (est.clock_.groups() != cfg.groups() || est.store_.size() != cfg.cells)
-      throw std::runtime_error(std::string(Policy::kName) +
-                               "::load: shape mismatch");
     return est;
   }
 
@@ -598,7 +767,7 @@ class SlidingEstimator {
     const BlockShape shape = block_shape(k);
     const batch::MarkStager stager(clock_, time_, times);
     batch::pipelined_blocks(
-        keys, k, scratch_,
+        keys, k, staging_.slots,
         // Stage 1: the policy's hash stage, then the marks; aux = cur << 32
         // | staged word.
         [&](std::size_t begin, std::size_t n, Slot* out) {
@@ -607,8 +776,9 @@ class SlidingEstimator {
             // only aux is staged), all at that key's time: one sweep over
             // the marks per key, and a sequential (warm) array, so no
             // prefetches.  Blocks can exceed the slot budget here.
-            stage_buf_.resize(n * k + clock_.groups());
-            std::uint32_t* word = stage_buf_.data();
+            store_.own_all();
+            staging_.words.resize(n * k + clock_.groups());
+            std::uint32_t* word = staging_.words.data();
             std::uint32_t* cur = word + n * k;
             hash_block(keys.data() + begin, n, shape,
                        {nullptr, nullptr, nullptr, word});
@@ -634,6 +804,9 @@ class SlidingEstimator {
               if (warm_cells) store_.prefetch(pos[s], true);
               if (warm_marks) clock_.prefetch(gid[s], true);
             }
+            // Stage 2 writes without checks: clone shared frames now.
+            if (!store_.owns_all())
+              for (std::size_t s = 0; s < n * k; ++s) store_.own(pos[s]);
           }
         },
         // Stage 2: per key, in order, CheckGroup against the staged mark
@@ -738,7 +911,8 @@ class SlidingEstimator {
     }
   }
 
-  void clear_group(std::size_t gid) {
+  // Out of line, like the clean path it is, so stage 2's loop stays small.
+  [[gnu::noinline]] void clear_group(std::size_t gid) {
     const auto [first, count] = group_range(gid);
     store_.clear_range(first, count);
   }
@@ -748,9 +922,18 @@ class SlidingEstimator {
   GroupClock clock_;
   Store store_;
   std::uint64_t time_ = 0;
-  // Batch staging (not state).
-  std::vector<Slot> scratch_;
-  std::vector<std::uint32_t> stage_buf_;  // all-cells words and marks
+  // Batch staging buffers: not state, so a copy (a published view) starts
+  // without them.
+  struct Staging {
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> words;  // all-cells words and marks
+    Staging() = default;
+    Staging(const Staging&) {}
+    Staging(Staging&&) = default;
+    Staging& operator=(const Staging&) { return *this; }
+    Staging& operator=(Staging&&) = default;
+  };
+  Staging staging_;
 };
 
 }  // namespace she::csm

@@ -14,8 +14,8 @@
 #      the outage; the write-ahead backlog log replays accepted-but-
 #      undrained frames and its sequence table absorbs the client's
 #      lost-ack replays.  One iteration additionally arms an injected
-#      torn WAL write (fault-injection builds), which the client absorbs
-#      as a retryable server error.
+#      torn WAL write, which the client absorbs as a retryable server
+#      error.
 #
 # --failover mode — node-death chaos.  A primary and a hot standby
 # (--role standby --follow) run side by side; a failover she_tool client

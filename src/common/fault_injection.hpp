@@ -1,4 +1,5 @@
-// Deterministic fault-injection harness for the ingest runtime.
+// Deterministic fault-injection harness for the ingest runtime and the
+// durable-state writers under it.
 //
 // Recovery code that is never executed is broken code waiting for an
 // outage, so the supervision/checkpoint/backpressure paths are driven by
@@ -31,18 +32,21 @@
 //   kCheckpointEio      the shard's `at`-th checkpoint write fails with
 //                       EIO (drives degraded mode from the snapshot path)
 //
-// Cost model: the whole harness is compiled out unless SHE_FAULT_INJECTION
-// is defined (a CMake option, ON by default so tools and tests work out of
-// the box; production builds turn it off for literally zero overhead).
-// When compiled in, an unarmed injector costs one relaxed atomic load per
-// *sweep* — never per item — and arming is test-only, so determinism
-// matters more than speed: armed checks take a mutex.
+// Cost model: the harness is part of every build, so the seam the tests
+// drive is the one that ships.  An unarmed injector costs one relaxed
+// atomic load per check, and the checks sit on batch boundaries, never on
+// items: once per worker *sweep*, at most four times per WAL append (one
+// frame per sub-batch), three times per checkpoint write.  `durable_op`
+// (common/io.hpp) costs one acquire load per durable-state syscall.
+// Arming is test-only, so determinism matters more than speed: armed
+// checks take a mutex.
 //
 // The injector is process-global (`fault::injector()`): specs are armed by
 // tests or the CLI before the pipeline runs and cleared afterwards.  Each
 // spec fires at most once.
 #pragma once
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -55,7 +59,7 @@
 
 #include "common/io.hpp"
 
-namespace she::runtime::fault {
+namespace she::fault {
 
 enum class Point {
   kWorkerThrow,
@@ -88,11 +92,11 @@ class InjectedFault : public std::runtime_error {
 };
 
 /// Parse a CLI spec: "point[:shard[:at[:param]]]" with point one of
-/// throw | stall | ckpt-bitflip | ckpt-truncate and shard a number or
+/// throw | stall | ckpt-bitflip | ckpt-truncate | ckpt-eio | wal-torn |
+/// wal-partial | wal-short-fsync | wal-enospc and shard a number or
 /// "any".  Examples: "throw:0:5000", "stall:any:1000:250",
 /// "ckpt-bitflip:0:1:42".  Throws std::invalid_argument on malformed
-/// text.  Always compiled (the CLI rejects --inject up front when the
-/// harness is off, with a message rather than a parse error).
+/// text.
 [[nodiscard]] inline Spec parse_spec(const std::string& text) {
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -141,8 +145,6 @@ class InjectedFault : public std::runtime_error {
   if (parts.size() > 3) s.param = number(parts[3]);
   return s;
 }
-
-#if defined(SHE_FAULT_INJECTION)
 
 class Injector {
  public:
@@ -269,36 +271,4 @@ inline void on_durable_op(DurableOpHook hook) {
   durable_op_hook.store(hook, std::memory_order_release);
 }
 
-#else  // !SHE_FAULT_INJECTION — zero-cost stubs, nothing to branch on.
-
-class Injector {
- public:
-  void arm(const Spec&) {}
-  void clear() {}
-  [[nodiscard]] bool armed() const noexcept { return false; }
-  std::optional<Spec> fire(Point, std::size_t, std::uint64_t) {
-    return std::nullopt;
-  }
-};
-
-inline Injector& injector() {
-  static Injector i;
-  return i;
-}
-
-inline void maybe_throw(std::size_t, std::uint64_t) {}
-inline void maybe_stall(std::size_t, std::uint64_t) {}
-inline void maybe_corrupt_frame(std::size_t, std::uint64_t,
-                                std::vector<char>&) {}
-inline std::size_t maybe_torn_wal(std::size_t, std::uint64_t,
-                                  std::size_t frame_bytes, std::size_t) {
-  return frame_bytes;
-}
-inline bool maybe_fail_fsync(std::size_t, std::uint64_t) { return false; }
-inline int maybe_disk_errno(std::size_t, std::uint64_t) { return 0; }
-inline bool maybe_ckpt_eio(std::size_t, std::uint64_t) { return false; }
-inline void on_durable_op(DurableOpHook) {}
-
-#endif  // SHE_FAULT_INJECTION
-
-}  // namespace she::runtime::fault
+}  // namespace she::fault

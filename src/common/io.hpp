@@ -96,8 +96,8 @@ enum class DurableOp { kWrite, kSync, kCreate, kRename, kUnlink, kDirSync };
 using DurableOpHook = void (*)(DurableOp op, const std::string& path,
                                std::uint64_t bytes);
 
-#if defined(SHE_FAULT_INJECTION)
-/// Armed by runtime::fault::on_durable_op; null = nothing observes.
+/// Armed by fault::on_durable_op (common/fault_injection.hpp); null =
+/// nothing observes.
 inline std::atomic<DurableOpHook> durable_op_hook{nullptr};
 
 inline void durable_op(DurableOp op, const std::string& path,
@@ -105,9 +105,6 @@ inline void durable_op(DurableOp op, const std::string& path,
   if (const DurableOpHook h = durable_op_hook.load(std::memory_order_acquire))
     h(op, path, bytes);
 }
-#else
-inline void durable_op(DurableOp, const std::string&, std::uint64_t = 0) {}
-#endif
 
 /// fsync the directory holding `path`, making a create, rename or unlink
 /// in it durable.  Returns 0, or the errno when the disk is unhealthy

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/crc32.hpp"
+#include "common/fault_injection.hpp"
 #include "obs/metrics.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -351,7 +352,7 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   // would be treated as a duplicate and the batch silently lost.
   if (client_id != 0 && client_seq <= seqs_.high(client_id)) return false;
   if (disk_bytes_ != file_bytes_) repair_locked();
-  if (const int err = opt_.hooks.fail_errno ? opt_.hooks.fail_errno(next_seq_) : 0)
+  if (const int err = fault::maybe_disk_errno(opt_.shard, next_seq_))
     throw_io("injected disk fault on", active_, err);
   if (file_bytes_ >= opt_.segment_bytes) rotate_locked();
 
@@ -373,8 +374,8 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
     disk_bytes_ = file_bytes_ + 1;  // unknown tail: repair before reuse
     throw_io(what, active_, errno);
   };
-  std::size_t to_write = bytes.size();
-  if (opt_.hooks.torn) to_write = std::min(to_write, opt_.hooks.torn(f.seq, bytes.size()));
+  const std::size_t to_write =
+      fault::maybe_torn_wal(opt_.shard, f.seq, bytes.size(), kWalHeaderBytes);
   errno = 0;
   if (to_write > 0 &&
       std::fwrite(bytes.data(), 1, to_write, file_) != to_write)
@@ -392,7 +393,7 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   }
   if (opt_.mode == WalMode::kFsync &&
       (unsynced_bytes_ += bytes.size()) > opt_.fsync_interval_bytes) {
-    const bool injected = opt_.hooks.fail_fsync && opt_.hooks.fail_fsync(f.seq);
+    const bool injected = fault::maybe_fail_fsync(opt_.shard, f.seq);
     if (const int err = injected ? -1 : sync_locked()) {
       // The frame is written but its durability is unknown: cut it so
       // the retry re-appends cleanly instead of duplicating the keys.

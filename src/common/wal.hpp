@@ -182,21 +182,6 @@ struct WalScan {
 /// only on filesystem read errors.
 [[nodiscard]] WalScan read_wal(const std::string& path);
 
-/// Fault hooks threaded in by the runtime's SHE_FAULT_INJECTION harness
-/// (common/ cannot depend on runtime/).  Both default to "no fault".
-struct WalFaultHooks {
-  /// Returns how many bytes of the encoded frame actually reach the file;
-  /// anything short of frame_bytes simulates a crash mid-write — the
-  /// prefix is written and flushed, then the append throws WalError.
-  std::function<std::size_t(std::uint64_t seq, std::size_t frame_bytes)> torn;
-  /// True = the mode-required fdatasync must report failure this append.
-  std::function<bool(std::uint64_t seq)> fail_fsync;
-  /// Nonzero = this append fails before anything reaches the file, as if
-  /// write(2) set that errno (ENOSPC/EIO) — the append throws DiskFault
-  /// and the pipeline drops into degraded read-only mode.
-  std::function<int(std::uint64_t seq)> fail_errno;
-};
-
 /// Append handle for one shard's segmented log.  Thread-safe: producers
 /// for the same shard serialize on an internal mutex (appends are batched
 /// — one frame per push_bulk sub-batch — so the lock is cold).
@@ -209,7 +194,9 @@ class ShardWal {
     std::size_t fsync_interval_bytes = 0;
     /// Active-segment size at which the next append rotates.
     std::size_t segment_bytes = kWalSegmentBytes;
-    WalFaultHooks hooks;
+    /// The shard this log belongs to: the key of the WAL fault points
+    /// (common/fault_injection.hpp) armed for it.
+    std::size_t shard = 0;
     /// Called after each append that is as durable as the mode promises,
     /// with the decoded frame and its encoded bytes, still under the
     /// per-shard append lock — observers therefore see frames in exact

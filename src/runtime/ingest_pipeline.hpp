@@ -77,9 +77,9 @@
 //     a shed sub-batch replays cleanly and client-side INSERT_BULK replay
 //     is exactly-once per shard.
 //   * Fault injection: the deterministic hooks in
-//     runtime/fault_injection.hpp (compiled out unless
-//     SHE_FAULT_INJECTION) let tests and `she_tool pipeline --inject`
-//     drive every one of those paths on purpose.
+//     common/fault_injection.hpp, part of every build, let tests and
+//     `she_tool pipeline --inject` drive every one of those paths on
+//     purpose.
 //
 // Observability: every pipeline owns a private obs::Registry (always on,
 // independent of the global obs::enabled() toggle) holding the per-shard
@@ -144,10 +144,10 @@
 
 #include "common/bobhash.hpp"
 #include "common/checkpoint.hpp"
+#include "common/fault_injection.hpp"
 #include "common/wal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "runtime/fault_injection.hpp"
 #include "runtime/ring_buffer.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "runtime/snapshot.hpp"
@@ -316,15 +316,7 @@ class IngestPipeline {
         ShardWal::Options wopt;
         wopt.mode = opt_.wal_mode;
         wopt.fsync_interval_bytes = opt_.wal_fsync_bytes;
-        wopt.hooks.torn = [s](std::uint64_t seq, std::size_t frame_bytes) {
-          return fault::maybe_torn_wal(s, seq, frame_bytes, kWalHeaderBytes);
-        };
-        wopt.hooks.fail_fsync = [s](std::uint64_t seq) {
-          return fault::maybe_fail_fsync(s, seq);
-        };
-        wopt.hooks.fail_errno = [s](std::uint64_t seq) {
-          return fault::maybe_disk_errno(s, seq);
-        };
+        wopt.shard = s;
         if (opt_.wal_observer) {
           auto cb = opt_.wal_observer;
           wopt.observer = [cb, s](const WalFrame& f,

@@ -73,14 +73,14 @@ PipelineSpec parse_sketch_spec(const std::string& text) {
       spec.monitor.memory_bytes = parse_size(key, need());
     } else if (key == "shards") {
       spec.pipeline.shards = parse_size(key, need());
-    } else if (key == "producers") {
-      spec.pipeline.producers = parse_size(key, need());
     } else if (key == "queue") {
       spec.pipeline.queue_capacity = parse_size(key, need());
     } else if (key == "publish") {
       spec.pipeline.publish_interval = parse_size(key, need());
-    } else if (key == "batch" || key == "degraded-probe-ms") {
-      // Retired tuning knobs (runtime constants now): persisted specs that
+    } else if (key == "producers" || key == "batch" ||
+               key == "degraded-probe-ms") {
+      // Retired tuning knobs: the server pushes every request as producer
+      // 0, and the rest are runtime constants now.  Persisted specs that
       // set them must keep resuming, so any value is accepted and ignored.
       (void)need();
     } else if (key == "policy") {

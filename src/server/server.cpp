@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -89,6 +90,26 @@ int listen_tcp(const std::string& host, std::uint16_t port,
     *bound = ntohs(got.sin_port);
   }
   return fd;
+}
+
+/// The answer to a failed request: its status, then a message.
+std::vector<char> fail(Status st, const std::string& msg) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(st));
+  w.str(msg);
+  return w.body();
+}
+
+/// How long a FLUSH, SAVE or JACCARD barrier may wait: `flush_timeout_ms`,
+/// cut to what is left of the request deadline (`deadline_ns` 0 = none).
+/// nullopt once that deadline has passed.
+std::optional<std::size_t> barrier_timeout_ms(std::size_t flush_timeout_ms,
+                                              std::int64_t deadline_ns) {
+  if (deadline_ns == 0) return flush_timeout_ms;
+  const std::int64_t left_ms =
+      (deadline_ns - Clock::now().time_since_epoch().count()) / 1'000'000;
+  if (left_ms <= 0) return std::nullopt;
+  return std::min(flush_timeout_ms, static_cast<std::size_t>(left_ms));
 }
 
 /// Constant-time token equality: the comparison cost depends only on the
@@ -440,10 +461,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
   bool authed = auth_tokens_.empty();
   std::uint64_t auth_id = 0;
   const auto answer = [&](Status st, const std::string& msg) {
-    WireWriter w;
-    w.u8(static_cast<std::uint8_t>(st));
-    w.str(msg);
-    write_frame(fd, w.body());
+    write_frame(fd, fail(st, msg));
   };
   const auto require_auth = [&] {
     unauthorized_total_->inc();
@@ -606,10 +624,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
     // works and drop this connection.  Everyone else keeps being served.
     protocol_errors_->inc();
     try {
-      WireWriter w;
-      w.u8(static_cast<std::uint8_t>(Status::kBadRequest));
-      w.str(e.what());
-      write_frame(fd, w.body());
+      answer(Status::kBadRequest, e.what());
     } catch (...) {
     }
   } catch (const std::exception&) {
@@ -851,12 +866,6 @@ void SheServer::release(std::uint64_t client) {
 std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
                                       ReqCtx ctx) {
   WireWriter resp;
-  const auto fail = [](Status st, const std::string& msg) {
-    WireWriter w;
-    w.u8(static_cast<std::uint8_t>(st));
-    w.str(msg);
-    return w.body();
-  };
   try {
     // The optional trace header binds this request's spans — here and in
     // every stage the work flows through — to the client-chosen trace id.
@@ -971,21 +980,15 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         info.pipeline = name;
         const auto entry = manager_.find(name);
         if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
-        std::size_t timeout_ms = opt_.flush_timeout_ms;
-        if (ctx.deadline_ns != 0) {
-          const std::int64_t left_ms =
-              (ctx.deadline_ns - Clock::now().time_since_epoch().count()) /
-              1'000'000;
-          if (left_ms <= 0) {
-            deadline_shed_total_->inc();
-            return fail(Status::kTimeout, "request deadline exceeded");
-          }
-          timeout_ms = std::min<std::size_t>(
-              timeout_ms, static_cast<std::size_t>(left_ms));
+        const auto timeout_ms =
+            barrier_timeout_ms(opt_.flush_timeout_ms, ctx.deadline_ns);
+        if (!timeout_ms) {
+          deadline_shed_total_->inc();
+          return fail(Status::kTimeout, "request deadline exceeded");
         }
         const bool done = op == Op::kSave
-                              ? entry->monitor().save_now(timeout_ms)
-                              : entry->monitor().flush(timeout_ms);
+                              ? entry->monitor().save_now(*timeout_ms)
+                              : entry->monitor().flush(*timeout_ms);
         if (!done) {
           return fail(Status::kTimeout,
                       std::string(op == Op::kSave ? "save" : "flush") +
@@ -1035,12 +1038,6 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
 
 std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
                                       ReqCtx ctx) {
-  const auto fail = [](Status st, const std::string& msg) {
-    WireWriter w;
-    w.u8(static_cast<std::uint8_t>(st));
-    w.str(msg);
-    return w.body();
-  };
   const std::string name = req.str();
   const QueryType qt = query_type_from(req.u8());
   info.pipeline = name;
@@ -1107,20 +1104,14 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       // SHE-MH signatures compare at matching stream times; flush both so
       // the published snapshots reflect everything accepted so far.  The
       // request deadline bounds the barriers like it does FLUSH itself.
-      std::size_t timeout_ms = opt_.flush_timeout_ms;
-      if (ctx.deadline_ns != 0) {
-        const std::int64_t left_ms =
-            (ctx.deadline_ns - Clock::now().time_since_epoch().count()) /
-            1'000'000;
-        if (left_ms <= 0) {
-          deadline_shed_total_->inc();
-          return fail(Status::kTimeout, "request deadline exceeded");
-        }
-        timeout_ms =
-            std::min<std::size_t>(timeout_ms, static_cast<std::size_t>(left_ms));
+      const auto timeout_ms =
+          barrier_timeout_ms(opt_.flush_timeout_ms, ctx.deadline_ns);
+      if (!timeout_ms) {
+        deadline_shed_total_->inc();
+        return fail(Status::kTimeout, "request deadline exceeded");
       }
-      mon.flush(timeout_ms);
-      other->monitor().flush(timeout_ms);
+      mon.flush(*timeout_ms);
+      other->monitor().flush(*timeout_ms);
       const double j = ConcurrentMonitor::jaccard(mon, other->monitor());
       resp.u8(static_cast<std::uint8_t>(Status::kOk));
       resp.f64(j);

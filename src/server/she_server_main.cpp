@@ -15,7 +15,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/fault_injection.hpp"
+#include "common/fault_injection.hpp"
 #include "server/server.hpp"
 
 #if defined(__GLIBC__)
@@ -66,8 +66,9 @@ void usage(std::ostream& os) {
         "client\n"
         "  --inject SPEC          arm a fault-injection spec "
         "(point[:shard[:at[:param]]]);\n"
-        "                         repeatable; needs an SHE_FAULT_INJECTION "
-        "build\n"
+        "                         repeatable; point throw|stall|ckpt-bitflip|\n"
+        "                         ckpt-truncate|ckpt-eio|wal-torn|wal-partial|\n"
+        "                         wal-short-fsync|wal-enospc\n"
         "  --role ROLE            primary (default) or standby; standby\n"
         "                         follows --follow, serves reads, answers\n"
         "                         writes read_only until PROMOTE/SIGUSR2\n"
@@ -239,20 +240,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--follow-token") {
       opt.follow_token = value();
     } else if (arg == "--inject") {
-#if defined(SHE_FAULT_INJECTION)
       try {
-        she::runtime::fault::injector().arm(
-            she::runtime::fault::parse_spec(value()));
+        she::fault::injector().arm(she::fault::parse_spec(value()));
       } catch (const std::exception& e) {
         std::cerr << "she_server: bad --inject: " << e.what() << "\n";
         return 2;
       }
-#else
-      std::cerr << "she_server: --inject " << value()
-                << " ignored: this build has no SHE_FAULT_INJECTION "
-                   "harness\n";
-      return 2;
-#endif
     } else {
       std::cerr << "she_server: unknown option " << arg << "\n";
       usage(std::cerr);

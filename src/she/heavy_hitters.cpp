@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace she {
 
@@ -70,10 +71,13 @@ void HeavyHitters::maybe_admit(std::uint64_t key, std::uint64_t estimate) {
   if (estimate <= floor_) return;
   // Evict the weakest stored candidate if the newcomer beats it.  Stored
   // values may lag by up to one refresh period, which only makes eviction
-  // conservative.
+  // conservative.  Ties go to the smallest key, never to hash-map order,
+  // so a table restored from a checkpoint evicts what the original would.
   auto weakest = candidates_.begin();
   for (auto cand = candidates_.begin(); cand != candidates_.end(); ++cand)
-    if (cand->second < weakest->second) weakest = cand;
+    if (std::pair(cand->second, cand->first) <
+        std::pair(weakest->second, weakest->first))
+      weakest = cand;
   // Exact now; an eviction below only replaces the minimum with a larger
   // value, so the bound stays valid.
   floor_ = weakest->second;

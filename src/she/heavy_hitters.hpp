@@ -4,10 +4,12 @@
 // needs a candidate set, since a sketch cannot be enumerated.  This wrapper
 // keeps a bounded candidate table refreshed by the stream itself: every
 // inserted key whose current SHE-CM estimate beats the weakest candidate
-// enters the table (evicting the weakest).  Because SHE-CM never
-// under-estimates (up to the documented all-young corner), a true heavy
-// hitter keeps re-qualifying itself on every arrival, while keys that left
-// the window decay and are evicted on the next refresh.
+// enters the table (evicting the weakest: the smallest estimate, ties to
+// the smallest key, so a restored table evicts as the original would).
+// Because SHE-CM never under-estimates (up to the documented all-young
+// corner), a true heavy hitter keeps re-qualifying itself on every
+// arrival, while keys that left the window decay and are evicted on the
+// next refresh.
 //
 // top(k) re-estimates every candidate at query time, so reported counts
 // reflect the *current* window even if the candidate entered long ago.

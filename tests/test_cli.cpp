@@ -302,8 +302,6 @@ TEST(Cli, PipelineCheckpointKeepRetainsGenerations) {
   std::filesystem::remove_all(dir);
 }
 
-#if defined(SHE_FAULT_INJECTION)
-
 constexpr std::size_t kMaxRestarts =
     runtime::IngestPipeline<StreamMonitor>::kMaxRestarts;
 
@@ -399,8 +397,6 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
 
   std::filesystem::remove_all(dir);
 }
-
-#endif  // SHE_FAULT_INJECTION
 
 TEST(Cli, SimilaritySyntheticPair) {
   std::ostringstream out;

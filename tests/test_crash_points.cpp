@@ -3,7 +3,7 @@
 // syscall that changes durable state while a scripted single-shard ingest
 // runs with the WAL on: writes that reach the kernel, fsyncs, file
 // creates, renames, unlinks and directory fsyncs (common/io.hpp's
-// DurableOp, armed through runtime::fault::on_durable_op).  Then a forked
+// DurableOp, armed through fault::on_durable_op).  Then a forked
 // child re-runs the workload and dies right after op i, for every i — and,
 // for every write, another child leaves only the first half of that write
 // on disk.  After each death the parent resumes the directory and checks
@@ -34,8 +34,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.hpp"
 #include "common/io.hpp"
-#include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "runtime/snapshot.hpp"
 #include "she/she.hpp"
@@ -224,9 +224,6 @@ bool is_log(const std::string& path) {
 }
 
 void crash_every_op(WalMode mode, const char* tag) {
-#if !defined(SHE_FAULT_INJECTION)
-  GTEST_SKIP() << "needs SHE_FAULT_INJECTION";
-#endif
   // tmpfs when there is one: process death keeps the page cache, so the
   // crash semantics are the same on any filesystem, and a disk's journal
   // commit on every checkpoint fsync would stretch the hundreds of runs

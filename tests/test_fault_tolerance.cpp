@@ -18,10 +18,10 @@
 #include <typeinfo>
 
 #include "common/crc32.hpp"
+#include "common/fault_injection.hpp"
 #include "common/wal.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "she/monitor.hpp"
 #include "she/sharded.hpp"
@@ -407,8 +407,6 @@ TEST(FaultSpec, ParsesAllForms) {
   EXPECT_THROW((void)fault::parse_spec("throw:x"), std::invalid_argument);
   EXPECT_THROW((void)fault::parse_spec("throw:0:1:2:3"), std::invalid_argument);
 }
-
-#if defined(SHE_FAULT_INJECTION)
 
 /// Clears the process-global injector around every test so armed specs
 /// never leak across tests.
@@ -1524,8 +1522,6 @@ TEST_F(FaultTolerance, ConcurrentMonitorResumeWithShortWalTailIsByteIdentical) {
       << "resumed monitor diverged from the uninterrupted one";
   std::filesystem::remove_all(dir);
 }
-
-#endif  // SHE_FAULT_INJECTION
 
 }  // namespace
 }  // namespace she::runtime

@@ -528,7 +528,7 @@ TEST(GoldenBytes, TelemetryCountersMatchPinnedDigest) {
     scalar = check_all();
   }
   obs::set_enabled(was);
-  EXPECT_EQ(native, 0x9602cfe6u) << std::hex << std::showbase << native;
+  EXPECT_EQ(native, 0x53467a8du) << std::hex << std::showbase << native;
   EXPECT_EQ(scalar, native);
 }
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "common/io.hpp"
 #include "common/simd.hpp"
@@ -72,7 +73,9 @@ class ReferenceHeavyHitters {
     }
     auto weakest = candidates_.begin();
     for (auto cand = candidates_.begin(); cand != candidates_.end(); ++cand)
-      if (cand->second < weakest->second) weakest = cand;
+      if (std::pair(cand->second, cand->first) <
+          std::pair(weakest->second, weakest->first))
+        weakest = cand;
     if (estimate > weakest->second) {
       candidates_.erase(weakest);
       candidates_.emplace(key, estimate);

@@ -202,6 +202,27 @@ TEST(Monitor, RestoredMonitorMatchesUninterruptedInLockStep) {
   }
 }
 
+/// On a stream of distinct keys every heavy-hitter candidate ties at the
+/// same estimate, so each admission evicts one of many equal minima.  A
+/// restored table iterates its hash map in a different order than the one
+/// that grew key by key; eviction must not depend on that order, or the
+/// resumed monitor's bytes drift from the uninterrupted one's.
+TEST(Monitor, ResumedMonitorIsByteIdenticalOnTiedCandidates) {
+  const MonitorConfig cfg = small_cfg();
+  const auto trace = stream::distinct_trace(4 * cfg.window, 5);
+  const std::size_t cut = trace.size() / 2 + 17;
+  const std::span<const std::uint64_t> all(trace);
+
+  StreamMonitor live(cfg);
+  live.insert_batch(all.first(cut));
+  std::stringstream ss(monitor_bytes(live));
+  BinaryReader r(ss);
+  StreamMonitor resumed = StreamMonitor::load(r);
+  live.insert_batch(all.subspan(cut));
+  resumed.insert_batch(all.subspan(cut));
+  EXPECT_TRUE(monitor_bytes(resumed) == monitor_bytes(live));
+}
+
 TEST(Monitor, ClearResets) {
   StreamMonitor mon(small_cfg());
   mon.insert(1);

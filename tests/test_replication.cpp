@@ -23,8 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.hpp"
 #include "common/wal.hpp"
-#include "runtime/fault_injection.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "runtime/snapshot.hpp"
 #include "server/client.hpp"
@@ -433,11 +433,9 @@ TEST(Replication, MultiSegmentBootstrapResumesByteIdentical) {
   }
 }
 
-#if defined(SHE_FAULT_INJECTION)
-
 /// Armed faults must never leak into other tests.
 struct FaultGuard {
-  ~FaultGuard() { runtime::fault::injector().clear(); }
+  ~FaultGuard() { fault::injector().clear(); }
 };
 
 TEST(Degraded, WalEnospcParksPipelineReadOnlyThenRecovers) {
@@ -452,7 +450,7 @@ TEST(Degraded, WalEnospcParksPipelineReadOnlyThenRecovers) {
   EXPECT_EQ(c.insert("d", 1), 1u);
   c.flush("d");
 
-  runtime::fault::injector().arm(runtime::fault::parse_spec("wal-enospc"));
+  fault::injector().arm(fault::parse_spec("wal-enospc"));
   // The append that hits the injected ENOSPC fails this request and drops
   // the pipeline into degraded read-only mode; the exact status of the
   // first failure depends on where the fault lands, so only the *steady*
@@ -499,7 +497,7 @@ TEST(Degraded, CheckpointEioAlsoDegradesAndRecovers) {
   // 1 s probe interval keeps the one-shot fault's degraded window from
   // self-healing before the client observes it (see above).
   c.create("d", "window=1024 shards=1 wal=async checkpoint-every=64");
-  runtime::fault::injector().arm(runtime::fault::parse_spec("ckpt-eio"));
+  fault::injector().arm(fault::parse_spec("ckpt-eio"));
 
   // Drive inserts until the injected checkpoint EIO parks the pipeline.
   bool saw_degraded = false;
@@ -534,8 +532,6 @@ TEST(Degraded, CheckpointEioAlsoDegradesAndRecovers) {
   live.server.request_stop();
   live.server.stop();
 }
-
-#endif  // SHE_FAULT_INJECTION
 
 }  // namespace
 }  // namespace she::server

@@ -736,9 +736,11 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
   std::vector<std::uint64_t> keys = stream::distinct_trace(30000, 31);
   for (std::uint64_t& k : keys) k %= 3000;
   std::atomic<bool> done{false};
+  std::atomic<std::size_t> started{0};
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
+      started.fetch_add(1, std::memory_order_release);
       std::uint64_t answers = 0;
       for (std::size_t i = r; !done.load(std::memory_order_acquire); ++i) {
         const std::uint64_t k = keys[i % keys.size()];
@@ -751,6 +753,9 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
       EXPECT_GT(answers, 0u);
     });
   }
+  // Ingest only once both readers run: a reader scheduled after the whole
+  // stream was pushed would read nothing while the workers publish.
+  while (started.load(std::memory_order_acquire) < 2) std::this_thread::yield();
   for (const std::uint64_t k : keys) ASSERT_TRUE(mon.push(0, k));
   ASSERT_TRUE(mon.flush());
   done.store(true, std::memory_order_release);

@@ -30,10 +30,10 @@
 #include "server/http.hpp"
 #include "server/pipeline_manager.hpp"
 #include "server/protocol.hpp"
+#include "common/fault_injection.hpp"
 #include "common/simd.hpp"
 #include "common/wal.hpp"
 #include "obs/trace.hpp"
-#include "runtime/fault_injection.hpp"
 #include "runtime/runtime_stats.hpp"
 
 namespace she::server {
@@ -176,11 +176,11 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
 TEST(SpecParser, DefaultsAndOverrides) {
   const PipelineSpec def = parse_sketch_spec("");
   // Handler threads share the commit lanes, so the server needs no
-  // producer slots; `producers=` only adds produced-counter labels.
+  // producer slots: every request is pushed as producer 0.
   EXPECT_EQ(def.pipeline.producers, 1u);
 
   const PipelineSpec s = parse_sketch_spec(
-      "window=16K memory=256K shards=2 producers=3 queue=2048 publish=512 "
+      "window=16K memory=256K shards=2 queue=2048 publish=512 "
       "policy=block hll hh-slots=32 seed=9 checkpoint-every=4096");
   EXPECT_EQ(s.monitor.window, 16u * 1024);
   EXPECT_EQ(s.monitor.memory_bytes, 256u * 1024);
@@ -188,29 +188,34 @@ TEST(SpecParser, DefaultsAndOverrides) {
   EXPECT_EQ(s.monitor.heavy_hitter_slots, 32u);
   EXPECT_EQ(s.monitor.seed, 9u);
   EXPECT_EQ(s.pipeline.shards, 2u);
-  EXPECT_EQ(s.pipeline.producers, 3u);
   EXPECT_EQ(s.pipeline.queue_capacity, 2048u);
   EXPECT_EQ(s.pipeline.publish_interval, 512u);
   EXPECT_EQ(s.pipeline.checkpoint_interval, 4096u);
 
-  // `batch=` and `degraded-probe-ms=` were tuning knobs and are now
-  // runtime constants; persisted specs that set them still parse, to the
-  // same options as the spec without them.
-  const std::string base = "window=4096 shards=2 producers=4 queue=512";
+  // `producers=`, `batch=` and `degraded-probe-ms=` were tuning knobs;
+  // persisted specs that set them still parse, to the same options as the
+  // spec without them.  A `producers=` value must size nothing: counter
+  // labels registered under the manager's exclusive lock, 64K of them,
+  // stall every other request.
+  const std::string base = "window=4096 shards=2 queue=512";
   const PipelineSpec plain = parse_sketch_spec(base);
-  const PipelineSpec legacy =
-      parse_sketch_spec(base + " batch=64 degraded-probe-ms=500");
-  EXPECT_EQ(legacy.monitor.window, plain.monitor.window);
-  EXPECT_EQ(legacy.monitor.memory_bytes, plain.monitor.memory_bytes);
-  EXPECT_EQ(legacy.pipeline.shards, plain.pipeline.shards);
-  EXPECT_EQ(legacy.pipeline.producers, plain.pipeline.producers);
-  EXPECT_EQ(legacy.pipeline.queue_capacity, plain.pipeline.queue_capacity);
-  EXPECT_EQ(legacy.pipeline.publish_interval, plain.pipeline.publish_interval);
-  EXPECT_EQ(legacy.pipeline.checkpoint_interval,
-            plain.pipeline.checkpoint_interval);
-  EXPECT_EQ(legacy.pipeline.checkpoint_keep, plain.pipeline.checkpoint_keep);
-  EXPECT_EQ(legacy.wal, plain.wal);
-  EXPECT_EQ(legacy.wal_fsync_bytes, plain.wal_fsync_bytes);
+  for (const char* retired :
+       {" batch=64 degraded-probe-ms=500", " producers=3", " producers=64K"}) {
+    SCOPED_TRACE(retired);
+    const PipelineSpec legacy = parse_sketch_spec(base + retired);
+    EXPECT_EQ(legacy.monitor.window, plain.monitor.window);
+    EXPECT_EQ(legacy.monitor.memory_bytes, plain.monitor.memory_bytes);
+    EXPECT_EQ(legacy.pipeline.shards, plain.pipeline.shards);
+    EXPECT_EQ(legacy.pipeline.producers, plain.pipeline.producers);
+    EXPECT_EQ(legacy.pipeline.queue_capacity, plain.pipeline.queue_capacity);
+    EXPECT_EQ(legacy.pipeline.publish_interval,
+              plain.pipeline.publish_interval);
+    EXPECT_EQ(legacy.pipeline.checkpoint_interval,
+              plain.pipeline.checkpoint_interval);
+    EXPECT_EQ(legacy.pipeline.checkpoint_keep, plain.pipeline.checkpoint_keep);
+    EXPECT_EQ(legacy.wal, plain.wal);
+    EXPECT_EQ(legacy.wal_fsync_bytes, plain.wal_fsync_bytes);
+  }
 }
 
 TEST(SpecParser, Rejections) {
@@ -1190,12 +1195,10 @@ TEST(Server, BatchLargerThanBurstStillAdmitted) {
   EXPECT_EQ(patient.insert_bulk("big", keys), keys.size());
 }
 
-#if defined(SHE_FAULT_INJECTION)
-
 /// Clears the process-global fault injector around a test body.
 struct InjectorGuard {
-  InjectorGuard() { runtime::fault::injector().clear(); }
-  ~InjectorGuard() { runtime::fault::injector().clear(); }
+  InjectorGuard() { fault::injector().clear(); }
+  ~InjectorGuard() { fault::injector().clear(); }
 };
 
 TEST(Server, RequestDeadlineShedsInsteadOfWedging) {
@@ -1212,8 +1215,8 @@ TEST(Server, RequestDeadlineShedsInsteadOfWedging) {
   // the server answers kTimeout long before the stall clears.  (The
   // deadline bounds admission only, so each batch fits the ring: a batch
   // larger than the ring, once admitted, is enqueued whole.)
-  runtime::fault::injector().arm(
-      {runtime::fault::Point::kConsumerStall, 0, 1'000, 3'000});
+  fault::injector().arm(
+      {fault::Point::kConsumerStall, 0, 1'000, 3'000});
   std::vector<std::uint64_t> keys(256);
   const auto t0 = std::chrono::steady_clock::now();
   try {
@@ -1256,8 +1259,8 @@ TEST(Server, DeadlineShedBulkReplaysExactlyOnce) {
 
   // Wedge the drain thread before it applies anything; the first batch
   // then fills the ring exactly and the second cannot be admitted.
-  runtime::fault::injector().arm(
-      {runtime::fault::Point::kConsumerStall, 0, 0, 1'500});
+  fault::injector().arm(
+      {fault::Point::kConsumerStall, 0, 0, 1'500});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const std::vector<std::uint64_t> fill(256, 7), extra(100, 7);
   const auto status_of = [&](const std::vector<char>& body) {
@@ -1294,8 +1297,6 @@ TEST(Server, DeadlineShedBulkReplaysExactlyOnce) {
   ASSERT_TRUE(flushed);
   EXPECT_EQ(c.query_frequency("rp", 7), fill.size() + extra.size());
 }
-
-#endif  // SHE_FAULT_INJECTION
 
 TEST(Server, WalSpecRequiresDurableRoot) {
   // Without a checkpoint root there is nowhere durable to put a backlog

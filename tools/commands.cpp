@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/checkpoint.hpp"
+#include "common/fault_injection.hpp"
 #include "common/wal.hpp"
 #include "obs/trace.hpp"
 #include "server/client.hpp"
@@ -20,7 +21,6 @@
 #include "common/stats.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/fault_injection.hpp"
 #include "she/csm.hpp"
 #include "she/monitor.hpp"
 #include "she/she.hpp"
@@ -87,11 +87,6 @@ void write_registries(std::ostream& os, const std::string& format,
 struct FaultScope {
   explicit FaultScope(const std::string& specs) {
     if (specs.empty()) return;
-#if !defined(SHE_FAULT_INJECTION)
-    throw std::invalid_argument(
-        "--inject needs the fault-injection harness, which this build has "
-        "compiled out (reconfigure with -DSHE_FAULT_INJECTION=ON)");
-#else
     std::size_t start = 0;
     while (start <= specs.size()) {
       const std::size_t comma = specs.find(',', start);
@@ -99,15 +94,14 @@ struct FaultScope {
                                   ? specs.substr(start)
                                   : specs.substr(start, comma - start);
       if (!one.empty())
-        runtime::fault::injector().arm(runtime::fault::parse_spec(one));
+        fault::injector().arm(fault::parse_spec(one));
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
     armed = true;
-#endif
   }
   ~FaultScope() {
-    if (armed) runtime::fault::injector().clear();
+    if (armed) fault::injector().clear();
   }
   FaultScope(const FaultScope&) = delete;
   FaultScope& operator=(const FaultScope&) = delete;
@@ -890,7 +884,8 @@ std::string usage() {
       "               workers restart on faults; --checkpoint-dir writes\n"
       "               CRC-framed durable checkpoints and --resume replays\n"
       "               from them; SPEC = point[:shard[:at[:param]]] with\n"
-      "               point throw|stall|ckpt-bitflip|ckpt-truncate;\n"
+      "               point throw|stall|ckpt-bitflip|ckpt-truncate|\n"
+      "               ckpt-eio;\n"
       "               exit 1 when items were dropped or a worker\n"
       "               faulted)\n"
       "  metrics      [--trace FILE | --dataset ... --length N] [--window N]\n"

@@ -15,7 +15,8 @@
 #      undrained frames and its sequence table absorbs the client's
 #      lost-ack replays.  One iteration additionally arms an injected
 #      torn WAL write, which the client absorbs as a retryable server
-#      error.
+#      error.  After the final clean shutdown, `she_tool verify` must
+#      find the pass's checkpoints and WALs clean.
 #
 # --failover mode — node-death chaos.  A primary and a hot standby
 # (--role standby --follow) run side by side; a failover she_tool client
@@ -275,6 +276,9 @@ record_answers "$WORK/chaos-answers.txt"
 $CLIENT --op shutdown
 wait "$SRV"
 SRV=0
+# Offline scrub of what the chaos pass left on disk, by the scans a resume
+# runs: every checkpoint frame and every WAL must verify clean (exit 0).
+$TOOL verify --dir "$WORK/chaos/ckpt"
 cat "$WORK/chaos-answers.txt"
 
 diff "$WORK/ref-answers.txt" "$WORK/chaos-answers.txt"

@@ -64,29 +64,18 @@ CheckpointData parse_checkpoint(const char* data, std::size_t n) {
   if (std::memcmp(data, kCheckpointMagic, 4) != 0)
     reject("bad magic (not a checkpoint file)");
   const auto version = get_le<std::uint32_t>(data + 4);
-  if (version != kCheckpointVersion && version != kCheckpointVersionProducers)
+  if (version != kCheckpointVersion)
     reject("unsupported frame version " + std::to_string(version));
   CheckpointData out;
   out.stream_offset = get_le<std::uint64_t>(data + 8);
   const auto payload_len = get_le<std::uint64_t>(data + 16);
   const auto expected_crc = get_le<std::uint32_t>(data + 24);
-  std::size_t at = kCheckpointHeaderBytes;
-  if (version == kCheckpointVersionProducers) {
-    if (n < at + 4) reject("truncated producer-offset vector");
-    const auto count = get_le<std::uint32_t>(data + at);
-    // A count no plausible shard configuration reaches: treat it as
-    // corruption rather than attempting the allocation it implies.
-    if (count > 65536) reject("implausible producer count " +
-                              std::to_string(count));
-    if (n < at + 4 + std::size_t{8} * count)
-      reject("truncated producer-offset vector");
-    at += 4 + std::size_t{8} * count;  // covered by the CRC, then skipped
-  }
-  if (payload_len != n - at)
+  if (payload_len != n - kCheckpointHeaderBytes)
     reject("payload length " + std::to_string(payload_len) +
-           " does not match the " + std::to_string(n - at) +
+           " does not match the " +
+           std::to_string(n - kCheckpointHeaderBytes) +
            " bytes present (truncated or trailing garbage)");
-  const char* payload = data + at;
+  const char* payload = data + kCheckpointHeaderBytes;
   std::uint32_t actual_crc = crc32(data, 24);
   actual_crc = crc32(data + kCheckpointHeaderBytes, n - kCheckpointHeaderBytes,
                      actual_crc);

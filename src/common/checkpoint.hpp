@@ -10,21 +10,13 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------
 //        0     4  magic "SHCP"
-//        4     4  frame version (u32, little-endian, 1 or 2)
+//        4     4  frame version (u32, little-endian, always 1)
 //        8     8  stream offset (items applied when the snapshot was taken)
 //       16     8  payload length in bytes
 //       24     4  CRC-32 (IEEE) of bytes [0, 24) chained with everything
 //                 after the CRC field — a flipped bit anywhere in the frame
 //                 (including the stream offset) fails the checksum
-//  version 2 only:
-//       28     4  producer count P (u32)
-//       32   8*P  per-producer consumed-item offsets (u64 each)
-//  then:
-//        *     n  payload (estimator save() bytes)
-//
-// Writers emit version 1 only.  The parser still accepts version 2, which
-// older releases wrote: it bounds the producer count, covers the vector
-// with the CRC, and skips it — only the stream offset matters on resume.
+//       28     n  payload (estimator save() bytes)
 //
 // Readers reject anything that fails magic, version, length or CRC checks
 // with a typed CheckpointError — never a crash, hang or silent load — and
@@ -54,7 +46,6 @@ class CheckpointError : public SerializeError {
 
 inline constexpr char kCheckpointMagic[4] = {'S', 'H', 'C', 'P'};
 inline constexpr std::uint32_t kCheckpointVersion = 1;
-inline constexpr std::uint32_t kCheckpointVersionProducers = 2;
 inline constexpr std::size_t kCheckpointHeaderBytes = 28;
 
 /// A parsed frame: the recorded ingest position plus the raw payload.

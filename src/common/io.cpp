@@ -125,12 +125,6 @@ void BinaryReader::expect_tag(const char (&t)[5]) {
                          "', stream holds something else");
 }
 
-std::string BinaryReader::read_tag() {
-  char got[4];
-  raw(got, 4);
-  return std::string(got, 4);
-}
-
 std::vector<std::uint64_t> BinaryReader::u64_vector() {
   std::uint64_t n = u64();
   check_length(n, 8);

@@ -61,6 +61,18 @@ class SerializeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Run a config check (or a constructor that runs one) from inside a load
+/// and return its result: the std::invalid_argument it throws on direct
+/// construction becomes a SerializeError, so a decoder fails one way.
+template <class Step>
+decltype(auto) while_loading(Step&& step) {
+  try {
+    return step();
+  } catch (const std::invalid_argument& e) {
+    throw SerializeError(e.what());
+  }
+}
+
 /// True when `err` (an errno) says the *disk* is unhealthy — out of space,
 /// quota, media error, or mounted read-only — as opposed to a structural
 /// problem with the bytes being written.
@@ -144,10 +156,6 @@ class BinaryReader {
 
   /// Read and verify a 4-byte section tag; throws on mismatch.
   void expect_tag(const char (&t)[5]);
-
-  /// Read a 4-byte section tag and return it, for formats that dispatch on
-  /// the tag (e.g. a container accepting several versions of its layout).
-  [[nodiscard]] std::string read_tag();
 
   std::vector<std::uint64_t> u64_vector();
 

@@ -70,29 +70,22 @@ std::string segment_path(const std::string& path, std::uint64_t seq) {
   return path.substr(0, path.size() - (path.ends_with(".wal") ? 4 : 0)) + name;
 }
 
-/// The files of the log named `path` in log order: the legacy single file
-/// `path`, then its segments by name (= by first seq).
+/// The segments of the log named `path` in log order: by name (= by
+/// first seq).
 std::vector<std::string> log_files(const std::string& path) {
   namespace fs = std::filesystem;
   const fs::path p(path);
-  // A segment's name is segment 0's with other digits at `at`.
-  const std::string zero = segment_path(p.filename().string(), 0);
-  const std::size_t at = zero.size() - kSeqDigits - 4;
+  const std::string base = p.filename().string();
+  const std::string log = wal_log_name(segment_path(base, 0));
   std::vector<std::string> out;
   std::error_code ec;
   for (fs::directory_iterator it(p.has_parent_path() ? p.parent_path() : ".", ec), end;
        !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
-    if (name.size() != zero.size() || name.compare(0, at, zero, 0, at) != 0 ||
-        name.find_first_not_of("0123456789", at) != at + kSeqDigits ||
-        !name.ends_with(".wal"))
-      continue;
-    std::string file = segment_path(path, 0);
-    file.replace(file.size() - kSeqDigits - 4, kSeqDigits, name, at, kSeqDigits);
-    out.push_back(std::move(file));
+    if (name != log && wal_log_name(name) == log)
+      out.push_back(path.substr(0, path.size() - base.size()) + name);
   }
   std::sort(out.begin(), out.end());
-  if (fs::is_regular_file(p, ec)) out.insert(out.begin(), path);
   return out;
 }
 
@@ -114,6 +107,16 @@ void remove_log_file(const std::string& file) {
 }
 
 }  // namespace
+
+std::string wal_log_name(const std::string& file) {
+  if (!file.ends_with(".wal") || file.size() < 4 + kSeqDigits + 1) return file;
+  const std::size_t end = file.size() - 4;
+  const std::size_t dot = end - kSeqDigits - 1;
+  if (file[dot] != '.' ||
+      file.find_first_not_of("0123456789", dot + 1) != end)
+    return file;
+  return file.substr(0, dot) + ".wal";
+}
 
 std::size_t parse_wal_frame(std::span<const char> bytes, WalFrame& f) {
   return parse_frame(bytes.data(), bytes.size(), 0, f);
@@ -164,6 +167,13 @@ std::vector<char> frame_wal(const WalFrame& f) {
 }
 
 WalScan read_wal(const std::string& path) {
+  // A file at the log's own name is no segment; reading past it would
+  // skip whatever acked items it holds.
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec))
+    throw WalError("wal: " + path +
+                   " sits at the log's own name and is not a segment; move "
+                   "it away to resume");
   WalScan scan;
   const auto note_seq = [&scan](std::uint64_t id, std::uint64_t seq) {
     std::uint64_t& high = scan.client_seqs[id];
@@ -227,11 +237,13 @@ ShardWal::ShardWal(std::string path, Options opt, const WalScan& scan)
   end_offset_ = scan.end_offset;
   // Delete what the scan did not keep before appending: segments behind
   // the first invalid frame, an empty or torn-headed segment a crash left
-  // mid-rotation, or — for an empty scan — an earlier life's whole log.
+  // mid-rotation, or — for an empty scan — an earlier life's whole log,
+  // including a file at the log's own name.
   for (const std::string& file : log_files(path_))
     if (std::none_of(sealed_.begin(), sealed_.end(),
                      [&](const WalSegment& s) { return s.path == file; }))
       remove_log_file(file);
+  remove_log_file(path_);
   if (sealed_.empty()) {
     rotate_locked();
   } else {

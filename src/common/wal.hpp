@@ -33,8 +33,8 @@
 // self-contained log, and the oldest surviving one still refuses every
 // client seq a retired segment held.  Appends rotate to a new segment
 // once the active one reaches `segment_bytes`; `retire` deletes whole
-// sealed segments below the checkpoint low-water mark.  A legacy
-// single-file `shard-<s>.wal` reads as the oldest segment.
+// sealed segments below the checkpoint low-water mark.  No file ever sits
+// at the log's own name: `read_wal` rejects one, and a fresh log deletes it.
 //
 // Crash contract: appends go to the end of the active segment in order,
 // so a crash at any instant leaves a valid frame prefix plus at most one
@@ -175,11 +175,14 @@ struct WalScan {
   std::vector<WalSegment> segments;  ///< files holding the prefix, in order
 };
 
-/// Scan the log named `path`: the legacy file `path`, then its segments
-/// (nothing there → empty scan; a segment's own path scans that file
-/// alone).  Never throws on torn tails — they are the *expected* crash
-/// shape — but counts them in `she_wal_torn_tail_total`.  Throws WalError
-/// only on filesystem read errors.
+/// The log a segment belongs to: "<dir>/shard-0.<20 digits>.wal" ->
+/// "<dir>/shard-0.wal".  Any other path comes back unchanged.
+[[nodiscard]] std::string wal_log_name(const std::string& file);
+
+/// Scan the segments of the log named `path` (none → empty scan).  Never
+/// throws on torn tails — they are the *expected* crash shape — but counts
+/// them in `she_wal_torn_tail_total`.  Throws WalError on filesystem read
+/// errors and when a file exists at `path` itself.
 [[nodiscard]] WalScan read_wal(const std::string& path);
 
 /// Append handle for one shard's segmented log.  Thread-safe: producers
@@ -209,7 +212,8 @@ class ShardWal {
   /// Open the log named `path` for appending, continuing the last segment
   /// of `scan` (the caller's read_wal of `path`).  Every log file the scan
   /// did not keep is deleted first — the torn tail is truncated, later
-  /// segments go — so an empty scan starts a fresh log in a new segment.
+  /// segments and any file at `path` itself go — so an empty scan starts a
+  /// fresh log in a new segment.
   ShardWal(std::string path, Options opt, const WalScan& scan);
   ~ShardWal();
   ShardWal(const ShardWal&) = delete;

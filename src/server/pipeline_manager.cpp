@@ -1,5 +1,6 @@
 #include "server/pipeline_manager.hpp"
 
+#include "common/checkpoint.hpp"
 #include "server/replica.hpp"
 
 #include <algorithm>
@@ -218,12 +219,8 @@ std::shared_ptr<PipelineManager::Entry> PipelineManager::create_internal(
     // Spec on disk before the pipeline exists: a crash between the two
     // leaves a spec with no frames, which resume_all() brings back fresh.
     fs::create_directories(dir_for(name));
-    std::ofstream spec_out(fs::path(dir_for(name)) / "spec",
-                           std::ios::trunc);
-    spec_out << spec_text << '\n';
-    if (!spec_out) {
-      throw std::runtime_error("cannot write spec for '" + name + "'");
-    }
+    const std::string line = spec_text + '\n';
+    write_file_atomic((fs::path(dir_for(name)) / "spec").string(), line);
   }
   std::shared_ptr<Entry> entry;
   try {

@@ -37,7 +37,7 @@ SheConfig SheConfig::load(BinaryReader& in) {
   cfg.beta = in.f64();
   cfg.seed = in.u32();
   cfg.mark_bits = in.u32();
-  cfg.validate();
+  while_loading([&] { cfg.validate(); });
   return cfg;
 }
 

@@ -579,7 +579,8 @@ class SlidingEstimator {
     const SheConfig cfg = SheConfig::load(in);
     Policy policy = Policy::load(in, cfg);
     in.expect_remaining(Store::saved_bytes(cfg.cells));
-    SlidingEstimator est(cfg, std::move(policy));
+    SlidingEstimator est = while_loading(
+        [&] { return SlidingEstimator(cfg, std::move(policy)); });
     est.time_ = in.u64();
     est.clock_ = GroupClock::load(in);
     if (est.clock_.groups() != cfg.groups())

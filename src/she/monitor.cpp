@@ -16,6 +16,13 @@ struct Split {
   std::size_t similarity = 0;
 };
 
+/// `x` as a count, saturated: a hostile budget or cardinality hint read
+/// from a stream must not overflow the conversion.
+std::size_t to_size(double x) {
+  constexpr double kMax = 0x1p62;
+  return static_cast<std::size_t>(x < kMax ? x : kMax);  // NaN saturates
+}
+
 Split split_budget(const MonitorConfig& cfg) {
   double shares = 0;
   if (cfg.track_membership) shares += 3;
@@ -25,11 +32,85 @@ Split split_budget(const MonitorConfig& cfg) {
   if (shares == 0) return {};
   double unit = static_cast<double>(cfg.memory_bytes) / shares;
   Split s;
-  if (cfg.track_membership) s.membership = static_cast<std::size_t>(3 * unit);
-  if (cfg.track_frequency) s.frequency = static_cast<std::size_t>(2 * unit);
-  if (cfg.track_cardinality) s.cardinality = static_cast<std::size_t>(unit);
-  if (cfg.track_similarity) s.similarity = static_cast<std::size_t>(unit);
+  if (cfg.track_membership) s.membership = to_size(3 * unit);
+  if (cfg.track_frequency) s.frequency = to_size(2 * unit);
+  if (cfg.track_cardinality) s.cardinality = to_size(unit);
+  if (cfg.track_similarity) s.similarity = to_size(unit);
   return s;
+}
+
+/// The geometry a (validated) config's budget buys each enabled sketch.
+struct Plan {
+  std::optional<SheConfig> membership, bitmap, hll, frequency, similarity;
+};
+
+Plan plan(const MonitorConfig& cfg) {
+  Split split = split_budget(cfg);
+  double cardinality_hint = cfg.expected_cardinality > 0
+                                ? cfg.expected_cardinality
+                                : static_cast<double>(cfg.window) / 4;
+  Plan p;
+  if (cfg.track_membership) {
+    SheConfig c;
+    c.window = cfg.window;
+    c.cells = std::max<std::size_t>(1024, split.membership * 8);
+    c.group_cells = 64;
+    c.seed = cfg.seed;
+    c.alpha = optimal_alpha_bf(c.cells, c.group_cells, cardinality_hint, 8);
+    p.membership = c;
+  }
+  if (cfg.track_cardinality) {
+    SheConfig c;
+    c.window = cfg.window;
+    c.seed = cfg.seed + 1;
+    c.alpha = 0.2;
+    if (cfg.use_hll) {
+      // Cap registers below the expected per-window cardinality so every
+      // register keeps receiving items (Eq. 1: starved registers alias) —
+      // accuracy saturates around a few thousand registers anyway.
+      auto cap = to_size(cardinality_hint / 2);
+      c.cells = std::clamp<std::size_t>(split.cardinality * 8 / 6, 64,
+                                        std::max<std::size_t>(64, cap));
+      c.group_cells = 1;
+      p.hll = c;
+    } else {
+      // Linear counting gains nothing beyond ~32 bits per distinct key;
+      // capping also keeps the group refresh rate healthy.
+      auto cap = to_size(32 * cardinality_hint);
+      c.cells = std::clamp<std::size_t>(split.cardinality * 8, 1024,
+                                        std::max<std::size_t>(1024, cap));
+      c.group_cells = 64;
+      // Eq. (1): bound expected starved groups per cycle to 0.5.
+      std::size_t max_groups =
+          max_groups_for_failure(cardinality_hint, 1, c.alpha, 0.5);
+      if (c.groups() > max_groups)
+        c.group_cells = (c.cells + max_groups - 1) / max_groups;
+      p.bitmap = c;
+    }
+  }
+  if (cfg.track_frequency) {
+    SheConfig c;
+    c.window = cfg.window;
+    c.cells = std::max<std::size_t>(1024, split.frequency / 4);  // 32-bit cells
+    c.group_cells = 64;
+    c.seed = cfg.seed + 2;
+    c.alpha = 1.0;
+    p.frequency = c;
+  }
+  if (cfg.track_similarity) {
+    SheConfig c;
+    c.window = cfg.window;
+    // ~4 bytes per slot (24-bit signature + time marks); jaccard()'s
+    // variance flattens out after a few hundred slots.
+    c.cells = cfg.similarity_slots > 0
+                  ? cfg.similarity_slots
+                  : std::clamp<std::size_t>(split.similarity / 4, 64, 4096);
+    c.group_cells = 1;  // SHE-MH: every slot is its own group
+    c.seed = cfg.seed + 3;
+    c.alpha = 0.2;
+    p.similarity = c;
+  }
+  return p;
 }
 
 }  // namespace
@@ -43,75 +124,19 @@ void MonitorConfig::validate() const {
     throw std::invalid_argument("MonitorConfig: enable at least one task");
   if (heavy_hitter_slots == 0)
     throw std::invalid_argument("MonitorConfig: heavy_hitter_slots must be > 0");
+  if (heavy_hitter_slots > memory_bytes / 16)
+    throw std::invalid_argument(
+        "MonitorConfig: heavy_hitter_slots (16 bytes each) exceed the budget");
 }
 
 StreamMonitor::StreamMonitor(const MonitorConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
-  Split split = split_budget(cfg_);
-  double cardinality_hint = cfg_.expected_cardinality > 0
-                                ? cfg_.expected_cardinality
-                                : static_cast<double>(cfg_.window) / 4;
-
-  if (cfg_.track_membership) {
-    SheConfig c;
-    c.window = cfg_.window;
-    c.cells = std::max<std::size_t>(1024, split.membership * 8);
-    c.group_cells = 64;
-    c.seed = cfg_.seed;
-    c.alpha = optimal_alpha_bf(c.cells, c.group_cells, cardinality_hint, 8);
-    membership_.emplace(c, 8);
-  }
-  if (cfg_.track_cardinality) {
-    SheConfig c;
-    c.window = cfg_.window;
-    c.seed = cfg_.seed + 1;
-    c.alpha = 0.2;
-    if (cfg_.use_hll) {
-      // Cap registers below the expected per-window cardinality so every
-      // register keeps receiving items (Eq. 1: starved registers alias) —
-      // accuracy saturates around a few thousand registers anyway.
-      auto cap = static_cast<std::size_t>(cardinality_hint / 2);
-      c.cells = std::clamp<std::size_t>(split.cardinality * 8 / 6, 64,
-                                        std::max<std::size_t>(64, cap));
-      c.group_cells = 1;
-      card_hll_.emplace(c);
-    } else {
-      // Linear counting gains nothing beyond ~32 bits per distinct key;
-      // capping also keeps the group refresh rate healthy.
-      auto cap = static_cast<std::size_t>(32 * cardinality_hint);
-      c.cells = std::clamp<std::size_t>(split.cardinality * 8, 1024,
-                                        std::max<std::size_t>(1024, cap));
-      c.group_cells = 64;
-      // Eq. (1): bound expected starved groups per cycle to 0.5.
-      std::size_t max_groups =
-          max_groups_for_failure(cardinality_hint, 1, c.alpha, 0.5);
-      if (c.groups() > max_groups)
-        c.group_cells = (c.cells + max_groups - 1) / max_groups;
-      card_bm_.emplace(c);
-    }
-  }
-  if (cfg_.track_frequency) {
-    SheConfig c;
-    c.window = cfg_.window;
-    c.cells = std::max<std::size_t>(1024, split.frequency / 4);  // 32-bit cells
-    c.group_cells = 64;
-    c.seed = cfg_.seed + 2;
-    c.alpha = 1.0;
-    freq_.emplace(c, 8, cfg_.heavy_hitter_slots);
-  }
-  if (cfg_.track_similarity) {
-    SheConfig c;
-    c.window = cfg_.window;
-    // ~4 bytes per slot (24-bit signature + time marks); jaccard()'s
-    // variance flattens out after a few hundred slots.
-    c.cells = cfg_.similarity_slots > 0
-                  ? cfg_.similarity_slots
-                  : std::clamp<std::size_t>(split.similarity / 4, 64, 4096);
-    c.group_cells = 1;  // SHE-MH: every slot is its own group
-    c.seed = cfg_.seed + 3;
-    c.alpha = 0.2;
-    sim_.emplace(c);
-  }
+  const Plan p = plan(cfg_);
+  if (p.membership) membership_.emplace(*p.membership, 8);
+  if (p.bitmap) card_bm_.emplace(*p.bitmap);
+  if (p.hll) card_hll_.emplace(*p.hll);
+  if (p.frequency) freq_.emplace(*p.frequency, 8, cfg_.heavy_hitter_slots);
+  if (p.similarity) sim_.emplace(*p.similarity);
 }
 
 void StreamMonitor::insert(std::uint64_t key) {
@@ -259,8 +284,8 @@ std::size_t StreamMonitor::memory_bytes() const {
 }
 
 void StreamMonitor::save(BinaryWriter& out) const {
-  // "SMN2" appends the similarity fields to the original "SMON" layout;
-  // load() still accepts legacy frames (no similarity sketch).
+  // "SMN2" is the one layout load() reads: the config, the stream time,
+  // then each enabled sketch.
   out.tag("SMN2");
   out.u64(cfg_.window);
   out.u64(cfg_.memory_bytes);
@@ -293,10 +318,7 @@ void StreamMonitor::save(BinaryWriter& out) const {
 }
 
 StreamMonitor StreamMonitor::load(BinaryReader& in) {
-  const std::string tag = in.read_tag();
-  if (tag != "SMN2" && tag != "SMON")
-    throw SerializeError("StreamMonitor: expected tag 'SMN2' (or legacy "
-                         "'SMON'), stream holds something else");
+  in.expect_tag("SMN2");
   MonitorConfig cfg;
   cfg.window = in.u64();
   cfg.memory_bytes = in.u64();
@@ -307,33 +329,54 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
   cfg.expected_cardinality = in.f64();
   cfg.heavy_hitter_slots = in.u64();
   cfg.seed = in.u32();
-  if (tag == "SMN2") {
-    cfg.track_similarity = in.u8() != 0;
-    cfg.similarity_slots = in.u64();
-  }
-  StreamMonitor mon(cfg);
+  cfg.track_similarity = in.u8() != 0;
+  cfg.similarity_slots = in.u64();
+  // Nothing is sized from the budget fields: each sketch comes from the
+  // stream, which bounds its cells by the bytes left, and must then have
+  // the geometry those fields plan.  The candidate table is sized from
+  // heavy_hitter_slots only once the frequency sketch has pinned the
+  // budget that validate() bounds the slots by.
+  const Plan p = while_loading([&] {
+    cfg.validate();
+    return plan(cfg);
+  });
+  const auto planned = [](auto sketch, const SheConfig& c) {
+    if (sketch.config().cells != c.cells)
+      throw SerializeError(
+          "StreamMonitor: a sketch's " + std::to_string(sketch.config().cells) +
+          " cells are not the " + std::to_string(c.cells) +
+          " its header's budget plans");
+    return sketch;
+  };
+  StreamMonitor mon;
+  mon.cfg_ = cfg;
   mon.time_ = in.u64();
-  if (mon.membership_) mon.membership_ = SheBloomFilter::load(in);
-  if (mon.card_bm_) mon.card_bm_ = SheBitmap::load(in);
-  if (mon.card_hll_) mon.card_hll_ = SheHyperLogLog::load(in);
-  if (mon.freq_) {
-    mon.freq_->restore_sketch(SheCountMin::load(in));
+  if (p.membership)
+    mon.membership_ = planned(SheBloomFilter::load(in), *p.membership);
+  if (p.bitmap) mon.card_bm_ = planned(SheBitmap::load(in), *p.bitmap);
+  if (p.hll) mon.card_hll_ = planned(SheHyperLogLog::load(in), *p.hll);
+  if (p.frequency) {
+    SheCountMin sketch = planned(SheCountMin::load(in), *p.frequency);
     // The table never holds more than its capacity; check before sizing
     // a vector from an untrusted count.
     const std::uint64_t count = in.u64();
-    if (count > mon.freq_->capacity())
+    if (count > cfg.heavy_hitter_slots)
       throw SerializeError("StreamMonitor: " + std::to_string(count) +
                            " heavy-hitter candidates exceed the table's "
                            "capacity of " +
-                           std::to_string(mon.freq_->capacity()));
+                           std::to_string(cfg.heavy_hitter_slots));
+    in.expect_remaining(16 * count);
     std::vector<HeavyHitters::Entry> cands(static_cast<std::size_t>(count));
     for (auto& e : cands) {
       e.key = in.u64();
       e.estimate = in.u64();
     }
+    mon.freq_.emplace(*p.frequency, 8, cfg.heavy_hitter_slots);
+    mon.freq_->restore_sketch(std::move(sketch));
     mon.freq_->restore_candidates(cands);
   }
-  if (mon.sim_) mon.sim_ = SheMinHash::load(in);
+  if (p.similarity)
+    mon.sim_ = planned(SheMinHash::load(in), *p.similarity);
   return mon;
 }
 

@@ -108,6 +108,8 @@ class StreamMonitor {
   static StreamMonitor load(BinaryReader& in);
 
  private:
+  StreamMonitor() = default;  ///< no sketches; load() fills them in
+
   MonitorConfig cfg_;
   std::uint64_t time_ = 0;
   std::optional<SheBloomFilter> membership_;

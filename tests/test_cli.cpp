@@ -450,6 +450,25 @@ TEST(Cli, MembershipCheckpointSaveResumeInfo) {
                 "2000"},
                out2);
   EXPECT_EQ(rc, 0) << out2.str();
+
+  // The file is a CRC frame: one flipped payload byte fails --resume with
+  // the checkpoint reader's typed error.
+  {
+    std::fstream f(ckpt, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(-1, std::ios::end);
+    const char last = static_cast<char>(f.get());
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(last ^ 0x20));
+  }
+  EXPECT_THROW((void)read_checkpoint_file(ckpt), CheckpointError);
+  std::ostringstream out3;
+  EXPECT_EQ(run_cli({"she_tool", "membership", "--resume", ckpt, "--dataset",
+                     "caida", "--length", "1000"},
+                    out3),
+            2);
+  EXPECT_NE(out3.str().find("checkpoint rejected: CRC mismatch"),
+            std::string::npos)
+      << out3.str();
   std::remove(ckpt.c_str());
 }
 
@@ -522,6 +541,40 @@ TEST(Cli, VerifyScrubsCheckpointsAndWals) {
             1);
   EXPECT_NE(js.str().find("\"corrupt\":1"), std::string::npos) << js.str();
   fs::remove_all(root);
+}
+
+TEST(Cli, VerifyScansEachWalAsOneLog) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(temp_path("cli_verify_log"));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string log = (dir / "shard-0.wal").string();
+  {
+    she::ShardWal::Options opt;
+    opt.segment_bytes = 256;  // a few frames per segment
+    she::ShardWal wal(log, opt, she::WalScan{});
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      const std::uint64_t keys[] = {3 * i, 3 * i + 1, 3 * i + 2};
+      ASSERT_TRUE(wal.append(keys, 7, i + 1));
+    }
+  }
+  const she::WalScan scan = she::read_wal(log);
+  ASSERT_GE(scan.segments.size(), 2u);
+  std::ostringstream ok;
+  EXPECT_EQ(run_cli({"she_tool", "verify", "--dir", dir.string()}, ok), 0)
+      << ok.str();
+
+  // The first segment copied behind the last one: each file alone is a
+  // valid log, but as the log's tail its seqs regress, so a resume would
+  // cut the log there.  The scrub must judge the log, not the files.
+  fs::copy_file(scan.segments.front().path,
+                dir / "shard-0.00000000000000099999.wal");
+  std::ostringstream bad;
+  EXPECT_EQ(run_cli({"she_tool", "verify", "--dir", dir.string()}, bad), 1)
+      << bad.str();
+  EXPECT_NE(bad.str().find("CORRUPT  " + log + ": "), std::string::npos)
+      << bad.str();
+  fs::remove_all(dir);
 }
 
 }  // namespace

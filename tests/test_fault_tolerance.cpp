@@ -81,7 +81,8 @@ TEST(Checkpoint, EmptyPayloadRoundTrips) {
   EXPECT_TRUE(back.payload.empty());
 }
 
-/// A version-2 frame as older releases wrote it: the version-1 header,
+/// A version-2 frame as older releases wrote it, which no reader accepts
+/// now: the version-1 header,
 /// then a producer count and that many u64 offsets, then the payload; the
 /// CRC chains the header prefix with everything after the CRC field.
 std::vector<char> version2_frame(std::uint64_t stream_offset,
@@ -107,27 +108,24 @@ std::vector<char> version2_frame(std::uint64_t stream_offset,
   return f;
 }
 
-TEST(Checkpoint, OlderVersion2FrameParsesAndSkipsProducerVector) {
+TEST(Checkpoint, Version2FrameIsRejectedAndCounted) {
+  // Version 2 is a retired layout: a well-formed, CRC-valid one fails like
+  // any unknown version, with the typed error and a corrupt count.
   const auto payload = sample_payload();
   const std::uint64_t offsets[] = {100, 0, 23456789};
   const auto frame =
       version2_frame(100 + 0 + 23456789, offsets,
                      std::span<const char>(payload.data(), payload.size()));
-  const CheckpointData back = parse_checkpoint(frame.data(), frame.size());
-  EXPECT_EQ(back.stream_offset, 100u + 23456789u);
-  EXPECT_EQ(back.payload, payload);
-
-  // A bit flip inside the producer vector fails the CRC like any other.
-  auto bad = frame;
-  bad[kCheckpointHeaderBytes + 9] ^= 0x4;
-  EXPECT_THROW((void)parse_checkpoint(bad.data(), bad.size()),
-               CheckpointError);
-
-  // An implausible producer count is rejected before any allocation.
-  auto huge = frame;
-  put_le<std::uint32_t>(huge.data() + kCheckpointHeaderBytes, 1u << 20);
-  EXPECT_THROW((void)parse_checkpoint(huge.data(), huge.size()),
-               CheckpointError);
+  const std::uint64_t before = corrupt_count();
+  try {
+    (void)parse_checkpoint(frame.data(), frame.size());
+    ADD_FAILURE() << "a version-2 frame parsed";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported frame version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(corrupt_count(), before + 1);
 }
 
 TEST(Checkpoint, RejectsBitFlipAnywhere) {
@@ -1297,6 +1295,29 @@ TEST_F(FaultTolerance, WalResumeRefusesAHoleBehindADeletedCheckpoint) {
   ASSERT_TRUE(std::filesystem::remove(dir + "/shard-0.ckpt"));
   opt.resume = true;
   EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, factory), WalError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, WalResumeRefusesAFileAtTheLogsOwnName) {
+  // A single file at the log's own name (a pre-segment log) is no segment:
+  // skipping it would drop whatever acked items it holds, so a resume
+  // refuses the directory, and names the file.
+  const std::string dir = temp_dir("wal_own_name");
+  const std::string log = dir + "/shard-0.wal";
+  std::ofstream(log, std::ios::binary) << "SHWL";
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.checkpoint_dir = dir;
+  opt.wal_mode = WalMode::kAsync;
+  opt.resume = true;
+  const auto factory = bf_factory(1, 16'384);
+  try {
+    IngestPipeline<SheBloomFilter> pipe(opt, factory);
+    ADD_FAILURE() << "resumed past " << log;
+  } catch (const WalError& e) {
+    EXPECT_NE(std::string(e.what()).find(log), std::string::npos) << e.what();
+  }
+  EXPECT_TRUE(std::filesystem::exists(log));
   std::filesystem::remove_all(dir);
 }
 

@@ -1,5 +1,6 @@
 // Serialization tests: checkpoint/restore round-trips must resume with
 // *identical* answers, and corrupted streams must be rejected loudly.
+#include <bit>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -295,6 +296,74 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
     BinaryReader pr(in);
     EXPECT_THROW((void)SheBloomFilter::load(pr), SerializeError);
     EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
+  }
+
+  // Config checks a load reaches fail as malformed input too, not as the
+  // std::invalid_argument direct construction throws.
+  const std::size_t window_at = data.find("SCFG") + 4;
+  const std::size_t hashes_at = window_at + 6 * 8;  // window .. mark_bits
+  for (const std::size_t at : {window_at, hashes_at}) {
+    SCOPED_TRACE(at);
+    std::string patched = data;
+    if (at == window_at) {
+      put_le<std::uint64_t>(patched.data() + at, 0);
+    } else {
+      put_le<std::uint32_t>(patched.data() + at, 0);
+    }
+    std::stringstream in(patched);
+    BinaryReader pr(in);
+    EXPECT_THROW((void)SheBloomFilter::load(pr), SerializeError);
+  }
+
+  // The same for a StreamMonitor image.
+  {
+    MonitorConfig mcfg;
+    mcfg.window = 4096;
+    mcfg.memory_bytes = 64 << 10;
+    StreamMonitor mon(mcfg);
+    for (auto k : stream::distinct_trace(3 * mcfg.window, 3)) mon.insert(k);
+    std::stringstream ss;
+    BinaryWriter w(ss);
+    mon.save(w);
+    const std::string data = ss.str();
+    {
+      std::stringstream in(data);
+      BinaryReader r(in);
+      EXPECT_EQ(StreamMonitor::load(r).time(), mon.time());
+    }
+    // Header: tag, window, memory_bytes, four task flags, expected
+    // cardinality, heavy_hitter_slots.
+    const std::size_t window_at = 4, memory_at = 12, hint_at = 24,
+                      slots_at = 32;
+    struct Patch {
+      const char* what;
+      std::size_t at;
+      std::uint64_t value;
+    };
+    // A sizing field the stream does not back is rejected before anything
+    // is built from it: no multi-terabyte allocation first.
+    for (const Patch p :
+         {Patch{"memory_bytes", memory_at, std::uint64_t{1} << 40},
+          Patch{"heavy_hitter_slots", slots_at, std::uint64_t{1} << 40},
+          Patch{"expected_cardinality", hint_at,
+                std::bit_cast<std::uint64_t>(1e300)},
+          Patch{"window", window_at, 0}}) {
+      SCOPED_TRACE(p.what);
+      std::string patched = data;
+      put_le(patched.data() + p.at, p.value);
+      reset_peak_rss();
+      const std::uint64_t before = peak_rss_kib();
+      std::stringstream in(patched);
+      BinaryReader pr(in);
+      EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
+      EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
+    }
+    // The pre-similarity "SMON" layout is no longer read.
+    std::string smon = data;
+    smon.replace(0, 4, "SMON");
+    std::stringstream in(smon);
+    BinaryReader pr(in);
+    EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
   }
 }
 

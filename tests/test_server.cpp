@@ -302,6 +302,43 @@ TEST(PipelineManager, CreateFindDropAndDirLifecycle) {
   EXPECT_EQ(e->insert_bulk(keys), 0u);
 }
 
+/// Durable ops on `<name>/spec*` paths, recorded by spec_op_hook.
+std::vector<std::pair<DurableOp, std::string>>& spec_ops() {
+  static std::vector<std::pair<DurableOp, std::string>> ops;
+  return ops;
+}
+
+void spec_op_hook(DurableOp op, const std::string& path, std::uint64_t) {
+  // CREATE writes the spec on the calling thread, before any worker runs.
+  if (std::filesystem::path(path).filename().string().starts_with("spec"))
+    spec_ops().emplace_back(op, std::filesystem::path(path).filename());
+}
+
+TEST(PipelineManager, DurableCreateWritesTheSpecLikeEveryDurableFile) {
+  const std::string root = temp_dir("mgr_spec_ops");
+  spec_ops().clear();
+  {
+    PipelineManager mgr({root, /*keep=*/1, /*resume=*/false});
+    fault::on_durable_op(spec_op_hook);
+    auto e = mgr.create("alpha", "window=4K memory=64K");
+    fault::on_durable_op(nullptr);
+    ASSERT_NE(e, nullptr);
+    mgr.close_all();
+  }
+  // Written to a temporary name, synced, then renamed into place.
+  const std::vector<std::pair<DurableOp, std::string>> want = {
+      {DurableOp::kCreate, "spec.tmp"},
+      {DurableOp::kWrite, "spec.tmp"},
+      {DurableOp::kSync, "spec.tmp"},
+      {DurableOp::kRename, "spec"}};
+  EXPECT_EQ(spec_ops(), want);
+  std::ifstream in(std::filesystem::path(root) / "alpha" / "spec");
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(line, "window=4K memory=64K");
+  std::filesystem::remove_all(root);
+}
+
 TEST(PipelineManager, ResumeAllRestoresState) {
   const std::string root = temp_dir("mgr_resume");
   std::vector<std::uint64_t> keys(20000);

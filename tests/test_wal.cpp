@@ -44,6 +44,12 @@ void write_file(const std::string& path, std::span<const char> bytes) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The first segment of the log `<dir>/shard-0.wal`: where a fresh log's
+/// frames (seq 1 on) start.
+std::string first_segment(const std::string& dir) {
+  return dir + "/shard-0.00000000000000000001.wal";
+}
+
 WalFrame data_frame(std::uint64_t seq, std::uint64_t start,
                     std::span<const std::uint64_t> keys,
                     std::uint64_t client_id = 0, std::uint64_t client_seq = 0) {
@@ -78,7 +84,7 @@ TEST(WalFrame, CodecRoundTripThroughFile) {
   const auto f2 = frame_wal(data_frame(2, 3, k2, 77, 10));
   std::vector<char> all(f1);
   all.insert(all.end(), f2.begin(), f2.end());
-  write_file(path, all);
+  write_file(first_segment(dir), all);
 
   const WalScan scan = read_wal(path);
   ASSERT_EQ(scan.frames.size(), 2u);
@@ -114,7 +120,7 @@ TEST(WalRead, TornTailAtEveryTruncationLength) {
   all.insert(all.end(), f2.begin(), f2.end());
 
   for (std::size_t n = 0; n < all.size(); n += 7) {
-    write_file(path, std::span<const char>(all.data(), n));
+    write_file(first_segment(dir), std::span<const char>(all.data(), n));
     const std::uint64_t before = torn_count();
     const WalScan scan = read_wal(path);
     // Whole frames before the cut survive; the torn tail is reported for
@@ -143,7 +149,7 @@ TEST(WalRead, MidLogCorruptionKeepsPrefix) {
     auto bad = all;
     bad[f1.size() + pos] = static_cast<char>(
         static_cast<unsigned char>(bad[f1.size() + pos]) ^ 0x40);
-    write_file(path, bad);
+    write_file(first_segment(dir), bad);
     const WalScan scan = read_wal(path);
     ASSERT_EQ(scan.frames.size(), 1u) << "flip at " << pos;
     EXPECT_EQ(scan.valid_bytes, f1.size());
@@ -162,7 +168,7 @@ TEST(WalRead, SeqRegressionAndOffsetGapStopTheScan) {
   auto all = frame_wal(data_frame(3, 0, k));
   const auto dup = frame_wal(data_frame(3, 1, k));
   all.insert(all.end(), dup.begin(), dup.end());
-  write_file(path, all);
+  write_file(first_segment(dir), all);
   WalScan scan = read_wal(path);
   EXPECT_EQ(scan.frames.size(), 1u);
   EXPECT_EQ(scan.dropped_bytes, dup.size());
@@ -171,7 +177,7 @@ TEST(WalRead, SeqRegressionAndOffsetGapStopTheScan) {
   all = frame_wal(data_frame(1, 0, std::span<const std::uint64_t>(k, 1)));
   const auto rewind = frame_wal(data_frame(2, 0, k));
   all.insert(all.end(), rewind.begin(), rewind.end());
-  write_file(path, all);
+  write_file(first_segment(dir), all);
   scan = read_wal(path);
   EXPECT_EQ(scan.frames.size(), 1u);
   EXPECT_EQ(scan.end_offset, 1u);
@@ -236,7 +242,7 @@ TEST(ShardWal, OpenTruncatesTornTail) {
   auto all = frame_wal(data_frame(1, 0, keys));
   const std::size_t whole = all.size();
   all.insert(all.end(), {'g', 'a', 'r', 'b', 'a', 'g', 'e'});
-  write_file(path, all);
+  write_file(first_segment(dir), all);
 
   const WalScan scan = read_wal(path);
   EXPECT_EQ(scan.dropped_bytes, 7u);
@@ -251,7 +257,7 @@ TEST(ShardWal, OpenTruncatesTornTail) {
   EXPECT_EQ(after.dropped_bytes, 0u);
   ASSERT_EQ(after.frames.size(), 2u);
   EXPECT_EQ(after.frames[1].start_offset, 3u);
-  EXPECT_GT(file_bytes(path).size(), whole);
+  EXPECT_GT(file_bytes(first_segment(dir)).size(), whole);
   std::filesystem::remove_all(dir);
 }
 
@@ -324,13 +330,6 @@ TEST(ShardWal, RotatesAtSegmentBytesEachSegmentHeadedByItsTable) {
     EXPECT_EQ(head.start_offset, base);  // anchored at the segment's base
     if (i + 1 < names.size()) {  // sealed: rotated once it passed the bound
       EXPECT_GE(file_bytes(file).size(), opt.segment_bytes);
-    }
-    // Each segment alone is a valid log carrying every earlier client seq.
-    const WalScan alone = read_wal(file);
-    EXPECT_EQ(alone.dropped_bytes, 0u);
-    if (i > 0) {
-      EXPECT_EQ(alone.client_seqs.at(12), 5u);
-      EXPECT_GE(alone.client_seqs.at(11), 1u);
     }
     base = scan.segments[i].end_offset;
   }
@@ -483,47 +482,27 @@ TEST(ShardWal, EmptyOrTornHeadedLastSegmentIsRemovedAndPreviousReopened) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ShardWal, LegacySingleFileLogResumes) {
-  const std::string dir = temp_dir("wal_legacy");
+TEST(ShardWal, FileAtTheLogsOwnNameIsRefusedOrDeletedWhenFresh) {
+  const std::string dir = temp_dir("wal_own_name");
   const std::string path = dir + "/shard-0.wal";
-  // A log from before segments: one file, here already compacted once — a
-  // seq-table frame anchored at offset 4, then data frames.
-  WalFrame table;
-  table.kind = kWalSeqTable;
-  table.seq = 1;
-  table.start_offset = 4;
-  for (const std::uint64_t v : {31ull, 9ull})
-    for (int b = 0; b < 8; ++b)
-      table.payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
+  // A log from before segments: one file at the log's own name.
   const std::uint64_t k1[] = {40, 41};
-  auto legacy = frame_wal(table);
-  const auto f2 = frame_wal(data_frame(2, 4, k1, 31, 10));
-  legacy.insert(legacy.end(), f2.begin(), f2.end());
-  write_file(path, legacy);
-
-  const WalScan scan = read_wal(path);
-  ASSERT_EQ(scan.segments.size(), 1u);
-  EXPECT_EQ(scan.segments[0].path, path);
-  EXPECT_EQ(scan.end_offset, 6u);
-  {
-    ShardWal wal(path, small_segments(), scan);
-    EXPECT_FALSE(wal.append(k1, 31, 9));   // seq from the legacy table
-    EXPECT_FALSE(wal.append(k1, 31, 10));  // seq from a legacy frame
-    EXPECT_TRUE(wal.append(k1, 31, 11));   // continues the legacy file
-    EXPECT_EQ(log_names(dir), std::vector<std::string>{"shard-0.wal"});
-    (void)fill_segments(wal, dir, 3);      // then rotates into segments
-    // By name the legacy file sorts last; by log order it is the oldest.
-    EXPECT_EQ(log_names(dir).back(), "shard-0.wal");
-    const WalScan grown = read_wal(path);
-    EXPECT_EQ(grown.segments.front().path, path);  // the legacy file is oldest
-    EXPECT_EQ(grown.frames.front().start_offset, 4u);
-    // Retiring by the low water unlinks the legacy file first.
-    wal.retire(grown.segments.front().end_offset);
-    EXPECT_FALSE(std::filesystem::exists(path));
+  write_file(path, frame_wal(data_frame(1, 0, k1, 31, 10)));
+  try {
+    (void)read_wal(path);
+    ADD_FAILURE() << "read " << path << " as a log";
+  } catch (const WalError& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
   }
-  const WalScan after = read_wal(path);
-  EXPECT_EQ(after.dropped_bytes, 0u);
-  EXPECT_EQ(after.client_seqs.at(31), 11u);
+  // A fresh log deletes it like any stale segment and starts over.
+  {
+    ShardWal wal(path, {}, WalScan{});
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_TRUE(wal.append(k1, 31, 10));
+  }
+  const WalScan scan = read_wal(path);
+  ASSERT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(scan.segments[0].path, first_segment(dir));
   std::filesystem::remove_all(dir);
 }
 

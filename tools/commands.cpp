@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -142,8 +143,8 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
   SheBloomFilter bf = [&] {
     if (!resume_path.empty()) {
       // --resume: continue from a checkpoint; sizing flags are ignored.
-      std::ifstream is(resume_path, std::ios::binary);
-      if (!is) throw std::invalid_argument("cannot open " + resume_path);
+      const CheckpointData ck = read_checkpoint_file(resume_path);
+      std::istringstream is(std::string(ck.payload.begin(), ck.payload.end()));
       BinaryReader in(is);
       return SheBloomFilter::load(in);
     }
@@ -186,10 +187,10 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
   out << "  false negatives:     " << false_negatives << "/" << checks
       << " in-window checks (must be 0)\n";
   if (!save_path.empty()) {
-    std::ofstream os(save_path, std::ios::binary);
-    if (!os) throw std::invalid_argument("cannot open " + save_path);
+    std::ostringstream os;
     BinaryWriter w(os);
     bf.save(w);
+    write_file_atomic(save_path, frame_checkpoint(bf.time(), os.str()));
     out << "  checkpoint saved to " << save_path << " (resume with --resume)\n";
   }
   return false_negatives == 0 ? 0 : 1;
@@ -529,45 +530,44 @@ int cmd_info(const ArgMap& args, std::ostream& out) {
         << stream::distinct_count(trace) << " distinct\n";
     return 0;
   }
-  if (tag == "SHCP") {
-    // A durable pipeline checkpoint: validate the frame (CRC and all),
-    // then describe the estimator payload by recursing on its own tag.
-    const CheckpointData ck = read_checkpoint_file(path);
-    out << path << ": CRC-framed pipeline checkpoint (valid)\n"
-        << "  stream offset: " << ck.stream_offset << " items, payload "
-        << ck.payload.size() << " bytes\n";
-    const std::string inner(ck.payload.data(),
-                            ck.payload.size() < 4 ? ck.payload.size() : 4);
-    out << "  payload magic: '" << inner << "'\n";
-    return 0;
+  if (tag != "SHCP") {
+    out << path << ": unknown format (magic '" << tag << "')\n";
+    return 1;
   }
+  // A CRC-framed checkpoint (a pipeline shard's or `membership --save`'s):
+  // validate the frame, then describe the payload by its own tag.
+  const CheckpointData ck = read_checkpoint_file(path);
+  out << path << ": CRC-framed checkpoint (valid)\n"
+      << "  stream offset: " << ck.stream_offset << " items, payload "
+      << ck.payload.size() << " bytes\n";
+  std::istringstream payload(std::string(ck.payload.begin(), ck.payload.end()));
+  const std::string inner = payload.str().substr(0, 4);
+  BinaryReader in(payload);
   auto describe = [&](const char* name, const SheConfig& cfg,
                       std::uint64_t time) {
-    out << path << ": " << name << " checkpoint\n";
+    out << "  " << name << " checkpoint\n";
     out << "  window=" << cfg.window << " cells=" << cfg.cells
         << " group_cells=" << cfg.group_cells << " alpha=" << cfg.alpha
         << " mark_bits=" << cfg.mark_bits << "\n";
     out << "  stream position: " << time << " items\n";
   };
-  BinaryReader in(is);
-  if (tag == "SHBF") {
+  if (inner == "SHBF") {
     auto bf = SheBloomFilter::load(in);
     describe("SHE-BF", bf.config(), bf.time());
-  } else if (tag == "SHBM") {
+  } else if (inner == "SHBM") {
     auto bm = SheBitmap::load(in);
     describe("SHE-BM", bm.config(), bm.time());
-  } else if (tag == "SHLL") {
+  } else if (inner == "SHLL") {
     auto hll = SheHyperLogLog::load(in);
     describe("SHE-HLL", hll.config(), hll.time());
-  } else if (tag == "SHCM") {
+  } else if (inner == "SHCM") {
     auto cm = SheCountMin::load(in);
     describe("SHE-CM", cm.config(), cm.time());
-  } else if (tag == "SHMH") {
+  } else if (inner == "SHMH") {
     auto mh = SheMinHash::load(in);
     describe("SHE-MH", mh.config(), mh.time());
   } else {
-    out << path << ": unknown format (magic '" << tag << "')\n";
-    return 1;
+    out << "  payload magic: '" << inner << "'\n";
   }
   return 0;
 }
@@ -773,8 +773,8 @@ int cmd_verify(const ArgMap& args, std::ostream& out) {
   // Offline scrub of a server checkpoint root (or one pipeline's
   // directory, or a single file): every checkpoint generation is parsed
   // through the same CRC-framed reader a resume uses, and every WAL is
-  // scanned frame by frame.  Anything that fails — bad magic, CRC
-  // mismatch, torn or corrupt tail bytes — is listed, counted in
+  // scanned once across its segments, as resume scans it.  Anything that
+  // fails — bad magic, CRC mismatch, a log cut short — is listed, counted in
   // she_scrub_corrupt_total, and makes the exit status nonzero, so a cron
   // job can page before a failover discovers the damage the hard way.
   namespace fs = std::filesystem;
@@ -802,11 +802,15 @@ int cmd_verify(const ArgMap& args, std::ostream& out) {
     std::sort(paths.begin(), paths.end());
   }
 
+  // WAL segments group under their log's name; any other *.wal is a log
+  // name of its own, which read_wal refuses as a resume would.
+  std::set<std::string> logs;
+
   std::uint64_t scanned = 0, frames = 0, corrupt = 0;
-  const auto note = [&](const fs::path& p, const std::string& why) {
+  const auto note = [&](const std::string& p, const std::string& why) {
     ++corrupt;
     corrupt_total.inc();
-    if (!json) out << "CORRUPT  " << p.string() << ": " << why << "\n";
+    if (!json) out << "CORRUPT  " << p << ": " << why << "\n";
   };
   for (const fs::path& p : paths) {
     const std::string name = p.filename().string();
@@ -820,28 +824,30 @@ int cmd_verify(const ArgMap& args, std::ostream& out) {
               << ck.stream_offset << ", " << ck.payload.size()
               << " payload bytes\n";
       } catch (const CheckpointError& e) {
-        note(p, e.what());
+        note(p.string(), e.what());
       }
-    } else if (name.size() >= 4 && name.ends_with(".wal")) {
+    } else if (name.ends_with(".wal")) {
       ++scanned;
-      try {
-        const WalScan scan = read_wal(p.string());
-        frames += scan.frames.size();
-        if (scan.dropped_bytes > 0) {
-          note(p, std::to_string(scan.dropped_bytes) +
-                      " torn/corrupt tail bytes after a valid prefix of " +
-                      std::to_string(scan.valid_bytes));
-        } else if (!json && !quiet) {
-          out << "ok       " << p.string() << ": wal, "
-              << scan.frames.size() << " data frames, end offset "
-              << scan.end_offset << "\n";
-        }
-      } catch (const WalError& e) {
-        note(p, e.what());
-      }
+      logs.insert(wal_log_name(p.string()));
     }
     // Everything else (traces, tmp files, foreign data) is not ours to
     // judge; skip it silently.
+  }
+  for (const std::string& log : logs) {
+    try {
+      const WalScan scan = read_wal(log);
+      frames += scan.frames.size();
+      if (scan.dropped_bytes > 0) {
+        note(log, std::to_string(scan.dropped_bytes) +
+                      " torn/corrupt bytes after a valid prefix of " +
+                      std::to_string(scan.valid_bytes));
+      } else if (!json && !quiet) {
+        out << "ok       " << log << ": wal, " << scan.frames.size()
+            << " data frames, end offset " << scan.end_offset << "\n";
+      }
+    } catch (const WalError& e) {
+      note(log, e.what());
+    }
   }
 
   if (json) {
@@ -892,8 +898,8 @@ std::string usage() {
       "               [--memory BYTES] [--algo bitmap|hll] [--top K]\n"
       "               [--query-every N] [--format prom|json] [--out FILE]\n"
       "               (replay with telemetry on, dump SHE-internals metrics)\n"
-      "  info         --file FILE   (trace, estimator checkpoint, or\n"
-      "               CRC-framed pipeline checkpoint — frames are\n"
+      "  info         --file FILE   (trace, or CRC-framed checkpoint from\n"
+      "               a pipeline or membership --save — frames are\n"
       "               validated before being described)\n"
       "  client       --op ping|create|insert|bulk|query|stats|drop|save|\n"
       "               flush|list|shutdown|promote [--host A] [--port N]\n"
@@ -914,9 +920,9 @@ std::string usage() {
       "               standby server rotates the request to the next one)\n"
       "  verify       --dir DIR [--json] [--quiet]\n"
       "               (offline CRC scrub of a checkpoint root: validates\n"
-      "               every checkpoint generation and WAL frame; lists\n"
-      "               damage, counts it in she_scrub_corrupt_total, and\n"
-      "               exits 1 when anything is corrupt)\n"
+      "               every checkpoint frame and scans each WAL across its\n"
+      "               segments as resume does; lists damage, counts it in\n"
+      "               she_scrub_corrupt_total, exits 1 if any is corrupt)\n"
       "  trace        [--out FILE (default trace.json)] [--count N]\n"
       "               [--queries N] [--spec \"window=64K ...\"]\n"
       "               (traced in-process server replay; writes Chrome\n"

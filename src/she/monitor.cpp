@@ -16,10 +16,11 @@ struct Split {
   std::size_t similarity = 0;
 };
 
-/// `x` as a count, saturated: a hostile budget or cardinality hint read
-/// from a stream must not overflow the conversion.
+/// `x` as a count, saturated low enough that plan()'s `* 8` cannot wrap
+/// either: a hostile budget or cardinality hint read from a stream must
+/// not overflow the geometry maths.
 std::size_t to_size(double x) {
-  constexpr double kMax = 0x1p62;
+  constexpr double kMax = 0x1p58;
   return static_cast<std::size_t>(x < kMax ? x : kMax);  // NaN saturates
 }
 
@@ -124,9 +125,6 @@ void MonitorConfig::validate() const {
     throw std::invalid_argument("MonitorConfig: enable at least one task");
   if (heavy_hitter_slots == 0)
     throw std::invalid_argument("MonitorConfig: heavy_hitter_slots must be > 0");
-  if (heavy_hitter_slots > memory_bytes / 16)
-    throw std::invalid_argument(
-        "MonitorConfig: heavy_hitter_slots (16 bytes each) exceed the budget");
 }
 
 StreamMonitor::StreamMonitor(const MonitorConfig& cfg) : cfg_(cfg) {
@@ -335,7 +333,7 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
   // stream, which bounds its cells by the bytes left, and must then have
   // the geometry those fields plan.  The candidate table is sized from
   // heavy_hitter_slots only once the frequency sketch has pinned the
-  // budget that validate() bounds the slots by.
+  // budget, and only if it holds no more slots than the budget has bytes.
   const Plan p = while_loading([&] {
     cfg.validate();
     return plan(cfg);
@@ -357,6 +355,11 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
   if (p.hll) mon.card_hll_ = planned(SheHyperLogLog::load(in), *p.hll);
   if (p.frequency) {
     SheCountMin sketch = planned(SheCountMin::load(in), *p.frequency);
+    if (cfg.heavy_hitter_slots > cfg.memory_bytes)
+      throw SerializeError("StreamMonitor: " +
+                           std::to_string(cfg.heavy_hitter_slots) +
+                           " heavy-hitter slots exceed the " +
+                           std::to_string(cfg.memory_bytes) + "-byte budget");
     // The table never holds more than its capacity; check before sizing
     // a vector from an untrusted count.
     const std::uint64_t count = in.u64();

@@ -103,7 +103,10 @@ class StreamMonitor {
   /// above, cfg.memory_bytes).
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Checkpoint / restore the whole monitor.
+  /// Checkpoint / restore the whole monitor.  load() throws
+  /// SerializeError for a malformed stream, and for a frequency-tracking
+  /// monitor with more heavy_hitter_slots than memory_bytes: the budget
+  /// is the only bound a stream gives the table it sizes.
   void save(BinaryWriter& out) const;
   static StreamMonitor load(BinaryReader& in);
 

@@ -2,6 +2,7 @@
 // *identical* answers, and corrupted streams must be rejected loudly.
 #include <bit>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -357,6 +358,50 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
       BinaryReader pr(in);
       EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
       EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
+    }
+    // A table wider than its budget over 16 bytes a slot still round-trips;
+    // only more slots than budget bytes are refused.
+    {
+      MonitorConfig wide = mcfg;
+      wide.heavy_hitter_slots = mcfg.memory_bytes / 8;
+      StreamMonitor m(wide);
+      for (auto k : stream::distinct_trace(mcfg.window, 4)) m.insert(k);
+      std::stringstream wss;
+      BinaryWriter ww(wss);
+      m.save(ww);
+      BinaryReader wr(wss);
+      const StreamMonitor back = StreamMonitor::load(wr);
+      EXPECT_EQ(back.config().heavy_hitter_slots, wide.heavy_hitter_slots);
+      const auto top = back.report(5).top, want = m.report(5).top;
+      ASSERT_EQ(top.size(), want.size());
+      for (std::size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].key, want[i].key);
+        EXPECT_EQ(top[i].estimate, want[i].estimate);
+      }
+    }
+    // A saturated budget must not wrap plan()'s `* 8` round to a small
+    // plan: a membership-only header claiming a 2^64-byte budget over a
+    // 1024-cell filter is refused.
+    {
+      SheConfig c;
+      c.window = mcfg.window;
+      c.cells = 1024;
+      c.group_cells = 64;
+      std::stringstream hss;
+      BinaryWriter hw(hss);
+      hw.tag("SMN2");
+      hw.u64(mcfg.window);
+      hw.u64(std::numeric_limits<std::uint64_t>::max());  // memory_bytes
+      for (const std::uint8_t flag : {1, 0, 0, 0}) hw.u8(flag);
+      hw.f64(0);   // expected cardinality
+      hw.u64(64);  // heavy_hitter_slots
+      hw.u32(0);   // seed
+      hw.u8(0);    // track_similarity
+      hw.u64(0);   // similarity_slots
+      hw.u64(0);   // time
+      SheBloomFilter(c, 8).save(hw);
+      BinaryReader pr(hss);
+      EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
     }
     // The pre-similarity "SMON" layout is no longer read.
     std::string smon = data;

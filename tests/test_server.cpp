@@ -362,6 +362,29 @@ TEST(PipelineManager, ResumeAllRestoresState) {
   EXPECT_EQ(mgr3.size(), 1u);
 }
 
+TEST(PipelineManager, ResumeKeepsATableWiderThanEachShardsBudget) {
+  // Each shard gets memory/shards of the budget but the whole hh-slots
+  // table: 8192 slots of 16 bytes outgrow a 64 KiB shard, and the spec
+  // still creates and resumes.
+  const std::string root = temp_dir("mgr_resume_wide_table");
+  const std::string spec = "window=8K memory=128K shards=2 hh-slots=8192";
+  std::vector<std::uint64_t> keys(20000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i % 3000;
+  double card = 0;
+  {
+    PipelineManager mgr({root, 2, false});
+    auto e = mgr.create("wide", spec);
+    EXPECT_EQ(e->insert_bulk(keys), keys.size());
+    ASSERT_TRUE(e->monitor().save_now());
+    card = e->monitor().report(0).cardinality.value();
+    mgr.close_all();
+  }
+  PipelineManager mgr2({root, 2, /*resume=*/true});
+  auto e = mgr2.find("wide");
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->monitor().report(0).cardinality.value(), card);
+}
+
 TEST(PipelineManager, ResumeAllUpgradesPersistedPolicySpecs) {
   // Spec files written before the shedding policies were removed: one that
   // spells out `policy=block` (the only behaviour left) keeps resuming; one

@@ -24,6 +24,14 @@
 // whichever reader drops the last view, and glibc keeps such memory in the
 // arena of the thread that first allocated it, so the resident set grows
 // instead of being reused.
+//
+// The pool gives cold frames back to the kernel.  frames::trim() releases
+// (madvise(MADV_DONTNEED)) every frame that stayed free since the previous
+// trim; a released frame keeps its place in the pool and is handed out
+// again, zero-filled by the kernel, once no resident free frame is left.
+// Nothing on the acquire, recycle or clone path makes a syscall: a
+// long-running process calls trim() from a housekeeping thread (she_server
+// does, about once per second).
 #pragma once
 
 #include <algorithm>
@@ -48,7 +56,6 @@ inline constexpr std::size_t kBytes = 4096;
 /// A frame's control block: its reference count and its storage.
 struct Frame {
   std::atomic<std::uint32_t> refs{0};
-  Frame* next_free = nullptr;  // free-list link while pooled
   std::byte* bytes = nullptr;  // kBytes, 4 KiB aligned
 };
 
@@ -64,10 +71,16 @@ inline void release(Frame* f) {
   if (f->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) recycle(f);
 }
 
-/// Frames the pool has carved so far, and how many of them are free.
+/// Release to the kernel every frame that stayed free since the previous
+/// call; returns how many.  Does nothing where a page is not 4 KiB.
+std::size_t trim();
+
+/// Frames the pool has carved so far, how many are free and resident, and
+/// how many are free and released; the rest are in use.
 struct PoolStats {
   std::size_t frames = 0;
   std::size_t free = 0;
+  std::size_t released = 0;
 };
 [[nodiscard]] PoolStats pool_stats();
 

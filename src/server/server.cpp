@@ -22,14 +22,20 @@
 
 #include "common/build_info.hpp"
 #include "common/checkpoint.hpp"
+#include "common/paged_array.hpp"
 #include "obs/export.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "server/http.hpp"
+#include "she/group_clock.hpp"
 
 namespace she::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// How often the accept loop hands cell frames that stayed free for a whole
+/// interval back to the kernel (frames::trim()).
+constexpr auto kFrameTrimInterval = std::chrono::seconds(1);
 
 /// Self-pipe write end for the process signal handler.  One server per
 /// process may install handlers; enforced in install_signal_handlers().
@@ -188,6 +194,18 @@ SheServer::SheServer(ServerOptions opt)
       "mid-operation");
   inflight_gauge_ = &registry_.gauge(
       "she_server_inflight_requests", "requests currently being dispatched");
+  const char* const frame_help =
+      "4 KiB estimator cell frames, by state: in use, free and resident, or "
+      "free and released to the kernel";
+  frames_in_use_ = &registry_.gauge("she_frame_pool_frames", frame_help,
+                                    {{"state", "in_use"}});
+  frames_free_ = &registry_.gauge("she_frame_pool_frames", frame_help,
+                                  {{"state", "free"}});
+  frames_released_ = &registry_.gauge("she_frame_pool_frames", frame_help,
+                                      {{"state", "released"}});
+  offset_table_bytes_ = &registry_.gauge(
+      "she_group_offset_table_bytes",
+      "bytes of group-clock offset tables, one per live (groups, tcycle)");
   registry_
       .gauge("she_build_info",
              "constant 1; build metadata carried in the labels",
@@ -397,12 +415,21 @@ void SheServer::reap_finished() {
 }
 
 void SheServer::accept_loop() {
+  Clock::time_point next_trim = Clock::now() + kFrameTrimInterval;
   for (;;) {
     reap_finished();
+    const Clock::time_point now = Clock::now();
+    if (now >= next_trim) {
+      frames::trim();
+      next_trim = now + kFrameTrimInterval;
+    }
+    // Wake at least every 500 ms to reap, and in time for the next trim.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(next_trim - now);
     pollfd fds[3] = {{listen_fd_, POLLIN, 0},
                      {stop_pipe_[0], POLLIN, 0},
                      {promote_pipe_[0], POLLIN, 0}};
-    const int r = ::poll(fds, 3, 500);
+    const int r =
+        ::poll(fds, 3, static_cast<int>(std::min<std::int64_t>(wait.count(), 500)));
     if (r < 0) {
       if (errno == EINTR) continue;
       break;
@@ -690,8 +717,15 @@ void SheServer::handle_http(std::uint64_t id, int fd) {
 }
 
 std::string SheServer::render_metrics() const {
-  // pipelines gauge is refreshed lazily, at export time.
+  // The pipelines and memory gauges are refreshed lazily, at export time.
   pipelines_gauge_->set(static_cast<std::int64_t>(manager_.size()));
+  const frames::PoolStats pool = frames::pool_stats();
+  frames_in_use_->set(
+      static_cast<std::int64_t>(pool.frames - pool.free - pool.released));
+  frames_free_->set(static_cast<std::int64_t>(pool.free));
+  frames_released_->set(static_cast<std::int64_t>(pool.released));
+  offset_table_bytes_->set(
+      static_cast<std::int64_t>(GroupClock::shared_offset_bytes()));
   const PipelineManager::ExportSet exported = manager_.export_registries();
   std::vector<obs::LabeledRegistry> regs;
   regs.reserve(2 + exported.registries.size());

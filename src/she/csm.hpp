@@ -573,19 +573,20 @@ class SlidingEstimator {
   }
 
   /// Throws SerializeError on a malformed stream, before sizing anything
-  /// from a config whose cells the stream does not hold.
+  /// from a config whose cells the stream does not hold, or from a clock
+  /// whose geometry differs from the config's.
   static SlidingEstimator load(BinaryReader& in) {
     in.expect_tag(Policy::kTag);
     const SheConfig cfg = SheConfig::load(in);
     Policy policy = Policy::load(in, cfg);
     in.expect_remaining(Store::saved_bytes(cfg.cells));
+    const std::uint64_t time = in.u64();
+    GroupClock clock =
+        GroupClock::load(in, cfg.groups(), cfg.tcycle(), cfg.mark_bits);
     SlidingEstimator est = while_loading(
         [&] { return SlidingEstimator(cfg, std::move(policy)); });
-    est.time_ = in.u64();
-    est.clock_ = GroupClock::load(in);
-    if (est.clock_.groups() != cfg.groups())
-      throw SerializeError(std::string(Policy::kName) +
-                           "::load: shape mismatch");
+    est.time_ = time;
+    est.clock_ = std::move(clock);
     est.store_.load(in);
     return est;
   }

@@ -1,6 +1,9 @@
 #include "she/group_clock.hpp"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 #include "common/int_math.hpp"
 #include "common/simd.hpp"
@@ -12,18 +15,90 @@
 
 namespace she {
 
+namespace {
+
+using OffsetTable = std::vector<std::int64_t>;
+
+/// The process's offset tables, one per (groups, tcycle): every clock of a
+/// geometry shares one immutable table, and an entry dies with the last
+/// clock holding it.
+class OffsetTables {
+ public:
+  std::shared_ptr<const OffsetTable> get(std::size_t groups,
+                                         std::uint64_t tcycle) {
+    const Key key{groups, tcycle};
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const auto it = tables_.find(key);
+      if (it != tables_.end())
+        if (auto live = it->second.table.lock()) return live;
+    }
+    // Built outside the lock, whose holder a table's deleter would wait on.
+    // d_gid = -floor(Tcycle * gid / G); gid < G keeps the magnitude below
+    // Tcycle.  Cached: recomputing costs a 64-bit division on every access.
+    auto built = std::make_unique<OffsetTable>(groups);
+    for (std::size_t gid = 0; gid < groups; ++gid)
+      (*built)[gid] = -static_cast<std::int64_t>(tcycle * gid / groups);
+    const std::shared_ptr<const OffsetTable> table(
+        built.release(), [this, key](const OffsetTable* t) {
+          forget(key);
+          delete t;
+        });
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry& e = tables_[key];
+    // Another clock of this geometry may have won the race; `table` then
+    // dies after the unlock.
+    if (auto live = e.table.lock()) return live;
+    e = {table, groups * sizeof(std::int64_t)};
+    return table;
+  }
+
+  std::size_t bytes() {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::size_t n = 0;
+    for (const auto& [key, e] : tables_)
+      if (!e.table.expired()) n += e.bytes;
+    return n;
+  }
+
+ private:
+  using Key = std::pair<std::size_t, std::uint64_t>;
+  struct Entry {
+    std::weak_ptr<const OffsetTable> table;
+    // Kept here because bytes() must not lock() a table: under mu_ it could
+    // become the table's last owner, whose deleter waits on mu_.
+    std::size_t bytes = 0;
+  };
+
+  void forget(const Key& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = tables_.find(key);
+    // A newer table of the geometry may already sit in the slot.
+    if (it != tables_.end() && it->second.table.expired()) tables_.erase(it);
+  }
+
+  std::mutex mu_;
+  std::map<Key, Entry> tables_;
+};
+
+// Never destroyed, so a clock that outlives static destruction can still
+// drop its table.
+OffsetTables& offset_tables() {
+  static OffsetTables* t = new OffsetTables;
+  return *t;
+}
+
+}  // namespace
+
 GroupClock::GroupClock(std::size_t groups, std::uint64_t tcycle, unsigned mark_bits)
     : tcycle_(tcycle), marks_(groups, mark_bits) {
   if (groups == 0) throw std::invalid_argument("GroupClock: groups must be > 0");
   if (tcycle == 0) throw std::invalid_argument("GroupClock: tcycle must be > 0");
-  // d_gid = -floor(Tcycle * gid / G); gid < G keeps the magnitude below
-  // Tcycle.  Cached: recomputing costs a 64-bit division on every access.
-  auto offsets = std::make_shared<std::vector<std::int64_t>>(groups);
-  for (std::size_t gid = 0; gid < groups; ++gid)
-    (*offsets)[gid] = -static_cast<std::int64_t>(tcycle * gid / groups);
-  offsets_ = std::move(offsets);
+  offsets_ = offset_tables().get(groups, tcycle);
   reset();
 }
+
+std::size_t GroupClock::shared_offset_bytes() { return offset_tables().bytes(); }
 
 std::uint64_t GroupClock::current_mark(std::size_t gid, std::uint64_t t) const {
   std::int64_t shifted = static_cast<std::int64_t>(t) + offset(gid);
@@ -274,11 +349,15 @@ void GroupClock::save(BinaryWriter& out) const {
   marks_.save(out);
 }
 
-GroupClock GroupClock::load(BinaryReader& in) {
+GroupClock GroupClock::load(BinaryReader& in, std::size_t groups,
+                            std::uint64_t tcycle, unsigned mark_bits) {
   in.expect_tag("GCLK");
-  std::uint64_t tcycle = in.u64();
+  if (in.u64() != tcycle)
+    throw SerializeError("GroupClock::load: tcycle mismatch");
   PackedArray marks = PackedArray::load(in);
-  GroupClock clock(marks.size(), tcycle, marks.cell_bits());
+  if (marks.size() != groups || marks.cell_bits() != mark_bits)
+    throw SerializeError("GroupClock::load: mark shape mismatch");
+  GroupClock clock(groups, tcycle, mark_bits);
   clock.marks_ = std::move(marks);
   return clock;
 }

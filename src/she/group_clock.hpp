@@ -53,9 +53,12 @@ class GroupClock {
   /// Fixed offset of a group: d_gid = -floor(Tcycle * gid / G) <= 0.
   [[nodiscard]] std::int64_t offset(std::size_t gid) const { return (*offsets_)[gid]; }
 
-  /// The cached offset table.  Immutable and shared: copies of a clock
-  /// (every published estimator view) point at the same buffer.
+  /// The cached offset table.  Immutable and shared: every clock of one
+  /// (groups, tcycle) geometry in the process points at the same buffer.
   [[nodiscard]] const std::int64_t* offsets_data() const { return offsets_->data(); }
+
+  /// Bytes of the offset tables live clocks share, each counted once.
+  [[nodiscard]] static std::size_t shared_offset_bytes();
 
   /// Warm the cache line holding group `gid`'s mark.  CheckGroup reads the
   /// mark before the cell, so batched inserts prefetch both; `write` is
@@ -189,9 +192,12 @@ class GroupClock {
   /// Reset every mark to the state at time 0 (used by estimator clear()).
   void reset();
 
-  /// Checkpoint to / restore from a binary stream.
+  /// Checkpoint to / restore from a binary stream.  load() reads a clock
+  /// of the given geometry; it throws SerializeError, before building
+  /// anything, when the stream's tcycle, group count or mark width differ.
   void save(BinaryWriter& out) const;
-  static GroupClock load(BinaryReader& in);
+  static GroupClock load(BinaryReader& in, std::size_t groups,
+                         std::uint64_t tcycle, unsigned mark_bits);
 
  private:
   /// Slow path of touch_precomputed(): store the new mark and account the
@@ -199,8 +205,10 @@ class GroupClock {
   void record_clean(std::size_t gid, std::uint64_t cur);
 
   std::uint64_t tcycle_;
-  // One int64 per group — as large as a SHE-BF's bit array — so copies
-  // share it instead of duplicating it on every publish.
+  // One int64 per group — as large as a SHE-BF's bit array — so it is
+  // never copied: a process-wide registry hands every clock of this
+  // (groups, tcycle) the same table (every shard, view, resumed estimator
+  // and same-spec pipeline), and drops it with the last one.
   std::shared_ptr<const std::vector<std::int64_t>> offsets_;
   PackedArray marks_;
 };

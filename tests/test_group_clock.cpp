@@ -136,13 +136,13 @@ TEST(GroupClock, CopiesShareTheOffsetTable) {
   EXPECT_EQ(c.offsets_data(), a.offsets_data());
   EXPECT_EQ(b.memory_bytes(), a.memory_bytes());
 
-  // A loaded clock rebuilds its own table with the same values.
+  // A loaded clock takes the same table from the registry.
   std::stringstream ss;
   BinaryWriter w(ss);
   a.save(w);
   BinaryReader r(ss);
-  const GroupClock loaded = GroupClock::load(r);
-  EXPECT_NE(loaded.offsets_data(), a.offsets_data());
+  const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 2);
+  EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
 
   constexpr std::size_t kN = 256;
   std::vector<std::uint32_t> gids(kN);
@@ -176,6 +176,59 @@ TEST(GroupClock, CopiesShareTheOffsetTable) {
   }
   EXPECT_GT(differ, 0u);
   EXPECT_EQ(d.offsets_data(), a.offsets_data());
+}
+
+// Every clock of one (groups, tcycle) geometry shares one offset table,
+// whatever its mark width and however it was built; other geometries get
+// their own, and the registry drops a table with its last clock.
+TEST(GroupClock, OneOffsetTablePerGeometry) {
+  constexpr std::size_t kGroups = 777;
+  constexpr std::uint64_t kTcycle = 12345;
+  constexpr std::size_t kTable = kGroups * sizeof(std::int64_t);
+  const std::size_t baseline = GroupClock::shared_offset_bytes();
+  {
+    const GroupClock a(kGroups, kTcycle, 1);
+    EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline + kTable);
+    const GroupClock b(kGroups, kTcycle, 4);
+    EXPECT_EQ(b.offsets_data(), a.offsets_data());
+
+    std::stringstream ss;
+    BinaryWriter w(ss);
+    a.save(w);
+    BinaryReader r(ss);
+    const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 1);
+    EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
+    EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline + kTable);
+
+    const GroupClock more_groups(kGroups + 1, kTcycle);
+    const GroupClock other_cycle(kGroups, kTcycle + 1);
+    EXPECT_NE(more_groups.offsets_data(), a.offsets_data());
+    EXPECT_NE(other_cycle.offsets_data(), a.offsets_data());
+    EXPECT_EQ(other_cycle.offset(kGroups - 1),
+              -static_cast<std::int64_t>((kTcycle + 1) * (kGroups - 1) / kGroups));
+    EXPECT_EQ(GroupClock::shared_offset_bytes(),
+              baseline + 2 * kTable + (kGroups + 1) * sizeof(std::int64_t));
+  }
+  EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline);
+}
+
+// load() takes only a clock of the geometry it is asked for.
+TEST(GroupClock, LoadRejectsAnotherGeometry) {
+  const GroupClock a(64, 1000, 2);
+  std::stringstream ss;
+  BinaryWriter w(ss);
+  a.save(w);
+  const std::string bytes = ss.str();
+  const auto load = [&](std::size_t groups, std::uint64_t tcycle,
+                        unsigned bits) {
+    std::stringstream in(bytes);
+    BinaryReader r(in);
+    return GroupClock::load(r, groups, tcycle, bits);
+  };
+  EXPECT_NO_THROW(load(64, 1000, 2));
+  EXPECT_THROW(load(65, 1000, 2), SerializeError);
+  EXPECT_THROW(load(64, 1001, 2), SerializeError);
+  EXPECT_THROW(load(64, 1000, 1), SerializeError);
 }
 
 // Parameterized consistency sweep: for arbitrary (G, Tcycle) geometry, the

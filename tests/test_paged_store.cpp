@@ -8,8 +8,13 @@
 //
 // for each of the five estimators and for StreamMonitor, natively and with
 // the SIMD kernels forced scalar.  The frame pool is checked too: frames
-// drawn by a lineage of estimators and views all come back.
+// drawn by a lineage of estimators and views all come back, and frames
+// that stay free a whole trim interval go back to the kernel.
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -289,7 +294,7 @@ TEST(PagedStore, PackedCellsMatchTheFlatLayout) {
 TEST(PagedStore, FramePoolAccounting) {
   const auto in_use = [] {
     const frames::PoolStats s = frames::pool_stats();
-    return s.frames - s.free;
+    return s.frames - s.free - s.released;
   };
   const std::size_t baseline = in_use();
   std::size_t carved = 0;
@@ -313,6 +318,87 @@ TEST(PagedStore, FramePoolAccounting) {
     if (round > 1) {
       EXPECT_EQ(frames::pool_stats().frames, carved) << "round " << round;
     }
+    // Odd rounds start from released frames only: reusing them carves
+    // nothing either.
+    if (round % 2 == 0) {
+      frames::trim();
+      frames::trim();
+    }
+  }
+}
+
+// Whether the page holding `p` is resident.
+bool resident(const void* p) {
+  unsigned char vec = 0;
+  EXPECT_EQ(::mincore(const_cast<void*>(p), frames::kBytes, &vec), 0);
+  return (vec & 1) != 0;
+}
+
+// Leave the pool with released frames only (a few at least): the first
+// trim ends an interval, so the second finds every free frame cold.
+void release_all_free() {
+  std::vector<frames::Frame*> some(8);
+  for (frames::Frame*& f : some) f = frames::acquire();
+  for (frames::Frame* f : some) frames::release(f);
+  frames::trim();
+  frames::trim();
+  ASSERT_EQ(frames::pool_stats().free, 0u);
+}
+
+bool releases_frames() { return ::sysconf(_SC_PAGESIZE) == 4096; }
+
+// A frame that stays free through one whole trim interval goes back to the
+// kernel; the trim that ends the interval it was recycled in keeps it.
+TEST(FramePool, TrimReleasesFramesFreeForAWholeInterval) {
+  if (!releases_frames()) GTEST_SKIP() << "pages are not 4 KiB";
+  frames::Frame* f = frames::acquire();
+  std::memset(f->bytes, 0xab, frames::kBytes);
+  frames::release(f);
+  ASSERT_TRUE(resident(f->bytes));
+  frames::trim();  // f was acquired in this interval
+  EXPECT_TRUE(resident(f->bytes));
+  const std::size_t released = frames::pool_stats().released;
+  EXPECT_GT(frames::trim(), 0u);  // f sat free through the whole interval
+  EXPECT_FALSE(resident(f->bytes));
+  EXPECT_GT(frames::pool_stats().released, released);
+}
+
+// A frame acquired during the interval is not released, and it is the
+// next frame handed out.
+TEST(FramePool, TrimKeepsFramesUsedInTheInterval) {
+  if (!releases_frames()) GTEST_SKIP() << "pages are not 4 KiB";
+  release_all_free();
+  frames::Frame* f = frames::acquire();  // a released frame, faulted back in
+  std::memset(f->bytes, 0xcd, frames::kBytes);
+  frames::release(f);
+  EXPECT_EQ(frames::trim(), 0u);
+  EXPECT_TRUE(resident(f->bytes));
+  frames::Frame* again = frames::acquire();
+  EXPECT_EQ(again, f);
+  EXPECT_EQ(again->bytes[frames::kBytes - 1], std::byte{0xcd});
+  frames::release(again);
+}
+
+// Released frames are handed out again once no resident frame is left:
+// building an array and cloning a shared frame both draw them, and every
+// element reads back.
+TEST(FramePool, ReleasedFramesCloneAndReadBack) {
+  if (!releases_frames()) GTEST_SKIP() << "pages are not 4 KiB";
+  release_all_free();
+  const std::size_t released = frames::pool_stats().released;
+  ASSERT_GE(released, 4u);
+  using Array = PagedArray<std::uint32_t>;
+  constexpr std::size_t kN = 3 * Array::kPerFrame;
+  Array a(kN, 7);
+  for (std::size_t i = 0; i < kN; i += 5) a.at(i) = static_cast<std::uint32_t>(i);
+  Array b = a;
+  b.own(Array::kPerFrame + 1);  // clones the middle frame
+  b.at(Array::kPerFrame + 1) = 99;
+  EXPECT_EQ(frames::pool_stats().released, released - 4);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const std::uint32_t want = i % 5 == 0 ? static_cast<std::uint32_t>(i) : 7;
+    ASSERT_EQ(a.get(i), want) << i;
+    ASSERT_EQ(b.get(i), i == Array::kPerFrame + 1 ? 99u : want) << i;
   }
 }
 

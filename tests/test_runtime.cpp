@@ -717,9 +717,11 @@ TEST(ConcurrentMonitor, QueriesUnderLoadStayWithinSingleThreadBounds) {
 // Readers query the published views while both shard workers publish
 // after every item, so each write clones cell frames that a view still
 // shares and frames freed by readers are recycled under the writers (the
-// tsan legs run this under ThreadSanitizer).  The final state of each
-// shard equals a sequential reference, byte for byte.
-TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
+// tsan legs run this under ThreadSanitizer).  With `trim`, one more thread
+// hands free frames back to the kernel all the while, so writers also
+// clone into released frames.  The final state of each shard equals a
+// sequential reference, byte for byte.
+void readers_while_publishing_every_item(bool trim) {
   MonitorConfig mcfg;
   mcfg.window = 1 << 12;
   mcfg.memory_bytes = 256 << 10;
@@ -753,6 +755,15 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
       EXPECT_GT(answers, 0u);
     });
   }
+  std::size_t released = 0;
+  if (trim) {
+    readers.emplace_back([&] {
+      while (!done.load(std::memory_order_acquire)) {
+        released += frames::trim();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
   // Ingest only once both readers run: a reader scheduled after the whole
   // stream was pushed would read nothing while the workers publish.
   while (started.load(std::memory_order_acquire) < 2) std::this_thread::yield();
@@ -760,6 +771,13 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
   ASSERT_TRUE(mon.flush());
   done.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
+  if (trim) {
+    // The readers' snapshots are gone: their frames sit free a whole
+    // interval.
+    frames::trim();
+    released += frames::trim();
+    EXPECT_GT(released, 0u);
+  }
   mon.close();
 
   for (std::size_t s = 0; s < 2; ++s) {
@@ -780,12 +798,20 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
   }
 }
 
+TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
+  readers_while_publishing_every_item(false);
+}
+
+TEST(ConcurrentMonitor, FrameTrimsRacePublishesAndReaders) {
+  readers_while_publishing_every_item(true);
+}
+
 // A create/ingest/read/close loop returns every cell frame to the pool,
 // and reuses pooled frames instead of carving new ones round after round.
 TEST(ConcurrentMonitor, CreateDropLoopReusesPooledFrames) {
   const auto in_use = [] {
     const frames::PoolStats s = frames::pool_stats();
-    return s.frames - s.free;
+    return s.frames - s.free - s.released;
   };
   const std::size_t baseline = in_use();
   std::size_t carved = 0;

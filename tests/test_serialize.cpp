@@ -1,6 +1,7 @@
 // Serialization tests: checkpoint/restore round-trips must resume with
 // *identical* answers, and corrupted streams must be rejected loudly.
 #include <bit>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -265,6 +266,82 @@ TEST(Serialize, SheMinHashResumesIdentically) {
   BinaryReader r(ss);
   SheMinHash a2 = SheMinHash::load(r);
   EXPECT_DOUBLE_EQ(SheMinHash::jaccard(a, b), SheMinHash::jaccard(a2, b));
+}
+
+// A SHE-BF image of 16 groups with 1-bit marks, and where its GCLK section
+// sits: tag, tcycle, then the marks' PAKD tag, count, width, word vector.
+struct ClockImage {
+  std::string data;
+  std::size_t tcycle_at = 0, count_at = 0, bits_at = 0, words_at = 0;
+  std::uint64_t words = 0;
+
+  ClockImage() {
+    SheConfig cfg;
+    cfg.window = 100;
+    cfg.cells = 1024;
+    cfg.group_cells = 64;
+    cfg.alpha = 1.0;
+    SheBloomFilter bf(cfg, 4);
+    for (std::uint64_t k = 0; k < 300; ++k) bf.insert(k);
+    std::stringstream ss;
+    BinaryWriter w(ss);
+    bf.save(w);
+    data = ss.str();
+    tcycle_at = data.find("GCLK") + 4;
+    const std::size_t pakd = tcycle_at + 8;
+    count_at = pakd + 4;
+    bits_at = count_at + 8;
+    words_at = bits_at + 4;  // the vector's length, then its words
+    std::memcpy(&words, data.data() + words_at, sizeof words);
+  }
+
+  static void load(const std::string& bytes) {
+    std::stringstream in(bytes);
+    BinaryReader r(in);
+    (void)SheBloomFilter::load(r);
+  }
+};
+
+// A clock whose cycle is not the config's Tcycle is malformed: a cycle of 7
+// or 2^62 does not load silently (tcycle * gid would wrap at 2^62), and a
+// cycle of 0 fails as malformed input, not as std::invalid_argument.
+TEST(Serialize, ClockTcycleCheckedAgainstConfig) {
+  const ClockImage img;
+  ASSERT_NO_THROW(ClockImage::load(img.data));
+  for (const std::uint64_t tcycle :
+       {std::uint64_t{7}, std::uint64_t{1} << 62, std::uint64_t{0}}) {
+    SCOPED_TRACE(tcycle);
+    std::string patched = img.data;
+    put_le(patched.data() + img.tcycle_at, tcycle);
+    EXPECT_THROW(ClockImage::load(patched), SerializeError);
+  }
+}
+
+// A clock with more groups than the config is rejected before anything is
+// sized from its mark count: 2 MiB of 1-bit marks would otherwise build a
+// 128 MiB offset table before the shape check.
+TEST(Serialize, ClockGroupCountCheckedAgainstConfig) {
+  const ClockImage img;
+  constexpr std::uint64_t kWords = std::uint64_t{1} << 18;
+  std::string patched = img.data.substr(0, img.count_at);
+  patched.append(8 + 4 + 8, '\0');
+  put_le(patched.data() + img.count_at, kWords * 64);
+  put_le<std::uint32_t>(patched.data() + img.bits_at, 1);
+  put_le(patched.data() + img.words_at, kWords);
+  patched.append(kWords * 8, '\0');
+  patched.append(img.data, img.words_at + 8 + img.words * 8);
+  reset_peak_rss();
+  const std::uint64_t before = peak_rss_kib();
+  EXPECT_THROW(ClockImage::load(patched), SerializeError);
+  EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
+}
+
+// Marks wider than the config's mark_bits (same word count) are malformed.
+TEST(Serialize, ClockMarkBitsCheckedAgainstConfig) {
+  const ClockImage img;
+  std::string patched = img.data;
+  put_le<std::uint32_t>(patched.data() + img.bits_at, 2);
+  EXPECT_THROW(ClockImage::load(patched), SerializeError);
 }
 
 TEST(Serialize, CorruptedEstimatorStreamRejected) {

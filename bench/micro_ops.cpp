@@ -28,6 +28,7 @@
 #include "baselines/tsv.hpp"
 #include "common.hpp"
 #include "obs/trace.hpp"
+#include "runtime/ingest_pipeline.hpp"
 #include "she/she.hpp"
 
 namespace she::bench {
@@ -335,6 +336,39 @@ void BM_StreamMonitorPublish(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StreamMonitorPublish)->Arg(20)->Arg(24);
+
+// The INSERT_BULK fan-out at the e2e bench geometry: one frame of the
+// arg's keys routed into 2 shards and committed through both lanes.  The
+// shards only count what they drain, so the time is push_bulk's own: the
+// routing pass, the lane mutexes and the copy into the rings.
+struct CountingEstimator {
+  std::uint64_t n = 0;
+  void insert(std::uint64_t) { ++n; }
+  void insert_batch(std::span<const std::uint64_t> ks) { n += ks.size(); }
+  void save(BinaryWriter& w) const { w.u64(n); }
+  static CountingEstimator load(BinaryReader& r) { return {r.u64()}; }
+};
+
+void BM_PushBulkRoute(benchmark::State& state) {
+  runtime::PipelineOptions opt;
+  opt.shards = 2;
+  opt.queue_capacity = 1u << 16;
+  runtime::IngestPipeline<CountingEstimator> pipe(
+      opt, [](std::size_t) { return CountingEstimator{}; });
+  pipe.start();
+  const auto& ks = keys();
+  const auto frame = static_cast<std::size_t>(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pipe.push_bulk(
+        0, std::span<const std::uint64_t>(ks.data() + i, frame)));
+    i = (i + frame) & (ks.size() - 1);
+  }
+  pipe.close();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_PushBulkRoute)->Arg(8192);
 // ---- end simd-vs-scalar batch pairs ---------------------------------------
 
 // ---- tracing overhead pair ------------------------------------------------

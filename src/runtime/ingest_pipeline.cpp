@@ -5,8 +5,8 @@
 namespace she::runtime {
 
 void PipelineOptions::validate() const {
-  if (shards == 0)
-    throw std::invalid_argument("PipelineOptions: shards must be > 0");
+  if (shards == 0 || shards > kMaxShards)
+    throw std::invalid_argument("PipelineOptions: shards must be in 1..256");
   if (producers == 0)
     throw std::invalid_argument("PipelineOptions: producers must be > 0");
   if (queue_capacity == 0 || queue_capacity > SpscRing::kMaxCapacity)

@@ -128,7 +128,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -145,6 +147,7 @@
 #include "common/bobhash.hpp"
 #include "common/checkpoint.hpp"
 #include "common/fault_injection.hpp"
+#include "common/io.hpp"
 #include "common/wal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -165,7 +168,11 @@ class DegradedError : public std::runtime_error {
 };
 
 struct PipelineOptions {
-  std::size_t shards = 1;
+  /// Bound on `shards`: push_bulk routes each key into one byte, and a
+  /// pipeline builds one estimator and one worker per shard.
+  static constexpr std::size_t kMaxShards = 256;
+
+  std::size_t shards = 1;              ///< 1..kMaxShards
   std::size_t producers = 1;           ///< producer labels for
                                        ///< she_pipeline_produced_total
   std::size_t queue_capacity = 1024;   ///< per-shard backlog (the lane's
@@ -197,6 +204,10 @@ struct PipelineOptions {
 
   void validate() const;  ///< throws std::invalid_argument on bad fields
 };
+
+static_assert(PipelineOptions::kMaxShards - 1 <=
+                  std::numeric_limits<std::uint8_t>::max(),
+              "push_bulk routes each key into one byte per shard index");
 
 template <typename Estimator>
 class IngestPipeline {
@@ -458,33 +469,38 @@ class IngestPipeline {
                              keys.size(), [&] { return keys[i++]; },
                              client_id, client_seq, deadline_ns);
     } else {
-      // Route once, chaining each key to the next one bound for the same
-      // shard: one index per key is all the per-thread scratch a push
-      // needs, and each lane gathers its sub-batch straight from `keys`.
+      // Route once into one shard byte per key (kMaxShards fits a byte).
+      // Each lane then gathers its sub-batch straight from `keys`, in
+      // frame order, one 64-key block at a time: a mask of the block's
+      // bytes that name its shard, walked bit by bit, so no branch depends
+      // on where a single key went.  Stale bytes past the frame fill the
+      // last block; a lane stops after its count[s] keys, before any.
       if (keys.size() > std::numeric_limits<std::uint32_t>::max())
         throw std::invalid_argument("push_bulk: more than 2^32-1 keys");
-      struct Chain {
-        std::uint32_t head = 0, tail = 0;
-        std::size_t size = 0;
-      };
-      thread_local std::vector<std::uint32_t> next;
-      thread_local std::vector<Chain> chains;
-      next.resize(keys.size());
-      chains.assign(opt_.shards, Chain{});
-      for (std::uint32_t i = 0; i < keys.size(); ++i) {
-        Chain& c = chains[shard_of(keys[i])];
-        (c.size++ == 0 ? c.head : next[c.tail]) = i;
-        c.tail = i;
+      thread_local std::vector<std::uint8_t> route;
+      route.resize((keys.size() + 63) & ~std::size_t{63});
+      std::array<std::uint32_t, PipelineOptions::kMaxShards> count{};
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const std::size_t s = shard_of(keys[i]);
+        route[i] = static_cast<std::uint8_t>(s);
+        ++count[s];
       }
       for (std::size_t s = 0; s < opt_.shards; ++s) {
-        if (chains[s].size == 0) continue;
-        std::uint32_t i = chains[s].head;
+        if (count[s] == 0) continue;
+        const auto mine = static_cast<std::uint8_t>(s);
+        std::size_t block = 0;
+        std::uint64_t mask = route_mask(route.data(), mine);
         accepted += lane_commit(
-            producer, *shards_[s], chains[s].size,
+            producer, *shards_[s], count[s],
             [&] {
-              const std::uint64_t k = keys[i];
-              i = next[i];  // past the chain's end: read, never used
-              return k;
+              while (mask == 0) {
+                block += 64;
+                mask = route_mask(route.data() + block, mine);
+              }
+              const std::size_t i =
+                  block + static_cast<std::size_t>(std::countr_zero(mask));
+              mask &= mask - 1;
+              return keys[i];
             },
             client_id, client_seq, deadline_ns);
       }
@@ -495,6 +511,25 @@ class IngestPipeline {
 
  private:
   struct Shard;  // defined below; referenced by the lane helpers' signatures
+
+  /// Bit j set iff `block[j] == shard`, for j < 64; eight bytes per
+  /// step, with no branch on them.
+  static std::uint64_t route_mask(const std::uint8_t* block,
+                                  std::uint8_t shard) {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+    constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+    std::uint64_t m = 0;
+    for (unsigned w = 0; w < 8; ++w) {
+      // Zero bytes where the route names `shard`; then the high bit of
+      // exactly those bytes, gathered into 8 adjacent bits by a multiply.
+      const std::uint64_t x =
+          get_le<std::uint64_t>(reinterpret_cast<const char*>(block) + 8 * w) ^
+          (kOnes * shard);
+      const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x) & ~kLow7;
+      m |= (((zero >> 7) * 0x0102040810204080ull) >> 56) << (8 * w);
+    }
+    return m;
+  }
 
   /// Wait until the shard's ring has at least `want` free slots.  Returns
   /// true when the space is there — or when the shard went terminally

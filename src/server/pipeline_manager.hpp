@@ -51,9 +51,9 @@ struct PipelineSpec {
 
 /// Parse the CREATE spec language: whitespace-separated `key=value` pairs
 /// and bare flags.  Keys: window, memory (both take K/M/G suffixes),
-/// shards, queue (at most 2^26), publish, policy (block only: accepted so
-/// persisted specs keep resuming; drop, block-timeout and push-timeout-ms
-/// were removed), hll, similarity, similarity-slots, hh-slots,
+/// shards (1..256), queue (at most 2^26), publish, policy (block only:
+/// accepted so persisted specs keep resuming; drop, block-timeout and
+/// push-timeout-ms were removed), hll, similarity, similarity-slots, hh-slots,
 /// expected-cardinality, checkpoint-every, seed (producers, batch and
 /// degraded-probe-ms are accepted with any value and ignored, for the
 /// same reason); flags:

@@ -3,8 +3,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
+
+#include "common/io.hpp"
 
 namespace she::server {
 namespace {
@@ -168,6 +171,26 @@ std::string WireReader::str() {
   std::string s(body_.data() + pos_, len);
   pos_ += len;
   return s;
+}
+
+std::span<const std::uint64_t> WireReader::u64s_in_place(std::uint32_t n) {
+  const std::size_t bytes = static_cast<std::size_t>(n) * 8;
+  if (remaining() < bytes) throw ProtocolError("body truncated reading u64s");
+  if (mutable_ == nullptr)
+    throw std::logic_error("u64s_in_place: the body is read-only");
+  // The body is a std::vector<char>, whose storage operator new aligns
+  // for any fundamental type, so rounding the offset down aligns the words.
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(std::uint64_t));
+  char* const dst = mutable_ + (pos_ & ~std::size_t{7});
+  // memmove implicitly creates the u64 objects in the body and returns a
+  // pointer to them, so reading the words through it is defined.
+  auto* const words = static_cast<std::uint64_t*>(
+      std::memmove(dst, mutable_ + pos_, bytes));
+  pos_ += bytes;
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::uint32_t i = 0; i < n; ++i) words[i] = to_le(words[i]);
+  }
+  return {words, n};
 }
 
 std::uint8_t WireReader::peek_u8() const {

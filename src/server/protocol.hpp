@@ -169,12 +169,23 @@ class WireWriter {
 class WireReader {
  public:
   explicit WireReader(std::span<const char> body) : body_(body) {}
+  /// A reader that may also rewrite the body in place (u64s_in_place).
+  explicit WireReader(std::vector<char>& body)
+      : body_(body), mutable_(body.data()) {}
 
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
   std::string str();  ///< u32 length (bounded by the remaining body) + bytes
+
+  /// Consume `n` little-endian u64s and return them as host-order words
+  /// decoded inside the body itself: the bytes move down to the nearest
+  /// 8-byte boundary, over fields already read, and are byte-swapped in
+  /// place on a big-endian host.  The span lives as long as the body.
+  /// Throws ProtocolError when fewer than 8n bytes remain, and
+  /// std::logic_error on a reader built over a read-only body.
+  std::span<const std::uint64_t> u64s_in_place(std::uint32_t n);
 
   /// Next byte without consuming it; throws ProtocolError at the end.
   [[nodiscard]] std::uint8_t peek_u8() const;
@@ -186,6 +197,7 @@ class WireReader {
 
  private:
   std::span<const char> body_;
+  char* mutable_ = nullptr;  ///< body_.data() when the body may be rewritten
   std::size_t pos_ = 0;
 };
 

@@ -954,11 +954,9 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
       case Op::kInsertBulk: {
         const std::string name = req.str();
         const std::uint32_t n = req.u32();
-        if (static_cast<std::size_t>(n) * 8 > req.remaining()) {
-          throw ProtocolError("bulk count exceeds body size");
-        }
-        std::vector<std::uint64_t> keys(n);
-        for (std::uint32_t i = 0; i < n; ++i) keys[i] = req.u64();
+        // Decoded inside the connection's receive buffer, which outlives
+        // this request, so routing reads the keys where the socket put them.
+        const std::span<const std::uint64_t> keys = req.u64s_in_place(n);
         req.expect_done();
         info.pipeline = name;
         const auto entry = manager_.find(name);

@@ -120,6 +120,17 @@ TEST(IngestPipeline, ValidatesOptions) {
                std::invalid_argument);
 }
 
+TEST(IngestPipeline, ShardCountIsCappedAtTheRouteByte) {
+  PipelineOptions opt;
+  opt.shards = PipelineOptions::kMaxShards;
+  EXPECT_NO_THROW(opt.validate());
+  EXPECT_EQ(opt.shards, 256u);
+  opt.shards = 257;
+  EXPECT_THROW(opt.validate(), std::invalid_argument);
+  EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, bf_factory(257, 1 << 16)),
+               std::invalid_argument);
+}
+
 TEST(IngestPipeline, ProducerIndexAtOrAboveProducersThrowsBeforeRouting) {
   PipelineOptions opt;
   opt.shards = 2;
@@ -559,6 +570,67 @@ TEST(CommitLane, SameProducerIndexFromManyThreadsWalOff) {
 
 TEST(CommitLane, SameProducerIndexFromManyThreadsWalOn) {
   same_producer_lanes_keep_sub_batches_contiguous(WalMode::kAsync);
+}
+
+/// `n` keys drawn from `rng`, keeping only those `wanted` routes to a
+/// shard `pipe` accepts: frames that starve some shards and flood others.
+template <typename Wanted>
+std::vector<std::uint64_t> keys_routed(
+    const IngestPipeline<RecordingEstimator>& pipe, Rng& rng, std::size_t n,
+    Wanted wanted) {
+  std::vector<std::uint64_t> keys;
+  while (keys.size() < n) {
+    const std::uint64_t k = rng() % 50'000;  // repeats, as a real stream has
+    if (wanted(pipe.shard_of(k))) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(CommitLane, BulkRouteKeepsEachShardsOrderOfPerKeyPushes) {
+  // push_bulk routes a frame once into one shard byte per key, and each
+  // lane gathers its own keys by scanning those bytes.  Every shard must
+  // apply exactly the keys, in exactly the order, that pushing the same
+  // keys one at a time gives it: also for frames in which some shard
+  // gets no key, or one shard gets every key, and for shard index 255.
+  for (const std::size_t shards : {1u, 2u, 3u, 256u}) {
+    SCOPED_TRACE(shards);
+    PipelineOptions opt;
+    opt.shards = shards;
+    opt.queue_capacity = 256;  // frames larger than a ring follow the drain
+    IngestPipeline<RecordingEstimator> bulk(opt, kRecorder);
+    IngestPipeline<RecordingEstimator> single(opt, kRecorder);
+    bulk.start();
+    single.start();
+
+    const std::size_t last = shards - 1;
+    Rng rng(shards);
+    std::vector<std::vector<std::uint64_t>> frames;
+    frames.push_back(keys_routed(bulk, rng, 3000,
+                                 [&](std::size_t s) { return s == last; }));
+    frames.push_back(keys_routed(bulk, rng, 2500, [&](std::size_t s) {
+      return shards == 1 || s != 0;  // shard 0 gets nothing
+    }));
+    frames.push_back(keys_routed(bulk, rng, 8192,
+                                 [](std::size_t) { return true; }));
+    frames.push_back({rng() % 50'000});
+    for (const auto& f : frames) {
+      ASSERT_EQ(bulk.push_bulk(0, f), f.size());
+      for (const std::uint64_t k : f) ASSERT_TRUE(single.push(0, k));
+    }
+    bulk.close();
+    single.close();
+
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < shards; ++s) {
+      const std::vector<std::uint64_t> got = bulk.snapshot(s).keys;
+      EXPECT_EQ(got, single.snapshot(s).keys) << "shard " << s;
+      total += got.size();
+    }
+    std::size_t sent = 0;
+    for (const auto& f : frames) sent += f.size();
+    EXPECT_EQ(total, sent);
+    EXPECT_GE(bulk.snapshot(last).keys.size(), frames[0].size());
+  }
 }
 
 // ---------------------------- Published views ------------------------------

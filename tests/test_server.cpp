@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -35,6 +36,7 @@
 #include "common/wal.hpp"
 #include "obs/trace.hpp"
 #include "runtime/runtime_stats.hpp"
+#include "runtime/snapshot.hpp"
 
 namespace she::server {
 namespace {
@@ -101,6 +103,48 @@ TEST(Wire, OpcodeValidation) {
   EXPECT_THROW((void)query_type_from(0), ProtocolError);
   EXPECT_THROW((void)query_type_from(99), ProtocolError);
   EXPECT_EQ(query_type_from(5), QueryType::kJaccard);
+}
+
+TEST(Wire, U64sInPlaceDecodeAtEveryOffset) {
+  // The words move down to an 8-byte boundary inside the body itself, over
+  // bytes already read, whatever offset they started at.
+  for (std::size_t lead = 0; lead < 16; ++lead) {
+    SCOPED_TRACE(lead);
+    WireWriter w;
+    for (std::size_t i = 0; i < lead; ++i) w.u8(0xEE);
+    w.u32(3);
+    for (std::uint64_t k : {0x0102030405060708ull, 0ull, 0xF0E0D0C0B0A09080ull})
+      w.u64(k);
+    std::vector<char> body = w.body();
+    WireReader r(body);
+    for (std::size_t i = 0; i < lead; ++i) (void)r.u8();
+    const std::span<const std::uint64_t> keys = r.u64s_in_place(r.u32());
+    r.expect_done();
+    ASSERT_EQ(keys.size(), 3u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(keys.data()) % 8, 0u);
+    EXPECT_GE(static_cast<const void*>(keys.data()),
+              static_cast<const void*>(body.data()));
+    EXPECT_EQ(keys[0], 0x0102030405060708ull);
+    EXPECT_EQ(keys[1], 0u);
+    EXPECT_EQ(keys[2], 0xF0E0D0C0B0A09080ull);
+  }
+
+  // Too few bytes for the count is a ProtocolError; a count of 0 is empty.
+  WireWriter w;
+  w.u8(1);
+  w.u64(5);
+  std::vector<char> body = w.body();
+  WireReader short_body(body);
+  (void)short_body.u8();
+  EXPECT_THROW((void)short_body.u64s_in_place(2), ProtocolError);
+  EXPECT_TRUE(short_body.u64s_in_place(0).empty());
+  EXPECT_EQ(short_body.u64s_in_place(1)[0], 5u);
+  short_body.expect_done();
+
+  // A reader over a read-only body cannot rewrite it.
+  WireReader read_only(std::span<const char>(w.body()));
+  (void)read_only.u8();
+  EXPECT_THROW((void)read_only.u64s_in_place(1), std::logic_error);
 }
 
 // ------------------------------ spec parser --------------------------------
@@ -1108,6 +1152,208 @@ TEST(Server, DuplicateSeqReplayIsIdempotent) {
   EXPECT_EQ(static_cast<Status>(c.roundtrip_raw(next)[0]), Status::kOk);
   c.flush("dd");
   EXPECT_EQ(c.query_frequency("dd", 7), 2 * keys.size());
+}
+
+// ------------------------ INSERT_BULK decoded in place ---------------------
+
+/// An INSERT_BULK body behind the optional trace header (trace_id != 0)
+/// and sequence header (client_seq != 0): with the name's length, these
+/// decide where in the body the keys start.
+std::vector<char> bulk_body(const std::string& name,
+                            std::span<const std::uint64_t> keys,
+                            std::uint64_t trace_id, std::uint64_t client_seq) {
+  std::vector<char> body;
+  if (trace_id != 0) {
+    body.push_back(static_cast<char>(kTraceHeader));
+    put_u64le(body, trace_id);
+  }
+  if (client_seq != 0) {
+    body.push_back(static_cast<char>(kSeqHeader));
+    put_u64le(body, 77);
+    put_u64le(body, client_seq);
+  }
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
+  w.str(name);
+  w.u32(static_cast<std::uint32_t>(keys.size()));
+  for (std::uint64_t k : keys) w.u64(k);
+  body.insert(body.end(), w.body().begin(), w.body().end());
+  return body;
+}
+
+/// Send one raw INSERT_BULK and expect it acked in full.
+void send_bulk(SheClient& c, const std::vector<char>& body, std::size_t n) {
+  const std::vector<char> resp = c.roundtrip_raw(body);
+  ASSERT_FALSE(resp.empty());
+  ASSERT_EQ(static_cast<Status>(resp[0]), Status::kOk);
+  WireReader r(resp);
+  (void)r.u8();
+  EXPECT_EQ(r.u64(), n);
+}
+
+/// Every shard's published state of `m`, serialized.
+std::vector<std::vector<char>> shard_images(const ConcurrentMonitor& m) {
+  std::vector<std::vector<char>> out(m.shard_count());
+  for (std::size_t s = 0; s < out.size(); ++s)
+    runtime::serialize_to(out[s], *m.shard_view(s));
+  return out;
+}
+
+std::vector<std::uint64_t> mixed_keys(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint64_t> keys(n);
+  std::uint64_t x = seed;
+  for (std::uint64_t& k : keys) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    k = (x >> 20) % 20'000;  // repeats, so frequencies build up
+  }
+  return keys;
+}
+
+TEST(Server, InsertBulkKeysAtEveryAlignmentMatchPushBulk) {
+  // The handler decodes the keys inside the connection's receive buffer.
+  // Wherever in the body they start (every offset mod 8: names of 1-8
+  // bytes, with and without each header), every shard must end up with
+  // exactly the state the same frames give ConcurrentMonitor::push_bulk.
+  LiveServer live;
+  SheClient c = live.client();
+  const std::string spec = "window=8K memory=64K shards=3";
+  const PipelineSpec parsed = parse_sketch_spec(spec);
+  const std::vector<std::uint64_t> keys = mixed_keys(6000, 5);
+  const std::span<const std::uint64_t> frames[] = {
+      std::span(keys).first(2500), std::span(keys).subspan(2500, 1),
+      std::span(keys).subspan(2501)};
+  std::set<std::size_t> key_offsets;
+  for (int headers = 0; headers < 4; ++headers) {
+    for (std::size_t len = 1; len <= 8; ++len) {
+      const std::string name(len, static_cast<char>('a' + headers));
+      SCOPED_TRACE(name);
+      c.create(name, spec);
+      std::uint64_t seq = 0;
+      for (const auto frame : frames) {
+        const std::vector<char> body =
+            bulk_body(name, frame, (headers & 1) != 0 ? 99 : 0,
+                      (headers & 2) != 0 ? ++seq : 0);
+        key_offsets.insert((body.size() - 8 * frame.size()) % 8);
+        send_bulk(c, body, frame.size());
+      }
+      c.flush(name);
+
+      ConcurrentMonitor ref(parsed.monitor, parsed.pipeline);
+      ref.start();
+      for (const auto frame : frames)
+        ASSERT_EQ(ref.push_bulk(0, frame), frame.size());
+      ASSERT_TRUE(ref.flush());
+      const auto entry = live.server.manager().find(name);
+      ASSERT_NE(entry, nullptr);
+      EXPECT_EQ(shard_images(entry->monitor()), shard_images(ref));
+      ref.close();
+      c.drop(name);
+    }
+  }
+  EXPECT_EQ(key_offsets.size(), 8u);  // every alignment was exercised
+}
+
+TEST(Server, InsertBulkBodyBoundsAnswerBadRequest) {
+  LiveServer live;
+  SheClient c = live.client();
+  c.create("b", "window=4K memory=64K shards=2");
+  const std::vector<std::uint64_t> two = {11, 12};
+  const auto status_of = [&](std::vector<char> body) {
+    const std::vector<char> resp = c.roundtrip_raw(body);
+    EXPECT_FALSE(resp.empty());
+    return resp.empty() ? Status::kError : static_cast<Status>(resp[0]);
+  };
+
+  // A count above the body: one key claimed more than the bytes carry.
+  std::vector<char> over = bulk_body("b", two, 0, 0);
+  over[1 + 4 + 1] = 3;  // the u32 count after the opcode and the name
+  EXPECT_EQ(status_of(over), Status::kBadRequest);
+  // Trailing bytes after the keys.
+  std::vector<char> trailing = bulk_body("b", two, 0, 0);
+  trailing.push_back(0);
+  EXPECT_EQ(status_of(trailing), Status::kBadRequest);
+  // A count of 0 is a well-formed empty frame ...
+  const std::vector<char> empty = bulk_body("b", {}, 0, 0);
+  EXPECT_EQ(status_of(empty), Status::kOk);
+  // ... but not with bytes behind it.
+  std::vector<char> empty_trailing = empty;
+  empty_trailing.insert(empty_trailing.end(), 8, 0);
+  EXPECT_EQ(status_of(empty_trailing), Status::kBadRequest);
+
+  c.ping();
+  c.flush("b");
+  EXPECT_EQ(live.server.manager().find("b")->monitor().stats().produced, 0u);
+  EXPECT_NE(live.server.render_metrics().find(
+                "she_server_protocol_errors_total 3"),
+            std::string::npos);
+  send_bulk(c, bulk_body("b", two, 0, 0), two.size());  // still served
+}
+
+TEST(Server, CreateRejectsMoreShardsThanTheRouteByteHolds) {
+  // shards= is bounded by PipelineOptions::kMaxShards: an unbounded count
+  // would build one StreamMonitor and one worker per shard under the
+  // manager's exclusive lock before anything else could be answered.
+  LiveServer live;
+  SheClient c = live.client();
+  for (const char* spec :
+       {"memory=1K shards=257", "memory=1K shards=1000000"}) {
+    try {
+      c.create("wide", spec);
+      FAIL() << "expected kBadRequest for " << spec;
+    } catch (const ClientError& e) {
+      EXPECT_EQ(e.status(), Status::kBadRequest);
+    }
+  }
+  EXPECT_TRUE(c.list().empty());
+}
+
+TEST(Server, ConcurrentBulkConnectionsMatchASequentialReference) {
+  // Three connections stream INSERT_BULK frames into one pipeline at once,
+  // each decoding in its own receive buffer and routing through its own
+  // thread's route bytes.  Connection t only sends keys of shard t, so
+  // each shard's order is that connection's frame order, and after FLUSH
+  // every shard must hold exactly the state of a sequential push_bulk.
+  LiveServer live;
+  const std::string spec = "window=8K memory=96K shards=3";
+  const PipelineSpec parsed = parse_sketch_spec(spec);
+  ConcurrentMonitor ref(parsed.monitor, parsed.pipeline);
+  ref.start();
+  SheClient c = live.client();
+  c.create("shared", spec);
+
+  constexpr std::size_t kConns = 3, kFrames = 8, kFrameKeys = 700;
+  std::vector<std::vector<std::vector<std::uint64_t>>> frames(kConns);
+  const std::vector<std::uint64_t> pool = mixed_keys(40'000, 9);
+  std::vector<std::size_t> next(kConns, 0);
+  for (std::size_t t = 0; t < kConns; ++t) frames[t].resize(kFrames);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const std::size_t t = ref.shard_of(pool[i]);
+    if (next[t] < kFrames * kFrameKeys) {
+      frames[t][next[t] / kFrameKeys].push_back(pool[i]);
+      ++next[t];
+    }
+  }
+  for (std::size_t t = 0; t < kConns; ++t)
+    ASSERT_EQ(next[t], kFrames * kFrameKeys) << "key pool too small";
+
+  std::vector<std::thread> writers;
+  for (std::size_t t = 0; t < kConns; ++t) {
+    writers.emplace_back([&, t] {
+      SheClient w = live.client();
+      for (const auto& f : frames[t])
+        EXPECT_EQ(w.insert_bulk("shared", f), f.size());
+    });
+  }
+  for (auto& th : writers) th.join();
+  c.flush("shared");
+
+  for (std::size_t t = 0; t < kConns; ++t)
+    for (const auto& f : frames[t]) ASSERT_EQ(ref.push_bulk(0, f), f.size());
+  ASSERT_TRUE(ref.flush());
+  const auto entry = live.server.manager().find("shared");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(shard_images(entry->monitor()), shard_images(ref));
+  ref.close();
 }
 
 TEST(Server, AuthGateTokensAndTypedRejection) {

@@ -29,6 +29,7 @@
 #include "common.hpp"
 #include "obs/trace.hpp"
 #include "runtime/ingest_pipeline.hpp"
+#include "runtime/snapshot.hpp"
 #include "she/she.hpp"
 
 namespace she::bench {
@@ -336,6 +337,41 @@ void BM_StreamMonitorPublish(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StreamMonitorPublish)->Arg(20)->Arg(24);
+
+// A checkpoint's serialize and a resume's deserialize of that shard, filled
+// past one window: the image is rebuilt into one reused buffer, or decoded
+// into a fresh monitor (one item = one image).  The arg is the per-shard
+// window.
+StreamMonitor filled_shard_monitor(std::int64_t window) {
+  StreamMonitor mon(shard_monitor(window));
+  const auto& ks = keys();
+  mon.insert_batch(std::span<const std::uint64_t>(
+      ks.data(), 2 * static_cast<std::size_t>(window)));
+  return mon;
+}
+
+void BM_StreamMonitorSave(benchmark::State& state) {
+  const StreamMonitor mon = filled_shard_monitor(state.range(0));
+  std::vector<char> image;
+  for (auto _ : state) {
+    runtime::serialize_to(image, mon);
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StreamMonitorSave)->Arg(32768);
+
+void BM_StreamMonitorLoad(benchmark::State& state) {
+  std::vector<char> image;
+  runtime::serialize_to(image, filled_shard_monitor(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        runtime::deserialize<StreamMonitor>(image.data(), image.size())
+            .time());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StreamMonitorLoad)->Arg(32768);
 
 // The INSERT_BULK fan-out at the e2e bench geometry: one frame of the
 // arg's keys routed into 2 shards and committed through both lanes.  The

@@ -6,7 +6,7 @@
 // the checkpoint, and continues — demonstrating that a restored monitor
 // picks up exactly where it left off.
 #include <cstdio>
-#include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
@@ -40,13 +40,13 @@ int main() {
   dashboard();
 
   // Checkpoint, simulate a restart, restore.
-  std::stringstream checkpoint;
+  std::vector<char> checkpoint;
   {
     she::BinaryWriter w(checkpoint);
     monitor.save(w);
   }
   std::printf("-- checkpointed (%zu bytes), restarting --\n",
-              checkpoint.str().size());
+              checkpoint.size());
   she::BinaryReader r(checkpoint);
   she::StreamMonitor restored = she::StreamMonitor::load(r);
 

@@ -1,11 +1,10 @@
 #include "common/checkpoint.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 
 #include "common/crc32.hpp"
@@ -132,13 +131,13 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
 
 std::optional<CheckpointData> try_read_checkpoint_file(
     const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
-                          std::istreambuf_iterator<char>());
-  if (!is.good() && !is.eof())
-    throw CheckpointError("checkpoint: read error on " + path);
-  return parse_checkpoint(bytes.data(), bytes.size());
+  const std::optional<std::vector<char>> bytes = read_file(path);
+  if (!bytes) {
+    if (errno == ENOENT) return std::nullopt;
+    throw CheckpointError("checkpoint: cannot read " + path + ": " +
+                          std::strerror(errno));
+  }
+  return parse_checkpoint(bytes->data(), bytes->size());
 }
 
 CheckpointData read_checkpoint_file(const std::string& path) {

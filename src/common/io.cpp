@@ -1,5 +1,6 @@
 #include "common/io.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 
@@ -24,25 +25,19 @@ int sync_parent_dir(const std::string& path) {
 #endif
 }
 
-void BinaryWriter::raw(const void* p, std::size_t n) {
-  os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
-  if (!os_) throw SerializeError("BinaryWriter: write failed");
-}
-
-void BinaryWriter::u32(std::uint32_t v) {
-  v = to_le(v);
-  raw(&v, 4);
-}
-
-void BinaryWriter::u64(std::uint64_t v) {
-  v = to_le(v);
-  raw(&v, 8);
-}
-
-void BinaryWriter::f64(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  u64(bits);
+std::optional<std::vector<char>> read_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return std::nullopt;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::vector<char> bytes(ec ? 0 : size);
+  // Fewer bytes when the file shrank since its size was taken.
+  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  const bool failed = ec || std::ferror(f);
+  std::fclose(f);
+  if (!failed) return bytes;
+  errno = ec ? ec.value() : EIO;
+  return std::nullopt;
 }
 
 void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
@@ -50,35 +45,12 @@ void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
   for (std::uint64_t x : v) u64(x);
 }
 
-void BinaryReader::raw(void* p, std::size_t n) {
-  is_.read(static_cast<char*>(p), static_cast<std::streamsize>(n));
-  if (static_cast<std::size_t>(is_.gcount()) != n)
-    throw SerializeError("BinaryReader: unexpected end of stream");
-}
-
-std::optional<std::uint64_t> BinaryReader::remaining_bytes() {
-  const std::streampos pos = is_.tellg();
-  if (pos == std::streampos(-1)) {
-    is_.clear();
-    return std::nullopt;
-  }
-  is_.seekg(0, std::ios::end);
-  const std::streampos end = is_.tellg();
-  is_.seekg(pos);
-  if (end == std::streampos(-1) || end < pos || !is_) {
-    is_.clear();
-    is_.seekg(pos);
-    return std::nullopt;
-  }
-  return static_cast<std::uint64_t>(end - pos);
-}
-
 void BinaryReader::check_length(std::uint64_t n, std::size_t elem_bytes) {
   if (n > (std::uint64_t{1} << 32))
     throw SerializeError("BinaryReader: implausible vector length");
-  if (const auto rem = remaining_bytes(); rem && n > *rem / elem_bytes)
+  if (n > remaining() / elem_bytes)
     throw SerializeError("BinaryReader: vector length " + std::to_string(n) +
-                         " exceeds the " + std::to_string(*rem) +
+                         " exceeds the " + std::to_string(remaining()) +
                          " bytes remaining in the stream");
 }
 
@@ -86,41 +58,14 @@ void BinaryReader::expect_remaining(std::uint64_t bytes) {
   if (bytes > (std::uint64_t{1} << 35))
     throw SerializeError("BinaryReader: implausible size of " +
                          std::to_string(bytes) + " bytes");
-  if (const auto rem = remaining_bytes(); rem && bytes > *rem)
+  if (bytes > remaining())
     throw SerializeError("BinaryReader: " + std::to_string(bytes) +
-                         " bytes declared, " + std::to_string(*rem) +
+                         " bytes declared, " + std::to_string(remaining()) +
                          " remaining in the stream");
 }
 
-std::uint8_t BinaryReader::u8() {
-  std::uint8_t v;
-  raw(&v, 1);
-  return v;
-}
-
-std::uint32_t BinaryReader::u32() {
-  std::uint32_t v;
-  raw(&v, 4);
-  return to_le(v);
-}
-
-std::uint64_t BinaryReader::u64() {
-  std::uint64_t v;
-  raw(&v, 8);
-  return to_le(v);
-}
-
-double BinaryReader::f64() {
-  std::uint64_t bits = u64();
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
 void BinaryReader::expect_tag(const char (&t)[5]) {
-  char got[4];
-  raw(got, 4);
-  if (std::memcmp(got, t, 4) != 0)
+  if (std::memcmp(take(4), t, 4) != 0)
     throw SerializeError(std::string("BinaryReader: expected tag '") + t +
                          "', stream holds something else");
 }

@@ -5,10 +5,10 @@
 // identical answers.  The format is little-endian fixed-width fields behind
 // a per-type magic tag and version byte; readers throw SerializeError on
 // truncation, tag mismatch or implausible lengths rather than returning
-// garbage.  Length prefixes are additionally bounded against the remaining
-// stream size (when the stream is seekable), so a corrupted prefix can
-// never trigger a multi-gigabyte allocation before the truncation is
-// discovered element by element.
+// garbage.  A writer appends to a byte vector and a reader walks a byte
+// span, so every length prefix is bounded against the exact bytes left: a
+// corrupted prefix can never trigger a multi-gigabyte allocation before the
+// truncation is discovered element by element.
 #pragma once
 
 #include <atomic>
@@ -16,11 +16,12 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <istream>
 #include <optional>
-#include <ostream>
+#include <ranges>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace she {
@@ -124,15 +125,28 @@ inline void durable_op(DurableOp op, const std::string& path,
 /// counts as done.
 int sync_parent_dir(const std::string& path);
 
+/// The whole of the file at `path`, read with one read sized by its length.
+/// nullopt when it cannot be opened or read, with errno saying why (ENOENT:
+/// there is no such file); each caller raises its own error type.
+[[nodiscard]] std::optional<std::vector<char>> read_file(
+    const std::string& path);
+
+/// Appends fields to a caller-owned byte vector (never clears it).
 class BinaryWriter {
  public:
-  explicit BinaryWriter(std::ostream& os) : os_(os) {}
+  explicit BinaryWriter(std::vector<char>& out) : out_(out) {}
 
   void u8(std::uint8_t v) { raw(&v, 1); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u32(std::uint32_t v) {
+    v = to_le(v);
+    raw(&v, 4);
+  }
+  void u64(std::uint64_t v) {
+    v = to_le(v);
+    raw(&v, 8);
+  }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   /// 4-byte section tag, e.g. "SHBF".
   void tag(const char (&t)[5]) { raw(t, 4); }
@@ -140,19 +154,28 @@ class BinaryWriter {
   void u64_vector(const std::vector<std::uint64_t>& v);
 
  private:
-  void raw(const void* p, std::size_t n);
-  std::ostream& os_;
+  void raw(const void* p, std::size_t n) {
+    const char* c = static_cast<const char*>(p);
+    out_.insert(out_.end(), c, c + n);
+  }
+  std::vector<char>& out_;
 };
 
+/// Reads fields from a borrowed byte span, which must outlive the reader.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::istream& is) : is_(is) {}
+  explicit BinaryReader(std::span<const char> bytes) : bytes_(bytes) {}
+  /// No reader over a temporary buffer: it would dangle.
+  template <class Buffer>
+    requires(!std::is_lvalue_reference_v<Buffer> &&
+             !std::ranges::borrowed_range<Buffer>)
+  explicit BinaryReader(Buffer&&) = delete;
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() { return static_cast<std::uint8_t>(*take(1)); }
+  std::uint32_t u32() { return get_le<std::uint32_t>(take(4)); }
+  std::uint64_t u64() { return get_le<std::uint64_t>(take(8)); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
+  double f64() { return std::bit_cast<double>(u64()); }
 
   /// Read and verify a 4-byte section tag; throws on mismatch.
   void expect_tag(const char (&t)[5]);
@@ -160,23 +183,28 @@ class BinaryReader {
   std::vector<std::uint64_t> u64_vector();
 
   /// Throw SerializeError unless `bytes` more bytes can still be read.  A
-  /// decoder calls this before it sizes anything from a shape field (an
-  /// unseekable stream gets only the absolute cap: 2^35 bytes, the largest
-  /// u64_vector).
+  /// decoder calls this before it sizes anything from a shape field.
   void expect_remaining(std::uint64_t bytes);
 
- private:
-  void raw(void* p, std::size_t n);
+  /// Bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
-  /// Bytes left before end-of-stream, or nullopt when the stream is not
-  /// seekable (then only the absolute plausibility cap applies).
-  std::optional<std::uint64_t> remaining_bytes();
+ private:
+  /// The next `n` bytes, consumed; throws SerializeError past the end.
+  const char* take(std::size_t n) {
+    if (n > remaining())
+      throw SerializeError("BinaryReader: unexpected end of stream");
+    const char* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
+  }
 
   /// Reject a vector length prefix that is absurd in absolute terms or
-  /// provably larger than the remaining stream.
+  /// larger than the bytes left.
   void check_length(std::uint64_t n, std::size_t elem_bytes);
 
-  std::istream& is_;
+  std::span<const char> bytes_;
+  std::size_t pos_ = 0;
 };
 
 }  // namespace she

@@ -1,10 +1,10 @@
 #include "common/wal.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/crc32.hpp"
@@ -188,12 +188,10 @@ WalScan read_wal(const std::string& path) {
       scan.dropped_bytes += ec ? 0 : size;
       continue;
     }
-    std::ifstream is(file, std::ios::binary);
-    if (!is) throw WalError("wal: cannot open " + file);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(is)),
-                            std::istreambuf_iterator<char>());
-    if (!is.good() && !is.eof())
-      throw WalError("wal: read error on " + file);
+    const std::optional<std::vector<char>> read = read_file(file);
+    if (!read)
+      throw WalError("wal: cannot read " + file + ": " + std::strerror(errno));
+    const std::vector<char>& bytes = *read;
 
     std::size_t at = 0;
     while (at < bytes.size()) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 namespace she::server {
@@ -15,27 +16,35 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// u64 with an optional K/M/G suffix (powers of 1024), e.g. "64K".
+/// u64 with an optional K/M/G suffix (powers of 1024), e.g. "64K".  No
+/// sign, and the scaled value must fit in 64 bits.
 std::uint64_t parse_size(const std::string& key, const std::string& text) {
   if (text.empty()) throw std::invalid_argument(key + ": empty value");
+  const auto bad = [&] {
+    return std::invalid_argument(key + ": bad number '" + text + "'");
+  };
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) throw bad();
   std::size_t end = 0;
   std::uint64_t v = 0;
   try {
     v = std::stoull(text, &end);
   } catch (const std::exception&) {
-    throw std::invalid_argument(key + ": bad number '" + text + "'");
+    throw bad();
   }
+  unsigned shift = 0;
   if (end + 1 == text.size()) {
     switch (std::tolower(static_cast<unsigned char>(text[end]))) {
-      case 'k': return v << 10;
-      case 'm': return v << 20;
-      case 'g': return v << 30;
-      default: break;
+      case 'k': shift = 10; break;
+      case 'm': shift = 20; break;
+      case 'g': shift = 30; break;
+      default: throw bad();
     }
-  } else if (end == text.size()) {
-    return v;
+  } else if (end != text.size()) {
+    throw bad();
   }
-  throw std::invalid_argument(key + ": bad number '" + text + "'");
+  if (v > (std::numeric_limits<std::uint64_t>::max() >> shift))
+    throw std::invalid_argument(key + ": '" + text + "' overflows 64 bits");
+  return v << shift;
 }
 
 double parse_f64(const std::string& key, const std::string& text) {
@@ -113,7 +122,10 @@ PipelineSpec parse_sketch_spec(const std::string& text) {
     } else if (key == "expected-cardinality") {
       spec.monitor.expected_cardinality = parse_f64(key, need());
     } else if (key == "seed") {
-      spec.monitor.seed = static_cast<std::uint32_t>(parse_size(key, need()));
+      const std::uint64_t seed = parse_size(key, need());
+      if (seed > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("seed: '" + val + "' exceeds 2^32 - 1");
+      spec.monitor.seed = static_cast<std::uint32_t>(seed);
     } else if (key == "no-membership") {
       spec.monitor.track_membership = false;
     } else if (key == "no-cardinality") {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -142,6 +143,33 @@ std::size_t match_token(const std::vector<std::string>& tokens,
   for (std::size_t t = 0; t < tokens.size(); ++t)
     if (token_eq_consttime(candidate, tokens[t]) && found == 0) found = t + 1;
   return found;
+}
+
+/// The window of a /trace target: its `ms` query parameter, matched as a
+/// whole key (default 1000).  nullopt when the value is not a decimal
+/// number.
+std::optional<std::uint64_t> trace_window_ms(std::string_view target) {
+  const std::size_t q = target.find('?');
+  std::string_view query =
+      q == std::string_view::npos ? std::string_view() : target.substr(q + 1);
+  while (!query.empty()) {
+    const std::size_t amp = query.find('&');
+    const std::string_view param = query.substr(0, amp);
+    query = amp == std::string_view::npos ? std::string_view()
+                                          : query.substr(amp + 1);
+    const std::size_t eq = param.find('=');
+    if (param.substr(0, eq) != "ms") continue;
+    // A bare "ms" leaves no digits, which from_chars refuses.
+    const std::string_view value =
+        param.substr(eq == std::string_view::npos ? param.size() : eq + 1);
+    std::uint64_t ms = 0;
+    const auto [end, ec] =
+        std::from_chars(value.data(), value.data() + value.size(), ms);
+    if (ec != std::errc() || end != value.data() + value.size())
+      return std::nullopt;
+    return ms;
+  }
+  return 1000;
 }
 
 }  // namespace
@@ -697,13 +725,12 @@ void SheServer::handle_http(std::uint64_t id, int fd) {
                req->target.rfind("/trace?", 0) == 0) {
       // /trace?ms=N limits the export to spans from the last N ms
       // (default 1000; ms=0 = everything still in the rings).
-      std::uint64_t window_ms = 1000;
-      const std::string::size_type q = req->target.find("ms=");
-      if (q != std::string::npos) {
-        window_ms = std::strtoull(req->target.c_str() + q + 3, nullptr, 10);
-      }
-      resp = http_response(200, "OK", "application/json",
-                           render_trace(window_ms));
+      const std::optional<std::uint64_t> window_ms =
+          trace_window_ms(req->target);
+      resp = window_ms ? http_response(200, "OK", "application/json",
+                                       render_trace(*window_ms))
+                       : http_response(400, "Bad Request", "text/plain",
+                                       "ms must be a decimal number\n");
     } else {
       resp = http_response(404, "Not Found", "text/plain", "not found\n");
     }

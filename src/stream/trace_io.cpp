@@ -12,21 +12,24 @@ namespace {
 constexpr std::uint8_t kVersion = 1;
 }
 
-void save_trace(std::ostream& os, const Trace& trace) {
-  BinaryWriter out(os);
-  out.tag("SHTR");
-  out.u8(kVersion);
-  out.u64_vector(trace);
+void save_trace(std::vector<char>& out, const Trace& trace) {
+  BinaryWriter w(out);
+  w.tag("SHTR");
+  w.u8(kVersion);
+  w.u64_vector(trace);
 }
 
 void save_trace_file(const std::string& path, const Trace& trace) {
+  std::vector<char> bytes;
+  save_trace(bytes, trace);
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("save_trace_file: cannot open " + path);
-  save_trace(os, trace);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!os) throw std::runtime_error("save_trace_file: cannot write " + path);
 }
 
-Trace load_trace(std::istream& is) {
-  BinaryReader in(is);
+Trace load_trace(std::span<const char> bytes) {
+  BinaryReader in(bytes);
   in.expect_tag("SHTR");
   std::uint8_t version = in.u8();
   if (version != kVersion)
@@ -36,9 +39,9 @@ Trace load_trace(std::istream& is) {
 }
 
 Trace load_trace_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("load_trace_file: cannot open " + path);
-  return load_trace(is);
+  const std::optional<std::vector<char>> bytes = read_file(path);
+  if (!bytes) throw std::runtime_error("load_trace_file: cannot open " + path);
+  return load_trace(*bytes);
 }
 
 Trace load_text_keys(std::istream& is) {

@@ -5,20 +5,23 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "stream/trace.hpp"
 
 namespace she::stream {
 
-/// Write `trace` to a binary stream / file.  Throws std::runtime_error on
-/// IO failure.
-void save_trace(std::ostream& os, const Trace& trace);
+/// Append `trace`'s bytes to `out` / write them to a file.  The file
+/// variant throws std::runtime_error on IO failure.
+void save_trace(std::vector<char>& out, const Trace& trace);
 void save_trace_file(const std::string& path, const Trace& trace);
 
-/// Read a trace back.  Throws std::runtime_error on bad magic, version or
-/// truncation.
-Trace load_trace(std::istream& is);
+/// Decode a trace from `bytes` / read a whole file and decode it.  Throws
+/// std::runtime_error on bad magic, version or truncation, or when the file
+/// cannot be read.
+Trace load_trace(std::span<const char> bytes);
 Trace load_trace_file(const std::string& path);
 
 /// Import keys from a text stream: one token per line (surrounding blanks

@@ -16,7 +16,6 @@
 // 1-bit marks with short cycles so lazy cleans fire constantly inside
 // blocks, and chunk sizes chosen to split blocks across cleaning
 // boundaries (1, primes, exact block multiples, one giant chunk).
-#include <sstream>
 #include <vector>
 
 #include "common/io.hpp"
@@ -30,10 +29,10 @@ namespace {
 
 template <typename T>
 std::string serialized(const T& est) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   est.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 /// Chunk sizes that exercise the tail path (shorter than a block), exact

@@ -46,6 +46,9 @@ TEST(ArgMap, SizeSuffixes) {
   EXPECT_EQ(ArgMap::parse_size("1G"), 1024ull * 1024 * 1024);
   EXPECT_THROW(ArgMap::parse_size("12X"), std::invalid_argument);
   EXPECT_THROW(ArgMap::parse_size(""), std::invalid_argument);
+  // A scale that wraps 64 bits, or a sign, is refused, not wrapped.
+  EXPECT_THROW(ArgMap::parse_size("17179869185G"), std::invalid_argument);
+  EXPECT_THROW(ArgMap::parse_size("-1"), std::invalid_argument);
 }
 
 TEST(ArgMap, UnusedFlagsTracked) {

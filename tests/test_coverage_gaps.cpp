@@ -1,6 +1,6 @@
 // Edge-case coverage beyond the per-module suites: large-clock arithmetic,
 // HLL-variant monitor checkpoints, and misc API corners surfaced by review.
-#include <sstream>
+#include <vector>
 
 #include "common/bit_array.hpp"
 #include "common/zipf.hpp"
@@ -49,10 +49,10 @@ TEST(MonitorGaps, HllVariantCheckpointRoundTrip) {
   StreamMonitor mon(cfg);
   for (auto k : stream::distinct_trace(2 * cfg.window, 3)) mon.insert(k);
 
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   mon.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   StreamMonitor back = StreamMonitor::load(r);
   ASSERT_TRUE(back.report(1).cardinality.has_value());
   EXPECT_DOUBLE_EQ(*back.report(1).cardinality, *mon.report(1).cardinality);
@@ -63,11 +63,11 @@ TEST(MonitorGaps, CorruptedMonitorStreamRejected) {
   cfg.window = 1024;
   cfg.memory_bytes = 16 * 1024;
   StreamMonitor mon(cfg);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   mon.save(w);
-  std::string data = ss.str();
-  std::stringstream cut(data.substr(0, data.size() / 3));
+  std::string data(buf.begin(), buf.end());
+  const std::string cut(data.substr(0, data.size() / 3));
   BinaryReader r(cut);
   EXPECT_THROW((void)StreamMonitor::load(r), std::runtime_error);
 }
@@ -99,10 +99,10 @@ TEST(HeavyHittersGaps, RestoreSketchKeepsPointQueries) {
   HeavyHitters hh(cfg, 8, 16);
   for (int i = 0; i < 500; ++i) hh.insert(42);
 
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   hh.sketch().save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
 
   HeavyHitters fresh(cfg, 8, 16);
   fresh.restore_sketch(SheCountMin::load(r));

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <span>
-#include <sstream>
 #include <vector>
 
 #include "common/io.hpp"
@@ -33,11 +32,11 @@ SheConfig cfg_of(std::uint64_t window, std::size_t cells, std::size_t w,
 /// The same state, byte for byte, through save().
 template <typename A, typename B>
 void expect_same_bytes(const A& a, const B& b, std::size_t at) {
-  std::stringstream sa, sb;
+  std::vector<char> sa, sb;
   BinaryWriter wa(sa), wb(sb);
   a.save(wa);
   b.save(wb);
-  ASSERT_EQ(sa.str(), sb.str()) << "i=" << at;
+  ASSERT_EQ(sa, sb) << "i=" << at;
 }
 
 /// Cell-for-cell agreement: value, age and age class of every cell.

@@ -8,7 +8,7 @@
 //   * SHE-BF              vs  exact oracle (one-sidedness)
 //
 // 20 random trials each, seeds printed on failure for reproduction.
-#include <sstream>
+#include <vector>
 
 #include "common/io.hpp"
 #include "common/rng.hpp"
@@ -72,10 +72,10 @@ void expect_same_probes(const A& a, const B& b, std::uint64_t key,
 
 template <typename E>
 std::string saved_bytes(const E& e) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   e.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 /// The Bloom policy on the default one-Cell-per-slot store.
@@ -155,10 +155,10 @@ TEST(Differential, CheckpointMatchesLiveObject) {
     SheBloomFilter live(s.cfg, s.hashes);
     for (auto k : s.trace) live.insert(k);
 
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     live.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     SheBloomFilter restored = SheBloomFilter::load(r);
 
     // Continue both with a second stream; answers stay identical.

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <thread>
 #include <typeinfo>
+#include <vector>
 
 #include "common/crc32.hpp"
 #include "common/fault_injection.hpp"
@@ -445,10 +446,10 @@ IngestPipeline<SheBloomFilter>::Factory bf_factory(std::size_t shards,
 
 template <typename Estimator>
 std::string serialized(const Estimator& est) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   est.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 /// The acceptance scenario: checkpoint every k items, kill the worker

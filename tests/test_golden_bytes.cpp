@@ -17,7 +17,6 @@
 // natively and under ScopedForceScalar against the same constants.
 #include <cstdio>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,10 +41,10 @@ class Digest {
   void f64(double v) { bytes(&v, sizeof v); }
   template <typename T>
   void state(const T& est) {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     est.save(w);
-    const std::string s = ss.str();
+    const std::string s(buf.begin(), buf.end());
     bytes(s.data(), s.size());
   }
   [[nodiscard]] std::uint32_t value() const { return crc_; }

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "common/int_math.hpp"
@@ -137,10 +136,10 @@ TEST(GroupClock, CopiesShareTheOffsetTable) {
   EXPECT_EQ(b.memory_bytes(), a.memory_bytes());
 
   // A loaded clock takes the same table from the registry.
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 2);
   EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
 
@@ -192,10 +191,10 @@ TEST(GroupClock, OneOffsetTablePerGeometry) {
     const GroupClock b(kGroups, kTcycle, 4);
     EXPECT_EQ(b.offsets_data(), a.offsets_data());
 
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     a.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 1);
     EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
     EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline + kTable);
@@ -215,14 +214,13 @@ TEST(GroupClock, OneOffsetTablePerGeometry) {
 // load() takes only a clock of the geometry it is asked for.
 TEST(GroupClock, LoadRejectsAnotherGeometry) {
   const GroupClock a(64, 1000, 2);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  const std::string bytes = ss.str();
+  const std::string bytes(buf.begin(), buf.end());
   const auto load = [&](std::size_t groups, std::uint64_t tcycle,
                         unsigned bits) {
-    std::stringstream in(bytes);
-    BinaryReader r(in);
+    BinaryReader r(bytes);
     return GroupClock::load(r, groups, tcycle, bits);
   };
   EXPECT_NO_THROW(load(64, 1000, 2));

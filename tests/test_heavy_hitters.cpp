@@ -4,9 +4,9 @@
 #include "she/heavy_hitters.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/io.hpp"
 #include "common/simd.hpp"
@@ -90,10 +90,10 @@ class ReferenceHeavyHitters {
 
 template <typename T>
 std::string serialized(const T& est) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   est.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 bool same_entries(const std::vector<HeavyHitters::Entry>& a,

@@ -1,7 +1,7 @@
 // StreamMonitor façade tests.
 #include "she/monitor.hpp"
 
-#include <sstream>
+#include <vector>
 
 #include "common/bobhash.hpp"
 #include "stream/oracle.hpp"
@@ -103,17 +103,13 @@ TEST(Monitor, LoadRejectsCandidateCountAboveCapacity) {
   MonitorConfig cfg = small_cfg();
   cfg.track_membership = false;
   cfg.track_cardinality = false;
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> frame;
+  BinaryWriter w(frame);
   StreamMonitor(cfg).save(w);
-  std::string frame = ss.str();
   ASSERT_GE(frame.size(), 8u);
   frame.resize(frame.size() - 8);
-  std::stringstream patched;
-  patched << frame;
-  BinaryWriter pw(patched);
-  pw.u64(std::uint64_t{1} << 40);
-  BinaryReader r(patched);
+  w.u64(std::uint64_t{1} << 40);
+  BinaryReader r(frame);
   EXPECT_THROW((void)StreamMonitor::load(r), SerializeError);
 }
 
@@ -123,10 +119,10 @@ TEST(Monitor, CheckpointRoundTrip) {
   auto trace = stream::distinct_trace(2 * cfg.window, 7);
   for (auto k : trace) mon.insert(k);
 
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   mon.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   StreamMonitor back = StreamMonitor::load(r);
 
   EXPECT_EQ(back.time(), mon.time());
@@ -159,10 +155,10 @@ TEST(Monitor, CheckpointRoundTrip) {
 }
 
 std::string monitor_bytes(const StreamMonitor& mon) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   mon.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 /// Save -> load -> short continuation, in lock-step with a copy that never
@@ -187,8 +183,7 @@ TEST(Monitor, RestoredMonitorMatchesUninterruptedInLockStep) {
     const std::string image = monitor_bytes(live);
     std::size_t prev = 0;
     StreamMonitor uninterrupted = live;
-    std::stringstream ss(image);
-    BinaryReader r(ss);
+    BinaryReader r(image);
     StreamMonitor restored = StreamMonitor::load(r);
     for (std::size_t tail : tails) {
       const std::span<const std::uint64_t> more(trace.data() + cut + prev,
@@ -215,8 +210,8 @@ TEST(Monitor, ResumedMonitorIsByteIdenticalOnTiedCandidates) {
 
   StreamMonitor live(cfg);
   live.insert_batch(all.first(cut));
-  std::stringstream ss(monitor_bytes(live));
-  BinaryReader r(ss);
+  const std::string image = monitor_bytes(live);
+  BinaryReader r(image);
   StreamMonitor resumed = StreamMonitor::load(r);
   live.insert_batch(all.subspan(cut));
   resumed.insert_batch(all.subspan(cut));

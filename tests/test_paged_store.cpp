@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,10 +34,10 @@ namespace {
 
 template <typename T>
 std::string bytes_of(const T& x) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   x.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 /// Keys with repeats, so counters and ranks move more than once.

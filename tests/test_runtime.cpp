@@ -21,8 +21,8 @@
 #include <filesystem>
 #include <numeric>
 #include <set>
-#include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/paged_array.hpp"
 #include "common/rng.hpp"
@@ -176,15 +176,14 @@ TEST(IngestPipeline, SingleProducerDrainBitIdenticalToSequential) {
   pipe.close();
 
   for (std::size_t s = 0; s < kShards; ++s) {
-    std::stringstream expected_ss;
-    BinaryWriter w(expected_ss);
+    std::vector<char> expected;
+    BinaryWriter w(expected);
     seq.shard(s).save(w);
-    const std::string expected = expected_ss.str();
 
-    std::stringstream got_ss;
-    BinaryWriter gw(got_ss);
+    std::vector<char> got;
+    BinaryWriter gw(got);
     pipe.snapshot(s).save(gw);
-    ASSERT_EQ(got_ss.str(), expected) << "shard " << s;
+    ASSERT_EQ(got, expected) << "shard " << s;
   }
 
   auto st = pipe.stats();
@@ -273,11 +272,11 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
   reader.join();
 
   for (std::size_t s = 0; s < kShards; ++s) {
-    std::stringstream expected_ss, got_ss;
-    BinaryWriter ew(expected_ss), gw(got_ss);
+    std::vector<char> expected, got;
+    BinaryWriter ew(expected), gw(got);
     seq[s].save(ew);
     pipe.snapshot(s).save(gw);
-    ASSERT_EQ(got_ss.str(), expected_ss.str()) << "shard " << s;
+    ASSERT_EQ(got, expected) << "shard " << s;
   }
 
   auto st = pipe.stats();

@@ -4,8 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/bit_array.hpp"
 #include "common/io.hpp"
@@ -30,8 +31,8 @@ std::uint64_t peak_rss_kib() {
 void reset_peak_rss() { std::ofstream("/proc/self/clear_refs") << "5"; }
 
 TEST(BinaryIo, PrimitivesRoundTrip) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u8(0xAB);
   w.u32(0xDEADBEEF);
   w.u64(0x0123456789ABCDEFULL);
@@ -39,7 +40,7 @@ TEST(BinaryIo, PrimitivesRoundTrip) {
   w.f64(3.14159);
   w.u64_vector({1, 2, 3});
 
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
@@ -49,34 +50,34 @@ TEST(BinaryIo, PrimitivesRoundTrip) {
 }
 
 TEST(BinaryIo, TruncationThrows) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u32(7);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW((void)r.u64(), std::runtime_error);
 }
 
 TEST(BinaryIo, TagMismatchThrows) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.tag("AAAA");
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW(r.expect_tag("BBBB"), std::runtime_error);
 }
 
 TEST(BinaryIo, ImplausibleVectorLengthThrows) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u64(~std::uint64_t{0});  // absurd length header
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW((void)r.u64_vector(), std::runtime_error);
 }
 
 TEST(BinaryIo, ShortStreamThrowsTypedSerializeError) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u32(7);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW((void)r.u64(), SerializeError);
 }
 
@@ -84,29 +85,29 @@ TEST(BinaryIo, VectorLengthBoundedByRemainingStream) {
   // A plausible-looking length (1M elements) over a near-empty seekable
   // stream must be rejected *before* allocating, from the length check —
   // not by limping through a giant read.
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u64(1u << 20);
   w.u64(42);  // only one element actually present
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW((void)r.u64_vector(), SerializeError);
 }
 
 TEST(BinaryIo, ExactLengthVectorStillLoads) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   w.u64_vector({5, 6, 7, 8});
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_EQ(r.u64_vector(), (std::vector<std::uint64_t>{5, 6, 7, 8}));
 }
 
 TEST(Serialize, BitArrayRoundTrip) {
   BitArray a(1000);
   for (std::size_t i = 0; i < 1000; i += 3) a.set(i);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   BitArray b = BitArray::load(r);
   ASSERT_EQ(b.size(), a.size());
   for (std::size_t i = 0; i < 1000; ++i) ASSERT_EQ(b.test(i), a.test(i));
@@ -115,10 +116,10 @@ TEST(Serialize, BitArrayRoundTrip) {
 TEST(Serialize, PackedArrayRoundTrip) {
   PackedArray a(333, 5);
   for (std::size_t i = 0; i < 333; ++i) a.set(i, i % 32);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   PackedArray b = PackedArray::load(r);
   ASSERT_EQ(b.size(), a.size());
   ASSERT_EQ(b.cell_bits(), a.cell_bits());
@@ -127,10 +128,10 @@ TEST(Serialize, PackedArrayRoundTrip) {
 
 TEST(Serialize, WrongTypeTagRejected) {
   BitArray a(10);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   EXPECT_THROW((void)PackedArray::load(r), std::runtime_error);
 }
 
@@ -158,10 +159,10 @@ TEST(Serialize, SheBloomResumesIdentically) {
   for (auto k : trace) bf.insert(k);
 
   auto copy_of = [](const SheBloomFilter& x) {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     x.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     return SheBloomFilter::load(r);
   };
   auto equal = [&](const SheBloomFilter& a, const SheBloomFilter& b) {
@@ -187,10 +188,10 @@ TEST(Serialize, SheBitmapResumesIdentically) {
   for (auto k : stream::distinct_trace(3 * cfg.window, 5)) bm.insert(k);
 
   auto copy_of = [](const SheBitmap& x) {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     x.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     return SheBitmap::load(r);
   };
   auto equal = [](const SheBitmap& a, const SheBitmap& b) {
@@ -209,10 +210,10 @@ TEST(Serialize, SheHllResumesIdentically) {
   for (auto k : stream::distinct_trace(3 * cfg.window, 7)) hll.insert(k);
 
   auto copy_of = [](const SheHyperLogLog& x) {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     x.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     return SheHyperLogLog::load(r);
   };
   auto equal = [](const SheHyperLogLog& a, const SheHyperLogLog& b) {
@@ -232,10 +233,10 @@ TEST(Serialize, SheCountMinResumesIdentically) {
   for (auto k : trace) cm.insert(k);
 
   auto copy_of = [](const SheCountMin& x) {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     x.save(w);
-    BinaryReader r(ss);
+    BinaryReader r(buf);
     return SheCountMin::load(r);
   };
   auto equal = [&](const SheCountMin& a, const SheCountMin& b) {
@@ -260,10 +261,10 @@ TEST(Serialize, SheMinHashResumesIdentically) {
     b.insert(pair.b[i]);
   }
 
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   a.save(w);
-  BinaryReader r(ss);
+  BinaryReader r(buf);
   SheMinHash a2 = SheMinHash::load(r);
   EXPECT_DOUBLE_EQ(SheMinHash::jaccard(a, b), SheMinHash::jaccard(a2, b));
 }
@@ -283,10 +284,10 @@ struct ClockImage {
     cfg.alpha = 1.0;
     SheBloomFilter bf(cfg, 4);
     for (std::uint64_t k = 0; k < 300; ++k) bf.insert(k);
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     bf.save(w);
-    data = ss.str();
+    data = std::string(buf.begin(), buf.end());
     tcycle_at = data.find("GCLK") + 4;
     const std::size_t pakd = tcycle_at + 8;
     count_at = pakd + 4;
@@ -296,8 +297,7 @@ struct ClockImage {
   }
 
   static void load(const std::string& bytes) {
-    std::stringstream in(bytes);
-    BinaryReader r(in);
+    BinaryReader r(bytes);
     (void)SheBloomFilter::load(r);
   }
 };
@@ -351,12 +351,12 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
   cfg.group_cells = 64;
   cfg.alpha = 1.0;
   SheBloomFilter bf(cfg, 4);
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   bf.save(w);
-  std::string data = ss.str();
+  std::string data(buf.begin(), buf.end());
   // Truncate the payload.
-  std::stringstream cut(data.substr(0, data.size() / 2));
+  const std::string cut(data.substr(0, data.size() / 2));
   BinaryReader r(cut);
   EXPECT_THROW((void)SheBloomFilter::load(r), std::runtime_error);
 
@@ -370,8 +370,7 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
     put_le(patched.data() + cells_at, cells);
     reset_peak_rss();
     const std::uint64_t before = peak_rss_kib();
-    std::stringstream in(patched);
-    BinaryReader pr(in);
+    BinaryReader pr(patched);
     EXPECT_THROW((void)SheBloomFilter::load(pr), SerializeError);
     EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
   }
@@ -388,8 +387,7 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
     } else {
       put_le<std::uint32_t>(patched.data() + at, 0);
     }
-    std::stringstream in(patched);
-    BinaryReader pr(in);
+    BinaryReader pr(patched);
     EXPECT_THROW((void)SheBloomFilter::load(pr), SerializeError);
   }
 
@@ -400,13 +398,12 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
     mcfg.memory_bytes = 64 << 10;
     StreamMonitor mon(mcfg);
     for (auto k : stream::distinct_trace(3 * mcfg.window, 3)) mon.insert(k);
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::vector<char> buf;
+    BinaryWriter w(buf);
     mon.save(w);
-    const std::string data = ss.str();
+    const std::string data(buf.begin(), buf.end());
     {
-      std::stringstream in(data);
-      BinaryReader r(in);
+      BinaryReader r(data);
       EXPECT_EQ(StreamMonitor::load(r).time(), mon.time());
     }
     // Header: tag, window, memory_bytes, four task flags, expected
@@ -431,8 +428,7 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
       put_le(patched.data() + p.at, p.value);
       reset_peak_rss();
       const std::uint64_t before = peak_rss_kib();
-      std::stringstream in(patched);
-      BinaryReader pr(in);
+      BinaryReader pr(patched);
       EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
       EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
     }
@@ -443,10 +439,10 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
       wide.heavy_hitter_slots = mcfg.memory_bytes / 8;
       StreamMonitor m(wide);
       for (auto k : stream::distinct_trace(mcfg.window, 4)) m.insert(k);
-      std::stringstream wss;
-      BinaryWriter ww(wss);
+      std::vector<char> wide_buf;
+      BinaryWriter ww(wide_buf);
       m.save(ww);
-      BinaryReader wr(wss);
+      BinaryReader wr(wide_buf);
       const StreamMonitor back = StreamMonitor::load(wr);
       EXPECT_EQ(back.config().heavy_hitter_slots, wide.heavy_hitter_slots);
       const auto top = back.report(5).top, want = m.report(5).top;
@@ -464,8 +460,8 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
       c.window = mcfg.window;
       c.cells = 1024;
       c.group_cells = 64;
-      std::stringstream hss;
-      BinaryWriter hw(hss);
+      std::vector<char> header_buf;
+      BinaryWriter hw(header_buf);
       hw.tag("SMN2");
       hw.u64(mcfg.window);
       hw.u64(std::numeric_limits<std::uint64_t>::max());  // memory_bytes
@@ -477,15 +473,99 @@ TEST(Serialize, CorruptedEstimatorStreamRejected) {
       hw.u64(0);   // similarity_slots
       hw.u64(0);   // time
       SheBloomFilter(c, 8).save(hw);
-      BinaryReader pr(hss);
+      BinaryReader pr(header_buf);
       EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
     }
     // The pre-similarity "SMON" layout is no longer read.
     std::string smon = data;
     smon.replace(0, 4, "SMON");
-    std::stringstream in(smon);
-    BinaryReader pr(in);
+    BinaryReader pr(smon);
     EXPECT_THROW((void)StreamMonitor::load(pr), SerializeError);
+  }
+}
+
+// Every proper prefix of `original`'s image fails to load with
+// SerializeError (never another exception, never a load) without a large
+// allocation first; the whole image loads to its last byte and saves back
+// byte for byte.
+template <typename T>
+void expect_every_truncation_rejected(const T& original) {
+  std::vector<char> image;
+  BinaryWriter w(image);
+  original.save(w);
+  reset_peak_rss();
+  const std::uint64_t before = peak_rss_kib();
+  for (std::size_t n = 0; n < image.size(); ++n) {
+    BinaryReader r(std::span<const char>(image.data(), n));
+    try {
+      (void)T::load(r);
+      ADD_FAILURE() << "the " << n << "-byte prefix of a " << image.size()
+                    << "-byte image loaded";
+      return;
+    } catch (const SerializeError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the " << n << "-byte prefix of a " << image.size()
+                    << "-byte image threw " << e.what();
+      return;
+    }
+  }
+  EXPECT_LT(peak_rss_kib() - before, std::uint64_t{64} << 10);
+  BinaryReader r(image);
+  const T back = T::load(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  std::vector<char> again;
+  BinaryWriter back_w(again);
+  back.save(back_w);
+  EXPECT_TRUE(again == image);
+}
+
+TEST(Serialize, EveryTruncationOfEveryImageIsRejected) {
+  SheConfig cfg;
+  cfg.window = 1024;
+  cfg.cells = 1 << 12;
+  cfg.group_cells = 64;
+  cfg.alpha = 1.0;
+  const auto trace = stream::distinct_trace(3 * cfg.window, 21);
+  const auto fill = [&](auto est) {
+    for (const auto k : trace) est.insert(k);
+    return est;
+  };
+  {
+    SCOPED_TRACE("SHE-BF");
+    expect_every_truncation_rejected(fill(SheBloomFilter(cfg, 4)));
+  }
+  {
+    SCOPED_TRACE("SHE-BM");
+    expect_every_truncation_rejected(fill(SheBitmap(cfg)));
+  }
+  {
+    SCOPED_TRACE("SHE-CM");
+    expect_every_truncation_rejected(fill(SheCountMin(cfg, 4)));
+  }
+  SheConfig per_cell = cfg;
+  per_cell.cells = 256;
+  per_cell.group_cells = 1;
+  {
+    SCOPED_TRACE("SHE-HLL");
+    expect_every_truncation_rejected(fill(SheHyperLogLog(per_cell)));
+  }
+  {
+    SCOPED_TRACE("SHE-MH");
+    expect_every_truncation_rejected(fill(SheMinHash(per_cell)));
+  }
+
+  MonitorConfig bitmap;
+  bitmap.window = cfg.window;
+  bitmap.memory_bytes = 16 << 10;
+  MonitorConfig hll = bitmap;
+  hll.use_hll = true;
+  MonitorConfig similarity = bitmap;
+  similarity.track_similarity = true;
+  for (const MonitorConfig& mcfg : {bitmap, hll, similarity}) {
+    SCOPED_TRACE(mcfg.use_hll ? "StreamMonitor, HLL cardinality"
+                 : mcfg.track_similarity ? "StreamMonitor, similarity"
+                                         : "StreamMonitor, bitmap cardinality");
+    expect_every_truncation_rejected(fill(StreamMonitor(mcfg)));
   }
 }
 

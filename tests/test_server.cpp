@@ -292,6 +292,34 @@ TEST(SpecParser, Rejections) {
   EXPECT_NO_THROW((void)parse_sketch_spec("similarity shards=1"));
 }
 
+// A size that wraps under its suffix, carries a sign, or a seed past 32
+// bits is refused, naming the value, instead of parsing to another number.
+TEST(SpecParser, SignedAndOverflowingSizesRejected) {
+  struct Case {
+    const char* spec;
+    const char* value;
+  };
+  for (const Case c : {Case{"window=17179869185G memory=1M", "17179869185G"},
+                       Case{"window=-65536", "-65536"},
+                       Case{"window=+64K", "+64K"},
+                       Case{"memory=18014398509481984K", "18014398509481984K"},
+                       Case{"window=99999999999999999999",
+                            "99999999999999999999"},
+                       Case{"seed=-1", "-1"},
+                       Case{"seed=4294967296", "4294967296"},
+                       Case{"seed=4G", "4G"}}) {
+    SCOPED_TRACE(c.spec);
+    try {
+      (void)parse_sketch_spec(c.spec);
+      ADD_FAILURE() << c.spec << " still parses";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.value), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(parse_sketch_spec("seed=4294967295").monitor.seed, 4294967295u);
+}
+
 TEST(SpecParser, NameValidation) {
   EXPECT_TRUE(valid_pipeline_name("web-frontend_2"));
   EXPECT_FALSE(valid_pipeline_name(""));
@@ -1013,6 +1041,34 @@ TEST(Server, SlowRequestCounterAndWindowedTrace) {
   const std::string body =
       http_body(http_get(live.server.http_port(), "/trace?ms=1"));
   EXPECT_NE(body.find("\"traceEvents\":["), std::string::npos);
+}
+
+// /trace matches `ms` as a whole query key: `items=5` keeps the default
+// 1000 ms window instead of yielding a 5 ms one, and a window that is not
+// a decimal number is refused rather than read as 0 (every span).
+TEST(Server, TraceWindowIsAWholeQueryKey) {
+  TraceToggleGuard guard;
+  ServerOptions opt;
+  opt.enable_tracing = true;
+  LiveServer live(std::move(opt));
+  SheClient c = live.client();
+  c.create("tw", "window=4K memory=64K");
+  const std::vector<std::uint64_t> keys(512, 7);
+  ASSERT_EQ(c.insert_bulk("tw", keys), keys.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::uint16_t port = live.server.http_port();
+  const auto has_insert = [&](const char* target) {
+    return http_body(http_get(port, target)).find("insert_bulk") !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(has_insert("/trace?items=5"));
+  EXPECT_TRUE(has_insert("/trace?x=1&ms=60000"));
+  EXPECT_FALSE(has_insert("/trace?ms=5"));
+  for (const char* bad :
+       {"/trace?ms=abc", "/trace?ms=", "/trace?ms", "/trace?ms=-5"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(http_get(port, bad).find("400 Bad Request"), std::string::npos);
+  }
 }
 
 TEST(Server, ConcurrentScrapesWhileIngesting) {

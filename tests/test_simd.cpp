@@ -22,7 +22,6 @@
 //
 // On hardware without a vector backend both sides run scalar and the suite
 // degrades to a (still valid) self-consistency check.
-#include <sstream>
 #include <vector>
 
 #include "common/bobhash.hpp"
@@ -40,10 +39,10 @@ namespace {
 
 template <typename T>
 std::string serialized(const T& est) {
-  std::stringstream ss;
-  BinaryWriter w(ss);
+  std::vector<char> buf;
+  BinaryWriter w(buf);
   est.save(w);
-  return ss.str();
+  return std::string(buf.begin(), buf.end());
 }
 
 // ----------------------------------------------------------------- kernels --

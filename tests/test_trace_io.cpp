@@ -2,7 +2,10 @@
 #include "stream/trace_io.hpp"
 
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,30 +14,28 @@ namespace {
 
 TEST(TraceIo, StreamRoundTrip) {
   Trace t = distinct_trace(10000, 3);
-  std::stringstream ss;
-  save_trace(ss, t);
-  Trace back = load_trace(ss);
+  std::vector<char> bytes;
+  save_trace(bytes, t);
+  Trace back = load_trace(bytes);
   EXPECT_EQ(back, t);
 }
 
 TEST(TraceIo, EmptyTraceRoundTrip) {
-  std::stringstream ss;
-  save_trace(ss, {});
-  EXPECT_TRUE(load_trace(ss).empty());
+  std::vector<char> bytes;
+  save_trace(bytes, {});
+  EXPECT_TRUE(load_trace(bytes).empty());
 }
 
 TEST(TraceIo, BadMagicRejected) {
-  std::stringstream ss;
-  ss << "NOPE12345678";
-  EXPECT_THROW((void)load_trace(ss), std::runtime_error);
+  const std::string bytes = "NOPE12345678";
+  EXPECT_THROW((void)load_trace(bytes), std::runtime_error);
 }
 
 TEST(TraceIo, TruncationRejected) {
   Trace t = distinct_trace(100, 1);
-  std::stringstream ss;
-  save_trace(ss, t);
-  std::string data = ss.str();
-  std::stringstream cut(data.substr(0, data.size() - 40));
+  std::vector<char> bytes;
+  save_trace(bytes, t);
+  const std::span<const char> cut(bytes.data(), bytes.size() - 40);
   EXPECT_THROW((void)load_trace(cut), std::runtime_error);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <stdexcept>
 
 namespace she::tools {
@@ -74,8 +75,15 @@ std::vector<std::string> ArgMap::unused() const {
 
 std::uint64_t ArgMap::parse_size(const std::string& text) {
   if (text.empty()) throw std::invalid_argument("empty size value");
+  if (!std::isdigit(static_cast<unsigned char>(text[0])))
+    throw std::invalid_argument("malformed size '" + text + "'");
   std::size_t pos = 0;
-  unsigned long long base = std::stoull(text, &pos);
+  unsigned long long base = 0;
+  try {
+    base = std::stoull(text, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("size '" + text + "' overflows 64 bits");
+  }
   std::string suffix = text.substr(pos);
   std::transform(suffix.begin(), suffix.end(), suffix.begin(),
                  [](unsigned char c) { return std::toupper(c); });
@@ -91,6 +99,8 @@ std::uint64_t ArgMap::parse_size(const std::string& text) {
   } else {
     throw std::invalid_argument("unknown size suffix '" + suffix + "'");
   }
+  if (base > std::numeric_limits<std::uint64_t>::max() / mult)
+    throw std::invalid_argument("size '" + text + "' overflows 64 bits");
   return base * mult;
 }
 

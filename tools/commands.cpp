@@ -9,7 +9,6 @@
 #include <iostream>
 #include <set>
 #include <span>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -144,8 +143,7 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
     if (!resume_path.empty()) {
       // --resume: continue from a checkpoint; sizing flags are ignored.
       const CheckpointData ck = read_checkpoint_file(resume_path);
-      std::istringstream is(std::string(ck.payload.begin(), ck.payload.end()));
-      BinaryReader in(is);
+      BinaryReader in(ck.payload);
       return SheBloomFilter::load(in);
     }
     unsigned hashes = static_cast<unsigned>(args.get_u64("hashes", 8));
@@ -187,10 +185,10 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
   out << "  false negatives:     " << false_negatives << "/" << checks
       << " in-window checks (must be 0)\n";
   if (!save_path.empty()) {
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::vector<char> image;
+    BinaryWriter w(image);
     bf.save(w);
-    write_file_atomic(save_path, frame_checkpoint(bf.time(), os.str()));
+    write_file_atomic(save_path, frame_checkpoint(bf.time(), image));
     out << "  checkpoint saved to " << save_path << " (resume with --resume)\n";
   }
   return false_negatives == 0 ? 0 : 1;
@@ -517,15 +515,13 @@ int cmd_metrics(const ArgMap& args, std::ostream& out) {
 int cmd_info(const ArgMap& args, std::ostream& out) {
   std::string path = args.require("file");
   reject_unused(args);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::invalid_argument("cannot open " + path);
-  char magic[4] = {};
-  is.read(magic, 4);
-  std::string tag(magic, 4);
-  is.seekg(0);
+  const std::optional<std::vector<char>> bytes = read_file(path);
+  if (!bytes) throw std::invalid_argument("cannot open " + path);
+  const std::string tag(bytes->data(),
+                        std::min<std::size_t>(bytes->size(), 4));
 
   if (tag == "SHTR") {
-    auto trace = stream::load_trace(is);
+    auto trace = stream::load_trace(*bytes);
     out << path << ": trace, " << trace.size() << " items, "
         << stream::distinct_count(trace) << " distinct\n";
     return 0;
@@ -536,13 +532,13 @@ int cmd_info(const ArgMap& args, std::ostream& out) {
   }
   // A CRC-framed checkpoint (a pipeline shard's or `membership --save`'s):
   // validate the frame, then describe the payload by its own tag.
-  const CheckpointData ck = read_checkpoint_file(path);
+  const CheckpointData ck = parse_checkpoint(bytes->data(), bytes->size());
   out << path << ": CRC-framed checkpoint (valid)\n"
       << "  stream offset: " << ck.stream_offset << " items, payload "
       << ck.payload.size() << " bytes\n";
-  std::istringstream payload(std::string(ck.payload.begin(), ck.payload.end()));
-  const std::string inner = payload.str().substr(0, 4);
-  BinaryReader in(payload);
+  const std::string inner(ck.payload.data(),
+                          std::min<std::size_t>(ck.payload.size(), 4));
+  BinaryReader in(ck.payload);
   auto describe = [&](const char* name, const SheConfig& cfg,
                       std::uint64_t time) {
     out << "  " << name << " checkpoint\n";

@@ -39,21 +39,24 @@ obs::Counter& corrupt_counter() {
 std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
                                    std::span<const char> payload) {
   std::vector<char> out(kCheckpointHeaderBytes + payload.size());
-  std::memcpy(out.data(), kCheckpointMagic, 4);
-  put_le<std::uint32_t>(out.data() + 4, kCheckpointVersion);
-  put_le<std::uint64_t>(out.data() + 8, stream_offset);
-  put_le<std::uint64_t>(out.data() + 16, payload.size());
-  if (!payload.empty())
-    std::memcpy(out.data() + kCheckpointHeaderBytes, payload.data(),
-                payload.size());
+  std::copy(payload.begin(), payload.end(),
+            out.begin() + kCheckpointHeaderBytes);
+  seal_checkpoint(out, stream_offset);
+  return out;
+}
+
+void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset) {
+  char* h = frame.data();
+  const std::span<const char> payload = frame.subspan(kCheckpointHeaderBytes);
+  std::memcpy(h, kCheckpointMagic, 4);
+  put_le<std::uint32_t>(h + 4, kCheckpointVersion);
+  put_le<std::uint64_t>(h + 8, stream_offset);
+  put_le<std::uint64_t>(h + 16, payload.size());
   // The CRC covers the header prefix too, chained into everything after
   // the CRC field, so a bit flip in the stream offset is as loud as one
   // in the payload.
-  std::uint32_t c = crc32(out.data(), 24);
-  c = crc32(out.data() + kCheckpointHeaderBytes,
-            out.size() - kCheckpointHeaderBytes, c);
-  put_le<std::uint32_t>(out.data() + 24, c);
-  return out;
+  put_le<std::uint32_t>(h + 24,
+                        crc32(payload.data(), payload.size(), crc32(h, 24)));
 }
 
 CheckpointData parse_checkpoint(const char* data, std::size_t n) {

@@ -58,6 +58,12 @@ struct CheckpointData {
 [[nodiscard]] std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
                                                  std::span<const char> payload);
 
+/// Seal a frame in place: `frame` is kCheckpointHeaderBytes of room
+/// followed by the payload, and the header is written over that room.  A
+/// writer that serializes straight behind the room (BinaryWriter appends)
+/// frames its image without a second copy.  `frame` must hold the room.
+void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset);
+
 /// Validate and unwrap a frame.  Throws CheckpointError (and increments
 /// `she_checkpoint_corrupt_total`) on any structural or checksum failure.
 [[nodiscard]] CheckpointData parse_checkpoint(const char* data, std::size_t n);

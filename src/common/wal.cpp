@@ -1,6 +1,7 @@
 #include "common/wal.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -18,11 +19,6 @@
 namespace she {
 
 namespace {
-
-/// A frame claiming more payload than this is treated as tail garbage: no
-/// real sub-batch approaches it (the wire protocol caps frames at 16 MiB)
-/// and honoring a flipped length bit would try a huge allocation.
-constexpr std::uint32_t kMaxWalPayload = 64u << 20;
 
 obs::Counter& torn_counter() {
   return obs::default_registry().counter(
@@ -57,6 +53,21 @@ std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
   f.client_seq = get_le<std::uint64_t>(h + 32);
   f.payload.assign(payload, payload + payload_len);
   return kWalHeaderBytes + payload_len;
+}
+
+/// Encode the header of the frame `f` carrying `payload` (f.payload is
+/// not read) into h[0, kWalHeaderBytes), its CRC chained over `payload`.
+void encode_header(char* h, const WalFrame& f, std::span<const char> payload) {
+  std::memcpy(h, kWalMagic, 4);
+  put_le<std::uint16_t>(h + 4, kWalVersion);
+  put_le<std::uint16_t>(h + 6, f.kind);
+  put_le<std::uint64_t>(h + 8, f.seq);
+  put_le<std::uint64_t>(h + 16, f.start_offset);
+  put_le<std::uint64_t>(h + 24, f.client_id);
+  put_le<std::uint64_t>(h + 32, f.client_seq);
+  put_le<std::uint32_t>(h + 40, static_cast<std::uint32_t>(payload.size()));
+  put_le<std::uint32_t>(h + 44,
+                        crc32(payload.data(), payload.size(), crc32(h, 44)));
 }
 
 constexpr std::size_t kSeqDigits = 20;  // zero-padded: name order = seq order
@@ -148,21 +159,8 @@ std::vector<std::uint64_t> WalFrame::keys() const {
 
 std::vector<char> frame_wal(const WalFrame& f) {
   std::vector<char> out(kWalHeaderBytes + f.payload.size());
-  std::memcpy(out.data(), kWalMagic, 4);
-  put_le<std::uint16_t>(out.data() + 4, kWalVersion);
-  put_le<std::uint16_t>(out.data() + 6, f.kind);
-  put_le<std::uint64_t>(out.data() + 8, f.seq);
-  put_le<std::uint64_t>(out.data() + 16, f.start_offset);
-  put_le<std::uint64_t>(out.data() + 24, f.client_id);
-  put_le<std::uint64_t>(out.data() + 32, f.client_seq);
-  put_le<std::uint32_t>(out.data() + 40,
-                        static_cast<std::uint32_t>(f.payload.size()));
-  if (!f.payload.empty())
-    std::memcpy(out.data() + kWalHeaderBytes, f.payload.data(),
-                f.payload.size());
-  std::uint32_t crc = crc32(out.data(), 44);
-  crc = crc32(out.data() + kWalHeaderBytes, f.payload.size(), crc);
-  put_le<std::uint32_t>(out.data() + 44, crc);
+  std::copy(f.payload.begin(), f.payload.end(), out.begin() + kWalHeaderBytes);
+  encode_header(out.data(), f, f.payload);
   return out;
 }
 
@@ -356,6 +354,17 @@ void ShardWal::rotate_locked() {
 
 bool ShardWal::append(std::span<const std::uint64_t> keys,
                       std::uint64_t client_id, std::uint64_t client_seq) {
+  // The keys' bytes are the frame's payload as they lie: u64 LE.
+  static_assert(std::endian::native == std::endian::little,
+                "ShardWal::append writes the caller's keys as the LE payload");
+  // The recovery scan would cut such a frame, and every frame behind it,
+  // as a torn tail: refuse it before anything is written or acked.
+  if (keys.size() > kMaxWalKeys)
+    throw WalError("wal: a frame of " + std::to_string(keys.size()) +
+                   " keys exceeds the " + std::to_string(kMaxWalKeys) +
+                   "-key bound on one append");
+  const std::span<const char> payload(
+      reinterpret_cast<const char*>(keys.data()), keys.size() * 8);
   std::lock_guard<std::mutex> lk(mu_);
   // Peek, don't record yet: the seq mark must only advance once the frame
   // is as durable as the mode promises, or a retry after a failed append
@@ -372,10 +381,9 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   f.start_offset = end_offset_;
   f.client_id = client_id;
   f.client_seq = client_seq;
-  f.payload.resize(keys.size() * 8);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    put_le<std::uint64_t>(f.payload.data() + 8 * i, keys[i]);
-  const std::vector<char> bytes = frame_wal(f);
+  char header[kWalHeaderBytes];
+  encode_header(header, f, payload);
+  const std::size_t frame_bytes = kWalHeaderBytes + payload.size();
 
   // Real write/flush failures: an unknown number of bytes may have
   // reached the file, so force a repair before the next append, and
@@ -384,42 +392,44 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
     disk_bytes_ = file_bytes_ + 1;  // unknown tail: repair before reuse
     throw_io(what, active_, errno);
   };
+  const auto put = [this](const char* p, std::size_t n) {
+    return n == 0 || std::fwrite(p, 1, n, file_) == n;
+  };
   const std::size_t to_write =
-      fault::maybe_torn_wal(opt_.shard, f.seq, bytes.size(), kWalHeaderBytes);
+      fault::maybe_torn_wal(opt_.shard, f.seq, frame_bytes, kWalHeaderBytes);
+  const std::size_t head = std::min(to_write, kWalHeaderBytes);
   errno = 0;
-  if (to_write > 0 &&
-      std::fwrite(bytes.data(), 1, to_write, file_) != to_write)
+  if (!put(header, head) || !put(payload.data(), to_write - head))
     fail_write("short write to");
   if (std::fflush(file_) != 0) fail_write("flush failed on");
   durable_op(DurableOp::kWrite, active_, to_write);
-  if (to_write < bytes.size()) {
+  if (to_write < frame_bytes) {
     // Injected crash mid-write: the prefix is on disk, the append fails.
     // The caller drops the batch unacked; the next append (or recovery
     // scan) truncates the tail and the client's replay re-delivers.
     disk_bytes_ = file_bytes_ + to_write;
     throw WalError("wal: injected torn write on " + active_ + " (frame " +
                    std::to_string(f.seq) + ", " + std::to_string(to_write) +
-                   " of " + std::to_string(bytes.size()) + " bytes)");
+                   " of " + std::to_string(frame_bytes) + " bytes)");
   }
   if (opt_.mode == WalMode::kFsync &&
-      (unsynced_bytes_ += bytes.size()) > opt_.fsync_interval_bytes) {
+      (unsynced_bytes_ += frame_bytes) > opt_.fsync_interval_bytes) {
     const bool injected = fault::maybe_fail_fsync(opt_.shard, f.seq);
     if (const int err = injected ? -1 : sync_locked()) {
       // The frame is written but its durability is unknown: cut it so
       // the retry re-appends cleanly instead of duplicating the keys.
-      disk_bytes_ = file_bytes_ + bytes.size();
+      disk_bytes_ = file_bytes_ + frame_bytes;
       repair_locked();
       throw_io("fsync failed (batch durability unknown, not acking) on",
                active_, std::max(err, 0));
     }
   }
-  file_bytes_ += bytes.size();
+  file_bytes_ += frame_bytes;
   disk_bytes_ = file_bytes_;
   next_seq_ = f.seq + 1;
-  end_offset_ = f.end_offset();
+  end_offset_ = f.start_offset + keys.size();
   seqs_.record(client_id, client_seq);
-  if (opt_.observer)
-    opt_.observer(f, std::span<const char>(bytes.data(), bytes.size()));
+  if (opt_.observer) opt_.observer(end_offset_, header, payload);
   return true;
 }
 

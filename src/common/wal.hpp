@@ -22,7 +22,15 @@
 //   [44,48)  u32 CRC-32 over header [0,44) chained into the payload
 //
 // Data payloads are the accepted keys as u64 LE; seq-table payloads are
-// repeated (u64 client_id, u64 high_seq) pairs.
+// repeated (u64 client_id, u64 high_seq) pairs.  A payload is at most
+// kMaxWalPayload bytes: appends refuse a larger frame before writing it.
+//
+// One copy per durable byte: `ShardWal::append` encodes the header on the
+// stack, chains the CRC over the caller's keys where they lie (on a
+// little-endian host a u64 array already is the payload), and writes the
+// header and then the keys straight to the segment.  The append observer
+// receives the same two spans, so nothing concatenates them unless a
+// replication subscriber needs one record.
 //
 // Segments: a log named `<dir>/shard-<s>.wal` is a sequence of files
 // `<dir>/shard-<s>.<first frame seq, 20 digits>.wal`, so name order is log
@@ -88,6 +96,12 @@ inline constexpr std::uint16_t kWalData = 0;
 inline constexpr std::uint16_t kWalSeqTable = 1;
 /// Active-segment size at which appends rotate to a new segment.
 inline constexpr std::size_t kWalSegmentBytes = std::size_t{4} << 20;
+/// Largest payload a frame may carry.  The recovery scan treats a longer
+/// length field as tail garbage (honoring a flipped length bit would try a
+/// huge allocation), so appends refuse such a frame up front.
+inline constexpr std::uint32_t kMaxWalPayload = 64u << 20;
+/// Most keys one data frame (one shard's share of a push_bulk) can carry.
+inline constexpr std::size_t kMaxWalKeys = kMaxWalPayload / 8;
 
 /// One decoded frame.
 struct WalFrame {
@@ -200,12 +214,15 @@ class ShardWal {
     /// The shard this log belongs to: the key of the WAL fault points
     /// (common/fault_injection.hpp) armed for it.
     std::size_t shard = 0;
-    /// Called after each append that is as durable as the mode promises,
-    /// with the decoded frame and its encoded bytes, still under the
-    /// per-shard append lock — observers therefore see frames in exact
-    /// log order.  Replication tails the log through this; keep it cheap
-    /// (hand the bytes to a queue, never block on a socket here).
-    std::function<void(const WalFrame&, std::span<const char> encoded)>
+    /// Called after each data append that is as durable as the mode
+    /// promises, with the log's new end offset and the frame's encoded
+    /// bytes as two spans — the 48-byte header and the payload, which is
+    /// the caller's keys in place — still under the per-shard append lock:
+    /// observers therefore see frames in exact log order.  The spans live
+    /// only for the call.  Replication tails the log through this; keep it
+    /// cheap (hand the bytes to a queue, never block on a socket here).
+    std::function<void(std::uint64_t end_offset, std::span<const char> header,
+                       std::span<const char> payload)>
         observer;
   };
 
@@ -223,9 +240,12 @@ class ShardWal {
   /// start_offset is assigned internally (the log's current end), which
   /// keeps offsets contiguous under concurrent producers.  Returns false
   /// — nothing written, caller must skip the batch — when (client_id,
-  /// client_seq) is a known duplicate.  Throws WalError when the bytes
-  /// cannot be made as durable as the mode promises; the frame may then
-  /// be torn on disk, which resume tolerates and replay dedupes.
+  /// client_seq) is a known duplicate.  Throws WalError with nothing
+  /// written when `keys` holds more than kMaxWalKeys, and WalError when
+  /// the bytes cannot be made as durable as the mode promises; the frame
+  /// may then be torn on disk, which resume tolerates and replay dedupes.
+  /// A steady-state append (no rotation or repair) allocates nothing
+  /// beyond what the observer does.
   bool append(std::span<const std::uint64_t> keys, std::uint64_t client_id,
               std::uint64_t client_seq);
 

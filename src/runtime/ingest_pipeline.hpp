@@ -194,12 +194,14 @@ struct PipelineOptions {
                                        ///< 0 = fdatasync every append
 
   /// Called after each durable WAL append with the shard index, the
-  /// decoded frame, and its encoded bytes, under that shard's append
+  /// shard log's new end offset, and the frame's encoded header and
+  /// payload spans (valid only for the call), under that shard's append
   /// lock (frames arrive in exact log order per shard).  Replication
   /// tails the pipeline through this; keep it cheap — enqueue, never
   /// block on a socket.
-  std::function<void(std::size_t shard, const WalFrame& frame,
-                     std::span<const char> encoded)>
+  std::function<void(std::size_t shard, std::uint64_t end_offset,
+                     std::span<const char> header,
+                     std::span<const char> payload)>
       wal_observer;
 
   void validate() const;  ///< throws std::invalid_argument on bad fields
@@ -330,9 +332,10 @@ class IngestPipeline {
         wopt.shard = s;
         if (opt_.wal_observer) {
           auto cb = opt_.wal_observer;
-          wopt.observer = [cb, s](const WalFrame& f,
-                                  std::span<const char> encoded) {
-            cb(s, f, encoded);
+          wopt.observer = [cb, s](std::uint64_t end_offset,
+                                  std::span<const char> header,
+                                  std::span<const char> payload) {
+            cb(s, end_offset, header, payload);
           };
         }
         sh->wal = std::make_unique<ShardWal>(wal_path(s), std::move(wopt),
@@ -440,7 +443,8 @@ class IngestPipeline {
   ///
   /// `deadline_ns` (steady-clock absolute, 0 = none) bounds admission
   /// only.  One call takes at most 2^32 - 1 keys (std::invalid_argument
-  /// beyond).
+  /// beyond); with the WAL on, at most kMaxWalKeys of them may route to
+  /// one shard (WalError beyond, with nothing accepted).
   /// Only a terminally dead shard still accepts a sub-batch into the log
   /// without enqueueing it (*durable but not yet live*); its items
   /// surface at the next resume, in order, and are counted accepted here
@@ -485,6 +489,16 @@ class IngestPipeline {
         route[i] = static_cast<std::uint8_t>(s);
         ++count[s];
       }
+      // Each sub-batch is one WAL frame: refuse the whole call before the
+      // first lane commits when one would exceed the frame bound, so no
+      // shard accepts its share of a call another shard's append refuses.
+      if (opt_.wal_mode != WalMode::kOff && keys.size() > kMaxWalKeys)
+        for (std::size_t s = 0; s < opt_.shards; ++s)
+          if (count[s] > kMaxWalKeys)
+            throw WalError("push_bulk: " + std::to_string(count[s]) +
+                           " keys route to shard " + std::to_string(s) +
+                           ", above the " + std::to_string(kMaxWalKeys) +
+                           "-key bound on one WAL frame");
       for (std::size_t s = 0; s < opt_.shards; ++s) {
         if (count[s] == 0) continue;
         const auto mine = static_cast<std::uint8_t>(s);
@@ -624,8 +638,10 @@ class IngestPipeline {
       else if (shard_dead(sh))
         sh.dropped->inc(n - done);
     } else {
-      sh.staging.clear();
-      for (std::size_t i = 0; i < n; ++i) sh.staging.push_back(next());
+      // The one copy of the sub-batch: the WAL writes it to the segment
+      // as it lies, and the ring takes it from here.
+      sh.staging.resize(n);
+      for (std::uint64_t& key : sh.staging) key = next();
       bool logged = false;
       try {
         logged = sh.wal->append(sh.staging, client_id, client_seq);
@@ -821,6 +837,7 @@ class IngestPipeline {
     std::uint64_t consumed_at_publish = 0;  ///< worker-only
     std::uint64_t last_checkpoint = 0;   ///< worker-only: consumed at frame
     std::uint64_t ckpt_ordinal = 0;      ///< worker-only: frames written
+    std::size_t ckpt_bytes = 0;          ///< worker-only: last frame's size
     std::uint64_t resume_offset = 0;     ///< fixed at construction
     std::uint64_t hwm_local = 0;         ///< worker-only mirror
     /// Set by a restart that lost applied items: the estimator no longer
@@ -977,11 +994,15 @@ class IngestPipeline {
       return;  // disk is sick: keep the previous generation until recovery
     if (sh.ckpt_frozen) return;  // the newest frame is the last exact prefix
     const std::int64_t t0 = now_ns();
-    std::vector<char> image;
-    serialize_to(image, *view(sh.index));
-    std::vector<char> frame = frame_checkpoint(
-        sh.consumed_at_publish,
-        std::span<const char>(image.data(), image.size()));
+    // Serialize straight behind the frame header, sized by the last
+    // frame, and seal the header in place: one copy of the image.
+    std::vector<char> frame;
+    frame.reserve(sh.ckpt_bytes);
+    frame.resize(kCheckpointHeaderBytes);
+    BinaryWriter w(frame);
+    view(sh.index)->save(w);
+    seal_checkpoint(frame, sh.consumed_at_publish);
+    sh.ckpt_bytes = frame.size();
     fault::maybe_corrupt_frame(sh.index, sh.ckpt_ordinal, frame);
     try {
       if (fault::maybe_ckpt_eio(sh.index, sh.ckpt_ordinal))

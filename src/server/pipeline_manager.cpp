@@ -209,11 +209,12 @@ std::shared_ptr<PipelineManager::Entry> PipelineManager::create_internal(
       // observer runs under the shard's append lock, so the hub only
       // enqueues (bounded per-subscriber queues, never a socket write).
       ReplicationHub* hub = opt_.hub;
-      spec.pipeline.wal_observer = [hub, name](std::size_t shard,
-                                               const WalFrame& f,
-                                               std::span<const char> enc) {
-        hub->publish_wal(name, shard, f, enc);
-      };
+      spec.pipeline.wal_observer =
+          [hub, name](std::size_t shard, std::uint64_t end_offset,
+                      std::span<const char> header,
+                      std::span<const char> payload) {
+            hub->publish_wal(name, shard, end_offset, header, payload);
+          };
     }
     spec.pipeline.validate();  // wal x checkpoint_dir re-checked
   } else if (spec.wal.value_or(WalMode::kOff) != WalMode::kOff) {

@@ -136,7 +136,11 @@ void WireWriter::f64(double v) {
 
 void WireWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  raw(s);
+}
+
+void WireWriter::raw(std::span<const char> b) {
+  buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
 std::uint8_t WireReader::u8() {

@@ -158,6 +158,7 @@ class WireWriter {
   void u64(std::uint64_t v);
   void f64(double v);
   void str(std::string_view s);  ///< u32 length + bytes
+  void raw(std::span<const char> b);  ///< bytes, no length
 
   [[nodiscard]] const std::vector<char>& body() const { return buf_; }
 

@@ -92,20 +92,25 @@ void ReplicationHub::broadcast(std::vector<char> rec) {
 }
 
 void ReplicationHub::publish_wal(const std::string& pipeline,
-                                 std::size_t shard, const WalFrame& frame,
-                                 std::span<const char> encoded) {
+                                 std::size_t shard, std::uint64_t end_offset,
+                                 std::span<const char> header,
+                                 std::span<const char> payload) {
   // The one cost an unreplicated server pays per durable append.
   if (nsubs_.load(std::memory_order_relaxed) == 0) return;
   {
     std::lock_guard<std::mutex> lk(mu_);
     auto& off = end_offsets_[{pipeline, shard}];
-    if (frame.end_offset() > off) off = frame.end_offset();
+    if (end_offset > off) off = end_offset;
   }
+  // The encoded SHWL frame is one string field: its length, then the
+  // header and the payload back to back.
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
   w.str(pipeline);
   w.u32(static_cast<std::uint32_t>(shard));
-  w.str(std::string_view(encoded.data(), encoded.size()));
+  w.u32(static_cast<std::uint32_t>(header.size() + payload.size()));
+  w.raw(header);
+  w.raw(payload);
   broadcast(w.body());
 }
 

@@ -107,10 +107,13 @@ class ReplicationHub {
   void unsubscribe(const std::shared_ptr<Subscription>& sub);
   [[nodiscard]] std::size_t subscriber_count() const;
 
-  /// Observer entry (per-shard append lock held): enqueue the encoded
-  /// frame for every subscriber and advance the shard's end offset.
+  /// Observer entry (per-shard append lock held): advance the shard's
+  /// end offset and enqueue the frame — `header` then `payload`, the
+  /// appender's own bytes, joined into one record only here — for every
+  /// subscriber.  With none subscribed it returns at once.
   void publish_wal(const std::string& pipeline, std::size_t shard,
-                   const WalFrame& frame, std::span<const char> encoded);
+                   std::uint64_t end_offset, std::span<const char> header,
+                   std::span<const char> payload);
   void publish_create(const std::string& pipeline, const std::string& spec);
   void publish_drop(const std::string& pipeline);
 

@@ -203,6 +203,73 @@ std::string answers(SheClient& c) {
   return os.str();
 }
 
+TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
+  // A subscriber receives each data frame as [u8 kWal][str pipeline]
+  // [u32 shard][str frame], the frame byte-equal to the one in the
+  // segment, across rotations; the hub's end offset follows the log.
+  const std::string dir = temp_dir("repl_wal_records");
+  obs::Registry registry;
+  ReplicationHub hub(registry);
+  const auto sub = hub.subscribe();
+  ShardWal::Options opt;
+  opt.segment_bytes = 256;  // a few frames per segment
+  opt.observer = [&hub](std::uint64_t end_offset, std::span<const char> header,
+                        std::span<const char> payload) {
+    hub.publish_wal("p", 3, end_offset, header, payload);
+  };
+  std::uint64_t items = 0;
+  {
+    ShardWal wal(dir + "/shard-3.wal", opt, WalScan{});
+    for (std::uint64_t n = 1; n <= 12; ++n) {
+      std::vector<std::uint64_t> keys(n % 4 + 1);
+      for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = (n << 32) | i;
+      ASSERT_TRUE(wal.append(keys, 5, n));
+      items += keys.size();
+    }
+  }
+  std::vector<std::string> segments;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    segments.push_back(e.path().string());
+  std::sort(segments.begin(), segments.end());
+  ASSERT_GE(segments.size(), 3u);
+  std::vector<std::vector<char>> want;
+  for (const std::string& file : segments) {
+    const std::optional<std::vector<char>> bytes = read_file(file);
+    ASSERT_TRUE(bytes.has_value());
+    for (std::size_t at = 0; at < bytes->size();) {
+      WalFrame f;
+      const std::size_t sz =
+          parse_wal_frame(std::span<const char>(*bytes).subspan(at), f);
+      ASSERT_GT(sz, 0u);
+      if (f.kind == kWalData) {
+        WireWriter w;
+        w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
+        w.str("p");
+        w.u32(3);
+        w.str(std::string_view(bytes->data() + at, sz));
+        want.push_back(w.body());
+      }
+      at += sz;
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lk(sub->mu);
+    ASSERT_EQ(sub->q.size(), 12u);
+    ASSERT_EQ(want.size(), 12u);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(sub->q[i], want[i]) << "record " << i;
+  }
+  WireWriter beat;
+  beat.u8(static_cast<std::uint8_t>(ReplRecord::kHeartbeat));
+  beat.u32(1);
+  beat.str("p");
+  beat.u32(3);
+  beat.u64(items);
+  EXPECT_EQ(hub.heartbeat_record(), beat.body());
+  hub.unsubscribe(sub);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Replication, FailoverAnswersByteIdenticalToUnfaultedRun) {
   const auto keys = stream_keys(12000);
   const std::size_t half = keys.size() / 2;

@@ -1,7 +1,9 @@
 // Write-ahead backlog log tests: frame codec, crash-shape recovery scans
 // (torn tails, mid-log corruption, sequence regressions), the per-client
-// idempotence table, and the ShardWal append/dedup/rotate/retire/repair
-// cycle over segment files.
+// idempotence table, the ShardWal append/dedup/rotate/retire/repair cycle
+// over segment files, the bytes and the frame bound of the one-copy
+// append, and a count of the heap allocations a steady-state append and a
+// WAL-on push_bulk make (none).
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
@@ -9,16 +11,59 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/ingest_pipeline.hpp"
+#include "she/she.hpp"
 #include <gtest/gtest.h>
+
+// Heap allocations made by threads that set `g_count_news`; every other
+// thread (pipeline workers, the test runner) allocates uncounted.
+namespace {
+thread_local bool g_count_news = false;
+thread_local std::size_t g_news = 0;
+
+void* counted_new(std::size_t n, std::size_t align) {
+  if (g_count_news) ++g_news;
+  n = n == 0 ? 1 : n;
+  void* p = align <= alignof(std::max_align_t)
+                ? std::malloc(n)
+                : std::aligned_alloc(align, (n + align - 1) / align * align);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_new(n, 0); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_new(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace she {
 namespace {
+
+/// Heap allocations `body` makes on this thread.
+template <class Body>
+std::size_t news_during(Body&& body) {
+  g_news = 0;
+  g_count_news = true;
+  body();
+  g_count_news = false;
+  return g_news;
+}
 
 std::string temp_dir(const char* name) {
   auto dir = std::filesystem::path(::testing::TempDir()) / name;
@@ -545,6 +590,196 @@ TEST(ShardWal, FsyncModeGroupCommitAndConcurrentAppends) {
   for (int t = 0; t < kThreads; ++t)
     EXPECT_EQ(scan.client_seqs.at(static_cast<std::uint64_t>(t) + 1),
               static_cast<std::uint64_t>(kPerThread));
+  std::filesystem::remove_all(dir);
+}
+
+/// The keys the n-th batch of the byte-identity tests carries: 1 to 5
+/// keys with every byte position distinct.
+std::vector<std::uint64_t> batch_of(std::uint64_t n) {
+  std::vector<std::uint64_t> b(n % 5 + 1);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = 0x0123456789abcdefull * (n + 1) + i;
+  return b;
+}
+
+TEST(ShardWal, AppendBytesEqualFrameWalAcrossRotationRepairAndTornWrites) {
+  const std::string dir = temp_dir("wal_bytes");
+  const std::string path = dir + "/shard-0.wal";
+  constexpr std::uint64_t kClient = 11;
+  // batches[i] is what the i-th data frame must carry, under client seq i+1.
+  std::vector<std::vector<std::uint64_t>> batches;
+  std::uint64_t items = 0;
+  const auto append = [&](ShardWal& wal) {
+    batches.push_back(batch_of(batches.size()));
+    ASSERT_TRUE(wal.append(batches.back(), kClient, batches.size()));
+    items += batches.back().size();
+  };
+  {
+    ShardWal wal(path, small_segments(), WalScan{});
+    while (log_names(dir).size() < 3 && !HasFatalFailure()) append(wal);
+  }
+  // A torn tail found at open is cut before the next append.
+  {
+    std::ofstream(dir + "/" + log_names(dir).back(),
+                  std::ios::binary | std::ios::app)
+        << "torn";
+    ShardWal wal(path, small_segments(), read_wal(path));
+    append(wal);
+  }
+  // Torn writes injected inside the header and inside the payload: the
+  // append throws, the log ends at the previous frame, and the retry
+  // (repaired first) lands right behind it.
+  for (const char* spec : {"wal-torn", "wal-partial"}) {
+    SCOPED_TRACE(spec);
+    ShardWal wal(path, small_segments(), read_wal(path));
+    const std::vector<std::uint64_t> next = batch_of(batches.size());
+    fault::injector().arm(fault::parse_spec(spec));
+    EXPECT_THROW((void)wal.append(next, kClient, batches.size() + 1), WalError);
+    fault::injector().clear();
+    const WalScan torn = read_wal(path);
+    EXPECT_EQ(torn.frames.size(), batches.size());
+    EXPECT_EQ(torn.end_offset, items);
+    EXPECT_EQ(torn.dropped_bytes, std::string(spec) == "wal-torn"
+                                      ? kWalHeaderBytes / 2
+                                      : kWalHeaderBytes + next.size() * 4);
+    append(wal);
+  }
+  // Every data frame on disk is frame_wal of the frame it should be.
+  std::size_t i = 0;
+  std::uint64_t start = 0;
+  std::uint64_t seq = 0;
+  for (const std::string& name : log_names(dir)) {
+    const std::vector<char> bytes = file_bytes(dir + "/" + name);
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+      WalFrame f;
+      const std::size_t sz = parse_wal_frame(
+          std::span<const char>(bytes).subspan(at), f);
+      ASSERT_GT(sz, 0u) << name << " at " << at;
+      EXPECT_EQ(f.seq, ++seq);
+      if (f.kind == kWalData) {
+        ASSERT_LT(i, batches.size());
+        const std::vector<char> want =
+            frame_wal(data_frame(f.seq, start, batches[i], kClient, i + 1));
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), bytes.begin() + at,
+                               bytes.begin() + at + sz))
+            << "data frame " << i;
+        start += batches[i].size();
+        ++i;
+      }
+      at += sz;
+    }
+  }
+  EXPECT_EQ(i, batches.size());
+  EXPECT_EQ(read_wal(path).dropped_bytes, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, AppendRefusesAFrameAboveThePayloadBoundWritingNothing) {
+  // The scan cuts a frame longer than kMaxWalPayload, and every frame
+  // behind it, as a torn tail: an append that acked one would lose it.
+  const std::string dir = temp_dir("wal_bound");
+  const std::string path = dir + "/shard-0.wal";
+  const std::vector<std::uint64_t> small(10, 7);
+  {
+    ShardWal wal(path, {}, WalScan{});
+    ASSERT_TRUE(wal.append(small, 0, 0));
+    {
+      const std::vector<std::uint64_t> huge(kMaxWalKeys + 1, 9);
+      EXPECT_THROW((void)wal.append(huge, 21, 1), WalError);
+    }
+    EXPECT_EQ(file_bytes(first_segment(dir)).size(),
+              kWalHeaderBytes + small.size() * 8);
+    EXPECT_TRUE(wal.append(small, 21, 1));  // seq 1 was never recorded
+  }
+  const WalScan scan = read_wal(path);
+  EXPECT_EQ(scan.dropped_bytes, 0u);
+  EXPECT_EQ(scan.frames.size(), 2u);
+  EXPECT_EQ(scan.end_offset, 20u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, SteadyStateAppendAllocatesNothing) {
+  const std::string dir = temp_dir("wal_noalloc");
+  ShardWal wal(dir + "/shard-0.wal", {}, WalScan{});
+  const std::vector<std::uint64_t> keys = batch_of(4);
+  // The first append opens the stream's buffer and the client's entry.
+  ASSERT_TRUE(wal.append(keys, 5, 1));
+  std::uint64_t seq = 1;
+  EXPECT_EQ(news_during([&] {
+              for (int i = 0; i < 64; ++i)
+                ASSERT_TRUE(wal.append(keys, i % 2 == 0 ? 0 : 5, ++seq));
+            }),
+            0u);
+  std::filesystem::remove_all(dir);
+}
+
+runtime::PipelineOptions wal_pipeline(const std::string& dir) {
+  runtime::PipelineOptions opt;
+  opt.shards = 2;
+  opt.queue_capacity = 4096;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = std::uint64_t{1} << 40;
+  opt.wal_mode = WalMode::kAsync;
+  return opt;
+}
+
+SheBloomFilter small_filter(std::size_t) {
+  SheConfig cfg;
+  cfg.window = 1 << 12;
+  cfg.cells = 1 << 12;
+  cfg.group_cells = 64;
+  return SheBloomFilter(cfg, 4);
+}
+
+TEST(WalPipeline, PushBulkOfARepeatedFrameSizeAllocatesNothing) {
+  const std::string dir = temp_dir("wal_push_noalloc");
+  runtime::IngestPipeline<SheBloomFilter> pipe(wal_pipeline(dir),
+                                               small_filter);
+  pipe.start();
+  std::vector<std::uint64_t> keys(1024);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
+  // Warm up: the routing buffer, each lane's staging and each log's
+  // stream buffer reach this frame size; the client gets its entries.
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 4; ++i)
+    ASSERT_EQ(pipe.push_bulk(0, keys, 3, ++seq), keys.size());
+  EXPECT_EQ(news_during([&] {
+              for (int i = 0; i < 32; ++i)
+                ASSERT_EQ(pipe.push_bulk(0, keys, 3, ++seq), keys.size());
+            }),
+            0u);
+  pipe.close();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalPipeline, PushBulkRefusesAShardShareAboveTheFrameBoundAcceptingNothing) {
+  // Shard 0 commits first, so a check inside the lanes would accept its
+  // share before shard 1's append refused the rest of the call.
+  const std::string dir = temp_dir("wal_push_bound");
+  {
+    runtime::IngestPipeline<SheBloomFilter> pipe(wal_pipeline(dir),
+                                                 small_filter);
+    pipe.start();
+    std::vector<std::uint64_t> keys;
+    keys.reserve(kMaxWalKeys + 11);
+    std::size_t to_shard0 = 0;
+    for (std::uint64_t k = 0; keys.size() < kMaxWalKeys + 11; ++k)
+      if (pipe.shard_of(k) == 1 || to_shard0 < 10) {
+        to_shard0 += pipe.shard_of(k) == 0 ? 1 : 0;
+        keys.push_back(k);
+      }
+    EXPECT_THROW((void)pipe.push_bulk(0, keys, 9, 1), WalError);
+    keys.clear();
+    keys.shrink_to_fit();
+    pipe.close();
+    EXPECT_EQ(pipe.stats().produced, 0u);
+  }
+  for (const char* log : {"/shard-0.wal", "/shard-1.wal"}) {
+    const WalScan scan = read_wal(dir + log);
+    EXPECT_EQ(scan.end_offset, 0u) << log;
+    EXPECT_TRUE(scan.frames.empty()) << log;
+  }
   std::filesystem::remove_all(dir);
 }
 

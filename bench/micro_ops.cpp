@@ -338,6 +338,29 @@ void BM_StreamMonitorPublish(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamMonitorPublish)->Arg(20)->Arg(24);
 
+// One clock built from nothing, as every CREATE and resume builds each
+// estimator's, and one reset() of it, as clear() does.  The arg is the group
+// count; Tcycle = 1.5 x (64 x groups), a window as long as an array of
+// 64-cell groups with alpha = 0.5.
+void BM_GroupClockCreate(benchmark::State& state) {
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    const GroupClock clock(groups, groups * 96);
+    benchmark::DoNotOptimize(clock.stored_mark(groups - 1));
+  }
+}
+BENCHMARK(BM_GroupClockCreate)->Arg(32768);
+
+void BM_GroupClockReset(benchmark::State& state) {
+  const auto groups = static_cast<std::size_t>(state.range(0));
+  GroupClock clock(groups, groups * 96);
+  for (auto _ : state) {
+    clock.reset();
+    benchmark::DoNotOptimize(clock.stored_mark(groups - 1));
+  }
+}
+BENCHMARK(BM_GroupClockReset)->Arg(32768);
+
 // A checkpoint's serialize and a resume's deserialize of that shard, filled
 // past one window: the image is rebuilt into one reused buffer, or decoded
 // into a fresh monitor (one item = one image).  The arg is the per-shard

@@ -55,6 +55,21 @@ constexpr unsigned log2_pow2(std::uint64_t v) {
   return static_cast<unsigned>(std::countr_zero(v));
 }
 
+/// High 64 bits of the 128-bit product a * b.
+constexpr std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) {
+#if defined(__SIZEOF_INT128__)
+  return static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(a) * b) >> 64);
+#else
+  // Portable 64x64->high-64 via 32-bit halves (no platform in CI hits this).
+  const std::uint64_t al = a & 0xFFFFFFFFu, ah = a >> 32;
+  const std::uint64_t bl = b & 0xFFFFFFFFu, bh = b >> 32;
+  const std::uint64_t mid = ah * bl + ((al * bl) >> 32);
+  const std::uint64_t mid2 = al * bh + (mid & 0xFFFFFFFFu);
+  return ah * bh + (mid >> 32) + (mid2 >> 32);
+#endif
+}
+
 /// Division and modulo by a runtime-constant 32-bit divisor without a divide
 /// instruction (Lemire, Kaser & Kurz, "Faster remainder by direct
 /// computation").  Precompute once per estimator (`d` = cells or group
@@ -71,20 +86,6 @@ struct FastDiv32 {
   FastDiv32() = default;
   constexpr explicit FastDiv32(std::uint32_t divisor) : d(divisor) {
     if (d > 1) magic = ~std::uint64_t{0} / d + 1;
-  }
-
-  static constexpr std::uint64_t mulhi64(std::uint64_t a, std::uint64_t b) {
-#if defined(__SIZEOF_INT128__)
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(a) * b) >> 64);
-#else
-    // Portable 64x64->high-64 via 32-bit halves (no platform in CI hits this).
-    const std::uint64_t al = a & 0xFFFFFFFFu, ah = a >> 32;
-    const std::uint64_t bl = b & 0xFFFFFFFFu, bh = b >> 32;
-    const std::uint64_t mid = ah * bl + ((al * bl) >> 32);
-    const std::uint64_t mid2 = al * bh + (mid & 0xFFFFFFFFu);
-    return ah * bh + (mid >> 32) + (mid2 >> 32);
-#endif
   }
 
   [[nodiscard]] constexpr std::uint32_t div(std::uint32_t n) const {

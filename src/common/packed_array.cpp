@@ -50,4 +50,17 @@ void PackedArray::clear_range(std::size_t first, std::size_t count) {
   for (std::size_t i = first; i < first + count; ++i) set(i, 0);
 }
 
+void PackedArray::fill_max(std::size_t first, std::size_t count) {
+  if (first + count > count_) throw std::out_of_range("PackedArray::fill_max");
+  const std::size_t end = (first + count) * bits_;
+  for (std::size_t bit = first * bits_; bit < end;) {
+    const unsigned off = bit & 63;
+    const std::size_t n = std::min<std::size_t>(64 - off, end - bit);
+    const std::uint64_t run = n == 64 ? ~std::uint64_t{0}
+                                      : ((std::uint64_t{1} << n) - 1) << off;
+    words_[bit >> 6] |= run;
+    bit += n;
+  }
+}
+
 }  // namespace she

@@ -84,6 +84,10 @@ class PackedArray {
   /// Zero cells [first, first+count).
   void clear_range(std::size_t first, std::size_t count);
 
+  /// Set cells [first, first+count) to max_value(): one run of one bits,
+  /// written a word at a time.
+  void fill_max(std::size_t first, std::size_t count);
+
   /// Checkpoint to / restore from a binary stream.
   void save(BinaryWriter& out) const;
   static PackedArray load(BinaryReader& in);

@@ -630,6 +630,13 @@ class IngestPipeline {
     if (!shard_dead(sh) &&
         !wait_ring_space(sh, std::min(n, sh.ring.capacity()), deadline_ns))
       return 0;
+    // Traced request?  Leave the id on the shard, before its keys reach the
+    // ring, so the sweep that drains them sees it (see worker_loop).
+    if (obs::trace::enabled()) {
+      const std::uint64_t trace_id = obs::trace::current_trace_id();
+      if (trace_id != 0)
+        sh.last_trace_id.store(trace_id, std::memory_order_relaxed);
+    }
     std::size_t done = n;
     if (sh.wal == nullptr) {
       done = enqueue(sh, n, next);
@@ -665,16 +672,7 @@ class IngestPipeline {
       std::size_t i = 0;
       (void)enqueue(sh, n, [&] { return sh.staging[i++]; });
     }
-    if (done > 0) {
-      produced_[producer]->inc(done);
-      // Traced request?  Leave the id on the shard so the drain worker
-      // can attribute the next sweep to it (see worker_loop).
-      if (obs::trace::enabled()) {
-        const std::uint64_t trace_id = obs::trace::current_trace_id();
-        if (trace_id != 0)
-          sh.last_trace_id.store(trace_id, std::memory_order_relaxed);
-      }
-    }
+    if (done > 0) produced_[producer]->inc(done);
     return done;
   }
 
@@ -875,9 +873,10 @@ class IngestPipeline {
     std::atomic<std::uint64_t> sync_req{0};
     std::atomic<std::uint64_t> sync_ack{0};
     std::atomic<bool> sync_ckpt{false};
-    /// Trace id of the most recent traced push routed here; the worker
-    /// adopts (and clears) it at the start of a drain sweep so drain /
-    /// publish / checkpoint spans carry the requester's id.
+    /// Trace id of the most recent traced push routed here, stored before
+    /// its keys are enqueued; the worker adopts it for a sweep, and clears
+    /// it in a sweep that drained, so drain / publish / checkpoint spans
+    /// carry the requester's id.
     std::atomic<std::uint64_t> last_trace_id{0};
     std::string fault_msg;           ///< written before state -> kFaulted
     // Registry-owned metrics (see bind_metrics); plain pointers, the
@@ -1113,13 +1112,14 @@ class IngestPipeline {
       sh.heartbeat_ns.store(sweep_start, std::memory_order_relaxed);
       fault::maybe_stall(si, sh.consumed);
       fault::maybe_throw(si, sh.consumed);
-      // Adopt (and clear) the id of the most recent traced push routed to
-      // this shard, so this sweep's drain/publish/checkpoint spans carry
-      // it across the producer → worker thread hop.
+      // Adopt the id of the most recent traced push routed to this shard,
+      // so this sweep's drain/publish/checkpoint spans carry it across the
+      // producer → worker thread hop.  Only a sweep that drains clears it:
+      // an idle sweep must not take it from keys still on their way.
       const bool tracing = obs::trace::enabled();
-      obs::trace::TraceIdScope trace_scope(
-          tracing ? sh.last_trace_id.exchange(0, std::memory_order_relaxed)
-                  : 0);
+      std::uint64_t adopted =
+          tracing ? sh.last_trace_id.load(std::memory_order_relaxed) : 0;
+      obs::trace::TraceIdScope trace_scope(adopted);
       const std::uint64_t sweep_ticks =
           tracing ? obs::trace::now_ticks() : 0;
       // Also sampled here: the supervisor's tick misses short peaks.
@@ -1135,6 +1135,12 @@ class IngestPipeline {
       std::size_t n;
       while (got < opt_.publish_interval &&
              (n = sh.ring.drain(buf.data(), buf.size())) > 0) {
+        if (tracing && got == 0) {
+          // The id was stored before these keys were pushed, so after the
+          // drain it is visible even if this sweep began before the push.
+          adopted = sh.last_trace_id.load(std::memory_order_relaxed);
+          obs::trace::set_current_trace_id(adopted);
+        }
         const std::span<const std::uint64_t> block(buf.data(), n);
         {
           SHE_TRACE_SPAN("estimator.insert_batch", "estimator");
@@ -1147,6 +1153,10 @@ class IngestPipeline {
         if (n < buf.size()) break;  // ring (momentarily) empty
       }
       if (got > 0) {
+        // A newer request's id stays for the sweep that drains its keys.
+        if (adopted != 0)
+          sh.last_trace_id.compare_exchange_strong(adopted, 0,
+                                                   std::memory_order_relaxed);
         drain_hist_->observe(static_cast<std::uint64_t>(now_ns() - sweep_start));
         if (tracing)
           obs::trace::record("pipeline.drain", "pipeline", sweep_ticks,

@@ -27,7 +27,6 @@
 #include "obs/export.hpp"
 #include "runtime/runtime_stats.hpp"
 #include "server/http.hpp"
-#include "she/group_clock.hpp"
 
 namespace she::server {
 namespace {
@@ -231,9 +230,6 @@ SheServer::SheServer(ServerOptions opt)
                                   {{"state", "free"}});
   frames_released_ = &registry_.gauge("she_frame_pool_frames", frame_help,
                                       {{"state", "released"}});
-  offset_table_bytes_ = &registry_.gauge(
-      "she_group_offset_table_bytes",
-      "bytes of group-clock offset tables, one per live (groups, tcycle)");
   registry_
       .gauge("she_build_info",
              "constant 1; build metadata carried in the labels",
@@ -751,8 +747,6 @@ std::string SheServer::render_metrics() const {
       static_cast<std::int64_t>(pool.frames - pool.free - pool.released));
   frames_free_->set(static_cast<std::int64_t>(pool.free));
   frames_released_->set(static_cast<std::int64_t>(pool.released));
-  offset_table_bytes_->set(
-      static_cast<std::int64_t>(GroupClock::shared_offset_bytes()));
   const PipelineManager::ExportSet exported = manager_.export_registries();
   std::vector<obs::LabeledRegistry> regs;
   regs.reserve(2 + exported.registries.size());

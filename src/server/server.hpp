@@ -250,7 +250,6 @@ class SheServer {
   obs::Gauge* frames_in_use_;
   obs::Gauge* frames_free_;
   obs::Gauge* frames_released_;
-  obs::Gauge* offset_table_bytes_;
   std::map<Op, obs::Counter*> requests_by_op_;
   std::atomic<std::uint64_t> request_seq_{0};  ///< 1-in-N trace sampler
   std::atomic<std::int64_t> last_slow_log_ns_{0};

@@ -22,6 +22,17 @@
 // cleaning error analyzed in Sec. 5.1.  mark_bits > 1 suppresses that error
 // exponentially and is provided for the ablation benches.
 //
+// The offsets are not stored: like the hardware's combinational logic, the
+// clock computes d_gid from two constants, q = floor(Tcycle / G) and
+// M = ceil((Tcycle mod G) * 2^64 / G), as
+//
+//     d_gid = -(q * gid + mulhi64(M, gid))
+//
+// which equals -floor(Tcycle * gid / G) for every gid < G <= 2^32: M's
+// rounding error adds less than gid / 2^64 < 1/G to a fraction that is a
+// multiple of 1/G below 1, so the floor never moves.  Neither term needs
+// the Tcycle * gid product, which wraps 64 bits for large clocks.
+//
 // GroupClock owns only the marks; the estimator owning the cells performs
 // the actual reset when touch() reports one is due.  Queries use stale() /
 // age() and never mutate, so estimator query paths stay const.
@@ -29,9 +40,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
+#include "common/int_math.hpp"
 #include "common/packed_array.hpp"
 
 namespace she {
@@ -39,26 +49,23 @@ namespace she {
 class GroupClock {
  public:
   /// `groups` groups, cleaning cycle of `tcycle` items, marks of
-  /// `mark_bits` bits (1 = the paper's hardware design).
+  /// `mark_bits` bits (1 = the paper's hardware design).  Throws
+  /// std::invalid_argument unless 0 < groups <= 2^32 and tcycle > 0.
   GroupClock(std::size_t groups, std::uint64_t tcycle, unsigned mark_bits = 1);
 
   [[nodiscard]] std::size_t groups() const { return marks_.size(); }
   [[nodiscard]] std::uint64_t tcycle() const { return tcycle_; }
 
   /// Marks' memory footprint (counted toward the estimator's budget; the
-  /// per-group offsets are derived constants — combinational logic on
-  /// hardware — and are cached here purely as a software optimization).
+  /// per-group offsets are derived constants, computed, as the hardware
+  /// does, from two words per clock).
   [[nodiscard]] std::size_t memory_bytes() const { return marks_.memory_bytes(); }
 
-  /// Fixed offset of a group: d_gid = -floor(Tcycle * gid / G) <= 0.
-  [[nodiscard]] std::int64_t offset(std::size_t gid) const { return (*offsets_)[gid]; }
-
-  /// The cached offset table.  Immutable and shared: every clock of one
-  /// (groups, tcycle) geometry in the process points at the same buffer.
-  [[nodiscard]] const std::int64_t* offsets_data() const { return offsets_->data(); }
-
-  /// Bytes of the offset tables live clocks share, each counted once.
-  [[nodiscard]] static std::size_t shared_offset_bytes();
+  /// Fixed offset of a group: d_gid = -floor(Tcycle * gid / G), in
+  /// (-Tcycle, 0].
+  [[nodiscard]] std::int64_t offset(std::size_t gid) const {
+    return -static_cast<std::int64_t>(step_ * gid + mulhi64(frac_, gid));
+  }
 
   /// Warm the cache line holding group `gid`'s mark.  CheckGroup reads the
   /// mark before the cell, so batched inserts prefetch both; `write` is
@@ -165,7 +172,7 @@ class GroupClock {
   }
 
   /// curs[i] = current_mark_at(p, gids[i]); ages[i] = age_at(p, gids[i]) when
-  /// `ages` is non-null.  Vectorized (gathered offsets) under AVX2 dispatch.
+  /// `ages` is non-null.  Vectorized under AVX2 dispatch.
   void stage_marks(const std::uint32_t* gids, std::size_t n, TimeParts p,
                    std::uint32_t* curs, std::uint64_t* ages = nullptr) const;
 
@@ -194,22 +201,23 @@ class GroupClock {
 
   /// Checkpoint to / restore from a binary stream.  load() reads a clock
   /// of the given geometry; it throws SerializeError, before building
-  /// anything, when the stream's tcycle, group count or mark width differ.
+  /// anything, when the stream's tcycle, group count or mark width differ,
+  /// and keeps the loaded marks without resetting first.
   void save(BinaryWriter& out) const;
   static GroupClock load(BinaryReader& in, std::size_t groups,
                          std::uint64_t tcycle, unsigned mark_bits);
 
  private:
+  /// A clock over `marks` as they are (no reset); the geometry is valid.
+  GroupClock(std::uint64_t tcycle, PackedArray marks);
+
   /// Slow path of touch_precomputed(): store the new mark and account the
   /// cleaning in metrics.  Precondition: marks_.get(gid) != cur.
   void record_clean(std::size_t gid, std::uint64_t cur);
 
   std::uint64_t tcycle_;
-  // One int64 per group — as large as a SHE-BF's bit array — so it is
-  // never copied: a process-wide registry hands every clock of this
-  // (groups, tcycle) the same table (every shard, view, resumed estimator
-  // and same-spec pipeline), and drops it with the last one.
-  std::shared_ptr<const std::vector<std::int64_t>> offsets_;
+  std::uint64_t step_;  // q = floor(Tcycle / G)
+  std::uint64_t frac_;  // M = ceil((Tcycle mod G) * 2^64 / G)
   PackedArray marks_;
 };
 

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "common/int_math.hpp"
 #include "common/io.hpp"
+#include "common/simd.hpp"
+#include "she/config.hpp"
 
 namespace she {
 namespace {
@@ -14,6 +18,9 @@ namespace {
 TEST(GroupClock, RejectsBadArguments) {
   EXPECT_THROW(GroupClock(0, 100), std::invalid_argument);
   EXPECT_THROW(GroupClock(4, 0), std::invalid_argument);
+  // Past 2^32 groups the two-constant offsets are no longer exact.
+  EXPECT_THROW(GroupClock((std::size_t{1} << 32) + 1, 100),
+               std::invalid_argument);
 }
 
 TEST(GroupClock, OffsetsEvenlySpacedAndNonPositive) {
@@ -123,7 +130,9 @@ TEST(GroupClock, MemoryBytesScalesWithMarkBits) {
   EXPECT_GE(GroupClock(64, 100, 8).memory_bytes(), 64u);
 }
 
-TEST(GroupClock, CopiesShareTheOffsetTable) {
+// Copies, assignment and load() all give a clock that stages exactly what
+// the original does; marks stay per copy.
+TEST(GroupClock, CopiesAssignmentAndLoadStageAlike) {
   constexpr std::size_t kGroups = 1000;
   constexpr std::uint64_t kTcycle = 3000;
   GroupClock a(kGroups, kTcycle, 2);
@@ -131,17 +140,15 @@ TEST(GroupClock, CopiesShareTheOffsetTable) {
   const GroupClock b = a;
   GroupClock c(7, 10);
   c = a;
-  EXPECT_EQ(b.offsets_data(), a.offsets_data());
-  EXPECT_EQ(c.offsets_data(), a.offsets_data());
   EXPECT_EQ(b.memory_bytes(), a.memory_bytes());
 
-  // A loaded clock takes the same table from the registry.
   std::vector<char> buf;
   BinaryWriter w(buf);
   a.save(w);
   BinaryReader r(buf);
   const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 2);
-  EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
+  for (std::size_t g = 0; g < kGroups; ++g)
+    ASSERT_EQ(loaded.stored_mark(g), a.stored_mark(g)) << "g=" << g;
 
   constexpr std::size_t kN = 256;
   std::vector<std::uint32_t> gids(kN);
@@ -174,41 +181,137 @@ TEST(GroupClock, CopiesShareTheOffsetTable) {
     differ += d.stored_mark(g) != before ? 1 : 0;
   }
   EXPECT_GT(differ, 0u);
-  EXPECT_EQ(d.offsets_data(), a.offsets_data());
 }
 
-// Every clock of one (groups, tcycle) geometry shares one offset table,
-// whatever its mark width and however it was built; other geometries get
-// their own, and the registry drops a table with its last clock.
-TEST(GroupClock, OneOffsetTablePerGeometry) {
-  constexpr std::size_t kGroups = 777;
-  constexpr std::uint64_t kTcycle = 12345;
-  constexpr std::size_t kTable = kGroups * sizeof(std::int64_t);
-  const std::size_t baseline = GroupClock::shared_offset_bytes();
-  {
-    const GroupClock a(kGroups, kTcycle, 1);
-    EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline + kTable);
-    const GroupClock b(kGroups, kTcycle, 4);
-    EXPECT_EQ(b.offsets_data(), a.offsets_data());
+// floor(Tcycle * gid / G) in 128 bits: the definition the clock's
+// two-constant form must reproduce.
+std::uint64_t wide_offset(std::uint64_t tcycle, std::uint64_t gid,
+                          std::uint64_t groups) {
+  return static_cast<std::uint64_t>(
+      static_cast<unsigned __int128>(tcycle) * gid / groups);
+}
 
-    std::vector<char> buf;
-    BinaryWriter w(buf);
-    a.save(w);
-    BinaryReader r(buf);
-    const GroupClock loaded = GroupClock::load(r, kGroups, kTcycle, 1);
-    EXPECT_EQ(loaded.offsets_data(), a.offsets_data());
-    EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline + kTable);
-
-    const GroupClock more_groups(kGroups + 1, kTcycle);
-    const GroupClock other_cycle(kGroups, kTcycle + 1);
-    EXPECT_NE(more_groups.offsets_data(), a.offsets_data());
-    EXPECT_NE(other_cycle.offsets_data(), a.offsets_data());
-    EXPECT_EQ(other_cycle.offset(kGroups - 1),
-              -static_cast<std::int64_t>((kTcycle + 1) * (kGroups - 1) / kGroups));
-    EXPECT_EQ(GroupClock::shared_offset_bytes(),
-              baseline + 2 * kTable + (kGroups + 1) * sizeof(std::int64_t));
+// offset() and every stage_marks* entry point, native and scalar, against
+// the 128-bit definition, over geometries whose Tcycle * gid wraps 64 bits
+// and ones where G does not divide Tcycle.
+TEST(GroupClock, OffsetsAndStagingMatchWideReference) {
+  constexpr unsigned kBits = 3;
+  constexpr std::uint64_t kMask = (1u << kBits) - 1;
+  const std::uint64_t group_counts[] = {1,   2,   3,     64,    683,
+                                        777, 32768, 65537, (1u << 20) + 7};
+  std::mt19937_64 rng(2022);
+  for (const std::uint64_t groups : group_counts) {
+    const std::uint64_t tcycles[] = {groups - 1, groups,     groups + 1,
+                                     3000,       98304,      (1ull << 31) + 1,
+                                     3ull << 49};
+    // The first and last gids, then random ones; 75 entries leave a
+    // remainder past the 4-lane kernels.
+    std::vector<std::uint32_t> gids;
+    for (std::uint64_t g : {std::uint64_t{0}, std::uint64_t{1}, groups - 2,
+                            groups - 1})
+      if (g < groups) gids.push_back(static_cast<std::uint32_t>(g));
+    while (gids.size() < 75)
+      gids.push_back(static_cast<std::uint32_t>(rng() % groups));
+    for (const std::uint64_t tcycle : tcycles) {
+      if (tcycle == 0) continue;
+      SCOPED_TRACE(testing::Message() << "G=" << groups << " T=" << tcycle);
+      const GroupClock clock(groups, tcycle, kBits);
+      const auto ref = [&](std::uint64_t g) {
+        return wide_offset(tcycle, g, groups);
+      };
+      for (const std::uint32_t g : gids)
+        ASSERT_EQ(clock.offset(g), -static_cast<std::int64_t>(ref(g)))
+            << "gid=" << g;
+      // A new clock holds the marks of time 0.
+      for (std::uint64_t g = 0; g < std::min<std::uint64_t>(groups, 70); ++g)
+        ASSERT_EQ(clock.stored_mark(g), clock.current_mark(g, 0)) << g;
+      for (const std::uint32_t g : gids)
+        ASSERT_EQ(clock.stored_mark(g), clock.current_mark(g, 0)) << g;
+      const auto want_mark = [&](std::int64_t cycle, std::int64_t rem,
+                                 std::uint64_t g) {
+        const std::int64_t s = rem - static_cast<std::int64_t>(ref(g));
+        return static_cast<std::uint32_t>(
+            static_cast<std::uint64_t>(cycle - (s < 0 ? 1 : 0)) & kMask);
+      };
+      const auto want_age = [&](std::int64_t rem, std::uint64_t g) {
+        const std::int64_t s = rem - static_cast<std::int64_t>(ref(g));
+        return static_cast<std::uint64_t>(
+            s < 0 ? s + static_cast<std::int64_t>(tcycle) : s);
+      };
+      const std::int64_t last = static_cast<std::int64_t>(tcycle) - 1;
+      const GroupClock::TimeParts times[] = {
+          {0, 0}, {3, last}, {7, last / 2}};
+      for (const bool scalar : {false, true}) {
+        const simd::ScopedForceScalar pin(scalar);
+        SCOPED_TRACE(scalar ? "scalar" : "native");
+        const std::size_t n = gids.size();
+        std::vector<std::uint32_t> curs(n);
+        std::vector<std::uint64_t> ages(n);
+        for (const GroupClock::TimeParts p : times) {
+          clock.stage_marks(gids.data(), n, p, curs.data(), ages.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(curs[i], want_mark(p.cycle, p.rem, gids[i])) << i;
+            ASSERT_EQ(ages[i], want_age(p.rem, gids[i])) << i;
+          }
+          const std::size_t span = std::min<std::uint64_t>(groups, 37);
+          for (const std::uint64_t first :
+               {std::uint64_t{0}, groups - span, rng() % (groups - span + 1)}) {
+            clock.stage_marks_range(first, span, p, curs.data(), ages.data());
+            for (std::size_t i = 0; i < span; ++i) {
+              ASSERT_EQ(curs[i], want_mark(p.cycle, p.rem, first + i));
+              ASSERT_EQ(ages[i], want_age(p.rem, first + i));
+            }
+          }
+        }
+        // Ramp and rep run item b at rem0 + b, with rem0 + items <= Tcycle:
+        // from the cycle's start and up to its very end.
+        const std::size_t ramp_n = std::min<std::uint64_t>(n, tcycle);
+        for (const std::int64_t rem0 :
+             {std::int64_t{0},
+              static_cast<std::int64_t>(tcycle - ramp_n)}) {
+          clock.stage_marks_ramp(gids.data(), ramp_n, {5, rem0}, curs.data());
+          for (std::size_t i = 0; i < ramp_n; ++i)
+            ASSERT_EQ(curs[i],
+                      want_mark(5, rem0 + static_cast<std::int64_t>(i), gids[i]))
+                << i;
+        }
+        for (const unsigned k : {2u, 3u, 4u, 5u, 8u}) {
+          const std::size_t nkeys = std::min<std::uint64_t>(n / k, tcycle);
+          const auto rem0 = static_cast<std::int64_t>(tcycle - nkeys);
+          clock.stage_marks_rep(gids.data(), nkeys, k, {2, rem0}, curs.data());
+          for (std::size_t i = 0; i < nkeys * k; ++i)
+            ASSERT_EQ(curs[i],
+                      want_mark(2, rem0 + static_cast<std::int64_t>(i / k),
+                                gids[i]))
+                << "k=" << k << " i=" << i;
+        }
+      }
+    }
   }
-  EXPECT_EQ(GroupClock::shared_offset_bytes(), baseline);
+}
+
+// A valid config whose Tcycle * gid passes 2^64: the offsets must still be
+// the floor of the exact quotient, in (-Tcycle, 0] and non-increasing.
+TEST(GroupClock, OffsetsExactWhereTcycleTimesGidWraps) {
+  SheConfig cfg;
+  cfg.window = std::uint64_t{1} << 50;
+  cfg.cells = std::size_t{1} << 21;
+  cfg.group_cells = 64;
+  cfg.alpha = 0.5;
+  ASSERT_NO_THROW(cfg.validate());
+  const GroupClock clock(cfg.groups(), cfg.tcycle());
+  const auto tcycle = static_cast<std::int64_t>(cfg.tcycle());
+  std::int64_t prev = 1;
+  for (std::size_t g = 0; g < cfg.groups(); ++g) {
+    const std::int64_t d = clock.offset(g);
+    ASSERT_EQ(d, -static_cast<std::int64_t>(
+                     wide_offset(cfg.tcycle(), g, cfg.groups())))
+        << "g=" << g;
+    ASSERT_GT(d, -tcycle) << "g=" << g;
+    ASSERT_LE(d, 0) << "g=" << g;
+    ASSERT_LT(d, prev) << "g=" << g;
+    prev = d;
+  }
 }
 
 // load() takes only a clock of the geometry it is asked for.

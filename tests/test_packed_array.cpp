@@ -2,6 +2,7 @@
 // subtle part: e.g. 5-bit HLL registers straddle 64-bit word boundaries).
 #include "common/packed_array.hpp"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -85,6 +86,34 @@ TEST_P(PackedWidthTest, NeighboursUndisturbed) {
   EXPECT_EQ(a.get(49), a.max_value());
   EXPECT_EQ(a.get(50), 0u);
   EXPECT_EQ(a.get(51), a.max_value());
+}
+
+// fill_max() equals a set() of max_value() per cell, whatever the run's
+// alignment, and leaves the cells around it and the padding bits alone.
+TEST_P(PackedWidthTest, FillMaxMatchesPerCellSet) {
+  const unsigned bits = GetParam();
+  constexpr std::size_t kCells = 137;
+  for (const auto& [first, count] :
+       {std::pair<std::size_t, std::size_t>{0, kCells}, {0, 0}, {1, 1},
+        {3, 70}, {64, 73}, {kCells - 1, 1}}) {
+    PackedArray a(kCells, bits);
+    PackedArray want(kCells, bits);
+    for (std::size_t i = 0; i < kCells; i += 3) {
+      a.set(i, i & a.max_value());
+      want.set(i, i & a.max_value());
+    }
+    a.fill_max(first, count);
+    for (std::size_t i = first; i < first + count; ++i)
+      want.set(i, want.max_value());
+    std::vector<char> got_bytes, want_bytes;
+    BinaryWriter got_out(got_bytes), want_out(want_bytes);
+    a.save(got_out);
+    want.save(want_out);
+    EXPECT_EQ(got_bytes, want_bytes)
+        << "width=" << bits << " first=" << first << " count=" << count;
+  }
+  PackedArray a(kCells, bits);
+  EXPECT_THROW(a.fill_max(kCells - 1, 2), std::out_of_range);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, PackedWidthTest,

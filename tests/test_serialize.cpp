@@ -319,7 +319,7 @@ TEST(Serialize, ClockTcycleCheckedAgainstConfig) {
 
 // A clock with more groups than the config is rejected before anything is
 // sized from its mark count: 2 MiB of 1-bit marks would otherwise build a
-// 128 MiB offset table before the shape check.
+// 16 M-group clock before the shape check.
 TEST(Serialize, ClockGroupCountCheckedAgainstConfig) {
   const ClockImage img;
   constexpr std::uint64_t kWords = std::uint64_t{1} << 18;

@@ -103,7 +103,7 @@ class DiskFault : public SerializeError {
 /// Syscalls that change durable state (common/wal.cpp, common/checkpoint.cpp),
 /// reported as they happen to the crash-point harness in
 /// tests/test_crash_points.cpp.  kWrite is a write that reached the kernel
-/// (after fflush) and carries its byte count; the other ops carry 0.
+/// and carries its byte count; the other ops carry 0.
 enum class DurableOp { kWrite, kSync, kCreate, kRename, kUnlink, kDirSync };
 
 using DurableOpHook = void (*)(DurableOp op, const std::string& path,
@@ -155,8 +155,9 @@ class BinaryWriter {
 
  private:
   void raw(const void* p, std::size_t n) {
-    const char* c = static_cast<const char*>(p);
-    out_.insert(out_.end(), c, c + n);
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    std::memcpy(out_.data() + at, p, n);
   }
   std::vector<char>& out_;
 };

@@ -1,5 +1,9 @@
 #include "common/wal.hpp"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
 #include <cerrno>
@@ -11,10 +15,6 @@
 #include "common/crc32.hpp"
 #include "common/fault_injection.hpp"
 #include "obs/metrics.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace she {
 
@@ -55,9 +55,11 @@ std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
   return kWalHeaderBytes + payload_len;
 }
 
-/// Encode the header of the frame `f` carrying `payload` (f.payload is
-/// not read) into h[0, kWalHeaderBytes), its CRC chained over `payload`.
-void encode_header(char* h, const WalFrame& f, std::span<const char> payload) {
+/// Encode the header of the frame `f` whose payload is `head` followed by
+/// `tail` (f.payload is not read) into h[0, kWalHeaderBytes), its CRC
+/// chained over both runs.
+void encode_header(char* h, const WalFrame& f, std::span<const char> head,
+                   std::span<const char> tail = {}) {
   std::memcpy(h, kWalMagic, 4);
   put_le<std::uint16_t>(h + 4, kWalVersion);
   put_le<std::uint16_t>(h + 6, f.kind);
@@ -65,9 +67,41 @@ void encode_header(char* h, const WalFrame& f, std::span<const char> payload) {
   put_le<std::uint64_t>(h + 16, f.start_offset);
   put_le<std::uint64_t>(h + 24, f.client_id);
   put_le<std::uint64_t>(h + 32, f.client_seq);
-  put_le<std::uint32_t>(h + 40, static_cast<std::uint32_t>(payload.size()));
-  put_le<std::uint32_t>(h + 44,
-                        crc32(payload.data(), payload.size(), crc32(h, 44)));
+  put_le<std::uint32_t>(h + 40,
+                        static_cast<std::uint32_t>(head.size() + tail.size()));
+  put_le<std::uint32_t>(
+      h + 44, crc32(tail.data(), tail.size(),
+                    crc32(head.data(), head.size(), crc32(h, 44))));
+}
+
+/// Open a segment for appending; -1 with errno set on failure.
+int open_segment(const std::string& file, int flags) {
+  return ::open(file.c_str(), flags | O_WRONLY | O_APPEND | O_CLOEXEC, 0666);
+}
+
+/// Write all of iov[0, count), none of them empty, to `fd`, resuming
+/// after short writes and EINTR.  False, with errno set, when a write
+/// fails.
+bool write_all(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    const ssize_t w = ::writev(fd, iov, count);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) {
+      if (w == 0) errno = EIO;
+      return false;
+    }
+    for (auto left = static_cast<std::size_t>(w); count > 0;) {
+      if (left < iov->iov_len) {
+        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+        break;
+      }
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+  }
+  return true;
 }
 
 constexpr std::size_t kSeqDigits = 20;  // zero-padded: name order = seq order
@@ -255,14 +289,14 @@ ShardWal::ShardWal(std::string path, Options opt, const WalScan& scan)
 }
 
 ShardWal::~ShardWal() {
-  if (file_ != nullptr) {
+  if (fd_ >= 0) {
     try {
       flush();
     } catch (...) {
       // Destructor: durability failures here surface on the next resume
       // as a torn tail, which replay tolerates.
     }
-    std::fclose(file_);
+    ::close(fd_);
   }
 }
 
@@ -272,24 +306,23 @@ void ShardWal::repair_locked() {
   // append left (torn-write injection, or a frame whose mode-required
   // fsync failed).  Otherwise a client retry would land *behind* stale
   // bytes and replay would double count.
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
   std::error_code ec;
   if (disk_bytes_ != file_bytes_)
     std::filesystem::resize_file(active_, file_bytes_, ec);
   if (ec)
     throw WalError("wal: cannot truncate the tail of " + active_ + ": " +
                    ec.message());
-  file_ = std::fopen(active_.c_str(), "ab");
-  if (file_ == nullptr) throw WalError("wal: cannot open " + active_);
+  fd_ = open_segment(active_, O_CREAT);
+  if (fd_ < 0) throw WalError("wal: cannot open " + active_);
   durable_op(DurableOp::kCreate, active_);
   disk_bytes_ = file_bytes_;
   unsynced_bytes_ = 0;
 }
 
 int ShardWal::sync_locked() {
-#if defined(__unix__) || defined(__APPLE__)
-  if (::fsync(fileno(file_)) != 0) return errno != 0 ? errno : EIO;
+  if (::fsync(fd_) != 0) return errno != 0 ? errno : EIO;
   durable_op(DurableOp::kSync, active_);
   // A new segment's name is durable only once its directory is synced:
   // done with the segment's first fsync, before any frame in it counts as
@@ -298,7 +331,6 @@ int ShardWal::sync_locked() {
     if (const int err = sync_parent_dir(active_)) return err;
     named_ = true;
   }
-#endif
   unsynced_bytes_ = 0;
   return 0;
 }
@@ -306,7 +338,7 @@ int ShardWal::sync_locked() {
 void ShardWal::rotate_locked() {
   // Seal: group commit may still hold unsynced frames in the active
   // segment, and later fsyncs cover only the new one.
-  if (file_ != nullptr && opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0)
+  if (fd_ >= 0 && opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0)
     if (const int err = sync_locked()) throw_io("fsync failed on", active_, err);
   // The new segment opens with the whole idempotence table, anchored at
   // its base offset, so it is a self-contained log.  Only a fresh log's
@@ -322,29 +354,29 @@ void ShardWal::rotate_locked() {
       put_le<std::uint64_t>(table.payload.data() + table.payload.size() - 8, v);
     }
   const bool headed = end_offset_ > 0 || !table.payload.empty();
-  const std::vector<char> bytes = headed ? frame_wal(table) : std::vector<char>{};
+  std::vector<char> bytes = headed ? frame_wal(table) : std::vector<char>{};
   const std::string next = segment_path(path_, table.seq);
   errno = 0;
-  std::FILE* f = std::fopen(next.c_str(), "wb");
-  if (f == nullptr) throw_io("cannot create", next, errno);
+  const int fd = open_segment(next, O_CREAT | O_TRUNC);
+  if (fd < 0) throw_io("cannot create", next, errno);
   durable_op(DurableOp::kCreate, next);
   if (headed) {
-    if (std::fwrite(bytes.data(), 1, bytes.size(), f) != bytes.size() ||
-        std::fflush(f) != 0) {
+    iovec iov{bytes.data(), bytes.size()};
+    if (!write_all(fd, &iov, 1)) {
       // Drop the half-started segment; the old one stays active.
       const int err = errno;
-      std::fclose(f);
+      ::close(fd);
       std::error_code ec;
       std::filesystem::remove(next, ec);
       throw_io("cannot start segment", next, err);
     }
     durable_op(DurableOp::kWrite, next, bytes.size());
   }
-  if (file_ != nullptr) {
-    std::fclose(file_);
+  if (fd_ >= 0) {
+    ::close(fd_);
     sealed_.push_back({active_, end_offset_, file_bytes_});
   }
-  file_ = f;
+  fd_ = fd;
   active_ = next;
   named_ = false;
   next_seq_ = table.seq + (headed ? 1 : 0);
@@ -352,19 +384,25 @@ void ShardWal::rotate_locked() {
   unsynced_bytes_ = bytes.size();  // the table rides the first fsync
 }
 
-bool ShardWal::append(std::span<const std::uint64_t> keys,
+bool ShardWal::append(std::span<const std::uint64_t> head,
+                      std::span<const std::uint64_t> tail,
                       std::uint64_t client_id, std::uint64_t client_seq) {
   // The keys' bytes are the frame's payload as they lie: u64 LE.
   static_assert(std::endian::native == std::endian::little,
                 "ShardWal::append writes the caller's keys as the LE payload");
+  const std::size_t nkeys = head.size() + tail.size();
   // The recovery scan would cut such a frame, and every frame behind it,
   // as a torn tail: refuse it before anything is written or acked.
-  if (keys.size() > kMaxWalKeys)
-    throw WalError("wal: a frame of " + std::to_string(keys.size()) +
+  if (nkeys > kMaxWalKeys)
+    throw WalError("wal: a frame of " + std::to_string(nkeys) +
                    " keys exceeds the " + std::to_string(kMaxWalKeys) +
                    "-key bound on one append");
-  const std::span<const char> payload(
-      reinterpret_cast<const char*>(keys.data()), keys.size() * 8);
+  const auto bytes_of = [](std::span<const std::uint64_t> keys) {
+    return std::span<const char>(reinterpret_cast<const char*>(keys.data()),
+                                 keys.size() * 8);
+  };
+  const std::span<const char> run1 = bytes_of(head);
+  const std::span<const char> run2 = bytes_of(tail);
   std::lock_guard<std::mutex> lk(mu_);
   // Peek, don't record yet: the seq mark must only advance once the frame
   // is as durable as the mode promises, or a retry after a failed append
@@ -382,26 +420,30 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   f.client_id = client_id;
   f.client_seq = client_seq;
   char header[kWalHeaderBytes];
-  encode_header(header, f, payload);
-  const std::size_t frame_bytes = kWalHeaderBytes + payload.size();
+  encode_header(header, f, run1, run2);
+  const std::size_t frame_bytes = kWalHeaderBytes + nkeys * 8;
 
-  // Real write/flush failures: an unknown number of bytes may have
-  // reached the file, so force a repair before the next append, and
-  // surface a disk-unhealthy errno as the typed DiskFault.
-  const auto fail_write = [this](const char* what) {
-    disk_bytes_ = file_bytes_ + 1;  // unknown tail: repair before reuse
-    throw_io(what, active_, errno);
-  };
-  const auto put = [this](const char* p, std::size_t n) {
-    return n == 0 || std::fwrite(p, 1, n, file_) == n;
-  };
+  // One writev: the header, then the payload's one or two runs, cut short
+  // when the fault harness injects a torn write.
   const std::size_t to_write =
       fault::maybe_torn_wal(opt_.shard, f.seq, frame_bytes, kWalHeaderBytes);
-  const std::size_t head = std::min(to_write, kWalHeaderBytes);
+  iovec iov[3];
+  int parts = 0;
+  std::size_t left = to_write;
+  for (const std::span<const char> part :
+       {std::span<const char>(header, kWalHeaderBytes), run1, run2}) {
+    const std::size_t len = std::min(left, part.size());
+    if (len == 0) continue;
+    iov[parts++] = {const_cast<char*>(part.data()), len};
+    left -= len;
+  }
   errno = 0;
-  if (!put(header, head) || !put(payload.data(), to_write - head))
-    fail_write("short write to");
-  if (std::fflush(file_) != 0) fail_write("flush failed on");
+  if (!write_all(fd_, iov, parts)) {
+    // An unknown number of bytes may have reached the file: repair before
+    // the next append, and surface a disk-unhealthy errno as DiskFault.
+    disk_bytes_ = file_bytes_ + 1;
+    throw_io("write failed on", active_, errno);
+  }
   durable_op(DurableOp::kWrite, active_, to_write);
   if (to_write < frame_bytes) {
     // Injected crash mid-write: the prefix is on disk, the append fails.
@@ -427,9 +469,9 @@ bool ShardWal::append(std::span<const std::uint64_t> keys,
   file_bytes_ += frame_bytes;
   disk_bytes_ = file_bytes_;
   next_seq_ = f.seq + 1;
-  end_offset_ = f.start_offset + keys.size();
+  end_offset_ = f.start_offset + nkeys;
   seqs_.record(client_id, client_seq);
-  if (opt_.observer) opt_.observer(end_offset_, header, payload);
+  if (opt_.observer) opt_.observer(end_offset_, header, run1, run2);
   return true;
 }
 
@@ -443,8 +485,7 @@ void ShardWal::retire(std::uint64_t low_water) {
 
 void ShardWal::flush() {
   std::lock_guard<std::mutex> lk(mu_);
-  if (file_ == nullptr) return;
-  if (std::fflush(file_) != 0) throw_io("flush failed on", active_, errno);
+  if (fd_ < 0) return;
   if (opt_.mode == WalMode::kFsync && unsynced_bytes_ > 0)
     if (const int err = sync_locked()) throw_io("fsync failed on", active_, err);
 }

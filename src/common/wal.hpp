@@ -28,9 +28,13 @@
 // One copy per durable byte: `ShardWal::append` encodes the header on the
 // stack, chains the CRC over the caller's keys where they lie (on a
 // little-endian host a u64 array already is the payload), and writes the
-// header and then the keys straight to the segment.  The append observer
-// receives the same two spans, so nothing concatenates them unless a
-// replication subscriber needs one record.
+// header and the keys to the segment with one writev on a raw fd, with no
+// stdio buffer in between.  The keys may come as two runs — the ingest
+// pipeline logs a sub-batch from the ring slots it staged it in, which wrap
+// past the end of the slot array — and the frame is the same bytes either
+// way.  The append observer receives the header and both runs as separate
+// spans, so nothing concatenates them unless a replication subscriber
+// needs one record.
 //
 // Segments: a log named `<dir>/shard-<s>.wal` is a sequence of files
 // `<dir>/shard-<s>.<first frame seq, 20 digits>.wal`, so name order is log
@@ -55,7 +59,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -216,13 +219,15 @@ class ShardWal {
     std::size_t shard = 0;
     /// Called after each data append that is as durable as the mode
     /// promises, with the log's new end offset and the frame's encoded
-    /// bytes as two spans — the 48-byte header and the payload, which is
-    /// the caller's keys in place — still under the per-shard append lock:
-    /// observers therefore see frames in exact log order.  The spans live
-    /// only for the call.  Replication tails the log through this; keep it
-    /// cheap (hand the bytes to a queue, never block on a socket here).
+    /// bytes as three spans — the 48-byte header, then the payload as the
+    /// caller's two runs of keys in place (`run2` empty for a one-run
+    /// append) — still under the per-shard append lock: observers
+    /// therefore see frames in exact log order.  The spans live only for
+    /// the call; do not join the runs unless the bytes must outlive it.
+    /// Replication tails the log through this; keep it cheap (hand the
+    /// bytes to a queue, never block on a socket here).
     std::function<void(std::uint64_t end_offset, std::span<const char> header,
-                       std::span<const char> payload)>
+                       std::span<const char> run1, std::span<const char> run2)>
         observer;
   };
 
@@ -247,6 +252,14 @@ class ShardWal {
   /// A steady-state append (no rotation or repair) allocates nothing
   /// beyond what the observer does.
   bool append(std::span<const std::uint64_t> keys, std::uint64_t client_id,
+              std::uint64_t client_seq) {
+    return append(keys, {}, client_id, client_seq);
+  }
+
+  /// The same, for a frame whose keys are `head` followed by `tail`: the
+  /// bytes on disk are those of a one-run append of the joined keys.
+  bool append(std::span<const std::uint64_t> head,
+              std::span<const std::uint64_t> tail, std::uint64_t client_id,
               std::uint64_t client_seq);
 
   /// Unlink the sealed segments wholly at or below `low_water` (the oldest
@@ -273,7 +286,7 @@ class ShardWal {
   std::vector<WalSegment> sealed_;  ///< oldest first
   std::string active_;              ///< the segment appends go to
   bool named_ = false;              ///< active_'s directory entry synced
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;                     ///< the active segment, O_APPEND
   std::uint64_t next_seq_ = 1;
   std::uint64_t end_offset_ = 0;  ///< items covered by frames on disk
   std::uint64_t file_bytes_ = 0;  ///< active segment: whole frames' bytes

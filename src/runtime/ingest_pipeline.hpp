@@ -54,15 +54,16 @@
 //     lost by design at a crash.  With `wal_mode != kOff`, the lane
 //     commit gains an append: the reservation comes *first* — a request
 //     deadline sheds the batch before anything reaches the log — then
-//     the sub-batch is appended to the shard's
-//     segmented log `<checkpoint_dir>/shard-<s>.<seq>.wal` and enqueued
-//     whole, in log order.  Drain order therefore equals log-append
-//     order, which is what lets the checkpoint offset (a count of drained
-//     items) identify the exact log prefix a checkpoint covers: drain
-//     progress is the durable low-water mark below which whole segments
-//     are unlinked, and resume replays the logged suffix past the newest
-//     checkpoint — so kill -9 at any instant reconstructs the accepted
-//     stream byte-identically.
+//     the sub-batch is staged in the reserved ring slots, appended from
+//     there to the shard's segmented log
+//     `<checkpoint_dir>/shard-<s>.<seq>.wal`, and only then published to
+//     the worker, whole, in log order.  Drain order therefore equals
+//     log-append order, which is what lets the checkpoint offset (a count
+//     of drained items) identify the exact log prefix a checkpoint
+//     covers: drain progress is the durable low-water mark below which
+//     whole segments are unlinked, and resume replays the logged suffix
+//     past the newest checkpoint — so kill -9 at any instant reconstructs
+//     the accepted stream byte-identically.
 //     Only an abandoned shard accepts batches into the log without
 //     enqueueing them; that is safe because nothing drains or
 //     checkpoints there again, so the logged tail surfaces, in order, at
@@ -194,14 +195,15 @@ struct PipelineOptions {
                                        ///< 0 = fdatasync every append
 
   /// Called after each durable WAL append with the shard index, the
-  /// shard log's new end offset, and the frame's encoded header and
-  /// payload spans (valid only for the call), under that shard's append
-  /// lock (frames arrive in exact log order per shard).  Replication
-  /// tails the pipeline through this; keep it cheap — enqueue, never
-  /// block on a socket.
+  /// shard log's new end offset, and the frame's encoded bytes as three
+  /// spans valid only for the call: the header, then the payload's two
+  /// runs (the ring slots the sub-batch was staged in, `run2` empty unless
+  /// they wrap), under that shard's append lock (frames arrive in exact
+  /// log order per shard).  Replication tails the pipeline through this;
+  /// keep it cheap — enqueue, never block on a socket.
   std::function<void(std::size_t shard, std::uint64_t end_offset,
-                     std::span<const char> header,
-                     std::span<const char> payload)>
+                     std::span<const char> header, std::span<const char> run1,
+                     std::span<const char> run2)>
       wal_observer;
 
   void validate() const;  ///< throws std::invalid_argument on bad fields
@@ -334,8 +336,9 @@ class IngestPipeline {
           auto cb = opt_.wal_observer;
           wopt.observer = [cb, s](std::uint64_t end_offset,
                                   std::span<const char> header,
-                                  std::span<const char> payload) {
-            cb(s, end_offset, header, payload);
+                                  std::span<const char> run1,
+                                  std::span<const char> run2) {
+            cb(s, end_offset, header, run1, run2);
           };
         }
         sh->wal = std::make_unique<ShardWal>(wal_path(s), std::move(wopt),
@@ -602,9 +605,10 @@ class IngestPipeline {
 
   /// The commit lane: one per-shard sub-batch of `n` keys, taken in order
   /// from `next()`, in one critical section under the shard's lane_mu —
-  /// dedup peek, ring-space reservation, (log append,) bulk enqueue,
-  /// sequence record.  Every enqueue onto the shard's ring happens here,
-  /// so drain order is lane order, and with the WAL on it equals log
+  /// dedup peek, ring-space reservation, bulk enqueue (with the WAL on:
+  /// stage in the reserved slots, log append, publish), sequence record.
+  /// Every enqueue onto the shard's ring happens here, so drain order is
+  /// lane order, and with the WAL on it equals log
   /// order, which is what lets the checkpoint's drained-item count
   /// identify the exact log prefix it covers.  Returns the accepted count
   /// (see push_bulk); a WalError from the append propagates with nothing
@@ -645,13 +649,27 @@ class IngestPipeline {
       else if (shard_dead(sh))
         sh.dropped->inc(n - done);
     } else {
-      // The one copy of the sub-batch: the WAL writes it to the segment
-      // as it lies, and the ring takes it from here.
-      sh.staging.resize(n);
-      for (std::uint64_t& key : sh.staging) key = next();
+      // The one copy of the sub-batch: it is gathered straight into the
+      // ring slots admission reserved, staged but not yet visible, and the
+      // WAL writes the frame from those one or two slot runs.  Only a
+      // logged sub-batch is published, so a worker never applies a key
+      // the log does not hold (in a count-based window every applied key
+      // moves the window); a refused or failed append leaves the slots
+      // unpublished.  A sub-batch larger than the ring (admission
+      // reserved only its capacity), or one a dead shard's full ring
+      // cannot stage, is gathered into a buffer that lives for this call.
+      SpscRing::Runs runs = sh.ring.stage(n);
+      std::vector<std::uint64_t> gathered;
+      if (runs.first.size() + runs.second.size() < n) {
+        gathered.resize(n);
+        runs.first = gathered;
+      }
+      for (std::uint64_t& key : runs.first) key = next();
+      for (std::uint64_t& key : runs.second) key = next();
       bool logged = false;
       try {
-        logged = sh.wal->append(sh.staging, client_id, client_seq);
+        logged = sh.wal->append(runs.first, runs.second, client_id,
+                                client_seq);
       } catch (const DiskFault& e) {
         // The disk under the log is sick (ENOSPC/EIO): park the pipeline
         // read-only and tell the caller with the typed error.  Nothing
@@ -669,8 +687,12 @@ class IngestPipeline {
       // surfaces, in order, at the next resume — a dead shard never
       // drains or checkpoints again, so no later batch can be applied
       // *behind* it.
-      std::size_t i = 0;
-      (void)enqueue(sh, n, [&] { return sh.staging[i++]; });
+      if (!gathered.empty()) {
+        std::size_t i = 0;
+        (void)enqueue(sh, n, [&] { return gathered[i++]; });
+      } else if (!shard_dead(sh)) {
+        sh.ring.publish(n);
+      }
     }
     if (done > 0) produced_[producer]->inc(done);
     return done;
@@ -851,8 +873,6 @@ class IngestPipeline {
     /// on, log-append order — for any number of producers.  See
     /// lane_commit().
     std::mutex lane_mu;
-    /// WAL on: the sub-batch gathered for the append (guarded by lane_mu).
-    std::vector<std::uint64_t> staging;
     /// In-memory idempotence filter when the WAL is off but clients still
     /// send identities (the WAL embeds its own table when on).  Written
     /// under lane_mu.

@@ -10,12 +10,21 @@
 // subtractions and sidesteps the classic "one slot wasted" scheme.  Head
 // and tail live on separate cache lines to avoid false sharing between
 // the two threads.
+//
+// Besides push_n, a producer can fill free slots in place: stage(n) hands
+// out the next n free slots as one or two runs (two when they wrap past
+// the end of the slot array) without making them visible, and publish(n)
+// releases them to the consumer.  The WAL commit lane logs a sub-batch
+// straight from those runs and publishes only once the append succeeded;
+// staged slots that are never published are simply staged over next time.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -66,6 +75,37 @@ class SpscRing {
     for (std::size_t i = 0; i < n; ++i) slots_[(tail + i) & mask_] = next();
     if (n > 0) tail_.store(tail + n, std::memory_order_release);
     return n;
+  }
+
+  /// The next free slots in ring order: `first` up to the end of the slot
+  /// array, then `second` from its start (empty unless the run wraps).
+  struct Runs {
+    std::span<std::uint64_t> first;
+    std::span<std::uint64_t> second;
+  };
+
+  /// Producer side: the next `n` free slots, for the caller to fill before
+  /// publish(n) makes them visible; both runs are empty when fewer than
+  /// `n` slots are free.  Staging changes nothing the consumer sees, so
+  /// an unpublished stage is simply overwritten by the next one.
+  Runs stage(std::size_t n) {
+    // Refresh the cached head here, not only when push_n runs short: a
+    // publish moves the tail on without looking at it, and push_n's room
+    // is computed from the cache.
+    cached_head_ = head_.load(std::memory_order_acquire);
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    if (capacity() - (tail - cached_head_) < n) return {};
+    const std::size_t at = static_cast<std::size_t>(tail & mask_);
+    const std::size_t first = std::min(n, capacity() - at);
+    return {std::span<std::uint64_t>(slots_.data() + at, first),
+            std::span<std::uint64_t>(slots_.data(), n - first)};
+  }
+
+  /// Producer side: make the first `n` slots of the last stage() visible
+  /// to the consumer, with one release store.
+  void publish(std::size_t n) {
+    tail_.store(tail_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
   }
 
   /// Consumer side.  Returns false when the ring is empty.

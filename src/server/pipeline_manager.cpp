@@ -211,9 +211,9 @@ std::shared_ptr<PipelineManager::Entry> PipelineManager::create_internal(
       ReplicationHub* hub = opt_.hub;
       spec.pipeline.wal_observer =
           [hub, name](std::size_t shard, std::uint64_t end_offset,
-                      std::span<const char> header,
-                      std::span<const char> payload) {
-            hub->publish_wal(name, shard, end_offset, header, payload);
+                      std::span<const char> header, std::span<const char> run1,
+                      std::span<const char> run2) {
+            hub->publish_wal(name, shard, end_offset, header, run1, run2);
           };
     }
     spec.pipeline.validate();  // wal x checkpoint_dir re-checked

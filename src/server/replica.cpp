@@ -94,7 +94,8 @@ void ReplicationHub::broadcast(std::vector<char> rec) {
 void ReplicationHub::publish_wal(const std::string& pipeline,
                                  std::size_t shard, std::uint64_t end_offset,
                                  std::span<const char> header,
-                                 std::span<const char> payload) {
+                                 std::span<const char> run1,
+                                 std::span<const char> run2) {
   // The one cost an unreplicated server pays per durable append.
   if (nsubs_.load(std::memory_order_relaxed) == 0) return;
   {
@@ -103,14 +104,15 @@ void ReplicationHub::publish_wal(const std::string& pipeline,
     if (end_offset > off) off = end_offset;
   }
   // The encoded SHWL frame is one string field: its length, then the
-  // header and the payload back to back.
+  // header and the payload's two runs back to back.
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
   w.str(pipeline);
   w.u32(static_cast<std::uint32_t>(shard));
-  w.u32(static_cast<std::uint32_t>(header.size() + payload.size()));
+  w.u32(static_cast<std::uint32_t>(header.size() + run1.size() + run2.size()));
   w.raw(header);
-  w.raw(payload);
+  w.raw(run1);
+  w.raw(run2);
   broadcast(w.body());
 }
 

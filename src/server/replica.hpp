@@ -108,12 +108,13 @@ class ReplicationHub {
   [[nodiscard]] std::size_t subscriber_count() const;
 
   /// Observer entry (per-shard append lock held): advance the shard's
-  /// end offset and enqueue the frame — `header` then `payload`, the
-  /// appender's own bytes, joined into one record only here — for every
-  /// subscriber.  With none subscribed it returns at once.
+  /// end offset and enqueue the frame — `header`, then the payload's two
+  /// runs `run1` and `run2`, the appender's own bytes, joined into one
+  /// record only here — for every subscriber.  With none subscribed it
+  /// returns at once and copies nothing.
   void publish_wal(const std::string& pipeline, std::size_t shard,
                    std::uint64_t end_offset, std::span<const char> header,
-                   std::span<const char> payload);
+                   std::span<const char> run1, std::span<const char> run2);
   void publish_create(const std::string& pipeline, const std::string& spec);
   void publish_drop(const std::string& pipeline);
 

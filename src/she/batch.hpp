@@ -65,6 +65,13 @@ inline constexpr std::size_t kSlotBudget = 256; ///< max staged slots per block
   return std::clamp<std::size_t>(by_budget, 1, kMaxBlock);
 }
 
+/// Slots pipelined_blocks stages at once for `k` probes per key: two
+/// blocks, stage b+1 while applying b.  At most 2 * kSlotBudget whenever
+/// k <= kSlotBudget.
+[[nodiscard]] constexpr std::size_t scratch_slots(unsigned k) {
+  return 2 * block_keys(k) * k;
+}
+
 /// True when a sketch of `cells` cells probing `k` of them per key fits the
 /// block stage: positions fit the kernels' 32-bit lanes, and one key's
 /// probes fit the per-block stack buffers.  Any other shape (more than 2^32
@@ -103,15 +110,15 @@ inline void prefetch_addr(const void* p, bool write) {
 ///                          the clock and applies CheckGroup + F; a query
 ///                          evaluates its probes)
 ///
-/// `scratch` is caller-owned so steady-state batches never allocate.
+/// `scratch` is caller-owned, so steady-state batches never allocate, and
+/// holds the double buffer: at least scratch_slots(k) slots.
 /// Always inlined: stage 2 must be fused into the caller's loop so its
 /// captures stay in registers (an out-of-line copy reloads them per key).
 template <typename StageFn, typename EachFn>
 [[gnu::always_inline]] inline void pipelined_blocks(std::span<const std::uint64_t> keys, unsigned k,
-                      std::vector<Slot>& scratch, StageFn&& stage,
+                      std::span<Slot> scratch, StageFn&& stage,
                       EachFn&& each) {
   const std::size_t block = block_keys(k);
-  scratch.resize(2 * block * k);  // double buffer: stage b+1 while applying b
   const std::size_t nkeys = keys.size();
 
   // Block b+1 is hashed and prefetched *before* block b is applied, so its

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <concepts>
 #include <cstdint>
@@ -625,8 +626,9 @@ class SlidingEstimator {
   /// issues read-hinted prefetches; then `each(i, slots)` runs once per key
   /// in order with that key's k slots (read them with staged_age() and
   /// staged_value()).  For shapes the block stage does not take,
-  /// `per_key(i)` answers key i with the per-key query instead.  Local
-  /// scratch keeps this const path safe on a shared published view.
+  /// `per_key(i)` answers key i with the per-key query instead.  Stack
+  /// scratch keeps this const path safe on a shared published view, and
+  /// a batch allocates nothing.
   template <typename EachFn, typename PerKeyFn>
   void probe_many(std::span<const std::uint64_t> keys, EachFn&& each,
                   PerKeyFn&& per_key) const {
@@ -640,9 +642,10 @@ class SlidingEstimator {
     const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
     const BlockShape shape = block_shape(k);
     const GroupClock::TimeParts now = clock_.split(time_);
-    std::vector<Slot> scratch;
+    // stageable() bounds k, so two blocks fit 2 * kSlotBudget slots.
+    std::array<Slot, 2 * batch::kSlotBudget> scratch;
     batch::pipelined_blocks(
-        keys, k, scratch,
+        keys, k, std::span<Slot>(scratch).first(batch::scratch_slots(k)),
         [&](std::size_t begin, std::size_t n, Slot* out) {
           // A block stages at most kSlotBudget probes (stageable()).
           std::uint32_t hash[batch::kSlotBudget], pos[batch::kSlotBudget],
@@ -768,6 +771,7 @@ class SlidingEstimator {
     const bool warm_marks = clock_.memory_bytes() >= batch::kPrefetchFootprint;
     const BlockShape shape = block_shape(k);
     const batch::MarkStager stager(clock_, time_, times);
+    staging_.slots.resize(batch::scratch_slots(k));
     batch::pipelined_blocks(
         keys, k, staging_.slots,
         // Stage 1: the policy's hash stage, then the marks; aux = cur << 32

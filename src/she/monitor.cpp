@@ -369,10 +369,17 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
                            "capacity of " +
                            std::to_string(cfg.heavy_hitter_slots));
     in.expect_remaining(16 * count);
+    // save() writes the table sorted by key, each key once; anything else
+    // would lose a duplicate in restore_candidates and not save back to
+    // the same bytes.
     std::vector<HeavyHitters::Entry> cands(static_cast<std::size_t>(count));
-    for (auto& e : cands) {
-      e.key = in.u64();
-      e.estimate = in.u64();
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      cands[i].key = in.u64();
+      cands[i].estimate = in.u64();
+      if (i > 0 && cands[i].key <= cands[i - 1].key)
+        throw SerializeError(
+            "StreamMonitor: heavy-hitter candidate keys are not strictly "
+            "increasing at entry " + std::to_string(i));
     }
     mon.freq_.emplace(*p.frequency, 8, cfg.heavy_hitter_slots);
     mon.freq_->restore_sketch(std::move(sketch));

@@ -1,6 +1,7 @@
 // StreamMonitor façade tests.
 #include "she/monitor.hpp"
 
+#include <cstring>
 #include <vector>
 
 #include "common/bobhash.hpp"
@@ -111,6 +112,40 @@ TEST(Monitor, LoadRejectsCandidateCountAboveCapacity) {
   w.u64(std::uint64_t{1} << 40);
   BinaryReader r(frame);
   EXPECT_THROW((void)StreamMonitor::load(r), SerializeError);
+}
+
+TEST(Monitor, LoadRejectsCandidateKeysThatDoNotStrictlyIncrease) {
+  // save() writes the candidate table sorted by key, each key once.  A
+  // duplicate key used to load, lose one entry, and save back to other
+  // bytes; an unsorted table loaded too.  Both are malformed images.
+  MonitorConfig cfg = small_cfg();
+  cfg.track_membership = false;
+  cfg.track_cardinality = false;
+  StreamMonitor mon(cfg);
+  for (const std::uint64_t k : {11u, 22u, 33u}) mon.insert(k);
+  std::vector<char> frame;
+  BinaryWriter w(frame);
+  mon.save(w);
+  // The image ends with [u64 count = 3] and three (u64 key, u64 estimate)
+  // entries.
+  const std::size_t table = frame.size() - 3 * 16;
+  ASSERT_EQ(get_le<std::uint64_t>(frame.data() + table - 8), 3u);
+  {
+    BinaryReader r(frame);
+    EXPECT_NO_THROW((void)StreamMonitor::load(r));
+  }
+  const auto key_at = [&](std::vector<char>& image, std::size_t i) {
+    return image.data() + table + 16 * i;
+  };
+  std::vector<char> dup = frame;  // keys 11, 22, 22
+  std::memcpy(key_at(dup, 2), key_at(dup, 1), 8);
+  std::vector<char> unsorted = frame;  // keys 22, 11, 33
+  std::memcpy(key_at(unsorted, 0), key_at(frame, 1), 8);
+  std::memcpy(key_at(unsorted, 1), key_at(frame, 0), 8);
+  for (const std::vector<char>* image : {&dup, &unsorted}) {
+    BinaryReader r(*image);
+    EXPECT_THROW((void)StreamMonitor::load(r), SerializeError);
+  }
 }
 
 TEST(Monitor, CheckpointRoundTrip) {

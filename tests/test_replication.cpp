@@ -206,7 +206,9 @@ std::string answers(SheClient& c) {
 TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
   // A subscriber receives each data frame as [u8 kWal][str pipeline]
   // [u32 shard][str frame], the frame byte-equal to the one in the
-  // segment, across rotations; the hub's end offset follows the log.
+  // segment, across rotations and for frames appended from two runs (a
+  // sub-batch staged across the ring's wrap); the hub's end offset
+  // follows the log.
   const std::string dir = temp_dir("repl_wal_records");
   obs::Registry registry;
   ReplicationHub hub(registry);
@@ -214,8 +216,9 @@ TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
   ShardWal::Options opt;
   opt.segment_bytes = 256;  // a few frames per segment
   opt.observer = [&hub](std::uint64_t end_offset, std::span<const char> header,
-                        std::span<const char> payload) {
-    hub.publish_wal("p", 3, end_offset, header, payload);
+                        std::span<const char> run1,
+                        std::span<const char> run2) {
+    hub.publish_wal("p", 3, end_offset, header, run1, run2);
   };
   std::uint64_t items = 0;
   {
@@ -223,7 +226,10 @@ TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
     for (std::uint64_t n = 1; n <= 12; ++n) {
       std::vector<std::uint64_t> keys(n % 4 + 1);
       for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = (n << 32) | i;
-      ASSERT_TRUE(wal.append(keys, 5, n));
+      // Every third frame is wrapped: its keys come as two runs.
+      const std::span<const std::uint64_t> all(keys);
+      const std::size_t cut = n % 3 == 0 ? (keys.size() + 1) / 2 : keys.size();
+      ASSERT_TRUE(wal.append(all.first(cut), all.subspan(cut), 5, n));
       items += keys.size();
     }
   }

@@ -3,7 +3,8 @@
 // check the whole surface under ThreadSanitizer (sizes are kept moderate
 // so the instrumented run stays fast).
 //
-//   * SpscRing: FIFO order and wraparound, plus a cross-thread stress.
+//   * SpscRing: FIFO order and wraparound, staging and publishing in place
+//     at every wrap offset, plus a cross-thread stress.
 //   * Published views: a held view survives later publishes unchanged;
 //     readers between two publishes share one object.
 //   * IngestPipeline: single-producer drains are bit-identical to
@@ -74,6 +75,85 @@ TEST(SpscRing, DrainPreservesOrder) {
   EXPECT_EQ(out[0], 4u);
   EXPECT_EQ(out[1], 5u);
   EXPECT_EQ(ring.drain(out, 8), 0u);
+}
+
+/// Fill the runs of a stage with `first`, `first` + 1, ...
+void fill_runs(const SpscRing::Runs& runs, std::uint64_t first) {
+  for (std::uint64_t& slot : runs.first) slot = first++;
+  for (std::uint64_t& slot : runs.second) slot = first++;
+}
+
+TEST(SpscRing, StageAndPublishAtEveryWrapOffset) {
+  // From every start offset, every stage size: the runs cover exactly the
+  // free slots in ring order (a second run only past the array's end),
+  // nothing is visible before publish, and the consumer then drains the
+  // staged keys in order.
+  constexpr std::size_t kCap = 8;
+  for (std::size_t offset = 0; offset < kCap; ++offset) {
+    for (std::size_t n = 1; n <= kCap; ++n) {
+      SCOPED_TRACE(testing::Message() << "offset " << offset << " n " << n);
+      SpscRing ring(kCap);
+      std::uint64_t out[kCap];
+      for (std::size_t i = 0; i < offset; ++i) ASSERT_TRUE(ring.try_push(i));
+      ASSERT_EQ(ring.drain(out, kCap), offset);
+      const SpscRing::Runs runs = ring.stage(n);
+      ASSERT_EQ(runs.first.size() + runs.second.size(), n);
+      EXPECT_EQ(runs.first.size(), std::min(n, kCap - offset));
+      fill_runs(runs, 100);
+      EXPECT_EQ(ring.size_approx(), 0u);
+      EXPECT_EQ(ring.drain(out, kCap), 0u);
+      ring.publish(n);
+      EXPECT_EQ(ring.size_approx(), n);
+      ASSERT_EQ(ring.drain(out, kCap), n);
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], 100 + i);
+    }
+  }
+}
+
+TEST(SpscRing, StageRefusesMoreThanTheFreeSlots) {
+  SpscRing ring(8);
+  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(i));
+  SpscRing::Runs runs = ring.stage(6);
+  EXPECT_TRUE(runs.first.empty());
+  EXPECT_TRUE(runs.second.empty());
+  EXPECT_EQ(ring.stage(5).first.size(), 5u);
+  EXPECT_TRUE(ring.stage(9).first.empty());  // above capacity
+}
+
+TEST(SpscRing, PushNRightAfterStagedPublishesNeverOverfills) {
+  // stage() refreshes the producer's cached head.  Without that, push_n's
+  // room, computed from the cache, underflows once staged publishes move
+  // the tail a ring's length past it, and push_n overwrites queued keys.
+  SpscRing ring(8);
+  std::uint64_t out[8];
+  std::uint64_t next = 0;
+  std::uint64_t want = 0;
+  for (int round = 0; round < 20; ++round) {
+    const SpscRing::Runs runs = ring.stage(5);
+    ASSERT_EQ(runs.first.size() + runs.second.size(), 5u);
+    fill_runs(runs, next);
+    next += 5;
+    ring.publish(5);
+    const std::size_t pushed = ring.push_n(8, [&] { return next++; });
+    EXPECT_EQ(pushed, 3u) << "round " << round;
+    EXPECT_EQ(ring.size_approx(), 8u);
+    ASSERT_EQ(ring.drain(out, 8), 8u);
+    for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], want++);
+  }
+}
+
+TEST(SpscRing, UnpublishedStageIsOverwrittenByTheNextStage) {
+  SpscRing ring(8);
+  std::uint64_t out[8];
+  ASSERT_TRUE(ring.try_push(1));
+  fill_runs(ring.stage(4), 500);  // a refused append: never published
+  const SpscRing::Runs runs = ring.stage(3);
+  ASSERT_EQ(runs.first.size(), 3u);
+  fill_runs(runs, 2);
+  ring.publish(3);
+  ASSERT_TRUE(ring.try_push(5));
+  ASSERT_EQ(ring.drain(out, 8), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(out[i], i + 1);
 }
 
 TEST(SpscRing, CrossThreadStressKeepsSequence) {

@@ -2,14 +2,17 @@
 // (torn tails, mid-log corruption, sequence regressions), the per-client
 // idempotence table, the ShardWal append/dedup/rotate/retire/repair cycle
 // over segment files, the bytes and the frame bound of the one-copy
-// append, and a count of the heap allocations a steady-state append and a
-// WAL-on push_bulk make (none).
+// append (from one run of keys or two), and a count of the heap
+// allocations a steady-state append and a WAL-on push_bulk make (none,
+// from a sub-batch's first push on).  The batched point queries share the
+// allocation count here: a frequency or membership batch makes none.
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
 #include "common/wal.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -24,11 +27,18 @@
 #include "she/she.hpp"
 #include <gtest/gtest.h>
 
-// Heap allocations made by threads that set `g_count_news`; every other
-// thread (pipeline workers, the test runner) allocates uncounted.
+// Heap allocations (and frees) made by threads that set `g_count_news`;
+// every other thread (pipeline workers, the test runner) allocates
+// uncounted.
 namespace {
 thread_local bool g_count_news = false;
 thread_local std::size_t g_news = 0;
+thread_local std::size_t g_frees = 0;
+
+void counted_free(void* p) noexcept {
+  if (g_count_news && p != nullptr) ++g_frees;
+  std::free(p);
+}
 
 void* counted_new(std::size_t n, std::size_t align) {
   if (g_count_news) ++g_news;
@@ -45,11 +55,11 @@ void* operator new(std::size_t n) { return counted_new(n, 0); }
 void* operator new(std::size_t n, std::align_val_t a) {
   return counted_new(n, static_cast<std::size_t>(a));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace she {
@@ -59,10 +69,18 @@ namespace {
 template <class Body>
 std::size_t news_during(Body&& body) {
   g_news = 0;
+  g_frees = 0;
   g_count_news = true;
   body();
   g_count_news = false;
   return g_news;
+}
+
+/// Heap blocks `body` allocates on this thread and does not free.
+template <class Body>
+std::ptrdiff_t kept_during(Body&& body) {
+  const std::size_t news = news_during(body);
+  return static_cast<std::ptrdiff_t>(news) - static_cast<std::ptrdiff_t>(g_frees);
 }
 
 std::string temp_dir(const char* name) {
@@ -602,21 +620,47 @@ std::vector<std::uint64_t> batch_of(std::uint64_t n) {
   return b;
 }
 
-TEST(ShardWal, AppendBytesEqualFrameWalAcrossRotationRepairAndTornWrites) {
-  const std::string dir = temp_dir("wal_bytes");
+/// Append `keys` as two runs, cut after its first `cut` keys (one run
+/// when `cut` covers them all).
+bool append_cut(ShardWal& wal, std::span<const std::uint64_t> keys,
+                std::size_t cut, std::uint64_t client_id,
+                std::uint64_t client_seq) {
+  cut = std::min(cut, keys.size());
+  return wal.append(keys.first(cut), keys.subspan(cut), client_id, client_seq);
+}
+
+/// An injected torn write: the fault spec, where the torn frame's keys
+/// are cut into two runs, and the bytes of it left on disk.
+struct TornCase {
+  const char* spec;
+  std::size_t cut;
+  std::size_t dropped;
+};
+
+/// Appends batches, each cut into runs after `cut_of(n, size)` keys,
+/// across segment rotation, a torn tail repaired at open and the injected
+/// torn writes of `torn`; then every data frame on disk must be frame_wal
+/// of the frame carrying that batch's keys joined.
+template <class CutOf>
+void expect_appends_equal_frame_wal(const char* name, CutOf cut_of,
+                                    const std::vector<TornCase>& torn) {
+  const std::string dir = temp_dir(name);
   const std::string path = dir + "/shard-0.wal";
   constexpr std::uint64_t kClient = 11;
   // batches[i] is what the i-th data frame must carry, under client seq i+1.
   std::vector<std::vector<std::uint64_t>> batches;
   std::uint64_t items = 0;
   const auto append = [&](ShardWal& wal) {
-    batches.push_back(batch_of(batches.size()));
-    ASSERT_TRUE(wal.append(batches.back(), kClient, batches.size()));
-    items += batches.back().size();
+    const std::uint64_t n = batches.size();
+    batches.push_back(batch_of(n));
+    const std::vector<std::uint64_t>& keys = batches.back();
+    ASSERT_TRUE(append_cut(wal, keys, cut_of(n, keys.size()), kClient, n + 1));
+    items += keys.size();
   };
   {
     ShardWal wal(path, small_segments(), WalScan{});
-    while (log_names(dir).size() < 3 && !HasFatalFailure()) append(wal);
+    while (log_names(dir).size() < 3 && !::testing::Test::HasFatalFailure())
+      append(wal);
   }
   // A torn tail found at open is cut before the next append.
   {
@@ -626,36 +670,35 @@ TEST(ShardWal, AppendBytesEqualFrameWalAcrossRotationRepairAndTornWrites) {
     ShardWal wal(path, small_segments(), read_wal(path));
     append(wal);
   }
-  // Torn writes injected inside the header and inside the payload: the
-  // append throws, the log ends at the previous frame, and the retry
-  // (repaired first) lands right behind it.
-  for (const char* spec : {"wal-torn", "wal-partial"}) {
-    SCOPED_TRACE(spec);
+  // Injected torn writes: the append throws, the log ends at the previous
+  // frame, and the retry (repaired first) lands right behind it.
+  for (const TornCase& t : torn) {
+    SCOPED_TRACE(testing::Message() << t.spec << " cut " << t.cut);
     ShardWal wal(path, small_segments(), read_wal(path));
-    const std::vector<std::uint64_t> next = batch_of(batches.size());
-    fault::injector().arm(fault::parse_spec(spec));
-    EXPECT_THROW((void)wal.append(next, kClient, batches.size() + 1), WalError);
+    const std::vector<std::uint64_t> next(5, 0xfeedfacecafebeefull);
+    fault::injector().arm(fault::parse_spec(t.spec));
+    EXPECT_THROW(
+        (void)append_cut(wal, next, t.cut, kClient, batches.size() + 1),
+        WalError);
     fault::injector().clear();
-    const WalScan torn = read_wal(path);
-    EXPECT_EQ(torn.frames.size(), batches.size());
-    EXPECT_EQ(torn.end_offset, items);
-    EXPECT_EQ(torn.dropped_bytes, std::string(spec) == "wal-torn"
-                                      ? kWalHeaderBytes / 2
-                                      : kWalHeaderBytes + next.size() * 4);
+    const WalScan scan = read_wal(path);
+    EXPECT_EQ(scan.frames.size(), batches.size());
+    EXPECT_EQ(scan.end_offset, items);
+    EXPECT_EQ(scan.dropped_bytes, t.dropped);
     append(wal);
   }
   // Every data frame on disk is frame_wal of the frame it should be.
   std::size_t i = 0;
   std::uint64_t start = 0;
   std::uint64_t seq = 0;
-  for (const std::string& name : log_names(dir)) {
-    const std::vector<char> bytes = file_bytes(dir + "/" + name);
+  for (const std::string& file : log_names(dir)) {
+    const std::vector<char> bytes = file_bytes(dir + "/" + file);
     std::size_t at = 0;
     while (at < bytes.size()) {
       WalFrame f;
       const std::size_t sz = parse_wal_frame(
           std::span<const char>(bytes).subspan(at), f);
-      ASSERT_GT(sz, 0u) << name << " at " << at;
+      ASSERT_GT(sz, 0u) << file << " at " << at;
       EXPECT_EQ(f.seq, ++seq);
       if (f.kind == kWalData) {
         ASSERT_LT(i, batches.size());
@@ -673,6 +716,28 @@ TEST(ShardWal, AppendBytesEqualFrameWalAcrossRotationRepairAndTornWrites) {
   EXPECT_EQ(i, batches.size());
   EXPECT_EQ(read_wal(path).dropped_bytes, 0u);
   std::filesystem::remove_all(dir);
+}
+
+TEST(ShardWal, AppendBytesEqualFrameWalAcrossRotationRepairAndTornWrites) {
+  // One run per frame; torn writes inside the header and inside the
+  // payload of a 5-key frame.
+  expect_appends_equal_frame_wal(
+      "wal_bytes", [](std::uint64_t, std::size_t size) { return size; },
+      {{"wal-torn", 5, kWalHeaderBytes / 2},
+       {"wal-partial", 5, kWalHeaderBytes + 20}});
+}
+
+TEST(ShardWal, TwoRunAppendBytesEqualFrameWalOfTheJoinedKeys) {
+  // Frames cut into two runs at every position (an empty first or second
+  // run included), as a sub-batch staged across the ring's wrap is; the
+  // torn writes of a 5-key frame cut inside the header, inside run 1 (24
+  // bytes, 20 written) and inside run 2 (16 bytes, then 4 of run 2).
+  expect_appends_equal_frame_wal(
+      "wal_bytes_two_runs",
+      [](std::uint64_t n, std::size_t size) { return n % (size + 1); },
+      {{"wal-torn", 2, kWalHeaderBytes / 2},
+       {"wal-partial", 3, kWalHeaderBytes + 20},
+       {"wal-partial", 2, kWalHeaderBytes + 20}});
 }
 
 TEST(ShardWal, AppendRefusesAFrameAboveThePayloadBoundWritingNothing) {
@@ -714,6 +779,33 @@ TEST(ShardWal, SteadyStateAppendAllocatesNothing) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(BatchQueries, FrequencyAndContainsBatchAllocateNothing) {
+  // A point-query batch stages its probes on the stack: HeavyHitters
+  // refreshes its candidates through frequency_batch every 64 items, on
+  // the shard worker, and readers share one published view.
+  SheConfig cfg;
+  cfg.window = 1 << 14;
+  cfg.cells = 1 << 16;
+  cfg.group_cells = 64;
+  SheCountMin cm(cfg, 8);
+  SheBloomFilter bf(cfg, 8);
+  std::vector<std::uint64_t> keys(1000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 0x9E3779B9ull;
+  cm.insert_batch(keys);
+  bf.insert_batch(keys);
+  std::vector<std::uint64_t> counts(keys.size());
+  std::vector<std::uint8_t> present(keys.size());
+  EXPECT_EQ(news_during([&] {
+              cm.frequency_batch(keys, counts);
+              bf.contains_batch(keys, present);
+            }),
+            0u);
+  for (std::size_t i = 0; i < keys.size(); i += 97) {
+    EXPECT_EQ(counts[i], cm.frequency(keys[i]));
+    EXPECT_NE(present[i], 0);
+  }
+}
+
 runtime::PipelineOptions wal_pipeline(const std::string& dir) {
   runtime::PipelineOptions opt;
   opt.shards = 2;
@@ -739,8 +831,8 @@ TEST(WalPipeline, PushBulkOfARepeatedFrameSizeAllocatesNothing) {
   pipe.start();
   std::vector<std::uint64_t> keys(1024);
   for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
-  // Warm up: the routing buffer, each lane's staging and each log's
-  // stream buffer reach this frame size; the client gets its entries.
+  // Warm up: the routing buffer reaches this frame size; the client gets
+  // its entries.
   std::uint64_t seq = 0;
   for (int i = 0; i < 4; ++i)
     ASSERT_EQ(pipe.push_bulk(0, keys, 3, ++seq), keys.size());
@@ -750,6 +842,97 @@ TEST(WalPipeline, PushBulkOfARepeatedFrameSizeAllocatesNothing) {
             }),
             0u);
   pipe.close();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalPipeline, FirstPushBulkOfASubBatchThatFitsTheRingAllocatesNothing) {
+  // Each lane stages its sub-batch in the ring slots admission reserved
+  // and logs it from there, so even the first push of a frame size — and
+  // every larger one after it, wrapped across the ring's end or not —
+  // allocates nothing.  With two shards the (thread-local) routing buffer
+  // is warmed first through a pipeline without a WAL.
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    const std::string dir = temp_dir("wal_first_push_noalloc");
+    runtime::PipelineOptions opt = wal_pipeline(dir);
+    opt.shards = shards;
+    std::vector<std::uint64_t> keys(4096);
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
+    if (shards > 1) {
+      runtime::PipelineOptions off;
+      off.shards = shards;
+      off.queue_capacity = keys.size();
+      runtime::IngestPipeline<SheBloomFilter> warm(off, small_filter);
+      ASSERT_EQ(warm.push_bulk(0, keys), keys.size());
+    }
+    runtime::IngestPipeline<SheBloomFilter> pipe(opt, small_filter);
+    pipe.start();
+    for (const std::size_t n : {100u, 1000u, 3000u, 4096u}) {
+      SCOPED_TRACE(n);
+      const std::span<const std::uint64_t> frame(keys.data(), n);
+      EXPECT_EQ(news_during([&] { ASSERT_EQ(pipe.push_bulk(0, frame), n); }),
+                0u);
+    }
+    pipe.close();
+    EXPECT_EQ(pipe.stats().inserted, 100u + 1000u + 3000u + 4096u);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+/// Counts, across every copy, the keys the pipeline's workers apply.
+struct CountingEstimator {
+  static inline std::atomic<std::uint64_t> applied{0};
+  std::uint64_t n = 0;
+  void insert(std::uint64_t) {
+    ++n;
+    applied.fetch_add(1, std::memory_order_relaxed);
+  }
+  void save(BinaryWriter& w) const { w.u64(n); }
+  static CountingEstimator load(BinaryReader& r) {
+    CountingEstimator e;
+    e.n = r.u64();
+    return e;
+  }
+};
+
+TEST(WalPipeline, SubBatchLargerThanTheRingIsLoggedWholeFirstAndKeepsNoBuffer) {
+  // Admission reserves only the ring's capacity for a larger sub-batch,
+  // so it is gathered into a buffer of its own, logged as one frame, and
+  // only then enqueued behind the live drain.  The buffer is gone when
+  // the call returns.
+  const std::string dir = temp_dir("wal_oversize");
+  constexpr std::size_t kKeys = 1000;
+  std::uint64_t logged_end = 0;
+  std::uint64_t applied_at_log = ~std::uint64_t{0};
+  std::size_t run2_bytes = ~std::size_t{0};
+  runtime::PipelineOptions opt = wal_pipeline(dir);
+  opt.shards = 1;
+  opt.queue_capacity = 64;
+  opt.wal_observer = [&](std::size_t, std::uint64_t end_offset,
+                         std::span<const char>, std::span<const char>,
+                         std::span<const char> run2) {
+    logged_end = end_offset;
+    applied_at_log = CountingEstimator::applied.load();
+    run2_bytes = run2.size();
+  };
+  CountingEstimator::applied = 0;
+  std::vector<std::uint64_t> keys(kKeys);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 31;
+  {
+    runtime::IngestPipeline<CountingEstimator> pipe(
+        opt, [](std::size_t) { return CountingEstimator{}; });
+    pipe.start();
+    EXPECT_EQ(kept_during([&] { ASSERT_EQ(pipe.push_bulk(0, keys), kKeys); }),
+              0);
+    EXPECT_EQ(logged_end, kKeys);  // one frame, the whole sub-batch
+    EXPECT_EQ(applied_at_log, 0u);
+    EXPECT_EQ(run2_bytes, 0u);
+    pipe.close();
+    EXPECT_EQ(pipe.snapshot(0).n, kKeys);
+  }
+  const WalScan scan = read_wal(dir + "/shard-0.wal");
+  ASSERT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(scan.frames[0].keys(), keys);
   std::filesystem::remove_all(dir);
 }
 

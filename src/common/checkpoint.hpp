@@ -48,15 +48,16 @@ inline constexpr char kCheckpointMagic[4] = {'S', 'H', 'C', 'P'};
 inline constexpr std::uint32_t kCheckpointVersion = 1;
 inline constexpr std::size_t kCheckpointHeaderBytes = 28;
 
-/// A parsed frame: the recorded ingest position plus the raw payload.
+/// A validated frame: its bytes as read and its ingest position, with the
+/// payload a view into them, so a resume deserializes the bytes it read.
 struct CheckpointData {
   std::uint64_t stream_offset = 0;
-  std::vector<char> payload;
-};
+  std::vector<char> frame;  ///< the whole frame, header included
 
-/// Wrap `payload` in a magic/version/offset/length/CRC frame (version 1).
-[[nodiscard]] std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
-                                                 std::span<const char> payload);
+  [[nodiscard]] std::span<const char> payload() const {
+    return std::span<const char>(frame).subspan(kCheckpointHeaderBytes);
+  }
+};
 
 /// Seal a frame in place: `frame` is kCheckpointHeaderBytes of room
 /// followed by the payload, and the header is written over that room.  A
@@ -64,15 +65,10 @@ struct CheckpointData {
 /// frames its image without a second copy.  `frame` must hold the room.
 void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset);
 
-/// Validate and unwrap a frame.  Throws CheckpointError (and increments
-/// `she_checkpoint_corrupt_total`) on any structural or checksum failure.
-[[nodiscard]] CheckpointData parse_checkpoint(const char* data, std::size_t n);
-
-/// Write `bytes` to `path` via "<path>.tmp" + flush(+fsync) + atomic
-/// rename.  Throws DiskFault when the failure's errno says the disk is
-/// unhealthy (ENOSPC/EDQUOT/EIO/EROFS — survivable, the caller can go
-/// degraded and retry later), std::runtime_error otherwise.
-void write_file_atomic(const std::string& path, std::span<const char> bytes);
+/// Validate a frame in place and keep its bytes.  Throws CheckpointError
+/// (and increments `she_checkpoint_corrupt_total`) on any structural or
+/// checksum failure.
+[[nodiscard]] CheckpointData parse_checkpoint(std::vector<char> frame);
 
 /// Read and parse `path`; nullopt iff the file does not exist (a fresh
 /// start, not an error).  A file that exists but fails validation throws

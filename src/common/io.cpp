@@ -1,44 +1,112 @@
 #include "common/io.hpp"
 
-#include <cstdio>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace she {
 
 int sync_parent_dir(const std::string& path) {
-#if defined(__unix__) || defined(__APPLE__)
   const std::filesystem::path dir = std::filesystem::path(path).parent_path();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_CLOEXEC);
   const int err = fd < 0 || ::fsync(fd) != 0 ? errno : 0;
   if (fd >= 0) ::close(fd);
   if (err == 0) durable_op(DurableOp::kDirSync, dir.string());
   return is_disk_fault_errno(err) ? err : 0;
-#else
-  (void)path;
-  return 0;
-#endif
 }
 
-std::optional<std::vector<char>> read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::error_code ec;
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  std::vector<char> bytes(ec ? 0 : size);
-  // Fewer bytes when the file shrank since its size was taken.
-  bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
-  const bool failed = ec || std::ferror(f);
-  std::fclose(f);
-  if (!failed) return bytes;
-  errno = ec ? ec.value() : EIO;
-  return std::nullopt;
+bool write_all(int fd, iovec* iov, int count) {
+  while (count > 0) {
+    const ssize_t w = ::writev(fd, iov, count);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) {
+      if (w == 0) errno = EIO;
+      return false;
+    }
+    for (auto left = static_cast<std::size_t>(w); count > 0;) {
+      if (left < iov->iov_len) {
+        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
+        iov->iov_len -= left;
+        break;
+      }
+      left -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+  }
+  return true;
 }
+
+void write_file_atomic(const std::string& path, std::span<const char> bytes) {
+  const std::string tmp = path + ".tmp";
+  // ENOSPC/EIO from any step is a *disk* fault, not a caller bug: report
+  // it as the typed DiskFault so the ingest runtime can park the pipeline
+  // in degraded read-only mode instead of crashing the worker.
+  const auto fail = [&tmp](const std::string& what, int err) -> void {
+    ::unlink(tmp.c_str());
+    const std::string msg = "checkpoint: " + what + " " + tmp +
+                            (err != 0 ? std::string(": ") + std::strerror(err)
+                                      : std::string());
+    if (is_disk_fault_errno(err)) throw DiskFault(msg, err);
+    throw std::runtime_error(msg);
+  };
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) fail("cannot open", errno);
+  durable_op(DurableOp::kCreate, tmp);
+  iovec iov{const_cast<char*>(bytes.data()), bytes.size()};
+  bool ok = write_all(fd, &iov, bytes.empty() ? 0 : 1);
+  if (ok) durable_op(DurableOp::kWrite, tmp, bytes.size());
+  // Frame durability, not just atomicity: reach the disk before the
+  // rename makes the new frame visible.
+  ok = ok && ::fsync(fd) == 0;
+  if (ok) durable_op(DurableOp::kSync, tmp);
+  const int err = ok ? 0 : errno;
+  if (::close(fd) != 0 && ok) fail("short write to", errno);
+  if (!ok) fail("short write to", err);
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) fail("cannot rename", ec.value());
+  durable_op(DurableOp::kRename, path);
+  // Make the rename itself durable: the caller may next delete the log
+  // segments this frame covers, and after a power cut that unlink must
+  // not survive without the rename.
+  if (const int err = sync_parent_dir(path))
+    fail("cannot sync the directory of", err);
+}
+
+template <class T>
+std::optional<std::size_t> read_file(const std::string& path,
+                                     std::vector<T>& buf) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  ssize_t r = ::fstat(fd, &st);
+  const auto size = static_cast<std::size_t>(r == 0 ? st.st_size : 0);
+  if (size > buf.capacity() * sizeof(T)) std::vector<T>().swap(buf);
+  buf.resize((size + sizeof(T) - 1) / sizeof(T));
+  std::size_t n = 0;
+  while (r >= 0 && n < size) {
+    r = ::read(fd, reinterpret_cast<char*>(buf.data()) + n, size - n);
+    if (r == 0) break;  // EOF: the file shrank since fstat
+    if (r > 0) n += static_cast<std::size_t>(r);
+    if (r < 0 && errno == EINTR) r = 0;
+  }
+  buf.resize((n + sizeof(T) - 1) / sizeof(T));
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  if (r < 0) return std::nullopt;
+  return n;
+}
+
+template std::optional<std::size_t> read_file(const std::string&,
+                                              std::vector<char>&);
+template std::optional<std::size_t> read_file(const std::string&,
+                                              std::vector<std::uint64_t>&);
 
 void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
   u64(v.size());

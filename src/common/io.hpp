@@ -24,6 +24,8 @@
 #include <type_traits>
 #include <vector>
 
+#include <sys/uio.h>
+
 namespace she {
 
 /// Little-endian fixed-width fields: the byte order of every binary
@@ -125,11 +127,24 @@ inline void durable_op(DurableOp op, const std::string& path,
 /// counts as done.
 int sync_parent_dir(const std::string& path);
 
-/// The whole of the file at `path`, read with one read sized by its length.
-/// nullopt when it cannot be opened or read, with errno saying why (ENOENT:
-/// there is no such file); each caller raises its own error type.
-[[nodiscard]] std::optional<std::vector<char>> read_file(
-    const std::string& path);
+/// Write all of iov[0, count), none of them empty, to `fd`, resuming
+/// after short writes and EINTR.  False, with errno set, when a write
+/// fails.
+bool write_all(int fd, iovec* iov, int count);
+
+/// Write `bytes` to `path` via "<path>.tmp": create, write, fsync, rename,
+/// fsync the directory.  Throws DiskFault when the errno says the disk is
+/// unhealthy (survivable: degrade and retry later), std::runtime_error
+/// otherwise.
+void write_file_atomic(const std::string& path, std::span<const char> bytes);
+
+/// Read the file at `path` into `buf` (T is char or std::uint64_t), resized
+/// to cover it, with one read sized by its length; a buffer that must grow
+/// is freed first.  Returns the bytes read, or nullopt with errno saying
+/// why (ENOENT: no such file); each caller raises its own error type.
+template <class T>
+[[nodiscard]] std::optional<std::size_t> read_file(const std::string& path,
+                                                   std::vector<T>& buf);
 
 /// Appends fields to a caller-owned byte vector (never clears it).
 class BinaryWriter {

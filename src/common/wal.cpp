@@ -18,41 +18,16 @@
 
 namespace she {
 
+// Appends write the caller's keys as they lie, and the scan hands them out.
+static_assert(std::endian::native == std::endian::little,
+              "a WAL data payload is its keys' u64 LE bytes");
+
 namespace {
 
 obs::Counter& torn_counter() {
   return obs::default_registry().counter(
       "she_wal_torn_tail_total",
       "WAL tails truncated as torn or corrupt during recovery scans");
-}
-
-/// Validate and decode the frame starting at data[at]; returns its total
-/// encoded size, or 0 when the bytes are not a valid frame (torn tail —
-/// the scan stops there).
-std::size_t parse_frame(const char* data, std::size_t n, std::size_t at,
-                        WalFrame& f) {
-  if (n - at < kWalHeaderBytes) return 0;
-  const char* h = data + at;
-  if (std::memcmp(h, kWalMagic, 4) != 0) return 0;
-  if (get_le<std::uint16_t>(h + 4) != kWalVersion) return 0;
-  const auto kind = get_le<std::uint16_t>(h + 6);
-  if (kind != kWalData && kind != kWalSeqTable) return 0;
-  const auto payload_len = get_le<std::uint32_t>(h + 40);
-  if (payload_len > kMaxWalPayload) return 0;
-  if (n - at - kWalHeaderBytes < payload_len) return 0;
-  const char* payload = h + kWalHeaderBytes;
-  std::uint32_t crc = crc32(h, 44);
-  crc = crc32(payload, payload_len, crc);
-  if (crc != get_le<std::uint32_t>(h + 44)) return 0;
-  if (payload_len % 16 != 0 && kind == kWalSeqTable) return 0;
-  if (payload_len % 8 != 0 && kind == kWalData) return 0;
-  f.kind = kind;
-  f.seq = get_le<std::uint64_t>(h + 8);
-  f.start_offset = get_le<std::uint64_t>(h + 16);
-  f.client_id = get_le<std::uint64_t>(h + 24);
-  f.client_seq = get_le<std::uint64_t>(h + 32);
-  f.payload.assign(payload, payload + payload_len);
-  return kWalHeaderBytes + payload_len;
 }
 
 /// Encode the header of the frame `f` whose payload is `head` followed by
@@ -77,31 +52,6 @@ void encode_header(char* h, const WalFrame& f, std::span<const char> head,
 /// Open a segment for appending; -1 with errno set on failure.
 int open_segment(const std::string& file, int flags) {
   return ::open(file.c_str(), flags | O_WRONLY | O_APPEND | O_CLOEXEC, 0666);
-}
-
-/// Write all of iov[0, count), none of them empty, to `fd`, resuming
-/// after short writes and EINTR.  False, with errno set, when a write
-/// fails.
-bool write_all(int fd, iovec* iov, int count) {
-  while (count > 0) {
-    const ssize_t w = ::writev(fd, iov, count);
-    if (w < 0 && errno == EINTR) continue;
-    if (w <= 0) {
-      if (w == 0) errno = EIO;
-      return false;
-    }
-    for (auto left = static_cast<std::size_t>(w); count > 0;) {
-      if (left < iov->iov_len) {
-        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
-        iov->iov_len -= left;
-        break;
-      }
-      left -= iov->iov_len;
-      ++iov;
-      --count;
-    }
-  }
-  return true;
 }
 
 constexpr std::size_t kSeqDigits = 20;  // zero-padded: name order = seq order
@@ -164,7 +114,29 @@ std::string wal_log_name(const std::string& file) {
 }
 
 std::size_t parse_wal_frame(std::span<const char> bytes, WalFrame& f) {
-  return parse_frame(bytes.data(), bytes.size(), 0, f);
+  if (bytes.size() < kWalHeaderBytes) return 0;
+  const char* h = bytes.data();
+  if (std::memcmp(h, kWalMagic, 4) != 0) return 0;
+  if (get_le<std::uint16_t>(h + 4) != kWalVersion) return 0;
+  const auto kind = get_le<std::uint16_t>(h + 6);
+  if (kind != kWalData && kind != kWalSeqTable) return 0;
+  const auto payload_len = get_le<std::uint32_t>(h + 40);
+  if (payload_len > kMaxWalPayload) return 0;
+  if (bytes.size() - kWalHeaderBytes < payload_len) return 0;
+  const std::span<const char> payload =
+      bytes.subspan(kWalHeaderBytes, payload_len);
+  if (crc32(payload.data(), payload_len, crc32(h, 44)) !=
+      get_le<std::uint32_t>(h + 44))
+    return 0;
+  if (payload_len % 16 != 0 && kind == kWalSeqTable) return 0;
+  if (payload_len % 8 != 0 && kind == kWalData) return 0;
+  f.kind = kind;
+  f.seq = get_le<std::uint64_t>(h + 8);
+  f.start_offset = get_le<std::uint64_t>(h + 16);
+  f.client_id = get_le<std::uint64_t>(h + 24);
+  f.client_seq = get_le<std::uint64_t>(h + 32);
+  f.payload = payload;
+  return kWalHeaderBytes + payload_len;
 }
 
 WalMode wal_mode_from(std::string_view name) {
@@ -184,13 +156,6 @@ const char* to_string(WalMode m) {
   return "?";
 }
 
-std::vector<std::uint64_t> WalFrame::keys() const {
-  std::vector<std::uint64_t> out(payload.size() / 8);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = get_le<std::uint64_t>(payload.data() + 8 * i);
-  return out;
-}
-
 std::vector<char> frame_wal(const WalFrame& f) {
   std::vector<char> out(kWalHeaderBytes + f.payload.size());
   std::copy(f.payload.begin(), f.payload.end(), out.begin() + kWalHeaderBytes);
@@ -198,7 +163,7 @@ std::vector<char> frame_wal(const WalFrame& f) {
   return out;
 }
 
-WalScan read_wal(const std::string& path) {
+WalScan read_wal(const std::string& path, const WalVisitor& visit) {
   // A file at the log's own name is no segment; reading past it would
   // skip whatever acked items it holds.
   std::error_code ec;
@@ -211,8 +176,10 @@ WalScan read_wal(const std::string& path) {
     std::uint64_t& high = scan.client_seqs[id];
     high = std::max(high, seq);
   };
+  std::vector<std::uint64_t> words;  // one segment; frames are word-aligned
   std::uint64_t last_seq = 0;
   bool stopped = false;  // an invalid frame ended the log
+  bool more = true;      // the visitor wants more frames
   for (const std::string& file : log_files(path)) {
     if (stopped) {  // behind the end of the log: all of it is dropped
       std::error_code ec;
@@ -220,15 +187,16 @@ WalScan read_wal(const std::string& path) {
       scan.dropped_bytes += ec ? 0 : size;
       continue;
     }
-    const std::optional<std::vector<char>> read = read_file(file);
+    const std::optional<std::size_t> read = read_file(file, words);
     if (!read)
       throw WalError("wal: cannot read " + file + ": " + std::strerror(errno));
-    const std::vector<char>& bytes = *read;
+    const std::span<const char> bytes(
+        reinterpret_cast<const char*>(words.data()), *read);
 
     std::size_t at = 0;
-    while (at < bytes.size()) {
+    while (at < bytes.size() && more) {
       WalFrame f;
-      const std::size_t sz = parse_frame(bytes.data(), bytes.size(), at, f);
+      const std::size_t sz = parse_wal_frame(bytes.subspan(at), f);
       if (sz == 0) break;  // torn tail (or mid-log corruption): stop here
       // Frame seqs are strictly increasing; a regression means the bytes
       // are not a continuation of this log.
@@ -244,7 +212,9 @@ WalScan read_wal(const std::string& path) {
         if (f.start_offset < scan.end_offset) break;
         scan.end_offset = f.end_offset();
         if (f.client_id != 0) note_seq(f.client_id, f.client_seq);
-        scan.frames.push_back(std::move(f));
+        const auto keys = std::span<const std::uint64_t>(words).subspan(
+            (at + kWalHeaderBytes) / 8, f.payload.size() / 8);
+        if (visit) more = visit(f, keys);
       }
       at += sz;
     }
@@ -252,11 +222,12 @@ WalScan read_wal(const std::string& path) {
     // nothing and ends the log like any other invalid frame.
     if (at > 0) scan.segments.push_back({file, scan.end_offset, at});
     scan.valid_bytes += at;
+    if (!more) break;
     scan.dropped_bytes += bytes.size() - at;
     stopped = at == 0 || at < bytes.size();
   }
   scan.next_seq = last_seq + 1;
-  if (scan.dropped_bytes > 0) torn_counter().inc();
+  if (more && scan.dropped_bytes > 0) torn_counter().inc();
   return scan;
 }
 
@@ -344,15 +315,17 @@ void ShardWal::rotate_locked() {
   // its base offset, so it is a self-contained log.  Only a fresh log's
   // first segment, whose table would be empty at offset 0, starts
   // straight with data.
+  std::vector<char> pairs;
+  BinaryWriter w(pairs);
+  for (const auto& [id, hi] : seqs_.snapshot()) {
+    w.u64(id);
+    w.u64(hi);
+  }
   WalFrame table;
   table.kind = kWalSeqTable;
   table.seq = next_seq_;
   table.start_offset = end_offset_;
-  for (const auto& [id, hi] : seqs_.snapshot())
-    for (const std::uint64_t v : {id, hi}) {
-      table.payload.resize(table.payload.size() + 8);
-      put_le<std::uint64_t>(table.payload.data() + table.payload.size() - 8, v);
-    }
+  table.payload = pairs;
   const bool headed = end_offset_ > 0 || !table.payload.empty();
   std::vector<char> bytes = headed ? frame_wal(table) : std::vector<char>{};
   const std::string next = segment_path(path_, table.seq);
@@ -387,9 +360,6 @@ void ShardWal::rotate_locked() {
 bool ShardWal::append(std::span<const std::uint64_t> head,
                       std::span<const std::uint64_t> tail,
                       std::uint64_t client_id, std::uint64_t client_seq) {
-  // The keys' bytes are the frame's payload as they lie: u64 LE.
-  static_assert(std::endian::native == std::endian::little,
-                "ShardWal::append writes the caller's keys as the LE payload");
   const std::size_t nkeys = head.size() + tail.size();
   // The recovery scan would cut such a frame, and every frame behind it,
   // as a torn tail: refuse it before anything is written or acked.

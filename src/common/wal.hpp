@@ -48,13 +48,21 @@
 // sealed segments below the checkpoint low-water mark.  No file ever sits
 // at the log's own name: `read_wal` rejects one, and a fresh log deletes it.
 //
+// Read side: `read_wal` is the one scan of the log, shared by resume (which
+// replays as it scans), a restart's heal (which stops at its gap's end) and
+// `she_tool verify`.  It reads one segment at a time into one u64 buffer;
+// every frame starts 8-byte aligned (a 48-byte header, then whole words),
+// so each data frame's keys are handed out where they lie, and memory
+// follows the largest segment, not the log.
+//
 // Crash contract: appends go to the end of the active segment in order,
 // so a crash at any instant leaves a valid frame prefix plus at most one
 // torn tail (or an empty or torn-headed segment from a rotation).
 // `read_wal` accepts exactly that shape — it stops at the first frame
 // that fails validation and reports the bytes behind it, later segments
-// included, for truncation — and anything else (mid-log corruption) also
-// truncates there, keeping the longest crash-consistent prefix.
+// included, for `ShardWal` to truncate when it opens — and anything else
+// (mid-log corruption) also ends the log there, keeping the longest
+// crash-consistent prefix.  A scan stopped early never reports a tail.
 #pragma once
 
 #include <cstddef>
@@ -106,17 +114,15 @@ inline constexpr std::uint32_t kMaxWalPayload = 64u << 20;
 /// Most keys one data frame (one shard's share of a push_bulk) can carry.
 inline constexpr std::size_t kMaxWalKeys = kMaxWalPayload / 8;
 
-/// One decoded frame.
+/// One decoded frame; its payload borrows the bytes it was parsed from.
 struct WalFrame {
   std::uint16_t kind = kWalData;
   std::uint64_t seq = 0;
   std::uint64_t start_offset = 0;
   std::uint64_t client_id = 0;
   std::uint64_t client_seq = 0;
-  std::vector<char> payload;
+  std::span<const char> payload;
 
-  /// Data-frame keys (payload decoded as u64 LE).
-  [[nodiscard]] std::vector<std::uint64_t> keys() const;
   /// Items covered: data frames span [start_offset, end_offset()).
   [[nodiscard]] std::uint64_t end_offset() const {
     return start_offset + (kind == kWalData ? payload.size() / 8 : 0);
@@ -126,10 +132,9 @@ struct WalFrame {
 /// Encode a frame (header + CRC + payload) ready for appending.
 [[nodiscard]] std::vector<char> frame_wal(const WalFrame& f);
 
-/// Validate and decode the frame at the front of `bytes`; returns its
-/// total encoded size, or 0 when the bytes are not a whole valid frame.
-/// Replication peers use this to verify frames received off the wire with
-/// the same checks the recovery scan applies on disk.
+/// Validate and decode the frame at the front of `bytes` in place (the
+/// recovery scan and the standby both check frames with it); returns its
+/// encoded size, or 0 when the bytes are not a whole valid frame.
 [[nodiscard]] std::size_t parse_wal_frame(std::span<const char> bytes,
                                           WalFrame& f);
 
@@ -183,7 +188,6 @@ struct WalSegment {
 
 /// Result of scanning a log: the longest valid frame prefix.
 struct WalScan {
-  std::vector<WalFrame> frames;  ///< data frames only, in append order
   std::map<std::uint64_t, std::uint64_t> client_seqs;  ///< id → high seq
   std::uint64_t next_seq = 1;     ///< first unused frame seq
   std::uint64_t end_offset = 0;   ///< shard items covered by the log
@@ -196,11 +200,20 @@ struct WalScan {
 /// "<dir>/shard-0.wal".  Any other path comes back unchanged.
 [[nodiscard]] std::string wal_log_name(const std::string& file);
 
-/// Scan the segments of the log named `path` (none → empty scan).  Never
-/// throws on torn tails — they are the *expected* crash shape — but counts
-/// them in `she_wal_torn_tail_total`.  Throws WalError on filesystem read
-/// errors and when a file exists at `path` itself.
-[[nodiscard]] WalScan read_wal(const std::string& path);
+/// Handed each accepted data frame, in log order, and its keys where they
+/// lie in the scan's buffer (both live only for the call); false stops
+/// the scan.
+using WalVisitor =
+    std::function<bool(const WalFrame& f, std::span<const std::uint64_t> keys)>;
+
+/// Scan the segments of the log named `path` (none → empty scan), visiting
+/// each data frame.  Torn tails, the *expected* crash shape, are counted in
+/// `she_wal_torn_tail_total` by a scan that reaches them, never thrown.  A
+/// scan `visit` stopped covers only the prefix up to that frame: open no
+/// ShardWal from it.  Throws WalError on filesystem read errors and when a
+/// file exists at `path` itself.
+[[nodiscard]] WalScan read_wal(const std::string& path,
+                               const WalVisitor& visit = {});
 
 /// Append handle for one shard's segmented log.  Thread-safe: producers
 /// for the same shard serialize on an internal mutex (appends are batched

@@ -283,34 +283,30 @@ class IngestPipeline {
       if (opt_.resume)
         ck = read_newest_checkpoint(checkpoint_path(s), opt_.checkpoint_keep);
       auto sh = std::make_unique<Shard>(
-          ck ? deserialize<Estimator>(ck->payload.data(), ck->payload.size())
+          ck ? deserialize<Estimator>(ck->payload().data(),
+                                      ck->payload().size())
              : factory(s),
           opt_.queue_capacity);
       sh->index = s;
       bind_metrics(*sh, s);
-      if (ck) {
-        sh->resume_offset = ck->stream_offset;
-        sh->consumed = ck->stream_offset;
-        sh->consumed_at_publish = ck->stream_offset;
-        sh->last_checkpoint = ck->stream_offset;
-      }
+      std::uint64_t pos = ck ? ck->stream_offset : 0;  // items applied
+      sh->last_checkpoint = pos;
       if (opt_.wal_mode != WalMode::kOff) {
-        // Scan the backlog log, replay the accepted suffix past the
-        // checkpoint into the estimator (in logged order — the lane
-        // enqueues in log order for any producer count, so logged order
-        // is drain order and the result is byte-identical to the
-        // unfaulted run), and open the log for appending with the torn
-        // tail truncated.  The checkpoint offset identifies an exact log
-        // prefix because a batch is only logged once ring space for it
-        // is reserved: sheds happen before the append, and a frame past
-        // the checkpoint is always un-applied in its entirety beyond
-        // `consumed`.  A fresh (non-resuming) pipeline opens an empty
-        // scan, which deletes stale segments from an earlier life of
-        // this directory.
-        WalScan scan = opt_.resume ? read_wal(wal_path(s)) : WalScan{};
+        // Scan the backlog log, replaying the accepted suffix past the
+        // checkpoint into the estimator as the scan reaches it (logged
+        // order is drain order for any producer count, so the result is
+        // byte-identical to the unfaulted run), then open the log for
+        // appending with the torn tail truncated.  The checkpoint offset
+        // names an exact log prefix: a batch is logged only once its ring
+        // space is reserved, so a frame past the checkpoint is un-applied
+        // whole.  A fresh pipeline opens an empty scan, which deletes an
+        // earlier life's segments.
+        WalScan scan;
         if (opt_.resume) {
-          const std::uint64_t pos = replay_log(
-              *sh, scan, sh->consumed, std::numeric_limits<std::uint64_t>::max());
+          scan = read_wal(wal_path(s), [&](const WalFrame& f, auto keys) {
+            return replay_frame(*sh, f, keys, pos,
+                                std::numeric_limits<std::uint64_t>::max());
+          });
           // Items neither the checkpoint nor the log holds (a deleted
           // checkpoint, a missing segment) cannot be replayed: refuse to
           // resume rather than skip them silently.
@@ -319,9 +315,6 @@ class IngestPipeline {
                            " cannot resume: the items from " +
                            std::to_string(pos) +
                            " on are in neither its checkpoint nor its log");
-          sh->resume_offset = pos;
-          sh->consumed = pos;
-          sh->consumed_at_publish = pos;
           // If the checkpoint is ahead of the log (log lost, or every
           // segment retired), new frames must still start at the
           // checkpoint offset — an append below `consumed` would be
@@ -349,6 +342,7 @@ class IngestPipeline {
         // until `checkpoint_keep` fresh generations have rotated them out.
         sh->ckpt_history.assign(opt_.checkpoint_keep, sh->last_checkpoint);
       }
+      sh->resume_offset = sh->consumed = sh->consumed_at_publish = pos;
       sh->view = std::make_shared<const Estimator>(sh->est);
       shards_.push_back(std::move(sh));
     }
@@ -1276,26 +1270,24 @@ class IngestPipeline {
     }
   }
 
-  /// Re-insert the logged items [pos, end) into the shard's estimator, in
-  /// log order, stopping early at a hole in the log; returns the offset
-  /// reached.
-  std::uint64_t replay_log(Shard& sh, const WalScan& scan, std::uint64_t pos,
-                           std::uint64_t end) {
-    for (const WalFrame& f : scan.frames) {
-      if (f.end_offset() <= pos) continue;  // already applied
-      if (f.start_offset > pos || pos >= end) break;  // a hole, or done
-      const std::vector<std::uint64_t> keys = f.keys();
-      const std::span<const std::uint64_t> part(
-          keys.data() + (pos - f.start_offset),
-          static_cast<std::size_t>(std::min(f.end_offset(), end) - pos));
-      if constexpr (requires { sh.est.insert_batch(part); })
-        sh.est.insert_batch(part);
-      else
-        for (std::uint64_t k : part) sh.est.insert(k);
-      sh.wal_replayed->inc(part.size());
-      pos += part.size();
-    }
-    return pos;
+  /// Re-insert the part of the logged frame `f` (its `keys`) in [pos, end)
+  /// into the shard's estimator, advancing `pos`; false — stop the scan —
+  /// at a hole in the log (a frame starting past `pos`) or at `end`.
+  static bool replay_frame(Shard& sh, const WalFrame& f,
+                           std::span<const std::uint64_t> keys,
+                           std::uint64_t& pos, std::uint64_t end) {
+    if (f.end_offset() <= pos) return true;  // already applied
+    if (f.start_offset > pos) return false;  // a hole
+    const std::span<const std::uint64_t> part = keys.subspan(
+        static_cast<std::size_t>(pos - f.start_offset),
+        static_cast<std::size_t>(std::min(f.end_offset(), end) - pos));
+    if constexpr (requires { sh.est.insert_batch(part); })
+      sh.est.insert_batch(part);
+    else
+      for (std::uint64_t k : part) sh.est.insert(k);
+    sh.wal_replayed->inc(part.size());
+    pos += part.size();
+    return pos < end;
   }
 
   /// Heal the rollback gap [consumed_at_publish, consumed) of a freshly
@@ -1304,14 +1296,18 @@ class IngestPipeline {
   /// it owns sh.est; a concurrent producer may be appending past
   /// `consumed`, but the range we read is already flushed to the file
   /// (it was applied by the worker, so its append long since returned).
+  /// The scan stops at `consumed`, short of the active segment's tail,
+  /// which it neither truncates nor counts as torn.
   std::uint64_t wal_heal(Shard& sh) {
-    if (sh.consumed_at_publish >= sh.consumed) return sh.consumed;
-    try {
-      return replay_log(sh, read_wal(wal_path(sh.index)),
-                        sh.consumed_at_publish, sh.consumed);
+    std::uint64_t pos = sh.consumed_at_publish;
+    if (pos >= sh.consumed) return sh.consumed;
+    try {  // on a read error, what was replayed before it stays applied
+      (void)read_wal(wal_path(sh.index), [&](const WalFrame& f, auto keys) {
+        return replay_frame(sh, f, keys, pos, sh.consumed);
+      });
     } catch (const std::exception&) {
-      return sh.consumed_at_publish;
     }
+    return pos;
   }
 
   /// Join the dead worker, roll the shard back to its last published

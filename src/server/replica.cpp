@@ -465,7 +465,7 @@ bool ReplicaClient::follow_once(const std::string& host, std::uint16_t port) {
   return streamed;
 }
 
-void ReplicaClient::handle_record(std::span<const char> body) {
+void ReplicaClient::handle_record(std::vector<char>& body) {
   WireReader r(body);
   switch (static_cast<ReplRecord>(r.u8())) {
     case ReplRecord::kFile: {
@@ -547,10 +547,14 @@ void ReplicaClient::handle_record(std::span<const char> body) {
     case ReplRecord::kWal: {
       const std::string name = r.str();
       const std::size_t shard = r.u32();
-      const std::string bytes = r.str();
+      // The frame, a string field of whole u64 words, is moved down to an
+      // 8-byte boundary in the body and checked there: no key is copied.
+      const std::uint32_t len = r.u32();
+      const std::span<const std::uint64_t> words = r.u64s_in_place(len / 8);
       r.expect_done();
       WalFrame f;
-      if (parse_wal_frame({bytes.data(), bytes.size()}, f) == 0) {
+      if (parse_wal_frame({reinterpret_cast<const char*>(words.data()), len},
+                          f) != len) {
         throw std::runtime_error("replication: corrupt WAL frame for '" +
                                  name + "'");
       }
@@ -573,22 +577,19 @@ void ReplicaClient::handle_record(std::span<const char> body) {
       }
       const auto entry = manager_.find(name);
       if (!entry) break;
-      const std::vector<std::uint64_t> keys = f.keys();
-      try {
-        // Same spec + seed → same shard routing, so these keys land on
-        // local shard `shard` and per-shard offsets stay in lockstep with
-        // the primary.  The client identity rides along so the standby's
-        // own WAL keeps the dedup tables a post-promote replay needs.
-        entry->insert_bulk(keys, f.client_id, f.client_seq, 0);
-      } catch (const std::exception& e) {
-        std::cerr << "she_server: replication: apply to '" << name
-                  << "' failed: " << e.what() << '\n';
-      }
+      // Same spec + seed → same shard routing, so these keys land on local
+      // shard `shard` and per-shard offsets stay in lockstep with the
+      // primary; the client identity keeps the standby's own dedup tables.
+      // A frame not accepted whole (a disk fault throws) is not applied:
+      // the session ends, and the next one re-bootstraps from files.
+      const auto keys = words.subspan(kWalHeaderBytes / 8);
+      if (entry->insert_bulk(keys, f.client_id, f.client_seq, 0) != keys.size())
+        throw std::runtime_error("replication: '" + name + "' is closed");
       std::lock_guard<std::mutex> lk(mu_);
       auto& ap = applied_[key];
       if (f.end_offset() > ap) ap = f.end_offset();
       frames_applied_->inc();
-      bytes_applied_->inc(bytes.size());
+      bytes_applied_->inc(len);
       refresh_lag();
       break;
     }

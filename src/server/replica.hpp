@@ -181,7 +181,7 @@ class ReplicaClient {
   /// died or stop/promote was requested.  True when the session reached
   /// the streaming phase (resets the reconnect backoff).
   bool follow_once(const std::string& host, std::uint16_t port);
-  void handle_record(std::span<const char> body);
+  void handle_record(std::vector<char>& body);  ///< rewrites it in place
   void refresh_lag();  ///< mu_ held
   void join_thread();
 

@@ -39,9 +39,10 @@ Trace load_trace(std::span<const char> bytes) {
 }
 
 Trace load_trace_file(const std::string& path) {
-  const std::optional<std::vector<char>> bytes = read_file(path);
-  if (!bytes) throw std::runtime_error("load_trace_file: cannot open " + path);
-  return load_trace(*bytes);
+  std::vector<char> bytes;
+  if (!read_file(path, bytes))
+    throw std::runtime_error("load_trace_file: cannot open " + path);
+  return load_trace(bytes);
 }
 
 Trace load_text_keys(std::istream& is) {

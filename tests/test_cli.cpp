@@ -363,7 +363,7 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
     const CheckpointData ck =
         read_checkpoint_file(dir + "/shard-" + std::to_string(s) + ".ckpt");
     const auto frame = runtime::deserialize<StreamMonitor>(
-        ck.payload.data(), ck.payload.size());
+        ck.payload().data(), ck.payload().size());
     StreamMonitor prefix(frame.config());
     std::uint64_t left = ck.stream_offset;
     for (std::uint64_t k : trace)
@@ -512,7 +512,11 @@ TEST(Cli, VerifyScrubsCheckpointsAndWals) {
 
   const std::vector<char> payload = {'s', 't', 'a', 't', 'e'};
   const std::string ckpt = (root / "pipe" / "shard-0.ckpt").string();
-  she::write_file_atomic(ckpt, she::frame_checkpoint(42, payload));
+  std::vector<char> frame(she::kCheckpointHeaderBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + she::kCheckpointHeaderBytes);
+  she::seal_checkpoint(frame, 42);
+  she::write_file_atomic(ckpt, frame);
   {
     she::ShardWal wal((root / "pipe" / "shard-0.wal").string(), {},
                       she::WalScan{});

@@ -6,6 +6,7 @@
 // supervisor/worker/producer handshakes under ThreadSanitizer.
 #include "common/checkpoint.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -59,6 +60,16 @@ TEST(Crc32, KnownVectorsAndChaining) {
 
 // ------------------------------ frame format --------------------------------
 
+/// A sealed frame carrying `payload`.
+std::vector<char> frame_checkpoint(std::uint64_t stream_offset,
+                                   std::span<const char> payload) {
+  std::vector<char> frame(kCheckpointHeaderBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + kCheckpointHeaderBytes);
+  seal_checkpoint(frame, stream_offset);
+  return frame;
+}
+
 std::vector<char> sample_payload() {
   std::vector<char> p;
   for (int i = 0; i < 200; ++i) p.push_back(static_cast<char>(i * 7));
@@ -70,16 +81,16 @@ TEST(Checkpoint, FrameRoundTrip) {
   const auto frame = frame_checkpoint(
       987654321, std::span<const char>(payload.data(), payload.size()));
   ASSERT_EQ(frame.size(), kCheckpointHeaderBytes + payload.size());
-  const CheckpointData back = parse_checkpoint(frame.data(), frame.size());
+  const CheckpointData back = parse_checkpoint(frame);
   EXPECT_EQ(back.stream_offset, 987654321u);
-  EXPECT_EQ(back.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(back.payload(), payload));
 }
 
 TEST(Checkpoint, EmptyPayloadRoundTrips) {
   const auto frame = frame_checkpoint(7, std::span<const char>());
-  const CheckpointData back = parse_checkpoint(frame.data(), frame.size());
+  const CheckpointData back = parse_checkpoint(frame);
   EXPECT_EQ(back.stream_offset, 7u);
-  EXPECT_TRUE(back.payload.empty());
+  EXPECT_TRUE(back.payload().empty());
 }
 
 /// A version-2 frame as older releases wrote it, which no reader accepts
@@ -119,7 +130,7 @@ TEST(Checkpoint, Version2FrameIsRejectedAndCounted) {
                      std::span<const char>(payload.data(), payload.size()));
   const std::uint64_t before = corrupt_count();
   try {
-    (void)parse_checkpoint(frame.data(), frame.size());
+    (void)parse_checkpoint(frame);
     ADD_FAILURE() << "a version-2 frame parsed";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported frame version 2"),
@@ -144,8 +155,7 @@ TEST(Checkpoint, RejectsBitFlipAnywhere) {
     auto bad = frame;
     bad[pos] = static_cast<char>(static_cast<unsigned char>(bad[pos]) ^ 0x10);
     const std::uint64_t before = corrupt_count();
-    EXPECT_THROW((void)parse_checkpoint(bad.data(), bad.size()),
-                 CheckpointError)
+    EXPECT_THROW((void)parse_checkpoint(bad), CheckpointError)
         << "flip at byte " << pos;
     EXPECT_EQ(corrupt_count(), before + 1) << "flip at byte " << pos;
   }
@@ -157,15 +167,16 @@ TEST(Checkpoint, RejectsTruncationAtEveryLength) {
       42, std::span<const char>(payload.data(), payload.size()));
   for (std::size_t n = 0; n < frame.size(); n += 13) {
     const std::uint64_t before = corrupt_count();
-    EXPECT_THROW((void)parse_checkpoint(frame.data(), n), CheckpointError)
+    EXPECT_THROW((void)parse_checkpoint(
+                     std::vector<char>(frame.begin(), frame.begin() + n)),
+                 CheckpointError)
         << "prefix of " << n << " bytes";
     EXPECT_EQ(corrupt_count(), before + 1);
   }
   // Trailing garbage is as invalid as truncation.
   auto padded = frame;
   padded.push_back('x');
-  EXPECT_THROW((void)parse_checkpoint(padded.data(), padded.size()),
-               CheckpointError);
+  EXPECT_THROW((void)parse_checkpoint(padded), CheckpointError);
 }
 
 TEST(Checkpoint, FileWriteReadAndMissingFileSemantics) {
@@ -185,7 +196,7 @@ TEST(Checkpoint, FileWriteReadAndMissingFileSemantics) {
   write_file_atomic(path, std::span<const char>(frame.data(), frame.size()));
   const CheckpointData back = read_checkpoint_file(path);
   EXPECT_EQ(back.stream_offset, 1234u);
-  EXPECT_EQ(back.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(back.payload(), payload));
   // No temp file left behind.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
   std::filesystem::remove_all(dir);
@@ -219,20 +230,20 @@ TEST(CheckpointRetention, RotateShiftsAndDropsOldest) {
     rotate_checkpoints(path, 3);
     write_generation(path, 0, static_cast<char>('A' + i), 100u + i);
   }
-  EXPECT_EQ(read_checkpoint_file(path).payload[0], 'C');
-  EXPECT_EQ(read_checkpoint_file(path + ".1").payload[0], 'B');
-  EXPECT_EQ(read_checkpoint_file(path + ".2").payload[0], 'A');
+  EXPECT_EQ(read_checkpoint_file(path).payload()[0], 'C');
+  EXPECT_EQ(read_checkpoint_file(path + ".1").payload()[0], 'B');
+  EXPECT_EQ(read_checkpoint_file(path + ".2").payload()[0], 'A');
 
   // One more round: A falls off the end.
   rotate_checkpoints(path, 3);
   write_generation(path, 0, 'D', 103);
-  EXPECT_EQ(read_checkpoint_file(path).payload[0], 'D');
-  EXPECT_EQ(read_checkpoint_file(path + ".2").payload[0], 'B');
+  EXPECT_EQ(read_checkpoint_file(path).payload()[0], 'D');
+  EXPECT_EQ(read_checkpoint_file(path + ".2").payload()[0], 'B');
   EXPECT_FALSE(std::filesystem::exists(path + ".3"));
 
   // keep<=1 is overwrite-in-place: rotation moves nothing.
   rotate_checkpoints(path, 1);
-  EXPECT_EQ(read_checkpoint_file(path).payload[0], 'D');
+  EXPECT_EQ(read_checkpoint_file(path).payload()[0], 'D');
   std::filesystem::remove_all(dir);
 }
 
@@ -245,7 +256,7 @@ TEST(CheckpointRetention, RotateToleratesGaps) {
   rotate_checkpoints(path, 3);
   EXPECT_FALSE(std::filesystem::exists(path));
   EXPECT_FALSE(std::filesystem::exists(path + ".1"));
-  EXPECT_EQ(read_checkpoint_file(path + ".2").payload[0], 'X');
+  EXPECT_EQ(read_checkpoint_file(path + ".2").payload()[0], 'X');
   std::filesystem::remove_all(dir);
 }
 
@@ -261,7 +272,7 @@ TEST(CheckpointRetention, ReadNewestFallsBackPastCorruptFrames) {
   write_generation(path, 2, 'O', 10);
   auto got = read_newest_checkpoint(path, 3);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload[0], 'N');
+  EXPECT_EQ(got->payload()[0], 'N');
   EXPECT_EQ(got->stream_offset, 30u);
 
   // Corrupt the newest: the reader counts the rejection and falls back to
@@ -273,7 +284,7 @@ TEST(CheckpointRetention, ReadNewestFallsBackPastCorruptFrames) {
   const std::uint64_t before = corrupt_count();
   got = read_newest_checkpoint(path, 3);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->payload[0], 'M');
+  EXPECT_EQ(got->payload()[0], 'M');
   EXPECT_EQ(got->stream_offset, 20u);
   EXPECT_GT(corrupt_count(), before);
 
@@ -1153,8 +1164,14 @@ TEST_F(FaultTolerance, WalShedsBeforeLoggingOnDeadline) {
     ASSERT_EQ(pipe.push_bulk(0, b2, kClient, 2, deadline_ns), 0u);
     EXPECT_EQ(pipe.stats().push_timeouts, 1u);
     {
-      const WalScan scan = read_wal(dir + "/shard-0.wal");
-      ASSERT_EQ(scan.frames.size(), 1u);  // the shed batch never hit the log
+      std::size_t frames = 0;
+      const WalScan scan =
+          read_wal(dir + "/shard-0.wal",
+                   [&](const WalFrame&, std::span<const std::uint64_t>) {
+                     ++frames;
+                     return true;
+                   });
+      ASSERT_EQ(frames, 1u);  // the shed batch never hit the log
       EXPECT_EQ(scan.end_offset, b1.size());
     }
     // The same-seq retry is accepted once the ring has room — it was
@@ -1266,6 +1283,129 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   EXPECT_EQ(rpipe.resume_offset(0), trace.size());
   rpipe.close();
   EXPECT_EQ(serialized(rpipe.snapshot(0)), serialized(reference.shard(0)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, WalHealCountsNoTornTailItDidNotTruncate) {
+  // A restart heals the rollback gap from the log while the active
+  // segment still ends in the bytes a failed append left behind (a
+  // producer mid-writev looks the same).  The heal stops at `consumed`,
+  // short of them: it truncates nothing, so it counts no torn tail.
+  const auto factory = bf_factory(1, 16'384);
+  const auto trace = stream::distinct_trace(2'000, 59);
+  const std::span<const std::uint64_t> b1(trace.data(), 1'000);
+  const std::span<const std::uint64_t> b2(trace.data() + 1'000, 1'000);
+  const std::string dir = temp_dir("wal_heal_torn");
+  Sharded<SheBloomFilter> reference(1, factory);
+  for (auto k : b1) reference.insert(k);
+  obs::Counter& torn = obs::default_registry().counter(
+      "she_wal_torn_tail_total",
+      "WAL tails truncated as torn or corrupt during recovery scans");
+
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.queue_capacity = 4096;
+  opt.publish_interval = 1u << 20;  // no publish: the gap is all of b1
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = 1u << 20;
+  opt.wal_mode = WalMode::kAsync;
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  ASSERT_EQ(pipe.push_bulk(0, b1), b1.size());  // frame 1, not yet drained
+  fault::injector().arm(fault::parse_spec("wal-torn:0:2"));
+  EXPECT_THROW((void)pipe.push_bulk(0, b2), WalError);  // torn frame 2
+  fault::injector().clear();
+  const std::uint64_t torn_before = torn.value();
+  // The worker drains b1 in one sweep and dies at the next one.
+  fault::injector().arm(
+      fault::parse_spec("throw:0:" + std::to_string(b1.size())));
+  pipe.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (pipe.stats().worker_restarts == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no restart";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  pipe.close();
+  const auto st = pipe.stats();
+  EXPECT_EQ(st.worker_faults, 1u);
+  EXPECT_EQ(st.items_lost, 0u);  // healed from the log
+  EXPECT_EQ(torn.value(), torn_before);
+  EXPECT_EQ(serialized(pipe.snapshot(0)), serialized(reference.shard(0)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, WalResumeOfFourShardsKeepsATornPrefixAndRefusesAHole) {
+  // Four logs written as a pipeline routes a trace, in small segments:
+  // shard 1 misses a middle segment, shard 2 ends in a torn tail.  The
+  // hole refuses the resume with the typed error before shard 1's log or
+  // any later one is touched; with the segment back, every shard — the
+  // torn one at its acked prefix — resumes byte-identical to a sequential
+  // run.
+  constexpr std::size_t kShards = 4;
+  const auto factory = bf_factory(kShards, 16'384);
+  const auto trace = stream::distinct_trace(8'000, 61);
+  const std::string dir = temp_dir("wal_resume_four");
+  Sharded<SheBloomFilter> reference(kShards, factory);
+  for (auto k : trace) reference.insert(k);
+
+  PipelineOptions opt;
+  opt.shards = kShards;
+  opt.checkpoint_dir = dir;
+  opt.wal_mode = WalMode::kAsync;
+  std::vector<std::vector<std::uint64_t>> share(kShards);
+  {
+    PipelineOptions routing;
+    routing.shards = kShards;
+    const IngestPipeline<SheBloomFilter> router(routing, factory);
+    for (auto k : trace) share[router.shard_of(k)].push_back(k);
+  }
+  const auto segments_of = [&](std::size_t s) {
+    std::vector<std::string> out;
+    const std::string prefix = "shard-" + std::to_string(s) + ".";
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+      const std::string name = e.path().filename().string();
+      if (name.starts_with(prefix) && name.ends_with(".wal"))
+        out.push_back(e.path().string());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ShardWal::Options wopt;
+    wopt.segment_bytes = 1024;  // two 64-key frames per segment
+    ShardWal wal(dir + "/shard-" + std::to_string(s) + ".wal", wopt,
+                 WalScan{});
+    const std::span<const std::uint64_t> keys(share[s]);
+    for (std::size_t i = 0; i < keys.size(); i += 64)
+      ASSERT_TRUE(wal.append(keys.subspan(i, std::min<std::size_t>(
+                                                 64, keys.size() - i)),
+                             0, 0));
+  }
+  const std::string torn_tail = segments_of(2).back();
+  std::ofstream(torn_tail, std::ios::binary | std::ios::app) << "SHWL torn";
+  const std::uintmax_t torn_size = std::filesystem::file_size(torn_tail);
+  const std::vector<std::string> hole_log = segments_of(1);
+  ASSERT_GE(hole_log.size(), 3u);
+  const std::string middle = hole_log[1];
+  const std::string saved = middle + ".saved";
+  std::filesystem::rename(middle, saved);
+
+  opt.resume = true;
+  EXPECT_THROW(IngestPipeline<SheBloomFilter>(opt, factory), WalError);
+  std::vector<std::string> left = hole_log;
+  left.erase(left.begin() + 1);
+  EXPECT_EQ(segments_of(1), left);  // refused before anything was cut
+  EXPECT_EQ(std::filesystem::file_size(torn_tail), torn_size);
+
+  std::filesystem::rename(saved, middle);
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(pipe.resume_offset(s), share[s].size()) << "shard " << s;
+    EXPECT_EQ(serialized(pipe.snapshot(s)), serialized(reference.shard(s)))
+        << "shard " << s;
+  }
+  pipe.close();
   std::filesystem::remove_all(dir);
 }
 

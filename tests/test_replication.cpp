@@ -9,6 +9,11 @@
 // queries, and promote/stop joins are new concurrency surfaces.
 #include "server/replica.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -240,19 +245,19 @@ TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
   ASSERT_GE(segments.size(), 3u);
   std::vector<std::vector<char>> want;
   for (const std::string& file : segments) {
-    const std::optional<std::vector<char>> bytes = read_file(file);
-    ASSERT_TRUE(bytes.has_value());
-    for (std::size_t at = 0; at < bytes->size();) {
+    std::vector<char> bytes;
+    ASSERT_TRUE(read_file(file, bytes).has_value());
+    for (std::size_t at = 0; at < bytes.size();) {
       WalFrame f;
       const std::size_t sz =
-          parse_wal_frame(std::span<const char>(*bytes).subspan(at), f);
+          parse_wal_frame(std::span<const char>(bytes).subspan(at), f);
       ASSERT_GT(sz, 0u);
       if (f.kind == kWalData) {
         WireWriter w;
         w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
         w.str("p");
         w.u32(3);
-        w.str(std::string_view(bytes->data() + at, sz));
+        w.str(std::string_view(bytes.data() + at, sz));
         want.push_back(w.body());
       }
       at += sz;
@@ -510,6 +515,185 @@ TEST(Replication, MultiSegmentBootstrapResumesByteIdentical) {
 struct FaultGuard {
   ~FaultGuard() { fault::injector().clear(); }
 };
+
+/// A primary played by the test: it accepts one standby, answers its
+/// REPLICATE with kOk, then sends whatever records the test writes.
+class ScriptedPrimary {
+ public:
+  ScriptedPrimary() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof addr;
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 4) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0)
+      ADD_FAILURE() << "cannot listen on the loopback";
+    port_ = ntohs(addr.sin_port);
+  }
+  ~ScriptedPrimary() {
+    if (conn_ >= 0) ::close(conn_);
+    ::close(listen_fd_);
+  }
+  ScriptedPrimary(const ScriptedPrimary&) = delete;
+  ScriptedPrimary& operator=(const ScriptedPrimary&) = delete;
+
+  /// Standby options that follow this primary.
+  [[nodiscard]] ReplicaClientOptions follow() const {
+    ReplicaClientOptions opt;
+    opt.endpoints = {"127.0.0.1:" + std::to_string(port_)};
+    return opt;
+  }
+
+  /// Accept the standby and answer its REPLICATE request with kOk.
+  void accept_standby() {
+    conn_ = ::accept(listen_fd_, nullptr, nullptr);
+    ASSERT_GE(conn_, 0);
+    std::vector<char> body;
+    ASSERT_TRUE(read_frame(conn_, body));
+    ASSERT_FALSE(body.empty());
+    ASSERT_EQ(static_cast<std::uint8_t>(body[0]),
+              static_cast<std::uint8_t>(Op::kReplicate));
+    const char ok[] = {static_cast<char>(Status::kOk)};
+    write_frame(conn_, ok);
+  }
+
+  void send(const WireWriter& record) { write_frame(conn_, record.body()); }
+
+ private:
+  int listen_fd_ = -1;
+  int conn_ = -1;
+  std::uint16_t port_ = 0;
+};
+
+WireWriter create_record(const std::string& name, const std::string& spec) {
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(ReplRecord::kCreate));
+  w.str(name);
+  w.str(spec);
+  return w;
+}
+
+/// A kWal record carrying shard 0's first data frame: `keys` from offset 0.
+WireWriter wal_record(const std::string& name,
+                      std::span<const std::uint64_t> keys) {
+  WalFrame f;
+  f.seq = 1;
+  f.payload = {reinterpret_cast<const char*>(keys.data()), keys.size() * 8};
+  const std::vector<char> frame = frame_wal(f);
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
+  w.str(name);
+  w.u32(0);
+  w.str(std::string_view(frame.data(), frame.size()));
+  return w;
+}
+
+/// Poll `done` for up to 20 s.
+template <class Done>
+void wait_for(Done&& done, const char* what) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << what;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+}
+
+obs::Counter& frames_applied(obs::Registry& registry) {
+  return registry.counter("she_replica_frames_applied_total",
+                          "replicated WAL frames applied to local pipelines");
+}
+
+TEST(Replication, StandbyAppliesAWalRecordAtEveryFrameAlignment) {
+  // The standby takes a kWal record's frame as words in place, moved down
+  // to an 8-byte boundary inside the record body.  Where the frame starts
+  // depends on the pipeline name's length: names of 1 to 8 bytes put it at
+  // every offset mod 8, and each pipeline must hold the same keys.
+  const std::string root = temp_dir("repl_wal_alignment");
+  constexpr const char* kSpec = "window=4096 memory=64K shards=1";
+  const std::vector<std::uint64_t> keys = stream_keys(700);
+  ScriptedPrimary primary;
+  PipelineManager::Options mopt;
+  mopt.checkpoint_root = root;
+  PipelineManager manager(mopt);
+  obs::Registry registry;
+  ReplicaClient standby(primary.follow(), manager, registry);
+  standby.start();
+  ASSERT_NO_FATAL_FAILURE(primary.accept_standby());
+  std::vector<std::string> names;
+  for (std::size_t len = 1; len <= 8; ++len) {
+    names.push_back(std::string(len, static_cast<char>('a' + len - 1)));
+    primary.send(create_record(names.back(), kSpec));
+    primary.send(wal_record(names.back(), keys));
+  }
+  wait_for([&] { return frames_applied(registry).value() == names.size(); },
+           "the standby never applied every frame");
+  EXPECT_EQ(standby.lag_items(), 0u);
+
+  const auto image = [&](const std::string& name) {
+    const auto entry = manager.find(name);
+    EXPECT_TRUE(entry && entry->monitor().flush());
+    std::vector<char> out;
+    BinaryWriter w(out);
+    entry->monitor().shard_view(0)->save(w);
+    return out;
+  };
+  const auto ref = manager.create("reference", kSpec);
+  ASSERT_EQ(ref->insert_bulk(keys), keys.size());
+  const std::vector<char> want = image("reference");
+  for (const std::string& name : names)
+    EXPECT_EQ(image(name), want) << "pipeline '" << name << "'";
+  standby.stop();
+  std::filesystem::remove_all(root);
+}
+
+TEST(Replication, StandbyDoesNotCountAFrameItFailedToApply) {
+  // A disk fault on the standby makes its pipeline refuse a replicated
+  // frame.  The frame must stay unapplied — its keys still count as lag,
+  // and the applied-frames counter does not move — and the session ends,
+  // so the next one re-bootstraps from the primary's files.  Only the
+  // standby has a WAL in this process, so the armed ENOSPC hits it.
+  const std::string root = temp_dir("repl_apply_failure");
+  const std::vector<std::uint64_t> keys = stream_keys(300);
+  ScriptedPrimary primary;
+  PipelineManager::Options mopt;
+  mopt.checkpoint_root = root;
+  PipelineManager manager(mopt);
+  obs::Registry registry;
+  ReplicaClient standby(primary.follow(), manager, registry);
+  standby.start();
+  ASSERT_NO_FATAL_FAILURE(primary.accept_standby());
+  primary.send(create_record("p", "window=4096 memory=64K shards=1 wal=async"));
+  wait_for([&] { return manager.find("p") != nullptr; },
+           "the standby never created the pipeline");
+  fault::injector().arm(fault::parse_spec("wal-enospc"));
+  primary.send(wal_record("p", keys));
+  WireWriter beat;
+  beat.u8(static_cast<std::uint8_t>(ReplRecord::kHeartbeat));
+  beat.u32(1);
+  beat.str("p");
+  beat.u32(0);
+  beat.u64(keys.size());
+  primary.send(beat);
+  obs::Counter& sessions = registry.counter(
+      "she_replica_reconnects_total",
+      "replication sessions established (first connect included)");
+  wait_for(
+      [&] {
+        return frames_applied(registry).value() > 0 ||
+               (sessions.value() > 0 && !standby.connected());
+      },
+      "the standby neither applied the frame nor ended the session");
+  fault::injector().clear();
+  EXPECT_TRUE(manager.find("p")->monitor().degraded());
+  EXPECT_EQ(frames_applied(registry).value(), 0u);
+  EXPECT_EQ(standby.lag_items(), keys.size());
+  standby.stop();
+  std::filesystem::remove_all(root);
+}
 
 TEST(Degraded, WalEnospcParksPipelineReadOnlyThenRecovers) {
   FaultGuard guard;

@@ -2,10 +2,12 @@
 // (torn tails, mid-log corruption, sequence regressions), the per-client
 // idempotence table, the ShardWal append/dedup/rotate/retire/repair cycle
 // over segment files, the bytes and the frame bound of the one-copy
-// append (from one run of keys or two), and a count of the heap
-// allocations a steady-state append and a WAL-on push_bulk make (none,
-// from a sub-batch's first push on).  The batched point queries share the
-// allocation count here: a frequency or membership batch makes none.
+// append (from one run of keys or two), a count of the heap allocations
+// a steady-state append and a WAL-on push_bulk make (none, from a
+// sub-batch's first push on), and the peak heap of a recovery scan (one
+// segment's worth, however long the log).  The batched point queries
+// share the allocation count here: a frequency or membership batch makes
+// none.
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <malloc.h>
 #include <new>
 #include <thread>
 #include <vector>
@@ -27,26 +30,36 @@
 #include "she/she.hpp"
 #include <gtest/gtest.h>
 
-// Heap allocations (and frees) made by threads that set `g_count_news`;
+// Heap allocations (and frees) made by threads that set `g_count_news`,
+// and the live bytes they hold (malloc's usable size of each block);
 // every other thread (pipeline workers, the test runner) allocates
 // uncounted.
 namespace {
 thread_local bool g_count_news = false;
 thread_local std::size_t g_news = 0;
 thread_local std::size_t g_frees = 0;
+thread_local std::ptrdiff_t g_live = 0;
+thread_local std::ptrdiff_t g_peak = 0;
 
 void counted_free(void* p) noexcept {
-  if (g_count_news && p != nullptr) ++g_frees;
+  if (g_count_news && p != nullptr) {
+    ++g_frees;
+    g_live -= static_cast<std::ptrdiff_t>(malloc_usable_size(p));
+  }
   std::free(p);
 }
 
 void* counted_new(std::size_t n, std::size_t align) {
-  if (g_count_news) ++g_news;
   n = n == 0 ? 1 : n;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(n)
                 : std::aligned_alloc(align, (n + align - 1) / align * align);
   if (p == nullptr) throw std::bad_alloc();
+  if (g_count_news) {
+    ++g_news;
+    g_live += static_cast<std::ptrdiff_t>(malloc_usable_size(p));
+    g_peak = std::max(g_peak, g_live);
+  }
   return p;
 }
 }  // namespace
@@ -83,6 +96,16 @@ std::ptrdiff_t kept_during(Body&& body) {
   return static_cast<std::ptrdiff_t>(news) - static_cast<std::ptrdiff_t>(g_frees);
 }
 
+/// The most heap bytes `body` held at once on this thread, above what it
+/// started with.
+template <class Body>
+std::size_t peak_heap_during(Body&& body) {
+  g_live = 0;
+  g_peak = 0;
+  (void)news_during(body);
+  return static_cast<std::size_t>(g_peak);
+}
+
 std::string temp_dir(const char* name) {
   auto dir = std::filesystem::path(::testing::TempDir()) / name;
   std::filesystem::remove_all(dir);
@@ -113,6 +136,8 @@ std::string first_segment(const std::string& dir) {
   return dir + "/shard-0.00000000000000000001.wal";
 }
 
+/// A data frame carrying `keys`, which it borrows (a u64 array already is
+/// the LE payload).
 WalFrame data_frame(std::uint64_t seq, std::uint64_t start,
                     std::span<const std::uint64_t> keys,
                     std::uint64_t client_id = 0, std::uint64_t client_seq = 0) {
@@ -122,11 +147,35 @@ WalFrame data_frame(std::uint64_t seq, std::uint64_t start,
   f.start_offset = start;
   f.client_id = client_id;
   f.client_seq = client_seq;
-  f.payload.resize(keys.size() * 8);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    for (int b = 0; b < 8; ++b)
-      f.payload[8 * i + b] = static_cast<char>((keys[i] >> (8 * b)) & 0xff);
+  f.payload = {reinterpret_cast<const char*>(keys.data()), keys.size() * 8};
   return f;
+}
+
+/// A data frame a scan visited, copied out for assertions.
+struct Logged {
+  std::uint64_t seq = 0;
+  std::uint64_t start_offset = 0;
+  std::vector<std::uint64_t> keys;
+  [[nodiscard]] std::uint64_t end_offset() const {
+    return start_offset + keys.size();
+  }
+};
+
+/// A scan of a log plus every data frame it visited, in order.
+struct Scan : WalScan {
+  std::vector<Logged> frames;
+};
+
+Scan scan_log(const std::string& path) {
+  Scan out;
+  static_cast<WalScan&>(out) =
+      read_wal(path, [&out](const WalFrame& f,
+                            std::span<const std::uint64_t> keys) {
+        out.frames.push_back(
+            {f.seq, f.start_offset, {keys.begin(), keys.end()}});
+        return true;
+      });
+  return out;
 }
 
 TEST(WalMode, NamesRoundTrip) {
@@ -149,10 +198,10 @@ TEST(WalFrame, CodecRoundTripThroughFile) {
   all.insert(all.end(), f2.begin(), f2.end());
   write_file(first_segment(dir), all);
 
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   ASSERT_EQ(scan.frames.size(), 2u);
-  EXPECT_EQ(scan.frames[0].keys(), (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(scan.frames[1].keys(),
+  EXPECT_EQ(scan.frames[0].keys, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(scan.frames[1].keys,
             (std::vector<std::uint64_t>{0xFFFFFFFFFFFFFFFFull, 42}));
   EXPECT_EQ(scan.frames[0].start_offset, 0u);
   EXPECT_EQ(scan.frames[1].start_offset, 3u);
@@ -166,7 +215,7 @@ TEST(WalFrame, CodecRoundTripThroughFile) {
 }
 
 TEST(WalRead, MissingFileIsEmptyScan) {
-  const WalScan scan = read_wal("/nonexistent/definitely/not/here.wal");
+  const Scan scan = scan_log("/nonexistent/definitely/not/here.wal");
   EXPECT_TRUE(scan.frames.empty());
   EXPECT_EQ(scan.next_seq, 1u);
   EXPECT_EQ(scan.end_offset, 0u);
@@ -185,7 +234,7 @@ TEST(WalRead, TornTailAtEveryTruncationLength) {
   for (std::size_t n = 0; n < all.size(); n += 7) {
     write_file(first_segment(dir), std::span<const char>(all.data(), n));
     const std::uint64_t before = torn_count();
-    const WalScan scan = read_wal(path);
+    const Scan scan = scan_log(path);
     // Whole frames before the cut survive; the torn tail is reported for
     // truncation and counted exactly when bytes were dropped.
     const std::size_t whole = n >= all.size() ? 2 : (n >= f1.size() ? 1 : 0);
@@ -213,7 +262,7 @@ TEST(WalRead, MidLogCorruptionKeepsPrefix) {
     bad[f1.size() + pos] = static_cast<char>(
         static_cast<unsigned char>(bad[f1.size() + pos]) ^ 0x40);
     write_file(first_segment(dir), bad);
-    const WalScan scan = read_wal(path);
+    const Scan scan = scan_log(path);
     ASSERT_EQ(scan.frames.size(), 1u) << "flip at " << pos;
     EXPECT_EQ(scan.valid_bytes, f1.size());
     EXPECT_EQ(scan.dropped_bytes, f2.size());
@@ -232,7 +281,7 @@ TEST(WalRead, SeqRegressionAndOffsetGapStopTheScan) {
   const auto dup = frame_wal(data_frame(3, 1, k));
   all.insert(all.end(), dup.begin(), dup.end());
   write_file(first_segment(dir), all);
-  WalScan scan = read_wal(path);
+  Scan scan = scan_log(path);
   EXPECT_EQ(scan.frames.size(), 1u);
   EXPECT_EQ(scan.dropped_bytes, dup.size());
 
@@ -241,9 +290,46 @@ TEST(WalRead, SeqRegressionAndOffsetGapStopTheScan) {
   const auto rewind = frame_wal(data_frame(2, 0, k));
   all.insert(all.end(), rewind.begin(), rewind.end());
   write_file(first_segment(dir), all);
-  scan = read_wal(path);
+  scan = scan_log(path);
   EXPECT_EQ(scan.frames.size(), 1u);
   EXPECT_EQ(scan.end_offset, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WalRead, AVisitorThatStopsEndsTheScanAtItsFrame) {
+  // A heal stops once it has what it needs: the scan then describes the
+  // prefix up to that frame and counts no torn tail behind it.
+  const std::string dir = temp_dir("wal_scan_stop");
+  const std::string path = dir + "/shard-0.wal";
+  const std::uint64_t k1[] = {1, 2};
+  const std::uint64_t k2[] = {3};
+  auto all = frame_wal(data_frame(1, 0, k1, 5, 1));
+  const auto f2 = frame_wal(data_frame(2, 2, k2, 5, 2));
+  all.insert(all.end(), f2.begin(), f2.end());
+  all.insert(all.end(), {'t', 'o', 'r', 'n'});
+  write_file(first_segment(dir), all);
+
+  const std::uint64_t before = torn_count();
+  std::size_t visits = 0;
+  const WalScan stopped =
+      read_wal(path, [&](const WalFrame& f, std::span<const std::uint64_t> ks) {
+        ++visits;
+        EXPECT_EQ(f.start_offset, 0u);
+        EXPECT_EQ(std::vector<std::uint64_t>(ks.begin(), ks.end()),
+                  (std::vector<std::uint64_t>{1, 2}));
+        return false;
+      });
+  EXPECT_EQ(visits, 1u);
+  EXPECT_EQ(stopped.end_offset, 2u);
+  EXPECT_EQ(stopped.next_seq, 2u);
+  EXPECT_EQ(stopped.valid_bytes, all.size() - f2.size() - 4);
+  EXPECT_EQ(stopped.dropped_bytes, 0u);
+  EXPECT_EQ(torn_count(), before);
+  // The same log scanned to its end reports and counts the tail.
+  const Scan whole = scan_log(path);
+  EXPECT_EQ(whole.frames.size(), 2u);
+  EXPECT_EQ(whole.dropped_bytes, 4u);
+  EXPECT_EQ(torn_count(), before + 1);
   std::filesystem::remove_all(dir);
 }
 
@@ -281,7 +367,7 @@ TEST(ShardWal, AppendScanRoundTripAndDedup) {
     EXPECT_FALSE(wal.append(b1, 42, 1));
     EXPECT_TRUE(wal.append(b1, 0, 0));  // no identity: always accepted
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   ASSERT_EQ(scan.frames.size(), 3u);
   EXPECT_EQ(scan.end_offset, 8u);
   EXPECT_EQ(scan.frames[1].start_offset, 3u);
@@ -291,7 +377,7 @@ TEST(ShardWal, AppendScanRoundTripAndDedup) {
   ShardWal wal(path, {}, scan);
   EXPECT_FALSE(wal.append(b2, 42, 2));
   EXPECT_TRUE(wal.append(b2, 42, 3));
-  const WalScan again = read_wal(path);
+  const Scan again = scan_log(path);
   ASSERT_EQ(again.frames.size(), 4u);
   EXPECT_EQ(again.frames[3].start_offset, 8u);
   EXPECT_EQ(again.end_offset, 10u);
@@ -307,7 +393,7 @@ TEST(ShardWal, OpenTruncatesTornTail) {
   all.insert(all.end(), {'g', 'a', 'r', 'b', 'a', 'g', 'e'});
   write_file(first_segment(dir), all);
 
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(scan.dropped_bytes, 7u);
   {
     ShardWal wal(path, {}, scan);
@@ -316,7 +402,7 @@ TEST(ShardWal, OpenTruncatesTornTail) {
   }
   // The garbage is gone and the appended frame sits right behind the
   // valid prefix: the whole file parses with nothing dropped.
-  const WalScan after = read_wal(path);
+  const Scan after = scan_log(path);
   EXPECT_EQ(after.dropped_bytes, 0u);
   ASSERT_EQ(after.frames.size(), 2u);
   EXPECT_EQ(after.frames[1].start_offset, 3u);
@@ -337,8 +423,8 @@ std::vector<std::string> log_names(const std::string& dir) {
 WalFrame head_frame(const std::string& path) {
   const auto bytes = file_bytes(path);
   WalFrame f;
-  f.seq = 0;
   if (parse_wal_frame(bytes, f) == 0) f = WalFrame{};
+  f.payload = {};  // it borrowed `bytes`
   return f;
 }
 
@@ -361,6 +447,53 @@ ShardWal::Options small_segments() {
   return opt;
 }
 
+TEST(WalRead, PeakHeapFollowsTheLargestSegmentNotTheLog) {
+  // The scan reads one segment at a time into one buffer and hands each
+  // frame's keys out where they lie, so a long log costs no more memory
+  // than its largest segment.
+  const std::string dir = temp_dir("wal_scan_heap");
+  const std::string path = dir + "/shard-0.wal";
+  ShardWal::Options opt;
+  opt.segment_bytes = 64 << 10;
+  std::vector<std::uint64_t> keys(1000);
+  std::uint64_t items = 0;
+  {
+    ShardWal wal(path, opt, WalScan{});
+    while (log_names(dir).size() < 64) {
+      for (std::uint64_t& k : keys) k = items++;
+      ASSERT_TRUE(wal.append(keys, 0, 0));
+    }
+  }
+  std::uintmax_t largest = 0;
+  std::uintmax_t total = 0;
+  for (const std::string& name : log_names(dir)) {
+    const std::uintmax_t size = std::filesystem::file_size(dir + "/" + name);
+    largest = std::max(largest, size);
+    total += size;
+  }
+  ASSERT_GE(total, 32 * largest);
+  EXPECT_LE(peak_heap_during([&] {
+              const WalScan scan = read_wal(path);
+              EXPECT_EQ(scan.end_offset, items);
+            }),
+            2 * largest)
+      << "a " << total << "-byte log in segments of at most " << largest;
+  std::uint64_t visited = 0;
+  std::uint64_t sum = 0;
+  EXPECT_LE(peak_heap_during([&] {
+              (void)read_wal(path, [&](const WalFrame&,
+                                       std::span<const std::uint64_t> ks) {
+                visited += ks.size();
+                for (const std::uint64_t k : ks) sum += k;
+                return true;
+              });
+            }),
+            2 * largest);
+  EXPECT_EQ(visited, items);
+  EXPECT_EQ(sum, items * (items - 1) / 2);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardWal, RotatesAtSegmentBytesEachSegmentHeadedByItsTable) {
   const std::string dir = temp_dir("wal_rotate");
   const std::string path = dir + "/shard-0.wal";
@@ -372,7 +505,7 @@ TEST(ShardWal, RotatesAtSegmentBytesEachSegmentHeadedByItsTable) {
     ASSERT_TRUE(wal.append(other, 12, 5));
     frames = 1 + fill_segments(wal, dir, 4);
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(scan.dropped_bytes, 0u);
   ASSERT_EQ(scan.frames.size(), frames);
   EXPECT_EQ(scan.end_offset, 1 + 3 * (frames - 1));
@@ -404,7 +537,7 @@ TEST(ShardWal, RetireUnlinksOnlySealedSegmentsAtOrBelowTheLowWater) {
   const std::string path = dir + "/shard-0.wal";
   ShardWal wal(path, small_segments(), WalScan{});
   (void)fill_segments(wal, dir, 4);
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   const std::vector<std::string> names = log_names(dir);
   ASSERT_EQ(scan.segments.size(), 4u);
   const auto suffix = [&](std::size_t from) {
@@ -426,7 +559,7 @@ TEST(ShardWal, RetireUnlinksOnlySealedSegmentsAtOrBelowTheLowWater) {
   // Appends continue in the active segment at the same offset.
   const std::uint64_t more[] = {7};
   ASSERT_TRUE(wal.append(more, 0, 0));
-  const WalScan after = read_wal(path);
+  const Scan after = scan_log(path);
   ASSERT_FALSE(after.frames.empty());
   EXPECT_EQ(after.frames.back().start_offset, scan.end_offset);
   EXPECT_EQ(after.end_offset, scan.end_offset + 1);
@@ -445,7 +578,7 @@ TEST(ShardWal, RetiredClientSeqIsStillRefusedAfterResume) {
     wal.retire(read_wal(path).end_offset);
     ASSERT_EQ(log_names(dir).size(), 1u);
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(scan.client_seqs.at(21), 1u);  // via the active segment's table
   ShardWal wal(path, small_segments(), scan);
   EXPECT_FALSE(wal.append(b1, 21, 1));  // lost-ack replay: still refused
@@ -461,7 +594,7 @@ TEST(ShardWal, InvalidFrameInAMiddleSegmentTruncatesTheLogThere) {
     (void)fill_segments(wal, dir, 4);
   }
   const std::vector<std::string> names = log_names(dir);
-  const WalScan whole = read_wal(path);
+  const Scan whole = scan_log(path);
   ASSERT_EQ(whole.segments.size(), 4u);
 
   // Flip the last byte of segment 1: its last frame fails its CRC, so the
@@ -471,7 +604,7 @@ TEST(ShardWal, InvalidFrameInAMiddleSegmentTruncatesTheLogThere) {
   bytes.back() = static_cast<char>(bytes.back() ^ 0x5a);
   write_file(mid, bytes);
   const std::uint64_t torn_before = torn_count();
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(torn_count(), torn_before + 1);
   ASSERT_EQ(scan.segments.size(), 2u);
   EXPECT_LT(scan.segments[1].bytes, bytes.size());
@@ -490,7 +623,7 @@ TEST(ShardWal, InvalidFrameInAMiddleSegmentTruncatesTheLogThere) {
     const std::uint64_t more[] = {500};
     ASSERT_TRUE(wal.append(more, 0, 0));
   }
-  const WalScan after = read_wal(path);
+  const Scan after = scan_log(path);
   EXPECT_EQ(after.dropped_bytes, 0u);
   ASSERT_EQ(after.frames.size(), scan.frames.size() + 1);
   EXPECT_EQ(after.frames.back().start_offset, scan.end_offset);
@@ -505,7 +638,7 @@ TEST(ShardWal, EmptyOrTornHeadedLastSegmentIsRemovedAndPreviousReopened) {
     (void)fill_segments(wal, dir, 2);
   }
   const std::vector<std::string> names = log_names(dir);
-  const WalScan good = read_wal(path);
+  const Scan good = scan_log(path);
   const std::string last = dir + "/" + names.back();
   const std::size_t last_size = file_bytes(last).size();
 
@@ -523,7 +656,7 @@ TEST(ShardWal, EmptyOrTornHeadedLastSegmentIsRemovedAndPreviousReopened) {
   for (const std::vector<char>& head : {std::vector<char>{}, torn_table}) {
     SCOPED_TRACE(head.empty() ? "empty" : "torn-headed");
     write_file(dir + next_name, head);
-    const WalScan scan = read_wal(path);
+    const Scan scan = scan_log(path);
     EXPECT_EQ(scan.segments.size(), names.size());
     EXPECT_EQ(scan.frames.size(), good.frames.size());
     EXPECT_EQ(scan.dropped_bytes, head.size());
@@ -535,7 +668,7 @@ TEST(ShardWal, EmptyOrTornHeadedLastSegmentIsRemovedAndPreviousReopened) {
     }
     // The append went to the reopened previous segment.
     EXPECT_GT(file_bytes(last).size(), last_size);
-    const WalScan after = read_wal(path);
+    const Scan after = scan_log(path);
     EXPECT_EQ(after.dropped_bytes, 0u);
     EXPECT_EQ(after.frames.back().start_offset, good.end_offset);
     auto restored = file_bytes(last);
@@ -563,7 +696,7 @@ TEST(ShardWal, FileAtTheLogsOwnNameIsRefusedOrDeletedWhenFresh) {
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(wal.append(k1, 31, 10));
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   ASSERT_EQ(scan.frames.size(), 1u);
   EXPECT_EQ(scan.segments[0].path, first_segment(dir));
   std::filesystem::remove_all(dir);
@@ -593,7 +726,7 @@ TEST(ShardWal, FsyncModeGroupCommitAndConcurrentAppends) {
     for (auto& t : ts) t.join();
     wal.flush();
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(scan.dropped_bytes, 0u);
   EXPECT_EQ(scan.frames.size(),
             static_cast<std::size_t>(kThreads) * kPerThread);
@@ -601,7 +734,7 @@ TEST(ShardWal, FsyncModeGroupCommitAndConcurrentAppends) {
   // Offsets are contiguous under concurrent producers: every frame starts
   // where the previous one ended.
   std::uint64_t at = 0;
-  for (const WalFrame& f : scan.frames) {
+  for (const Logged& f : scan.frames) {
     EXPECT_EQ(f.start_offset, at);
     at = f.end_offset();
   }
@@ -681,7 +814,7 @@ void expect_appends_equal_frame_wal(const char* name, CutOf cut_of,
         (void)append_cut(wal, next, t.cut, kClient, batches.size() + 1),
         WalError);
     fault::injector().clear();
-    const WalScan scan = read_wal(path);
+    const Scan scan = scan_log(path);
     EXPECT_EQ(scan.frames.size(), batches.size());
     EXPECT_EQ(scan.end_offset, items);
     EXPECT_EQ(scan.dropped_bytes, t.dropped);
@@ -757,7 +890,7 @@ TEST(ShardWal, AppendRefusesAFrameAboveThePayloadBoundWritingNothing) {
               kWalHeaderBytes + small.size() * 8);
     EXPECT_TRUE(wal.append(small, 21, 1));  // seq 1 was never recorded
   }
-  const WalScan scan = read_wal(path);
+  const Scan scan = scan_log(path);
   EXPECT_EQ(scan.dropped_bytes, 0u);
   EXPECT_EQ(scan.frames.size(), 2u);
   EXPECT_EQ(scan.end_offset, 20u);
@@ -930,9 +1063,9 @@ TEST(WalPipeline, SubBatchLargerThanTheRingIsLoggedWholeFirstAndKeepsNoBuffer) {
     pipe.close();
     EXPECT_EQ(pipe.snapshot(0).n, kKeys);
   }
-  const WalScan scan = read_wal(dir + "/shard-0.wal");
+  const Scan scan = scan_log(dir + "/shard-0.wal");
   ASSERT_EQ(scan.frames.size(), 1u);
-  EXPECT_EQ(scan.frames[0].keys(), keys);
+  EXPECT_EQ(scan.frames[0].keys, keys);
   std::filesystem::remove_all(dir);
 }
 
@@ -959,7 +1092,7 @@ TEST(WalPipeline, PushBulkRefusesAShardShareAboveTheFrameBoundAcceptingNothing) 
     EXPECT_EQ(pipe.stats().produced, 0u);
   }
   for (const char* log : {"/shard-0.wal", "/shard-1.wal"}) {
-    const WalScan scan = read_wal(dir + log);
+    const Scan scan = scan_log(dir + log);
     EXPECT_EQ(scan.end_offset, 0u) << log;
     EXPECT_TRUE(scan.frames.empty()) << log;
   }

@@ -143,7 +143,7 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
     if (!resume_path.empty()) {
       // --resume: continue from a checkpoint; sizing flags are ignored.
       const CheckpointData ck = read_checkpoint_file(resume_path);
-      BinaryReader in(ck.payload);
+      BinaryReader in(ck.payload());
       return SheBloomFilter::load(in);
     }
     unsigned hashes = static_cast<unsigned>(args.get_u64("hashes", 8));
@@ -185,10 +185,11 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
   out << "  false negatives:     " << false_negatives << "/" << checks
       << " in-window checks (must be 0)\n";
   if (!save_path.empty()) {
-    std::vector<char> image;
-    BinaryWriter w(image);
+    std::vector<char> frame(kCheckpointHeaderBytes);
+    BinaryWriter w(frame);
     bf.save(w);
-    write_file_atomic(save_path, frame_checkpoint(bf.time(), image));
+    seal_checkpoint(frame, bf.time());
+    write_file_atomic(save_path, frame);
     out << "  checkpoint saved to " << save_path << " (resume with --resume)\n";
   }
   return false_negatives == 0 ? 0 : 1;
@@ -515,13 +516,13 @@ int cmd_metrics(const ArgMap& args, std::ostream& out) {
 int cmd_info(const ArgMap& args, std::ostream& out) {
   std::string path = args.require("file");
   reject_unused(args);
-  const std::optional<std::vector<char>> bytes = read_file(path);
-  if (!bytes) throw std::invalid_argument("cannot open " + path);
-  const std::string tag(bytes->data(),
-                        std::min<std::size_t>(bytes->size(), 4));
+  std::vector<char> bytes;
+  if (!read_file(path, bytes))
+    throw std::invalid_argument("cannot open " + path);
+  const std::string tag(bytes.data(), std::min<std::size_t>(bytes.size(), 4));
 
   if (tag == "SHTR") {
-    auto trace = stream::load_trace(*bytes);
+    auto trace = stream::load_trace(bytes);
     out << path << ": trace, " << trace.size() << " items, "
         << stream::distinct_count(trace) << " distinct\n";
     return 0;
@@ -532,13 +533,13 @@ int cmd_info(const ArgMap& args, std::ostream& out) {
   }
   // A CRC-framed checkpoint (a pipeline shard's or `membership --save`'s):
   // validate the frame, then describe the payload by its own tag.
-  const CheckpointData ck = parse_checkpoint(bytes->data(), bytes->size());
+  const CheckpointData ck = parse_checkpoint(std::move(bytes));
   out << path << ": CRC-framed checkpoint (valid)\n"
       << "  stream offset: " << ck.stream_offset << " items, payload "
-      << ck.payload.size() << " bytes\n";
-  const std::string inner(ck.payload.data(),
-                          std::min<std::size_t>(ck.payload.size(), 4));
-  BinaryReader in(ck.payload);
+      << ck.payload().size() << " bytes\n";
+  const std::string inner(ck.payload().data(),
+                          std::min<std::size_t>(ck.payload().size(), 4));
+  BinaryReader in(ck.payload());
   auto describe = [&](const char* name, const SheConfig& cfg,
                       std::uint64_t time) {
     out << "  " << name << " checkpoint\n";
@@ -817,7 +818,7 @@ int cmd_verify(const ArgMap& args, std::ostream& out) {
         ++frames;
         if (!json && !quiet)
           out << "ok       " << p.string() << ": checkpoint, offset "
-              << ck.stream_offset << ", " << ck.payload.size()
+              << ck.stream_offset << ", " << ck.payload().size()
               << " payload bytes\n";
       } catch (const CheckpointError& e) {
         note(p.string(), e.what());
@@ -831,14 +832,18 @@ int cmd_verify(const ArgMap& args, std::ostream& out) {
   }
   for (const std::string& log : logs) {
     try {
-      const WalScan scan = read_wal(log);
-      frames += scan.frames.size();
+      std::uint64_t data_frames = 0;
+      const WalScan scan = read_wal(log, [&](const WalFrame&, auto) {
+        ++data_frames;
+        return true;
+      });
+      frames += data_frames;
       if (scan.dropped_bytes > 0) {
         note(log, std::to_string(scan.dropped_bytes) +
                       " torn/corrupt bytes after a valid prefix of " +
                       std::to_string(scan.valid_bytes));
       } else if (!json && !quiet) {
-        out << "ok       " << log << ": wal, " << scan.frames.size()
+        out << "ok       " << log << ": wal, " << data_frames
             << " data frames, end offset " << scan.end_offset << "\n";
       }
     } catch (const WalError& e) {

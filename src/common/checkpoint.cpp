@@ -28,20 +28,61 @@ obs::Counter& corrupt_counter() {
   throw CheckpointError("checkpoint rejected: " + why);
 }
 
-}  // namespace
-
-void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset) {
-  char* h = frame.data();
-  const std::span<const char> payload = frame.subspan(kCheckpointHeaderBytes);
+/// Write a frame header for `payload_len` payload bytes at `h`, all but its
+/// CRC field, and return the CRC of the header prefix the CRC chains from.
+std::uint32_t put_header(char* h, std::uint64_t stream_offset,
+                         std::uint64_t payload_len) {
   std::memcpy(h, kCheckpointMagic, 4);
   put_le<std::uint32_t>(h + 4, kCheckpointVersion);
   put_le<std::uint64_t>(h + 8, stream_offset);
-  put_le<std::uint64_t>(h + 16, payload.size());
+  put_le<std::uint64_t>(h + 16, payload_len);
   // The CRC covers the header prefix too, chained into everything after
   // the CRC field, so a bit flip in the stream offset is as loud as one
   // in the payload.
-  put_le<std::uint32_t>(h + 24,
-                        crc32(payload.data(), payload.size(), crc32(h, 24)));
+  return crc32(h, 24);
+}
+
+}  // namespace
+
+void seal_checkpoint(CheckpointFrame& frame, std::uint64_t stream_offset) {
+  char* const h = frame.scratch.data();
+  std::vector<iovec>& iov = frame.iov;
+  // The header, each run, and the scalar bytes before each run and after
+  // the last, where there are any.
+  std::size_t entries = 1 + frame.runs.size();
+  std::size_t from = kCheckpointHeaderBytes;
+  for (const BinaryWriter::Run& r : frame.runs) {
+    entries += r.at != from;
+    from = r.at;
+  }
+  entries += frame.scratch.size() != from;
+  iov.clear();
+  iov.reserve(entries);
+  const auto add = [&iov](const char* p, std::size_t n) {
+    if (n != 0) iov.push_back({const_cast<char*>(p), n});
+  };
+  add(h, kCheckpointHeaderBytes);
+  from = kCheckpointHeaderBytes;
+  std::uint64_t payload_len = frame.scratch.size() - kCheckpointHeaderBytes;
+  for (const BinaryWriter::Run& r : frame.runs) {
+    add(h + from, r.at - from);
+    add(r.data, r.size);
+    from = r.at;
+    payload_len += r.size;
+  }
+  add(h + from, frame.scratch.size() - from);
+  std::uint32_t crc = put_header(h, stream_offset, payload_len);
+  for (std::size_t i = 1; i < iov.size(); ++i)
+    crc = crc32(iov[i].iov_base, iov[i].iov_len, crc);
+  put_le<std::uint32_t>(h + 24, crc);
+}
+
+void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset) {
+  const std::span<const char> payload = frame.subspan(kCheckpointHeaderBytes);
+  const std::uint32_t head =
+      put_header(frame.data(), stream_offset, payload.size());
+  put_le<std::uint32_t>(frame.data() + 24,
+                        crc32(payload.data(), payload.size(), head));
 }
 
 CheckpointData parse_checkpoint(std::vector<char> frame) {

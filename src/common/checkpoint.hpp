@@ -24,6 +24,11 @@
 // metric (obs::default_registry()).  Writers go through a temp file and an
 // atomic rename, so a reader racing a writer observes either the old or
 // the new complete frame, never a torn one.
+//
+// A writer never builds the frame as one buffer.  An estimator's image is
+// mostly its cell pages verbatim, so a CheckpointFrame copies only the
+// header and the payload's scalar fields, borrows every run of cells where
+// it lies, and hands the whole frame to writev as one gather list.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +64,30 @@ struct CheckpointData {
   }
 };
 
-/// Seal a frame in place: `frame` is kCheckpointHeaderBytes of room
-/// followed by the payload, and the header is written over that room.  A
-/// writer that serializes straight behind the room (BinaryWriter appends)
-/// frames its image without a second copy.  `frame` must hold the room.
+/// A frame being written: the header room and the payload's scalar fields
+/// in `scratch`, its cell runs borrowed (see BinaryWriter::Run), so the
+/// object saved must outlive the write.  seal_checkpoint lays the frame out
+/// in `iov`, the list write_file_atomic takes.
+struct CheckpointFrame {
+  std::vector<char> scratch = std::vector<char>(kCheckpointHeaderBytes);
+  std::vector<BinaryWriter::Run> runs;
+  std::vector<iovec> iov;
+  /// One entry of `iov` copied so that fault injection can corrupt it
+  /// without writing to the borrowed cells (fault::maybe_corrupt_frame).
+  std::vector<char> copied;
+
+  /// A writer that serializes the payload behind the header room.
+  [[nodiscard]] BinaryWriter writer() { return BinaryWriter(scratch, runs); }
+};
+
+/// Seal `frame`: write its header over the room, with the CRC chained over
+/// the header prefix, the scalar bytes and the runs in frame order, and
+/// lay the frame out in `frame.iov` (no empty entries).
+void seal_checkpoint(CheckpointFrame& frame, std::uint64_t stream_offset);
+
+/// Seal a contiguous frame in place: `frame` is kCheckpointHeaderBytes of
+/// room followed by the payload, and the header is written over that
+/// room.  `frame` must hold the room.
 void seal_checkpoint(std::span<char> frame, std::uint64_t stream_offset);
 
 /// Validate a frame in place and keep its bytes.  Throws CheckpointError

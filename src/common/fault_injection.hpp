@@ -57,6 +57,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/checkpoint.hpp"
 #include "common/io.hpp"
 
 namespace she::fault {
@@ -210,23 +211,38 @@ inline void maybe_stall(std::size_t shard, std::uint64_t count) {
     std::this_thread::sleep_for(std::chrono::milliseconds(s->param));
 }
 
-/// Checkpoint-write hook: corrupt `frame` in place for the shard's
-/// `ordinal`-th checkpoint.  Bit position is derived from the spec's seed
-/// so runs are reproducible.
+/// Checkpoint-write hook: corrupt the sealed `frame` on its way to disk for
+/// the shard's `ordinal`-th checkpoint.  Bit position is derived from the
+/// spec's seed so runs are reproducible.  The frame borrows its cell runs,
+/// so a flip first copies the one entry it lands in (frame.copied).
 inline void maybe_corrupt_frame(std::size_t shard, std::uint64_t ordinal,
-                                std::vector<char>& frame) {
-  if (frame.empty()) return;
+                                CheckpointFrame& frame) {
+  std::vector<iovec>& iov = frame.iov;
+  std::size_t size = 0;
+  for (const iovec& v : iov) size += v.iov_len;
+  if (size == 0) return;
   if (auto s = injector().fire(Point::kCheckpointBitFlip, shard, ordinal)) {
     std::uint64_t h = s->param + 0x9E3779B97F4A7C15ULL;
     h ^= h >> 30;
     h *= 0xBF58476D1CE4E5B9ULL;
     h ^= h >> 27;
-    const std::size_t bit = static_cast<std::size_t>(h % (frame.size() * 8));
-    frame[bit / 8] = static_cast<char>(
-        static_cast<unsigned char>(frame[bit / 8]) ^ (1u << (bit % 8)));
+    const std::size_t bit = static_cast<std::size_t>(h % (size * 8));
+    std::size_t at = bit / 8;
+    auto it = iov.begin();
+    for (; at >= it->iov_len; ++it) at -= it->iov_len;
+    const auto* p = static_cast<const char*>(it->iov_base);
+    frame.copied.assign(p, p + it->iov_len);
+    it->iov_base = frame.copied.data();
+    frame.copied[at] = static_cast<char>(
+        static_cast<unsigned char>(frame.copied[at]) ^ (1u << (bit % 8)));
   }
-  if (injector().fire(Point::kCheckpointTruncate, shard, ordinal))
-    frame.resize(frame.size() / 2);
+  if (injector().fire(Point::kCheckpointTruncate, shard, ordinal)) {
+    std::size_t keep = size / 2;
+    auto it = iov.begin();
+    for (; keep > it->iov_len; ++it) keep -= it->iov_len;
+    it->iov_len = keep;
+    iov.erase(keep == 0 ? it : it + 1, iov.end());
+  }
 }
 
 /// WAL-append hook: the byte count of the encoded frame that actually

@@ -4,6 +4,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 #include <filesystem>
 
@@ -40,7 +42,7 @@ bool write_all(int fd, iovec* iov, int count) {
   return true;
 }
 
-void write_file_atomic(const std::string& path, std::span<const char> bytes) {
+void write_file_atomic(const std::string& path, std::span<iovec> parts) {
   const std::string tmp = path + ".tmp";
   // ENOSPC/EIO from any step is a *disk* fault, not a caller bug: report
   // it as the typed DiskFault so the ingest runtime can park the pipeline
@@ -57,9 +59,14 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd < 0) fail("cannot open", errno);
   durable_op(DurableOp::kCreate, tmp);
-  iovec iov{const_cast<char*>(bytes.data()), bytes.size()};
-  bool ok = write_all(fd, &iov, bytes.empty() ? 0 : 1);
-  if (ok) durable_op(DurableOp::kWrite, tmp, bytes.size());
+  std::uint64_t bytes = 0;
+  for (const iovec& v : parts) bytes += v.iov_len;
+  bool ok = true;
+  for (std::size_t i = 0; ok && i < parts.size(); i += IOV_MAX)
+    ok = write_all(fd, parts.data() + i,
+                   static_cast<int>(std::min<std::size_t>(IOV_MAX,
+                                                          parts.size() - i)));
+  if (ok) durable_op(DurableOp::kWrite, tmp, bytes);
   // Frame durability, not just atomicity: reach the disk before the
   // rename makes the new frame visible.
   ok = ok && ::fsync(fd) == 0;
@@ -76,6 +83,11 @@ void write_file_atomic(const std::string& path, std::span<const char> bytes) {
   // not survive without the rename.
   if (const int err = sync_parent_dir(path))
     fail("cannot sync the directory of", err);
+}
+
+void write_file_atomic(const std::string& path, std::span<const char> bytes) {
+  iovec iov{const_cast<char*>(bytes.data()), bytes.size()};
+  write_file_atomic(path, std::span<iovec>(&iov, bytes.empty() ? 0 : 1));
 }
 
 template <class T>
@@ -110,7 +122,7 @@ template std::optional<std::size_t> read_file(const std::string&,
 
 void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
   u64(v.size());
-  for (std::uint64_t x : v) u64(x);
+  cells(std::span<const std::uint64_t>(v));
 }
 
 void BinaryReader::check_length(std::uint64_t n, std::size_t elem_bytes) {
@@ -142,7 +154,7 @@ std::vector<std::uint64_t> BinaryReader::u64_vector() {
   std::uint64_t n = u64();
   check_length(n, 8);
   std::vector<std::uint64_t> v(n);
-  for (auto& x : v) x = u64();
+  cells(std::span<std::uint64_t>(v));
   return v;
 }
 

@@ -8,7 +8,9 @@
 // garbage.  A writer appends to a byte vector and a reader walks a byte
 // span, so every length prefix is bounded against the exact bytes left: a
 // corrupted prefix can never trigger a multi-gigabyte allocation before the
-// truncation is discovered element by element.
+// truncation is discovered element by element.  Runs of cells or words
+// move as their in-memory bytes (the host is little-endian): one memcpy
+// per run each way, or, for a checkpoint frame, no copy at all.
 #pragma once
 
 #include <atomic>
@@ -132,10 +134,15 @@ int sync_parent_dir(const std::string& path);
 /// fails.
 bool write_all(int fd, iovec* iov, int count);
 
-/// Write `bytes` to `path` via "<path>.tmp": create, write, fsync, rename,
-/// fsync the directory.  Throws DiskFault when the errno says the disk is
-/// unhealthy (survivable: degrade and retry later), std::runtime_error
-/// otherwise.
+/// Write the gather list `parts` (none of them empty) to `path` via
+/// "<path>.tmp": create, write, fsync, rename, fsync the directory.  The
+/// list may be longer than IOV_MAX; it is written in chunks, and the
+/// entries are advanced as they are written.  Throws DiskFault when the
+/// errno says the disk is unhealthy (survivable: degrade and retry later),
+/// std::runtime_error otherwise.
+void write_file_atomic(const std::string& path, std::span<iovec> parts);
+
+/// write_file_atomic of one contiguous buffer.
 void write_file_atomic(const std::string& path, std::span<const char> bytes);
 
 /// Read the file at `path` into `buf` (T is char or std::uint64_t), resized
@@ -146,10 +153,28 @@ template <class T>
 [[nodiscard]] std::optional<std::size_t> read_file(const std::string& path,
                                                    std::vector<T>& buf);
 
-/// Appends fields to a caller-owned byte vector (never clears it).
+// Cell runs are written and read as their in-memory bytes.
+static_assert(std::endian::native == std::endian::little,
+              "binary formats store runs of cells as host bytes");
+
+/// Appends fields to a caller-owned byte vector (never clears it).  A
+/// gather writer (a checkpoint frame, common/checkpoint.hpp) appends the
+/// scalar fields the same way but records each run of cells as a borrowed
+/// Run instead of copying it, so the object saved must outlive the write
+/// of the frame.
 class BinaryWriter {
  public:
+  /// A borrowed run of cells, to be written after the first `at` bytes of
+  /// the writer's vector.
+  struct Run {
+    std::size_t at;
+    const char* data;
+    std::size_t size;
+  };
+
   explicit BinaryWriter(std::vector<char>& out) : out_(out) {}
+  BinaryWriter(std::vector<char>& out, std::vector<Run>& runs)
+      : out_(out), runs_(&runs) {}
 
   void u8(std::uint8_t v) { raw(&v, 1); }
   void u32(std::uint32_t v) {
@@ -166,6 +191,19 @@ class BinaryWriter {
   /// 4-byte section tag, e.g. "SHBF".
   void tag(const char (&t)[5]) { raw(t, 4); }
 
+  /// A run of cells or words, stored as their bytes: appended with one
+  /// memcpy, or borrowed by a gather writer.
+  template <class T>
+    requires std::is_integral_v<T>
+  void cells(std::span<const T> run) {
+    if (run.empty()) return;
+    const auto* p = reinterpret_cast<const char*>(run.data());
+    if (runs_ == nullptr)
+      raw(p, run.size_bytes());
+    else
+      runs_->push_back({out_.size(), p, run.size_bytes()});
+  }
+
   void u64_vector(const std::vector<std::uint64_t>& v);
 
  private:
@@ -175,6 +213,7 @@ class BinaryWriter {
     std::memcpy(out_.data() + at, p, n);
   }
   std::vector<char>& out_;
+  std::vector<Run>* runs_ = nullptr;  ///< set for a gather writer
 };
 
 /// Reads fields from a borrowed byte span, which must outlive the reader.
@@ -197,6 +236,15 @@ class BinaryReader {
   void expect_tag(const char (&t)[5]);
 
   std::vector<std::uint64_t> u64_vector();
+
+  /// Fill `run` from the stream's next run of cells or words: one bounds
+  /// check and one memcpy.
+  template <class T>
+    requires std::is_integral_v<T>
+  void cells(std::span<T> run) {
+    if (!run.empty())
+      std::memcpy(run.data(), take(run.size_bytes()), run.size_bytes());
+  }
 
   /// Throw SerializeError unless `bytes` more bytes can still be read.  A
   /// decoder calls this before it sizes anything from a shape field.

@@ -851,7 +851,6 @@ class IngestPipeline {
     std::uint64_t consumed_at_publish = 0;  ///< worker-only
     std::uint64_t last_checkpoint = 0;   ///< worker-only: consumed at frame
     std::uint64_t ckpt_ordinal = 0;      ///< worker-only: frames written
-    std::size_t ckpt_bytes = 0;          ///< worker-only: last frame's size
     std::uint64_t resume_offset = 0;     ///< fixed at construction
     std::uint64_t hwm_local = 0;         ///< worker-only mirror
     /// Set by a restart that lost applied items: the estimator no longer
@@ -1000,30 +999,31 @@ class IngestPipeline {
   /// Frame the published view and atomically replace the shard's
   /// checkpoint file, so the durable state is always some published state.
   /// Runs on the worker thread; the injection hook may corrupt the frame
-  /// on purpose.
+  /// on purpose.  A frame at the newest one's offset (a SAVE with nothing
+  /// applied since) replaces generation 0 in place: rotating would push a
+  /// distinct older generation out for a copy of the newest.
   void write_checkpoint(Shard& sh) {
     SHE_TRACE_SPAN("pipeline.checkpoint", "pipeline");
     if (degraded_.load(std::memory_order_acquire))
       return;  // disk is sick: keep the previous generation until recovery
     if (sh.ckpt_frozen) return;  // the newest frame is the last exact prefix
     const std::int64_t t0 = now_ns();
-    // Serialize straight behind the frame header, sized by the last
-    // frame, and seal the header in place: one copy of the image.
-    std::vector<char> frame;
-    frame.reserve(sh.ckpt_bytes);
-    frame.resize(kCheckpointHeaderBytes);
-    BinaryWriter w(frame);
-    view(sh.index)->save(w);
+    const bool rotate = sh.consumed_at_publish != sh.last_checkpoint;
+    // The frame borrows the view's cell pages: hold the view until the
+    // write returns.
+    const std::shared_ptr<const Estimator> v = view(sh.index);
+    CheckpointFrame frame;
+    BinaryWriter w = frame.writer();
+    v->save(w);
     seal_checkpoint(frame, sh.consumed_at_publish);
-    sh.ckpt_bytes = frame.size();
     fault::maybe_corrupt_frame(sh.index, sh.ckpt_ordinal, frame);
     try {
       if (fault::maybe_ckpt_eio(sh.index, sh.ckpt_ordinal))
         throw DiskFault(
             "checkpoint: injected EIO on " + checkpoint_path(sh.index), EIO);
-      rotate_checkpoints(checkpoint_path(sh.index), opt_.checkpoint_keep);
-      write_file_atomic(checkpoint_path(sh.index),
-                        std::span<const char>(frame.data(), frame.size()));
+      if (rotate)
+        rotate_checkpoints(checkpoint_path(sh.index), opt_.checkpoint_keep);
+      write_file_atomic(checkpoint_path(sh.index), frame.iov);
     } catch (const DiskFault& e) {
       // Survivable: the previous generation stays in place and the
       // pipeline parks read-only instead of killing the worker.
@@ -1033,7 +1033,7 @@ class IngestPipeline {
     ++sh.ckpt_ordinal;
     sh.checkpoints->inc();
     sh.last_checkpoint = sh.consumed_at_publish;
-    if (sh.wal != nullptr) {
+    if (rotate && sh.wal != nullptr) {
       // A durable checkpoint retires the WAL segments below the *oldest*
       // generation rotate_checkpoints still keeps: resume may fall back
       // that far past corrupt newer frames, and replays forward from it.

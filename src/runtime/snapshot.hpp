@@ -3,8 +3,9 @@
 // The ingest runtime publishes each shard as an immutable decoded estimator
 // shared by every reader (IngestPipeline::view), so queries never decode
 // anything.  These helpers turn an estimator into its byte image and back
-// only where bytes are needed: the checkpoint writer serializes the
-// published view into a frame, and resume deserializes a frame's payload.
+// only where bytes are needed: resume deserializes a frame's payload, and
+// tests and benchmarks build whole images.  (The checkpoint writer builds
+// no image: its frame borrows the view's cell pages, common/checkpoint.hpp.)
 #pragma once
 
 #include <cstddef>

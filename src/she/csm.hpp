@@ -144,15 +144,14 @@ class VectorStore {
   void save(BinaryWriter& out) const {
     static_assert(sizeof(Cell) == 4, "VectorStore saves 32-bit cells");
     out.u64(cells_.size());
-    for (std::size_t p = 0; p < cells_.pages(); ++p)
-      for (const Cell c : cells_.page(p)) out.u32(c);
+    for (std::size_t p = 0; p < cells_.pages(); ++p) out.cells(cells_.page(p));
   }
   void load(BinaryReader& in) {
     static_assert(sizeof(Cell) == 4, "VectorStore loads 32-bit cells");
     if (in.u64() != cells_.size())
       throw SerializeError("VectorStore::load: cell count mismatch");
     for (std::size_t p = 0; p < cells_.pages(); ++p)
-      for (Cell& c : cells_.page_for_write(p)) c = in.u32();
+      in.cells(cells_.page_for_write(p));
   }
 
  private:
@@ -186,14 +185,14 @@ inline void load_words(BinaryReader& in, PagedArray<std::uint64_t>& words,
   if (in.u64() != words.size())
     throw SerializeError(std::string(who) + ": word count mismatch");
   for (std::size_t p = 0; p < words.pages(); ++p)
-    for (std::uint64_t& w : words.page_for_write(p)) w = in.u64();
+    in.cells(words.page_for_write(p));
 }
 
+/// Save paged words as a u64 vector, one cell run per page.
 inline void save_words(BinaryWriter& out,
                        const PagedArray<std::uint64_t>& words) {
   out.u64(words.size());
-  for (std::size_t p = 0; p < words.pages(); ++p)
-    for (const std::uint64_t w : words.page(p)) out.u64(w);
+  for (std::size_t p = 0; p < words.pages(); ++p) out.cells(words.page(p));
 }
 
 /// One bit per cell (empty = 0), saved as a BitArray.

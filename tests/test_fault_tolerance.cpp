@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <thread>
@@ -364,6 +366,45 @@ TEST(CheckpointRetention, PipelineKeepsGenerationsAndResumesAfterCorruption) {
   pipe.close();
   EXPECT_EQ(pipe.snapshot(0).frequency(42), expect_freq);
   std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointRetention, ASaveWithNothingAppliedRewritesTheNewestInPlace) {
+  // A frame at the newest generation's offset replaces it in place: with
+  // keep = 3, SAVEs at 1000 and 2000 items followed by two SAVEs with no
+  // ingest must leave the offset-1000 generation behind the newest, not
+  // three copies of the offset-2000 frame.  The interval checkpoint (every
+  // 1000 items) writes the same offsets that a SAVE then repeats.
+  std::vector<std::uint64_t> trace(2000);
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i] = i * 7919;
+  const std::span<const std::uint64_t> keys(trace);
+  for (const std::uint64_t interval : {std::uint64_t{1} << 40,
+                                       std::uint64_t{1000}}) {
+    SCOPED_TRACE(interval);
+    const std::string dir = temp_dir("ckpt_save_in_place");
+    PipelineOptions opt;
+    opt.shards = 1;
+    opt.checkpoint_dir = dir;
+    opt.checkpoint_interval = interval;
+    opt.checkpoint_keep = 3;
+    IngestPipeline<SheBloomFilter> pipe(opt, [](std::size_t) {
+      SheConfig cfg;
+      cfg.window = 1u << 12;
+      cfg.cells = 1 << 14;
+      cfg.group_cells = 64;
+      return SheBloomFilter(cfg, 4);
+    });
+    pipe.start();
+    ASSERT_EQ(pipe.push_bulk(0, keys.first(1000)), 1000u);
+    ASSERT_TRUE(pipe.sync(true));
+    ASSERT_EQ(pipe.push_bulk(0, keys.subspan(1000)), 1000u);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(pipe.sync(true));
+    pipe.close();
+    const std::string base = dir + "/shard-0.ckpt";
+    EXPECT_EQ(read_checkpoint_file(base).stream_offset, 2000u);
+    EXPECT_EQ(read_checkpoint_file(base + ".1").stream_offset, 1000u);
+    EXPECT_FALSE(std::filesystem::exists(base + ".2"));
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ------------------------------- RateWindow ---------------------------------
@@ -1682,6 +1723,187 @@ TEST_F(FaultTolerance, ConcurrentMonitorResumeWithShortWalTailIsByteIdentical) {
   EXPECT_TRUE(serialized(resumed.shard_snapshot(0)) ==
               serialized(reference.shard_snapshot(0)))
       << "resumed monitor diverged from the uninterrupted one";
+  std::filesystem::remove_all(dir);
+}
+
+// ------------------------- gathered checkpoint writes -----------------------
+
+/// The contiguous frame of `est` at `offset`: serialize_to, then seal the
+/// buffer.  A checkpoint file written from a gather list must hold exactly
+/// these bytes.
+template <typename Estimator>
+std::vector<char> contiguous_frame(const Estimator& est,
+                                   std::uint64_t offset) {
+  std::vector<char> image;
+  serialize_to(image, est);
+  return frame_checkpoint(offset, image);
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::vector<char> bytes;
+  EXPECT_TRUE(read_file(path, bytes).has_value()) << path;
+  return bytes;
+}
+
+IngestPipeline<StreamMonitor>::Factory monitor_factory(
+    const MonitorConfig& mon) {
+  return [mon](std::size_t s) {
+    MonitorConfig m = mon;
+    m.seed = static_cast<std::uint32_t>(s);
+    return StreamMonitor(m);
+  };
+}
+
+std::vector<std::uint64_t> monitor_trace(std::size_t n) {
+  stream::ZipfTraceConfig tc;
+  tc.length = n;
+  tc.universe = 20'000;
+  tc.seed = 5;
+  return stream::zipf_trace(tc);
+}
+
+TEST(GatheredCheckpoint, FilesEqualTheContiguousFrameOfTheView) {
+  // Bitmap, HLL, similarity and heavy-hitter monitors: every store type
+  // and the scalar fields between their runs.
+  MonitorConfig base;
+  base.window = 4096;
+  base.memory_bytes = 256 * 1024;
+  base.track_membership = false;
+  base.track_cardinality = false;
+  base.track_frequency = false;
+  MonitorConfig bitmap = base;
+  bitmap.track_cardinality = true;
+  MonitorConfig hll = bitmap;
+  hll.use_hll = true;
+  MonitorConfig similarity = base;
+  similarity.track_similarity = true;
+  MonitorConfig heavy = base;
+  heavy.track_frequency = true;
+  const auto trace = monitor_trace(20'000);
+  int spec = 0;
+  for (const MonitorConfig& mon : {bitmap, hll, similarity, heavy}) {
+    SCOPED_TRACE(spec++);
+    const std::string dir = temp_dir("gathered_ckpt_bytes");
+    PipelineOptions opt;
+    opt.shards = 2;
+    opt.checkpoint_dir = dir;
+    opt.checkpoint_interval = 5000;
+    IngestPipeline<StreamMonitor> pipe(opt, monitor_factory(mon));
+    pipe.start();
+    ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
+    pipe.close();
+    for (std::size_t s = 0; s < opt.shards; ++s) {
+      const auto view = pipe.view(s);
+      EXPECT_TRUE(file_bytes(dir + "/shard-" + std::to_string(s) + ".ckpt") ==
+                  contiguous_frame(*view, view->time()))
+          << "shard " << s;
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
+/// The bit fault::maybe_corrupt_frame flips, for `seed`, in a frame of
+/// `frame_bytes`.
+std::size_t flipped_bit(std::size_t frame_bytes, std::uint64_t seed) {
+  std::uint64_t h = seed + 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  return static_cast<std::size_t>(h % (frame_bytes * 8));
+}
+
+/// The first seed whose flip lands in frame bytes [lo, hi).
+std::uint64_t seed_flipping_in(std::size_t frame_bytes, std::size_t lo,
+                               std::size_t hi) {
+  std::uint64_t seed = 0;
+  while (flipped_bit(frame_bytes, seed) / 8 < lo ||
+         flipped_bit(frame_bytes, seed) / 8 >= hi)
+    ++seed;
+  return seed;
+}
+
+TEST_F(FaultTolerance, InjectedCorruptionWritesTheContiguousFramesBytes) {
+  // The hook corrupts the gather list: it must flip the same bit, or cut
+  // at the same byte, as it would in the contiguous frame, wherever that
+  // lands: in the header, in a scalar field or in a borrowed cell run.
+  MonitorConfig mon;
+  mon.window = 4096;
+  mon.memory_bytes = 128 * 1024;
+  const auto trace = monitor_trace(10'000);
+  const std::string dir = temp_dir("gathered_ckpt_inject");
+  const std::string path = dir + "/shard-0.ckpt";
+  const auto run = [&](const std::optional<fault::Spec>& spec) {
+    fault::injector().clear();
+    if (spec) fault::injector().arm(*spec);
+    PipelineOptions opt;
+    opt.shards = 1;
+    opt.checkpoint_dir = dir;
+    opt.checkpoint_interval = std::uint64_t{1} << 40;  // the close frame
+    IngestPipeline<StreamMonitor> pipe(opt, monitor_factory(mon));
+    pipe.start();
+    EXPECT_EQ(pipe.push_bulk(0, trace), trace.size());
+    pipe.close();
+    return file_bytes(path);
+  };
+  const std::vector<char> clean = run(std::nullopt);
+  ASSERT_GT(clean.size(), 64 * 1024u);
+  // The header, the payload's leading tag and config fields, and the
+  // middle of the frame, which is cells.
+  for (const std::uint64_t seed :
+       {seed_flipping_in(clean.size(), 0, kCheckpointHeaderBytes),
+        seed_flipping_in(clean.size(), kCheckpointHeaderBytes,
+                         kCheckpointHeaderBytes + 40),
+        seed_flipping_in(clean.size(), clean.size() / 2,
+                         clean.size() / 2 + 4096),
+        std::uint64_t{12345}}) {
+    SCOPED_TRACE(seed);
+    std::vector<char> expect = clean;
+    const std::size_t bit = flipped_bit(expect.size(), seed);
+    expect[bit / 8] = static_cast<char>(
+        static_cast<unsigned char>(expect[bit / 8]) ^ (1u << (bit % 8)));
+    EXPECT_TRUE(run(fault::Spec{fault::Point::kCheckpointBitFlip, 0, 0,
+                                seed}) == expect);
+  }
+  const std::vector<char> half(clean.begin(),
+                               clean.begin() +
+                                   static_cast<std::ptrdiff_t>(clean.size() / 2));
+  EXPECT_TRUE(run(fault::Spec{fault::Point::kCheckpointTruncate, 0, 0, 0}) ==
+              half);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GatheredCheckpoint, AStoreOfMoreThanIovMaxRunsRoundTripsThroughResume) {
+  // One 16 MiB shard: its frame is a gather list longer than IOV_MAX, so
+  // write_file_atomic writes it in several writev chunks.
+  MonitorConfig mon;
+  mon.window = 1 << 16;
+  mon.memory_bytes = 16 << 20;
+  const auto trace = monitor_trace(30'000);
+  const std::string dir = temp_dir("gathered_ckpt_16m");
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = std::uint64_t{1} << 40;
+  std::string saved;
+  {
+    IngestPipeline<StreamMonitor> pipe(opt, monitor_factory(mon));
+    pipe.start();
+    ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
+    pipe.close();
+    const auto view = pipe.view(0);
+    CheckpointFrame frame;
+    BinaryWriter w = frame.writer();
+    view->save(w);
+    seal_checkpoint(frame, view->time());
+    EXPECT_GT(frame.iov.size(), std::size_t{IOV_MAX});
+    EXPECT_TRUE(file_bytes(dir + "/shard-0.ckpt") ==
+                contiguous_frame(*view, view->time()));
+    saved = serialized(*view);
+  }
+  opt.resume = true;
+  IngestPipeline<StreamMonitor> resumed(opt, monitor_factory(mon));
+  EXPECT_EQ(resumed.resume_offset(0), trace.size());
+  EXPECT_TRUE(serialized(*resumed.view(0)) == saved);
   std::filesystem::remove_all(dir);
 }
 

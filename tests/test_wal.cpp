@@ -7,7 +7,8 @@
 // sub-batch's first push on), and the peak heap of a recovery scan (one
 // segment's worth, however long the log).  The batched point queries
 // share the allocation count here: a frequency or membership batch makes
-// none.
+// none.  So do checkpoint writes: a shard worker's checkpoint allocates
+// its gather list, never the estimator's image.
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
@@ -31,15 +32,16 @@
 #include <gtest/gtest.h>
 
 // Heap allocations (and frees) made by threads that set `g_count_news`,
-// and the live bytes they hold (malloc's usable size of each block);
-// every other thread (pipeline workers, the test runner) allocates
-// uncounted.
+// the bytes they allocate and the live bytes they hold (malloc's usable
+// size of each block); every other thread (pipeline workers, the test
+// runner) allocates uncounted.
 namespace {
 thread_local bool g_count_news = false;
 thread_local std::size_t g_news = 0;
 thread_local std::size_t g_frees = 0;
 thread_local std::ptrdiff_t g_live = 0;
 thread_local std::ptrdiff_t g_peak = 0;
+thread_local std::size_t g_new_bytes = 0;
 
 void counted_free(void* p) noexcept {
   if (g_count_news && p != nullptr) {
@@ -57,6 +59,7 @@ void* counted_new(std::size_t n, std::size_t align) {
   if (p == nullptr) throw std::bad_alloc();
   if (g_count_news) {
     ++g_news;
+    g_new_bytes += malloc_usable_size(p);
     g_live += static_cast<std::ptrdiff_t>(malloc_usable_size(p));
     g_peak = std::max(g_peak, g_live);
   }
@@ -1096,6 +1099,75 @@ TEST(WalPipeline, PushBulkRefusesAShardShareAboveTheFrameBoundAcceptingNothing) 
     EXPECT_EQ(scan.end_offset, 0u) << log;
     EXPECT_TRUE(scan.frames.empty()) << log;
   }
+  std::filesystem::remove_all(dir);
+}
+
+// A shard worker counts its own allocations while a test watches: each
+// estimator copy (one per publish) restarts the count, and the directory
+// sync that ends the checkpoint after it publishes the bytes allocated.
+std::atomic<bool> g_watch_checkpoint{false};
+std::atomic<std::size_t> g_checkpoint_bytes{0};
+
+struct WatchedMonitor {
+  StreamMonitor mon;
+  explicit WatchedMonitor(StreamMonitor m) : mon(std::move(m)) {}
+  WatchedMonitor(const WatchedMonitor& o) : mon(o.mon) {
+    if (g_watch_checkpoint.load()) {
+      g_new_bytes = 0;
+      g_count_news = true;
+    }
+  }
+  WatchedMonitor(WatchedMonitor&&) = default;
+  void insert_batch(std::span<const std::uint64_t> keys) {
+    mon.insert_batch(keys);
+  }
+  void save(BinaryWriter& w) const { mon.save(w); }
+  static WatchedMonitor load(BinaryReader& r) {
+    return WatchedMonitor(StreamMonitor::load(r));
+  }
+};
+
+void publish_at_dir_sync(DurableOp op, const std::string&, std::uint64_t) {
+  if (op == DurableOp::kDirSync && g_count_news) {
+    g_count_news = false;
+    g_checkpoint_bytes.store(g_new_bytes);
+  }
+}
+
+TEST(CheckpointWrite, FirstAndSteadyStateCheckpointsAllocateUnder16KiB) {
+  // One shard of the e2e bench spec (512 KiB of cells, a ~464 KiB image):
+  // the frame borrows the view's cell pages, so a checkpoint allocates
+  // only its header, scalar fields and gather list, never the image.  The
+  // count runs from the publish's estimator copy to the checkpoint's
+  // directory sync, on the worker thread.
+  const std::string dir = temp_dir("ckpt_alloc");
+  runtime::PipelineOptions opt;
+  opt.shards = 1;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = std::uint64_t{1} << 40;  // SAVEs only
+  MonitorConfig mc;
+  mc.window = 32768;
+  mc.memory_bytes = 512u << 10;
+  runtime::IngestPipeline<WatchedMonitor> pipe(
+      opt, [&](std::size_t) { return WatchedMonitor(StreamMonitor(mc)); });
+  fault::on_durable_op(&publish_at_dir_sync);
+  pipe.start();
+  std::vector<std::uint64_t> keys(20'000);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);  // the first checkpoint, then steady state
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      keys[i] = (round * keys.size() + i) * 2654435761u % 50'000;
+    ASSERT_EQ(pipe.push_bulk(0, keys), keys.size());
+    ASSERT_TRUE(pipe.sync(false));
+    g_checkpoint_bytes = ~std::size_t{0};
+    g_watch_checkpoint = true;
+    ASSERT_TRUE(pipe.sync(true));
+    g_watch_checkpoint = false;
+    EXPECT_LT(g_checkpoint_bytes.load(), std::size_t{16} << 10);
+  }
+  fault::on_durable_op(nullptr);
+  pipe.close();
+  EXPECT_EQ(pipe.stats().checkpoints, 4u);
   std::filesystem::remove_all(dir);
 }
 

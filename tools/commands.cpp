@@ -185,11 +185,11 @@ int cmd_membership(const ArgMap& args, std::ostream& out) {
   out << "  false negatives:     " << false_negatives << "/" << checks
       << " in-window checks (must be 0)\n";
   if (!save_path.empty()) {
-    std::vector<char> frame(kCheckpointHeaderBytes);
-    BinaryWriter w(frame);
+    CheckpointFrame frame;
+    BinaryWriter w = frame.writer();
     bf.save(w);
     seal_checkpoint(frame, bf.time());
-    write_file_atomic(save_path, frame);
+    write_file_atomic(save_path, frame.iov);
     out << "  checkpoint saved to " << save_path << " (resume with --resume)\n";
   }
   return false_negatives == 0 ? 0 : 1;

@@ -1,12 +1,12 @@
-// Ablation — multi-core scaling of the sharded wrapper.
+// Ablation — the accuracy cost of window sharding.
 //
-// The FPGA hits 544 Mips with one pipeline; on CPUs, Sharded<T> partitions
-// the key space so shards run on separate cores with no synchronization.
-// This harness measures bulk-insert throughput of sharded SHE-BF and
-// SHE-BM across thread counts, plus the accuracy cost of window sharding
-// (cardinality RE of sharded vs monolithic SHE-BM).
+// The FPGA hits 544 Mips with one pipeline; on CPUs, sharding partitions
+// the key space so shards run on separate cores with no synchronization,
+// each over a window of N/S items.  This harness measures what that costs
+// in accuracy: cardinality RE of sharded vs monolithic SHE-BM, through the
+// sequential Sharded<T> reference.  Multi-core throughput scaling is
+// measured over the real runtime by bench/pipeline_throughput.
 #include <iostream>
-#include <thread>
 
 #include "common.hpp"
 #include "common/stats.hpp"
@@ -18,46 +18,11 @@ namespace she::bench {
 namespace {
 
 constexpr std::uint64_t kN = kWindow;
-constexpr std::uint64_t kItems = 8'000'000;
 
 std::string fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
   return buf;
-}
-
-Sharded<SheBloomFilter> make_bf(std::size_t shards) {
-  return Sharded<SheBloomFilter>(shards, [&](std::size_t s) {
-    SheConfig cfg;
-    cfg.window = kN / shards;
-    cfg.cells = (1u << 20) / shards;
-    cfg.group_cells = 64;
-    cfg.alpha = 3.0;
-    cfg.seed = static_cast<std::uint32_t>(s);
-    return SheBloomFilter(cfg, 8);
-  });
-}
-
-void throughput_scaling() {
-  std::printf("\n--- Bulk-insert throughput vs threads (SHE-BF, %llu items) ---\n",
-              static_cast<unsigned long long>(kItems));
-  std::printf("(hardware_concurrency on this machine: %u — speedup is capped "
-              "by the physical core count)\n",
-              std::thread::hardware_concurrency());
-  Table table({"threads", "shards", "Mips", "speedup"});
-  auto trace = caida_like(kItems);
-  double base = 0;
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    std::size_t shards = threads == 1 ? 1 : threads;
-    auto s = make_bf(shards);
-    MopsTimer timer;
-    timer.start();
-    s.insert_bulk(trace, threads);
-    double mips = timer.stop(trace.size());
-    if (threads == 1) base = mips;
-    table.add(threads, shards, fmt(mips), fmt(mips / base));
-  }
-  table.print(std::cout);
 }
 
 void sharding_accuracy_cost() {
@@ -92,10 +57,8 @@ void sharding_accuracy_cost() {
 }  // namespace she::bench
 
 int main() {
-  she::bench::banner("Ablation — sharded multi-core scaling",
-                     "Throughput scaling of Sharded<SHE-BF> with threads and "
-                     "the accuracy cost of window sharding for SHE-BM.");
-  she::bench::throughput_scaling();
+  she::bench::banner("Ablation — sharding accuracy cost",
+                     "The accuracy cost of window sharding for SHE-BM.");
   she::bench::sharding_accuracy_cost();
   return 0;
 }

@@ -11,6 +11,10 @@
 // (>=2x from 1 to 4 shards on multi-core hosts); on a single-core host the
 // sweep degenerates to context-switch overhead, which is why the physical
 // concurrency is part of the banner.
+//
+// It is also an end-to-end check of the commit lanes and shard rings: the
+// process exits 1 when any sweep row applied a different number of keys
+// (`stats.inserted`) than its producers pushed, or dropped any.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -56,6 +60,7 @@ IngestPipeline<SheBloomFilter>::Factory bf_factory(std::size_t shards) {
 }
 
 struct RunResult {
+  std::uint64_t pushed = 0;  ///< keys the producers handed to push_bulk
   double mips = 0;
   double queries_per_sec = 0;
   runtime::RuntimeStats stats;
@@ -87,6 +92,7 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
     });
   }
 
+  std::atomic<std::uint64_t> pushed{0};
   MopsTimer timer;
   timer.start();
   std::vector<std::thread> pool;
@@ -101,11 +107,13 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
       for (std::size_t i = lo; i < hi; i += kSlice)
         pipe.push_bulk(p, std::span<const std::uint64_t>(
                               trace.data() + i, std::min(kSlice, hi - i)));
+      pushed.fetch_add(hi - lo, std::memory_order_relaxed);
     });
   }
   for (auto& t : pool) t.join();
   pipe.close();
   RunResult r;
+  r.pushed = pushed.load();
   r.mips = timer.stop(trace.size());
   r.stats = pipe.stats();
   if (with_reader) {
@@ -117,7 +125,8 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   return r;
 }
 
-void sweep(std::vector<std::string>& json_rows) {
+/// Runs the sweep; returns false when some row lost or dropped keys.
+bool sweep(std::vector<std::string>& json_rows) {
   auto trace = caida_like(kItems);
   std::printf("\n--- Ingest throughput: producers x shards (SHE-BF, %llu "
               "items, Zipf) ---\n",
@@ -127,6 +136,7 @@ void sweep(std::vector<std::string>& json_rows) {
               std::thread::hardware_concurrency());
   Table table({"producers", "shards", "Mips", "speedup-vs-1shard", "q/s",
                "hwm"});
+  bool exact = true;
   for (std::size_t producers : {1u, 2u, 4u}) {
     double base = 0;
     for (std::size_t shards : {1u, 2u, 4u, 8u}) {
@@ -141,9 +151,20 @@ void sweep(std::vector<std::string>& json_rows) {
           << ",\"stats\":" << r.stats.to_json() << "}";
       json_rows.push_back(row.str());
       std::printf("JSON %s\n", row.str().c_str());
+      if (r.stats.inserted != r.pushed || r.stats.dropped > 0) {
+        std::fprintf(stderr,
+                     "producers=%zu shards=%zu: pushed %llu keys, inserted "
+                     "%llu, dropped %llu\n",
+                     producers, shards,
+                     static_cast<unsigned long long>(r.pushed),
+                     static_cast<unsigned long long>(r.stats.inserted),
+                     static_cast<unsigned long long>(r.stats.dropped));
+        exact = false;
+      }
     }
   }
   table.print(std::cout);
+  return exact;
 }
 
 void accuracy_under_load(std::vector<std::string>& json_rows) {
@@ -230,9 +251,9 @@ int main(int argc, char** argv) {
                      "snapshot queries, plus queries-under-load accuracy.");
   std::vector<std::string> sweep_rows;
   std::vector<std::string> accuracy_rows;
-  she::bench::sweep(sweep_rows);
+  const bool exact = she::bench::sweep(sweep_rows);
   she::bench::accuracy_under_load(accuracy_rows);
   she::bench::write_report(argc > 1 ? argv[1] : "BENCH_pipeline.json",
                            sweep_rows, accuracy_rows);
-  return 0;
+  return exact ? 0 : 1;
 }

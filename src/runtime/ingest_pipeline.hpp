@@ -7,8 +7,9 @@
 // Sharded<T> uses (so accuracy semantics carry over) and commit each
 // per-shard sub-batch through that shard's commit lane: the shard's mutex
 // plus its single SPSC ring.  Each shard worker thread exclusively owns
-// one estimator, drains its ring in batches, and every `publish_interval`
-// items publishes an immutable copy of it that all readers share.
+// one estimator, applies its ring's keys in blocks where they lie, and
+// every `publish_interval` items publishes an immutable copy of it that
+// all readers share.
 // Producers never touch estimator state, and queries run concurrently
 // against the snapshots:
 //
@@ -18,9 +19,15 @@
 //                                           └─checkpoints─▶ shard-s.ckpt
 //
 // A lane commit is one critical section per sub-batch: a dedup peek of
-// the client identity, a ring-space reservation, then a bulk enqueue in
-// arrival order with one release store (two or more only when the
-// sub-batch is larger than the ring).  `queue_capacity` therefore bounds
+// the client identity, a ring-space reservation, then the sub-batch is
+// gathered in arrival order straight into the reserved ring slots
+// (SpscRing::stage) and made visible with one release store
+// (SpscRing::publish; two or more only when the sub-batch is larger than
+// the ring).  The worker takes up to kDrainBatch keys at a time
+// (SpscRing::peek), passes them to insert_batch where they lie, counts
+// them applied, and only then frees their slots (SpscRing::release), so
+// each key is copied once between the caller's buffer and the sketch: into
+// its ring slot.  `queue_capacity` therefore bounds
 // a shard's whole backlog, and memory scales with shards, not with
 // producers.  Admission has one rule: a producer waits for ring space
 // for the whole sub-batch (capped at the ring's capacity), and only the
@@ -41,9 +48,10 @@
 //   * Supervision: every started pipeline runs a supervisor thread that
 //     restarts workers that died by exception (rolled back to the shard's
 //     last published snapshot; items applied since are counted lost, ring
-//     backlog counted replayed).  A restart that lost items also ends the
-//     shard's checkpoints, so its newest frame stays an exact prefix of
-//     its stream for resume.  Restarts are capped at `kMaxRestarts`
+//     backlog counted replayed — including the block the dead worker was
+//     applying, which it never released).  A restart that lost items also
+//     ends the shard's checkpoints, so its newest frame stays an exact
+//     prefix of its stream for resume.  Restarts are capped at `kMaxRestarts`
 //     per shard; the next fault abandons the shard, the only terminal
 //     state, and pushes to it fail fast.  A worker whose heartbeat is
 //     older than `kHeartbeatTimeoutMs` (a long checkpoint, a stall) is
@@ -104,7 +112,7 @@
 // threads on one object (every reader shares the published copy).  Every
 // SHE estimator and StreamMonitor qualifies.  Estimators additionally exposing
 // `insert_batch(std::span<const uint64_t>)` (all of the above do) get the
-// hash-ahead + prefetch batch path on the worker drain.
+// hash-ahead + prefetch batch path on the worker, over the ring's slots.
 //
 // Threading contract:
 //   * push(producer, key) / push_bulk(producer, ...): any thread,
@@ -229,7 +237,8 @@ class IngestPipeline {
   static constexpr std::size_t kRateSampleIntervalMs = 100;
   /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
   static constexpr std::size_t kRateWindowS = 10;
-  /// Most items a worker pops from its ring per drain.
+  /// Most keys a worker applies from its ring, in place, before it
+  /// releases their slots.
   static constexpr std::size_t kDrainBatch = 256;
   /// Degraded read-only mode: after a DiskFault from the WAL or checkpoint
   /// writer, at most one disk-recovery probe runs per this many
@@ -584,29 +593,41 @@ class IngestPipeline {
     return ok;
   }
 
+  /// Fill staged slots in ring order from `next()`.
+  template <typename Next>
+  static void fill(const SpscRing::Runs<std::uint64_t>& runs, Next& next) {
+    for (std::uint64_t& key : runs.first) key = next();
+    for (std::uint64_t& key : runs.second) key = next();
+  }
+
   /// Enqueue `n` keys from `next()` onto the shard's ring, in order, with
-  /// no deadline: the lane reserved room for the first min(n, capacity)
-  /// already, and an oversize tail follows the live drain.  Returns how
-  /// many went in: fewer than `n` only when the shard died or the
-  /// pipeline is closing.
+  /// no deadline: stage as many as are free, fill them, publish them, and
+  /// wait for the live drain to free more.  Returns how many went in:
+  /// fewer than `n` only when the shard died or the pipeline is closing.
   template <typename Next>
   std::size_t enqueue(Shard& sh, std::size_t n, Next&& next) {
     std::size_t done = 0;
-    while (done < n && wait_ring_space(sh, 1, 0) && !shard_dead(sh))
-      done += sh.ring.push_n(n - done, next);
+    while (done < n && wait_ring_space(sh, 1, 0) && !shard_dead(sh)) {
+      // Exact from the producer side: the consumer only frees slots.
+      const std::size_t free = sh.ring.capacity() - sh.ring.size_approx();
+      const SpscRing::Runs<std::uint64_t> runs =
+          sh.ring.stage(std::min(n - done, free));
+      fill(runs, next);
+      sh.ring.publish(runs.size());
+      done += runs.size();
+    }
     return done;
   }
 
   /// The commit lane: one per-shard sub-batch of `n` keys, taken in order
   /// from `next()`, in one critical section under the shard's lane_mu —
-  /// dedup peek, ring-space reservation, bulk enqueue (with the WAL on:
-  /// stage in the reserved slots, log append, publish), sequence record.
-  /// Every enqueue onto the shard's ring happens here, so drain order is
-  /// lane order, and with the WAL on it equals log
-  /// order, which is what lets the checkpoint's drained-item count
-  /// identify the exact log prefix it covers.  Returns the accepted count
-  /// (see push_bulk); a WalError from the append propagates with nothing
-  /// acked.
+  /// dedup peek, ring-space reservation, staging in the reserved slots,
+  /// log append (WAL on), publish, sequence record.  Every enqueue onto
+  /// the shard's ring happens here, so drain order is lane order, and with
+  /// the WAL on it equals log order, which is what lets the checkpoint's
+  /// drained-item count identify the exact log prefix it covers.  Returns
+  /// the accepted count (see push_bulk); a WalError from the append
+  /// propagates with nothing acked.
   template <typename Next>
   std::size_t lane_commit(std::size_t producer, Shard& sh, std::size_t n,
                           Next&& next, std::uint64_t client_id,
@@ -635,6 +656,11 @@ class IngestPipeline {
       if (trace_id != 0)
         sh.last_trace_id.store(trace_id, std::memory_order_relaxed);
     }
+    // The one copy of the sub-batch: it is gathered straight into the ring
+    // slots admission reserved, staged but not yet visible, and published
+    // with one release store.  A sub-batch larger than the ring (admission
+    // reserved only its capacity) follows the live drain, staged and
+    // published as slots free up.
     std::size_t done = n;
     if (sh.wal == nullptr) {
       done = enqueue(sh, n, next);
@@ -643,23 +669,21 @@ class IngestPipeline {
       else if (shard_dead(sh))
         sh.dropped->inc(n - done);
     } else {
-      // The one copy of the sub-batch: it is gathered straight into the
-      // ring slots admission reserved, staged but not yet visible, and the
-      // WAL writes the frame from those one or two slot runs.  Only a
-      // logged sub-batch is published, so a worker never applies a key
-      // the log does not hold (in a count-based window every applied key
-      // moves the window); a refused or failed append leaves the slots
-      // unpublished.  A sub-batch larger than the ring (admission
-      // reserved only its capacity), or one a dead shard's full ring
-      // cannot stage, is gathered into a buffer that lives for this call.
-      SpscRing::Runs runs = sh.ring.stage(n);
+      // With the WAL on, the log writes the frame from the staged slot
+      // runs, and only a logged sub-batch is published, so a worker never
+      // applies a key the log does not hold (in a count-based window every
+      // applied key moves the window); a refused or failed append leaves
+      // the slots unpublished.  A sub-batch the ring cannot stage whole
+      // (larger than the ring, or a dead shard's full ring) is gathered
+      // into a buffer that lives for this call, because its frame is
+      // logged whole before any of it is published.
+      SpscRing::Runs<std::uint64_t> runs = sh.ring.stage(n);
       std::vector<std::uint64_t> gathered;
-      if (runs.first.size() + runs.second.size() < n) {
+      if (runs.size() < n) {
         gathered.resize(n);
-        runs.first = gathered;
+        runs = {gathered, {}};
       }
-      for (std::uint64_t& key : runs.first) key = next();
-      for (std::uint64_t& key : runs.second) key = next();
+      fill(runs, next);
       bool logged = false;
       try {
         logged = sh.wal->append(runs.first, runs.second, client_id,
@@ -667,7 +691,7 @@ class IngestPipeline {
       } catch (const DiskFault& e) {
         // The disk under the log is sick (ENOSPC/EIO): park the pipeline
         // read-only and tell the caller with the typed error.  Nothing
-        // was acked and nothing reached the ring, so a post-recovery
+        // was acked and nothing reached the worker, so a post-recovery
         // retry is clean and deduplicated.
         enter_degraded(e.what());
         throw DegradedError(e.what());
@@ -843,8 +867,8 @@ class IngestPipeline {
     /// relaxed store on load, which ThreadSanitizer reports as a race.
     mutable std::mutex view_mu;
     std::shared_ptr<const Estimator> view;  ///< guarded by view_mu
-    /// The shard's backlog: producers push under lane_mu, the worker
-    /// drains.
+    /// The shard's backlog: producers stage and publish under lane_mu,
+    /// the worker peeks, applies and releases.
     SpscRing ring;
     std::uint64_t since_publish = 0;     ///< worker-only
     std::uint64_t consumed = 0;          ///< worker-only: items applied
@@ -1120,7 +1144,6 @@ class IngestPipeline {
 
   void worker_loop(std::size_t si) {
     Shard& sh = *shards_[si];
-    std::vector<std::uint64_t> buf(kDrainBatch);
     for (;;) {
       const std::int64_t sweep_start = now_ns();
       sh.heartbeat_ns.store(sweep_start, std::memory_order_relaxed);
@@ -1144,27 +1167,35 @@ class IngestPipeline {
       }
       // At most publish_interval items per sweep: a lane that keeps pace
       // must not keep the worker away from the sweep-start heartbeat and
-      // fault hooks.
+      // fault hooks.  Each block is applied where it lies in the ring,
+      // counted in `consumed`, and only then released: a throw inside
+      // insert_batch leaves the block it was applying in the ring for the
+      // restarted worker, and every block applied before it is inside
+      // the rollback gap the restart heals from the log or counts lost.
       std::size_t got = 0;
-      std::size_t n;
-      while (got < opt_.publish_interval &&
-             (n = sh.ring.drain(buf.data(), buf.size())) > 0) {
+      while (got < opt_.publish_interval) {
+        const SpscRing::Runs<const std::uint64_t> block =
+            sh.ring.peek(kDrainBatch);
+        const std::size_t n = block.size();
+        if (n == 0) break;
         if (tracing && got == 0) {
-          // The id was stored before these keys were pushed, so after the
-          // drain it is visible even if this sweep began before the push.
+          // The id was stored before these keys were published, so once
+          // they are visible it is too, even if this sweep began before
+          // the push.
           adopted = sh.last_trace_id.load(std::memory_order_relaxed);
           obs::trace::set_current_trace_id(adopted);
         }
-        const std::span<const std::uint64_t> block(buf.data(), n);
         {
           SHE_TRACE_SPAN("estimator.insert_batch", "estimator");
-          if constexpr (requires { sh.est.insert_batch(block); })
-            sh.est.insert_batch(block);  // pipelined hash-ahead + prefetch
-          else
-            for (std::size_t i = 0; i < n; ++i) sh.est.insert(buf[i]);
+          feed_shard(sh.est, block.first);  // pipelined hash-ahead + prefetch
+          if (!block.second.empty()) feed_shard(sh.est, block.second);
         }
+        sh.consumed += n;
+        sh.since_publish += n;
+        sh.inserted->inc(n);
+        sh.ring.release(n);
         got += n;
-        if (n < buf.size()) break;  // ring (momentarily) empty
+        if (n < kDrainBatch) break;  // ring (momentarily) empty
       }
       if (got > 0) {
         // A newer request's id stays for the sweep that drains its keys.
@@ -1176,10 +1207,7 @@ class IngestPipeline {
           obs::trace::record("pipeline.drain", "pipeline", sweep_ticks,
                              obs::trace::now_ticks(),
                              obs::trace::current_trace_id());
-        sh.inserted->inc(got);
         sh.drains->inc();
-        sh.consumed += got;
-        sh.since_publish += got;
         if (sh.since_publish >= opt_.publish_interval) publish(sh);
         continue;
       }
@@ -1281,10 +1309,7 @@ class IngestPipeline {
     const std::span<const std::uint64_t> part = keys.subspan(
         static_cast<std::size_t>(pos - f.start_offset),
         static_cast<std::size_t>(std::min(f.end_offset(), end) - pos));
-    if constexpr (requires { sh.est.insert_batch(part); })
-      sh.est.insert_batch(part);
-    else
-      for (std::uint64_t k : part) sh.est.insert(k);
+    feed_shard(sh.est, part);
     sh.wal_replayed->inc(part.size());
     pos += part.size();
     return pos < end;
@@ -1342,9 +1367,9 @@ class IngestPipeline {
         sh.ckpt_frozen = true;
       }
     } else if (sh.consumed > sh.consumed_at_publish) {
-      // The dead worker had popped these items off the ring; they are
-      // gone.  Later frames would name an offset that skips the wrong
-      // keys on resume, so the shard's checkpoints stop here.
+      // The dead worker applied these items and released their slots;
+      // they are gone.  Later frames would name an offset that skips the
+      // wrong keys on resume, so the shard's checkpoints stop here.
       sh.lost->inc(sh.consumed - sh.consumed_at_publish);
       sh.consumed = sh.consumed_at_publish;
       sh.ckpt_frozen = true;

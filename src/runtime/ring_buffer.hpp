@@ -1,22 +1,28 @@
-// SpscRing — bounded lock-free single-producer/single-consumer queue.
+// SpscRing — bounded lock-free single-producer/single-consumer queue whose
+// slots are filled and applied where they lie.
 //
 // The ingest runtime gives every shard one ring.  Producers take turns
 // under the shard's commit-lane mutex, so the ring has one writer at a
-// time and one reader and needs no CAS loops: the producer publishes
-// slots with a release store of `tail_`, the consumer acquires it, and
-// both sides keep a cached copy of the opposite index so the common case
-// touches only one shared cache line.  Indices are free-running 64-bit
-// counters (never wrapped), which makes full/empty tests simple
+// time and one reader and needs no CAS loops.  Indices are free-running
+// 64-bit counters (never wrapped), which makes full/empty tests simple
 // subtractions and sidesteps the classic "one slot wasted" scheme.  Head
 // and tail live on separate cache lines to avoid false sharing between
 // the two threads.
 //
-// Besides push_n, a producer can fill free slots in place: stage(n) hands
-// out the next n free slots as one or two runs (two when they wrap past
-// the end of the slot array) without making them visible, and publish(n)
-// releases them to the consumer.  The WAL commit lane logs a sub-batch
-// straight from those runs and publishes only once the append succeeded;
-// staged slots that are never published are simply staged over next time.
+// The ring has one way in and one way out, and neither copies a key:
+//   * In: stage(n) hands the producer the next n free slots as one or two
+//     runs (two when they wrap past the end of the slot array) without
+//     making them visible; the producer fills them, and publish(n) hands
+//     them to the consumer with one release store of `tail_`.  The WAL
+//     commit lane logs a sub-batch straight from those runs and publishes
+//     only once the append succeeded; staged slots that are never
+//     published are simply staged over next time.
+//   * Out: peek(max) hands the consumer up to `max` published keys, oldest
+//     first, as one or two const runs, without freeing them; the consumer
+//     applies them in place, and release(n) gives the slots back to the
+//     producer with one release store of `head_`.  A key stays in the ring
+//     until its slot is released, so a consumer that dies while applying
+//     a block leaves that block for its successor.
 #pragma once
 
 #include <algorithm>
@@ -56,49 +62,28 @@ class SpscRing {
 
   [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
 
-  /// Producer side.  Returns false when the ring is full.
-  bool try_push(std::uint64_t v) {
-    return push_n(1, [v] { return v; }) == 1;
-  }
-
-  /// Producer side: append up to `max` items, taken in order from
-  /// `next()`, and publish them with one release store.  Returns how many
-  /// fit (0 when the ring is full); `next` is called exactly that often.
-  template <typename Next>
-  std::size_t push_n(std::size_t max, Next&& next) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (capacity() - (tail - cached_head_) < max)
-      cached_head_ = head_.load(std::memory_order_acquire);
-    const std::size_t room =
-        static_cast<std::size_t>(capacity() - (tail - cached_head_));
-    const std::size_t n = room < max ? room : max;
-    for (std::size_t i = 0; i < n; ++i) slots_[(tail + i) & mask_] = next();
-    if (n > 0) tail_.store(tail + n, std::memory_order_release);
-    return n;
-  }
-
-  /// The next free slots in ring order: `first` up to the end of the slot
+  /// Consecutive slots in ring order: `first` up to the end of the slot
   /// array, then `second` from its start (empty unless the run wraps).
+  template <typename T>
   struct Runs {
-    std::span<std::uint64_t> first;
-    std::span<std::uint64_t> second;
+    std::span<T> first;
+    std::span<T> second;
+    [[nodiscard]] std::size_t size() const {
+      return first.size() + second.size();
+    }
   };
 
   /// Producer side: the next `n` free slots, for the caller to fill before
   /// publish(n) makes them visible; both runs are empty when fewer than
   /// `n` slots are free.  Staging changes nothing the consumer sees, so
   /// an unpublished stage is simply overwritten by the next one.
-  Runs stage(std::size_t n) {
-    // Refresh the cached head here, not only when push_n runs short: a
-    // publish moves the tail on without looking at it, and push_n's room
-    // is computed from the cache.
-    cached_head_ = head_.load(std::memory_order_acquire);
+  Runs<std::uint64_t> stage(std::size_t n) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (capacity() - (tail - cached_head_) < n) return {};
-    const std::size_t at = static_cast<std::size_t>(tail & mask_);
+    if (capacity() - (tail - head_.load(std::memory_order_acquire)) < n)
+      return {};
+    const auto at = static_cast<std::size_t>(tail & mask_);
     const std::size_t first = std::min(n, capacity() - at);
-    return {std::span<std::uint64_t>(slots_.data() + at, first),
-            std::span<std::uint64_t>(slots_.data(), n - first)};
+    return {{slots_.data() + at, first}, {slots_.data(), n - first}};
   }
 
   /// Producer side: make the first `n` slots of the last stage() visible
@@ -108,31 +93,25 @@ class SpscRing {
                 std::memory_order_release);
   }
 
-  /// Consumer side.  Returns false when the ring is empty.
-  bool try_pop(std::uint64_t& v) {
+  /// Consumer side: up to `max` published keys, oldest first, still in
+  /// their slots (both runs empty when the ring is empty).  They stay
+  /// valid, and in the ring, until release() frees them.
+  Runs<const std::uint64_t> peek(std::size_t max) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
+    if (cached_tail_ - head < max)
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
-    }
-    v = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cached_tail_ - head, max));
+    const auto at = static_cast<std::size_t>(head & mask_);
+    const std::size_t first = std::min(n, capacity() - at);
+    return {{slots_.data() + at, first}, {slots_.data(), n - first}};
   }
 
-  /// Consumer side: pop up to `max` items into `out`, preserving order.
-  std::size_t drain(std::uint64_t* out, std::size_t max) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    std::uint64_t avail = cached_tail_ - head;
-    if (avail == 0) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      avail = cached_tail_ - head;
-      if (avail == 0) return 0;
-    }
-    const std::size_t n = avail < max ? static_cast<std::size_t>(avail) : max;
-    for (std::size_t i = 0; i < n; ++i) out[i] = slots_[(head + i) & mask_];
-    head_.store(head + n, std::memory_order_release);
-    return n;
+  /// Consumer side: free the oldest `n` peeked slots for the producer,
+  /// with one release store.
+  void release(std::size_t n) {
+    head_.store(head_.load(std::memory_order_relaxed) + n,
+                std::memory_order_release);
   }
 
   /// Approximate depth; exact when called by the consumer.
@@ -145,9 +124,8 @@ class SpscRing {
  private:
   std::vector<std::uint64_t> slots_;
   std::size_t mask_ = 0;
-  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};   // next pop
-  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};   // next push
-  alignas(kCacheLine) std::uint64_t cached_head_ = 0;        // producer-owned
+  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};   // next release
+  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};   // next publish
   alignas(kCacheLine) std::uint64_t cached_tail_ = 0;        // consumer-owned
 };
 

@@ -1,10 +1,12 @@
-// Sharded — multi-core scaling for SHE estimators.
+// Sharded — the sequential reference for key-space sharding.
 //
 // The FPGA pipeline processes one item per cycle; on CPUs the equivalent
 // lever is key-space partitioning: route each key to one of S shards by an
-// independent hash, give every shard its own estimator over a window of
-// N/S items, and feed the shards from worker threads.  Because a shard only
-// ever sees its own keys:
+// independent hash and give every shard its own estimator over a window of
+// N/S items.  runtime::IngestPipeline feeds the shards from worker threads
+// (bench/pipeline_throughput measures its scaling); Sharded<T> feeds them
+// on the calling thread, and is the reference the runtime's tests compare
+// against.  Because a shard only ever sees its own keys:
 //
 //   * membership / frequency queries go to the owning shard;
 //   * cardinality adds across shards (distinct keys are partitioned);
@@ -15,9 +17,9 @@
 //     found: SHE-BF's no-false-negative property holds for any item whose
 //     global depth is comfortably below N.
 //
-// insert_bulk() partitions a batch once and then runs the shards in
-// parallel with std::thread; per-shard insertion order equals the arrival
-// order, so the result is bit-identical to sequential routing (tested).
+// insert_bulk() partitions a batch once and then feeds the shards in
+// order; per-shard insertion order equals the arrival order, so the result
+// is bit-identical to per-key routing (tested).
 // Estimators exposing insert_batch() (every SHE estimator and
 // StreamMonitor) get the hash-ahead + prefetch pipelined path per shard;
 // anything else falls back to per-key insert().
@@ -28,7 +30,6 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/bobhash.hpp"
@@ -59,13 +60,12 @@ class Sharded {
     return static_cast<std::size_t>(hash64(key, kRouteSeed) % shards_.size());
   }
 
-  /// Route one item to its shard (single-threaded path).
+  /// Route one item to its shard.
   void insert(std::uint64_t key) { shards_[shard_of(key)].insert(key); }
 
-  /// Partition `keys` by shard, then insert each partition on its own
-  /// thread (up to `threads` running at once; 0 = hardware concurrency).
+  /// Partition `keys` by shard, then feed each shard its partition.
   /// Final state is identical to calling insert() over `keys` in order.
-  void insert_bulk(std::span<const std::uint64_t> keys, unsigned threads = 0);
+  void insert_bulk(std::span<const std::uint64_t> keys);
 
   /// Owning-shard access for queries, e.g.
   /// `sharded.owner(key).contains(key)`.
@@ -101,8 +101,7 @@ void feed_shard(Estimator& est, std::span<const std::uint64_t> part) {
 }
 
 template <typename Estimator>
-void Sharded<Estimator>::insert_bulk(std::span<const std::uint64_t> keys,
-                                     unsigned threads) {
+void Sharded<Estimator>::insert_bulk(std::span<const std::uint64_t> keys) {
   const std::size_t n_shards = shards_.size();
   // Partition pass: per-shard key lists in arrival order.  The routing
   // hashes run through the lane-parallel hash64 kernel a chunk at a time
@@ -117,31 +116,8 @@ void Sharded<Estimator>::insert_bulk(std::span<const std::uint64_t> keys,
     for (std::size_t j = 0; j < n; ++j)
       parts[static_cast<std::size_t>(h[j] % n_shards)].push_back(keys[c0 + j]);
   }
-
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;  // unknown hardware: stay serial
-  }
-  // A thread beyond n_shards would own no shard; don't spawn it.
-  threads = std::min(threads, static_cast<unsigned>(n_shards));
-  if (threads <= 1 || n_shards == 1) {
-    for (std::size_t s = 0; s < n_shards; ++s)
-      feed_shard(shards_[s], std::span<const std::uint64_t>(parts[s]));
-    return;
-  }
-
-  // Static block assignment: shard s handled by worker s % threads; each
-  // shard is touched by exactly one thread, so no synchronization is
-  // needed on the estimators.
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned w = 0; w < threads; ++w) {
-    pool.emplace_back([this, &parts, w, threads, n_shards] {
-      for (std::size_t s = w; s < n_shards; s += threads)
-        feed_shard(shards_[s], std::span<const std::uint64_t>(parts[s]));
-    });
-  }
-  for (auto& t : pool) t.join();
+  for (std::size_t s = 0; s < n_shards; ++s)
+    feed_shard(shards_[s], std::span<const std::uint64_t>(parts[s]));
 }
 
 /// Membership across shards (SHE-BF semantics preserved per shard).

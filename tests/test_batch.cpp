@@ -264,15 +264,13 @@ TEST(BatchDifferential, ShardedBulkUsesBatchPathAndMatchesSequential) {
     return SheCountMin(c, 6);
   };
   auto trace = stream::distinct_trace(16384, 7);
-  for (unsigned threads : {1u, 4u}) {
-    Sharded<SheCountMin> bulk(4, factory);
-    Sharded<SheCountMin> seq(4, factory);
-    bulk.insert_bulk(trace, threads);
-    for (auto k : trace) seq.insert(k);
-    for (std::size_t s = 0; s < 4; ++s)
-      ASSERT_EQ(serialized(bulk.shard(s)), serialized(seq.shard(s)))
-          << "shard " << s << " threads " << threads;
-  }
+  Sharded<SheCountMin> bulk(4, factory);
+  Sharded<SheCountMin> seq(4, factory);
+  bulk.insert_bulk(trace);
+  for (auto k : trace) seq.insert(k);
+  for (std::size_t s = 0; s < 4; ++s)
+    ASSERT_EQ(serialized(bulk.shard(s)), serialized(seq.shard(s)))
+        << "shard " << s;
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(Differential, ShardedMatchesManualRouting) {
     Sharded<SheBloomFilter> routed(shards, factory);
     Sharded<SheBloomFilter> bulk(shards, factory);
     for (auto k : s.trace) routed.insert(k);
-    bulk.insert_bulk(s.trace, 2);
+    bulk.insert_bulk(s.trace);
     Rng rng(s.seed + 5);
     for (int q = 0; q < 500; ++q) {
       std::uint64_t probe = rng();

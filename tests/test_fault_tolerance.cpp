@@ -1376,6 +1376,104 @@ TEST_F(FaultTolerance, WalHealCountsNoTornTailItDidNotTruncate) {
   std::filesystem::remove_all(dir);
 }
 
+/// Records every key it applies, in order, and throws once from inside
+/// insert_batch on reaching the key `throw_at`, having applied the keys
+/// before it in that block.
+struct ThrowingRecorder {
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  static inline std::atomic<std::uint64_t> throw_at{kNever};
+  std::vector<std::uint64_t> keys;
+  void insert(std::uint64_t k) { insert_batch({&k, 1}); }
+  void insert_batch(std::span<const std::uint64_t> ks) {
+    for (const std::uint64_t k : ks) {
+      std::uint64_t at = k;
+      if (throw_at.compare_exchange_strong(at, kNever))
+        throw std::runtime_error("injected insert_batch fault");
+      keys.push_back(k);
+    }
+  }
+  void save(BinaryWriter& w) const { w.u64_vector(keys); }
+  static ThrowingRecorder load(BinaryReader& r) {
+    ThrowingRecorder e;
+    e.keys = r.u64_vector();
+    return e;
+  }
+};
+
+/// 3000 keys queued on one shard before its worker starts; the worker
+/// throws inside insert_batch at key 700, part way into the sweep's third
+/// 256-key block.  The worker used to copy each block out of the ring
+/// before applying it and to count a sweep only once it ended, so the
+/// blocks that sweep had taken were gone and counted nowhere: 2232 keys
+/// applied and items_lost 0, and a WAL resume read 768 keys twice.
+void throw_inside_insert_batch(WalMode wal) {
+  const std::string dir = temp_dir(wal == WalMode::kOff
+                                       ? "throw_inside_insert_batch_wal_off"
+                                       : "throw_inside_insert_batch_wal_on");
+  std::vector<std::uint64_t> keys(3000);
+  for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = 1'000'000 + i;
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.queue_capacity = 4096;
+  opt.publish_interval = 4096;  // no publish before the throw
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval = 1u << 20;
+  opt.wal_mode = wal;
+  const auto factory = [](std::size_t) { return ThrowingRecorder{}; };
+  std::vector<std::uint64_t> live;
+  {
+    IngestPipeline<ThrowingRecorder> pipe(opt, factory);
+    ASSERT_EQ(pipe.push_bulk(0, keys), keys.size());
+    ThrowingRecorder::throw_at = keys[700];
+    pipe.start();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (pipe.stats().worker_restarts == 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no restart";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    pipe.close();
+    const auto st = pipe.stats();
+    EXPECT_EQ(st.worker_faults, 1u);
+    EXPECT_EQ(ThrowingRecorder::throw_at.load(), ThrowingRecorder::kNever);
+    live = pipe.snapshot(0).keys;
+    if (wal != WalMode::kOff) {
+      // The applied blocks are healed back from the log and the block
+      // being applied stays in the ring: every key once, in order.
+      EXPECT_EQ(st.items_lost, 0u);
+      EXPECT_EQ(live, keys);
+    } else {
+      // The applied blocks are rolled back and counted lost; the rest is
+      // applied once, and the shard writes no frame past the loss.
+      EXPECT_EQ(live.size() + st.items_lost, keys.size());
+      EXPECT_GT(st.items_lost, 0u);
+      EXPECT_TRUE(std::equal(live.begin(), live.end(),
+                             keys.end() - static_cast<std::ptrdiff_t>(
+                                              live.size())));
+      EXPECT_EQ(st.checkpoints, 0u);
+      EXPECT_FALSE(std::filesystem::exists(dir + "/shard-0.ckpt"));
+    }
+  }
+  if (wal != WalMode::kOff) {
+    PipelineOptions ropt = opt;
+    ropt.resume = true;
+    IngestPipeline<ThrowingRecorder> rpipe(ropt, factory);
+    rpipe.close();
+    EXPECT_EQ(rpipe.snapshot(0).keys, keys);
+  }
+  ThrowingRecorder::throw_at = ThrowingRecorder::kNever;
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, ThrowInsideInsertBatchLosesNoKeyWithTheWal) {
+  throw_inside_insert_batch(WalMode::kAsync);
+}
+
+TEST_F(FaultTolerance, ThrowInsideInsertBatchCountsEveryLostKeyWithoutTheWal) {
+  throw_inside_insert_batch(WalMode::kOff);
+}
+
 TEST_F(FaultTolerance, WalResumeOfFourShardsKeepsATornPrefixAndRefusesAHole) {
   // Four logs written as a pipeline routes a trace, in small segments:
   // shard 1 misses a middle segment, shard 2 ends in a torn tail.  The

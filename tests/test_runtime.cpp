@@ -3,8 +3,9 @@
 // check the whole surface under ThreadSanitizer (sizes are kept moderate
 // so the instrumented run stays fast).
 //
-//   * SpscRing: FIFO order and wraparound, staging and publishing in place
-//     at every wrap offset, plus a cross-thread stress.
+//   * SpscRing: FIFO order and wraparound; staging, publishing, peeking
+//     and releasing in place at every wrap offset and size; a
+//     cross-thread stress.
 //   * Published views: a held view survives later publishes unchanged;
 //     readers between two publishes share one object.
 //   * IngestPipeline: single-producer drains are bit-identical to
@@ -50,127 +51,169 @@ TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_THROW(SpscRing((std::size_t{1} << 63) | 1), std::length_error);
 }
 
-TEST(SpscRing, FifoWithWraparound) {
-  SpscRing ring(4);
-  std::uint64_t v = 0;
-  for (std::uint64_t round = 0; round < 10; ++round) {
-    for (std::uint64_t i = 0; i < 4; ++i)
-      ASSERT_TRUE(ring.try_push(round * 4 + i));
-    EXPECT_FALSE(ring.try_push(999));  // full
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      ASSERT_TRUE(ring.try_pop(v));
-      EXPECT_EQ(v, round * 4 + i);
-    }
-    EXPECT_FALSE(ring.try_pop(v));  // empty
-  }
-}
-
-TEST(SpscRing, DrainPreservesOrder) {
-  SpscRing ring(8);
-  for (std::uint64_t i = 0; i < 6; ++i) ASSERT_TRUE(ring.try_push(i));
-  std::uint64_t out[8];
-  ASSERT_EQ(ring.drain(out, 4), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i], i);
-  ASSERT_EQ(ring.drain(out, 8), 2u);
-  EXPECT_EQ(out[0], 4u);
-  EXPECT_EQ(out[1], 5u);
-  EXPECT_EQ(ring.drain(out, 8), 0u);
-}
-
 /// Fill the runs of a stage with `first`, `first` + 1, ...
-void fill_runs(const SpscRing::Runs& runs, std::uint64_t first) {
+void fill_runs(const SpscRing::Runs<std::uint64_t>& runs, std::uint64_t first) {
   for (std::uint64_t& slot : runs.first) slot = first++;
   for (std::uint64_t& slot : runs.second) slot = first++;
 }
 
-TEST(SpscRing, StageAndPublishAtEveryWrapOffset) {
-  // From every start offset, every stage size: the runs cover exactly the
-  // free slots in ring order (a second run only past the array's end),
-  // nothing is visible before publish, and the consumer then drains the
-  // staged keys in order.
+/// Stage, fill and publish `n` keys `first`, `first` + 1, ...; false when
+/// fewer than `n` slots are free.
+bool push(SpscRing& ring, std::size_t n, std::uint64_t first) {
+  const SpscRing::Runs<std::uint64_t> runs = ring.stage(n);
+  if (runs.size() != n) return false;
+  fill_runs(runs, first);
+  ring.publish(n);
+  return true;
+}
+
+/// Peek up to `max` keys, copy them out in ring order and release them.
+std::vector<std::uint64_t> pop(SpscRing& ring, std::size_t max) {
+  const SpscRing::Runs<const std::uint64_t> runs = ring.peek(max);
+  std::vector<std::uint64_t> out(runs.first.begin(), runs.first.end());
+  out.insert(out.end(), runs.second.begin(), runs.second.end());
+  ring.release(out.size());
+  return out;
+}
+
+TEST(SpscRing, FifoWithWraparound) {
+  SpscRing ring(4);
+  for (std::uint64_t round = 0; round < 10; ++round) {
+    for (std::uint64_t i = 0; i < 4; ++i)
+      ASSERT_TRUE(push(ring, 1, round * 4 + i));
+    EXPECT_FALSE(push(ring, 1, 999));  // full
+    for (std::uint64_t i = 0; i < 4; ++i)
+      EXPECT_EQ(pop(ring, 1), std::vector<std::uint64_t>{round * 4 + i});
+    EXPECT_TRUE(pop(ring, 1).empty());  // empty
+  }
+}
+
+TEST(SpscRing, EveryWrapOffsetStageSizeAndPeekSize) {
+  // From every start offset, every stage size and every peek size: the
+  // stage covers exactly the free slots in ring order (a second run only
+  // past the array's end), nothing is visible before publish, a peek
+  // hands out the oldest published keys in order, split the same way, and
+  // leaves them in the ring until release — so a stage made while they
+  // are held never hands out one of their slots.
   constexpr std::size_t kCap = 8;
   for (std::size_t offset = 0; offset < kCap; ++offset) {
     for (std::size_t n = 1; n <= kCap; ++n) {
-      SCOPED_TRACE(testing::Message() << "offset " << offset << " n " << n);
-      SpscRing ring(kCap);
-      std::uint64_t out[kCap];
-      for (std::size_t i = 0; i < offset; ++i) ASSERT_TRUE(ring.try_push(i));
-      ASSERT_EQ(ring.drain(out, kCap), offset);
-      const SpscRing::Runs runs = ring.stage(n);
-      ASSERT_EQ(runs.first.size() + runs.second.size(), n);
-      EXPECT_EQ(runs.first.size(), std::min(n, kCap - offset));
-      fill_runs(runs, 100);
-      EXPECT_EQ(ring.size_approx(), 0u);
-      EXPECT_EQ(ring.drain(out, kCap), 0u);
-      ring.publish(n);
-      EXPECT_EQ(ring.size_approx(), n);
-      ASSERT_EQ(ring.drain(out, kCap), n);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(out[i], 100 + i);
+      for (std::size_t m = 1; m <= kCap; ++m) {
+        SCOPED_TRACE(testing::Message()
+                     << "offset " << offset << " stage " << n << " peek " << m);
+        SpscRing ring(kCap);
+        ASSERT_TRUE(push(ring, offset, 0));
+        ASSERT_EQ(pop(ring, kCap).size(), offset);
+        const SpscRing::Runs<std::uint64_t> runs = ring.stage(n);
+        ASSERT_EQ(runs.size(), n);
+        EXPECT_EQ(runs.first.size(), std::min(n, kCap - offset));
+        fill_runs(runs, 100);
+        EXPECT_EQ(ring.size_approx(), 0u);
+        EXPECT_EQ(ring.peek(kCap).size(), 0u);
+        ring.publish(n);
+        EXPECT_EQ(ring.size_approx(), n);
+
+        const SpscRing::Runs<const std::uint64_t> held = ring.peek(m);
+        const std::size_t k = std::min(n, m);
+        ASSERT_EQ(held.size(), k);
+        EXPECT_EQ(held.first.size(), std::min(k, kCap - offset));
+        EXPECT_EQ(held.first.data(), runs.first.data());
+        std::uint64_t want = 100;
+        for (const std::uint64_t key : held.first) EXPECT_EQ(key, want++);
+        for (const std::uint64_t key : held.second) EXPECT_EQ(key, want++);
+        EXPECT_EQ(ring.size_approx(), n);  // peeked, still queued
+
+        // Every slot is queued or held: no stage fits until a release.
+        EXPECT_EQ(ring.stage(kCap - n + 1).size(), 0u);
+        const SpscRing::Runs<std::uint64_t> spare = ring.stage(kCap - n);
+        ASSERT_EQ(spare.size(), kCap - n);
+        for (const auto& run : {spare.first, spare.second})
+          for (const std::uint64_t& slot : run)
+            for (const auto& kept : {held.first, held.second})
+              EXPECT_FALSE(&slot >= kept.data() &&
+                           &slot < kept.data() + kept.size());
+        fill_runs(spare, 900);  // must not touch the held keys
+        want = 100;
+        for (const std::uint64_t key : held.first) EXPECT_EQ(key, want++);
+        for (const std::uint64_t key : held.second) EXPECT_EQ(key, want++);
+
+        ring.release(k);
+        EXPECT_EQ(ring.size_approx(), n - k);
+        EXPECT_EQ(ring.stage(kCap - n + k).size(), kCap - n + k);
+        const std::vector<std::uint64_t> rest = pop(ring, kCap);
+        ASSERT_EQ(rest.size(), n - k);
+        for (std::size_t i = 0; i < rest.size(); ++i)
+          EXPECT_EQ(rest[i], 100 + k + i);
+      }
     }
   }
 }
 
 TEST(SpscRing, StageRefusesMoreThanTheFreeSlots) {
   SpscRing ring(8);
-  for (std::uint64_t i = 0; i < 3; ++i) ASSERT_TRUE(ring.try_push(i));
-  SpscRing::Runs runs = ring.stage(6);
+  ASSERT_TRUE(push(ring, 3, 0));
+  SpscRing::Runs<std::uint64_t> runs = ring.stage(6);
   EXPECT_TRUE(runs.first.empty());
   EXPECT_TRUE(runs.second.empty());
   EXPECT_EQ(ring.stage(5).first.size(), 5u);
   EXPECT_TRUE(ring.stage(9).first.empty());  // above capacity
-}
-
-TEST(SpscRing, PushNRightAfterStagedPublishesNeverOverfills) {
-  // stage() refreshes the producer's cached head.  Without that, push_n's
-  // room, computed from the cache, underflows once staged publishes move
-  // the tail a ring's length past it, and push_n overwrites queued keys.
-  SpscRing ring(8);
-  std::uint64_t out[8];
-  std::uint64_t next = 0;
-  std::uint64_t want = 0;
-  for (int round = 0; round < 20; ++round) {
-    const SpscRing::Runs runs = ring.stage(5);
-    ASSERT_EQ(runs.first.size() + runs.second.size(), 5u);
-    fill_runs(runs, next);
-    next += 5;
-    ring.publish(5);
-    const std::size_t pushed = ring.push_n(8, [&] { return next++; });
-    EXPECT_EQ(pushed, 3u) << "round " << round;
-    EXPECT_EQ(ring.size_approx(), 8u);
-    ASSERT_EQ(ring.drain(out, 8), 8u);
-    for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(out[i], want++);
-  }
+  // A peeked key is still queued: its slot stays out of reach until the
+  // consumer releases it.
+  EXPECT_EQ(ring.peek(3).size(), 3u);
+  EXPECT_TRUE(ring.stage(6).first.empty());
+  ring.release(2);
+  EXPECT_EQ(ring.stage(7).size(), 7u);
+  EXPECT_TRUE(ring.stage(8).first.empty());
 }
 
 TEST(SpscRing, UnpublishedStageIsOverwrittenByTheNextStage) {
   SpscRing ring(8);
-  std::uint64_t out[8];
-  ASSERT_TRUE(ring.try_push(1));
+  ASSERT_TRUE(push(ring, 1, 1));
   fill_runs(ring.stage(4), 500);  // a refused append: never published
-  const SpscRing::Runs runs = ring.stage(3);
+  const SpscRing::Runs<std::uint64_t> runs = ring.stage(3);
   ASSERT_EQ(runs.first.size(), 3u);
   fill_runs(runs, 2);
   ring.publish(3);
-  ASSERT_TRUE(ring.try_push(5));
-  ASSERT_EQ(ring.drain(out, 8), 5u);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(out[i], i + 1);
+  ASSERT_TRUE(push(ring, 1, 5));
+  const std::vector<std::uint64_t> out = pop(ring, 8);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
 }
 
 TEST(SpscRing, CrossThreadStressKeepsSequence) {
+  // Random stage and peek sizes on a small ring: the consumer applies
+  // each block where it lies, in order, while the producer stages into
+  // the slots it released.
   constexpr std::uint64_t kItems = 200'000;
-  SpscRing ring(64);
+  constexpr std::size_t kCap = 64;
+  SpscRing ring(kCap);
   std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kItems; ++i)
-      while (!ring.try_push(i)) std::this_thread::yield();
+    Rng rng(7);
+    std::uint64_t next = 0;
+    while (next < kItems) {
+      const std::size_t n = std::min<std::uint64_t>(1 + rng() % kCap,
+                                                    kItems - next);
+      const SpscRing::Runs<std::uint64_t> runs = ring.stage(n);
+      if (runs.size() < n) {
+        std::this_thread::yield();
+        continue;
+      }
+      fill_runs(runs, next);
+      ring.publish(n);
+      next += n;
+    }
   });
+  Rng rng(11);
   std::uint64_t expected = 0;
-  std::uint64_t buf[32];
   while (expected < kItems) {
-    std::size_t n = ring.drain(buf, 32);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(buf[i], expected++);
-    if (n == 0) std::this_thread::yield();
+    const SpscRing::Runs<const std::uint64_t> block =
+        ring.peek(1 + rng() % kCap);
+    for (const std::uint64_t key : block.first) ASSERT_EQ(key, expected++);
+    for (const std::uint64_t key : block.second) ASSERT_EQ(key, expected++);
+    ring.release(block.size());
+    if (block.size() == 0) std::this_thread::yield();
   }
   producer.join();
+  EXPECT_EQ(ring.size_approx(), 0u);
 }
 
 // ---------------------------- IngestPipeline -------------------------------

@@ -1,9 +1,6 @@
-// Sharded wrapper tests: routing determinism, parallel/sequential
-// equivalence, query semantics across shards, and the window-edge blur
-// bound.
+// Sharded wrapper tests: routing determinism, bulk/per-key equivalence,
+// query semantics across shards, and the window-edge blur bound.
 #include "she/sharded.hpp"
-
-#include <thread>
 
 #include "common/stats.hpp"
 #include "she/she.hpp"
@@ -57,7 +54,7 @@ TEST(Sharded, ParallelBulkEqualsSequentialRouting) {
   auto trace = stream::distinct_trace(4 * kWindow, 5);
 
   for (auto k : trace) seq.insert(k);
-  par.insert_bulk(trace, 4);
+  par.insert_bulk(trace);
 
   // Identical answers on inserted keys and on absent probes.
   for (std::size_t i = 0; i < trace.size(); i += 17)
@@ -74,20 +71,7 @@ TEST(Sharded, BulkSingleThreadPathEquivalentToo) {
   auto bulk = make_sharded_bf(3, kWindow);
   auto trace = stream::distinct_trace(2 * kWindow, 7);
   for (auto k : trace) seq.insert(k);
-  bulk.insert_bulk(trace, 1);
-  for (std::size_t i = 0; i < trace.size(); i += 13)
-    ASSERT_EQ(sharded_contains(seq, trace[i]), sharded_contains(bulk, trace[i]));
-}
-
-TEST(Sharded, BulkCapsThreadsAtShardCount) {
-  // More threads than shards must not spawn empty workers (and certainly
-  // not change the result).
-  constexpr std::uint64_t kWindow = 4096;
-  auto seq = make_sharded_bf(3, kWindow);
-  auto bulk = make_sharded_bf(3, kWindow);
-  auto trace = stream::distinct_trace(2 * kWindow, 29);
-  for (auto k : trace) seq.insert(k);
-  bulk.insert_bulk(trace, 64);
+  bulk.insert_bulk(trace);
   for (std::size_t i = 0; i < trace.size(); i += 13)
     ASSERT_EQ(sharded_contains(seq, trace[i]), sharded_contains(bulk, trace[i]));
 }
@@ -120,7 +104,7 @@ TEST(Sharded, OutdatedItemsExpireAcrossShards) {
   });
   s.insert(0xFEED);
   auto noise = stream::distinct_trace(10 * kWindow, 13);
-  s.insert_bulk(noise, 2);
+  s.insert_bulk(noise);
   EXPECT_FALSE(sharded_contains(s, 0xFEED));
 }
 

@@ -561,8 +561,7 @@ TEST(SimdDifferential, ShardedRoutingUnchanged) {
   const auto factory = [&](std::size_t) { return SheBloomFilter(cfg, 4); };
   Sharded<SheBloomFilter> bulk(5, factory);
   Sharded<SheBloomFilter> seq(5, factory);
-  bulk.insert_bulk(std::span<const std::uint64_t>(trace.data(), trace.size()),
-                   2);
+  bulk.insert_bulk(std::span<const std::uint64_t>(trace.data(), trace.size()));
   for (std::uint64_t key : trace) seq.insert(key);
   for (std::size_t s = 0; s < 5; ++s)
     ASSERT_EQ(serialized(bulk.shard(s)), serialized(seq.shard(s))) << s;

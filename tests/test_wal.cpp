@@ -983,35 +983,41 @@ TEST(WalPipeline, PushBulkOfARepeatedFrameSizeAllocatesNothing) {
 
 TEST(WalPipeline, FirstPushBulkOfASubBatchThatFitsTheRingAllocatesNothing) {
   // Each lane stages its sub-batch in the ring slots admission reserved
-  // and logs it from there, so even the first push of a frame size — and
-  // every larger one after it, wrapped across the ring's end or not —
-  // allocates nothing.  With two shards the (thread-local) routing buffer
-  // is warmed first through a pipeline without a WAL.
-  for (const std::size_t shards : {1u, 2u}) {
-    SCOPED_TRACE(shards);
-    const std::string dir = temp_dir("wal_first_push_noalloc");
-    runtime::PipelineOptions opt = wal_pipeline(dir);
-    opt.shards = shards;
-    std::vector<std::uint64_t> keys(4096);
-    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
-    if (shards > 1) {
-      runtime::PipelineOptions off;
-      off.shards = shards;
-      off.queue_capacity = keys.size();
-      runtime::IngestPipeline<SheBloomFilter> warm(off, small_filter);
-      ASSERT_EQ(warm.push_bulk(0, keys), keys.size());
+  // — and, with the WAL on, logs it from there — so even the first push
+  // of a frame size, and every larger one after it, wrapped across the
+  // ring's end or not, allocates nothing, with the WAL on or off.  With
+  // two shards the (thread-local) routing buffer is warmed first through
+  // a pipeline that is never started.
+  for (const WalMode wal : {WalMode::kAsync, WalMode::kOff}) {
+    for (const std::size_t shards : {1u, 2u}) {
+      SCOPED_TRACE(testing::Message() << "wal " << static_cast<int>(wal)
+                                      << " shards " << shards);
+      const std::string dir = temp_dir("wal_first_push_noalloc");
+      runtime::PipelineOptions opt = wal_pipeline(dir);
+      opt.shards = shards;
+      opt.wal_mode = wal;
+      std::vector<std::uint64_t> keys(4096);
+      for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
+      if (shards > 1) {
+        runtime::PipelineOptions off;
+        off.shards = shards;
+        off.queue_capacity = keys.size();
+        runtime::IngestPipeline<SheBloomFilter> warm(off, small_filter);
+        ASSERT_EQ(warm.push_bulk(0, keys), keys.size());
+      }
+      runtime::IngestPipeline<SheBloomFilter> pipe(opt, small_filter);
+      pipe.start();
+      for (const std::size_t n : {100u, 1000u, 3000u, 4096u}) {
+        SCOPED_TRACE(n);
+        const std::span<const std::uint64_t> frame(keys.data(), n);
+        EXPECT_EQ(
+            news_during([&] { ASSERT_EQ(pipe.push_bulk(0, frame), n); }),
+            0u);
+      }
+      pipe.close();
+      EXPECT_EQ(pipe.stats().inserted, 100u + 1000u + 3000u + 4096u);
+      std::filesystem::remove_all(dir);
     }
-    runtime::IngestPipeline<SheBloomFilter> pipe(opt, small_filter);
-    pipe.start();
-    for (const std::size_t n : {100u, 1000u, 3000u, 4096u}) {
-      SCOPED_TRACE(n);
-      const std::span<const std::uint64_t> frame(keys.data(), n);
-      EXPECT_EQ(news_during([&] { ASSERT_EQ(pipe.push_bulk(0, frame), n); }),
-                0u);
-    }
-    pipe.close();
-    EXPECT_EQ(pipe.stats().inserted, 100u + 1000u + 3000u + 4096u);
-    std::filesystem::remove_all(dir);
   }
 }
 

@@ -1,17 +1,18 @@
 #include "she/heavy_hitters.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace she {
 
-HeavyHitters::HeavyHitters(const SheConfig& cfg, unsigned hashes,
-                           std::size_t capacity)
-    : sketch_(cfg, hashes), capacity_(capacity) {
+HeavyHitters::HeavyHitters(SheCountMin sketch, std::size_t capacity)
+    : sketch_(std::move(sketch)), capacity_(capacity) {
   if (capacity == 0)
     throw std::invalid_argument("HeavyHitters: capacity must be > 0");
-  candidates_.reserve(capacity + 1);
+  since_refresh_ = refresh_phase();
 }
 
 void HeavyHitters::insert_batch(std::span<const std::uint64_t> keys) {
@@ -23,47 +24,52 @@ void HeavyHitters::insert_batch(std::span<const std::uint64_t> keys) {
   // sketch in one batch: its keys admit in order from their fused
   // estimates, and the refresh sees the sketch as of the chunk's last key —
   // the state the per-key loop refreshed against.
+  std::array<std::uint64_t, kChunk> estimates;
   while (!keys.empty()) {
-    const std::size_t n = std::min(keys.size(), capacity_ - since_refresh_);
+    const std::size_t n =
+        std::min({keys.size(), capacity_ - since_refresh_, kChunk});
     const std::span<const std::uint64_t> chunk = keys.first(n);
     keys = keys.subspan(n);
-    estimates_.resize(n);
-    sketch_.insert_batch_estimates(chunk, estimates_);
+    sketch_.insert_batch_estimates(chunk, estimates);
     since_refresh_ += n;
     const bool refresh = since_refresh_ == capacity_;
     const std::size_t before_refresh = refresh ? n - 1 : n;
     for (std::size_t i = 0; i < before_refresh; ++i)
-      maybe_admit(chunk[i], estimates_[i]);
+      maybe_admit(chunk[i], estimates[i]);
     if (!refresh) continue;
     since_refresh_ = 0;
-    const std::uint64_t last = estimates_[n - 1];
     refresh_candidates();
-    maybe_admit(chunk[n - 1], last);
+    maybe_admit(chunk[n - 1], estimates[n - 1]);
   }
 }
 
 void HeavyHitters::refresh_candidates() {
-  refresh_keys_.clear();
-  for (const auto& [cand, est] : candidates_) refresh_keys_.push_back(cand);
-  estimates_.resize(refresh_keys_.size());
-  sketch_.frequency_batch(refresh_keys_, estimates_);
-  std::size_t i = 0;
-  floor_ = kNoFloor;
-  for (auto& [cand, est] : candidates_) {
-    est = estimates_[i++];
-    floor_ = std::min(floor_, est);
+  sketch_.frequency_batch(keys_, est_);
+  floor_ = est_.empty() ? kNoFloor : std::ranges::min(est_);
+}
+
+std::size_t HeavyHitters::slot_of(std::uint64_t key) const {
+  std::size_t n = keys_.size();
+  if (n == 0) return 0;
+  const std::uint64_t* base = keys_.data();
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    base = base[half] < key ? base + half : base;
+    n -= half;
   }
+  return static_cast<std::size_t>(base - keys_.data()) + (*base < key);
 }
 
 void HeavyHitters::maybe_admit(std::uint64_t key, std::uint64_t estimate) {
-  auto it = candidates_.find(key);
-  if (it != candidates_.end()) {
-    it->second = estimate;
+  const std::size_t at = slot_of(key);
+  if (at < keys_.size() && keys_[at] == key) {
+    est_[at] = estimate;
     floor_ = std::min(floor_, estimate);
     return;
   }
-  if (candidates_.size() < capacity_) {
-    candidates_.emplace(key, estimate);
+  if (keys_.size() < capacity_) {
+    keys_.insert(keys_.begin() + at, key);
+    est_.insert(est_.begin() + at, estimate);
     floor_ = std::min(floor_, estimate);
     return;
   }
@@ -71,59 +77,81 @@ void HeavyHitters::maybe_admit(std::uint64_t key, std::uint64_t estimate) {
   if (estimate <= floor_) return;
   // Evict the weakest stored candidate if the newcomer beats it.  Stored
   // values may lag by up to one refresh period, which only makes eviction
-  // conservative.  Ties go to the smallest key, never to hash-map order,
-  // so a table restored from a checkpoint evicts what the original would.
-  auto weakest = candidates_.begin();
-  for (auto cand = candidates_.begin(); cand != candidates_.end(); ++cand)
-    if (std::pair(cand->second, cand->first) <
-        std::pair(weakest->second, weakest->first))
-      weakest = cand;
+  // conservative.  The first minimum is the smallest key among ties.
+  const std::size_t weakest =
+      static_cast<std::size_t>(std::ranges::min_element(est_) - est_.begin());
   // Exact now; an eviction below only replaces the minimum with a larger
   // value, so the bound stays valid.
-  floor_ = weakest->second;
-  if (estimate > weakest->second) {
-    candidates_.erase(weakest);
-    candidates_.emplace(key, estimate);
+  floor_ = est_[weakest];
+  if (estimate <= floor_) return;
+  // One shift of the entries between the evicted slot and the newcomer's
+  // sorted place (`at` counts the evicted entry when it lies below).
+  for (std::vector<std::uint64_t>* v : {&keys_, &est_}) {
+    const auto w = v->begin() + weakest, a = v->begin() + at;
+    if (weakest < at)
+      std::copy(w + 1, a, w);
+    else
+      std::copy_backward(a, w, w + 1);
   }
+  const std::size_t to = weakest < at ? at - 1 : at;
+  keys_[to] = key;
+  est_[to] = estimate;
 }
 
 std::vector<HeavyHitters::Entry> HeavyHitters::top(std::size_t k) const {
-  std::vector<Entry> out;
-  out.reserve(candidates_.size());
-  for (const auto& [key, stale] : candidates_) {
-    (void)stale;
-    out.push_back({key, sketch_.frequency(key)});
-  }
-  std::sort(out.begin(), out.end(), [](const Entry& a, const Entry& b) {
-    return a.estimate != b.estimate ? a.estimate > b.estimate : a.key < b.key;
-  });
-  if (out.size() > k) out.resize(k);
+  if (k == 0 || keys_.empty()) return {};
+  std::vector<std::uint64_t> now(keys_.size());
+  sketch_.frequency_batch(keys_, now);
+  std::vector<Entry> out(keys_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = {keys_[i], now[i]};
+  const std::size_t n = std::min(k, out.size());
+  std::partial_sort(out.begin(), out.begin() + n, out.end(), Entry::heavier);
+  out.resize(n);
   return out;
 }
 
 std::vector<HeavyHitters::Entry> HeavyHitters::candidates() const {
-  std::vector<Entry> out;
-  out.reserve(candidates_.size());
-  for (const auto& [key, est] : candidates_) out.push_back({key, est});
-  std::sort(out.begin(), out.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  std::vector<Entry> out(keys_.size());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = {keys_[i], est_[i]};
   return out;
 }
 
-void HeavyHitters::restore_candidates(const std::vector<Entry>& entries) {
-  candidates_.clear();
-  floor_ = kNoFloor;
-  for (const Entry& e : entries) {
-    if (candidates_.size() >= capacity_) break;
-    candidates_.emplace(e.key, e.estimate);
-    floor_ = std::min(floor_, e.estimate);
+void HeavyHitters::save(BinaryWriter& out) const {
+  sketch_.save(out);
+  out.u64(keys_.size());
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    out.u64(keys_[i]);
+    out.u64(est_[i]);
   }
-  since_refresh_ = refresh_phase();
+}
+
+HeavyHitters HeavyHitters::load(BinaryReader& in, std::size_t capacity) {
+  HeavyHitters hh(SheCountMin::load(in), capacity);
+  // The table never holds more than its capacity, nor more entries than
+  // the stream has bytes for; check both before sizing from the count.
+  const std::uint64_t count = in.u64();
+  if (count > capacity || count > in.remaining() / 16)
+    throw SerializeError("HeavyHitters: " + std::to_string(count) +
+                         " candidates exceed the table's capacity of " +
+                         std::to_string(capacity) + " or the stream");
+  hh.keys_.resize(static_cast<std::size_t>(count));
+  hh.est_.resize(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < hh.keys_.size(); ++i) {
+    hh.keys_[i] = in.u64();
+    hh.est_[i] = in.u64();
+    if (i > 0 && hh.keys_[i] <= hh.keys_[i - 1])
+      throw SerializeError(
+          "HeavyHitters: candidate keys are not strictly increasing at "
+          "entry " + std::to_string(i));
+  }
+  if (count > 0) hh.floor_ = std::ranges::min(hh.est_);
+  return hh;
 }
 
 void HeavyHitters::clear() {
   sketch_.clear();
-  candidates_.clear();
+  keys_.clear();
+  est_.clear();
   floor_ = kNoFloor;
   since_refresh_ = 0;
 }

@@ -11,6 +11,9 @@
 // arrival, while keys that left the window decay and are evicted on the
 // next refresh.
 //
+// The table is flat (keys ascending, their estimates alongside), so a copy
+// (a published view) is two vectors and the sketch.
+//
 // top(k) re-estimates every candidate at query time, so reported counts
 // reflect the *current* window even if the candidate entered long ago.
 //
@@ -23,7 +26,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "she/she_cm.hpp"
@@ -35,11 +37,16 @@ class HeavyHitters {
   struct Entry {
     std::uint64_t key;
     std::uint64_t estimate;
+    /// The order of every top list: heavier first, ties by key.
+    static bool heavier(const Entry& a, const Entry& b) {
+      return a.estimate != b.estimate ? a.estimate > b.estimate : a.key < b.key;
+    }
   };
 
   /// SHE-CM with `cfg`/`hashes`, candidate table of `capacity` keys
   /// (capacity should be a small multiple of the k you intend to query).
-  HeavyHitters(const SheConfig& cfg, unsigned hashes, std::size_t capacity);
+  HeavyHitters(const SheConfig& cfg, unsigned hashes, std::size_t capacity)
+      : HeavyHitters(SheCountMin(cfg, hashes), capacity) {}
 
   /// Insert one stream item (a batch of one).
   void insert(std::uint64_t key) {
@@ -60,29 +67,23 @@ class HeavyHitters {
 
   void clear();
 
-  /// Replace the underlying sketch (checkpoint restore).  The candidate
-  /// table restarts empty and re-populates as the resumed stream flows;
-  /// point queries are exact-as-before immediately, and the refresh phase
-  /// continues where the saved stream left it.
-  void restore_sketch(SheCountMin sketch) {
-    sketch_ = std::move(sketch);
-    candidates_.clear();
-    floor_ = kNoFloor;
-    since_refresh_ = refresh_phase();
-  }
-
   /// The stored candidate table (admission/refresh-time estimates),
-  /// sorted by key for deterministic serialization.
+  /// sorted by key.
   [[nodiscard]] std::vector<Entry> candidates() const;
 
-  /// Re-seed the candidate table after restore_sketch (entries beyond
-  /// capacity are ignored), so top() answers survive a checkpoint.
-  void restore_candidates(const std::vector<Entry>& entries);
+  /// Checkpoint / restore: the sketch, a u64 count, then (u64 key, u64
+  /// estimate) by ascending key.  load() throws SerializeError for a
+  /// malformed stream, a count above `capacity`, or keys that do not
+  /// strictly increase; the refresh phase continues where the saved
+  /// stream left it.
+  void save(BinaryWriter& out) const;
+  static HeavyHitters load(BinaryReader& in, std::size_t capacity);
 
   [[nodiscard]] std::uint64_t time() const { return sketch_.time(); }
-  [[nodiscard]] std::size_t candidate_count() const { return candidates_.size(); }
+  [[nodiscard]] std::size_t candidate_count() const { return keys_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] const SheCountMin& sketch() const { return sketch_; }
+  [[nodiscard]] const SheConfig& config() const { return sketch_.config(); }
 
   /// Sketch + candidate-table footprint (16 B per candidate slot).
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -92,6 +93,10 @@ class HeavyHitters {
  private:
   static constexpr std::uint64_t kNoFloor =
       std::numeric_limits<std::uint64_t>::max();
+  /// insert_batch stages this many fused estimates on the stack.
+  static constexpr std::size_t kChunk = 256;
+
+  HeavyHitters(SheCountMin sketch, std::size_t capacity);
 
   /// Keys since the last refresh: inserts are count-based only, so the
   /// sketch's time is the item count.
@@ -99,22 +104,23 @@ class HeavyHitters {
     return static_cast<std::size_t>(sketch_.time() % capacity_);
   }
 
+  /// Index of the first key in keys_ not below `key` (branch-free).
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const;
+
   void maybe_admit(std::uint64_t key, std::uint64_t estimate);
   void refresh_candidates();
 
   SheCountMin sketch_;
   std::size_t capacity_;
   std::size_t since_refresh_ = 0;
-  // Candidate set; values are the estimate at admission/refresh time and
-  // are re-estimated on query.
-  std::unordered_map<std::uint64_t, std::uint64_t> candidates_;
-  // Lower bound on every stored candidate value (exact after a refresh or
-  // a weakest-candidate scan).  A newcomer whose estimate does not exceed
+  // The candidate table: keys_ ascending, est_[i] the estimate of keys_[i]
+  // at admission/refresh time (re-estimated on query).
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> est_;
+  // Lower bound on every stored estimate (exact after a refresh or a
+  // weakest-candidate scan).  A newcomer whose estimate does not exceed
   // it cannot evict anyone, so the scan is skipped.  Derived, not state.
   std::uint64_t floor_ = kNoFloor;
-  // insert_batch/refresh staging (not state).
-  std::vector<std::uint64_t> estimates_;
-  std::vector<std::uint64_t> refresh_keys_;
 };
 
 }  // namespace she

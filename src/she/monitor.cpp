@@ -125,6 +125,12 @@ void MonitorConfig::validate() const {
     throw std::invalid_argument("MonitorConfig: enable at least one task");
   if (heavy_hitter_slots == 0)
     throw std::invalid_argument("MonitorConfig: heavy_hitter_slots must be > 0");
+  // A table wider than the budget has bytes is refused, built or loaded.
+  if (track_frequency && heavy_hitter_slots > memory_bytes)
+    throw std::invalid_argument(
+        "MonitorConfig: " + std::to_string(heavy_hitter_slots) +
+        " heavy-hitter slots exceed the " + std::to_string(memory_bytes) +
+        "-byte budget");
 }
 
 StreamMonitor::StreamMonitor(const MonitorConfig& cfg) : cfg_(cfg) {
@@ -198,7 +204,7 @@ namespace {
 // Per-shard slice of the global monitor config: window, budget and the
 // cardinality hint divide by the shard count (Sharded<T>'s window
 // semantics); heavy-hitter slots stay full so per-shard top-k lists merge
-// without starving any shard.
+// without starving any shard, so a shard budget below them fails validate().
 MonitorConfig shard_monitor_config(const MonitorConfig& global,
                                    std::size_t shards, std::size_t idx) {
   MonitorConfig c = global;
@@ -242,11 +248,7 @@ MonitorReport MonitorReport::combine(std::span<const MonitorReport> parts,
     rep.top.insert(rep.top.end(), local.top.begin(), local.top.end());
   }
   if (have_cardinality) rep.cardinality = cardinality;
-  std::sort(rep.top.begin(), rep.top.end(),
-            [](const HeavyHitters::Entry& a, const HeavyHitters::Entry& b) {
-              return a.estimate != b.estimate ? a.estimate > b.estimate
-                                              : a.key < b.key;
-            });
+  std::sort(rep.top.begin(), rep.top.end(), HeavyHitters::Entry::heavier);
   if (rep.top.size() > top_k) rep.top.resize(top_k);
   return rep;
 }
@@ -303,15 +305,7 @@ void StreamMonitor::save(BinaryWriter& out) const {
   if (membership_) membership_->save(out);
   if (card_bm_) card_bm_->save(out);
   if (card_hll_) card_hll_->save(out);
-  if (freq_) {
-    freq_->sketch().save(out);
-    auto cands = freq_->candidates();
-    out.u64(cands.size());
-    for (const auto& e : cands) {
-      out.u64(e.key);
-      out.u64(e.estimate);
-    }
-  }
+  if (freq_) freq_->save(out);
   if (sim_) sim_->save(out);
 }
 
@@ -332,8 +326,7 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
   // Nothing is sized from the budget fields: each sketch comes from the
   // stream, which bounds its cells by the bytes left, and must then have
   // the geometry those fields plan.  The candidate table is sized from
-  // heavy_hitter_slots only once the frequency sketch has pinned the
-  // budget, and only if it holds no more slots than the budget has bytes.
+  // its own count, which the stream bounds the same way.
   const Plan p = while_loading([&] {
     cfg.validate();
     return plan(cfg);
@@ -353,38 +346,9 @@ StreamMonitor StreamMonitor::load(BinaryReader& in) {
     mon.membership_ = planned(SheBloomFilter::load(in), *p.membership);
   if (p.bitmap) mon.card_bm_ = planned(SheBitmap::load(in), *p.bitmap);
   if (p.hll) mon.card_hll_ = planned(SheHyperLogLog::load(in), *p.hll);
-  if (p.frequency) {
-    SheCountMin sketch = planned(SheCountMin::load(in), *p.frequency);
-    if (cfg.heavy_hitter_slots > cfg.memory_bytes)
-      throw SerializeError("StreamMonitor: " +
-                           std::to_string(cfg.heavy_hitter_slots) +
-                           " heavy-hitter slots exceed the " +
-                           std::to_string(cfg.memory_bytes) + "-byte budget");
-    // The table never holds more than its capacity; check before sizing
-    // a vector from an untrusted count.
-    const std::uint64_t count = in.u64();
-    if (count > cfg.heavy_hitter_slots)
-      throw SerializeError("StreamMonitor: " + std::to_string(count) +
-                           " heavy-hitter candidates exceed the table's "
-                           "capacity of " +
-                           std::to_string(cfg.heavy_hitter_slots));
-    in.expect_remaining(16 * count);
-    // save() writes the table sorted by key, each key once; anything else
-    // would lose a duplicate in restore_candidates and not save back to
-    // the same bytes.
-    std::vector<HeavyHitters::Entry> cands(static_cast<std::size_t>(count));
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      cands[i].key = in.u64();
-      cands[i].estimate = in.u64();
-      if (i > 0 && cands[i].key <= cands[i - 1].key)
-        throw SerializeError(
-            "StreamMonitor: heavy-hitter candidate keys are not strictly "
-            "increasing at entry " + std::to_string(i));
-    }
-    mon.freq_.emplace(*p.frequency, 8, cfg.heavy_hitter_slots);
-    mon.freq_->restore_sketch(std::move(sketch));
-    mon.freq_->restore_candidates(cands);
-  }
+  if (p.frequency)
+    mon.freq_ = planned(HeavyHitters::load(in, cfg.heavy_hitter_slots),
+                        *p.frequency);
   if (p.similarity)
     mon.sim_ = planned(SheMinHash::load(in), *p.similarity);
   return mon;

@@ -35,7 +35,7 @@ struct MonitorConfig {
   bool track_similarity = false;  ///< keep a SHE-MH signature for jaccard()
   bool use_hll = false;        ///< cardinality via HLL instead of Bitmap
   double expected_cardinality = 0;  ///< 0 = assume window/4 (for Eq. 2)
-  std::size_t heavy_hitter_slots = 64;
+  std::size_t heavy_hitter_slots = 64;  ///< at most memory_bytes
   std::size_t similarity_slots = 0;  ///< SHE-MH signature slots; 0 = auto
   std::uint32_t seed = 0;
 
@@ -104,9 +104,8 @@ class StreamMonitor {
   [[nodiscard]] std::size_t memory_bytes() const;
 
   /// Checkpoint / restore the whole monitor.  load() throws
-  /// SerializeError for a malformed stream, and for a frequency-tracking
-  /// monitor with more heavy_hitter_slots than memory_bytes: the budget
-  /// is the only bound a stream gives the table it sizes.
+  /// SerializeError for a malformed stream, and for a header whose config
+  /// fails MonitorConfig::validate().
   void save(BinaryWriter& out) const;
   static StreamMonitor load(BinaryReader& in);
 

@@ -90,7 +90,7 @@ TEST(BitArrayGaps, IntersectionWorks) {
   EXPECT_FALSE(a.test(90));
 }
 
-TEST(HeavyHittersGaps, RestoreSketchKeepsPointQueries) {
+TEST(HeavyHittersGaps, LoadKeepsPointQueriesAndCandidates) {
   SheConfig cfg;
   cfg.window = 2048;
   cfg.cells = 1 << 13;
@@ -98,18 +98,24 @@ TEST(HeavyHittersGaps, RestoreSketchKeepsPointQueries) {
   cfg.alpha = 1.0;
   HeavyHitters hh(cfg, 8, 16);
   for (int i = 0; i < 500; ++i) hh.insert(42);
+  hh.insert(7);
 
   std::vector<char> buf;
   BinaryWriter w(buf);
-  hh.sketch().save(w);
+  hh.save(w);
   BinaryReader r(buf);
+  HeavyHitters back = HeavyHitters::load(r, 16);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(back.frequency(42), hh.frequency(42));
+  EXPECT_EQ(back.candidate_count(), 2u);
+  ASSERT_EQ(back.top(1).size(), 1u);
+  EXPECT_EQ(back.top(1)[0].key, 42u);
+  back.insert(9);
+  EXPECT_EQ(back.candidate_count(), 3u);
 
-  HeavyHitters fresh(cfg, 8, 16);
-  fresh.restore_sketch(SheCountMin::load(r));
-  EXPECT_EQ(fresh.frequency(42), hh.frequency(42));
-  EXPECT_EQ(fresh.candidate_count(), 0u);  // candidates rebuild from stream
-  fresh.insert(42);
-  EXPECT_EQ(fresh.candidate_count(), 1u);
+  // A table wider than the capacity it is loaded into is malformed.
+  BinaryReader narrow(buf);
+  EXPECT_THROW((void)HeavyHitters::load(narrow, 1), SerializeError);
 }
 
 TEST(ShardedGaps, OwnerAccessorsConsistent) {

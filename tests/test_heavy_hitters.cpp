@@ -330,7 +330,7 @@ TEST(HeavyHittersBatch, MatchesPerKeyAlgorithmByteForByte) {
     const SheConfig cfg = small_config(c.window, c.cells, c.alpha);
     const auto keys = skewed_stream(std::max<std::size_t>(4 * c.window, 6000),
                                     4 * c.window + 500, c.window);
-    for (const std::size_t capacity : {1u, 3u, 64u, 200u}) {
+    for (const std::size_t capacity : {1u, 3u, 64u, 200u, 4096u}) {
       for (const std::size_t batch : {1u, 5u, 37u, 256u, 8192u}) {
         for (const bool scalar : {false, true}) {
           const simd::ScopedForceScalar pin(scalar);

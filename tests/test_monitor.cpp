@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/bobhash.hpp"
+#include "obs/she_metrics.hpp"
 #include "stream/oracle.hpp"
 #include "stream/trace.hpp"
 #include <gtest/gtest.h>
@@ -35,6 +36,18 @@ TEST(Monitor, ConfigValidation) {
   cfg = small_cfg();
   cfg.heavy_hitter_slots = 0;
   EXPECT_THROW(StreamMonitor{cfg}, std::invalid_argument);
+
+  // More heavy-hitter slots than budget bytes is the one table shape
+  // load() refuses, so no monitor is built with it; a monitor that keeps
+  // no table ignores the slot count.
+  cfg = small_cfg();
+  cfg.heavy_hitter_slots = cfg.memory_bytes + 1;
+  EXPECT_THROW(StreamMonitor{cfg}, std::invalid_argument);
+  cfg.heavy_hitter_slots = cfg.memory_bytes;
+  EXPECT_NO_THROW(StreamMonitor{cfg});
+  cfg.heavy_hitter_slots = cfg.memory_bytes + 1;
+  cfg.track_frequency = false;
+  EXPECT_NO_THROW(StreamMonitor{cfg});
 }
 
 TEST(Monitor, DisabledTasksThrowOnQuery) {
@@ -251,6 +264,39 @@ TEST(Monitor, ResumedMonitorIsByteIdenticalOnTiedCandidates) {
   live.insert_batch(all.subspan(cut));
   resumed.insert_batch(all.subspan(cut));
   EXPECT_TRUE(monitor_bytes(resumed) == monitor_bytes(live));
+}
+
+TEST(Monitor, SaveLoadSaveIsByteIdenticalAt4096Slots) {
+  MonitorConfig cfg = small_cfg();
+  cfg.heavy_hitter_slots = 4096;
+  StreamMonitor mon(cfg);
+  for (auto k : stream::distinct_trace(3 * cfg.window, 6)) mon.insert(k);
+  ASSERT_EQ(mon.heavy_hitters()->candidate_count(), 4096u);
+  const std::string image = monitor_bytes(mon);
+  BinaryReader r(image);
+  const StreamMonitor back = StreamMonitor::load(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_TRUE(monitor_bytes(back) == image);
+}
+
+TEST(Monitor, ReportOfZeroReEstimatesNoCandidate) {
+  // A cardinality query asks for report(0): the top-k list it throws away
+  // must not be re-estimated first.
+  StreamMonitor mon(small_cfg());
+  for (auto k : stream::distinct_trace(small_cfg().window, 2)) mon.insert(k);
+  ASSERT_GT(mon.heavy_hitters()->candidate_count(), 0u);
+  const bool was = obs::enabled();
+  obs::set_enabled(true);
+  const std::uint64_t before = obs::she_metrics().hash_calls.value();
+  const MonitorReport rep = mon.report(0);
+  const std::uint64_t after = obs::she_metrics().hash_calls.value();
+  (void)mon.report(1);
+  const std::uint64_t one = obs::she_metrics().hash_calls.value();
+  obs::set_enabled(was);
+  EXPECT_TRUE(rep.top.empty());
+  EXPECT_TRUE(rep.cardinality.has_value());
+  EXPECT_EQ(after, before);
+  EXPECT_GT(one, after);  // the counter is live: top(1) re-estimates
 }
 
 TEST(Monitor, ClearResets) {

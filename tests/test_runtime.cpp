@@ -15,7 +15,8 @@
 //     never splits an admitted sub-batch; threads sharing one producer
 //     index keep every sub-batch contiguous, WAL on and off.
 //   * ConcurrentMonitor: queries under load within the same error bounds
-//     as the single-threaded estimators.
+//     as the single-threaded estimators; a shard budget too small for the
+//     heavy-hitter table is refused at construction.
 #include "runtime/ingest_pipeline.hpp"
 
 #include <atomic>
@@ -998,6 +999,23 @@ TEST(ConcurrentMonitor, ReadersWhilePublishingEveryItem) {
 
 TEST(ConcurrentMonitor, FrameTrimsRacePublishesAndReaders) {
   readers_while_publishing_every_item(true);
+}
+
+// Every shard's slice of the budget must hold the full heavy-hitter
+// table: 256 KB over 256 shards is 1024 bytes a shard, below 1500 slots.
+// Such a monitor must not build, since its checkpoints could not load.
+TEST(ConcurrentMonitor, ShardBudgetBelowTheHeavyHitterSlotsIsRefused) {
+  MonitorConfig mcfg;
+  mcfg.window = 1 << 16;
+  mcfg.memory_bytes = 256 << 10;
+  mcfg.heavy_hitter_slots = 1500;
+  EXPECT_NO_THROW(mcfg.validate());
+  PipelineOptions pcfg;
+  pcfg.shards = 256;
+  pcfg.queue_capacity = 64;
+  EXPECT_THROW((void)ConcurrentMonitor(mcfg, pcfg), std::invalid_argument);
+  pcfg.shards = 128;  // 2048 bytes a shard
+  EXPECT_NO_THROW((void)ConcurrentMonitor(mcfg, pcfg));
 }
 
 // A create/ingest/read/close loop returns every cell frame to the pool,

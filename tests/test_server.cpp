@@ -374,6 +374,20 @@ TEST(PipelineManager, CreateFindDropAndDirLifecycle) {
   EXPECT_EQ(e->insert_bulk(keys), 0u);
 }
 
+TEST(PipelineManager, CreateWhoseShardBudgetCannotHoldTheTableFails) {
+  // 4K over 4 shards is 1024 bytes a shard, below 2000 heavy-hitter
+  // slots: the shards would save checkpoints that no resume could load,
+  // so CREATE fails and leaves no spec for resume_all().
+  const std::string root = temp_dir("mgr_hh_slots");
+  PipelineManager mgr({root, /*keep=*/1, /*resume=*/false});
+  EXPECT_THROW((void)mgr.create("narrow", "memory=4K shards=4 hh-slots=2000"),
+               std::invalid_argument);
+  EXPECT_EQ(mgr.find("narrow"), nullptr);
+  EXPECT_FALSE(std::filesystem::exists(
+      std::filesystem::path(root) / "narrow"));
+  EXPECT_NE(mgr.create("narrow", "memory=8K shards=4 hh-slots=2000"), nullptr);
+}
+
 /// Durable ops on `<name>/spec*` paths, recorded by spec_op_hook.
 std::vector<std::pair<DurableOp, std::string>>& spec_ops() {
   static std::vector<std::pair<DurableOp, std::string>> ops;

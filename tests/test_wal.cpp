@@ -8,7 +8,9 @@
 // segment's worth, however long the log).  The batched point queries
 // share the allocation count here: a frequency or membership batch makes
 // none.  So do checkpoint writes: a shard worker's checkpoint allocates
-// its gather list, never the estimator's image.
+// its gather list, never the estimator's image.  A StreamMonitor copy (a
+// published view) allocates as many blocks whatever its heavy-hitter
+// table's size.
 // This binary carries the ctest label `tsan` (see tests/CMakeLists.txt):
 // producers for one shard serialize appends on the ShardWal mutex, and
 // that surface must stay clean under ThreadSanitizer.
@@ -940,6 +942,27 @@ TEST(BatchQueries, FrequencyAndContainsBatchAllocateNothing) {
     EXPECT_EQ(counts[i], cm.frequency(keys[i]));
     EXPECT_NE(present[i], 0);
   }
+}
+
+TEST(MonitorCopy, AllocatesTheSameBlocksAtEveryHeavyHitterTableSize) {
+  // A published view is a copy of the shard's StreamMonitor.  The
+  // candidate table is two flat vectors, so the copy allocates as many
+  // blocks with 1024 filled slots as with 64.
+  const auto copy_news = [](std::size_t slots) {
+    MonitorConfig cfg;
+    cfg.window = 1 << 15;
+    cfg.memory_bytes = 512 << 10;
+    cfg.heavy_hitter_slots = slots;
+    StreamMonitor mon(cfg);
+    std::vector<std::uint64_t> keys(4 * slots);
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = i * 0x9E3779B9ull;
+    mon.insert_batch(keys);
+    EXPECT_EQ(mon.heavy_hitters()->candidate_count(), slots);
+    { const StreamMonitor warm = mon; }  // pool frames for the copy
+    return news_during([&] { const StreamMonitor copy = mon; });
+  };
+  const std::size_t narrow = copy_news(64);
+  EXPECT_EQ(copy_news(1024), narrow);
 }
 
 runtime::PipelineOptions wal_pipeline(const std::string& dir) {

@@ -4,8 +4,8 @@
 // for every (producers, shards) combination, with an optional concurrent
 // reader hammering snapshot queries, and reports aggregate insert
 // throughput.  Each row is also emitted as one JSON object (the
-// RuntimeStats report plus the sweep coordinates) so runs are
-// machine-comparable across hosts.
+// pipeline's metric registry, as obs::write_json renders it, plus the
+// sweep coordinates) so runs are machine-comparable across hosts.
 //
 // The interesting acceptance signal is insert scaling with shard count
 // (>=2x from 1 to 4 shards on multi-core hosts); on a single-core host the
@@ -14,9 +14,11 @@
 //
 // It is also an end-to-end check of the commit lanes and shard rings: the
 // process exits 1 when any sweep row applied a different number of keys
-// (`stats.inserted`) than its producers pushed, or dropped any.
+// (she_pipeline_inserted_total) than its producers pushed, or dropped any
+// (she_pipeline_dropped_total).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -28,6 +30,7 @@
 
 #include "common.hpp"
 #include "common/stats.hpp"
+#include "obs/export.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "she/she.hpp"
 #include "stream/oracle.hpp"
@@ -61,9 +64,11 @@ IngestPipeline<SheBloomFilter>::Factory bf_factory(std::size_t shards) {
 
 struct RunResult {
   std::uint64_t pushed = 0;  ///< keys the producers handed to push_bulk
+  std::uint64_t inserted = 0;  ///< she_pipeline_inserted_total
+  std::uint64_t dropped = 0;   ///< she_pipeline_dropped_total
   double mips = 0;
   double queries_per_sec = 0;
-  runtime::RuntimeStats stats;
+  std::string metrics_json;  ///< the pipeline registry after close()
 };
 
 RunResult run_once(const stream::Trace& trace, std::size_t producers,
@@ -93,8 +98,7 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   }
 
   std::atomic<std::uint64_t> pushed{0};
-  MopsTimer timer;
-  timer.start();
+  const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::thread> pool;
   pool.reserve(producers);
   for (std::size_t p = 0; p < producers; ++p) {
@@ -112,15 +116,22 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   }
   for (auto& t : pool) t.join();
   pipe.close();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
   RunResult r;
   r.pushed = pushed.load();
-  r.mips = timer.stop(trace.size());
-  r.stats = pipe.stats();
+  r.mips = static_cast<double>(trace.size()) / elapsed / 1e6;
+  const obs::Registry& reg = pipe.metrics_registry();
+  r.inserted = reg.sum("she_pipeline_inserted_total");
+  r.dropped = reg.sum("she_pipeline_dropped_total");
+  std::ostringstream json;
+  obs::write_json(json, reg);
+  r.metrics_json = json.str();
   if (with_reader) {
     done.store(true, std::memory_order_release);
     reader.join();
-    r.queries_per_sec = static_cast<double>(queries.load()) /
-                        r.stats.elapsed_seconds;
+    r.queries_per_sec = static_cast<double>(queries.load()) / elapsed;
   }
   return r;
 }
@@ -134,8 +145,7 @@ bool sweep(std::vector<std::string>& json_rows) {
   std::printf("(hardware_concurrency on this machine: %u — scaling is capped "
               "by the physical core count)\n",
               std::thread::hardware_concurrency());
-  Table table({"producers", "shards", "Mips", "speedup-vs-1shard", "q/s",
-               "hwm"});
+  Table table({"producers", "shards", "Mips", "speedup-vs-1shard", "q/s"});
   bool exact = true;
   for (std::size_t producers : {1u, 2u, 4u}) {
     double base = 0;
@@ -143,22 +153,22 @@ bool sweep(std::vector<std::string>& json_rows) {
       RunResult r = run_once(trace, producers, shards, /*with_reader=*/true);
       if (shards == 1) base = r.mips;
       table.add(producers, shards, fmt(r.mips), fmt(r.mips / base),
-                fmt(r.queries_per_sec), r.stats.queue_hwm);
+                fmt(r.queries_per_sec));
       std::ostringstream row;
       row << "{\"producers\":" << producers << ",\"shards\":" << shards
           << ",\"mips\":" << r.mips
           << ",\"queries_per_sec\":" << r.queries_per_sec
-          << ",\"stats\":" << r.stats.to_json() << "}";
+          << ",\"stats\":" << r.metrics_json << "}";
       json_rows.push_back(row.str());
       std::printf("JSON %s\n", row.str().c_str());
-      if (r.stats.inserted != r.pushed || r.stats.dropped > 0) {
+      if (r.inserted != r.pushed || r.dropped > 0) {
         std::fprintf(stderr,
                      "producers=%zu shards=%zu: pushed %llu keys, inserted "
                      "%llu, dropped %llu\n",
                      producers, shards,
                      static_cast<unsigned long long>(r.pushed),
-                     static_cast<unsigned long long>(r.stats.inserted),
-                     static_cast<unsigned long long>(r.stats.dropped));
+                     static_cast<unsigned long long>(r.inserted),
+                     static_cast<unsigned long long>(r.dropped));
         exact = false;
       }
     }
@@ -196,7 +206,8 @@ void accuracy_under_load(std::vector<std::string>& json_rows) {
       oracle.insert(trace[i]);
       if (i > 2 * kN && i % (kN / 2) == 0) {
         // Let the worker catch up, then query the live snapshots.
-        while (pipe.stats().inserted < i - opt.queue_capacity)
+        while (pipe.metrics_registry().sum("she_pipeline_inserted_total") <
+               i - opt.queue_capacity)
           std::this_thread::yield();
         double est = 0;
         for (std::size_t s = 0; s < shards; ++s)

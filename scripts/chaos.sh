@@ -147,9 +147,12 @@ boot_at() { # boot_at <port> <checkpoint-root> [extra args...]; sets BOOT_PID
   return 1
 }
 
-produced_of() { # produced_of <port> <name> — accepted-item count from stats
+produced_of() { # produced_of <port> <name> — accepted-item count: the
+  # she_pipeline_produced_total series of the STATS document, summed
   { $TOOL client --port "$1" --op stats --name "$2" 2>/dev/null || true; } |
-    sed -n 's/.*"produced":\([0-9][0-9]*\).*/\1/p'
+    grep -o '"name":"she_pipeline_produced_total"[^}]*}[^}]*' |
+    sed -n 's/.*"value":\([0-9][0-9]*\).*/\1/p' |
+    awk '{ s += $1; n++ } END { if (n) print s }'
 }
 
 wait_caught_up() { # wait_caught_up <name...> — standby holds every item

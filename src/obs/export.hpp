@@ -41,8 +41,8 @@ void write_json(std::ostream& os, std::span<const Registry* const> registries);
 void write_json(std::ostream& os, std::span<const LabeledRegistry> registries);
 void write_json(std::ostream& os, const Registry& registry);
 
-/// Escape a string for use inside a JSON string literal (shared with
-/// RuntimeStats::to_json and the exporters' label rendering).
+/// Escape a string for use inside a JSON string literal (the exporters'
+/// label rendering and the server's /healthz document).
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace she::obs

@@ -100,6 +100,15 @@ std::vector<Registry::Entry> Registry::entries() const {
   return out;
 }
 
+std::uint64_t Registry::sum(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t total = 0;
+  for (const Row& r : rows_)
+    if (r.kind == Kind::kCounter && r.name == name)
+      total += counters_[r.index].value();
+  return total;
+}
+
 Registry& default_registry() {
   static Registry reg;
   return reg;

@@ -33,6 +33,7 @@
 #include <deque>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -230,6 +231,11 @@ class Registry {
   /// A consistent copy of the registration list, in registration order.
   /// Metric values are still read live through the entry pointers.
   [[nodiscard]] std::vector<Entry> entries() const;
+
+  /// Total of every counter series named `name`, across its label sets
+  /// (e.g. a pipeline's per-shard she_pipeline_inserted_total); 0 when no
+  /// counter by that name is registered.
+  [[nodiscard]] std::uint64_t sum(std::string_view name) const;
 
  private:
   struct Row {

@@ -30,4 +30,21 @@ void PipelineOptions::validate() const {
         "beside the shard checkpoints it backstops)");
 }
 
+void RateWindow::sample(std::int64_t now_ns, std::uint64_t total) {
+  samples_.emplace_back(now_ns, total);
+  // Keep one sample at or before the window start so the rate really
+  // covers the whole window, not just the interior samples.
+  while (samples_.size() > 2 && samples_[1].first <= now_ns - window_ns_)
+    samples_.pop_front();
+}
+
+double RateWindow::rate() const {
+  if (samples_.size() < 2) return 0.0;
+  const auto& [t0, c0] = samples_.front();
+  const auto& [t1, c1] = samples_.back();
+  if (t1 <= t0 || c1 < c0) return 0.0;
+  return static_cast<double>(c1 - c0) /
+         (static_cast<double>(t1 - t0) / 1e9);
+}
+
 }  // namespace she::runtime

@@ -93,18 +93,18 @@
 // Observability: every pipeline owns a private obs::Registry (always on,
 // independent of the global obs::enabled() toggle) holding the per-shard
 // counters, drain/publish latency histograms, queue-depth gauges,
-// backpressure stall time, and the fault/recovery counters (restarts,
-// faults, wedges, items lost/replayed, checkpoints, push timeouts);
-// RuntimeStats is a plain-struct view over it (see stats()), including a
-// windowed items/s rate (`kRateWindowS`) that makes restart dips visible
-// where the whole-run average would smooth them away.  Push latency is
-// sampled (1 in 64 calls) only while the global telemetry toggle is
-// enabled, so a lane commit otherwise costs one bulk ring push and one
-// counter add per sub-batch.  The supervisor refreshes the queue-depth
-// gauges on every tick (close() once more, after the final drain) and
-// feeds the windowed rate every
-// `kRateSampleIntervalMs`, so scrapes see backlog and rate even when
-// nobody calls stats() or a worker is stuck inside a long sweep.
+// backpressure stall time, the fault/recovery counters (restarts,
+// faults, wedges, items lost/replayed, checkpoints, push timeouts) and a
+// windowed items/s rate gauge (`kRateWindowS`) that makes restart dips
+// visible where a whole-run average would smooth them away.  The registry
+// is the only home of these counters: export it, or total a family with
+// obs::Registry::sum.  Push latency is sampled (1 in 64 calls) only while
+// the global telemetry toggle is enabled, so a lane commit otherwise costs
+// one bulk ring push and one counter add per sub-batch.  The supervisor
+// refreshes the queue-depth gauges on every tick (close() once more, after
+// the final drain) and is the only thing that feeds the windowed rate,
+// every `kRateSampleIntervalMs`, so scrapes see backlog and rate even
+// while a worker is stuck inside a long sweep.
 //
 // Estimator requirements: copyable (each publish copies the estimator),
 // `insert(uint64_t)`, `save(BinaryWriter&) const`,
@@ -119,7 +119,7 @@
 //     concurrently, with a producer index below `producers`
 //     (std::out_of_range otherwise).  The index only labels
 //     she_pipeline_produced_total; lanes serialize per shard.
-//   * view()/snapshot()/stats()/shard_of()/metrics_registry()/faulted():
+//   * view()/snapshot()/shard_of()/metrics_registry()/faulted():
 //     any thread, any time.
 //   * start()/close(): one controlling thread; do not call push()
 //     concurrently with close() — join your producers first.  close() on
@@ -142,6 +142,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -151,6 +152,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bobhash.hpp"
@@ -161,7 +163,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/ring_buffer.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/snapshot.hpp"
 #include "she/sharded.hpp"
 
@@ -221,6 +222,29 @@ static_assert(PipelineOptions::kMaxShards - 1 <=
                   std::numeric_limits<std::uint8_t>::max(),
               "push_bulk routes each key into one byte per shard index");
 
+/// Sliding-window rate estimator behind she_pipeline_rate_items_per_sec:
+/// feed (timestamp, monotone total) samples, read the rate over the
+/// retained window.  A restart-induced throughput dip is visible here long
+/// after a whole-run average has smoothed it away.  Not thread-safe — one
+/// pipeline's supervisor thread owns it.
+class RateWindow {
+ public:
+  explicit RateWindow(std::uint64_t window_seconds)
+      : window_ns_(static_cast<std::int64_t>(window_seconds) * 1'000'000'000) {}
+
+  /// Record `total` items as of `now_ns`, discarding samples that fell out
+  /// of the window.  Timestamps must be monotone.
+  void sample(std::int64_t now_ns, std::uint64_t total);
+
+  /// Items/s between the oldest retained and the newest sample; 0 until
+  /// two samples span a nonzero interval.
+  [[nodiscard]] double rate() const;
+
+ private:
+  std::int64_t window_ns_;
+  std::deque<std::pair<std::int64_t, std::uint64_t>> samples_;
+};
+
 template <typename Estimator>
 class IngestPipeline {
  public:
@@ -235,7 +259,7 @@ class IngestPipeline {
   /// The supervisor feeds the windowed rate at most this often, so the
   /// window holds about kRateWindowS * 1000 / kRateSampleIntervalMs samples.
   static constexpr std::size_t kRateSampleIntervalMs = 100;
-  /// Width of the windowed items/s view (RuntimeStats::rate_window_s).
+  /// Width of the window behind she_pipeline_rate_items_per_sec.
   static constexpr std::size_t kRateWindowS = 10;
   /// Most keys a worker applies from its ring, in place, before it
   /// releases their slots.
@@ -251,7 +275,7 @@ class IngestPipeline {
   /// (corrupt frames throw CheckpointError) — and publishes their initial
   /// snapshots; workers start with start().
   IngestPipeline(const PipelineOptions& opt, const Factory& factory)
-      : opt_(opt), rate_window_(kRateWindowS) {
+      : opt_(opt) {
     opt_.validate();
     drain_hist_ = &registry_.histogram(
         "she_pipeline_drain_latency_ns",
@@ -360,7 +384,6 @@ class IngestPipeline {
       produced_.push_back(&registry_.counter(
           "she_pipeline_produced_total", "accepted pushes per producer",
           {{"producer", std::to_string(p)}}));
-    start_ns_.store(now_ns(), std::memory_order_relaxed);
   }
 
   IngestPipeline(const IngestPipeline&) = delete;
@@ -409,7 +432,6 @@ class IngestPipeline {
     if (closed_.load(std::memory_order_relaxed))
       throw std::logic_error("IngestPipeline: already closed");
     started_.store(true, std::memory_order_relaxed);
-    start_ns_.store(now_ns(), std::memory_order_relaxed);
     workers_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s)
       workers_.emplace_back([this, s] { worker_entry(s); });
@@ -736,7 +758,6 @@ class IngestPipeline {
     for (const auto& sh : shards_)
       sh->queue_depth->set(static_cast<std::int64_t>(sh->ring.size_approx()));
     closed_.store(true, std::memory_order_relaxed);
-    stop_ns_.store(now_ns(), std::memory_order_relaxed);
   }
 
   /// Drain-then-publish barrier: ask every live shard worker to finish
@@ -805,51 +826,6 @@ class IngestPipeline {
   /// obs::default_registry().
   [[nodiscard]] const obs::Registry& metrics_registry() const {
     return registry_;
-  }
-
-  /// Plain-struct view over the registry counters (see RuntimeStats).
-  [[nodiscard]] RuntimeStats stats() const {
-    RuntimeStats st;
-    st.shards = opt_.shards;
-    st.producers = opt_.producers;
-    st.per_shard.reserve(opt_.shards);
-    for (const auto& sh : shards_) {
-      ShardStats ss;
-      ss.inserted = sh->inserted->value();
-      ss.dropped = sh->dropped->value();
-      ss.drains = sh->drains->value();
-      ss.publishes = sh->publishes->value();
-      ss.queue_hwm = static_cast<std::uint64_t>(sh->queue_hwm->value());
-      ss.restarts = sh->restarts->value();
-      ss.faults = sh->faults->value();
-      ss.lost = sh->lost->value();
-      ss.replayed = sh->replayed->value();
-      ss.checkpoints = sh->checkpoints->value();
-      st.inserted += ss.inserted;
-      st.dropped += ss.dropped;
-      st.drains += ss.drains;
-      st.publishes += ss.publishes;
-      st.queue_hwm = std::max(st.queue_hwm, ss.queue_hwm);
-      st.worker_restarts += ss.restarts;
-      st.worker_faults += ss.faults;
-      st.worker_wedged += sh->wedged->value();
-      st.items_lost += ss.lost;
-      st.items_replayed += ss.replayed;
-      st.checkpoints += ss.checkpoints;
-      st.per_shard.push_back(ss);
-    }
-    for (const obs::Counter* c : produced_) st.produced += c->value();
-    st.stall_ns = stall_ns_->value();
-    st.stall_events = stall_events_->value();
-    st.push_timeouts = push_timeouts_->value();
-    const std::int64_t start = start_ns_.load(std::memory_order_relaxed);
-    const std::int64_t stop = closed_.load(std::memory_order_relaxed)
-                                  ? stop_ns_.load(std::memory_order_relaxed)
-                                  : now_ns();
-    st.set_rate(static_cast<double>(stop - start) / 1e9);
-    st.rate_window_s = kRateWindowS;
-    st.recent_items_per_sec = sample_rate(st.inserted);
-    return st;
   }
 
  private:
@@ -1251,6 +1227,7 @@ class IngestPipeline {
         static_cast<std::int64_t>(kHeartbeatTimeoutMs) * 1'000'000;
     constexpr std::int64_t kRateSampleIntervalNs =
         static_cast<std::int64_t>(kRateSampleIntervalMs) * 1'000'000;
+    RateWindow rate_window(kRateWindowS);
     std::int64_t last_rate_sample = 0;
     while (!stopping_.load(std::memory_order_acquire)) {
       std::uint64_t inserted_total = 0;
@@ -1284,7 +1261,8 @@ class IngestPipeline {
       }
       if (const std::int64_t now = now_ns();
           now - last_rate_sample >= kRateSampleIntervalNs) {
-        sample_rate(inserted_total);
+        rate_window.sample(now, inserted_total);
+        rate_gauge_->set(static_cast<std::int64_t>(rate_window.rate()));
         last_rate_sample = now;
       }
       // Sleep in small slices so close() is never delayed.
@@ -1381,16 +1359,6 @@ class IngestPipeline {
     workers_[s] = std::thread([this, s] { worker_entry(s); });
   }
 
-  /// Feed (now, total) into the windowed-rate view and return the current
-  /// rate; callable from the supervisor thread and stats() concurrently.
-  double sample_rate(std::uint64_t inserted_total) const {
-    std::lock_guard<std::mutex> lk(rate_mu_);
-    rate_window_.sample(now_ns(), inserted_total);
-    const double r = rate_window_.rate();
-    rate_gauge_->set(static_cast<std::int64_t>(r));
-    return r;
-  }
-
   PipelineOptions opt_;
   obs::Registry registry_;  ///< declared before anything holding handles
   obs::Histogram* drain_hist_ = nullptr;
@@ -1407,8 +1375,6 @@ class IngestPipeline {
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
   std::thread supervisor_;
-  mutable std::mutex rate_mu_;
-  mutable RateWindow rate_window_;
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
@@ -1417,8 +1383,6 @@ class IngestPipeline {
   std::atomic<std::int64_t> last_probe_ns_{0};
   std::mutex degraded_mu_;
   std::string degraded_msg_;  ///< guarded by degraded_mu_
-  std::atomic<std::int64_t> start_ns_{0};
-  std::atomic<std::int64_t> stop_ns_{0};
 };
 
 }  // namespace she::runtime

@@ -49,7 +49,8 @@
 //   QUERY FREQUENCY:  u64 estimate
 //   QUERY CARDINALITY / JACCARD: f64 estimate
 //   QUERY TOPK: u32 n, n x (u64 key, u64 estimate)
-//   STATS: str runtime-stats JSON
+//   STATS: str the pipeline's metric registry as obs::write_json renders
+//          it (the series /metrics shows under pipeline="<name>")
 //   LIST:  u32 n, n x str name
 #pragma once
 

@@ -25,7 +25,6 @@
 #include "common/checkpoint.hpp"
 #include "common/paged_array.hpp"
 #include "obs/export.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "server/http.hpp"
 
 namespace she::server {
@@ -36,6 +35,9 @@ using Clock = std::chrono::steady_clock;
 /// How often the accept loop hands cell frames that stayed free for a whole
 /// interval back to the kernel (frames::trim()).
 constexpr auto kFrameTrimInterval = std::chrono::seconds(1);
+
+/// Version of the /healthz document's field set (she_bench reads it).
+constexpr int kHealthzSchemaVersion = 4;
 
 /// Self-pipe write end for the process signal handler.  One server per
 /// process may install handlers; enforced in install_signal_handlers().
@@ -200,9 +202,6 @@ SheServer::SheServer(ServerOptions opt)
       "she_server_protocol_errors_total",
       "malformed or truncated frames rejected (connection-fatal framing "
       "errors and per-request body errors)");
-  request_latency_ = &registry_.histogram(
-      "she_server_request_latency_ns",
-      "wall time from complete request frame to complete response, ns");
   pipelines_gauge_ = &registry_.gauge("she_server_pipelines",
                                       "resident named pipelines");
   slow_requests_ = &registry_.counter(
@@ -312,7 +311,6 @@ void SheServer::start() {
     replica_->start();
   }
   accept_thread_ = std::thread([this] { accept_loop(); });
-  if (http_fd_ >= 0) http_thread_ = std::thread([this] { http_loop(); });
 }
 
 void SheServer::request_stop() noexcept {
@@ -341,7 +339,6 @@ void SheServer::stop() {
   std::call_once(stop_flag_, [this] {
     request_stop();
     if (accept_thread_.joinable()) accept_thread_.join();
-    if (http_thread_.joinable()) http_thread_.join();
     // Unblock every handler stuck in read()/send(), then join.  Handlers
     // never close their own fd (a close racing this shutdown could hit a
     // recycled descriptor); fds are closed here, after the join.
@@ -417,7 +414,7 @@ void SheServer::promote() {
   std::fputs("[she_server] PROMOTE: serving as primary\n", stderr);
 }
 
-// ---------------------------------------------------------- accept loops --
+// ----------------------------------------------------------- accept loop --
 
 void SheServer::reap_finished() {
   std::vector<Conn> done;
@@ -449,20 +446,33 @@ void SheServer::accept_loop() {
     }
     // Wake at least every 500 ms to reap, and in time for the next trim.
     const auto wait = std::chrono::ceil<std::chrono::milliseconds>(next_trim - now);
-    pollfd fds[3] = {{listen_fd_, POLLIN, 0},
+    // http_fd_ is -1 without an HTTP port, and poll() ignores it then.
+    pollfd fds[4] = {{listen_fd_, POLLIN, 0},
+                     {http_fd_, POLLIN, 0},
                      {stop_pipe_[0], POLLIN, 0},
                      {promote_pipe_[0], POLLIN, 0}};
     const int r =
-        ::poll(fds, 3, static_cast<int>(std::min<std::int64_t>(wait.count(), 500)));
+        ::poll(fds, 4, static_cast<int>(std::min<std::int64_t>(wait.count(), 500)));
     if (r < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (fds[1].revents != 0) break;
-    if (fds[2].revents & POLLIN) {
+    if (fds[2].revents != 0) break;
+    if (fds[3].revents & POLLIN) {
       char byte;
       [[maybe_unused]] const ssize_t rd = ::read(promote_pipe_[0], &byte, 1);
       promote();
+    }
+    if (fds[1].revents & POLLIN) {
+      // HTTP scrapes skip the max_connections cap and TCP_NODELAY.
+      const int fd = ::accept(http_fd_, nullptr, nullptr);
+      if (fd >= 0) {
+        std::lock_guard lk(conns_mu_);
+        const std::uint64_t id = next_conn_id_++;
+        Conn& c = conns_[id];
+        c.fd = fd;
+        c.thread = std::thread([this, id, fd] { handle_http(id, fd); });
+      }
     }
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -481,26 +491,6 @@ void SheServer::accept_loop() {
     Conn& c = conns_[id];
     c.fd = fd;
     c.thread = std::thread([this, id, fd] { handle_conn(id, fd); });
-  }
-}
-
-void SheServer::http_loop() {
-  for (;;) {
-    pollfd fds[2] = {{http_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
-    const int r = ::poll(fds, 2, 500);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(http_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    std::lock_guard lk(conns_mu_);
-    const std::uint64_t id = next_conn_id_++;
-    Conn& c = conns_[id];
-    c.fd = fd;
-    c.thread = std::thread([this, id, fd] { handle_http(id, fd); });
   }
 }
 
@@ -661,7 +651,6 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
           std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                t0)
               .count());
-      request_latency_->observe(ns);
       observe_request(info, ns);
       if (opt_.slow_request_ms != 0 &&
           ns >= opt_.slow_request_ms * 1'000'000ull) {
@@ -774,7 +763,7 @@ std::string SheServer::render_healthz() const {
      << (standby_.load(std::memory_order_acquire) ? "standby" : "primary")
      << "\",\"degraded_pipelines\":" << degraded
      << ",\"uptime_s\":" << up_s
-     << ",\"schema_version\":" << runtime::RuntimeStats::kSchemaVersion
+     << ",\"schema_version\":" << kHealthzSchemaVersion
      << ",\"version\":\"" << obs::json_escape(build_version())
      << "\",\"compiler\":\"" << obs::json_escape(build_compiler())
      << "\",\"simd\":\"" << obs::json_escape(build_simd_isa())
@@ -1012,7 +1001,9 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         const auto entry = manager_.find(name);
         if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
         resp.u8(static_cast<std::uint8_t>(Status::kOk));
-        resp.str(entry->monitor().stats().to_json());
+        std::ostringstream json;
+        obs::write_json(json, entry->monitor().metrics_registry());
+        resp.str(json.str());
         break;
       }
       case Op::kDrop: {

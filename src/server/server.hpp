@@ -1,6 +1,6 @@
 // SheServer — the long-running sketch service.
 //
-// Two listeners share one process:
+// Two listeners share one process and one accept loop:
 //   * a binary-protocol TCP listener (protocol.hpp) with one handler
 //     thread per connection, dispatching into the PipelineManager, and
 //   * an HTTP listener serving `GET /metrics` (Prometheus text format:
@@ -14,7 +14,7 @@
 //
 // Shutdown discipline: request_stop() — also wired to SIGTERM/SIGINT via
 // install_signal_handlers(), and to the SHUTDOWN opcode — writes one byte
-// to a self-pipe.  The accept loops poll that pipe and exit; stop() then
+// to a self-pipe.  The accept loop polls that pipe and exits; stop() then
 // shuts down every live connection socket (unblocking handler reads),
 // joins the handlers, and closes every pipeline, which drains accepted
 // items and writes final checkpoint frames.  A server restarted with
@@ -173,7 +173,6 @@ class SheServer {
   enum class Admission { kAdmit, kOverloadedGlobal, kOverloadedClient };
 
   void accept_loop();
-  void http_loop();
   void handle_conn(std::uint64_t id, int fd);
   void handle_http(std::uint64_t id, int fd);
   void reap_finished();
@@ -208,13 +207,12 @@ class SheServer {
 
   int listen_fd_ = -1;
   int http_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};  ///< [0] polled by loops, [1] written once
+  int stop_pipe_[2] = {-1, -1};  ///< accept_loop polls [0]; [1] written once
   int promote_pipe_[2] = {-1, -1};  ///< SIGUSR2 → accept_loop → promote()
   std::uint16_t port_ = 0;
   std::uint16_t http_port_ = 0;
 
   std::thread accept_thread_;
-  std::thread http_thread_;
 
   std::mutex conns_mu_;
   std::map<std::uint64_t, Conn> conns_;
@@ -240,7 +238,6 @@ class SheServer {
   obs::Counter* connections_total_;
   obs::Gauge* active_connections_;
   obs::Counter* protocol_errors_;
-  obs::Histogram* request_latency_;
   obs::Gauge* pipelines_gauge_;
   obs::Counter* slow_requests_;
   obs::Counter* unauthorized_total_;

@@ -224,7 +224,6 @@ class ConcurrentMonitor {
   }
   [[nodiscard]] std::size_t shard_count() const { return pipe_.shard_count(); }
 
-  [[nodiscard]] runtime::RuntimeStats stats() const { return pipe_.stats(); }
   [[nodiscard]] const runtime::PipelineOptions& options() const {
     return pipe_.options();
   }

@@ -187,7 +187,8 @@ TEST(Cli, PipelineRunsAndReportsStats) {
                     "--query-interval-ms", "5", "--top", "3"},
                    out);
   EXPECT_EQ(rc, 0) << out.str();
-  EXPECT_NE(out.str().find("items/s"), std::string::npos);
+  EXPECT_NE(out.str().find("\nshe_pipeline_inserted_total{shard=\"1\"} "),
+            std::string::npos);
   EXPECT_NE(out.str().find("queries during ingest"), std::string::npos);
   EXPECT_NE(out.str().find("final cardinality"), std::string::npos);
 }
@@ -202,10 +203,11 @@ TEST(Cli, PipelineJsonOutput) {
                    out);
   EXPECT_EQ(rc, 0) << out.str();
   EXPECT_EQ(out.str().front(), '{');
-  EXPECT_NE(out.str().find("\"items_per_sec\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"per_shard\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"push_timeouts\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"recent_items_per_sec\""), std::string::npos);
+  EXPECT_NE(out.str().find("\"she_pipeline_rate_items_per_sec\""),
+            std::string::npos);
+  EXPECT_NE(out.str().find("\"labels\":{\"shard\":\"1\"}"), std::string::npos);
+  EXPECT_NE(out.str().find("\"she_pipeline_push_timeouts_total\""),
+            std::string::npos);
 }
 
 TEST(Cli, PipelineRejectsBadPolicy) {
@@ -328,8 +330,12 @@ TEST(Cli, PipelineExitsNonzeroOnDroppedItems) {
                     abandon("throw:0:1000"), "--json"},
                    out);
   EXPECT_EQ(rc, 1) << out.str();
-  EXPECT_NE(out.str().find("\"dropped\":"), std::string::npos);
-  EXPECT_EQ(out.str().find("\"dropped\":0,"), std::string::npos) << out.str();
+  const std::string dropped =
+      "{\"name\":\"she_pipeline_dropped_total\",\"type\":\"counter\","
+      "\"labels\":{\"shard\":\"0\"},\"value\":";
+  const std::size_t at = out.str().find(dropped);
+  ASSERT_NE(at, std::string::npos) << out.str();
+  EXPECT_NE(out.str().substr(at + dropped.size(), 2), "0}") << out.str();
 }
 
 TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
@@ -345,8 +351,10 @@ TEST(Cli, PipelineCheckpointFaultResumeRoundTrip) {
                      "--json"},
                     out1);
   EXPECT_EQ(rc1, 1) << out1.str();
-  EXPECT_NE(out1.str().find("\"worker_faults\":" +
-                            std::to_string(kMaxRestarts + 1)),
+  EXPECT_NE(out1.str().find(
+                "{\"name\":\"she_pipeline_worker_faults_total\",\"type\":"
+                "\"counter\",\"labels\":{\"shard\":\"0\"},\"value\":" +
+                std::to_string(kMaxRestarts + 1) + "}"),
             std::string::npos)
       << out1.str();
 

@@ -538,11 +538,11 @@ void kill_and_recover_byte_identical(
     pipe.start();
     (void)pipe.push_bulk(0, trace);
     pipe.close();
-    const auto st = pipe.stats();
-    EXPECT_EQ(st.worker_faults, kMaxRestarts + 1);
-    EXPECT_EQ(st.worker_restarts, kMaxRestarts);
+    const obs::Registry& reg = pipe.metrics_registry();
+    EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), kMaxRestarts + 1);
+    EXPECT_EQ(reg.sum("she_pipeline_worker_restarts_total"), kMaxRestarts);
     EXPECT_TRUE(pipe.faulted());
-    EXPECT_GT(st.checkpoints, 0u);
+    EXPECT_GT(reg.sum("she_pipeline_checkpoints_total"), 0u);
   }
   fault::injector().clear();
 
@@ -670,15 +670,16 @@ TEST_F(FaultTolerance, SupervisorRestartsFaultedWorkerLosslesslyAccounted) {
   ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
   pipe.close();
 
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, 1u);
-  EXPECT_GE(st.worker_restarts, 1u);
-  EXPECT_EQ(st.dropped, 0u);
-  EXPECT_EQ(st.produced, trace.size());
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
+  EXPECT_GE(reg.sum("she_pipeline_worker_restarts_total"), 1u);
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), trace.size());
   // Conservation: what the estimator ends up having seen is exactly the
   // accepted stream minus what the rollback discarded (the ring backlog is
   // replayed, not lost).
-  EXPECT_EQ(pipe.snapshot(0).time() + st.items_lost, trace.size());
+  EXPECT_EQ(pipe.snapshot(0).time() + reg.sum("she_pipeline_items_lost_total"),
+            trace.size());
   EXPECT_FALSE(pipe.faulted());
 }
 
@@ -715,15 +716,16 @@ TEST_F(FaultTolerance, SupervisedRollbackRestoresLastPublishedState) {
   while (pipe.view(0)->time() < kPublished) std::this_thread::yield();
   ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished, kRolledBack)),
             kRolledBack);
-  while (pipe.stats().worker_restarts == 0) std::this_thread::yield();
+  const obs::Registry& reg = pipe.metrics_registry();
+  while (reg.sum("she_pipeline_worker_restarts_total") == 0)
+    std::this_thread::yield();
   ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished + kRolledBack)),
             keys.size() - kPublished - kRolledBack);
   pipe.close();
 
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, 1u);
-  EXPECT_EQ(st.worker_restarts, 1u);
-  EXPECT_EQ(st.items_lost, kRolledBack);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_restarts_total"), 1u);
+  EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), kRolledBack);
   EXPECT_EQ(serialized(*pipe.view(0)), serialized(reference.shard(0)));
 }
 
@@ -760,15 +762,16 @@ TEST_F(FaultTolerance, LossyRestartStopsCheckpointsAtLastExactPrefix) {
     while (pipe.view(0)->time() < kPublished) std::this_thread::yield();
     ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished, kRolledBack)),
               kRolledBack);
-    while (pipe.stats().worker_restarts == 0) std::this_thread::yield();
+    const obs::Registry& reg = pipe.metrics_registry();
+    while (reg.sum("she_pipeline_worker_restarts_total") == 0)
+      std::this_thread::yield();
     ASSERT_EQ(pipe.push_bulk(0, keys.subspan(kPublished + kRolledBack)),
               keys.size() - kPublished - kRolledBack);
     // An explicit checkpoint request is skipped too.
     ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/true));
     pipe.close();
-    const auto st = pipe.stats();
-    EXPECT_EQ(st.items_lost, kRolledBack);
-    EXPECT_EQ(st.checkpoints, 1u);
+    EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), kRolledBack);
+    EXPECT_EQ(reg.sum("she_pipeline_checkpoints_total"), 1u);
     EXPECT_FALSE(pipe.faulted());
   }
   fault::injector().clear();
@@ -805,7 +808,8 @@ TEST_F(FaultTolerance, QueueDepthGaugeEndsAtTheBacklogLeftByClose) {
   while (depth() <= 0) std::this_thread::yield();
   pipe.close();
   EXPECT_EQ(depth(), 0);
-  EXPECT_EQ(pipe.stats().inserted, trace.size());
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_inserted_total"),
+            trace.size());
 }
 
 TEST_F(FaultTolerance, SupervisorCountsWedgedWorkerWithoutRestart) {
@@ -825,14 +829,14 @@ TEST_F(FaultTolerance, SupervisorCountsWedgedWorkerWithoutRestart) {
   ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
   pipe.close();
 
-  const auto st = pipe.stats();
+  const obs::Registry& reg = pipe.metrics_registry();
   // One episode per stale heartbeat, not one per supervisor poll (the
   // stall spans ~100 polls); the slack absorbs a slow sweep on a loaded box.
-  EXPECT_GE(st.worker_wedged, 1u);
-  EXPECT_LT(st.worker_wedged, 10u);
-  EXPECT_EQ(st.worker_restarts, 0u);
-  EXPECT_EQ(st.worker_faults, 0u);
-  EXPECT_EQ(st.items_lost, 0u);
+  EXPECT_GE(reg.sum("she_pipeline_worker_wedged_total"), 1u);
+  EXPECT_LT(reg.sum("she_pipeline_worker_wedged_total"), 10u);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_restarts_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
   EXPECT_EQ(pipe.snapshot(0).time(), trace.size());
 }
 
@@ -864,12 +868,12 @@ TEST_F(FaultTolerance, SlowWorkerPastTheRestartCapIsNeverAbandoned) {
   const std::size_t accepted = pipe.push_bulk(0, trace);
   pipe.close();
 
-  const auto st = pipe.stats();
+  const obs::Registry& reg = pipe.metrics_registry();
   EXPECT_EQ(accepted, trace.size());
   EXPECT_FALSE(pipe.faulted());
-  EXPECT_EQ(st.dropped, 0u);
-  EXPECT_EQ(st.worker_restarts, 0u);
-  EXPECT_GE(st.worker_wedged, 1u);
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_restarts_total"), 0u);
+  EXPECT_GE(reg.sum("she_pipeline_worker_wedged_total"), 1u);
   EXPECT_EQ(pipe.view(0)->time(), trace.size());
   EXPECT_TRUE(serialized(*pipe.view(0)) == serialized(reference.shard(0)))
       << "the published view is not the sequential run over every key";
@@ -904,8 +908,8 @@ TEST_F(FaultTolerance, RequestDeadlineBoundsABlockedPush) {
   EXPECT_GT(accepted, 0u);
   EXPECT_LE(accepted, 64u);
 
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.push_timeouts, 1u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_push_timeouts_total"), 1u);
 
   // The fault/recovery counters must surface in both export formats.
   std::ostringstream prom, json;
@@ -935,9 +939,9 @@ TEST_F(FaultTolerance, DeadShardAbortsBlockedPushes) {
   pipe.start();
   const std::size_t accepted = pipe.push_bulk(0, trace);
   EXPECT_LT(accepted, trace.size());
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, kMaxRestarts + 1);
-  EXPECT_GT(st.dropped, 0u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), kMaxRestarts + 1);
+  EXPECT_GT(reg.sum("she_pipeline_dropped_total"), 0u);
   EXPECT_TRUE(pipe.faulted());
   pipe.close();
 }
@@ -1203,7 +1207,8 @@ TEST_F(FaultTolerance, WalShedsBeforeLoggingOnDeadline) {
                 .time_since_epoch())
             .count();
     ASSERT_EQ(pipe.push_bulk(0, b2, kClient, 2, deadline_ns), 0u);
-    EXPECT_EQ(pipe.stats().push_timeouts, 1u);
+    EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_push_timeouts_total"),
+              1u);
     {
       std::size_t frames = 0;
       const WalScan scan =
@@ -1311,10 +1316,11 @@ TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
   pipe.start();
   ASSERT_EQ(pipe.push_bulk(0, trace), trace.size());
   pipe.close();
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, 1u);
-  EXPECT_GE(st.worker_restarts, 1u);
-  EXPECT_EQ(st.items_lost, 0u);  // healed from the log, not lost
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
+  EXPECT_GE(reg.sum("she_pipeline_worker_restarts_total"), 1u);
+  // Healed from the log, not lost.
+  EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
   EXPECT_EQ(serialized(pipe.snapshot(0)), serialized(reference.shard(0)));
   fault::injector().clear();
 
@@ -1363,14 +1369,15 @@ TEST_F(FaultTolerance, WalHealCountsNoTornTailItDidNotTruncate) {
   pipe.start();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (pipe.stats().worker_restarts == 0) {
+  const obs::Registry& reg = pipe.metrics_registry();
+  while (reg.sum("she_pipeline_worker_restarts_total") == 0) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no restart";
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   pipe.close();
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.worker_faults, 1u);
-  EXPECT_EQ(st.items_lost, 0u);  // healed from the log
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
+  // Healed from the log.
+  EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
   EXPECT_EQ(torn.value(), torn_before);
   EXPECT_EQ(serialized(pipe.snapshot(0)), serialized(reference.shard(0)));
   std::filesystem::remove_all(dir);
@@ -1429,29 +1436,30 @@ void throw_inside_insert_batch(WalMode wal) {
     pipe.start();
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (pipe.stats().worker_restarts == 0) {
+    const obs::Registry& reg = pipe.metrics_registry();
+    while (reg.sum("she_pipeline_worker_restarts_total") == 0) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no restart";
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     pipe.close();
-    const auto st = pipe.stats();
-    EXPECT_EQ(st.worker_faults, 1u);
+    EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
     EXPECT_EQ(ThrowingRecorder::throw_at.load(), ThrowingRecorder::kNever);
     live = pipe.snapshot(0).keys;
     if (wal != WalMode::kOff) {
       // The applied blocks are healed back from the log and the block
       // being applied stays in the ring: every key once, in order.
-      EXPECT_EQ(st.items_lost, 0u);
+      EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
       EXPECT_EQ(live, keys);
     } else {
       // The applied blocks are rolled back and counted lost; the rest is
       // applied once, and the shard writes no frame past the loss.
-      EXPECT_EQ(live.size() + st.items_lost, keys.size());
-      EXPECT_GT(st.items_lost, 0u);
+      EXPECT_EQ(live.size() + reg.sum("she_pipeline_items_lost_total"),
+                keys.size());
+      EXPECT_GT(reg.sum("she_pipeline_items_lost_total"), 0u);
       EXPECT_TRUE(std::equal(live.begin(), live.end(),
                              keys.end() - static_cast<std::ptrdiff_t>(
                                               live.size())));
-      EXPECT_EQ(st.checkpoints, 0u);
+      EXPECT_EQ(reg.sum("she_pipeline_checkpoints_total"), 0u);
       EXPECT_FALSE(std::filesystem::exists(dir + "/shard-0.ckpt"));
     }
   }
@@ -1582,7 +1590,7 @@ TEST_F(FaultTolerance, WalResumeRefusesAFileAtTheLogsOwnName) {
   // A single file at the log's own name (a pre-segment log) is no segment:
   // skipping it would drop whatever acked items it holds, so a resume
   // refuses the directory, and names the file.
-  const std::string dir = temp_dir("wal_own_name");
+  const std::string dir = temp_dir("resume_wal_own_name");
   const std::string log = dir + "/shard-0.wal";
   std::ofstream(log, std::ios::binary) << "SHWL";
   PipelineOptions opt;
@@ -1758,9 +1766,9 @@ TEST(FaultToleranceConcurrency, ReadersNeverSeeTornSnapshotsOrBadFrames) {
   frame_reader.join();
   EXPECT_GT(snapshot_reads.load(), 0u);
   EXPECT_GT(frame_reads.load(), 0u);
-  const auto st = pipe.stats();
-  EXPECT_GT(st.checkpoints, 0u);
-  EXPECT_EQ(st.inserted, trace.size());
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_GT(reg.sum("she_pipeline_checkpoints_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), trace.size());
   std::filesystem::remove_all(dir);
 }
 

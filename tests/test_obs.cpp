@@ -1,6 +1,6 @@
 // Telemetry subsystem tests: lock-free metric primitives, registry
-// identity, Prometheus/JSON export invariants, the RuntimeStats view over
-// the pipeline registry, the global enabled() gate around SHE-internals
+// identity, Prometheus/JSON export invariants, the pipeline registry's
+// per-shard counters, the global enabled() gate around SHE-internals
 // instrumentation, and the she_tool surface (`metrics`, `pipeline
 // --metrics-out`).  Runs under both the default suite and `ctest -L tsan`
 // — the multi-writer tests are the thread-safety surface.
@@ -17,7 +17,6 @@
 #include "commands.hpp"
 #include "obs/export.hpp"
 #include "obs/she_metrics.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "she/monitor.hpp"
 #include "she/she_bloom.hpp"
 #include <gtest/gtest.h>
@@ -232,9 +231,9 @@ TEST(Export, JsonEscapesControlCharacters) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
 }
 
-// --------------------------- RuntimeStats view ------------------------------
+// --------------------------- pipeline registry -----------------------------
 
-// Minimal field extractor for the flat JSON RuntimeStats::to_json emits.
+// Minimal field extractor: the first unsigned `"key":N` in `text`.
 std::uint64_t json_u64(const std::string& text, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
   std::size_t at = text.find(needle);
@@ -247,20 +246,7 @@ std::uint64_t json_u64(const std::string& text, const std::string& key) {
   return v;
 }
 
-TEST(RuntimeStatsView, SetRateGuardsDegenerateElapsed) {
-  runtime::RuntimeStats st;
-  st.inserted = 1000;
-  st.set_rate(0.0);
-  EXPECT_EQ(st.items_per_sec, 0.0);
-  st.set_rate(-1.0);
-  EXPECT_EQ(st.items_per_sec, 0.0);
-  st.set_rate(1e-15);
-  EXPECT_EQ(st.items_per_sec, 0.0);
-  st.set_rate(0.5);
-  EXPECT_DOUBLE_EQ(st.items_per_sec, 2000.0);
-}
-
-TEST(RuntimeStatsView, ToJsonCarriesSchemaAndPerShardSumsMatch) {
+TEST(PipelineRegistry, PerShardInsertedAndProducedSumToPushes) {
   MonitorConfig mcfg;
   mcfg.window = 1 << 12;
   mcfg.memory_bytes = 1 << 16;
@@ -279,58 +265,37 @@ TEST(RuntimeStatsView, ToJsonCarriesSchemaAndPerShardSumsMatch) {
   for (auto& t : producers) t.join();
   mon.close();
 
-  runtime::RuntimeStats st = mon.stats();
-  const std::string text = st.to_json();
-  EXPECT_EQ(json_u64(text, "schema_version"),
-            static_cast<std::uint64_t>(runtime::RuntimeStats::kSchemaVersion));
-  EXPECT_EQ(json_u64(text, "inserted"), 40000u);
-  EXPECT_EQ(json_u64(text, "produced"), 40000u);
-
-  // Per-shard rows must sum to the totals, both in the struct and as
-  // re-extracted from the serialized form.
-  std::uint64_t shard_inserted = 0, shard_drains = 0, shard_publishes = 0;
-  for (const runtime::ShardStats& sh : st.per_shard) {
-    shard_inserted += sh.inserted;
-    shard_drains += sh.drains;
-    shard_publishes += sh.publishes;
-  }
-  EXPECT_EQ(shard_inserted, st.inserted);
-  EXPECT_EQ(shard_drains, st.drains);
-  EXPECT_EQ(shard_publishes, st.publishes);
-
-  std::size_t arr = text.find("\"per_shard\":[");
-  ASSERT_NE(arr, std::string::npos);
-  std::uint64_t json_shard_inserted = 0;
-  for (std::size_t at = text.find("{\"inserted\":", arr);
-       at != std::string::npos; at = text.find("{\"inserted\":", at + 1))
-    json_shard_inserted += json_u64(text.substr(at), "inserted");
-  EXPECT_EQ(json_shard_inserted, st.inserted);
-}
-
-TEST(RuntimeStatsView, StatsAgreeWithPipelineRegistry) {
-  MonitorConfig mcfg;
-  mcfg.window = 1 << 12;
-  mcfg.memory_bytes = 1 << 16;
-  runtime::PipelineOptions pcfg;
-  pcfg.shards = 2;
-  ConcurrentMonitor mon(mcfg, pcfg);
-  mon.start();
-  for (std::uint64_t i = 0; i < 30000; ++i)
-    while (!mon.push(0, i)) {
+  // One inserted series per shard and one produced series per producer,
+  // each family summing to every push.
+  const Registry& reg = mon.metrics_registry();
+  std::uint64_t inserted = 0, produced = 0;
+  std::size_t shard_series = 0, producer_series = 0;
+  for (const Registry::Entry& e : reg.entries()) {
+    if (e.name == "she_pipeline_inserted_total") {
+      inserted += e.counter->value();
+      ++shard_series;
+    } else if (e.name == "she_pipeline_produced_total") {
+      produced += e.counter->value();
+      ++producer_series;
     }
-  mon.close();
-
-  runtime::RuntimeStats st = mon.stats();
-  std::uint64_t reg_inserted = 0, reg_produced = 0;
-  for (const Registry::Entry& e : mon.metrics_registry().entries()) {
-    if (e.name == "she_pipeline_inserted_total")
-      reg_inserted += e.counter->value();
-    if (e.name == "she_pipeline_produced_total")
-      reg_produced += e.counter->value();
   }
-  EXPECT_EQ(reg_inserted, st.inserted);
-  EXPECT_EQ(reg_produced, st.produced);
-  EXPECT_EQ(st.inserted, 30000u);
+  EXPECT_EQ(shard_series, pcfg.shards);
+  EXPECT_EQ(producer_series, pcfg.producers);
+  EXPECT_EQ(inserted, 40000u);
+  EXPECT_EQ(produced, 40000u);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), inserted);
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), produced);
+
+  // The JSON export (what STATS answers) carries the same per-shard series.
+  std::ostringstream os;
+  write_json(os, reg);
+  const std::string text = os.str();
+  const std::string series = "\"name\":\"she_pipeline_inserted_total\"";
+  std::uint64_t json_inserted = 0;
+  for (std::size_t at = text.find(series); at != std::string::npos;
+       at = text.find(series, at + 1))
+    json_inserted += json_u64(text.substr(at), "value");
+  EXPECT_EQ(json_inserted, 40000u);
 }
 
 // ----------------------------- enabled() gate -------------------------------
@@ -504,8 +469,8 @@ TEST(Cli, PipelineJsonModeStillEmitsStats) {
        "--metrics-format", "json"},
       out);
   ASSERT_EQ(rc, 0) << out.str();
-  EXPECT_NE(out.str().find("\"schema_version\":" +
-                           std::to_string(runtime::RuntimeStats::kSchemaVersion)),
+  // "stats" holds the pipeline registry in the exporter's JSON.
+  EXPECT_NE(out.str().find("{\"stats\":{\"schema_version\":1,\"metrics\":["),
             std::string::npos);
   EXPECT_NE(slurp(path).find("\"schema_version\":1"), std::string::npos);
 }

@@ -68,14 +68,23 @@ ServerOptions standby_options(const std::string& root, std::uint16_t primary) {
   return opt;
 }
 
-/// The pipeline's accepted-item count from its stats document.  The
-/// standby applies exactly the items the primary accepted, so equal
-/// `produced` counters mean every published frame has been applied.
+/// The pipeline's accepted-item count: its she_pipeline_produced_total
+/// series in the STATS document, summed.  The standby applies exactly the
+/// items the primary accepted, so equal counts mean every published frame
+/// has been applied.
 std::uint64_t produced_of(SheClient& c, const std::string& name) {
   const std::string s = c.stats_json(name);
-  const auto pos = s.find("\"produced\":");
-  if (pos == std::string::npos) ADD_FAILURE() << "no produced field: " << s;
-  return std::stoull(s.substr(pos + 11));
+  const std::string series = "\"name\":\"she_pipeline_produced_total\"";
+  const std::string value = "\"value\":";
+  std::uint64_t total = 0;
+  bool found = false;
+  for (auto at = s.find(series); at != std::string::npos;
+       at = s.find(series, at + 1)) {
+    total += std::stoull(s.substr(s.find(value, at) + value.size()));
+    found = true;
+  }
+  if (!found) ADD_FAILURE() << "no she_pipeline_produced_total: " << s;
+  return total;
 }
 
 /// Poll until the standby's accepted-item counters match the primary's

@@ -19,6 +19,7 @@
 //     heavy-hitter table is refused at construction.
 #include "runtime/ingest_pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -39,6 +40,15 @@
 
 namespace she::runtime {
 namespace {
+
+/// Deepest ring any shard reported (the per-shard she_pipeline_queue_hwm).
+std::int64_t max_queue_hwm(const obs::Registry& reg) {
+  std::int64_t hwm = 0;
+  for (const obs::Registry::Entry& e : reg.entries())
+    if (e.name == "she_pipeline_queue_hwm")
+      hwm = std::max(hwm, e.gauge->value());
+  return hwm;
+}
 
 // ------------------------------ SpscRing -----------------------------------
 
@@ -264,15 +274,16 @@ TEST(IngestPipeline, ProducerIndexAtOrAboveProducersThrowsBeforeRouting) {
   const std::vector<std::uint64_t> keys = {1, 2, 3, 4, 5, 6, 7, 8};
   ASSERT_EQ(pipe.push_bulk(1, keys), keys.size());
   ASSERT_TRUE(pipe.sync(false));
-  const RuntimeStats before = pipe.stats();
+  const obs::Registry& reg = pipe.metrics_registry();
+  const std::uint64_t produced = reg.sum("she_pipeline_produced_total");
+  const std::uint64_t inserted = reg.sum("she_pipeline_inserted_total");
   EXPECT_THROW((void)pipe.push_bulk(2, keys), std::out_of_range);
   EXPECT_THROW((void)pipe.push(7, 9), std::out_of_range);
   ASSERT_TRUE(pipe.sync(false));
-  const RuntimeStats after = pipe.stats();
-  EXPECT_EQ(after.produced, before.produced);
-  EXPECT_EQ(after.inserted, before.inserted);
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), produced);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), inserted);
   pipe.close();
-  EXPECT_EQ(pipe.stats().inserted, keys.size());
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), keys.size());
 }
 
 TEST(IngestPipeline, SingleProducerDrainBitIdenticalToSequential) {
@@ -310,11 +321,11 @@ TEST(IngestPipeline, SingleProducerDrainBitIdenticalToSequential) {
     ASSERT_EQ(got, expected) << "shard " << s;
   }
 
-  auto st = pipe.stats();
-  EXPECT_EQ(st.inserted, trace.size());
-  EXPECT_EQ(st.produced, trace.size());
-  EXPECT_EQ(st.dropped, 0u);
-  EXPECT_GT(st.publishes, 0u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), trace.size());
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), trace.size());
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
+  EXPECT_GT(reg.sum("she_pipeline_publishes_total"), 0u);
 }
 
 TEST(IngestPipeline, SyncBarrierSnapshotsCoverEveryAcceptedPush) {
@@ -403,12 +414,12 @@ TEST(IngestPipeline, BatchedDrainMatchesSequentialUnderConcurrentReads) {
     ASSERT_EQ(got, expected) << "shard " << s;
   }
 
-  auto st = pipe.stats();
-  EXPECT_EQ(st.inserted, trace.size());
-  EXPECT_EQ(st.dropped, 0u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), trace.size());
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
   // stall_ns only accumulates inside a counted stall episode.
-  if (st.stall_ns > 0) {
-    EXPECT_GT(st.stall_events, 0u);
+  if (reg.sum("she_pipeline_stall_ns_total") > 0) {
+    EXPECT_GT(reg.sum("she_pipeline_stall_events_total"), 0u);
   }
 }
 
@@ -429,15 +440,15 @@ TEST(IngestPipeline, BlockPolicyLosesNothingThroughTinyQueues) {
   }
   for (auto& t : producers) t.join();
   pipe.close();
-  auto st = pipe.stats();
-  EXPECT_EQ(st.produced, kItems);
-  EXPECT_EQ(st.inserted, kItems);
-  EXPECT_EQ(st.dropped, 0u);
-  EXPECT_GE(st.queue_hwm, 1u);
-  EXPECT_LE(st.queue_hwm, 16u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), kItems);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), kItems);
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
+  EXPECT_GE(max_queue_hwm(reg), 1);
+  EXPECT_LE(max_queue_hwm(reg), 16);
   // Pushing is far cheaper than draining into SHE-BF, so the 16-slot rings
   // must fill: every full-ring wait increments stall_events exactly once.
-  EXPECT_GT(st.stall_events, 0u);
+  EXPECT_GT(reg.sum("she_pipeline_stall_events_total"), 0u);
 }
 
 TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
@@ -489,14 +500,12 @@ TEST(IngestPipeline, QueriesUnderLoadNeverSeeTornEstimator) {
   done.store(true, std::memory_order_release);
   reader.join();
   pipe.close();
-  EXPECT_EQ(pipe.stats().inserted, kItems);
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_inserted_total"), kItems);
 }
 
 TEST(IngestPipeline, SupervisorFeedsRateGaugeWithoutStats) {
-  // Nobody calls stats() here, which used to be the only thing (besides an
-  // opt-in sampler thread) that fed the windowed rate: a busy pipeline's
-  // registry read she_pipeline_rate_items_per_sec 0.  The supervisor now
-  // feeds it on its tick.
+  // Nothing but the supervisor feeds the windowed rate: a busy pipeline's
+  // registry must not read she_pipeline_rate_items_per_sec 0.
   PipelineOptions opt;
   opt.shards = 2;
   IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(2, 1 << 14));
@@ -562,7 +571,8 @@ TEST(CommitLane, ShedSubBatchReplaysExactlyOnce) {
   EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2,
                            steady_ns_from_now(std::chrono::milliseconds(20))),
             0u);
-  EXPECT_EQ(pipe.stats().push_timeouts, 1u);
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_push_timeouts_total"), 1u);
 
   pipe.start();
   ASSERT_TRUE(pipe.sync(false));  // the worker drained the full ring
@@ -570,8 +580,7 @@ TEST(CommitLane, ShedSubBatchReplaysExactlyOnce) {
   EXPECT_EQ(pipe.push_bulk(0, extra, 7, 2), extra.size());  // a duplicate
   pipe.close();
 
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.inserted, fill.size() + extra.size());
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), fill.size() + extra.size());
   std::vector<std::uint64_t> want = fill;
   want.insert(want.end(), extra.begin(), extra.end());
   EXPECT_EQ(pipe.snapshot(0).keys, want);
@@ -606,9 +615,9 @@ TEST(CommitLane, DeadlineNeverSplitsAnAdmittedSubBatch) {
   EXPECT_EQ(pipe.push_bulk(0, keys, 9, 1), keys.size());
   pipe.close();
 
-  const auto st = pipe.stats();
-  EXPECT_EQ(st.push_timeouts, 0u);
-  EXPECT_EQ(st.inserted, keys.size());
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_push_timeouts_total"), 0u);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), keys.size());
   EXPECT_EQ(pipe.snapshot(0).keys, keys);
 }
 
@@ -659,12 +668,12 @@ void same_producer_lanes_keep_sub_batches_contiguous(WalMode wal) {
 
   std::size_t total = 0;
   for (std::size_t b = 0; b < kBatches; ++b) total += kThreads * batch_size(b);
-  const auto st = pipe.stats();
+  const obs::Registry& reg = pipe.metrics_registry();
   EXPECT_EQ(accepted.load(), total);
-  EXPECT_EQ(st.produced, total);
-  EXPECT_EQ(st.inserted, total);
-  EXPECT_EQ(st.dropped, 0u);
-  EXPECT_LE(st.queue_hwm, kQueue);
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"), total);
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"), total);
+  EXPECT_EQ(reg.sum("she_pipeline_dropped_total"), 0u);
+  EXPECT_LE(max_queue_hwm(reg), static_cast<std::int64_t>(kQueue));
 
   std::size_t drained = 0;
   for (std::size_t s = 0; s < opt.shards; ++s) {
@@ -780,14 +789,16 @@ TEST(PipelineView, HeldViewSurvivesManyPublishes) {
   const std::shared_ptr<const SheBloomFilter> held = pipe.view(0);
   const std::string before = bytes_of(*held);
   ASSERT_EQ(held->time(), 1000u);
-  const std::uint64_t publishes_before = pipe.stats().publishes;
+  const obs::Registry& reg = pipe.metrics_registry();
+  const std::uint64_t publishes_before =
+      reg.sum("she_pipeline_publishes_total");
   // Every sync() publishes, so small pushes + syncs force >= 100 publishes.
   for (std::size_t i = 1000; i < keys.size(); i += 16) {
     const auto chunk = keys.subspan(i, std::min<std::size_t>(16, keys.size() - i));
     ASSERT_EQ(pipe.push_bulk(0, chunk), chunk.size());
     ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));
   }
-  EXPECT_GE(pipe.stats().publishes - publishes_before, 100u);
+  EXPECT_GE(reg.sum("she_pipeline_publishes_total") - publishes_before, 100u);
 
   EXPECT_EQ(held->time(), 1000u);
   EXPECT_EQ(bytes_of(*held), before);
@@ -906,7 +917,7 @@ TEST(ConcurrentMonitor, QueriesUnderLoadStayWithinSingleThreadBounds) {
               (rep.top[0].key == kHotB && rep.top[1].key == kHotA));
   EXPECT_GT(mon.frequency(kHotA), 100u);
   EXPECT_TRUE(mon.seen(kHotA));
-  EXPECT_EQ(mon.stats().dropped, 0u);
+  EXPECT_EQ(mon.metrics_registry().sum("she_pipeline_dropped_total"), 0u);
 }
 
 // Readers query the published views while both shard workers publish

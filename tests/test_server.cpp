@@ -35,7 +35,6 @@
 #include "common/simd.hpp"
 #include "common/wal.hpp"
 #include "obs/trace.hpp"
-#include "runtime/runtime_stats.hpp"
 #include "runtime/snapshot.hpp"
 
 namespace she::server {
@@ -841,6 +840,12 @@ std::string http_get(std::uint16_t port, const std::string& target) {
   return out;
 }
 
+/// Body of an HTTP response (everything after the blank line).
+std::string http_body(const std::string& resp) {
+  const std::size_t at = resp.find("\r\n\r\n");
+  return at == std::string::npos ? std::string() : resp.substr(at + 4);
+}
+
 TEST(Server, MetricsEndpointServesLabeledPipelines) {
   LiveServer live;
   SheClient c = live.client();
@@ -864,6 +869,78 @@ TEST(Server, MetricsEndpointServesLabeledPipelines) {
   EXPECT_NE(missing.find("404"), std::string::npos);
   EXPECT_NE(http_get(live.server.http_port(), "/healthz").find("200"),
             std::string::npos);  // still serving after a 404
+}
+
+/// The counter series of a STATS document (one pipeline's registry as
+/// obs::write_json renders it), each as the sample line /metrics prints
+/// for it under pipeline="<pipeline>".
+std::vector<std::string> stats_counter_lines(const std::string& stats,
+                                             const std::string& pipeline) {
+  const std::string head = "{\"name\":\"";
+  const std::string counter = "\",\"type\":\"counter\"";
+  const std::string labels_head = ",\"labels\":{";
+  const std::string value_head = ",\"value\":";
+  const auto at_text = [&](std::size_t p, const std::string& text) {
+    return stats.compare(p, text.size(), text) == 0;
+  };
+  std::vector<std::string> out;
+  for (std::size_t at = stats.find(head); at != std::string::npos;
+       at = stats.find(head, at + 1)) {
+    const std::size_t name_end = stats.find('"', at + head.size());
+    const std::string name =
+        stats.substr(at + head.size(), name_end - at - head.size());
+    std::size_t p = name_end;
+    if (!at_text(p, counter)) continue;
+    p += counter.size();
+    // {"k":"v",...} renders as k="v",... (values never hold quotes here).
+    std::string labels;
+    if (at_text(p, labels_head)) {
+      p += labels_head.size();
+      while (stats[p] == '"') {
+        const std::size_t key_end = stats.find('"', p + 1);
+        const std::size_t value_end = stats.find('"', key_end + 3);
+        labels += stats.substr(p + 1, key_end - p - 1) + "=" +
+                  stats.substr(key_end + 2, value_end - key_end - 1) + ",";
+        p = value_end + 1;
+        if (stats[p] == ',') ++p;
+      }
+      ++p;  // the closing brace
+    }
+    if (!at_text(p, value_head)) continue;
+    p += value_head.size();
+    const std::size_t value_end = stats.find_first_not_of("0123456789", p);
+    out.push_back(name + "{" + labels + "pipeline=\"" + pipeline + "\"} " +
+                  stats.substr(p, value_end - p));
+  }
+  return out;
+}
+
+TEST(Server, StatsCountersEqualTheirMetricsSamples) {
+  LiveServer live;
+  SheClient c = live.client();
+  c.create("x", "window=8K memory=128K shards=4");
+  constexpr std::size_t kFrames = 5, kPerFrame = 3000;
+  std::vector<std::uint64_t> keys(kPerFrame);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    for (std::size_t i = 0; i < keys.size(); ++i) keys[i] = f * kPerFrame + i;
+    ASSERT_EQ(c.insert_bulk("x", keys), keys.size());
+  }
+  c.flush("x");
+
+  const std::string stats = c.stats_json("x");
+  const std::string metrics =
+      http_body(http_get(live.server.http_port(), "/metrics"));
+  const std::vector<std::string> lines = stats_counter_lines(stats, "x");
+  ASSERT_FALSE(lines.empty()) << stats;
+  std::uint64_t inserted = 0;
+  for (const std::string& line : lines) {
+    EXPECT_NE(metrics.find("\n" + line + "\n"), std::string::npos) << line;
+    if (line.rfind("she_pipeline_inserted_total{", 0) == 0)
+      inserted += std::stoull(line.substr(line.rfind(' ') + 1));
+  }
+  EXPECT_EQ(inserted, kFrames * kPerFrame);
+  // The unlabeled request histogram duplicated she_server_request_duration_ns.
+  EXPECT_EQ(metrics.find("she_server_request_latency_ns"), std::string::npos);
 }
 
 TEST(Server, JaccardAcrossPipelines) {
@@ -891,12 +968,6 @@ TEST(Server, JaccardAcrossPipelines) {
 
 // --------------------------- tracing / healthz -----------------------------
 
-/// Body of an HTTP response (everything after the blank line).
-std::string http_body(const std::string& resp) {
-  const std::size_t at = resp.find("\r\n\r\n");
-  return at == std::string::npos ? std::string() : resp.substr(at + 4);
-}
-
 /// Restores the process-wide tracing toggle (a --trace server flips it on).
 struct TraceToggleGuard {
   ~TraceToggleGuard() {
@@ -913,9 +984,7 @@ TEST(Server, HealthzReportsBuildAndSchema) {
   const std::string body = http_body(resp);
   EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(body.find("\"uptime_s\":"), std::string::npos);
-  EXPECT_NE(body.find("\"schema_version\":" +
-                      std::to_string(runtime::RuntimeStats::kSchemaVersion)),
-            std::string::npos);
+  EXPECT_NE(body.find("\"schema_version\":4,"), std::string::npos);
   EXPECT_NE(body.find("\"version\":\""), std::string::npos);
   EXPECT_NE(body.find("\"compiler\":\""), std::string::npos);
   EXPECT_NE(body.find("\"tracing\":false"), std::string::npos);
@@ -1352,7 +1421,12 @@ TEST(Server, InsertBulkBodyBoundsAnswerBadRequest) {
 
   c.ping();
   c.flush("b");
-  EXPECT_EQ(live.server.manager().find("b")->monitor().stats().produced, 0u);
+  EXPECT_EQ(live.server.manager()
+                .find("b")
+                ->monitor()
+                .metrics_registry()
+                .sum("she_pipeline_produced_total"),
+            0u);
   EXPECT_NE(live.server.render_metrics().find(
                 "she_server_protocol_errors_total 3"),
             std::string::npos);

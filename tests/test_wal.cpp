@@ -1038,7 +1038,8 @@ TEST(WalPipeline, FirstPushBulkOfASubBatchThatFitsTheRingAllocatesNothing) {
             0u);
       }
       pipe.close();
-      EXPECT_EQ(pipe.stats().inserted, 100u + 1000u + 3000u + 4096u);
+      EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_inserted_total"),
+                100u + 1000u + 3000u + 4096u);
       std::filesystem::remove_all(dir);
     }
   }
@@ -1121,7 +1122,7 @@ TEST(WalPipeline, PushBulkRefusesAShardShareAboveTheFrameBoundAcceptingNothing) 
     keys.clear();
     keys.shrink_to_fit();
     pipe.close();
-    EXPECT_EQ(pipe.stats().produced, 0u);
+    EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_produced_total"), 0u);
   }
   for (const char* log : {"/shard-0.wal", "/shard-1.wal"}) {
     const Scan scan = scan_log(dir + log);
@@ -1196,7 +1197,7 @@ TEST(CheckpointWrite, FirstAndSteadyStateCheckpointsAllocateUnder16KiB) {
   }
   fault::on_durable_op(nullptr);
   pipe.close();
-  EXPECT_EQ(pipe.stats().checkpoints, 4u);
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_checkpoints_total"), 4u);
   std::filesystem::remove_all(dir);
 }
 

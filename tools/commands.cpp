@@ -414,7 +414,7 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   waiter.join();
   mon.close();
 
-  auto st = mon.stats();
+  const obs::Registry& reg = mon.metrics_registry();
   auto rep = mon.report(top_k);
 
   // Accuracy reference: exact cardinality over the same trace replayed
@@ -427,8 +427,7 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   if (!metrics_out.empty()) {
     std::ofstream ms(metrics_out);
     if (!ms) throw std::invalid_argument("cannot open " + metrics_out);
-    const obs::Registry* regs[] = {&obs::default_registry(),
-                                   &mon.metrics_registry()};
+    const obs::Registry* regs[] = {&obs::default_registry(), &reg};
     write_registries(ms, metrics_format, regs);
     if (!json) out << "  metrics written to " << metrics_out << "\n";
   }
@@ -437,24 +436,30 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
   // makes the exit status nonzero, with a one-line summary on stderr
   // regardless of the output format.  (The producers push without a
   // deadline, so nothing is ever shed here.)
-  const bool faulty = st.dropped > 0 || st.worker_faults > 0;
+  const std::uint64_t dropped = reg.sum("she_pipeline_dropped_total");
+  const std::uint64_t worker_faults =
+      reg.sum("she_pipeline_worker_faults_total");
+  const bool faulty = dropped > 0 || worker_faults > 0;
   if (faulty) {
-    std::cerr << "she_tool pipeline: faults detected: dropped=" << st.dropped
-              << " worker_faults=" << st.worker_faults
-              << " restarts=" << st.worker_restarts
-              << " items_lost=" << st.items_lost << "\n";
+    std::cerr << "she_tool pipeline: faults detected: dropped=" << dropped
+              << " worker_faults=" << worker_faults << " restarts="
+              << reg.sum("she_pipeline_worker_restarts_total")
+              << " items_lost=" << reg.sum("she_pipeline_items_lost_total")
+              << "\n";
   }
   const int rc = faulty ? 1 : 0;
 
   if (json) {
-    out << "{\"stats\":" << st.to_json() << ",\"queries_during_ingest\":"
+    out << "{\"stats\":";
+    obs::write_json(out, reg);
+    out << ",\"queries_during_ingest\":"
         << queries << ",\"skipped_on_resume\":" << skip_total
         << ",\"cardinality\":" << est << ",\"cardinality_exact\":"
         << exact << ",\"cardinality_re\":" << relative_error(exact, est)
         << "}\n";
     return rc;
   }
-  st.print(out);
+  obs::write_prometheus(out, reg);
   if (skip_total > 0)
     out << "  resumed from checkpoints: skipped " << skip_total
         << " already-ingested items\n";

@@ -16,7 +16,7 @@
 //   Context    a thread-local trace id (0 = untraced) tags every span the
 //              thread records; TraceIdScope sets/restores it RAII-style.
 //              Pipelines hand the id across the push → drain thread hop
-//              via a per-shard atomic (see ingest_pipeline.hpp).
+//              via a per-shard atomic (see ingest_pipeline.cpp).
 //
 // When tracing is off (the default), SHE_TRACE_SPAN costs one relaxed
 // load and a predictable branch; nothing is written anywhere.

@@ -336,6 +336,10 @@ void ReplicaClient::join_thread() {
 
 std::uint64_t ReplicaClient::lag_items() const {
   std::lock_guard<std::mutex> lk(mu_);
+  return lag_locked();
+}
+
+std::uint64_t ReplicaClient::lag_locked() const {
   std::uint64_t lag = 0;
   for (const auto& [key, end] : primary_end_) {
     const auto it = applied_.find(key);
@@ -346,13 +350,7 @@ std::uint64_t ReplicaClient::lag_items() const {
 }
 
 void ReplicaClient::refresh_lag() {
-  std::uint64_t lag = 0;
-  for (const auto& [key, end] : primary_end_) {
-    const auto it = applied_.find(key);
-    const std::uint64_t ap = it == applied_.end() ? 0 : it->second;
-    if (end > ap) lag += end - ap;
-  }
-  lag_gauge_->set(static_cast<std::int64_t>(lag));
+  lag_gauge_->set(static_cast<std::int64_t>(lag_locked()));
 }
 
 void ReplicaClient::run() {

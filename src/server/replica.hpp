@@ -182,6 +182,7 @@ class ReplicaClient {
   /// the streaming phase (resets the reconnect backoff).
   bool follow_once(const std::string& host, std::uint16_t port);
   void handle_record(std::vector<char>& body);  ///< rewrites it in place
+  [[nodiscard]] std::uint64_t lag_locked() const;  ///< mu_ held
   void refresh_lag();  ///< mu_ held
   void join_thread();
 

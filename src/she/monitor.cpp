@@ -221,17 +221,17 @@ MonitorConfig shard_monitor_config(const MonitorConfig& global,
 
 ConcurrentMonitor::ConcurrentMonitor(const MonitorConfig& monitor,
                                      const runtime::PipelineOptions& pipeline)
-    : pipe_(pipeline, [&](std::size_t s) {
+    : IngestPipeline(pipeline, [&](std::size_t s) {
         return StreamMonitor(
             shard_monitor_config(monitor, pipeline.shards, s));
       }) {}
 
 bool ConcurrentMonitor::seen(std::uint64_t key) const {
-  return pipe_.view(pipe_.shard_of(key))->seen(key);
+  return view(shard_of(key))->seen(key);
 }
 
 std::uint64_t ConcurrentMonitor::frequency(std::uint64_t key) const {
-  return pipe_.view(pipe_.shard_of(key))->frequency(key);
+  return view(shard_of(key))->frequency(key);
 }
 
 MonitorReport MonitorReport::combine(std::span<const MonitorReport> parts,
@@ -255,9 +255,9 @@ MonitorReport MonitorReport::combine(std::span<const MonitorReport> parts,
 
 MonitorReport ConcurrentMonitor::report(std::size_t top_k) const {
   std::vector<MonitorReport> parts;
-  parts.reserve(pipe_.shard_count());
-  for (std::size_t s = 0; s < pipe_.shard_count(); ++s)
-    parts.push_back(pipe_.view(s)->report(top_k));
+  parts.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s)
+    parts.push_back(view(s)->report(top_k));
   return MonitorReport::combine(parts, top_k);
 }
 
@@ -267,9 +267,8 @@ double ConcurrentMonitor::jaccard(const ConcurrentMonitor& a,
     throw std::invalid_argument(
         "ConcurrentMonitor::jaccard: shard counts differ");
   double sum = 0;
-  for (std::size_t s = 0; s < a.shard_count(); ++s) {
-    sum += StreamMonitor::jaccard(*a.shard_view(s), *b.shard_view(s));
-  }
+  for (std::size_t s = 0; s < a.shard_count(); ++s)
+    sum += StreamMonitor::jaccard(*a.view(s), *b.view(s));
   return sum / static_cast<double>(a.shard_count());
 }
 

@@ -130,68 +130,25 @@ class StreamMonitor {
 /// published views (one immutable StreamMonitor per shard, shared by every
 /// reader): membership and frequency go to the owning shard, cardinality
 /// sums across shards, top-k merges (shard key spaces are disjoint).
-/// Queries are safe from any thread at any time; push()/push_bulk() follow
-/// the IngestPipeline threading contract (any thread, a producer index
-/// below `producers`, concurrently; join producers before close()).
-class ConcurrentMonitor {
+/// It *is* an IngestPipeline<StreamMonitor>: push, start, close, view and
+/// the rest are the pipeline's own, under its threading contract.  Queries
+/// are safe from any thread at any time.
+class ConcurrentMonitor : public runtime::IngestPipeline<StreamMonitor> {
  public:
   ConcurrentMonitor(const MonitorConfig& monitor,
                     const runtime::PipelineOptions& pipeline);
 
-  /// Launch the shard workers (producers may enqueue before this).
-  void start() { pipe_.start(); }
-
-  /// Drain everything accepted, publish final snapshots, join workers.
-  void close() { pipe_.close(); }
-
-  /// Route one item from producer `producer`; false = rejected (dead
-  /// shard without a WAL, or closing).
-  bool push(std::size_t producer, std::uint64_t key) {
-    return pipe_.push(producer, key);
-  }
-
-  /// push() each key in order; returns how many were accepted.
-  std::size_t push_bulk(std::size_t producer,
-                        std::span<const std::uint64_t> keys) {
-    return pipe_.push_bulk(producer, keys);
-  }
-
-  /// push_bulk with a client idempotence identity (replays after lost
-  /// acks dedupe per shard) and an absolute steady-clock deadline (0 =
-  /// none) bounding the wait for admission.
-  std::size_t push_bulk(std::size_t producer,
-                        std::span<const std::uint64_t> keys,
-                        std::uint64_t client_id, std::uint64_t client_seq,
-                        std::int64_t deadline_ns = 0) {
-    return pipe_.push_bulk(producer, keys, client_id, client_seq, deadline_ns);
-  }
-
   /// Drain-then-publish barrier (IngestPipeline::sync): after this
   /// returns true, snapshot queries see every previously accepted push.
   bool flush(std::size_t timeout_ms = 5000) {
-    return pipe_.sync(/*with_checkpoint=*/false, timeout_ms);
+    return sync(/*with_checkpoint=*/false, timeout_ms);
   }
 
   /// flush() plus a durable checkpoint frame per shard (no-op frames when
   /// the pipeline has no checkpoint_dir).
   bool save_now(std::size_t timeout_ms = 5000) {
-    return pipe_.sync(/*with_checkpoint=*/true, timeout_ms);
+    return sync(/*with_checkpoint=*/true, timeout_ms);
   }
-
-  /// Per-shard stream offset restored from a durable checkpoint when the
-  /// pipeline options had `resume` set (0 otherwise); a replaying driver
-  /// skips this many keys routed to shard `s`.
-  [[nodiscard]] std::uint64_t resume_offset(std::size_t s) const {
-    return pipe_.resume_offset(s);
-  }
-
-  /// True while any shard worker is dead by exception (or abandoned) and
-  /// not yet restarted by the supervisor.
-  [[nodiscard]] bool faulted() const { return pipe_.faulted(); }
-
-  /// True while the pipeline is parked read-only after a disk fault
-  /// (pushes throw runtime::DegradedError; queries keep working).
-  [[nodiscard]] bool degraded() const { return pipe_.degraded(); }
 
   /// Snapshot queries (see class comment for semantics).
   [[nodiscard]] bool seen(std::uint64_t key) const;
@@ -208,33 +165,10 @@ class ConcurrentMonitor {
   [[nodiscard]] static double jaccard(const ConcurrentMonitor& a,
                                       const ConcurrentMonitor& b);
 
-  /// Shard `s`'s published state (IngestPipeline::view): a pointer copy,
-  /// shared and immutable — hold it to run several queries against one
-  /// consistent read.
-  [[nodiscard]] std::shared_ptr<const StreamMonitor> shard_view(
-      std::size_t s) const {
-    return pipe_.view(s);
-  }
-  /// A private, mutable copy of shard_view(s).
+  /// A private, mutable copy of view(s).
   [[nodiscard]] StreamMonitor shard_snapshot(std::size_t s) const {
-    return pipe_.snapshot(s);
+    return snapshot(s);
   }
-  [[nodiscard]] std::size_t shard_of(std::uint64_t key) const {
-    return pipe_.shard_of(key);
-  }
-  [[nodiscard]] std::size_t shard_count() const { return pipe_.shard_count(); }
-
-  [[nodiscard]] const runtime::PipelineOptions& options() const {
-    return pipe_.options();
-  }
-
-  /// The pipeline's always-on metric registry, for Prometheus/JSON export.
-  [[nodiscard]] const obs::Registry& metrics_registry() const {
-    return pipe_.metrics_registry();
-  }
-
- private:
-  runtime::IngestPipeline<StreamMonitor> pipe_;
 };
 
 }  // namespace she

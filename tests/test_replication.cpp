@@ -510,8 +510,8 @@ TEST(Replication, MultiSegmentBootstrapResumesByteIdentical) {
   ASSERT_TRUE(p && s);
   EXPECT_EQ(s->monitor().resume_offset(0), keys.size());
   std::vector<char> want, got;
-  runtime::serialize_to(want, *p->monitor().shard_view(0));
-  runtime::serialize_to(got, *s->monitor().shard_view(0));
+  runtime::serialize_to(want, *p->monitor().view(0));
+  runtime::serialize_to(got, *s->monitor().view(0));
   EXPECT_TRUE(want == got) << "standby state differs from the primary's";
 
   for (SheServer* srv : {&stby.server, &prim.server}) {
@@ -647,7 +647,7 @@ TEST(Replication, StandbyAppliesAWalRecordAtEveryFrameAlignment) {
     EXPECT_TRUE(entry && entry->monitor().flush());
     std::vector<char> out;
     BinaryWriter w(out);
-    entry->monitor().shard_view(0)->save(w);
+    entry->monitor().view(0)->save(w);
     return out;
   };
   const auto ref = manager.create("reference", kSpec);

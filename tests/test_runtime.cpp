@@ -7,7 +7,9 @@
 //     and releasing in place at every wrap offset and size; a
 //     cross-thread stress.
 //   * Published views: a held view survives later publishes unchanged;
-//     readers between two publishes share one object.
+//     readers between two publishes share one object; each publish copies
+//     the estimator once, view() never does, and a held view outlives its
+//     pipeline.
 //   * IngestPipeline: single-producer drains are bit-identical to
 //     sequential routing; tiny rings lose nothing; queries under load stay
 //     consistent; the supervisor keeps the rate gauge fresh.
@@ -855,6 +857,74 @@ TEST(PipelineView, ReadersBetweenPublishesShareOneObject) {
   pipe.close();
 }
 
+/// Records its keys and counts, across every instance, its copies.
+struct CopyCounter {
+  static inline std::atomic<std::uint64_t> copies{0};
+  std::vector<std::uint64_t> keys;
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter& o) : keys(o.keys) { copies.fetch_add(1); }
+  CopyCounter(CopyCounter&&) = default;
+  void insert(std::uint64_t k) { keys.push_back(k); }
+  void save(BinaryWriter& w) const { w.u64_vector(keys); }
+  static CopyCounter load(BinaryReader& r) {
+    CopyCounter e;
+    e.keys = r.u64_vector();
+    return e;
+  }
+};
+
+TEST(PipelineView, TypedViewCopiesOncePerPublishAndOutlivesThePipeline) {
+  // Each publish copies the estimator exactly once (construction publishes
+  // one initial copy per shard); view() hands out that copy, typed,
+  // without another; and a held view stays readable after the pipeline is
+  // gone, for IngestPipeline<E> and for ConcurrentMonitor alike.
+  const auto trace = stream::distinct_trace(3000, 5);
+  const std::span<const std::uint64_t> keys(trace);
+  PipelineOptions opt;
+  opt.shards = 2;
+  opt.publish_interval = 64;
+  std::shared_ptr<const CopyCounter> held;
+  std::vector<std::uint64_t> want;
+  {
+    CopyCounter::copies = 0;
+    IngestPipeline<CopyCounter> pipe(
+        opt, [](std::size_t) { return CopyCounter{}; });
+    EXPECT_EQ(CopyCounter::copies.load(), opt.shards);
+    pipe.start();
+    for (std::size_t i = 0; i < keys.size(); i += 250) {
+      ASSERT_EQ(pipe.push_bulk(0, keys.subspan(i, 250)), 250u);
+      ASSERT_TRUE(pipe.sync(/*with_checkpoint=*/false));
+    }
+    pipe.close();
+    const std::uint64_t publishes =
+        pipe.metrics_registry().sum("she_pipeline_publishes_total");
+    EXPECT_GE(publishes, keys.size() / 250);
+    EXPECT_EQ(CopyCounter::copies.load(), opt.shards + publishes);
+    held = pipe.view(0);
+    for (int i = 0; i < 1000; ++i) EXPECT_EQ(pipe.view(0).get(), held.get());
+    EXPECT_EQ(CopyCounter::copies.load(), opt.shards + publishes);
+    for (const std::uint64_t k : keys)
+      if (pipe.shard_of(k) == 0) want.push_back(k);
+  }
+  EXPECT_EQ(held->keys, want);
+
+  MonitorConfig mcfg;
+  mcfg.window = 1 << 14;
+  mcfg.memory_bytes = 64 << 10;
+  std::shared_ptr<const StreamMonitor> shard0;
+  {
+    ConcurrentMonitor mon(mcfg, opt);
+    mon.start();
+    ASSERT_EQ(mon.push_bulk(0, keys), keys.size());
+    ASSERT_TRUE(mon.flush());
+    shard0 = mon.view(0);
+    for (int i = 0; i < 1000; ++i) EXPECT_EQ(mon.view(0).get(), shard0.get());
+    mon.close();
+  }
+  EXPECT_EQ(shard0->time(), want.size());
+  for (const std::uint64_t k : want) ASSERT_TRUE(shard0->seen(k)) << k;
+}
+
 // --------------------------- ConcurrentMonitor -----------------------------
 
 TEST(ConcurrentMonitor, QueriesUnderLoadStayWithinSingleThreadBounds) {
@@ -998,7 +1068,7 @@ void readers_while_publishing_every_item(bool trim) {
       if (mon.shard_of(k) == s) mine.push_back(k);
     ref.insert_batch(mine);
     std::vector<char> got, want;
-    serialize_to(got, *mon.shard_view(s));
+    serialize_to(got, *mon.view(s));
     serialize_to(want, ref);
     EXPECT_EQ(got, want) << "shard " << s;
   }

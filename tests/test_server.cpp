@@ -1334,7 +1334,7 @@ void send_bulk(SheClient& c, const std::vector<char>& body, std::size_t n) {
 std::vector<std::vector<char>> shard_images(const ConcurrentMonitor& m) {
   std::vector<std::vector<char>> out(m.shard_count());
   for (std::size_t s = 0; s < out.size(); ++s)
-    runtime::serialize_to(out[s], *m.shard_view(s));
+    runtime::serialize_to(out[s], *m.view(s));
   return out;
 }
 

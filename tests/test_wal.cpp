@@ -1132,6 +1132,40 @@ TEST(WalPipeline, PushBulkRefusesAShardShareAboveTheFrameBoundAcceptingNothing) 
   std::filesystem::remove_all(dir);
 }
 
+TEST(WalPipeline, OneShardPushBulkRefusesAnOversizeCallBeforeGatheringIt) {
+  // With one shard the whole call is one lane's sub-batch.  That route used
+  // to skip the frame-bound check: it waited for ring space and gathered
+  // all kMaxWalKeys + 1 keys (64 MiB) before the append refused them.
+  const std::string dir = temp_dir("wal_one_shard_bound");
+  runtime::PipelineOptions opt = wal_pipeline(dir);
+  opt.shards = 1;
+  runtime::IngestPipeline<SheBloomFilter> pipe(opt, small_filter);
+  pipe.start();
+  std::vector<std::uint64_t> first(100);
+  for (std::size_t i = 0; i < first.size(); ++i) first[i] = i * 7919;
+  ASSERT_EQ(pipe.push_bulk(0, first), first.size());
+  const std::vector<char> log_before = file_bytes(first_segment(dir));
+  ASSERT_FALSE(log_before.empty());
+  std::vector<std::uint64_t> keys(kMaxWalKeys + 1, 7);
+  EXPECT_LT(peak_heap_during([&] {
+              EXPECT_THROW((void)pipe.push_bulk(0, keys, 9, 1), WalError);
+            }),
+            std::size_t{1} << 20);
+  keys.clear();
+  keys.shrink_to_fit();
+  EXPECT_EQ(file_bytes(first_segment(dir)), log_before);
+  pipe.close();
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_produced_total"),
+            first.size());
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_inserted_total"),
+            first.size());
+  const Scan scan = scan_log(dir + "/shard-0.wal");
+  EXPECT_EQ(scan.end_offset, first.size());
+  ASSERT_EQ(scan.frames.size(), 1u);
+  EXPECT_EQ(scan.frames[0].keys, first);
+  std::filesystem::remove_all(dir);
+}
+
 // A shard worker counts its own allocations while a test watches: each
 // estimator copy (one per publish) restarts the count, and the directory
 // sync that ends the checkpoint after it publishes the bytes allocated.

@@ -34,15 +34,15 @@
 //     `checkpoint_interval` items, on a sync, and at close; resume reloads
 //     the newest intact generation (a corrupt one throws CheckpointError)
 //     and records each shard's stream offset (resume_offset()).
-//   * Supervision: the supervisor restarts a worker that died by
-//     exception, rolled back to its last published view.  Items applied
-//     since are healed from the WAL or counted lost, and a loss ends that
-//     shard's checkpoints, so its newest frame stays an exact prefix of
-//     its stream.  The block the dead worker was applying stays in the
+//   * Self-healing workers: a worker that throws rolls itself back to its
+//     last published view and re-enters its loop on the same thread.
+//     Items applied since are healed from the WAL or counted lost, and a
+//     loss ends that shard's checkpoints, so its newest frame stays an
+//     exact prefix of its stream.  The block it was applying stays in the
 //     ring, counted replayed.  After kMaxRestarts the next fault abandons
-//     the shard, the only terminal state.  A worker whose heartbeat is
-//     older than kHeartbeatTimeoutMs is only counted as wedged: it is
-//     still the shard's one live consumer.
+//     the shard, the only terminal state.  The supervisor only observes: a
+//     worker whose heartbeat is older than kHeartbeatTimeoutMs is counted
+//     as wedged, and it is still the shard's one live consumer.
 //   * WAL: the lane appends the staged sub-batch to the shard's segmented
 //     log after the reservation and before the publish, so drain order
 //     equals log order and a checkpoint's offset (a count of drained
@@ -131,6 +131,9 @@ namespace {
 
 enum class WorkerState : int { kIdle, kRunning, kFaulted, kAbandoned };
 
+/// The pipeline's lifecycle; only start() and close() advance it.
+enum class Phase : int { kNew, kRunning, kClosing, kClosed };
+
 struct Shard {
   Shard(std::shared_ptr<ShardState> e, std::size_t queue_capacity)
       : est(std::move(e)), ring(queue_capacity) {}
@@ -153,10 +156,9 @@ struct Shard {
   std::uint64_t ckpt_ordinal = 0;      ///< worker-only: frames written
   std::uint64_t resume_offset = 0;     ///< fixed at construction
   std::uint64_t hwm_local = 0;         ///< worker-only mirror
-  /// Set by a restart that lost applied items: the estimator no longer
+  /// Set by a rollback that lost applied items: the estimator no longer
   /// holds a prefix of the shard's stream, so no checkpoint offset
-  /// describes it and the shard writes no more frames.  Worker-only,
-  /// like `consumed` (the supervisor writes it while the worker is dead).
+  /// describes it and the shard writes no more frames.  Worker-only.
   bool ckpt_frozen = false;
   /// Backlog log (wal_mode != kOff).
   std::unique_ptr<ShardWal> wal;
@@ -175,9 +177,7 @@ struct Shard {
   /// retained generation — resume may fall back past a corrupt newest
   /// frame, and that older base still needs its replay suffix.
   std::vector<std::uint64_t> ckpt_history;
-  // Supervision handshake.  The worker's plain fields above are read by
-  // the supervisor only after it observed kFaulted (released by the
-  // dying worker) and joined the thread.
+  /// Written by the worker; kFaulted while it rolls itself back.
   std::atomic<WorkerState> state{WorkerState::kIdle};
   std::atomic<std::int64_t> heartbeat_ns{0};
   // Sync handshake (see sync()): a caller bumps sync_req; the worker
@@ -293,11 +293,9 @@ struct PipelineCore::Impl {
   }
 
   void start() {
-    if (started_.load(std::memory_order_relaxed))
-      throw std::logic_error("IngestPipeline: already started");
-    if (closed_.load(std::memory_order_relaxed))
-      throw std::logic_error("IngestPipeline: already closed");
-    started_.store(true, std::memory_order_relaxed);
+    if (phase_.load(std::memory_order_relaxed) != Phase::kNew)
+      throw std::logic_error("IngestPipeline: already started or closed");
+    phase_.store(Phase::kRunning, std::memory_order_release);
     workers_.reserve(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s)
       workers_.emplace_back([this, s] { worker_entry(s); });
@@ -419,7 +417,7 @@ struct PipelineCore::Impl {
     bool ok = true;
     std::int64_t backoff_us = 0;
     for (;;) {
-      if (!accepting_.load(std::memory_order_acquire)) {
+      if (closing()) {
         ok = false;
         break;
       }
@@ -484,7 +482,7 @@ struct PipelineCore::Impl {
                           Next&& next, std::uint64_t client_id,
                           std::uint64_t client_seq, std::int64_t deadline_ns) {
     std::lock_guard<std::mutex> lk(sh.lane_mu);
-    if (!accepting_.load(std::memory_order_acquire)) return 0;
+    if (closing()) return 0;
     ClientSeqTable& seqs = sh.wal != nullptr ? sh.wal->seq_table() : sh.seqs;
     if (client_id != 0 && client_seq <= seqs.high(client_id)) {
       // Duplicate of an already-applied delivery: ack without waiting on
@@ -568,27 +566,32 @@ struct PipelineCore::Impl {
   }
 
   void close() {
-    if (closed_.load(std::memory_order_relaxed)) return;
-    accepting_.store(false, std::memory_order_release);
-    stopping_.store(true, std::memory_order_release);
-    if (started_.load(std::memory_order_relaxed)) {
+    const Phase was = phase_.load(std::memory_order_relaxed);
+    if (was == Phase::kClosed) return;
+    phase_.store(Phase::kClosing, std::memory_order_release);
+    if (was == Phase::kNew) {
+      for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
+    } else {
       if (supervisor_.joinable()) supervisor_.join();
       for (auto& t : workers_)
         if (t.joinable()) t.join();
       workers_.clear();
-    } else {
-      for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     }
     // The supervisor's last tick predates the final drain.
     for (const auto& sh : shards_)
       sh->queue_depth->set(static_cast<std::int64_t>(sh->ring.size_approx()));
-    closed_.store(true, std::memory_order_relaxed);
+    phase_.store(Phase::kClosed, std::memory_order_release);
+  }
+
+  /// close() has begun: pushes are refused and workers exit once drained.
+  [[nodiscard]] bool closing() const {
+    return phase_.load(std::memory_order_acquire) >= Phase::kClosing;
   }
 
   bool sync(bool with_checkpoint, std::size_t timeout_ms) {
     // Closed, or no workers yet: the published snapshots are current.
-    if (closed_.load(std::memory_order_acquire) ||
-        !started_.load(std::memory_order_relaxed))
+    if (const Phase p = phase_.load(std::memory_order_acquire);
+        p == Phase::kNew || p == Phase::kClosed)
       return true;
     std::vector<std::uint64_t> want(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s) {
@@ -603,7 +606,8 @@ struct PipelineCore::Impl {
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
       while (sh.sync_ack.load(std::memory_order_acquire) < want[s]) {
-        if (closed_.load(std::memory_order_acquire)) return true;
+        if (phase_.load(std::memory_order_acquire) == Phase::kClosed)
+          return true;
         if (shard_dead(sh)) {  // nobody will ever ack this shard
           ok = false;
           break;
@@ -634,7 +638,7 @@ struct PipelineCore::Impl {
         {&Shard::publishes, "she_pipeline_publishes_total",
          "snapshot publications"},
         {&Shard::restarts, "she_pipeline_worker_restarts_total",
-         "supervised worker restarts"},
+         "faulted workers rolled back and rerun on their own thread"},
         {&Shard::faults, "she_pipeline_worker_faults_total",
          "worker threads died by exception"},
         {&Shard::wedged, "she_pipeline_worker_wedged_total",
@@ -670,7 +674,7 @@ struct PipelineCore::Impl {
   }
 
   [[nodiscard]] std::string checkpoint_path(std::size_t s) const {
-    return opt_.checkpoint_dir + "/shard-" + std::to_string(s) + ".ckpt";
+    return PipelineCore::checkpoint_path(opt_.checkpoint_dir, s);
   }
 
   [[nodiscard]] std::string wal_path(std::size_t s) const {
@@ -807,18 +811,27 @@ struct PipelineCore::Impl {
     return true;
   }
 
+  /// A shard's one worker, for the pipeline's life (inline in a close()
+  /// that found it never started): on a fault it rolls back and reruns.
   void worker_entry(std::size_t si) {
     Shard& sh = *shards_[si];
-    sh.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-    sh.state.store(WorkerState::kRunning, std::memory_order_release);
-    try {
-      worker_loop(si);
-      sh.state.store(WorkerState::kIdle, std::memory_order_release);
-    } catch (const std::exception&) {
-      // The estimator may be mid-batch; only the published snapshot is
-      // trustworthy now.  The supervisor rolls back to it.
-      sh.faults->inc();
-      sh.state.store(WorkerState::kFaulted, std::memory_order_release);
+    for (std::size_t restarts = 0;; ++restarts) {
+      sh.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+      sh.state.store(WorkerState::kRunning, std::memory_order_release);
+      try {
+        worker_loop(si);
+        sh.state.store(WorkerState::kIdle, std::memory_order_release);
+        return;
+      } catch (const std::exception&) {
+        // The estimator may be mid-batch; only the published snapshot is
+        // trustworthy now.
+        sh.faults->inc();
+        sh.state.store(WorkerState::kFaulted, std::memory_order_release);
+      }
+      if (restarts == kMaxRestarts || !roll_back(sh)) {
+        sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
+        return;
+      }
     }
   }
 
@@ -909,9 +922,7 @@ struct PipelineCore::Impl {
           write_checkpoint(sh);
         sh.sync_ack.store(syncreq, std::memory_order_release);
       }
-      if (stopping_.load(std::memory_order_acquire) &&
-          sh.ring.size_approx() == 0)
-        break;
+      if (closing() && sh.ring.size_approx() == 0) break;
       std::this_thread::yield();
     }
     publish(sh);  // final state, unconditionally
@@ -920,11 +931,11 @@ struct PipelineCore::Impl {
       write_checkpoint(sh);
   }
 
-  /// Supervisor: poll worker states, restart the dead, count the wedged,
-  /// and refresh the queue-depth gauges and the windowed rate, so scrapes
-  /// see backlog even while a worker is stuck inside a long sweep.
+  /// Supervisor, an observer only: count the wedged, and refresh the
+  /// queue-depth gauges and the windowed rate, so scrapes see backlog even
+  /// while a worker is stuck inside a long sweep.  Exits when close()
+  /// begins; the workers heal themselves without it.
   void supervisor_loop() {
-    std::vector<std::uint64_t> restart_count(opt_.shards, 0);
     // The last stale heartbeat counted per shard: one wedge per episode.
     std::vector<std::int64_t> flagged(opt_.shards, 0);
     constexpr std::int64_t kHeartbeatTimeoutNs =
@@ -933,7 +944,7 @@ struct PipelineCore::Impl {
         static_cast<std::int64_t>(kRateSampleIntervalMs) * 1'000'000;
     RateWindow rate_window(kRateWindowS);
     std::int64_t last_rate_sample = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
+    while (!closing()) {
       std::uint64_t inserted_total = 0;
       for (std::size_t s = 0; s < opt_.shards; ++s) {
         Shard& sh = *shards_[s];
@@ -941,26 +952,15 @@ struct PipelineCore::Impl {
         sh.queue_depth->set(depth);
         sh.queue_hwm->max_of(depth);
         inserted_total += sh.inserted->value();
-        const WorkerState st = sh.state.load(std::memory_order_acquire);
-        if (st == WorkerState::kFaulted) {
-          if (restart_count[s] >= kMaxRestarts) {
-            sh.state.store(WorkerState::kAbandoned,
-                           std::memory_order_release);
-            continue;
-          }
-          ++restart_count[s];
-          restart_shard(s);
-        } else if (st == WorkerState::kRunning) {
-          // Wedged: a sweep (a long checkpoint, a stall) outlived the
-          // timeout.  Only counted — the worker is still the shard's one
-          // live consumer, and a thread cannot be killed anyway.
-          const std::int64_t hb =
-              sh.heartbeat_ns.load(std::memory_order_relaxed);
-          if (hb != 0 && hb != flagged[s] &&
-              now_ns() - hb > kHeartbeatTimeoutNs) {
-            sh.wedged->inc();
-            flagged[s] = hb;
-          }
+        if (sh.state.load(std::memory_order_acquire) != WorkerState::kRunning)
+          continue;
+        // Wedged: a sweep (a long checkpoint, a stall) outlived the timeout.
+        // Only counted — the worker is still the shard's one live consumer,
+        // and a thread cannot be killed anyway.
+        const std::int64_t hb = sh.heartbeat_ns.load(std::memory_order_relaxed);
+        if (hb != 0 && hb != flagged[s] && now_ns() - hb > kHeartbeatTimeoutNs) {
+          sh.wedged->inc();
+          flagged[s] = hb;
         }
       }
       if (const std::int64_t now = now_ns();
@@ -971,8 +971,7 @@ struct PipelineCore::Impl {
       }
       // Sleep in small slices so close() is never delayed.
       auto remaining = std::chrono::milliseconds(kSupervisorIntervalMs);
-      while (remaining.count() > 0 &&
-             !stopping_.load(std::memory_order_acquire)) {
+      while (remaining.count() > 0 && !closing()) {
         const auto slice = std::min(remaining, std::chrono::milliseconds(2));
         std::this_thread::sleep_for(slice);
         remaining -= slice;
@@ -999,10 +998,9 @@ struct PipelineCore::Impl {
 
   /// Heal the rollback gap [consumed_at_publish, consumed) of a freshly
   /// rolled-back estimator from the log; returns the offset healed up to.
-  /// Runs on the supervisor thread after the dead worker was joined, so
-  /// it owns sh.est; a concurrent producer may be appending past
-  /// `consumed`, but the range we read is already flushed to the file
-  /// (it was applied by the worker, so its append long since returned).
+  /// Runs on the shard's worker thread.  A concurrent producer may be
+  /// appending past `consumed`, but the range we read is already flushed
+  /// to the file (it was applied, so its append long since returned).
   /// The scan stops at `consumed`, short of the active segment's tail,
   /// which it neither truncates nor counts as torn.
   std::uint64_t wal_heal(Shard& sh) {
@@ -1017,48 +1015,38 @@ struct PipelineCore::Impl {
     return pos;
   }
 
-  /// Join the dead worker, roll the shard back to its last published
-  /// snapshot (the live estimator may be mid-batch garbage), account
-  /// lost/replayed items, relaunch.  With the WAL on, the rollback gap
+  /// On the faulted worker's thread: roll the shard back to its last
+  /// published snapshot (the live estimator may be mid-batch garbage) and
+  /// account lost/replayed items.  With the WAL on, the rollback gap
   /// [consumed_at_publish, consumed) is healed back from the log (every
-  /// applied item was logged first), so nothing is lost and the
-  /// checkpoint offset keeps identifying a log prefix.  Without it the gap
-  /// is lost, and the shard stops checkpointing (`ckpt_frozen`).
-  void restart_shard(std::size_t s) {
-    Shard& sh = *shards_[s];
-    if (workers_[s].joinable()) workers_[s].join();
+  /// applied item was logged first) and published by the next idle sweep,
+  /// and the checkpoint offset keeps identifying a log prefix.  Without it
+  /// the gap is lost, and the shard stops checkpointing (`ckpt_frozen`).
+  /// False when the copy fails (out of memory): the shard is abandoned.
+  bool roll_back(Shard& sh) {
     const std::uint64_t backlog = sh.ring.size_approx();
     try {
-      sh.est = published(s)->clone();
+      sh.est = published(sh.index)->clone();
     } catch (const std::exception&) {
-      // Only the copy can fail (out of memory); the shard cannot be
-      // saved then — abandon it.
-      sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
-      return;
+      return false;
     }
-    if (sh.wal != nullptr) {
-      const std::uint64_t healed = wal_heal(sh);
-      if (healed < sh.consumed) {
-        // A hole in the log below `consumed` (should be impossible: items
-        // are logged before they are applied).  The unhealable range is
-        // gone from the live estimator; account it like the no-WAL path
-        // would.
-        sh.lost->inc(sh.consumed - healed);
-        sh.ckpt_frozen = true;
-      }
-    } else if (sh.consumed > sh.consumed_at_publish) {
-      // The dead worker applied these items and released their slots;
-      // they are gone.  Later frames would name an offset that skips the
-      // wrong keys on resume, so the shard's checkpoints stop here.
-      sh.lost->inc(sh.consumed - sh.consumed_at_publish);
-      sh.consumed = sh.consumed_at_publish;
+    const std::uint64_t healed =
+        sh.wal != nullptr ? wal_heal(sh) : sh.consumed_at_publish;
+    if (healed < sh.consumed) {
+      // Applied, released, and not in the log (without the WAL, or at a
+      // hole in it, which should be impossible: items are logged before
+      // they are applied): these items are gone.  Later frames would name
+      // an offset that skips the wrong keys on resume, so the shard's
+      // checkpoints stop here.
+      sh.lost->inc(sh.consumed - healed);
       sh.ckpt_frozen = true;
+      // With the WAL on, `consumed` stays the shard's log offset.
+      if (sh.wal == nullptr) sh.consumed = healed;
     }
-    sh.since_publish = 0;
+    sh.since_publish = sh.consumed - sh.consumed_at_publish;
     sh.replayed->inc(backlog);
     sh.restarts->inc();
-    sh.state.store(WorkerState::kIdle, std::memory_order_release);
-    workers_[s] = std::thread([this, s] { worker_entry(s); });
+    return true;
   }
 
   PipelineOptions opt_;
@@ -1097,10 +1085,7 @@ struct PipelineCore::Impl {
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
   std::thread supervisor_;
-  std::atomic<bool> accepting_{true};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> started_{false};
-  std::atomic<bool> closed_{false};
+  std::atomic<Phase> phase_{Phase::kNew};
   std::atomic<bool> degraded_{false};
   std::atomic<std::int64_t> last_probe_ns_{0};
   std::mutex degraded_mu_;
@@ -1116,6 +1101,10 @@ const PipelineOptions& PipelineCore::options() const { return impl_->opt_; }
 std::size_t PipelineCore::shard_count() const { return impl_->opt_.shards; }
 std::size_t PipelineCore::shard_of(std::uint64_t key) const {
   return impl_->shard_of(key);
+}
+std::string PipelineCore::checkpoint_path(const std::string& dir,
+                                          std::size_t s) {
+  return dir + "/shard-" + std::to_string(s) + ".ckpt";
 }
 std::uint64_t PipelineCore::resume_offset(std::size_t s) const {
   return impl_->shards_[s]->resume_offset;

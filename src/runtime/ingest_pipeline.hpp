@@ -160,7 +160,8 @@ class ShardState {
 /// over ShardState.  Use it through IngestPipeline<Estimator>.
 class PipelineCore {
  public:
-  /// Supervised restarts per shard before it is abandoned.
+  /// Restarts per shard: a worker that throws rolls itself back and runs
+  /// again on its own thread; the fault after the last abandons the shard.
   static constexpr std::size_t kMaxRestarts = 16;
   /// A running worker whose heartbeat is older than this counts as wedged.
   static constexpr std::size_t kHeartbeatTimeoutMs = 250;
@@ -207,8 +208,13 @@ class PipelineCore {
   /// keys that route to shard s to reproduce the unfaulted run exactly.
   [[nodiscard]] std::uint64_t resume_offset(std::size_t s) const;
 
-  /// True while any shard worker is dead by exception (or abandoned after
-  /// kMaxRestarts) and not yet restarted.  Any thread.
+  /// Shard `s`'s checkpoint file under a `checkpoint_dir`: the newest
+  /// generation's name (checkpoint_generation_path names the older ones).
+  [[nodiscard]] static std::string checkpoint_path(const std::string& dir,
+                                                   std::size_t s);
+
+  /// True while any shard worker is rolling itself back after a fault, or
+  /// its shard is abandoned after kMaxRestarts.  Any thread.
   [[nodiscard]] bool faulted() const;
 
   /// True while the pipeline is parked read-only after a disk fault

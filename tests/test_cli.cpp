@@ -311,8 +311,8 @@ constexpr std::size_t kMaxRestarts =
     runtime::IngestPipeline<StreamMonitor>::kMaxRestarts;
 
 /// An --inject list that arms the worker throw `spec` kMaxRestarts + 1
-/// times: the shard's worker dies once more than the supervisor restarts
-/// it, so the shard ends abandoned.
+/// times: the shard's worker dies once more than it restarts itself, so
+/// the shard ends abandoned.
 std::string abandon(const std::string& spec) {
   std::string list = spec;
   for (std::size_t i = 0; i < kMaxRestarts; ++i) list += "," + spec;

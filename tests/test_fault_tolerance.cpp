@@ -1,9 +1,11 @@
-// Fault-tolerance tests: CRC-framed durable checkpoints, supervised
-// worker restarts and wedge counting, bounded backpressure, and the
-// deterministic fault-injection harness that drives them.  This binary
-// carries the ctest label `tsan` (see tests/CMakeLists.txt): build with
-// -DSHE_SANITIZE=thread and run `ctest -L tsan` to exercise the
-// supervisor/worker/producer handshakes under ThreadSanitizer.
+// Fault-tolerance tests: CRC-framed durable checkpoints, workers that roll
+// themselves back and restart on their own thread after a fault (also
+// during close()'s final drain), the supervisor's wedge counting, bounded
+// backpressure, and the deterministic fault-injection harness that drives
+// them.  This binary carries the ctest label `tsan` (see
+// tests/CMakeLists.txt): build with -DSHE_SANITIZE=thread and run `ctest -L
+// tsan` to exercise the worker/producer/reader handshakes under
+// ThreadSanitizer.
 #include "common/checkpoint.hpp"
 
 #include <algorithm>
@@ -480,8 +482,8 @@ constexpr std::size_t kMaxRestarts =
     IngestPipeline<SheBloomFilter>::kMaxRestarts;
 
 /// Arm kMaxRestarts + 1 worker throws on `shard` at `at` applied items:
-/// the worker dies once more than the supervisor restarts it, so the
-/// shard ends abandoned, the only terminal shard state.
+/// the worker dies once more than it restarts itself, so the shard ends
+/// abandoned, the only terminal shard state.
 void arm_abandonment(std::size_t shard, std::uint64_t at) {
   for (std::size_t i = 0; i <= kMaxRestarts; ++i)
     fault::injector().arm({fault::Point::kWorkerThrow, shard, at, 0});
@@ -529,7 +531,7 @@ void kill_and_recover_byte_identical(
   opt.checkpoint_interval = 2048;
 
   // Run 1: the injected throws kill shard 0's worker mid-stream until the
-  // supervisor abandons it.  Pushes to the dead shard fail fast instead of
+  // shard is abandoned.  Pushes to the dead shard fail fast instead of
   // hanging, so the producer still completes.  A restart that rolls back
   // applied items loses them, and the shard's checkpoints stop there.
   arm_abandonment(0, 20'000);
@@ -981,7 +983,7 @@ void wal_crash_replay_byte_identical(
   std::uint64_t last_seq = 0;
 
   // Run 1: the injected throws kill shard 0's worker mid-stream until the
-  // supervisor abandons it.  Accepted items keep landing in the WAL even
+  // shard is abandoned.  Accepted items keep landing in the WAL even
   // when the ring push fails — durable-but-not-yet-live is exactly the
   // state resume must repair.
   arm_abandonment(0, 10'000);
@@ -1289,7 +1291,7 @@ TEST_F(FaultTolerance, WalMultiProducerCrashReplayByteIdentical) {
 }
 
 TEST_F(FaultTolerance, WalSupervisedRestartHealsRollbackFromLog) {
-  // A supervised fault rolls the estimator back to its last published
+  // A worker fault rolls the estimator back to its last published
   // snapshot; without the WAL the items applied since are gone (counted
   // in items_lost).  With the WAL on they were all logged before they
   // were applied, so the restart heals them back from the log: nothing
@@ -1380,6 +1382,96 @@ TEST_F(FaultTolerance, WalHealCountsNoTornTailItDidNotTruncate) {
   EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
   EXPECT_EQ(torn.value(), torn_before);
   EXPECT_EQ(serialized(pipe.snapshot(0)), serialized(reference.shard(0)));
+  std::filesystem::remove_all(dir);
+}
+
+/// A worker that faults during close()'s final drain heals itself: close()
+/// begins while shard 0's worker stalls 300 ms at item 0 (the pipeline
+/// started) or drains inline (never started), and the worker throws once
+/// it has applied the 1000 keys.  With the WAL on the rollback gap is
+/// healed from the log; without it the gap is counted lost.  Either way
+/// the view plus the loss covers every accepted key, and no shard is left
+/// faulted, although the supervisor exits as soon as close() begins.
+void close_drains_through_a_worker_fault(WalMode wal, bool started) {
+  constexpr std::size_t kKeys = 1000;
+  const auto factory = bf_factory(1, 16'384);
+  const auto trace = stream::distinct_trace(kKeys, 61);
+  Sharded<SheBloomFilter> reference(1, factory);
+  for (auto k : trace) reference.insert(k);
+  const std::string dir = temp_dir("close_through_fault");
+
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  if (wal != WalMode::kOff) opt.checkpoint_dir = dir;
+  opt.wal_mode = wal;
+  fault::injector().arm({fault::Point::kConsumerStall, 0, 0, 300});
+  fault::injector().arm({fault::Point::kWorkerThrow, 0, 1, 0});
+  IngestPipeline<SheBloomFilter> pipe(opt, factory);
+  if (started) pipe.start();
+  ASSERT_EQ(pipe.push_bulk(0, trace), kKeys);
+  pipe.close();
+
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_worker_faults_total"), 1u);
+  EXPECT_EQ(reg.sum("she_pipeline_worker_restarts_total"), 1u);
+  EXPECT_EQ(pipe.view(0)->time() + reg.sum("she_pipeline_items_lost_total"),
+            kKeys);
+  if (wal != WalMode::kOff) {
+    EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
+    EXPECT_TRUE(serialized(*pipe.view(0)) == serialized(reference.shard(0)))
+        << "the view is not the sequential run over every key";
+  }
+  EXPECT_FALSE(pipe.faulted());
+  for (const obs::Registry::Entry& e : reg.entries()) {
+    if (e.name == "she_pipeline_queue_depth") {
+      EXPECT_EQ(e.gauge->value(), 0);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(FaultTolerance, CloseDrainsThroughAWorkerFault) {
+  for (const bool started : {true, false})
+    for (const WalMode wal : {WalMode::kAsync, WalMode::kOff}) {
+      SCOPED_TRACE(std::string(started ? "started" : "never started") +
+                   (wal == WalMode::kOff ? ", WAL off" : ", WAL on"));
+      fault::injector().clear();
+      close_drains_through_a_worker_fault(wal, started);
+    }
+}
+
+TEST_F(FaultTolerance, WalHealedRestartPublishesWhatItHealed) {
+  // The worker drains 1000 queued keys in one sweep, below
+  // publish_interval, and throws at the next.  The restart heals all 1000
+  // from the log, and its next idle sweep must publish them with no
+  // further push, FLUSH or close(): the rollback leaves the healed items
+  // as publish debt.
+  constexpr std::size_t kKeys = 1000;
+  const auto trace = stream::distinct_trace(kKeys, 67);
+  const std::string dir = temp_dir("wal_heal_publishes");
+  PipelineOptions opt;
+  opt.shards = 1;
+  opt.producers = 1;
+  opt.checkpoint_dir = dir;
+  opt.wal_mode = WalMode::kAsync;
+  IngestPipeline<SheBloomFilter> pipe(opt, bf_factory(1, 16'384));
+  ASSERT_EQ(pipe.push_bulk(0, trace), kKeys);
+  fault::injector().arm({fault::Point::kWorkerThrow, 0, 1, 0});
+  pipe.start();
+  const obs::Registry& reg = pipe.metrics_registry();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (reg.sum("she_pipeline_worker_restarts_total") == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "no restart";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (pipe.view(0)->time() < kKeys &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(pipe.view(0)->time(), kKeys);
+  EXPECT_EQ(reg.sum("she_pipeline_items_lost_total"), 0u);
+  pipe.close();
   std::filesystem::remove_all(dir);
 }
 

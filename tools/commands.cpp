@@ -321,7 +321,7 @@ int cmd_pipeline(const ArgMap& args, std::ostream& out) {
     bool any_frame = false;
     for (std::size_t s = 0; s < pcfg.shards && !any_frame; ++s) {
       const std::string base =
-          pcfg.checkpoint_dir + "/shard-" + std::to_string(s) + ".ckpt";
+          runtime::PipelineCore::checkpoint_path(pcfg.checkpoint_dir, s);
       for (std::size_t gen = 0; gen < pcfg.checkpoint_keep && !any_frame;
            ++gen) {
         any_frame = std::filesystem::exists(
@@ -892,8 +892,8 @@ std::string usage() {
       "               [--checkpoint-dir DIR] [--checkpoint-every N]\n"
       "               [--checkpoint-keep K] [--resume]\n"
       "               [--inject SPEC[,SPEC...]]\n"
-      "               (concurrent ingest, queries under load; supervised\n"
-      "               workers restart on faults; --checkpoint-dir writes\n"
+      "               (concurrent ingest, queries under load; a faulted\n"
+      "               worker rolls back and restarts; --checkpoint-dir writes\n"
       "               CRC-framed durable checkpoints and --resume replays\n"
       "               from them; SPEC = point[:shard[:at[:param]]] with\n"
       "               point throw|stall|ckpt-bitflip|ckpt-truncate|\n"

@@ -14,10 +14,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -32,6 +37,7 @@
 #include "server/pipeline_manager.hpp"
 #include "server/protocol.hpp"
 #include "common/fault_injection.hpp"
+#include "common/io.hpp"
 #include "common/simd.hpp"
 #include "common/wal.hpp"
 #include "obs/trace.hpp"
@@ -687,6 +693,381 @@ TEST(Server, HalfClosedSocketsNeverRaiseSigpipe) {
   EXPECT_EQ(c.insert("gone", 99), 1u);
   c.flush("gone");
   EXPECT_TRUE(c.query_membership("gone", 99));
+}
+
+// ---------------------------- golden wire bytes ----------------------------
+
+/// Bytes written as hex pairs; spaces only group fields.
+std::vector<char> hex_bytes(std::string_view hex) {
+  std::vector<char> out;
+  int hi = -1;
+  for (const char c : hex) {
+    if (c == ' ') continue;
+    const int v = std::isdigit(static_cast<unsigned char>(c))
+                      ? c - '0'
+                      : std::toupper(static_cast<unsigned char>(c)) - 'A' + 10;
+    if (hi < 0) {
+      hi = v;
+    } else {
+      out.push_back(static_cast<char>(hi << 4 | v));
+      hi = -1;
+    }
+  }
+  return out;
+}
+
+std::string to_hex(std::span<const char> bytes) {
+  static constexpr char kDigits[] = "0123456789ABCDEF";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+/// `hex` with its grouping spaces removed and its digits upper-cased.
+std::string normalized_hex(std::string_view hex) {
+  return to_hex(hex_bytes(hex));
+}
+
+/// True when `s` is exactly one well-formed JSON value (grammar only).
+bool parses_as_json(std::string_view s) {
+  std::size_t i = 0;
+  const auto ws = [&] {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+  };
+  const auto string = [&] {
+    if (i >= s.size() || s[i] != '"') return false;
+    for (++i; i < s.size(); ++i) {
+      if (s[i] == '"') return ++i, true;
+      if (static_cast<unsigned char>(s[i]) < 0x20) return false;
+      if (s[i] == '\\') ++i;
+    }
+    return false;
+  };
+  std::function<bool()> value = [&]() -> bool {
+    ws();
+    if (i >= s.size()) return false;
+    const char open = s[i];
+    if (open == '{' || open == '[') {
+      const char close = open == '{' ? '}' : ']';
+      ++i;
+      ws();
+      if (i < s.size() && s[i] == close) return ++i, true;
+      for (;;) {
+        if (open == '{') {
+          ws();
+          if (!string()) return false;
+          ws();
+          if (i >= s.size() || s[i++] != ':') return false;
+        }
+        if (!value()) return false;
+        ws();
+        if (i >= s.size()) return false;
+        if (s[i] == close) return ++i, true;
+        if (s[i++] != ',') return false;
+      }
+    }
+    if (open == '"') return string();
+    for (const std::string_view lit : {"true", "false", "null"}) {
+      if (s.substr(i).starts_with(lit)) return i += lit.size(), true;
+    }
+    if (open != '-' && !std::isdigit(static_cast<unsigned char>(open)))
+      return false;
+    double d;
+    const auto [end, ec] = std::from_chars(s.data() + i, s.data() + s.size(), d);
+    if (ec != std::errc{}) return false;
+    i = static_cast<std::size_t>(end - s.data());
+    return true;
+  };
+  if (!value()) return false;
+  ws();
+  return i == s.size();
+}
+
+/// A throwaway peer for SheClient: serves one connection at a time,
+/// records every request body it reads, and answers each with a canned
+/// OK whose zero payload every client op parses.
+class CapturePeer {
+ public:
+  CapturePeer() {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::listen(listen_fd_, 4) != 0 ||
+        ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) !=
+            0)
+      throw std::runtime_error("capture peer: cannot listen");
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { serve(); });
+  }
+  ~CapturePeer() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the blocked accept
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  CapturePeer(const CapturePeer&) = delete;
+  CapturePeer& operator=(const CapturePeer&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+
+  /// The bodies read so far, as hex, oldest first.
+  [[nodiscard]] std::vector<std::string> bodies() {
+    std::lock_guard lk(mu_);
+    return bodies_;
+  }
+
+ private:
+  void serve() {
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) return;
+      std::vector<char> body;
+      try {
+        while (read_frame(fd, body)) {
+          {
+            std::lock_guard lk(mu_);
+            bodies_.push_back(to_hex(body));
+          }
+          const char ok[9] = {};  // kOk, then eight zero payload bytes
+          write_frame(fd, ok);
+        }
+      } catch (const std::exception&) {
+      }
+      ::close(fd);
+    }
+  }
+
+  int listen_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::thread thread_;
+  std::mutex mu_;
+  std::vector<std::string> bodies_;
+};
+
+/// Every request body SheClient sends, field by field: the ops in the
+/// order golden_client_session() calls them.  Inserts carry the sequence
+/// header (client id 0x0102030405060708, then the client_seq); `seq0`
+/// is the first insert's sequence number.
+std::vector<std::string> golden_request_hex(std::string_view trace,
+                                            int seq0) {
+  const auto seq = [&](int n) {
+    return "F6 0807060504030201 0" + std::to_string(seq0 + n) +
+           "00000000000000 ";
+  };
+  const std::vector<std::string> ops = {
+      "01",
+      "02 01000000 67 09000000 77696E646F773D344B",
+      seq(0) + "03 01000000 67 2A00000000000000",
+      seq(1) + "04 01000000 67 03000000 0100000000000000 FEFFFFFFFFFFFFFF "
+               "0000000000000080",
+      seq(2) + "04 01000000 67 00000000",
+      "05 01000000 67 01 0500000000000000",
+      "05 01000000 67 02 0600000000000000",
+      "05 01000000 67 03",
+      "05 01000000 67 04 03000000",
+      "05 01000000 67 05 01000000 68",
+      "06 01000000 67",
+      "07 01000000 67",
+      "08 01000000 67",
+      "09 01000000 67",
+      "0A",
+      "0E",
+      "0B",
+  };
+  std::vector<std::string> out;
+  for (const std::string& op : ops)
+    out.push_back(normalized_hex(std::string(trace) + " " + op));
+  return out;
+}
+
+/// Every public SheClient op, once.
+void golden_client_session(SheClient& c) {
+  c.ping();
+  c.create("g", "window=4K");
+  EXPECT_EQ(c.insert("g", 42), 0u);  // the canned OK's zero payload
+  const std::uint64_t keys[] = {1, 0xFFFFFFFFFFFFFFFEull,
+                                0x8000000000000000ull};
+  EXPECT_EQ(c.insert_bulk("g", keys), 0u);
+  EXPECT_EQ(c.insert_bulk("g", {}), 0u);
+  EXPECT_FALSE(c.query_membership("g", 5));
+  EXPECT_EQ(c.query_frequency("g", 6), 0u);
+  EXPECT_EQ(c.query_cardinality("g"), 0.0);
+  EXPECT_TRUE(c.query_topk("g", 3).empty());
+  EXPECT_EQ(c.query_jaccard("g", "h"), 0.0);
+  EXPECT_EQ(c.stats_json("g"), "");
+  c.drop("g");
+  c.save("g");
+  c.flush("g");
+  EXPECT_TRUE(c.list().empty());
+  c.promote();
+  c.shutdown_server();
+}
+
+/// The trace id of the traced pass, and its header bytes.
+constexpr std::uint64_t kGoldenTraceId = 0xA1A2A3A4A5A6A7A8ull;
+constexpr std::string_view kGoldenTraceHex = "F5 A8A7A6A5A4A3A2A1";
+
+/// AUTH, as a client with an auth token sends it on connect.
+constexpr std::string_view kGoldenAuthHex = "0C 03000000 746F6B";
+
+TEST(Wire, GoldenFrames) {
+  // (1) What SheClient puts on the wire, untraced, traced, and AUTH.
+  {
+    CapturePeer peer;
+    {
+      ClientOptions opt;
+      opt.client_id = 0x0102030405060708ull;
+      SheClient c("127.0.0.1", peer.port(), opt);
+      golden_client_session(c);
+      c.set_trace_id(kGoldenTraceId);
+      golden_client_session(c);
+    }
+    {
+      ClientOptions opt;
+      opt.auth_token = "tok";
+      SheClient c("127.0.0.1", peer.port(), opt);
+      c.ping();
+    }
+    std::vector<std::string> want = golden_request_hex("", 1);
+    for (const std::string& b : golden_request_hex(kGoldenTraceHex, 4))
+      want.push_back(b);
+    want.push_back(normalized_hex(kGoldenAuthHex));
+    want.push_back("01");
+    const std::vector<std::string> got = peer.bodies();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      EXPECT_EQ(got[i], want[i]) << "request " << i;
+  }
+
+  // (2) What the server answers to a fixed script, request by request.
+  LiveServer live;
+  SheClient c = live.client();
+  // str "window=64 memory=64K shards=1 similarity seed=7"
+  const std::string spec_str =
+      "2F000000 77696E646F773D3634206D656D6F72793D36344B207368617264733D3120"
+      "73696D696C617269747920736565643D37";
+  const std::pair<std::string, std::string> script[] = {
+      {"02 01000000 67 " + spec_str, "00"},
+      {"02 01000000 68 " + spec_str, "00"},
+      // kExists: str "pipeline 'g' exists"
+      {"02 01000000 67 " + spec_str,
+       "03 13000000 706970656C696E652027672720657869737473"},
+      {"03 01000000 67 2A00000000000000", "00 0100000000000000"},
+      {"04 01000000 67 0C000000 0100000000000000 0200000000000000 "
+       "0300000000000000 0100000000000000 0200000000000000 "
+       "0100000000000000 0700000000000000 0700000000000000 "
+       "0700000000000000 0700000000000000 0900000000000000 "
+       "2A00000000000000",
+       "00 0C00000000000000"},
+      {"04 01000000 68 0D000000 0100000000000000 0200000000000000 "
+       "0700000000000000 0800000000000000 0900000000000000 "
+       "0A00000000000000 0B00000000000000 0C00000000000000 "
+       "0D00000000000000 0E00000000000000 0F00000000000000 "
+       "1000000000000000 2A00000000000000",
+       "00 0D00000000000000"},
+      {"09 01000000 67", "00"},
+      {"09 01000000 68", "00"},
+      {"05 01000000 67 01 2A00000000000000", "00 01"},
+      {"05 01000000 67 01 E803000000000000", "00 00"},
+      {"05 01000000 67 02 0700000000000000", "00 0400000000000000"},
+      {"05 01000000 67 03", "00 E128DB0B8BF51B40"},  // 6.99
+      {"05 01000000 67 04 02000000",
+       "00 02000000 0700000000000000 0400000000000000 "
+       "0100000000000000 0300000000000000"},
+      {"05 01000000 67 05 01000000 68", "00 94D7505E4379D93F"},  // 0.398
+      {"0A", "00 02000000 01000000 67 01000000 68"},
+      // kNotFound: str "no pipeline 'ghost'"
+      {"05 05000000 67686F7374 03",
+       "02 13000000 6E6F20706970656C696E65202767686F737427"},
+      {"03 05000000 67686F7374 2A00000000000000",
+       "02 13000000 6E6F20706970656C696E65202767686F737427"},
+      // kBadRequest: str "unknown opcode 99"
+      {"63", "04 11000000 756E6B6E6F776E206F70636F6465203939"},
+      // kBadRequest: str "unknown query type 9"
+      {"05 01000000 67 09",
+       "04 14000000 756E6B6E6F776E20717565727920747970652039"},
+      // kBadRequest: str "trailing bytes after request body"
+      {"01 AB",
+       "04 21000000 747261696C696E67206279746573206166746572207265717565737420"
+       "626F6479"},
+      // kBadRequest: str "unknown spec token 'bogus'"
+      {"02 02000000 6732 05000000 626F677573",
+       "04 1A000000 756E6B6E6F776E207370656320746F6B656E2027626F67757327"},
+  };
+  for (const auto& [req, resp] : script) {
+    const std::vector<char> body = hex_bytes(req);
+    EXPECT_EQ(to_hex(c.roundtrip_raw(body)), normalized_hex(resp))
+        << "request " << normalized_hex(req);
+  }
+  // STATS values move with timing: pin the status and the JSON's shape.
+  const std::vector<char> stats = c.roundtrip_raw(hex_bytes("06 01000000 67"));
+  ASSERT_GE(stats.size(), 5u);
+  EXPECT_EQ(stats[0], 0);
+  const std::size_t len = get_le<std::uint32_t>(stats.data() + 1);
+  ASSERT_EQ(stats.size(), 5 + len);
+  EXPECT_TRUE(parses_as_json({stats.data() + 5, len}));
+}
+
+/// she_server_protocol_errors_total on `live`.
+std::uint64_t protocol_errors(LiveServer& live) {
+  return live.server.metrics_registry().sum("she_server_protocol_errors_total");
+}
+
+/// A durable-op hook that fails the spec's rename with a full disk.
+void disk_fault_on_spec(DurableOp op, const std::string& path, std::uint64_t) {
+  if (op == DurableOp::kRename &&
+      std::filesystem::path(path).filename() == "spec")
+    throw DiskFault("injected: spec write hit a full disk", ENOSPC);
+}
+
+TEST(Wire, EveryTruncationOfEveryRequestIsABadRequest) {
+  LiveServer live;
+  SheClient c = live.client();
+  // The named pipelines exist, so a cut body never stops at a lookup.
+  c.create("g", "window=4K memory=64K shards=1 similarity");
+  c.create("h", "window=4K memory=64K shards=1 similarity");
+  std::vector<std::string> bodies = golden_request_hex("", 1);
+  for (const std::string& b : golden_request_hex(kGoldenTraceHex, 4))
+    bodies.push_back(b);
+  bodies.push_back(normalized_hex(kGoldenAuthHex));
+  const std::vector<char> ping = hex_bytes("01");
+  for (const std::string& hex : bodies) {
+    const std::vector<char> body = hex_bytes(hex);
+    for (std::size_t cut = 0; cut < body.size(); ++cut) {
+      SCOPED_TRACE(hex + " cut at " + std::to_string(cut));
+      const std::uint64_t before = protocol_errors(live);
+      const std::vector<char> resp =
+          c.roundtrip_raw(std::span<const char>(body).first(cut));
+      ASSERT_FALSE(resp.empty());
+      EXPECT_EQ(static_cast<Status>(resp[0]), Status::kBadRequest);
+      EXPECT_EQ(protocol_errors(live), before + 1);
+      EXPECT_EQ(to_hex(c.roundtrip_raw(ping)), "00");
+    }
+  }
+
+  // A DiskFault raised while a request runs is the server's failure, not
+  // the client's: kError, and no protocol error counted.
+  const std::string root = temp_dir("wire_disk_fault");
+  ServerOptions opt;
+  opt.manager.checkpoint_root = root;
+  LiveServer durable(opt);
+  SheClient d = durable.client();
+  const std::uint64_t before = protocol_errors(durable);
+  fault::on_durable_op(disk_fault_on_spec);
+  const std::vector<char> resp = d.roundtrip_raw(
+      hex_bytes("02 01000000 67 09000000 77696E646F773D344B"));
+  fault::on_durable_op(nullptr);
+  ASSERT_FALSE(resp.empty());
+  EXPECT_EQ(static_cast<Status>(resp[0]), Status::kError);
+  EXPECT_EQ(protocol_errors(durable), before);
+  d.ping();
+  std::filesystem::remove_all(root);
 }
 
 TEST(Server, ConcurrentClientsCreateDropRacingInsertQuery) {

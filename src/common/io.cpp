@@ -28,18 +28,20 @@ bool write_all(int fd, iovec* iov, int count) {
       if (w == 0) errno = EIO;
       return false;
     }
-    for (auto left = static_cast<std::size_t>(w); count > 0;) {
-      if (left < iov->iov_len) {
-        iov->iov_base = static_cast<char*>(iov->iov_base) + left;
-        iov->iov_len -= left;
-        break;
-      }
-      left -= iov->iov_len;
-      ++iov;
-      --count;
-    }
+    advance_iov(iov, count, static_cast<std::size_t>(w));
   }
   return true;
+}
+
+void advance_iov(iovec*& iov, int& count, std::size_t n) {
+  for (; count > 0; ++iov, --count) {
+    if (n < iov->iov_len) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + n;
+      iov->iov_len -= n;
+      return;
+    }
+    n -= iov->iov_len;
+  }
 }
 
 void write_file_atomic(const std::string& path, std::span<iovec> parts) {
@@ -127,27 +129,46 @@ void BinaryWriter::u64_vector(const std::vector<std::uint64_t>& v) {
 
 void BinaryReader::check_length(std::uint64_t n, std::size_t elem_bytes) {
   if (n > (std::uint64_t{1} << 32))
-    throw SerializeError("BinaryReader: implausible vector length");
+    throw DecodeError("BinaryReader: implausible vector length");
   if (n > remaining() / elem_bytes)
-    throw SerializeError("BinaryReader: vector length " + std::to_string(n) +
+    throw DecodeError("BinaryReader: vector length " + std::to_string(n) +
                          " exceeds the " + std::to_string(remaining()) +
                          " bytes remaining in the stream");
 }
 
 void BinaryReader::expect_remaining(std::uint64_t bytes) {
   if (bytes > (std::uint64_t{1} << 35))
-    throw SerializeError("BinaryReader: implausible size of " +
+    throw DecodeError("BinaryReader: implausible size of " +
                          std::to_string(bytes) + " bytes");
   if (bytes > remaining())
-    throw SerializeError("BinaryReader: " + std::to_string(bytes) +
+    throw DecodeError("BinaryReader: " + std::to_string(bytes) +
                          " bytes declared, " + std::to_string(remaining()) +
                          " remaining in the stream");
 }
 
 void BinaryReader::expect_tag(const char (&t)[5]) {
   if (std::memcmp(take(4), t, 4) != 0)
-    throw SerializeError(std::string("BinaryReader: expected tag '") + t +
+    throw DecodeError(std::string("BinaryReader: expected tag '") + t +
                          "', stream holds something else");
+}
+
+std::span<const std::uint64_t> BinaryReader::u64s_in_place(std::uint32_t n) {
+  const std::size_t at = pos_;
+  const char* const src = take(std::size_t{n} * 8);
+  if (mutable_ == nullptr)
+    throw std::logic_error("u64s_in_place: the bytes are read-only");
+  // The bytes are a std::vector<char>, whose storage operator new aligns
+  // for any fundamental type, so rounding the offset down aligns the words.
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= alignof(std::uint64_t));
+  char* const dst = mutable_ + (at & ~std::size_t{7});
+  // memmove implicitly creates the u64 objects in the bytes and returns a
+  // pointer to them, so reading the words through it is defined.
+  auto* const words =
+      static_cast<std::uint64_t*>(std::memmove(dst, src, std::size_t{n} * 8));
+  if constexpr (std::endian::native != std::endian::little) {
+    for (std::uint32_t i = 0; i < n; ++i) words[i] = to_le(words[i]);
+  }
+  return {words, n};
 }
 
 std::vector<std::uint64_t> BinaryReader::u64_vector() {

@@ -3,12 +3,14 @@
 // Estimators support save()/load() so a long-lived monitor can checkpoint
 // its sliding-window state (e.g. across process restarts) and resume with
 // identical answers.  The format is little-endian fixed-width fields behind
-// a per-type magic tag and version byte; readers throw SerializeError on
-// truncation, tag mismatch or implausible lengths rather than returning
-// garbage.  A writer appends to a byte vector and a reader walks a byte
-// span, so every length prefix is bounded against the exact bytes left: a
-// corrupted prefix can never trigger a multi-gigabyte allocation before the
-// truncation is discovered element by element.  Runs of cells or words
+// a per-type magic tag and version byte; readers throw DecodeError (a
+// SerializeError) on truncation, tag mismatch or implausible lengths
+// rather than returning garbage.  The server's wire protocol
+// (server/protocol.hpp) uses the same fields, so one writer and one reader
+// serve the disk and the wire.  A writer appends to a byte vector and a
+// reader walks a byte span, so every length prefix is bounded against the
+// exact bytes left: a corrupted prefix can never trigger a multi-gigabyte
+// allocation before the truncation is discovered element by element.  Runs of cells or words
 // move as their in-memory bytes (the host is little-endian): one memcpy
 // per run each way, or, for a checkpoint frame, no copy at all.
 #pragma once
@@ -23,6 +25,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -64,6 +67,16 @@ template <typename T>
 class SerializeError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
+};
+
+/// Every error a BinaryReader raises: the bytes it was given are short,
+/// mis-tagged, implausibly sized or followed by trailing bytes.  The wire
+/// protocol's ProtocolError is this type, so a server answers it as a bad
+/// request; its siblings DiskFault, WalError and CheckpointError say the
+/// server's own storage failed and are never the client's fault.
+class DecodeError : public SerializeError {
+ public:
+  using SerializeError::SerializeError;
 };
 
 /// Run a config check (or a constructor that runs one) from inside a load
@@ -134,6 +147,10 @@ int sync_parent_dir(const std::string& path);
 /// fails.
 bool write_all(int fd, iovec* iov, int count);
 
+/// Drop the first `n` bytes written from the gather list iov[0, count):
+/// the entries done are skipped, and a partly written one is trimmed.
+void advance_iov(iovec*& iov, int& count, std::size_t n);
+
 /// Write the gather list `parts` (none of them empty) to `path` via
 /// "<path>.tmp": create, write, fsync, rename, fsync the directory.  The
 /// list may be longer than IOV_MAX; it is written in chunks, and the
@@ -191,6 +208,12 @@ class BinaryWriter {
   /// 4-byte section tag, e.g. "SHBF".
   void tag(const char (&t)[5]) { raw(t, 4); }
 
+  /// A string: u32 length, then its bytes.
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    raw(s.data(), s.size());
+  }
+
   /// A run of cells or words, stored as their bytes: appended with one
   /// memcpy, or borrowed by a gather writer.
   template <class T>
@@ -217,9 +240,13 @@ class BinaryWriter {
 };
 
 /// Reads fields from a borrowed byte span, which must outlive the reader.
+/// Every error it raises is a DecodeError.
 class BinaryReader {
  public:
   explicit BinaryReader(std::span<const char> bytes) : bytes_(bytes) {}
+  /// A reader that may also rewrite the bytes in place (u64s_in_place).
+  explicit BinaryReader(std::vector<char>& bytes)
+      : bytes_(bytes), mutable_(bytes.data()) {}
   /// No reader over a temporary buffer: it would dangle.
   template <class Buffer>
     requires(!std::is_lvalue_reference_v<Buffer> &&
@@ -231,6 +258,17 @@ class BinaryReader {
   std::uint64_t u64() { return get_le<std::uint64_t>(take(8)); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
+  /// A string: u32 length (bounded by the bytes left), then its bytes.
+  std::string str() {
+    const std::uint32_t n = u32();
+    return std::string(take(n), n);
+  }
+
+  /// Next byte without consuming it.
+  [[nodiscard]] std::uint8_t peek_u8() const {
+    if (remaining() < 1) throw DecodeError("BinaryReader: nothing to peek");
+    return static_cast<std::uint8_t>(bytes_[pos_]);
+  }
 
   /// Read and verify a 4-byte section tag; throws on mismatch.
   void expect_tag(const char (&t)[5]);
@@ -246,18 +284,33 @@ class BinaryReader {
       std::memcpy(run.data(), take(run.size_bytes()), run.size_bytes());
   }
 
-  /// Throw SerializeError unless `bytes` more bytes can still be read.  A
+  /// Consume `n` little-endian u64s and return them as host-order words
+  /// decoded inside the bytes themselves: they move down to the nearest
+  /// 8-byte boundary, over fields already read, and are byte-swapped in
+  /// place on a big-endian host.  The span lives as long as the bytes.
+  /// Throws DecodeError when fewer than 8n bytes remain, and
+  /// std::logic_error on a reader built over a read-only span.
+  std::span<const std::uint64_t> u64s_in_place(std::uint32_t n);
+
+  /// Throw DecodeError unless `bytes` more bytes can still be read.  A
   /// decoder calls this before it sizes anything from a shape field.
   void expect_remaining(std::uint64_t bytes);
+
+  /// A well-formed request is consumed exactly: throw DecodeError on
+  /// trailing bytes.
+  void expect_done() const {
+    if (remaining() != 0)
+      throw DecodeError("trailing bytes after request body");
+  }
 
   /// Bytes not yet read.
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
-  /// The next `n` bytes, consumed; throws SerializeError past the end.
+  /// The next `n` bytes, consumed; throws DecodeError past the end.
   const char* take(std::size_t n) {
     if (n > remaining())
-      throw SerializeError("BinaryReader: unexpected end of stream");
+      throw DecodeError("BinaryReader: unexpected end of stream");
     const char* p = bytes_.data() + pos_;
     pos_ += n;
     return p;
@@ -268,6 +321,7 @@ class BinaryReader {
   void check_length(std::uint64_t n, std::size_t elem_bytes);
 
   std::span<const char> bytes_;
+  char* mutable_ = nullptr;  ///< bytes_.data() when the bytes may be rewritten
   std::size_t pos_ = 0;
 };
 

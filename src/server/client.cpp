@@ -82,6 +82,26 @@ void connect_bounded(int fd, const sockaddr_in& addr, const std::string& where,
   ::fcntl(fd, F_SETFL, flags);
 }
 
+/// Throw ClientError unless `resp` answers OK.
+void expect_ok(const std::vector<char>& resp) {
+  BinaryReader r(resp);
+  const auto status = static_cast<Status>(r.u8());
+  if (status == Status::kOk) return;
+  std::string msg;
+  try {
+    msg = r.str();
+  } catch (const DecodeError&) {
+    msg = "(no message)";
+  }
+  throw ClientError(status, msg);
+}
+
+/// A reader over an OK answer's payload: the bytes after its status.
+BinaryReader payload(const std::vector<char>& resp) {
+  return BinaryReader(std::span<const char>(resp).subspan(1));
+}
+BinaryReader payload(const std::vector<char>&&) = delete;  // would dangle
+
 }  // namespace
 
 SheClient::SheClient(const std::string& host, std::uint16_t port,
@@ -191,21 +211,11 @@ void SheClient::connect_endpoint(const std::string& host, std::uint16_t port) {
     // Authenticate before anything else touches the connection.  Failure
     // closes the fd so a half-authenticated client can never leak out.
     try {
-      WireWriter w;
+      std::vector<char> req;
+      BinaryWriter w(req);
       w.u8(static_cast<std::uint8_t>(Op::kAuth));
       w.str(opt_.auth_token);
-      const std::vector<char> resp = exchange_raw(w.body());
-      WireReader r(resp);
-      const auto status = static_cast<Status>(r.u8());
-      if (status != Status::kOk) {
-        std::string msg;
-        try {
-          msg = r.str();
-        } catch (const ProtocolError&) {
-          msg = "(no message)";
-        }
-        throw ClientError(status, msg);
-      }
+      expect_ok(exchange_raw(req));
     } catch (...) {
       disconnect();
       throw;
@@ -234,44 +244,33 @@ std::vector<char> SheClient::roundtrip_raw(std::span<const char> body) {
   }
 }
 
-std::vector<char> SheClient::roundtrip(const WireWriter& req, bool replayable,
-                                       ClientSeq cs) {
-  // Headers are prepended once and the identical bytes are re-sent on
-  // every replay — same client_seq, so the server dedups lost-ack
-  // retries instead of double-counting them.
-  std::vector<char> out;
-  out.reserve(9 + 17 + req.body().size());
+BinaryWriter SheClient::start(std::vector<char>& req, Op op,
+                              ClientSeq cs) const {
+  BinaryWriter w(req);
   if (trace_id_ != 0) {
-    out.push_back(static_cast<char>(kTraceHeader));
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<char>((trace_id_ >> (8 * i)) & 0xff));
+    w.u8(kTraceHeader);
+    w.u64(trace_id_);
   }
   if (cs.client_id != 0) {
-    out.push_back(static_cast<char>(kSeqHeader));
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<char>((cs.client_id >> (8 * i)) & 0xff));
-    for (int i = 0; i < 8; ++i)
-      out.push_back(static_cast<char>((cs.client_seq >> (8 * i)) & 0xff));
+    w.u8(kSeqHeader);
+    w.u64(cs.client_id);
+    w.u64(cs.client_seq);
   }
-  out.insert(out.end(), req.body().begin(), req.body().end());
+  w.u8(static_cast<std::uint8_t>(op));
+  return w;
+}
 
+std::vector<char> SheClient::roundtrip(std::span<const char> req,
+                                       bool replayable, ClientSeq cs) {
+  // Every replay re-sends the identical bytes — same client_seq, so the
+  // server dedups lost-ack retries instead of double-counting them.
   std::uint64_t backoff_ms = opt_.backoff_initial_ms;
   for (std::size_t attempt = 0;; ++attempt) {
     try {
       if (fd_ < 0) connect_now();
-      const std::vector<char> resp = exchange_raw(out);
-      WireReader r(resp);
-      const auto status = static_cast<Status>(r.u8());
-      if (status != Status::kOk) {
-        std::string msg;
-        try {
-          msg = r.str();
-        } catch (const ProtocolError&) {
-          msg = "(no message)";
-        }
-        throw ClientError(status, msg);
-      }
-      return {resp.begin() + 1, resp.end()};
+      std::vector<char> resp = exchange_raw(req);
+      expect_ok(resp);
+      return resp;
     } catch (const IoTimeout&) {
       // A missed io deadline means the response may still arrive later;
       // drop the stream.  The caller owns the clock — retrying here
@@ -312,46 +311,44 @@ std::vector<char> SheClient::roundtrip(const WireWriter& req, bool replayable,
 }
 
 void SheClient::ping() {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kPing));
-  roundtrip(w, /*replayable=*/true);
+  std::vector<char> req;
+  start(req, Op::kPing);
+  roundtrip(req, /*replayable=*/true);
 }
 
 void SheClient::create(const std::string& name, const std::string& spec) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kCreate));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kCreate);
   w.str(name);
   w.str(spec);
-  roundtrip(w, /*replayable=*/false);
+  roundtrip(req, /*replayable=*/false);
 }
 
 void SheClient::drop(const std::string& name) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kDrop));
-  w.str(name);
-  roundtrip(w, /*replayable=*/false);
+  std::vector<char> req;
+  start(req, Op::kDrop).str(name);
+  roundtrip(req, /*replayable=*/false);
 }
 
 void SheClient::save(const std::string& name) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kSave));
-  w.str(name);
-  roundtrip(w, /*replayable=*/false);
+  std::vector<char> req;
+  start(req, Op::kSave).str(name);
+  roundtrip(req, /*replayable=*/false);
 }
 
 void SheClient::flush(const std::string& name) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kFlush));
-  w.str(name);
-  roundtrip(w, /*replayable=*/false);
+  std::vector<char> req;
+  start(req, Op::kFlush).str(name);
+  roundtrip(req, /*replayable=*/false);
 }
 
 std::vector<std::string> SheClient::list() {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kList));
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  WireReader r(payload);
+  std::vector<char> req;
+  start(req, Op::kList);
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  BinaryReader r = payload(resp);
   const std::uint32_t n = r.u32();
+  r.expect_remaining(std::uint64_t{n} * 4);  // each name has a length
   std::vector<std::string> names;
   names.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) names.push_back(r.str());
@@ -359,76 +356,75 @@ std::vector<std::string> SheClient::list() {
 }
 
 std::string SheClient::stats_json(const std::string& name) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kStats));
-  w.str(name);
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  WireReader r(payload);
-  return r.str();
+  std::vector<char> req;
+  start(req, Op::kStats).str(name);
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  return payload(resp).str();
 }
 
 std::uint64_t SheClient::insert(const std::string& name, std::uint64_t key) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kInsert));
+  const ClientSeq cs{client_id_, ++seq_};
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kInsert, cs);
   w.str(name);
   w.u64(key);
-  const ClientSeq cs{client_id_, ++seq_};
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true, cs);
-  return WireReader(payload).u64();
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true, cs);
+  return payload(resp).u64();
 }
 
 std::uint64_t SheClient::insert_bulk(const std::string& name,
                                      std::span<const std::uint64_t> keys) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
+  const ClientSeq cs{client_id_, ++seq_};
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kInsertBulk, cs);
   w.str(name);
   w.u32(static_cast<std::uint32_t>(keys.size()));
-  for (const std::uint64_t k : keys) w.u64(k);
-  const ClientSeq cs{client_id_, ++seq_};
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true, cs);
-  return WireReader(payload).u64();
+  w.cells(keys);
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true, cs);
+  return payload(resp).u64();
 }
 
 bool SheClient::query_membership(const std::string& name, std::uint64_t key) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kQuery));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kQuery);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(QueryType::kMembership));
   w.u64(key);
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  return WireReader(payload).u8() != 0;
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  return payload(resp).u8() != 0;
 }
 
 std::uint64_t SheClient::query_frequency(const std::string& name,
                                          std::uint64_t key) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kQuery));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kQuery);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(QueryType::kFrequency));
   w.u64(key);
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  return WireReader(payload).u64();
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  return payload(resp).u64();
 }
 
 double SheClient::query_cardinality(const std::string& name) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kQuery));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kQuery);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(QueryType::kCardinality));
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  return WireReader(payload).f64();
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  return payload(resp).f64();
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>> SheClient::query_topk(
     const std::string& name, std::uint32_t k) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kQuery));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kQuery);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(QueryType::kTopK));
   w.u32(k);
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  WireReader r(payload);
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  BinaryReader r = payload(resp);
   const std::uint32_t n = r.u32();
+  r.expect_remaining(std::uint64_t{n} * 16);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> top;
   top.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -441,25 +437,25 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> SheClient::query_topk(
 
 double SheClient::query_jaccard(const std::string& name,
                                 const std::string& other) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kQuery));
+  std::vector<char> req;
+  BinaryWriter w = start(req, Op::kQuery);
   w.str(name);
   w.u8(static_cast<std::uint8_t>(QueryType::kJaccard));
   w.str(other);
-  const std::vector<char> payload = roundtrip(w, /*replayable=*/true);
-  return WireReader(payload).f64();
+  const std::vector<char> resp = roundtrip(req, /*replayable=*/true);
+  return payload(resp).f64();
 }
 
 void SheClient::shutdown_server() {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kShutdown));
-  roundtrip(w, /*replayable=*/false);
+  std::vector<char> req;
+  start(req, Op::kShutdown);
+  roundtrip(req, /*replayable=*/false);
 }
 
 void SheClient::promote() {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(Op::kPromote));
-  roundtrip(w, /*replayable=*/true);  // idempotent on the server
+  std::vector<char> req;
+  start(req, Op::kPromote);
+  roundtrip(req, /*replayable=*/true);  // idempotent on the server
 }
 
 }  // namespace she::server

@@ -148,10 +148,17 @@ class SheClient {
   /// Send `body` (headers included) and read one response frame.
   std::vector<char> exchange_raw(std::span<const char> body);
 
-  /// Send `req` prefixed with the trace/seq headers, parse the status,
-  /// throw ClientError on non-OK, return the payload after the status
-  /// byte.  Reconnects and replays per the options when `replayable`.
-  std::vector<char> roundtrip(const WireWriter& req, bool replayable,
+  /// Begin a request body in `req`: the trace header when a trace id is
+  /// set, the sequence header when `cs` carries an identity, then `op`.
+  /// The op's fields follow through the returned writer, so the headers
+  /// sit in front of the body without a copy.
+  BinaryWriter start(std::vector<char>& req, Op op, ClientSeq cs = {}) const;
+
+  /// Send `req` (a body begun by start), parse the status, throw
+  /// ClientError on non-OK, and return the whole response body: its
+  /// payload follows the status byte.  Reconnects and replays per the
+  /// options when `replayable`; `cs` is the identity `req` carries.
+  std::vector<char> roundtrip(std::span<const char> req, bool replayable,
                               ClientSeq cs = {});
 
   /// Rotate current_ to the next endpoint (no-op with one endpoint).

@@ -9,13 +9,17 @@
 //
 // A request body is `u8 opcode` followed by opcode-specific fields; a
 // response body is `u8 status` followed by status/opcode-specific fields.
-// Strings are `u32 length + bytes` (no terminator).  The frame length is
-// bounded by kMaxFrameBytes so a garbage prefix can never make the server
-// allocate gigabytes; anything that fails a bound, runs past the end of
-// its body, or leaves trailing bytes is a ProtocolError — the server
-// counts it, answers kBadRequest when the transport still permits, and
-// drops that connection (a byte stream cannot be resynchronized after a
-// framing error), while every other connection keeps being served.
+// The fields are common/io.hpp's, written by BinaryWriter and read by
+// BinaryReader: fixed-width little-endian integers, and strings as
+// `u32 length + bytes` (no terminator).  The frame length is bounded by
+// kMaxFrameBytes so a garbage prefix can never make the server allocate
+// gigabytes.  A body that runs past its end, leaves trailing bytes or
+// names an unknown opcode is a ProtocolError (the codec's DecodeError):
+// the server counts it, answers kBadRequest and keeps the connection.  A
+// broken frame (oversized length, EOF mid-frame) is answered when the
+// transport still permits, then that connection is dropped (a byte stream
+// cannot be resynchronized), while every other connection keeps being
+// served.
 //
 // Request bodies:
 //   PING
@@ -60,14 +64,15 @@
 #include <string>
 #include <vector>
 
+#include "common/io.hpp"
+
 namespace she::server {
 
 /// Typed rejection for malformed frames and bodies: oversized lengths,
-/// reads past the end of a body, trailing bytes, unknown opcodes.
-class ProtocolError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+/// reads past the end of a body, trailing bytes, unknown opcodes.  It is
+/// the byte codec's DecodeError, so whatever a BinaryReader rejects while
+/// parsing a request is a bad request.
+using ProtocolError = DecodeError;
 
 /// A socket read/write missed its deadline (SO_RCVTIMEO / SO_SNDTIMEO on
 /// the fd).  Distinct from generic transport errors so deadline-aware
@@ -149,65 +154,11 @@ enum class Status : std::uint8_t {
 [[nodiscard]] Op op_from(std::uint8_t raw);
 [[nodiscard]] QueryType query_type_from(std::uint8_t raw);
 
-// --------------------------------------------------------------- encoding --
-
-/// Append-only body builder (little-endian fixed-width fields).
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
-  void str(std::string_view s);  ///< u32 length + bytes
-  void raw(std::span<const char> b);  ///< bytes, no length
-
-  [[nodiscard]] const std::vector<char>& body() const { return buf_; }
-
- private:
-  std::vector<char> buf_;
-};
-
-/// Bounds-checked body reader; any overrun throws ProtocolError.
-class WireReader {
- public:
-  explicit WireReader(std::span<const char> body) : body_(body) {}
-  /// A reader that may also rewrite the body in place (u64s_in_place).
-  explicit WireReader(std::vector<char>& body)
-      : body_(body), mutable_(body.data()) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::string str();  ///< u32 length (bounded by the remaining body) + bytes
-
-  /// Consume `n` little-endian u64s and return them as host-order words
-  /// decoded inside the body itself: the bytes move down to the nearest
-  /// 8-byte boundary, over fields already read, and are byte-swapped in
-  /// place on a big-endian host.  The span lives as long as the body.
-  /// Throws ProtocolError when fewer than 8n bytes remain, and
-  /// std::logic_error on a reader built over a read-only body.
-  std::span<const std::uint64_t> u64s_in_place(std::uint32_t n);
-
-  /// Next byte without consuming it; throws ProtocolError at the end.
-  [[nodiscard]] std::uint8_t peek_u8() const;
-
-  [[nodiscard]] std::size_t remaining() const { return body_.size() - pos_; }
-
-  /// A well-formed body is consumed exactly; trailing bytes are an error.
-  void expect_done() const;
-
- private:
-  std::span<const char> body_;
-  char* mutable_ = nullptr;  ///< body_.data() when the body may be rewritten
-  std::size_t pos_ = 0;
-};
-
 /// Consume the optional trace header (see kTraceHeader) off the front of
 /// a request body and return its trace id, or 0 when the body starts with
 /// a plain opcode.  A marker byte not followed by a full id is left for
 /// op_from to reject.
-[[nodiscard]] std::uint64_t read_trace_header(WireReader& r);
+[[nodiscard]] std::uint64_t read_trace_header(BinaryReader& r);
 
 /// Client idempotence identity (see kSeqHeader); absent = {0, 0}.
 struct ClientSeq {
@@ -218,7 +169,7 @@ struct ClientSeq {
 /// Consume the optional sequence header off the front of a request body
 /// (call after read_trace_header).  A marker byte not followed by both
 /// ids is left for op_from to reject.
-[[nodiscard]] ClientSeq read_seq_header(WireReader& r);
+[[nodiscard]] ClientSeq read_seq_header(BinaryReader& r);
 
 // ---------------------------------------------------------------- framing --
 
@@ -228,11 +179,13 @@ struct ClientSeq {
 /// errors.
 bool read_frame(int fd, std::vector<char>& body);
 
-/// Write `body` as one length-prefixed frame; throws std::runtime_error
-/// when the peer is gone.
+/// Write `body` as one length-prefixed frame, sent where it lies: one
+/// sendmsg of the length and the body.  Throws std::runtime_error when
+/// the peer is gone.
 void write_frame(int fd, std::span<const char> body);
 
-/// write(2) until done, retrying EINTR; throws std::runtime_error.
+/// send(2) with MSG_NOSIGNAL until done, retrying EINTR; throws
+/// std::runtime_error (IoTimeout when the fd's send deadline expires).
 void write_all(int fd, const void* data, std::size_t n);
 
 }  // namespace she::server

@@ -70,12 +70,12 @@ std::size_t ReplicationHub::subscriber_count() const {
   return nsubs_.load(std::memory_order_acquire);
 }
 
-void ReplicationHub::broadcast(std::vector<char> rec) {
+void ReplicationHub::broadcast(const Record& rec) {
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& sub : subs_) {
     std::lock_guard<std::mutex> slk(sub->mu);
     if (sub->closed || sub->overflowed) continue;
-    if (sub->queued_bytes + rec.size() > sub->max_bytes) {
+    if (sub->queued_bytes + rec->size() > sub->max_bytes) {
       // A standby this far behind re-bootstraps from files after the
       // dropped connection — always correct, never blocks the primary.
       sub->overflowed = true;
@@ -84,9 +84,9 @@ void ReplicationHub::broadcast(std::vector<char> rec) {
       continue;
     }
     sub->q.push_back(rec);
-    sub->queued_bytes += rec.size();
+    sub->queued_bytes += rec->size();
     records_total_->inc();
-    bytes_total_->inc(rec.size());
+    bytes_total_->inc(rec->size());
     sub->cv.notify_one();
   }
 }
@@ -105,25 +105,29 @@ void ReplicationHub::publish_wal(const std::string& pipeline,
   }
   // The encoded SHWL frame is one string field: its length, then the
   // header and the payload's two runs back to back.
-  WireWriter w;
+  const std::size_t frame = header.size() + run1.size() + run2.size();
+  auto rec = std::make_shared<std::vector<char>>();
+  rec->reserve(1 + 4 + pipeline.size() + 4 + 4 + frame);
+  BinaryWriter w(*rec);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
   w.str(pipeline);
   w.u32(static_cast<std::uint32_t>(shard));
-  w.u32(static_cast<std::uint32_t>(header.size() + run1.size() + run2.size()));
-  w.raw(header);
-  w.raw(run1);
-  w.raw(run2);
-  broadcast(w.body());
+  w.u32(static_cast<std::uint32_t>(frame));
+  w.cells(header);
+  w.cells(run1);
+  w.cells(run2);
+  broadcast(rec);
 }
 
 void ReplicationHub::publish_create(const std::string& pipeline,
                                     const std::string& spec) {
   if (nsubs_.load(std::memory_order_relaxed) == 0) return;
-  WireWriter w;
+  auto rec = std::make_shared<std::vector<char>>();
+  BinaryWriter w(*rec);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kCreate));
   w.str(pipeline);
   w.str(spec);
-  broadcast(w.body());
+  broadcast(rec);
 }
 
 void ReplicationHub::publish_drop(const std::string& pipeline) {
@@ -137,15 +141,17 @@ void ReplicationHub::publish_drop(const std::string& pipeline) {
     }
   }
   if (nsubs_.load(std::memory_order_relaxed) == 0) return;
-  WireWriter w;
+  auto rec = std::make_shared<std::vector<char>>();
+  BinaryWriter w(*rec);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kDrop));
   w.str(pipeline);
-  broadcast(w.body());
+  broadcast(rec);
 }
 
 std::vector<char> ReplicationHub::heartbeat_record() const {
   std::lock_guard<std::mutex> lk(mu_);
-  WireWriter w;
+  std::vector<char> rec;
+  BinaryWriter w(rec);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kHeartbeat));
   w.u32(static_cast<std::uint32_t>(end_offsets_.size()));
   for (const auto& [key, off] : end_offsets_) {
@@ -153,7 +159,7 @@ std::vector<char> ReplicationHub::heartbeat_record() const {
     w.u32(static_cast<std::uint32_t>(key.second));
     w.u64(off);
   }
-  return w.body();
+  return rec;
 }
 
 // ----------------------------------------------------- primary-side serve --
@@ -170,13 +176,14 @@ void ship_file(int fd, const std::string& pipeline, const std::string& rel,
     in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
     const std::size_t n = static_cast<std::size_t>(in.gcount());
     const bool last = n < buf.size();
-    WireWriter w;
+    std::vector<char> rec;
+    BinaryWriter w(rec);
     w.u8(static_cast<std::uint8_t>(ReplRecord::kFile));
     w.str(pipeline);
     w.str(rel);
     w.u8(last ? 1 : 0);
     w.str(std::string_view(buf.data(), n));
-    write_frame(fd, w.body());
+    write_frame(fd, rec);
     if (last) break;
   }
 }
@@ -216,18 +223,19 @@ void serve_replication(int fd, PipelineManager& manager, ReplicationHub& hub,
     // appended from here on is queued, anything before it is in the files.
     for (const auto& item : manager.bootstrap_snapshot()) {
       if (!item.dir.empty()) ship_dir(fd, item.name, item.dir);
-      WireWriter done;
-      done.u8(static_cast<std::uint8_t>(ReplRecord::kPipelineDone));
-      done.str(item.name);
-      done.str(item.spec_text);
-      write_frame(fd, done.body());
+      std::vector<char> done;
+      BinaryWriter w(done);
+      w.u8(static_cast<std::uint8_t>(ReplRecord::kPipelineDone));
+      w.str(item.name);
+      w.str(item.spec_text);
+      write_frame(fd, done);
     }
-    WireWriter bdone;
-    bdone.u8(static_cast<std::uint8_t>(ReplRecord::kBootstrapDone));
-    write_frame(fd, bdone.body());
+    const char bootstrap_done[] = {
+        static_cast<char>(ReplRecord::kBootstrapDone)};
+    write_frame(fd, bootstrap_done);
 
     for (;;) {
-      std::vector<std::vector<char>> batch;
+      std::vector<ReplicationHub::Record> batch;
       bool dead = false;
       {
         std::unique_lock<std::mutex> lk(sub->mu);
@@ -237,11 +245,11 @@ void serve_replication(int fd, PipelineManager& manager, ReplicationHub& hub,
         dead = sub->closed || sub->overflowed;
         while (!sub->q.empty()) {
           batch.push_back(std::move(sub->q.front()));
-          sub->queued_bytes -= batch.back().size();
+          sub->queued_bytes -= batch.back()->size();
           sub->q.pop_front();
         }
       }
-      for (const auto& rec : batch) write_frame(fd, rec);
+      for (const auto& rec : batch) write_frame(fd, *rec);
       if (dead || (stopping && stopping())) break;
       // Idle connection: heartbeat so the standby can compute lag (and
       // notice a dead primary by silence).
@@ -398,18 +406,20 @@ bool ReplicaClient::follow_once(const std::string& host, std::uint16_t port) {
   try {
     std::vector<char> body;
     if (!opt_.auth_token.empty()) {
-      WireWriter w;
+      std::vector<char> req;
+      BinaryWriter w(req);
       w.u8(static_cast<std::uint8_t>(Op::kAuth));
       w.str(opt_.auth_token);
-      write_frame(fd, w.body());
+      write_frame(fd, req);
       if (!read_frame(fd, body) || body.empty() || body[0] != 0) {
         throw std::runtime_error("primary rejected AUTH");
       }
     }
-    WireWriter w;
+    std::vector<char> req;
+    BinaryWriter w(req);
     w.u8(static_cast<std::uint8_t>(Op::kReplicate));
     w.u64(kReplicationProtoVersion);
-    write_frame(fd, w.body());
+    write_frame(fd, req);
     if (!read_frame(fd, body) || body.empty() ||
         static_cast<std::uint8_t>(body[0]) !=
             static_cast<std::uint8_t>(Status::kOk)) {
@@ -464,7 +474,7 @@ bool ReplicaClient::follow_once(const std::string& host, std::uint16_t port) {
 }
 
 void ReplicaClient::handle_record(std::vector<char>& body) {
-  WireReader r(body);
+  BinaryReader r(body);
   switch (static_cast<ReplRecord>(r.u8())) {
     case ReplRecord::kFile: {
       const std::string pipeline = r.str();

@@ -91,10 +91,13 @@ inline constexpr std::size_t kReplFileChunk = std::size_t{4} << 20;
 /// the ingest path.
 class ReplicationHub {
  public:
+  /// One encoded record, shared by every subscriber queue it is in.
+  using Record = std::shared_ptr<const std::vector<char>>;
+
   struct Subscription {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<char>> q;  ///< encoded records, oldest first
+    std::deque<Record> q;  ///< encoded records, oldest first
     std::size_t queued_bytes = 0;
     std::size_t max_bytes = std::size_t{64} << 20;
     bool overflowed = false;  ///< queue blew the bound; conn must drop
@@ -110,7 +113,7 @@ class ReplicationHub {
   /// Observer entry (per-shard append lock held): advance the shard's
   /// end offset and enqueue the frame — `header`, then the payload's two
   /// runs `run1` and `run2`, the appender's own bytes, joined into one
-  /// record only here — for every subscriber.  With none subscribed it
+  /// record only here, once for all subscribers.  With none subscribed it
   /// returns at once and copies nothing.
   void publish_wal(const std::string& pipeline, std::size_t shard,
                    std::uint64_t end_offset, std::span<const char> header,
@@ -123,7 +126,7 @@ class ReplicationHub {
   [[nodiscard]] std::vector<char> heartbeat_record() const;
 
  private:
-  void broadcast(std::vector<char> rec);
+  void broadcast(const Record& rec);
 
   mutable std::mutex mu_;
   std::vector<std::shared_ptr<Subscription>> subs_;

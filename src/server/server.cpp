@@ -100,12 +100,15 @@ int listen_tcp(const std::string& host, std::uint16_t port,
   return fd;
 }
 
-/// The answer to a failed request: its status, then a message.
-std::vector<char> fail(Status st, const std::string& msg) {
-  WireWriter w;
+/// The body of an OK answer that carries nothing else.
+constexpr char kOkBody[] = {static_cast<char>(Status::kOk)};
+
+/// Make `out` the answer to a failed request: its status, then a message.
+void fail(std::vector<char>& out, Status st, const std::string& msg) {
+  out.clear();
+  BinaryWriter w(out);
   w.u8(static_cast<std::uint8_t>(st));
   w.str(msg);
-  return w.body();
 }
 
 /// How long a FLUSH, SAVE or JACCARD barrier may wait: `flush_timeout_ms`,
@@ -497,12 +500,14 @@ void SheServer::accept_loop() {
 void SheServer::handle_conn(std::uint64_t id, int fd) {
   active_connections_->add(1);
   std::vector<char> body;
+  std::vector<char> resp;  // each answer is built here, then sent from here
   // Connection auth state: identity 0 until a successful AUTH (identity =
   // 1-based token line).  With no token file, everything runs as 0.
   bool authed = auth_tokens_.empty();
   std::uint64_t auth_id = 0;
   const auto answer = [&](Status st, const std::string& msg) {
-    write_frame(fd, fail(st, msg));
+    fail(resp, st, msg);
+    write_frame(fd, resp);
   };
   const auto require_auth = [&] {
     unauthorized_total_->inc();
@@ -513,7 +518,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       if (!read_frame(fd, body)) break;  // clean EOF at a frame boundary
       // The request head, parsed once: the optional trace and sequence
       // headers, then the opcode.  dispatch() reads the rest of the body.
-      WireReader req(body);
+      BinaryReader req(body);
       ReqCtx ctx;
       ctx.trace_id = read_trace_header(req);
       ctx.seq = read_seq_header(req);
@@ -543,9 +548,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
           if (auth_tokens_.empty() || match != 0) {
             authed = true;
             auth_id = static_cast<std::uint64_t>(match);  // 0: no token file
-            WireWriter w;
-            w.u8(static_cast<std::uint8_t>(Status::kOk));
-            write_frame(fd, w.body());
+            write_frame(fd, kOkBody);
           } else {
             unauthorized_total_->inc();
             answer(Status::kUnauthorized, "unknown auth token");
@@ -582,9 +585,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
           answer(Status::kBadRequest, e.what());
         }
         if (!ok) continue;
-        WireWriter w;
-        w.u8(static_cast<std::uint8_t>(Status::kOk));
-        write_frame(fd, w.body());
+        write_frame(fd, kOkBody);
         serve_replication(fd, manager_, hub_, [this] {
           return stop_requested_.load(std::memory_order_acquire);
         });
@@ -595,9 +596,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       // very connection moments later.
       if (op == Op::kShutdown) {
         requests_by_op_[Op::kShutdown]->inc();
-        WireWriter w;
-        w.u8(static_cast<std::uint8_t>(Status::kOk));
-        write_frame(fd, w.body());
+        write_frame(fd, kOkBody);
         request_stop();
         break;
       }
@@ -634,13 +633,12 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
             static_cast<std::int64_t>(opt_.request_deadline_ms) * 1'000'000;
       }
       OpInfo info;
-      std::vector<char> resp;
       try {
         if (sampled) {
-          resp = dispatch(req, op, info, ctx);
+          dispatch(req, op, info, ctx, resp);
         } else {
           const obs::trace::SuppressScope mute;
-          resp = dispatch(req, op, info, ctx);
+          dispatch(req, op, info, ctx, resp);
         }
       } catch (...) {
         release(auth_id);
@@ -907,9 +905,10 @@ void SheServer::release(std::uint64_t client) {
 
 // --------------------------------------------------------------- dispatch --
 
-std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
-                                      ReqCtx ctx) {
-  WireWriter resp;
+void SheServer::dispatch(BinaryReader& req, Op op, OpInfo& info, ReqCtx ctx,
+                         std::vector<char>& out) {
+  out.clear();
+  BinaryWriter resp(out);
   try {
     // The optional trace header binds this request's spans — here and in
     // every stage the work flows through — to the client-chosen trace id.
@@ -923,7 +922,7 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
     if (standby_.load(std::memory_order_acquire) &&
         (op == Op::kCreate || op == Op::kInsert || op == Op::kInsertBulk ||
          op == Op::kDrop)) {
-      return fail(Status::kReadOnly,
+      return fail(out, Status::kReadOnly,
                   "standby replica: writes go to the primary");
     }
     switch (op) {
@@ -942,38 +941,22 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         resp.u8(static_cast<std::uint8_t>(Status::kOk));
         break;
       }
-      case Op::kInsert: {
-        const std::string name = req.str();
-        const std::uint64_t key = req.u64();
-        req.expect_done();
-        info.pipeline = name;
-        const auto entry = manager_.find(name);
-        if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
-        const std::uint64_t accepted = entry->insert_bulk(
-            std::span<const std::uint64_t>(&key, 1), ctx.seq.client_id,
-            ctx.seq.client_seq, ctx.deadline_ns);
-        if (accepted < 1 && ctx.deadline_ns != 0 &&
-            Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
-          deadline_shed_total_->inc();
-          return fail(Status::kTimeout, "request deadline exceeded");
-        }
-        resp.u8(static_cast<std::uint8_t>(Status::kOk));
-        resp.u64(accepted);
-        break;
-      }
+      case Op::kInsert:
       case Op::kInsertBulk: {
         const std::string name = req.str();
-        const std::uint32_t n = req.u32();
-        // Decoded inside the connection's receive buffer, which outlives
-        // this request, so routing reads the keys where the socket put them.
-        const std::span<const std::uint64_t> keys = req.u64s_in_place(n);
+        // One key or a counted run, decoded inside the connection's receive
+        // buffer, which outlives this request, so routing reads the keys
+        // where the socket put them.
+        const std::span<const std::uint64_t> keys =
+            req.u64s_in_place(op == Op::kInsert ? 1 : req.u32());
         req.expect_done();
         info.pipeline = name;
         const auto entry = manager_.find(name);
-        if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
+        if (!entry)
+          return fail(out, Status::kNotFound, "no pipeline '" + name + "'");
         const std::uint64_t accepted = entry->insert_bulk(
             keys, ctx.seq.client_id, ctx.seq.client_seq, ctx.deadline_ns);
-        if (accepted < n && ctx.deadline_ns != 0 &&
+        if (accepted < keys.size() && ctx.deadline_ns != 0 &&
             Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
           // Shed, not wedged: the deadline expired before some shard had
           // ring space for its sub-batch.  Each shard's sub-batch was
@@ -981,10 +964,10 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
           // with the same sequence number and the per-shard dedup makes
           // the retry exactly-once.
           deadline_shed_total_->inc();
-          return fail(Status::kTimeout,
+          return fail(out, Status::kTimeout,
                       "request deadline exceeded (" +
                           std::to_string(accepted) + " of " +
-                          std::to_string(n) +
+                          std::to_string(keys.size()) +
                           " accepted, each shard's sub-batch whole or not "
                           "at all; replay is safe)");
         }
@@ -993,13 +976,14 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         break;
       }
       case Op::kQuery:
-        return do_query(req, info, ctx);
+        return do_query(req, info, ctx, out);
       case Op::kStats: {
         const std::string name = req.str();
         req.expect_done();
         info.pipeline = name;
         const auto entry = manager_.find(name);
-        if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
+        if (!entry)
+          return fail(out, Status::kNotFound, "no pipeline '" + name + "'");
         resp.u8(static_cast<std::uint8_t>(Status::kOk));
         std::ostringstream json;
         obs::write_json(json, entry->monitor().metrics_registry());
@@ -1011,7 +995,7 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         req.expect_done();
         info.pipeline = name;
         if (!manager_.drop(name)) {
-          return fail(Status::kNotFound, "no pipeline '" + name + "'");
+          return fail(out, Status::kNotFound, "no pipeline '" + name + "'");
         }
         pipelines_gauge_->set(static_cast<std::int64_t>(manager_.size()));
         resp.u8(static_cast<std::uint8_t>(Status::kOk));
@@ -1023,18 +1007,19 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         req.expect_done();
         info.pipeline = name;
         const auto entry = manager_.find(name);
-        if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
+        if (!entry)
+          return fail(out, Status::kNotFound, "no pipeline '" + name + "'");
         const auto timeout_ms =
             barrier_timeout_ms(opt_.flush_timeout_ms, ctx.deadline_ns);
         if (!timeout_ms) {
           deadline_shed_total_->inc();
-          return fail(Status::kTimeout, "request deadline exceeded");
+          return fail(out, Status::kTimeout, "request deadline exceeded");
         }
         const bool done = op == Op::kSave
                               ? entry->monitor().save_now(*timeout_ms)
                               : entry->monitor().flush(*timeout_ms);
         if (!done) {
-          return fail(Status::kTimeout,
+          return fail(out, Status::kTimeout,
                       std::string(op == Op::kSave ? "save" : "flush") +
                           " barrier timed out");
         }
@@ -1053,7 +1038,7 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
       case Op::kAuth:
       case Op::kReplicate:
         // Connection-level ops: handle_conn answers them itself.
-        return fail(Status::kBadRequest, "not a dispatched op");
+        return fail(out, Status::kBadRequest, "not a dispatched op");
       case Op::kPromote: {
         req.expect_done();
         promote();
@@ -1061,32 +1046,34 @@ std::vector<char> SheServer::dispatch(WireReader& req, Op op, OpInfo& info,
         break;
       }
     }
-    return resp.body();
   } catch (const ProtocolError& e) {
     // Body-level garbage inside an intact frame: framing survives, so the
-    // connection keeps going after the error answer.
+    // connection keeps going after the error answer.  Only the request's
+    // reader raises this DecodeError; a DiskFault, WalError or
+    // CheckpointError is a sibling, the server's own failure, and lands
+    // below as kError or kDegraded.
     protocol_errors_->inc();
-    return fail(Status::kBadRequest, e.what());
+    return fail(out, Status::kBadRequest, e.what());
   } catch (const AlreadyExists& e) {
-    return fail(Status::kExists, e.what());
+    return fail(out, Status::kExists, e.what());
   } catch (const std::invalid_argument& e) {
-    return fail(Status::kBadRequest, e.what());
+    return fail(out, Status::kBadRequest, e.what());
   } catch (const runtime::DegradedError& e) {
     // Disk fault parked the pipeline read-only: typed so clients can tell
     // "this node cannot take writes right now" from a generic failure.
-    return fail(Status::kDegraded, e.what());
+    return fail(out, Status::kDegraded, e.what());
   } catch (const std::exception& e) {
-    return fail(Status::kError, e.what());
+    return fail(out, Status::kError, e.what());
   }
 }
 
-std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
-                                      ReqCtx ctx) {
+void SheServer::do_query(BinaryReader& req, OpInfo& info, ReqCtx ctx,
+                         std::vector<char>& out) {
   const std::string name = req.str();
   const QueryType qt = query_type_from(req.u8());
   info.pipeline = name;
   const auto entry = manager_.find(name);
-  if (!entry) return fail(Status::kNotFound, "no pipeline '" + name + "'");
+  if (!entry) return fail(out, Status::kNotFound, "no pipeline '" + name + "'");
   ConcurrentMonitor& mon = entry->monitor();
   // Each shard read loads the shard's published view: a shared_ptr to an
   // immutable StreamMonitor that no pipeline owns, held for the read.  A
@@ -1096,7 +1083,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
     SHE_TRACE_SPAN("query.shard_merge", "server");
     return mon.report(top_k);
   };
-  WireWriter resp;
+  BinaryWriter resp(out);
   switch (qt) {
     case QueryType::kMembership: {
       const std::uint64_t key = req.u64();
@@ -1119,7 +1106,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       req.expect_done();
       const MonitorReport rep = merged_report(0);
       if (!rep.cardinality) {
-        return fail(Status::kBadRequest,
+        return fail(out, Status::kBadRequest,
                     "pipeline '" + name + "' does not track cardinality");
       }
       resp.u8(static_cast<std::uint8_t>(Status::kOk));
@@ -1143,7 +1130,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       req.expect_done();
       const auto other = manager_.find(other_name);
       if (!other) {
-        return fail(Status::kNotFound, "no pipeline '" + other_name + "'");
+        return fail(out, Status::kNotFound, "no pipeline '" + other_name + "'");
       }
       // SHE-MH signatures compare at matching stream times; flush both so
       // the published snapshots reflect everything accepted so far.  The
@@ -1152,7 +1139,7 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
           barrier_timeout_ms(opt_.flush_timeout_ms, ctx.deadline_ns);
       if (!timeout_ms) {
         deadline_shed_total_->inc();
-        return fail(Status::kTimeout, "request deadline exceeded");
+        return fail(out, Status::kTimeout, "request deadline exceeded");
       }
       mon.flush(*timeout_ms);
       other->monitor().flush(*timeout_ms);
@@ -1162,7 +1149,6 @@ std::vector<char> SheServer::do_query(WireReader& req, OpInfo& info,
       break;
     }
   }
-  return resp.body();
 }
 
 }  // namespace she::server

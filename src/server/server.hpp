@@ -181,10 +181,12 @@ class SheServer {
   void release(std::uint64_t client);
 
   /// Dispatch one request whose head handle_conn already read (`req` sits
-  /// just past the opcode); always returns a response body.
-  std::vector<char> dispatch(WireReader& req, Op op, OpInfo& info,
-                             ReqCtx ctx);
-  std::vector<char> do_query(WireReader& req, OpInfo& info, ReqCtx ctx);
+  /// just past the opcode); always leaves a response body in `out`, the
+  /// connection's response buffer (cleared first).
+  void dispatch(BinaryReader& req, Op op, OpInfo& info, ReqCtx ctx,
+                std::vector<char>& out);
+  void do_query(BinaryReader& req, OpInfo& info, ReqCtx ctx,
+                std::vector<char>& out);
 
   /// she_server_request_duration_ns{op=...,pipeline=...} observation
   /// (register-or-lookup per request; registration is mutex + small scan).

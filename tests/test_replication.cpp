@@ -262,12 +262,13 @@ TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
           parse_wal_frame(std::span<const char>(bytes).subspan(at), f);
       ASSERT_GT(sz, 0u);
       if (f.kind == kWalData) {
-        WireWriter w;
+        std::vector<char> w_bytes;
+        BinaryWriter w(w_bytes);
         w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
         w.str("p");
         w.u32(3);
         w.str(std::string_view(bytes.data() + at, sz));
-        want.push_back(w.body());
+        want.push_back(w_bytes);
       }
       at += sz;
     }
@@ -277,15 +278,16 @@ TEST(Replication, WalRecordsCarryTheSegmentsFrameBytes) {
     ASSERT_EQ(sub->q.size(), 12u);
     ASSERT_EQ(want.size(), 12u);
     for (std::size_t i = 0; i < want.size(); ++i)
-      EXPECT_EQ(sub->q[i], want[i]) << "record " << i;
+      EXPECT_EQ(*sub->q[i], want[i]) << "record " << i;
   }
-  WireWriter beat;
+  std::vector<char> beat_bytes;
+  BinaryWriter beat(beat_bytes);
   beat.u8(static_cast<std::uint8_t>(ReplRecord::kHeartbeat));
   beat.u32(1);
   beat.str("p");
   beat.u32(3);
   beat.u64(items);
-  EXPECT_EQ(hub.heartbeat_record(), beat.body());
+  EXPECT_EQ(hub.heartbeat_record(), beat_bytes);
   hub.unsubscribe(sub);
   std::filesystem::remove_all(dir);
 }
@@ -569,7 +571,7 @@ class ScriptedPrimary {
     write_frame(conn_, ok);
   }
 
-  void send(const WireWriter& record) { write_frame(conn_, record.body()); }
+  void send(const std::vector<char>& record) { write_frame(conn_, record); }
 
  private:
   int listen_fd_ = -1;
@@ -577,27 +579,30 @@ class ScriptedPrimary {
   std::uint16_t port_ = 0;
 };
 
-WireWriter create_record(const std::string& name, const std::string& spec) {
-  WireWriter w;
+std::vector<char> create_record(const std::string& name,
+                                const std::string& spec) {
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kCreate));
   w.str(name);
   w.str(spec);
-  return w;
+  return w_bytes;
 }
 
 /// A kWal record carrying shard 0's first data frame: `keys` from offset 0.
-WireWriter wal_record(const std::string& name,
-                      std::span<const std::uint64_t> keys) {
+std::vector<char> wal_record(const std::string& name,
+                             std::span<const std::uint64_t> keys) {
   WalFrame f;
   f.seq = 1;
   f.payload = {reinterpret_cast<const char*>(keys.data()), keys.size() * 8};
   const std::vector<char> frame = frame_wal(f);
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(static_cast<std::uint8_t>(ReplRecord::kWal));
   w.str(name);
   w.u32(0);
   w.str(std::string_view(frame.data(), frame.size()));
-  return w;
+  return w_bytes;
 }
 
 /// Poll `done` for up to 20 s.
@@ -680,13 +685,14 @@ TEST(Replication, StandbyDoesNotCountAFrameItFailedToApply) {
            "the standby never created the pipeline");
   fault::injector().arm(fault::parse_spec("wal-enospc"));
   primary.send(wal_record("p", keys));
-  WireWriter beat;
+  std::vector<char> beat_bytes;
+  BinaryWriter beat(beat_bytes);
   beat.u8(static_cast<std::uint8_t>(ReplRecord::kHeartbeat));
   beat.u32(1);
   beat.str("p");
   beat.u32(0);
   beat.u64(keys.size());
-  primary.send(beat);
+  primary.send(beat_bytes);
   obs::Counter& sessions = registry.counter(
       "she_replica_reconnects_total",
       "replication sessions established (first connect included)");

@@ -56,14 +56,15 @@ std::string temp_dir(const char* name) {
 // ------------------------------ wire codec ---------------------------------
 
 TEST(Wire, RoundTrip) {
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(7);
   w.u32(0xdeadbeef);
   w.u64(0x0123456789abcdefULL);
   w.f64(3.25);
   w.str("hello");
   w.str("");
-  WireReader r(w.body());
+  BinaryReader r(w_bytes);
   EXPECT_EQ(r.u8(), 7);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefULL);
@@ -75,23 +76,25 @@ TEST(Wire, RoundTrip) {
 }
 
 TEST(Wire, TruncationThrows) {
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u32(3);  // a string length with no bytes behind it
-  WireReader r(w.body());
+  BinaryReader r(w_bytes);
   EXPECT_THROW((void)r.str(), ProtocolError);
 
-  WireReader r2(std::span<const char>(w.body().data(), 2));
+  BinaryReader r2(std::span<const char>(w_bytes.data(), 2));
   EXPECT_THROW((void)r2.u32(), ProtocolError);
-  WireReader r3(w.body());
+  BinaryReader r3(w_bytes);
   (void)r3.u32();
   EXPECT_THROW((void)r3.u8(), ProtocolError);
 }
 
 TEST(Wire, TrailingBytesRejected) {
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(1);
   w.u8(2);
-  WireReader r(w.body());
+  BinaryReader r(w_bytes);
   (void)r.u8();
   EXPECT_THROW(r.expect_done(), ProtocolError);
 }
@@ -115,13 +118,14 @@ TEST(Wire, U64sInPlaceDecodeAtEveryOffset) {
   // bytes already read, whatever offset they started at.
   for (std::size_t lead = 0; lead < 16; ++lead) {
     SCOPED_TRACE(lead);
-    WireWriter w;
+    std::vector<char> w_bytes;
+    BinaryWriter w(w_bytes);
     for (std::size_t i = 0; i < lead; ++i) w.u8(0xEE);
     w.u32(3);
     for (std::uint64_t k : {0x0102030405060708ull, 0ull, 0xF0E0D0C0B0A09080ull})
       w.u64(k);
-    std::vector<char> body = w.body();
-    WireReader r(body);
+    std::vector<char> body = w_bytes;
+    BinaryReader r(body);
     for (std::size_t i = 0; i < lead; ++i) (void)r.u8();
     const std::span<const std::uint64_t> keys = r.u64s_in_place(r.u32());
     r.expect_done();
@@ -135,11 +139,12 @@ TEST(Wire, U64sInPlaceDecodeAtEveryOffset) {
   }
 
   // Too few bytes for the count is a ProtocolError; a count of 0 is empty.
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(1);
   w.u64(5);
-  std::vector<char> body = w.body();
-  WireReader short_body(body);
+  std::vector<char> body = w_bytes;
+  BinaryReader short_body(body);
   (void)short_body.u8();
   EXPECT_THROW((void)short_body.u64s_in_place(2), ProtocolError);
   EXPECT_TRUE(short_body.u64s_in_place(0).empty());
@@ -147,7 +152,7 @@ TEST(Wire, U64sInPlaceDecodeAtEveryOffset) {
   short_body.expect_done();
 
   // A reader over a read-only body cannot rewrite it.
-  WireReader read_only(std::span<const char>(w.body()));
+  BinaryReader read_only{std::span<const char>(w_bytes)};
   (void)read_only.u8();
   EXPECT_THROW((void)read_only.u64s_in_place(1), std::logic_error);
 }
@@ -163,20 +168,20 @@ TEST(Wire, TraceHeaderParsesAndStrips) {
   for (int b = 0; b < 8; ++b)
     framed.push_back(static_cast<char>((id >> (8 * b)) & 0xff));
   framed.push_back(static_cast<char>(Op::kPing));
-  WireReader r(framed);
+  BinaryReader r(framed);
   EXPECT_EQ(read_trace_header(r), id);
   EXPECT_EQ(op_from(r.u8()), Op::kPing);
   r.expect_done();
 
   // Untraced bodies are untouched.
   const char plain[] = {static_cast<char>(Op::kPing)};
-  WireReader p({plain, 1});
+  BinaryReader p({plain, 1});
   EXPECT_EQ(read_trace_header(p), 0u);
   EXPECT_EQ(op_from(p.u8()), Op::kPing);
 
   // A 0xF5 first byte without the full 9 bytes is not a trace header.
   const char runt[] = {static_cast<char>(kTraceHeader), 1, 2};
-  WireReader q({runt, 3});
+  BinaryReader q({runt, 3});
   EXPECT_EQ(read_trace_header(q), 0u);
   EXPECT_EQ(q.remaining(), 3u);  // nothing consumed
 }
@@ -193,7 +198,7 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
   u64le(framed, 0xAB);
   u64le(framed, 42);
   framed.push_back(static_cast<char>(Op::kPing));
-  WireReader r(framed);
+  BinaryReader r(framed);
   const ClientSeq cs = read_seq_header(r);
   EXPECT_EQ(cs.client_id, 0xABu);
   EXPECT_EQ(cs.client_seq, 42u);
@@ -205,7 +210,7 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
   both.push_back(static_cast<char>(kTraceHeader));
   u64le(both, 7);
   both.insert(both.end(), framed.begin(), framed.end());
-  WireReader b(both);
+  BinaryReader b(both);
   EXPECT_EQ(read_trace_header(b), 7u);
   EXPECT_EQ(read_seq_header(b).client_seq, 42u);
   EXPECT_EQ(op_from(b.u8()), Op::kPing);
@@ -213,11 +218,11 @@ TEST(Wire, SeqHeaderParsesAndStrips) {
 
   // Untagged bodies are untouched, and a runt 0xF6 is not a seq header.
   const char plain[] = {static_cast<char>(Op::kPing)};
-  WireReader p({plain, 1});
+  BinaryReader p({plain, 1});
   EXPECT_EQ(read_seq_header(p).client_id, 0u);
   EXPECT_EQ(p.remaining(), 1u);
   const char runt[] = {static_cast<char>(kSeqHeader), 1, 2, 3};
-  WireReader q({runt, 4});
+  BinaryReader q({runt, 4});
   EXPECT_EQ(read_seq_header(q).client_id, 0u);
   EXPECT_EQ(q.remaining(), 4u);  // nothing consumed
 }
@@ -595,21 +600,23 @@ TEST(Server, MalformedBodiesAreCountedAndSurvivable) {
 
   // Trailing bytes after a well-formed request.
   {
-    WireWriter w;
+    std::vector<char> w_bytes;
+    BinaryWriter w(w_bytes);
     w.u8(static_cast<std::uint8_t>(Op::kPing));
     w.u8(0xab);
-    const std::vector<char> resp = c.roundtrip_raw(w.body());
+    const std::vector<char> resp = c.roundtrip_raw(w_bytes);
     EXPECT_EQ(static_cast<Status>(resp[0]), Status::kBadRequest);
   }
   c.ping();
 
   // A bulk insert whose claimed count exceeds the body.
   {
-    WireWriter w;
+    std::vector<char> w_bytes;
+    BinaryWriter w(w_bytes);
     w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
     w.str("nope");
     w.u32(1000);  // ...and zero key bytes behind it
-    const std::vector<char> resp = c.roundtrip_raw(w.body());
+    const std::vector<char> resp = c.roundtrip_raw(w_bytes);
     EXPECT_EQ(static_cast<Status>(resp[0]), Status::kBadRequest);
   }
   c.ping();
@@ -667,16 +674,17 @@ TEST(Server, HalfClosedSocketsNeverRaiseSigpipe) {
     ::close(fd);
   };
 
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
   w.str("gone");
   w.u32(2048);
   for (std::uint64_t i = 0; i < 2048; ++i) w.u64(i);
   std::vector<char> framed;
-  const std::uint32_t len = static_cast<std::uint32_t>(w.body().size());
+  const std::uint32_t len = static_cast<std::uint32_t>(w_bytes.size());
   for (int b = 0; b < 4; ++b)
     framed.push_back(static_cast<char>((len >> (8 * b)) & 0xff));
-  framed.insert(framed.end(), w.body().begin(), w.body().end());
+  framed.insert(framed.end(), w_bytes.begin(), w_bytes.end());
 
   for (int round = 0; round < 16; ++round)
     vanish_after(live.server.port(), framed.data(), framed.size(), 4);
@@ -1638,12 +1646,13 @@ std::vector<char> seq_tagged_bulk(std::uint64_t client_id,
   body.push_back(static_cast<char>(kSeqHeader));
   put_u64le(body, client_id);
   put_u64le(body, client_seq);
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
   w.str(name);
   w.u32(static_cast<std::uint32_t>(keys.size()));
   for (std::uint64_t k : keys) w.u64(k);
-  body.insert(body.end(), w.body().begin(), w.body().end());
+  body.insert(body.end(), w_bytes.begin(), w_bytes.end());
   return body;
 }
 
@@ -1658,7 +1667,7 @@ TEST(Server, DuplicateSeqReplayIsIdempotent) {
     const std::vector<char> resp = c.roundtrip_raw(body);
     ASSERT_FALSE(resp.empty());
     EXPECT_EQ(static_cast<Status>(resp[0]), Status::kOk);
-    WireReader r(resp);
+    BinaryReader r(resp);
     (void)r.u8();
     // Every replay is acked with the full count (the client unblocks) ...
     EXPECT_EQ(r.u64(), keys.size());
@@ -1692,12 +1701,13 @@ std::vector<char> bulk_body(const std::string& name,
     put_u64le(body, 77);
     put_u64le(body, client_seq);
   }
-  WireWriter w;
+  std::vector<char> w_bytes;
+  BinaryWriter w(w_bytes);
   w.u8(static_cast<std::uint8_t>(Op::kInsertBulk));
   w.str(name);
   w.u32(static_cast<std::uint32_t>(keys.size()));
   for (std::uint64_t k : keys) w.u64(k);
-  body.insert(body.end(), w.body().begin(), w.body().end());
+  body.insert(body.end(), w_bytes.begin(), w_bytes.end());
   return body;
 }
 
@@ -1706,7 +1716,7 @@ void send_bulk(SheClient& c, const std::vector<char>& body, std::size_t n) {
   const std::vector<char> resp = c.roundtrip_raw(body);
   ASSERT_FALSE(resp.empty());
   ASSERT_EQ(static_cast<Status>(resp[0]), Status::kOk);
-  WireReader r(resp);
+  BinaryReader r(resp);
   (void)r.u8();
   EXPECT_EQ(r.u64(), n);
 }
@@ -1902,10 +1912,11 @@ TEST(Server, AuthGateTokensAndTypedRejection) {
     EXPECT_EQ(e.status(), Status::kUnauthorized);
   }
   {
-    WireWriter w;
+    std::vector<char> w_bytes;
+    BinaryWriter w(w_bytes);
     w.u8(static_cast<std::uint8_t>(Op::kAuth));
     w.str("alpha-token");
-    const std::vector<char> resp = c.roundtrip_raw(w.body());
+    const std::vector<char> resp = c.roundtrip_raw(w_bytes);
     EXPECT_EQ(static_cast<Status>(resp[0]), Status::kOk);
   }
   c.ping();  // authed now
@@ -1913,10 +1924,11 @@ TEST(Server, AuthGateTokensAndTypedRejection) {
   // A wrong token is rejected but not connection-fatal.
   SheClient bad = live.client();
   {
-    WireWriter w;
+    std::vector<char> w_bytes;
+    BinaryWriter w(w_bytes);
     w.u8(static_cast<std::uint8_t>(Op::kAuth));
     w.str("nope");
-    const std::vector<char> resp = bad.roundtrip_raw(w.body());
+    const std::vector<char> resp = bad.roundtrip_raw(w_bytes);
     EXPECT_EQ(static_cast<Status>(resp[0]), Status::kUnauthorized);
   }
   try {

@@ -10,9 +10,10 @@
 // serve the disk and the wire.  A writer appends to a byte vector and a
 // reader walks a byte span, so every length prefix is bounded against the
 // exact bytes left: a corrupted prefix can never trigger a multi-gigabyte
-// allocation before the truncation is discovered element by element.  Runs of cells or words
-// move as their in-memory bytes (the host is little-endian): one memcpy
-// per run each way, or, for a checkpoint frame, no copy at all.
+// allocation before the truncation is discovered element by element.
+// Runs of cells or words move as their in-memory bytes (the host is
+// little-endian): one memcpy per run each way, or, for a checkpoint frame,
+// no copy at all.
 #pragma once
 
 #include <atomic>

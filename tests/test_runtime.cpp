@@ -16,6 +16,9 @@
 //   * Commit lanes: a shed sub-batch replays exactly once; a deadline
 //     never splits an admitted sub-batch; threads sharing one producer
 //     index keep every sub-batch contiguous, WAL on and off.
+//   * Park and wake: workers parked over and over between pushes and
+//     syncs lose no key, close() racing a push returns, and an idle
+//     worker is never counted wedged.
 //   * ConcurrentMonitor: queries under load within the same error bounds
 //     as the single-threaded estimators; a shard budget too small for the
 //     heavy-hitter table is refused at construction.
@@ -765,6 +768,118 @@ TEST(CommitLane, BulkRouteKeepsEachShardsOrderOfPerKeyPushes) {
     EXPECT_EQ(total, sent);
     EXPECT_GE(bulk.snapshot(last).keys.size(), frames[0].size());
   }
+}
+
+// ----------------------------- Park and wake -------------------------------
+
+/// An "estimator" that folds every key, in drain order, into a count and an
+/// order-sensitive digest: as exact a record as RecordingEstimator for a
+/// known stream, and cheap to copy on every publish however long it runs.
+struct DigestEstimator {
+  std::uint64_t count = 0;
+  std::uint64_t digest = 0;
+  void insert(std::uint64_t k) {
+    digest = digest * 0x9e3779b97f4a7c15ull + k + 1;
+    ++count;
+  }
+  void save(BinaryWriter& w) const {
+    w.u64(count);
+    w.u64(digest);
+  }
+  static DigestEstimator load(BinaryReader& r) {
+    DigestEstimator e;
+    e.count = r.u64();
+    e.digest = r.u64();
+    return e;
+  }
+};
+
+const IngestPipeline<DigestEstimator>::Factory kDigest =
+    [](std::size_t) { return DigestEstimator{}; };
+
+DigestEstimator digest_of(std::span<const std::uint64_t> keys) {
+  DigestEstimator e;
+  for (const std::uint64_t k : keys) e.insert(k);
+  return e;
+}
+
+// Idle workers, producers waiting for ring space and sync() callers park
+// until something wakes them.  A lost wake-up strands keys in a ring, and
+// in a count-based window every applied key moves the window, so a seeded
+// script pushes (some sub-batches larger than the ring), syncs, and
+// pauses longer than the runtime's spin budget, parking both workers at
+// every pause: 5000 pauses, 10 K parks.  It ends with a close() that
+// races one more push.  Every accepted key must be applied, in order, to
+// its shard, and close() must return.
+TEST(Runtime, ParkAndWakeRacesLoseNothing) {
+  constexpr std::size_t kShards = 2;
+  constexpr int kPauses = 5000;
+  PipelineOptions opt;
+  opt.shards = kShards;
+  opt.queue_capacity = 64;
+  IngestPipeline<DigestEstimator> pipe(opt, kDigest);
+  pipe.start();
+  std::vector<std::vector<std::uint64_t>> expect(kShards);
+  Rng rng(49);
+  std::uint64_t next = 0;
+  std::vector<std::uint64_t> batch;
+  for (int step = 0; step < kPauses; ++step) {
+    batch.resize(1 + rng.below(160));
+    for (std::uint64_t& k : batch) k = next++;
+    ASSERT_EQ(pipe.push_bulk(0, batch), batch.size()) << "step " << step;
+    for (const std::uint64_t k : batch) expect[pipe.shard_of(k)].push_back(k);
+    if (rng.below(4) == 0) {
+      ASSERT_TRUE(pipe.sync(false)) << "step " << step;
+    }
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(100 + rng.below(100)));
+  }
+  // Each shard's share of the racing push fits its ring, so a lane
+  // accepts all of it or none.
+  std::vector<std::uint64_t> last(64);
+  for (std::uint64_t& k : last) k = next++;
+  std::size_t accepted_last = 0;
+  std::thread racer([&] { accepted_last = pipe.push_bulk(0, last); });
+  pipe.close();
+  racer.join();
+
+  const obs::Registry& reg = pipe.metrics_registry();
+  EXPECT_EQ(reg.sum("she_pipeline_inserted_total"),
+            reg.sum("she_pipeline_produced_total"));
+  EXPECT_EQ(reg.sum("she_pipeline_produced_total"),
+            next - last.size() + accepted_last);
+  std::size_t raced = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const DigestEstimator got = *pipe.view(s);
+    ASSERT_GE(got.count, expect[s].size()) << "shard " << s;
+    // Past the script's keys, the shard holds its share of the racing
+    // push or nothing of it.
+    const std::size_t extra = got.count - expect[s].size();
+    for (const std::uint64_t k : last)
+      if (extra > 0 && pipe.shard_of(k) == s) expect[s].push_back(k);
+    const DigestEstimator want = digest_of(expect[s]);
+    EXPECT_EQ(got.count, want.count) << "shard " << s;
+    EXPECT_EQ(got.digest, want.digest) << "shard " << s;
+    raced += extra;
+  }
+  EXPECT_EQ(raced, accepted_last);
+}
+
+// A worker with nothing to do still beats its heartbeat: an idle pipeline
+// held for two wedge timeouts counts no wedged worker.
+TEST(Runtime, IdleWorkersAreNeverCountedWedged) {
+  PipelineOptions opt;
+  opt.shards = 2;
+  IngestPipeline<DigestEstimator> pipe(opt, kDigest);
+  pipe.start();
+  const std::vector<std::uint64_t> keys = {1, 2, 3, 4, 5, 6, 7, 8};
+  ASSERT_EQ(pipe.push_bulk(0, keys), keys.size());
+  ASSERT_TRUE(pipe.sync(false));
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(2 * PipelineCore::kHeartbeatTimeoutMs));
+  EXPECT_EQ(pipe.metrics_registry().sum("she_pipeline_worker_wedged_total"),
+            0u);
+  pipe.close();
 }
 
 // ---------------------------- Published views ------------------------------

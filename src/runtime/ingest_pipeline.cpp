@@ -22,7 +22,9 @@
 // bounds the wait, and a shed leaves nothing enqueued), then the keys are
 // gathered straight into the reserved slots (SpscRing::stage) and made
 // visible with one release store (SpscRing::publish).  Producers waiting
-// on one full shard sleep on its mutex.  The worker applies up to
+// on one full shard sleep on its mutex.  Every wait (an idle worker, a
+// producer short of ring space, sync(), the supervisor) is one Doorbell:
+// spin briefly, then park until rung.  The worker applies up to
 // kDrainBatch keys where they lie (SpscRing::peek), counts them, and only
 // then frees their slots (SpscRing::release): each key is copied once,
 // into its ring slot, and `queue_capacity` bounds a shard's whole backlog
@@ -71,7 +73,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -81,6 +82,7 @@
 #include "common/bobhash.hpp"
 #include "common/checkpoint.hpp"
 #include "common/fault_injection.hpp"
+#include "runtime/doorbell.hpp"
 
 namespace she::runtime {
 
@@ -134,6 +136,14 @@ enum class WorkerState : int { kIdle, kRunning, kFaulted, kAbandoned };
 /// The pipeline's lifecycle; only start() and close() advance it.
 enum class Phase : int { kNew, kRunning, kClosing, kClosed };
 
+/// Longest park of an idle worker.  Below kHeartbeatTimeoutMs, so a parked
+/// worker's heartbeat never looks wedged; 10 wake-ups a second cost three
+/// idle 2-shard pipelines well under 1 % of a core on a 4-vCPU host.
+constexpr std::int64_t kParkCapNs = 100'000'000;
+static_assert(kParkCapNs < PipelineCore::kHeartbeatTimeoutMs * 1'000'000);
+
+constexpr auto now_ns = &Doorbell::now_ns;
+
 struct Shard {
   Shard(std::shared_ptr<ShardState> e, std::size_t queue_capacity)
       : est(std::move(e)), ring(queue_capacity) {}
@@ -186,6 +196,9 @@ struct Shard {
   std::atomic<std::uint64_t> sync_req{0};
   std::atomic<std::uint64_t> sync_ack{0};
   std::atomic<bool> sync_ckpt{false};
+  /// Rung on work for the worker (a lane's publish, sync(), close()) and on
+  /// its progress (a sweep that freed slots, a sync ack, shard death).
+  Doorbell bell;
   /// Trace id of the most recent traced push routed here, stored before
   /// its keys are enqueued; the worker adopts it for a sweep, and clears
   /// it in a sweep that drained, so drain / publish / checkpoint spans
@@ -205,6 +218,7 @@ struct Shard {
   obs::Counter* checkpoints = nullptr;
   obs::Counter* wal_replayed = nullptr;
   obs::Counter* wal_dups = nullptr;
+  obs::Counter* idle_ns = nullptr;
   obs::Gauge* queue_hwm = nullptr;
   obs::Gauge* queue_depth = nullptr;
 };
@@ -408,38 +422,17 @@ struct PipelineCore::Impl {
   /// from the producer side: the caller holds the lane mutex (sole
   /// producer on this ring) and the consumer only ever frees slots.
   bool wait_ring_space(Shard& sh, std::size_t want, std::int64_t deadline_ns) {
-    const auto free_now = [&sh] {
-      return sh.ring.capacity() - sh.ring.size_approx();
+    const auto room = [&sh, want] {
+      return sh.ring.capacity() - sh.ring.size_approx() >= want;
     };
-    if (free_now() >= want) return true;
+    if (room()) return true;
     const std::int64_t stall_start = now_ns();
     stall_events_->inc();
-    bool ok = true;
-    std::int64_t backoff_us = 0;
-    for (;;) {
-      if (closing()) {
-        ok = false;
-        break;
-      }
-      if (shard_dead(sh)) break;
-      if (free_now() >= want) break;
-      if (deadline_ns != 0 && now_ns() >= deadline_ns) {
-        push_timeouts_->inc();
-        ok = false;
-        break;
-      }
-      if (backoff_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-        backoff_us = std::min<std::int64_t>(backoff_us * 2, 1000);
-      } else {
-        std::this_thread::yield();
-        // Exponential backoff only for a wait with a deadline: an
-        // unbounded wait keeps the latency-optimal pure spin-yield.
-        if (deadline_ns != 0) backoff_us = 1;
-      }
-    }
+    const bool woken = sh.bell.wait(
+        [&] { return closing() || shard_dead(sh) || room(); }, deadline_ns);
+    if (!woken) push_timeouts_->inc();
     stall_ns_->inc(static_cast<std::uint64_t>(now_ns() - stall_start));
-    return ok;
+    return woken && !closing();
   }
 
   /// Fill staged slots in ring order from `next()`.
@@ -463,6 +456,7 @@ struct PipelineCore::Impl {
           sh.ring.stage(std::min(n - done, free));
       fill(runs, next);
       sh.ring.publish(runs.size());
+      sh.bell.ring();
       done += runs.size();
     }
     return done;
@@ -559,6 +553,7 @@ struct PipelineCore::Impl {
         (void)enqueue(sh, n, [&] { return gathered[i++]; });
       } else if (!shard_dead(sh)) {
         sh.ring.publish(n);
+        sh.bell.ring();
       }
     }
     if (done > 0) produced_[producer]->inc(done);
@@ -569,6 +564,8 @@ struct PipelineCore::Impl {
     const Phase was = phase_.load(std::memory_order_relaxed);
     if (was == Phase::kClosed) return;
     phase_.store(Phase::kClosing, std::memory_order_release);
+    for (const auto& sh : shards_) sh->bell.ring();
+    tick_.ring();
     if (was == Phase::kNew) {
       for (std::size_t s = 0; s < opt_.shards; ++s) worker_entry(s);
     } else {
@@ -581,6 +578,7 @@ struct PipelineCore::Impl {
     for (const auto& sh : shards_)
       sh->queue_depth->set(static_cast<std::int64_t>(sh->ring.size_approx()));
     phase_.store(Phase::kClosed, std::memory_order_release);
+    for (const auto& sh : shards_) sh->bell.ring();  // sync() returns
   }
 
   /// close() has begun: pushes are refused and workers exit once drained.
@@ -599,22 +597,24 @@ struct PipelineCore::Impl {
       if (with_checkpoint && !opt_.checkpoint_dir.empty())
         sh.sync_ckpt.store(true, std::memory_order_relaxed);
       want[s] = sh.sync_req.fetch_add(1, std::memory_order_acq_rel) + 1;
+      sh.bell.ring();
     }
     const std::int64_t deadline =
         now_ns() + static_cast<std::int64_t>(timeout_ms) * 1'000'000;
+    const auto closed = [this] {
+      return phase_.load(std::memory_order_acquire) == Phase::kClosed;
+    };
     bool ok = true;
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
-      while (sh.sync_ack.load(std::memory_order_acquire) < want[s]) {
-        if (phase_.load(std::memory_order_acquire) == Phase::kClosed)
-          return true;
-        if (shard_dead(sh)) {  // nobody will ever ack this shard
-          ok = false;
-          break;
-        }
-        if (now_ns() >= deadline) return false;
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+      const auto acked = [&] {
+        return sh.sync_ack.load(std::memory_order_acquire) >= want[s];
+      };
+      if (!sh.bell.wait([&] { return acked() || closed() || shard_dead(sh); },
+                        deadline))
+        return false;
+      if (closed()) return true;
+      ok = ok && acked();  // a dead shard never acks
     }
     return ok;
   }
@@ -653,6 +653,8 @@ struct PipelineCore::Impl {
          "items re-inserted from the backlog log at resume"},
         {&Shard::wal_dups, "she_pipeline_wal_duplicates_total",
          "keys skipped as already-applied client replays"},
+        {&Shard::idle_ns, "she_pipeline_worker_idle_ns_total",
+         "time the worker waited for work (spinning, then parked), ns"},
     };
     const obs::Labels shard_label = {{"shard", std::to_string(s)}};
     for (const auto& c : kCounters)
@@ -664,13 +666,6 @@ struct PipelineCore::Impl {
         "she_pipeline_queue_depth",
         "queued items in the shard's ring (supervisor tick)",
         shard_label);
-  }
-
-
-  static std::int64_t now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
   }
 
   [[nodiscard]] std::string checkpoint_path(std::size_t s) const {
@@ -830,6 +825,7 @@ struct PipelineCore::Impl {
       }
       if (restarts == kMaxRestarts || !roll_back(sh)) {
         sh.state.store(WorkerState::kAbandoned, std::memory_order_release);
+        sh.bell.ring();
         return;
       }
     }
@@ -891,6 +887,7 @@ struct PipelineCore::Impl {
         if (n < kDrainBatch) break;  // ring (momentarily) empty
       }
       if (got > 0) {
+        sh.bell.ring();  // once a sweep, and only a parked producer pays
         // A newer request's id stays for the sweep that drains its keys.
         if (adopted != 0)
           sh.last_trace_id.compare_exchange_strong(adopted, 0,
@@ -921,9 +918,23 @@ struct PipelineCore::Impl {
             !opt_.checkpoint_dir.empty())
           write_checkpoint(sh);
         sh.sync_ack.store(syncreq, std::memory_order_release);
+        sh.bell.ring();
       }
-      if (closing() && sh.ring.size_approx() == 0) break;
-      std::this_thread::yield();
+      if (closing()) {
+        // A lane commit that passed its closing() check before close()
+        // began publishes under lane_mu: wait it out before the last look.
+        std::lock_guard<std::mutex> lk(sh.lane_mu);
+        if (sh.ring.size_approx() == 0) break;
+      }
+      const std::int64_t idle_start = now_ns();
+      sh.bell.wait(
+          [&] {
+            return sh.ring.size_approx() > 0 || closing() ||
+                   sh.sync_req.load(std::memory_order_acquire) !=
+                       sh.sync_ack.load(std::memory_order_relaxed);
+          },
+          idle_start + kParkCapNs);
+      sh.idle_ns->inc(static_cast<std::uint64_t>(now_ns() - idle_start));
     }
     publish(sh);  // final state, unconditionally
     if (!opt_.checkpoint_dir.empty() &&
@@ -969,13 +980,9 @@ struct PipelineCore::Impl {
         rate_gauge_->set(static_cast<std::int64_t>(rate_window.rate()));
         last_rate_sample = now;
       }
-      // Sleep in small slices so close() is never delayed.
-      auto remaining = std::chrono::milliseconds(kSupervisorIntervalMs);
-      while (remaining.count() > 0 && !closing()) {
-        const auto slice = std::min(remaining, std::chrono::milliseconds(2));
-        std::this_thread::sleep_for(slice);
-        remaining -= slice;
-      }
+      tick_.wait([this] { return closing(); },
+                 now_ns() + static_cast<std::int64_t>(kSupervisorIntervalMs) *
+                                1'000'000);
     }
   }
 
@@ -1085,6 +1092,7 @@ struct PipelineCore::Impl {
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
   std::thread supervisor_;
+  Doorbell tick_;  ///< the supervisor's, rung by close()
   std::atomic<Phase> phase_{Phase::kNew};
   std::atomic<bool> degraded_{false};
   std::atomic<std::int64_t> last_probe_ns_{0};

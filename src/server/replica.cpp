@@ -22,11 +22,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+constexpr auto now_ns = &runtime::Doorbell::now_ns;
 
 }  // namespace
 
@@ -327,11 +323,13 @@ void ReplicaClient::start() {
 void ReplicaClient::promote(std::size_t drain_ms) {
   drain_ms_.store(drain_ms, std::memory_order_relaxed);
   promoting_.store(true, std::memory_order_release);
+  backoff_bell_.ring();
   join_thread();
 }
 
 void ReplicaClient::stop() {
   stop_.store(true, std::memory_order_release);
+  backoff_bell_.ring();
   const int fd = fd_.load(std::memory_order_acquire);
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
   join_thread();
@@ -374,13 +372,13 @@ void ReplicaClient::run() {
     } else {
       backoff = std::min(backoff * 2, opt_.backoff_max_ms);
     }
-    // Interruptible backoff so stop()/promote() never wait seconds.
-    for (std::size_t slept = 0;
-         slept < backoff && !stop_.load(std::memory_order_acquire) &&
-         !promoting_.load(std::memory_order_acquire);
-         slept += 50) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
+    // stop() and promote() ring the bell, so neither waits out a backoff.
+    backoff_bell_.wait(
+        [this] {
+          return stop_.load(std::memory_order_acquire) ||
+                 promoting_.load(std::memory_order_acquire);
+        },
+        now_ns() + static_cast<std::int64_t>(backoff) * 1'000'000);
   }
   connected_.store(false, std::memory_order_release);
   connected_gauge_->set(0);

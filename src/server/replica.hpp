@@ -61,6 +61,7 @@
 
 #include "common/wal.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/doorbell.hpp"
 
 namespace she::server {
 
@@ -195,6 +196,7 @@ class ReplicaClient {
   std::mutex join_mu_;  ///< promote() and stop() may race to join
   std::atomic<bool> stop_{false};
   std::atomic<bool> promoting_{false};
+  runtime::Doorbell backoff_bell_;  ///< rung by stop() and promote()
   std::atomic<std::size_t> drain_ms_{2000};
   std::atomic<bool> connected_{false};
   std::atomic<bool> synced_{false};

@@ -36,6 +36,7 @@
 #include "common/paged_array.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "runtime/doorbell.hpp"
 #include "she/monitor.hpp"
 #include "she/sharded.hpp"
 #include "she/she.hpp"
@@ -832,7 +833,8 @@ TEST(Runtime, ParkAndWakeRacesLoseNothing) {
       ASSERT_TRUE(pipe.sync(false)) << "step " << step;
     }
     std::this_thread::sleep_for(
-        std::chrono::microseconds(100 + rng.below(100)));
+        std::chrono::nanoseconds(Doorbell::kSpinNs + 100'000) +
+        std::chrono::microseconds(rng.below(200)));
   }
   // Each shard's share of the racing push fits its ring, so a lane
   // accepts all of it or none.
@@ -863,6 +865,13 @@ TEST(Runtime, ParkAndWakeRacesLoseNothing) {
     raced += extra;
   }
   EXPECT_EQ(raced, accepted_last);
+  // Each worker waited through every pause.
+  for (const obs::Registry::Entry& e : reg.entries()) {
+    if (e.name == "she_pipeline_worker_idle_ns_total") {
+      EXPECT_GE(e.counter->value(),
+                static_cast<std::uint64_t>(kPauses * Doorbell::kSpinNs));
+    }
+  }
 }
 
 // A worker with nothing to do still beats its heartbeat: an idle pipeline

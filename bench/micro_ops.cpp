@@ -12,10 +12,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/cvs.hpp"
@@ -30,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "runtime/snapshot.hpp"
+#include "she/monitor.hpp"
 #include "she/she.hpp"
 
 namespace she::bench {
@@ -428,6 +431,35 @@ void BM_PushBulkRoute(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_PushBulkRoute)->Arg(8192);
+
+// flush() on an idle 2-shard ConcurrentMonitor: the FLUSH barrier alone,
+// nothing to drain, wake-ups included.  The arg is the pause between
+// calls in µs, outside the timing: 0 finds the workers still spinning
+// from the last call, 10000 (longer than the runtime's spin budget) finds
+// them parked.  p50_us is the median call.
+void BM_PipelineIdleFlush(benchmark::State& state) {
+  runtime::PipelineOptions opt;
+  opt.shards = 2;
+  ConcurrentMonitor mon(shard_monitor(32768), opt);
+  mon.start();
+  const auto pause = std::chrono::microseconds(state.range(0));
+  std::vector<double> us;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::this_thread::sleep_for(pause);
+    state.ResumeTiming();
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(mon.flush());
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  mon.close();
+  std::nth_element(us.begin(), us.begin() + us.size() / 2, us.end());
+  state.counters["p50_us"] = us.empty() ? 0.0 : us[us.size() / 2];
+}
+BENCHMARK(BM_PipelineIdleFlush)->Arg(0)->Iterations(2000);
+BENCHMARK(BM_PipelineIdleFlush)->Arg(10000)->Iterations(300);
 // ---- end simd-vs-scalar batch pairs ---------------------------------------
 
 // ---- tracing overhead pair ------------------------------------------------

@@ -12,16 +12,22 @@
 // sweep degenerates to context-switch overhead, which is why the physical
 // concurrency is part of the banner.
 //
+// A second table runs one loaded 2-shard pipeline alone and next to 8 idle
+// ones, alternating, and reports both rates: idle shard workers park, so
+// they should leave the cores to the loaded one.  It is reported, not
+// gated.
+//
 // It is also an end-to-end check of the commit lanes and shard rings: the
-// process exits 1 when any sweep row applied a different number of keys
-// (she_pipeline_inserted_total) than its producers pushed, or dropped any
-// (she_pipeline_dropped_total).
+// process exits 1 when any sweep or idle-neighbour row applied a different
+// number of keys (she_pipeline_inserted_total) than its producers pushed,
+// or dropped any (she_pipeline_dropped_total).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -136,6 +142,19 @@ RunResult run_once(const stream::Trace& trace, std::size_t producers,
   return r;
 }
 
+/// False, with a line on stderr, when a run lost or dropped keys.
+bool exact_counts(const RunResult& r, std::size_t producers,
+                  std::size_t shards) {
+  if (r.inserted == r.pushed && r.dropped == 0) return true;
+  std::fprintf(stderr,
+               "producers=%zu shards=%zu: pushed %llu keys, inserted "
+               "%llu, dropped %llu\n",
+               producers, shards, static_cast<unsigned long long>(r.pushed),
+               static_cast<unsigned long long>(r.inserted),
+               static_cast<unsigned long long>(r.dropped));
+  return false;
+}
+
 /// Runs the sweep; returns false when some row lost or dropped keys.
 bool sweep(std::vector<std::string>& json_rows) {
   auto trace = caida_like(kItems);
@@ -161,19 +180,58 @@ bool sweep(std::vector<std::string>& json_rows) {
           << ",\"stats\":" << r.metrics_json << "}";
       json_rows.push_back(row.str());
       std::printf("JSON %s\n", row.str().c_str());
-      if (r.inserted != r.pushed || r.dropped > 0) {
-        std::fprintf(stderr,
-                     "producers=%zu shards=%zu: pushed %llu keys, inserted "
-                     "%llu, dropped %llu\n",
-                     producers, shards,
-                     static_cast<unsigned long long>(r.pushed),
-                     static_cast<unsigned long long>(r.inserted),
-                     static_cast<unsigned long long>(r.dropped));
-        exact = false;
-      }
+      exact = exact_counts(r, producers, shards) && exact;
     }
   }
   table.print(std::cout);
+  return exact;
+}
+
+/// One loaded 2-shard pipeline (2 producers, no reader) alone, then with
+/// kIdle started 2-shard pipelines beside it that get no keys, alternating
+/// for kRounds rounds; reports the median rate of each side.  Returns
+/// false when some run lost or dropped keys.
+bool idle_neighbours(std::vector<std::string>& json_rows) {
+  constexpr std::size_t kIdle = 8;
+  constexpr int kRounds = 9;
+  std::printf("\n--- A loaded pipeline alone and next to %zu idle ones "
+              "(2 producers, 2 shards, median of %d alternating rounds) ---\n",
+              kIdle, kRounds);
+  auto trace = caida_like(kItems);
+  std::vector<double> alone;
+  std::vector<double> crowded;
+  bool exact = true;
+  for (int round = 0; round < kRounds; ++round) {
+    RunResult r = run_once(trace, 2, 2, /*with_reader=*/false);
+    alone.push_back(r.mips);
+    exact = exact_counts(r, 2, 2) && exact;
+    std::vector<std::unique_ptr<IngestPipeline<SheBloomFilter>>> idle;
+    PipelineOptions opt;
+    opt.shards = 2;
+    for (std::size_t i = 0; i < kIdle; ++i) {
+      idle.push_back(
+          std::make_unique<IngestPipeline<SheBloomFilter>>(opt, bf_factory(2)));
+      idle.back()->start();
+    }
+    r = run_once(trace, 2, 2, /*with_reader=*/false);
+    crowded.push_back(r.mips);
+    exact = exact_counts(r, 2, 2) && exact;
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double a = median(alone);
+  const double c = median(crowded);
+  Table table({"idle pipelines", "Mips alone", "Mips crowded", "crowded/alone"});
+  table.add(kIdle, fmt(a), fmt(c), fmt(c / a));
+  table.print(std::cout);
+  std::ostringstream row;
+  row << "{\"idle_pipelines\":" << kIdle << ",\"rounds\":" << kRounds
+      << ",\"alone_mips\":" << a << ",\"crowded_mips\":" << c
+      << ",\"ratio\":" << c / a << "}";
+  json_rows.push_back(row.str());
+  std::printf("JSON %s\n", row.str().c_str());
   return exact;
 }
 
@@ -231,6 +289,7 @@ void accuracy_under_load(std::vector<std::string>& json_rows) {
 /// CI can diff runs across hosts without scraping stdout.
 void write_report(const std::string& path,
                   const std::vector<std::string>& sweep_rows,
+                  const std::vector<std::string>& neighbour_rows,
                   const std::vector<std::string>& accuracy_rows) {
   std::ofstream os(path);
   if (!os) {
@@ -246,6 +305,8 @@ void write_report(const std::string& path,
      << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
      << ",\n  \"sweep\": [\n    ";
   emit(sweep_rows);
+  os << "\n  ],\n  \"idle_neighbours\": [\n    ";
+  emit(neighbour_rows);
   os << "\n  ],\n  \"accuracy_under_load\": [\n    ";
   emit(accuracy_rows);
   os << "\n  ]\n}\n";
@@ -261,10 +322,12 @@ int main(int argc, char** argv) {
                      "throughput across producers x shards with concurrent "
                      "snapshot queries, plus queries-under-load accuracy.");
   std::vector<std::string> sweep_rows;
+  std::vector<std::string> neighbour_rows;
   std::vector<std::string> accuracy_rows;
-  const bool exact = she::bench::sweep(sweep_rows);
+  bool exact = she::bench::sweep(sweep_rows);
+  exact = she::bench::idle_neighbours(neighbour_rows) && exact;
   she::bench::accuracy_under_load(accuracy_rows);
   she::bench::write_report(argc > 1 ? argv[1] : "BENCH_pipeline.json",
-                           sweep_rows, accuracy_rows);
+                           sweep_rows, neighbour_rows, accuracy_rows);
   return exact ? 0 : 1;
 }

@@ -30,6 +30,7 @@
 #include "baselines/tsv.hpp"
 #include "common.hpp"
 #include "obs/trace.hpp"
+#include "runtime/doorbell.hpp"
 #include "runtime/ingest_pipeline.hpp"
 #include "runtime/snapshot.hpp"
 #include "she/monitor.hpp"
@@ -435,8 +436,8 @@ BENCHMARK(BM_PushBulkRoute)->Arg(8192);
 // flush() on an idle 2-shard ConcurrentMonitor: the FLUSH barrier alone,
 // nothing to drain, wake-ups included.  The arg is the pause between
 // calls in µs, outside the timing: 0 finds the workers still spinning
-// from the last call, 10000 (longer than the runtime's spin budget) finds
-// them parked.  p50_us is the median call.
+// from the last call, 5 ms past the runtime's spin budget finds them
+// parked.  p50_us is the median call.
 void BM_PipelineIdleFlush(benchmark::State& state) {
   runtime::PipelineOptions opt;
   opt.shards = 2;
@@ -459,7 +460,9 @@ void BM_PipelineIdleFlush(benchmark::State& state) {
   state.counters["p50_us"] = us.empty() ? 0.0 : us[us.size() / 2];
 }
 BENCHMARK(BM_PipelineIdleFlush)->Arg(0)->Iterations(2000);
-BENCHMARK(BM_PipelineIdleFlush)->Arg(10000)->Iterations(300);
+BENCHMARK(BM_PipelineIdleFlush)
+    ->Arg(runtime::Doorbell::kSpinNs / 1000 + 5000)
+    ->Iterations(200);
 // ---- end simd-vs-scalar batch pairs ---------------------------------------
 
 // ---- tracing overhead pair ------------------------------------------------

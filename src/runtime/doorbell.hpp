@@ -1,12 +1,12 @@
 // Doorbell — the one way the ingest runtime waits: spin briefly, then park.
-// wait(ready, deadline) spin-yields while a wait on this bell last ended
-// ready less than kSpinNs ago, then sleeps until ring() or the deadline:
-// a bell in steady use keeps its waiters hot across short gaps, and one
-// idle for kSpinNs (a supervisor tick, an idle worker's periodic wake-up)
-// parks at once.  ring() costs a fence and one load while nobody sleeps.
-// No wake-up is lost: a waiter registers as a sleeper, fences, re-checks
-// ready() and sleeps, all under the mutex; a ringer changes what ready()
-// reads, fences, reads the sleeper count, and takes the mutex to notify.
+// wait(ready, deadline) spin-yields while the bell was last used (a wait
+// ended ready, or ring() woke a sleeper) less than kSpinNs ago, then
+// sleeps until ring() or the deadline: a bell in steady use keeps its
+// waiters hot across short gaps, and one idle for kSpinNs parks at once.
+// ring() costs a fence and one load while nobody sleeps.  No wake-up is
+// lost: a waiter registers as a sleeper, fences, re-checks ready() and
+// sleeps, all under the mutex; a ringer changes what ready() reads,
+// fences, reads the sleeper count, and takes the mutex to notify.
 #pragma once
 
 #include <atomic>
@@ -18,18 +18,22 @@
 
 namespace she::runtime {
 
+/// Steady-clock nanoseconds: the clock of every wait and request deadline.
+inline std::int64_t now_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 class Doorbell {
  public:
-  /// Chosen on point_ops (4-vCPU VM): a budget near one point request
-  /// (20–50 µs) lost 30–50 % of its query rate, because waking a parked
-  /// thread on a halted vCPU costs more than a request; 500 µs matched it.
-  static constexpr std::int64_t kSpinNs = 500'000;
-
-  static std::int64_t now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+  /// Chosen on bench/e2e (4-vCPU VM), where waking a thread parked on a
+  /// halted vCPU costs more than a request.  Near one point request
+  /// (20–50 µs), point_ops lost 30–50 % of its query rate; up to 1 ms,
+  /// mixed_read_write (an 8192-key frame every 16 ms) lost 40 %; 20 ms
+  /// matched the old always-spinning workers on both.  So a shard fed at
+  /// least every 20 ms keeps its worker hot, and a quiet one parks.
+  static constexpr std::int64_t kSpinNs = 20'000'000;
 
   /// Wait until `ready()` or the steady-clock `deadline_ns` (0 = none);
   /// returns ready().
@@ -38,7 +42,7 @@ class Doorbell {
     while (!ready()) {
       const std::int64_t now = now_ns();
       if (deadline_ns != 0 && now >= deadline_ns) return false;
-      if (now < last_ready_ns_.load(std::memory_order_relaxed) + kSpinNs) {
+      if (now < used_ns_.load(std::memory_order_relaxed) + kSpinNs) {
         std::this_thread::yield();
         continue;
       }
@@ -54,14 +58,14 @@ class Doorbell {
       }
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }
-    last_ready_ns_.store(now_ns(), std::memory_order_relaxed);
+    used_ns_.store(now_ns(), std::memory_order_relaxed);
     return true;
   }
 
   void ring() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (sleepers_.load(std::memory_order_relaxed) == 0) return;
-    last_ready_ns_.store(now_ns(), std::memory_order_relaxed);
+    used_ns_.store(now_ns(), std::memory_order_relaxed);
     { std::lock_guard<std::mutex> lk(mu_); }
     cv_.notify_all();
   }
@@ -70,7 +74,7 @@ class Doorbell {
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<std::uint32_t> sleepers_{0};
-  std::atomic<std::int64_t> last_ready_ns_{0};  ///< when a wait last ended ready
+  std::atomic<std::int64_t> used_ns_{0};  ///< the bell's last use
 };
 
 }  // namespace she::runtime

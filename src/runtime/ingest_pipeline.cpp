@@ -142,8 +142,6 @@ enum class Phase : int { kNew, kRunning, kClosing, kClosed };
 constexpr std::int64_t kParkCapNs = 100'000'000;
 static_assert(kParkCapNs < PipelineCore::kHeartbeatTimeoutMs * 1'000'000);
 
-constexpr auto now_ns = &Doorbell::now_ns;
-
 struct Shard {
   Shard(std::shared_ptr<ShardState> e, std::size_t queue_capacity)
       : est(std::move(e)), ring(queue_capacity) {}
@@ -196,8 +194,8 @@ struct Shard {
   std::atomic<std::uint64_t> sync_req{0};
   std::atomic<std::uint64_t> sync_ack{0};
   std::atomic<bool> sync_ckpt{false};
-  /// Rung on work for the worker (a lane's publish, sync(), close()) and on
-  /// its progress (a sweep that freed slots, a sync ack, shard death).
+  /// Rung on work (a lane's publish, sync(), close()) and on progress (a
+  /// sweep that drained, a sync ack, shard death).
   Doorbell bell;
   /// Trace id of the most recent traced push routed here, stored before
   /// its keys are enqueued; the worker adopts it for a sweep, and clears
@@ -588,9 +586,11 @@ struct PipelineCore::Impl {
 
   bool sync(bool with_checkpoint, std::size_t timeout_ms) {
     // Closed, or no workers yet: the published snapshots are current.
-    if (const Phase p = phase_.load(std::memory_order_acquire);
-        p == Phase::kNew || p == Phase::kClosed)
-      return true;
+    const auto settled = [this] {
+      const Phase p = phase_.load(std::memory_order_acquire);
+      return p == Phase::kNew || p == Phase::kClosed;
+    };
+    if (settled()) return true;
     std::vector<std::uint64_t> want(opt_.shards);
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
@@ -601,19 +601,16 @@ struct PipelineCore::Impl {
     }
     const std::int64_t deadline =
         now_ns() + static_cast<std::int64_t>(timeout_ms) * 1'000'000;
-    const auto closed = [this] {
-      return phase_.load(std::memory_order_acquire) == Phase::kClosed;
-    };
     bool ok = true;
     for (std::size_t s = 0; s < opt_.shards; ++s) {
       Shard& sh = *shards_[s];
       const auto acked = [&] {
         return sh.sync_ack.load(std::memory_order_acquire) >= want[s];
       };
-      if (!sh.bell.wait([&] { return acked() || closed() || shard_dead(sh); },
+      if (!sh.bell.wait([&] { return acked() || settled() || shard_dead(sh); },
                         deadline))
         return false;
-      if (closed()) return true;
+      if (settled()) return true;
       ok = ok && acked();  // a dead shard never acks
     }
     return ok;
@@ -1091,8 +1088,8 @@ struct PipelineCore::Impl {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<obs::Counter*> produced_;  ///< one per producer
   std::vector<std::thread> workers_;     ///< indexed by shard
-  std::thread supervisor_;
   Doorbell tick_;  ///< the supervisor's, rung by close()
+  std::thread supervisor_;
   std::atomic<Phase> phase_{Phase::kNew};
   std::atomic<bool> degraded_{false};
   std::atomic<std::int64_t> last_probe_ns_{0};

@@ -20,11 +20,7 @@
 namespace she::server {
 namespace fs = std::filesystem;
 
-namespace {
-
-constexpr auto now_ns = &runtime::Doorbell::now_ns;
-
-}  // namespace
+using runtime::now_ns;
 
 // -------------------------------------------------------- ReplicationHub --
 
@@ -362,8 +358,11 @@ void ReplicaClient::refresh_lag() {
 void ReplicaClient::run() {
   std::size_t backoff = opt_.backoff_initial_ms;
   std::size_t next = 0;
-  while (!stop_.load(std::memory_order_acquire) &&
-         !promoting_.load(std::memory_order_acquire)) {
+  const auto quit = [this] {
+    return stop_.load(std::memory_order_acquire) ||
+           promoting_.load(std::memory_order_acquire);
+  };
+  while (!quit()) {
     const auto [host, port] =
         parse_endpoint(opt_.endpoints[next % opt_.endpoints.size()]);
     ++next;
@@ -374,11 +373,7 @@ void ReplicaClient::run() {
     }
     // stop() and promote() ring the bell, so neither waits out a backoff.
     backoff_bell_.wait(
-        [this] {
-          return stop_.load(std::memory_order_acquire) ||
-                 promoting_.load(std::memory_order_acquire);
-        },
-        now_ns() + static_cast<std::int64_t>(backoff) * 1'000'000);
+        quit, now_ns() + static_cast<std::int64_t>(backoff) * 1'000'000);
   }
   connected_.store(false, std::memory_order_release);
   connected_gauge_->set(0);

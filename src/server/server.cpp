@@ -25,6 +25,7 @@
 #include "common/checkpoint.hpp"
 #include "common/paged_array.hpp"
 #include "obs/export.hpp"
+#include "runtime/doorbell.hpp"
 #include "server/http.hpp"
 
 namespace she::server {
@@ -117,8 +118,7 @@ void fail(std::vector<char>& out, Status st, const std::string& msg) {
 std::optional<std::size_t> barrier_timeout_ms(std::size_t flush_timeout_ms,
                                               std::int64_t deadline_ns) {
   if (deadline_ns == 0) return flush_timeout_ms;
-  const std::int64_t left_ms =
-      (deadline_ns - Clock::now().time_since_epoch().count()) / 1'000'000;
+  const std::int64_t left_ms = (deadline_ns - runtime::now_ns()) / 1'000'000;
   if (left_ms <= 0) return std::nullopt;
   return std::min(flush_timeout_ms, static_cast<std::size_t>(left_ms));
 }
@@ -271,10 +271,7 @@ void SheServer::start() {
   if (::pipe(stop_pipe_) != 0) {
     throw std::runtime_error(std::string("pipe: ") + std::strerror(errno));
   }
-  start_steady_ns_ =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count();
+  start_steady_ns_ = runtime::now_ns();
   if (opt_.enable_tracing) obs::trace::set_enabled(true);
   if (!opt_.auth_token_file.empty()) {
     std::ifstream in(opt_.auth_token_file);
@@ -627,9 +624,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
       const Clock::time_point t0 = Clock::now();
       if (opt_.request_deadline_ms != 0) {
         ctx.deadline_ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t0.time_since_epoch())
-                .count() +
+            runtime::now_ns() +
             static_cast<std::int64_t>(opt_.request_deadline_ms) * 1'000'000;
       }
       OpInfo info;
@@ -747,10 +742,7 @@ std::string SheServer::render_metrics() const {
 }
 
 std::string SheServer::render_healthz() const {
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count();
+  const std::int64_t now_ns = runtime::now_ns();
   const std::int64_t up_s =
       start_steady_ns_ > 0 ? (now_ns - start_steady_ns_) / 1'000'000'000
                            : 0;
@@ -808,10 +800,7 @@ void SheServer::maybe_log_slow(const OpInfo& info, std::uint64_t ns,
   slow_requests_->inc();
   // Rate limit the log line itself to one per second so a latency storm
   // cannot flood stderr; the counter above still sees every slow request.
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count();
+  const std::int64_t now_ns = runtime::now_ns();
   std::int64_t last = last_slow_log_ns_.load(std::memory_order_relaxed);
   if (now_ns - last < 1'000'000'000 ||
       !last_slow_log_ns_.compare_exchange_strong(last, now_ns,
@@ -860,10 +849,7 @@ bool SheServer::TokenBucket::take(double cost, double per_sec,
 
 SheServer::Admission SheServer::admit(std::uint64_t client,
                                       std::size_t bytes) {
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
-          .count();
+  const std::int64_t now_ns = runtime::now_ns();
   std::lock_guard lk(admission_mu_);
   if (opt_.max_inflight != 0 && inflight_ >= opt_.max_inflight) {
     return Admission::kOverloadedGlobal;
@@ -957,7 +943,7 @@ void SheServer::dispatch(BinaryReader& req, Op op, OpInfo& info, ReqCtx ctx,
         const std::uint64_t accepted = entry->insert_bulk(
             keys, ctx.seq.client_id, ctx.seq.client_seq, ctx.deadline_ns);
         if (accepted < keys.size() && ctx.deadline_ns != 0 &&
-            Clock::now().time_since_epoch().count() >= ctx.deadline_ns) {
+            runtime::now_ns() >= ctx.deadline_ns) {
           // Shed, not wedged: the deadline expired before some shard had
           // ring space for its sub-batch.  Each shard's sub-batch was
           // applied whole or not at all, so an idempotent client replays

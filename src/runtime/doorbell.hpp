@@ -1,12 +1,10 @@
 // Doorbell — the one way the ingest runtime waits: spin briefly, then park.
 // wait(ready, deadline) spin-yields while the bell was last used (a wait
-// ended ready, or ring() woke a sleeper) less than kSpinNs ago, then
-// sleeps until ring() or the deadline: a bell in steady use keeps its
-// waiters hot across short gaps, and one idle for kSpinNs parks at once.
-// ring() costs a fence and one load while nobody sleeps.  No wake-up is
-// lost: a waiter registers as a sleeper, fences, re-checks ready() and
-// sleeps, all under the mutex; a ringer changes what ready() reads,
-// fences, reads the sleeper count, and takes the mutex to notify.
+// ended ready, or ring() woke a sleeper) less than kSpinNs ago, then sleeps
+// until ring() or the deadline.  ring() is a fence and one load while
+// nobody sleeps.  No wake-up is lost: a waiter registers as a sleeper,
+// fences, re-checks ready() and sleeps, all under the mutex; a ringer
+// changes what ready() reads, fences, then reads the sleeper count.
 #pragma once
 
 #include <atomic>
@@ -27,15 +25,14 @@ inline std::int64_t now_ns() {
 
 class Doorbell {
  public:
-  /// Chosen on bench/e2e (4-vCPU VM), where waking a thread parked on a
-  /// halted vCPU costs more than a request.  Near one point request
-  /// (20–50 µs), point_ops lost 30–50 % of its query rate; up to 1 ms,
-  /// mixed_read_write (an 8192-key frame every 16 ms) lost 40 %; 20 ms
-  /// matched the old always-spinning workers on both.  So a shard fed at
-  /// least every 20 ms keeps its worker hot, and a quiet one parks.
+  /// Chosen on bench/e2e (4-vCPU VM), where waking a thread on a halted
+  /// vCPU costs more than a request: near one point request (20–50 µs)
+  /// point_ops lost 30–50 % of its query rate, up to 1 ms mixed_read_write
+  /// (a frame every 16 ms) lost 40 %, and 20 ms matched the old spinning
+  /// workers.  So a shard fed every 20 ms stays hot and a quiet one parks.
   static constexpr std::int64_t kSpinNs = 20'000'000;
 
-  /// Wait until `ready()` or the steady-clock `deadline_ns` (0 = none);
+  /// Wait until ready() or the steady-clock deadline_ns (0 = none);
   /// returns ready().
   template <typename Ready>
   bool wait(Ready&& ready, std::int64_t deadline_ns) {
@@ -50,11 +47,9 @@ class Doorbell {
       sleepers_.fetch_add(1, std::memory_order_relaxed);
       std::atomic_thread_fence(std::memory_order_seq_cst);
       if (!ready()) {
-        if (deadline_ns == 0)
-          cv_.wait(lk);
-        else
-          cv_.wait_until(lk, std::chrono::steady_clock::time_point(
-                                 std::chrono::nanoseconds(deadline_ns)));
+        if (deadline_ns == 0) cv_.wait(lk);
+        else cv_.wait_until(lk, std::chrono::steady_clock::time_point(
+                                    std::chrono::nanoseconds(deadline_ns)));
       }
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
     }

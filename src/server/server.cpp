@@ -621,12 +621,10 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
               0;
       const obs::trace::ThreadCursor cursor =
           tracing ? obs::trace::thread_cursor() : obs::trace::ThreadCursor{};
-      const Clock::time_point t0 = Clock::now();
-      if (opt_.request_deadline_ms != 0) {
+      const std::int64_t t0 = runtime::now_ns();
+      if (opt_.request_deadline_ms != 0)
         ctx.deadline_ns =
-            runtime::now_ns() +
-            static_cast<std::int64_t>(opt_.request_deadline_ms) * 1'000'000;
-      }
+            t0 + static_cast<std::int64_t>(opt_.request_deadline_ms) * 1'000'000;
       OpInfo info;
       try {
         if (sampled) {
@@ -640,10 +638,7 @@ void SheServer::handle_conn(std::uint64_t id, int fd) {
         throw;
       }
       release(auth_id);
-      const std::uint64_t ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               t0)
-              .count());
+      const auto ns = static_cast<std::uint64_t>(runtime::now_ns() - t0);
       observe_request(info, ns);
       if (opt_.slow_request_ms != 0 &&
           ns >= opt_.slow_request_ms * 1'000'000ull) {
